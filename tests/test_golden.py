@@ -1,0 +1,239 @@
+"""Golden sha256 pins: bit-reproducibility is the product contract.
+
+Pins cover the session files the simulator writes for every built-in map x
+policy x seed in {0, 1, 2}, the metric table over that corpus (file and
+stdout), each `stats` analysis over that table, each `timeseries` metric,
+and the committed replay in demos/out/. A pin may change only in a change
+that says in CHANGES.md why the output moved; the assertion message shows
+the new digest.
+"""
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from teamcoord import Role
+from teamcoord.cli import EXIT_OK, main
+from teamcoord.metrics import SeriesMetric
+from teamcoord.session_io import write_session
+from teamcoord.sim import AgentPolicy, PolicyKind, builtin_map, map_meta, run_mission
+
+MAPS = ("small", "medium", "corridor")
+POLICIES = ("random_walk", "greedy", "coordinated")
+SEEDS = (0, 1, 2)
+REPLAY_DIR = Path(__file__).resolve().parent.parent / "demos" / "out"
+
+SESSION_PINS = {
+    "corridor-coordinated-s00000.jsonl":
+        "8fe52c74591aa84534beb589f93d0e571a3223123fe706adc873cc4241529a38",
+    "corridor-coordinated-s00000.manifest.json":
+        "9f9726b106beeb8843515c3b52aca4285f16dc8c2cfc1c735fba8be588ecadfe",
+    "corridor-coordinated-s00001.jsonl":
+        "9ca577d1e4b79660bbc1b57ed8c7a6d3efaf7cb9422b72526752af0cf7b991d2",
+    "corridor-coordinated-s00001.manifest.json":
+        "bbc93e0cc5aeecb5585a261178dfa688b73c0c59ac7b7b60fec4fb9cb2fae271",
+    "corridor-coordinated-s00002.jsonl":
+        "da115e045b55e57d2dba856ea1fa2fec9f9ea797917a3870ec1bebf5206d6001",
+    "corridor-coordinated-s00002.manifest.json":
+        "147612cf1c1391d6d9e61c6c35515e7b31d9541edb59113efb774e550841bb70",
+    "corridor-greedy-s00000.jsonl":
+        "ad4f7d015f5b7ff236570a08856a8f875c198f1b8f4750cac1caed7748af6c7c",
+    "corridor-greedy-s00000.manifest.json":
+        "b030d648e63027b0cc17ed5598d12348aa6472c94713735b701e2957d84a55d3",
+    "corridor-greedy-s00001.jsonl":
+        "77a3f812791956120af4760d323d37959881f2fd204e7cfe7c7b734c119ccb2d",
+    "corridor-greedy-s00001.manifest.json":
+        "a36af54652c842c5afb8f186d76bb5c23f039e972c5a34e3c8a2ba20010e9b15",
+    "corridor-greedy-s00002.jsonl":
+        "d61da3fdc1b9b1a1dad78e4679a99aeec97756ae612cafe1f15512aa8e383ec4",
+    "corridor-greedy-s00002.manifest.json":
+        "6495c6b2160debe243a0f1e03bad9f3a6e44d4ef05bc2990eddc7afdaacbadc5",
+    "corridor-random_walk-s00000.jsonl":
+        "1d28cffee2adbbf59cd2ae2fab2f3091e8dedbe9fffc5af1f60c2190026a7548",
+    "corridor-random_walk-s00000.manifest.json":
+        "6e739b66d0c36dfcb05f0c8a1a1cefcdc42165486ddebad7003048ba03dc6716",
+    "corridor-random_walk-s00001.jsonl":
+        "e854ef939fcd6dc67f8d869c262c6599408ff310b039651dc18faae307844a74",
+    "corridor-random_walk-s00001.manifest.json":
+        "f594d1db8314c6f758a26bc797ca1b6a0765a91a200f634c3f076d026f38e9bd",
+    "corridor-random_walk-s00002.jsonl":
+        "c5db0a79d11156facc3d155bf624435159ea30f8e730df67927e8f0876a761d5",
+    "corridor-random_walk-s00002.manifest.json":
+        "5b7c39db718286bd8c0fc943f14193f3ef481db70e199e4c991d51528f7d4769",
+    "medium-coordinated-s00000.jsonl":
+        "1a04041c11d4193c8b058de57631750b96cea6fe2e5a116dd3000bd074b7d19d",
+    "medium-coordinated-s00000.manifest.json":
+        "dc5b7157e67d1dd6e21af844151c9b273bddf872675be715e352eaef36e56cd8",
+    "medium-coordinated-s00001.jsonl":
+        "995a8185e57df2adf404c7f69973b8e407774e76335d97d8c044285a05ff0314",
+    "medium-coordinated-s00001.manifest.json":
+        "aa37b6415343e7a2f121d035a29b99eb62ee9e2300c90484e5cd9c609f669932",
+    "medium-coordinated-s00002.jsonl":
+        "6c2198557db808c408f7ae4dd396838cf9429bf2e9ce10efeaf016951d5165b1",
+    "medium-coordinated-s00002.manifest.json":
+        "c6bdadb65c7e4819b3c22cbfd6a69071a581a3acfce96808c076caaad87b4bfd",
+    "medium-greedy-s00000.jsonl":
+        "a80b627ee97af3b1bd2ac4d8d30ca568e29888b061b7044bf8add1f9d00f2a43",
+    "medium-greedy-s00000.manifest.json":
+        "96b0f0e2a213f3324420ac9983e513ec418f32600ce0a080afa8ca74b40e85a9",
+    "medium-greedy-s00001.jsonl":
+        "c66729cdbf0c3426d7f1a254e29e4d8489fae55a86c1a7f5fb50d721dd814714",
+    "medium-greedy-s00001.manifest.json":
+        "f7fbebb78da7a7055621de6d948d42ccca6c32625dbb8d2311584075d270f385",
+    "medium-greedy-s00002.jsonl":
+        "610038f463d7dbedcd85f70970986126e407231b23af74fcc67d7f75043a580a",
+    "medium-greedy-s00002.manifest.json":
+        "855becc32a0abc16a4dbd879bd7d042bf8e77a447125fd91261b212e8a7bdae8",
+    "medium-random_walk-s00000.jsonl":
+        "258a562dcf4d1ecd2c96c174e7571af04a351857b1332885a3df0830ce0bcc90",
+    "medium-random_walk-s00000.manifest.json":
+        "59639999a42a4f209f794d754a999705e82b2912ea1bc51cd9710bb26a846cab",
+    "medium-random_walk-s00001.jsonl":
+        "31d1d2ebe6cef6eab0fd4d2679a1fda0288143dcf881869c0a8489d372140b35",
+    "medium-random_walk-s00001.manifest.json":
+        "720f3f0de7b800a551a15bc346f511b33c6287af18042f526ca30a080e29b116",
+    "medium-random_walk-s00002.jsonl":
+        "eaea99fd5825ca80df6dade285b4999a2809a674bdf08a5cd23e17a00eb7f05d",
+    "medium-random_walk-s00002.manifest.json":
+        "6f1b04ed3a0ef4dc956635c95ec49468368afd6a63c53e94834376e27a12071a",
+    "small-coordinated-s00000.jsonl":
+        "7fe66760861bff01dd5ef8c2d70d1bcf98fc8d8a05ac3c342bcf3cd2d5451684",
+    "small-coordinated-s00000.manifest.json":
+        "df40310d00edbdd486a9089665f208e989ab012153c0e71d83398c5ac9ab3ff4",
+    "small-coordinated-s00001.jsonl":
+        "66e451497fbae21cb2f42876f763496ae0171cdf5eef268d60c45bd0951fcb1d",
+    "small-coordinated-s00001.manifest.json":
+        "f1156b1a93aaebe925796ddf59c492c857fb59c02f179f6330bde7a0b88d7e43",
+    "small-coordinated-s00002.jsonl":
+        "634fad594b46b1eeb49583bf279b7d82516ae5edaa179237d51f095e1d52e85f",
+    "small-coordinated-s00002.manifest.json":
+        "d84ecfbda46390e2ef048a6a4f0b82aa111e1c8153be9c01aa9cbf25fc8025eb",
+    "small-greedy-s00000.jsonl":
+        "4b39914d72a07133e0aa8bf7664155039f3c219c17af638590813d56d7230d82",
+    "small-greedy-s00000.manifest.json":
+        "c83bf57efa9ab02dfcbe3c0517621ba1754bc4146971ab56ba0a9afd7cc61440",
+    "small-greedy-s00001.jsonl":
+        "7eb12ed76afd3a279059165ded7f56d790a2e7e5f18cffb9789e4aac09cb5860",
+    "small-greedy-s00001.manifest.json":
+        "0fae12caccff774c37bf56426d12f264e8c2c2d07d1965d1dc981fa68f46c90b",
+    "small-greedy-s00002.jsonl":
+        "33037b98101c0153b8d8ea63be07c3bc3532c0db1f3381ba8f643edf8f39c00e",
+    "small-greedy-s00002.manifest.json":
+        "e49670f78aefa352d5015b5a9e7d25948fff2d802ea0171ea11b954389cee005",
+    "small-random_walk-s00000.jsonl":
+        "f5e2dcbaac244de5f81887d18003b8659c0dc46310ef2ada3221e7f45ce65752",
+    "small-random_walk-s00000.manifest.json":
+        "a5e13fd4b7cb2a29b0fb410ff29681a1eada4867ea71c29e670face3e2942414",
+    "small-random_walk-s00001.jsonl":
+        "3ae3c44dbe7c5cc69c615963cde5d473a0215a9d2fff7e6ea56b51d83acbb2aa",
+    "small-random_walk-s00001.manifest.json":
+        "bba586b7a84f6e303e15d92f9a17249e7c7aad90a4493f2fbf9e2de094d50c42",
+    "small-random_walk-s00002.jsonl":
+        "d3377f8469d6c6670762e849fba29dfb3e87f39a4de3e4636bddfbc3abd26c5d",
+    "small-random_walk-s00002.manifest.json":
+        "e3e36c60a28f356183210b6807d86412d53be3e84cd55ecd1ac35b8f8f49c200",
+}
+TABLE_PIN = "cc0facbc9f0304e67559b862493c3d5a84354de6424d88024e9b1bccc4ff2fee"
+STATS_PINS = {
+    "correlations":
+        "6d254b8da0c79bda67eddb30dfdf1f83b28adea6fe40a1b5385ec8b024a29287",
+    "regression":
+        "5641441ac6d1499d66bcf5b62db90623cae25c421c610924f0458dbfc7877f13",
+    "quadratic":
+        "037860e5f2e35af0152a759a36cad80e453ab8f7a1d8069d274feb47b2581e78",
+    "mediation":
+        "bc41c5c2ecee52aea91a4a22b16301e06c00dcb1349aec980796db1dc0dea8dd",
+    "groups":
+        "4e6e9bd9f383a185a9bbcd165912efde9a5e2e4d6e0c77a73fcf9c86e640cfb0",
+    "timeless-anova":
+        "a9e8584e5320b2a6d802d06228c082e5b17bea2940896a86c19af8192e60c2f9",
+}
+SERIES_PINS = {
+    "sed":
+        "909faa35be313ac73d890d0556d5945a8b86bbc9f02a889a83eb1c384d88bdc1",
+    "sms":
+        "504d42179873ee3e3ee2caaa5d53fdf84cbc2c2195d69cc349ef3aaf6dff30d3",
+    "spa_rolling":
+        "185b049a4d43f8aedf05bc31fb24d0382741e290e5cc6e9beb7f21ec5314e577",
+    "inter_role_distance":
+        "169929448484417ece0b355e448b9fa14497581746aad8573a21307a17ca2ac6",
+}
+REPLAY_PINS = {
+    "replay_a.jsonl":
+        "9450ef0dbdf110516bae327250c2b0047194f9b73248670244f6aa892bd8c0e8",
+    "replay_a.manifest.json":
+        "01ea3c157ed6989baba55b02c7fdd9e76901a062f1d0bee3c80af7985d7a1b0c",
+}
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_cli(capsys, argv) -> bytes:
+    assert main(argv) == EXIT_OK
+    return capsys.readouterr().out.encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden")
+    for name in MAPS:
+        for kind in POLICIES:
+            assert main(["simulate", "--map", name, "--policies", kind, "--runs", str(len(SEEDS)),
+                         "--seed", str(SEEDS[0]), "--out", str(out)]) == EXIT_OK
+    return out
+
+
+@pytest.fixture(scope="module")
+def table(corpus):
+    path = corpus / "metrics.csv"
+    assert main(["metrics", *map(str, sorted(corpus.glob("*.jsonl"))),
+                 "--out", str(path)]) == EXIT_OK
+    return path
+
+
+def test_session_files(corpus, capsys):
+    capsys.readouterr()
+    got = {p.name: sha(p.read_bytes()) for p in sorted(corpus.glob("*.json*"))}
+    assert len(got) == 2 * len(MAPS) * len(POLICIES) * len(SEEDS)
+    assert got == SESSION_PINS
+
+
+def test_metrics_table(corpus, table, capsys):
+    capsys.readouterr()
+    stdout = run_cli(capsys, ["metrics", *map(str, sorted(corpus.glob("*.jsonl")))])
+    assert stdout == table.read_bytes()
+    assert sha(stdout) == TABLE_PIN, sha(stdout)
+
+
+@pytest.mark.parametrize("analysis", ["correlations", "regression", "quadratic", "mediation",
+                                      "groups", "timeless-anova"])
+def test_stats_reports(table, analysis, capsys):
+    capsys.readouterr()
+    out = run_cli(capsys, ["stats", "--table", str(table), "--analysis", analysis,
+                           "--seed", "0", "--resamples", "500"])
+    assert sha(out) == STATS_PINS[analysis], sha(out)
+
+
+@pytest.mark.parametrize("metric", [m.value for m in SeriesMetric])
+def test_timeseries(corpus, metric, capsys):
+    capsys.readouterr()
+    out = run_cli(capsys, ["timeseries", *map(str, sorted(corpus.glob("*.jsonl"))),
+                           "--metric", metric])
+    assert sha(out) == SERIES_PINS[metric], sha(out)
+
+
+def test_committed_replay(tmp_path):
+    spec = builtin_map("medium")
+    policy = AgentPolicy(PolicyKind.COORDINATED)
+    team = [(Role.MEDIC, policy), (Role.MEDIC, policy),
+            (Role.ENGINEER, policy), (Role.ENGINEER, policy)]
+    session = run_mission(spec, team, seed=7, session_id="replay")
+    fresh = write_session(session, tmp_path / "replay_a.jsonl", map_meta=map_meta(spec))
+    for path in fresh:
+        committed = (REPLAY_DIR / path.name).read_bytes()
+        assert committed == path.read_bytes()
+        assert sha(committed) == REPLAY_PINS[path.name], sha(committed)
