@@ -5,6 +5,7 @@ independent rescuers, and coordinated specialists that pair up on red victims
 before splitting the map between roles. Every mission is bit-reproducible
 from (map, policies, seed).
 """
+import tempfile
 from pathlib import Path
 
 from teamcoord import Role, validate_session
@@ -41,8 +42,9 @@ def main():
     a = run_mission(spec, team(PolicyKind.COORDINATED), seed=7, session_id="replay")
     b = run_mission(spec, team(PolicyKind.COORDINATED), seed=7, session_id="replay")
     pa, _ = write_session(a, OUT / "replay_a.jsonl", map_meta=map_meta(spec))
-    pb, _ = write_session(b, OUT / "replay_b.jsonl", map_meta=map_meta(spec))
-    print("byte-identical:", pa.read_bytes() == pb.read_bytes())
+    with tempfile.TemporaryDirectory() as tmp:
+        pb, _ = write_session(b, Path(tmp) / "replay_b.jsonl", map_meta=map_meta(spec))
+        print("byte-identical:", pa.read_bytes() == pb.read_bytes())
     print("round-trip preserves the session exactly:", read_session(pa) == a)
 
     print("\nfirst red rescue of the replay:")

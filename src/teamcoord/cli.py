@@ -27,19 +27,21 @@ from .metrics import (
 )
 from .outcomes import collective_intelligence, team_performance
 from .session_io import (
+    METRICS_COLUMNS,
     MetricsTableRow,
     SessionFormatError,
     fmt_float,
+    format_metrics_table,
     read_map,
     read_map_meta,
     read_session,
-    write_metrics_table,
     write_session,
 )
-from .sim import AgentPolicy, PolicyKind, builtin_maps, map_meta, run_mission
+from .sim import AgentPolicy, PolicyKind, builtin_map, map_meta, run_mission
 from .stats import (
     DegenerateDataError,
     bootstrap_mediation,
+    design_matrix,
     one_way_anova,
     ols,
     performance_groups,
@@ -54,7 +56,7 @@ EXIT_IO = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
-METRIC_VARS = ("sed", "sms", "spa", "ci", "performance")
+METRIC_VARS = METRICS_COLUMNS[1:]
 
 
 class UsageError(Exception):
@@ -68,15 +70,23 @@ def _out_dir(args) -> Path:
     return path
 
 
+def _emit(text: str, out: str | None, summary: str) -> None:
+    """Write a report to the --out path and print a summary, or write it to stdout."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8", newline="")
+        print(summary)
+    else:
+        sys.stdout.write(text)
+
+
 def _load_map(name_or_path: str):
-    for spec in builtin_maps():
-        if spec.name == name_or_path:
-            return spec
-    path = Path(name_or_path)
-    if path.exists():
-        return read_map(path)
-    known = ", ".join(m.name for m in builtin_maps())
-    raise TeamCoordError(f"unknown map {name_or_path!r} (built-ins: {known})")
+    """A built-in map by name, else a map JSON file; built-in names win."""
+    try:
+        return builtin_map(name_or_path)
+    except KeyError as exc:
+        if Path(name_or_path).exists():
+            return read_map(name_or_path)
+        raise TeamCoordError(f"unknown map: {exc.args[0]}") from None
 
 
 def _parse_policies(spec_text: str, params: dict) -> list[tuple[Role, AgentPolicy]]:
@@ -149,13 +159,16 @@ def cmd_metrics(args) -> int:
     for path in args.sessions:
         try:
             session = read_session(path)
+            meta = read_map_meta(path) or fallback_meta
         except TeamCoordError as exc:
             failures.append(f"{path}: {exc}")
             continue
-        meta = read_map_meta(path) or fallback_meta
         if meta is None:
             raise UsageError(f"{path}: no embedded map metadata; pass --map")
-        m = coordination_metrics(session, coarsen=args.coarsen)
+        try:
+            m = coordination_metrics(session, coarsen=args.coarsen)
+        except ValueError as exc:  # coarsening factor below 1
+            raise UsageError(f"--coarsen: {exc}") from None
         ci = collective_intelligence(session, meta)
         perf = team_performance(session.events)
         rows.append(MetricsTableRow(session_id=session.session_id, sed=m.sed, sms=m.sms,
@@ -163,17 +176,7 @@ def cmd_metrics(args) -> int:
     for failure in failures:
         print(f"error: {failure}", file=sys.stderr)
     rows.sort(key=lambda r: r.session_id)
-    if args.out:
-        write_metrics_table(rows, args.out)
-        print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("session_id", "sed", "sms", "spa", "ci", "performance"))
-        for r in rows:
-            writer.writerow([r.session_id, fmt_float(r.sed), fmt_float(r.sms), fmt_float(r.spa),
-                             fmt_float(r.ci), str(r.performance)])
-        sys.stdout.write(buf.getvalue())
+    _emit(format_metrics_table(rows), args.out, f"wrote {len(rows)} rows to {args.out}")
     return EXIT_IO if failures else EXIT_OK
 
 
@@ -231,7 +234,7 @@ def _analysis_correlations(rows, args):
 
 def _analysis_regression(rows, args):
     cols = _columns(rows, METRIC_VARS)
-    X = np.column_stack([np.ones(len(rows)), cols["sed"], cols["sms"], cols["spa"]])
+    X = design_matrix(cols["sed"], cols["sms"], cols["spa"])
     out = []
     for response in ("ci", "performance"):
         res = ols(cols[response], X)
@@ -264,8 +267,11 @@ def _analysis_mediation(rows, args):
     cols = _columns(rows, METRIC_VARS)
     out = []
     for metric in ("sed", "sms", "spa"):
-        res = bootstrap_mediation(cols[metric], cols["ci"], cols["performance"],
-                                  resamples=args.resamples, seed=args.seed)
+        try:
+            res = bootstrap_mediation(cols[metric], cols["ci"], cols["performance"],
+                                      resamples=args.resamples, seed=args.seed)
+        except ValueError as exc:  # too few rows or resamples
+            raise UsageError(str(exc)) from None
         out.append({
             "metric": metric, "a": res.a, "b": res.b, "c_total": res.c_total,
             "c_prime": res.c_prime, "indirect": res.indirect_point,
@@ -352,12 +358,8 @@ def cmd_stats(args) -> int:
     rows = _read_table(args.table)
     analysis = _ANALYSES[args.analysis]
     out_rows, columns = analysis(rows, args)
-    text = _render(out_rows, columns, args.format)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.analysis} report to {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit(_render(out_rows, columns, args.format), args.out,
+          f"wrote {args.analysis} report to {args.out}")
     return EXIT_OK
 
 
@@ -371,6 +373,9 @@ def cmd_timeseries(args) -> int:
         except TeamCoordError as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return EXIT_IO
+    if len({(s.mission_duration_s, s.red_cutoff_s) for s in sessions}) > 1:
+        raise UsageError("sessions differ in mission_duration_s or red_cutoff_s; "
+                         "progress and phases need one mission clock")
     scores = {s.session_id: float(team_performance(s.events).points) for s in sessions}
     assignment = performance_groups(scores)
     cutoff_fraction = sessions[0].red_cutoff_s / sessions[0].mission_duration_s
@@ -384,7 +389,7 @@ def cmd_timeseries(args) -> int:
         try:
             ts = metric_time_series(s, args.metric, window_ticks=args.window,
                                     smooth_ticks=args.smooth)
-        except WindowTooLargeError as exc:
+        except (WindowTooLargeError, ValueError) as exc:  # --window or --smooth out of range
             raise UsageError(str(exc)) from None
         for progress, value in ts.values:
             bins.setdefault((wanted[group], round(progress, 9)), []).append(value)
@@ -395,12 +400,8 @@ def cmd_timeseries(args) -> int:
          "phase": "pre-cutoff" if progress < cutoff_fraction else "post-cutoff"}
         for (group, progress), vals in sorted(bins.items())
     ]
-    text = _render(out_rows, ("metric", "group", "progress", "value", "phase"), args.format)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {len(out_rows)} rows to {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit(_render(out_rows, ("metric", "group", "progress", "value", "phase"), args.format),
+          args.out, f"wrote {len(out_rows)} rows to {args.out}")
     return EXIT_OK
 
 

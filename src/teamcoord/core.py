@@ -47,15 +47,8 @@ class VictimType(Enum):
         """Weight of one rescue in the team performance score."""
         return _PERFORMANCE_WEIGHTS[self]
 
-    @property
-    def in_game_points(self) -> int:
-        """Points displayed to players in-game (a separate scale from
-        performance_weight)."""
-        return _IN_GAME_POINTS[self]
-
 
 _PERFORMANCE_WEIGHTS = {VictimType.GREEN: 10, VictimType.YELLOW: 30, VictimType.RED: 60}
-_IN_GAME_POINTS = {VictimType.GREEN: 10, VictimType.YELLOW: 20, VictimType.RED: 30}
 
 
 class ActionTag(Enum):

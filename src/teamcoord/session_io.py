@@ -9,6 +9,7 @@ locale-independent number formatting, and every format round-trips exactly.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -136,33 +137,54 @@ def _require(condition: bool, message: str, path, line=None):
         raise SessionFormatError(message, path, line)
 
 
+# What converting a parsed JSON value of the wrong shape or type raises.
+_MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
+
+
+def _malformed(what: str, exc: Exception, path, line=None) -> SessionFormatError:
+    detail = f"missing {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+    return SessionFormatError(f"bad {what}: {detail}", path, line)
+
+
+def _load_json(path, what: str):
+    if not path.exists():
+        raise SessionFormatError(f"missing {what}", path)
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SessionFormatError(f"bad {what} JSON: {exc}", path) from exc
+
+
 def read_session(log_path, validate: bool = True) -> TeamSession:
     """Parse a session log plus manifest; validates unless told otherwise."""
     log_path = Path(log_path)
     manifest_path = manifest_path_for(log_path)
-    if not manifest_path.exists():
-        raise SessionFormatError("missing manifest", manifest_path)
+    manifest = _load_json(manifest_path, "manifest")
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SessionFormatError(f"bad manifest JSON: {exc}", manifest_path) from exc
-
-    for key in ("format_version", "session_id", "grid", "players", "events",
-                "mission_duration_s", "red_cutoff_s", "sample_interval_s"):
-        _require(key in manifest, f"manifest missing {key!r}", manifest_path)
-    _require(manifest["format_version"] == FORMAT_VERSION,
-             f"unsupported format_version {manifest['format_version']!r}", manifest_path)
-    session_id = manifest["session_id"]
-    grid = GridSpec(int(manifest["grid"]["width"]), int(manifest["grid"]["height"]))
-
-    roster: dict[str, Role] = {}
-    for entry in manifest["players"]:
-        pid = entry["player_id"]
-        _require(pid not in roster, f"player {pid!r} listed twice", manifest_path)
-        try:
+        _require(manifest["format_version"] == FORMAT_VERSION,
+                 f"unsupported format_version {manifest['format_version']!r}", manifest_path)
+        session_id = manifest["session_id"]
+        grid = GridSpec(int(manifest["grid"]["width"]), int(manifest["grid"]["height"]))
+        roster: dict[str, Role] = {}
+        for entry in manifest["players"]:
+            pid = entry["player_id"]
+            _require(pid not in roster, f"player {pid!r} listed twice", manifest_path)
             roster[pid] = Role(entry["role"])
-        except ValueError:
-            raise SessionFormatError(f"unknown role {entry['role']!r}", manifest_path) from None
+        events = []
+        for entry in manifest["events"]:
+            actors = tuple(entry["actor_ids"])
+            _require(all(isinstance(a, str) for a in actors), "actor ids must be strings",
+                     manifest_path)
+            events.append(RescueEvent(
+                time_s=float(entry["time_s"]),
+                victim_type=VictimType(entry["victim_type"]),
+                victim_cell=Position(int(entry["x"]), int(entry["y"])),
+                actor_ids=actors))
+        mission_duration_s = float(manifest["mission_duration_s"])
+        red_cutoff_s = float(manifest["red_cutoff_s"])
+        sample_interval_s = float(manifest["sample_interval_s"])
+    except _MALFORMED as exc:
+        raise _malformed("manifest", exc, manifest_path) from None
 
     samples: dict[str, dict[int, TrajectorySample]] = {pid: {} for pid in roster}
     if not log_path.exists():
@@ -174,48 +196,38 @@ def read_session(log_path, validate: bool = True) -> TeamSession:
                 continue
             try:
                 rec = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise SessionFormatError(f"bad record: {exc}", log_path, lineno) from exc
-            for key in ("session_id", "tick", "time_s", "player_id", "role", "x", "y", "action"):
-                _require(key in rec, f"record missing {key!r}", log_path, lineno)
-            _require(rec["session_id"] == session_id, "session_id differs from manifest",
-                     log_path, lineno)
-            pid = rec["player_id"]
-            _require(pid in roster, f"player {pid!r} not in manifest roster", log_path, lineno)
-            _require(Role(rec["role"]) is roster[pid], f"role mismatch for {pid!r}",
-                     log_path, lineno)
-            action = None if rec["action"] is None else ActionTag(rec["action"])
-            target = None
-            if "target_x" in rec or "target_y" in rec:
-                _require("target_x" in rec and "target_y" in rec,
-                         "target needs both coordinates", log_path, lineno)
-                target = Position(int(rec["target_x"]), int(rec["target_y"]))
-            tick = int(rec["tick"])
-            _require(tick not in samples[pid], f"duplicate tick {tick} for {pid!r}",
-                     log_path, lineno)
-            samples[pid][tick] = TrajectorySample(
-                tick=tick, time_s=float(rec["time_s"]),
-                position=Position(int(rec["x"]), int(rec["y"])),
-                action=action, target=target)
+                _require(rec["session_id"] == session_id, "session_id differs from manifest",
+                         log_path, lineno)
+                pid = rec["player_id"]
+                _require(pid in roster, f"player {pid!r} not in manifest roster",
+                         log_path, lineno)
+                _require(Role(rec["role"]) is roster[pid], f"role mismatch for {pid!r}",
+                         log_path, lineno)
+                action = None if rec["action"] is None else ActionTag(rec["action"])
+                target = None
+                if "target_x" in rec or "target_y" in rec:
+                    _require("target_x" in rec and "target_y" in rec,
+                             "target needs both coordinates", log_path, lineno)
+                    target = Position(int(rec["target_x"]), int(rec["target_y"]))
+                tick = int(rec["tick"])
+                _require(tick not in samples[pid], f"duplicate tick {tick} for {pid!r}",
+                         log_path, lineno)
+                samples[pid][tick] = TrajectorySample(
+                    tick=tick, time_s=float(rec["time_s"]),
+                    position=Position(int(rec["x"]), int(rec["y"])),
+                    action=action, target=target)
+            except _MALFORMED as exc:
+                raise _malformed("record", exc, log_path, lineno) from None
 
     players = tuple(
         PlayerTrajectory(player_id=pid, role=roster[pid],
                          samples=tuple(s for _, s in sorted(samples[pid].items())))
         for pid in roster)
 
-    events = []
-    for entry in manifest["events"]:
-        events.append(RescueEvent(
-            time_s=float(entry["time_s"]),
-            victim_type=VictimType(entry["victim_type"]),
-            victim_cell=Position(int(entry["x"]), int(entry["y"])),
-            actor_ids=tuple(entry["actor_ids"])))
-
     session = TeamSession(
         session_id=session_id, grid=grid, players=players, events=tuple(events),
-        mission_duration_s=float(manifest["mission_duration_s"]),
-        red_cutoff_s=float(manifest["red_cutoff_s"]),
-        sample_interval_s=float(manifest["sample_interval_s"]))
+        mission_duration_s=mission_duration_s, red_cutoff_s=red_cutoff_s,
+        sample_interval_s=sample_interval_s)
     if validate:
         report = validate_session(session)
         if report:
@@ -228,13 +240,16 @@ def read_map_meta(log_path) -> MapMeta | None:
     manifest_path = manifest_path_for(log_path)
     if not manifest_path.exists():
         return None
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    raw = manifest.get("map_meta")
-    if raw is None:
-        return None
-    return MapMeta(
-        traversable_cells=int(raw["traversable_cells"]),
-        max_tasks={Role(k): int(v) for k, v in raw["max_tasks"].items()})
+    manifest = _load_json(manifest_path, "manifest")
+    try:
+        raw = manifest.get("map_meta")
+        if raw is None:
+            return None
+        return MapMeta(
+            traversable_cells=int(raw["traversable_cells"]),
+            max_tasks={Role(k): int(v) for k, v in raw["max_tasks"].items()})
+    except _MALFORMED as exc:
+        raise _malformed("map_meta", exc, manifest_path) from None
 
 
 # ---------------------------------------------------------------------------
@@ -266,29 +281,24 @@ def write_map(spec: MapSpec, path) -> Path:
 
 def read_map(path) -> MapSpec:
     path = Path(path)
-    if not path.exists():
-        raise SessionFormatError("missing map file", path)
+    doc = _load_json(path, "map file")
+    def cells(key):
+        return frozenset(Position(int(x), int(y)) for x, y in doc[key])
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SessionFormatError(f"bad map JSON: {exc}", path) from exc
-    for key in ("format_version", "name", "width", "height", "walls", "doors", "rubble",
-                "victims", "start", "mission_duration_s", "red_cutoff_s", "fov_radius"):
-        _require(key in doc, f"map missing {key!r}", path)
-    _require(doc["format_version"] == FORMAT_VERSION,
-             f"unsupported format_version {doc['format_version']!r}", path)
-    spec = MapSpec(
-        name=doc["name"],
-        grid=GridSpec(int(doc["width"]), int(doc["height"])),
-        walls=frozenset(Position(x, y) for x, y in doc["walls"]),
-        doors=frozenset(Position(x, y) for x, y in doc["doors"]),
-        rubble=frozenset(Position(x, y) for x, y in doc["rubble"]),
-        victims=tuple(Victim(Position(int(v["x"]), int(v["y"])), VictimType(v["type"]))
-                      for v in doc["victims"]),
-        start=Position(int(doc["start"][0]), int(doc["start"][1])),
-        mission_duration_s=float(doc["mission_duration_s"]),
-        red_cutoff_s=float(doc["red_cutoff_s"]),
-        fov_radius=int(doc["fov_radius"]))
+        _require(doc["format_version"] == FORMAT_VERSION,
+                 f"unsupported format_version {doc['format_version']!r}", path)
+        spec = MapSpec(
+            name=doc["name"],
+            grid=GridSpec(int(doc["width"]), int(doc["height"])),
+            walls=cells("walls"), doors=cells("doors"), rubble=cells("rubble"),
+            victims=tuple(Victim(Position(int(v["x"]), int(v["y"])), VictimType(v["type"]))
+                          for v in doc["victims"]),
+            start=Position(int(doc["start"][0]), int(doc["start"][1])),
+            mission_duration_s=float(doc["mission_duration_s"]),
+            red_cutoff_s=float(doc["red_cutoff_s"]),
+            fov_radius=int(doc["fov_radius"]))
+    except _MALFORMED as exc:
+        raise _malformed("map", exc, path) from None
     spec.validate()
     return spec
 
@@ -307,14 +317,20 @@ class MetricsTableRow:
     performance: int
 
 
+def format_metrics_table(rows: Iterable[MetricsTableRow]) -> str:
+    """The metric table as CSV text: the header, then one row per session."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(METRICS_COLUMNS)
+    for r in rows:
+        writer.writerow([r.session_id, fmt_float(r.sed), fmt_float(r.sms),
+                         fmt_float(r.spa), fmt_float(r.ci), str(int(r.performance))])
+    return buf.getvalue()
+
+
 def write_metrics_table(rows: Iterable[MetricsTableRow], path) -> Path:
     path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(METRICS_COLUMNS)
-        for r in rows:
-            writer.writerow([r.session_id, fmt_float(r.sed), fmt_float(r.sms),
-                             fmt_float(r.spa), fmt_float(r.ci), str(int(r.performance))])
+    path.write_text(format_metrics_table(rows), encoding="utf-8", newline="")
     return path
 
 

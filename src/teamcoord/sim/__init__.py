@@ -13,6 +13,5 @@ from .world import (
     initial_state,
     map_meta,
     run_mission,
-    step,
     step_resolved,
 )

@@ -73,7 +73,6 @@ class Controller:
         self.index = index
         self.rng = rng
         self.params = dict(params)
-        self.seen: set[Position] = set()
         self.known_victims: dict[Position, VictimType] = {}
         self.known_rubble: set[Position] = set()
         self.known_doors: set[Position] = set()
@@ -107,7 +106,6 @@ class Controller:
                 if not 0 <= x < g.width:
                     continue
                 cell = Position(x, y)
-                self.seen.add(cell)
                 self.unseen.discard(cell)
                 kind = victims_by_cell.get(cell)
                 if kind is not None:
@@ -253,9 +251,6 @@ class RandomWalkController(Controller):
         if self.rng.random() < self.params.get("p_wait", 0.4):
             return WAIT_ACTION
         return self._random_move(state, me)
-
-    def _decide(self, state, victims_by_cell) -> AgentAction:
-        return self.act(state, victims_by_cell)
 
 
 class GreedyRescuerController(Controller):

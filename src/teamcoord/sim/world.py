@@ -114,23 +114,13 @@ class MapSpec:
         return mask
 
     @cached_property
-    def neighbor_table(self) -> np.ndarray:
-        """(n_cells, 4) in-grid neighbor indices, -1 where off-grid."""
-        g = self.grid
-        table = np.full((g.n_cells, 4), -1, dtype=np.int32)
-        for y in range(g.height):
-            for x in range(g.width):
-                i = g.cell_index(x, y)
-                for k, (dx, dy) in enumerate(((0, -1), (1, 0), (0, 1), (-1, 0))):
-                    if g.contains(x + dx, y + dy):
-                        table[i, k] = g.cell_index(x + dx, y + dy)
-        table.flags.writeable = False
-        return table
-
-    @cached_property
     def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
-        """neighbor_table as plain tuples, the fast path for flood fills."""
-        return tuple(tuple(int(nb) for nb in row if nb >= 0) for row in self.neighbor_table)
+        """In-grid 4-neighbor cell indices of each cell, in N, E, S, W order."""
+        g = self.grid
+        return tuple(
+            tuple(g.cell_index(x + dx, y + dy) for dx, dy in ((0, -1), (1, 0), (0, 1), (-1, 0))
+                  if g.contains(x + dx, y + dy))
+            for y in range(g.height) for x in range(g.width))
 
 
 def map_meta(spec: MapSpec) -> MapMeta:
@@ -196,14 +186,11 @@ def initial_state(spec: MapSpec, agents: tuple[AgentState, ...],
                       sample_interval_s=sample_interval_s)
 
 
-def step(state: WorldState, actions) -> WorldState:
-    """Advance one tick; illegal actions degrade to waits."""
-    new_state, _ = step_resolved(state, actions)
-    return new_state
-
-
 def step_resolved(state: WorldState, actions) -> tuple[WorldState, tuple[AgentAction, ...]]:
-    """Like `step`, but also reports what each agent actually did."""
+    """Advance one tick; illegal actions degrade to waits.
+
+    Returns the new state and what each agent actually did.
+    """
     if len(actions) != len(state.agents):
         raise MalformedActionError(f"{len(actions)} actions for {len(state.agents)} agents")
     for act in actions:

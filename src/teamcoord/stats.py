@@ -205,7 +205,7 @@ def quadratic_fit(x, y) -> QuadraticFit:
         raise ValueError(f"need at least 4 observations, got {xv.size}")
     if np.unique(xv).size < 3:
         raise RankDeficiencyError("x needs at least 3 distinct values for a quadratic fit")
-    res = ols(yv, np.column_stack([np.ones(xv.size), xv, xv * xv]))
+    res = ols(yv, design_matrix(xv, xv * xv))
     c0, c1, c2 = (float(b) for b in res.coefficients)
     return QuadraticFit(c0=c0, c1=c1, c2=c2, vertex_x=vertex_of(c1, c2),
                         r_squared=res.r_squared, f_stat=res.f_stat,

@@ -39,7 +39,7 @@ from teamcoord.sim import (
     builtin_map,
     initial_state,
     run_mission,
-    step,
+    step_resolved,
 )
 from teamcoord.stats import (
     bootstrap_mediation,
@@ -339,7 +339,7 @@ def test_c8_simulator_rules(tmp_path, medium_corpus):
             dx, dy = ((0, -1), (1, 0), (0, 1), (-1, 0))[rng.integers(4)]
             acts.append(AgentAction(kind, None if kind is ActionTag.WAIT
                                     else Position(a.pos.x + dx, a.pos.y + dy)))
-        w = step(w, acts)
+        w = step_resolved(w, acts)[0]
         for k in VictimType:
             remaining = sum(1 for v in w.victims if v.kind is k)
             rescued = sum(1 for e in w.events if e.victim_type is k)

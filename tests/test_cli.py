@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -253,3 +255,47 @@ def test_full_pipeline_byte_reproducible(tmp_path, capsys):
         capsys.readouterr()
         outputs.append((table.read_bytes(), report.read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_metrics_malformed_record_exits_1_with_path_and_line(tmp_path, capsys):
+    logs = sim_corpus(tmp_path, runs=1)
+    lines = logs[0].read_text().splitlines()
+    lines[2] = lines[2].replace('"role":"medic"', '"role":"pilot"')
+    logs[0].write_text("\n".join(lines) + "\n")
+    assert run(["metrics", str(logs[0])]) == EXIT_IO
+    assert f"{logs[0]}:3: bad record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_rows, resamples", [(20, 0), (4, 500)])
+def test_stats_mediation_out_of_range_exits_2(tmp_path, capsys, n_rows, resamples):
+    rng = np.random.default_rng(5)
+    rows = [MetricsTableRow(f"s{i:02d}", *rng.random(4), performance=int(rng.integers(500)))
+            for i in range(n_rows)]
+    table = write_metrics_table(rows, tmp_path / "m.csv")
+    assert run(["stats", "--table", str(table), "--analysis", "mediation",
+                "--resamples", str(resamples)]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--window", "1"], ["--smooth", "0"]])
+def test_timeseries_out_of_range_flags_exit_2(tmp_path, capsys, flags):
+    logs = sim_corpus(tmp_path, runs=4)
+    assert run(["timeseries", *map(str, logs), "--metric", "sed", *flags]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_metrics_coarsen_zero_exits_2(tmp_path, capsys):
+    logs = sim_corpus(tmp_path, runs=1)
+    assert run(["metrics", *map(str, logs), "--coarsen", "0"]) == EXIT_USAGE
+    assert "--coarsen" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("mission_duration_s", 600.0), ("red_cutoff_s", 200.0)])
+def test_timeseries_mixed_mission_clocks_exit_2(tmp_path, capsys, field, value):
+    logs = sim_corpus(tmp_path, runs=4)
+    manifest = logs[0].with_suffix(".manifest.json")
+    doc = json.loads(manifest.read_text())
+    doc[field] = value
+    manifest.write_text(json.dumps(doc))
+    assert run(["timeseries", *map(str, logs), "--metric", "sed"]) == EXIT_USAGE
+    assert "mission clock" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -155,3 +157,65 @@ def test_fmt_float_round_trips_exactly():
 def test_manifest_path_convention():
     assert manifest_path_for("runs/a.jsonl").name == "a.manifest.json"
     assert manifest_path_for("runs/a.log").name == "a.log.manifest.json"
+
+
+LOG_CORRUPTIONS = {
+    "unknown_role": lambda rec: {**rec, "role": "pilot"},
+    "unknown_action": lambda rec: {**rec, "action": "fly"},
+    "non_numeric_x": lambda rec: {**rec, "x": "abc"},
+    "bare_number": lambda rec: 42,
+    "missing_tick": lambda rec: {k: v for k, v in rec.items() if k != "tick"},
+    "list_player_id": lambda rec: {**rec, "player_id": ["medic1"]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOG_CORRUPTIONS))
+def test_malformed_record_names_path_and_line(tmp_path, sim_session, case):
+    log, _ = write_session(sim_session, tmp_path / "s.jsonl")
+    lines = log.read_text().splitlines()
+    lines[4] = json.dumps(LOG_CORRUPTIONS[case](json.loads(lines[4])))
+    log.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SessionFormatError) as exc:
+        read_session(log)
+    assert (exc.value.path, exc.value.line) == (log, 5)
+
+
+MANIFEST_CORRUPTIONS = {
+    "grid_without_width": lambda m: m["grid"].pop("width"),
+    "unknown_player_role": lambda m: m["players"][0].update(role="pilot"),
+    "event_unknown_victim_type": lambda m: m["events"][0].update(victim_type="purple"),
+    "event_without_cell": lambda m: m["events"][0].pop("x"),
+    "event_actors_not_a_list": lambda m: m["events"][0].update(actor_ids=7),
+    "event_actor_not_a_string": lambda m: m["events"][0].update(actor_ids=[["medic1"]]),
+    "events_not_a_list": lambda m: m.update(events=3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MANIFEST_CORRUPTIONS))
+def test_malformed_manifest_names_path(tmp_path, sim_session, case):
+    assert sim_session.events
+    log, manifest = write_session(sim_session, tmp_path / "s.jsonl")
+    doc = json.loads(manifest.read_text())
+    MANIFEST_CORRUPTIONS[case](doc)
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(SessionFormatError) as exc:
+        read_session(log)
+    assert exc.value.path == manifest
+
+
+@pytest.mark.parametrize("text", ["{not json", '{"map_meta": {"max_tasks": []}}', "[1]"])
+def test_read_map_meta_rejects_malformed_manifest(tmp_path, sim_session, text):
+    log, manifest = write_session(sim_session, tmp_path / "s.jsonl")
+    manifest.write_text(text)
+    with pytest.raises(SessionFormatError) as exc:
+        read_map_meta(log)
+    assert exc.value.path == manifest
+
+
+def test_map_rejects_malformed_cells(tmp_path):
+    p = write_map(builtin_map("small"), tmp_path / "m.json")
+    doc = json.loads(p.read_text())
+    doc["walls"][0] = ["a", 1]
+    p.write_text(json.dumps(doc))
+    with pytest.raises(SessionFormatError):
+        read_map(p)

@@ -21,7 +21,6 @@ from teamcoord.sim import (
     map_from_ascii,
     map_meta,
     run_mission,
-    step,
     step_resolved,
 )
 
@@ -54,7 +53,7 @@ def rescue(cell):
 def test_red_rescue_succeeds_inside_cutoff():
     # tick 59 = 177 s, engineer adjacent: the joint rescue lands
     w = mini_world(tick=59, victims=[Victim(RED_CELL, VictimType.RED)])
-    out = step(w, [rescue(RED_CELL), WAIT, WAIT, WAIT])
+    out = step_resolved(w, [rescue(RED_CELL), WAIT, WAIT, WAIT])[0]
     assert not out.victims
     assert out.events[0].victim_type is VictimType.RED
     assert out.events[0].time_s == 177.0
@@ -96,7 +95,7 @@ def test_yellow_requires_clear_first_and_not_same_tick():
     assert len(out.victims) == 1
     assert yellow not in out.rubble
     # next tick the same rescue succeeds
-    out2 = step(out, [rescue(yellow), WAIT, WAIT, WAIT])
+    out2 = step_resolved(out, [rescue(yellow), WAIT, WAIT, WAIT])[0]
     assert not out2.victims
     assert out2.events[0].victim_type is VictimType.YELLOW
 
@@ -163,9 +162,9 @@ def test_diagonal_or_long_moves_degrade_to_wait():
 def test_step_rejects_malformed_actions():
     w = mini_world()
     with pytest.raises(MalformedActionError):
-        step(w, [WAIT, WAIT, WAIT])
+        step_resolved(w, [WAIT, WAIT, WAIT])[0]
     with pytest.raises(MalformedActionError):
-        step(w, [WAIT, WAIT, WAIT, "north"])
+        step_resolved(w, [WAIT, WAIT, WAIT, "north"])[0]
 
 
 def test_conservation_under_random_stepping():
@@ -184,7 +183,7 @@ def test_conservation_under_random_stepping():
             dx, dy = ((0, -1), (1, 0), (0, 1), (-1, 0))[rng.integers(4)]
             target = None if kind is ActionTag.WAIT else Position(a.pos.x + dx, a.pos.y + dy)
             actions.append(AgentAction(kind, target))
-        w = step(w, actions)
+        w = step_resolved(w, actions)[0]
         remaining = {k: sum(1 for v in w.victims if v.kind is k) for k in VictimType}
         rescued = {k: sum(1 for e in w.events if e.victim_type is k) for k in VictimType}
         for k in VictimType:
