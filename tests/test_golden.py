@@ -3,7 +3,9 @@
 Pins cover the session files the simulator writes for every built-in map x
 policy x seed in {0, 1, 2}, the metric table over that corpus (file and
 stdout), each `stats` analysis over that table, each `timeseries` metric,
-and the committed replay in demos/out/. A pin may change only in a change
+the committed replay in demos/out/, and missions on a small map without
+border walls (field-of-view windows clipped at the grid edge, targets on
+the outer rows and columns). A pin may change only in a change
 that says in CHANGES.md why the output moved; the assertion message shows
 the new digest.
 """
@@ -19,6 +21,7 @@ from teamcoord.cli import EXIT_OK, main
 from teamcoord.metrics import SeriesMetric
 from teamcoord.session_io import write_session
 from teamcoord.sim import AgentPolicy, PolicyKind, builtin_map, map_meta, run_mission
+from teamcoord.sim.maps import map_from_ascii
 
 MAPS = ("small", "medium", "corridor")
 POLICIES = ("random_walk", "greedy", "coordinated")
@@ -167,6 +170,38 @@ REPLAY_PINS = {
         "01ea3c157ed6989baba55b02c7fdd9e76901a062f1d0bee3c80af7985d7a1b0c",
 }
 
+# No border walls: doors, rubble and victims sit on the outer rows and columns.
+EDGE_ART = """\
+g..D..y..r
+....#.....
+D.S.#..*.y
+....D.....
+r.........
+....#..g..
+y.*.g..D.g
+"""
+EDGE_SEEDS = (0, 1, 2, 3)
+EDGE_PINS = {
+    "random_walk-fov1":
+        "d9335ffaa1b72aa281afca38e565892f1a861fce030f81a9c90dc07740eea342",
+    "random_walk-fov2":
+        "d9335ffaa1b72aa281afca38e565892f1a861fce030f81a9c90dc07740eea342",
+    "random_walk-fov5":
+        "d9335ffaa1b72aa281afca38e565892f1a861fce030f81a9c90dc07740eea342",
+    "greedy-fov1":
+        "a614d7938d733e91237d4541db9dfc41cd47f8c70b06d933186872b3b9dbfcc7",
+    "greedy-fov2":
+        "e7498f8ad74a3e355ebae059f83a8aa85aa213fe2375085f0ed275f889c5eec0",
+    "greedy-fov5":
+        "69f69fbb4db6e8b572a2493fec6aa0fd89920b51092c1e0d9d5f464dec2f106c",
+    "coordinated-fov1":
+        "4d1710396b347461eed7557da62105bfc0e6fd11dc9ffd48bb3228cd17ce7313",
+    "coordinated-fov2":
+        "d8e33cc5fb6b56f781cf2d73a5e032a42424d2fc9b81b7b87770cb2d28559312",
+    "coordinated-fov5":
+        "bd2d17029f71f26aab1f26abc26f1cf655eb1627252564e95edaa3c4e8d6c1c9",
+}
+
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -237,3 +272,19 @@ def test_committed_replay(tmp_path):
         committed = (REPLAY_DIR / path.name).read_bytes()
         assert committed == path.read_bytes()
         assert sha(committed) == REPLAY_PINS[path.name], sha(committed)
+
+
+@pytest.mark.parametrize("fov_radius", [1, 2, 5])
+@pytest.mark.parametrize("kind", POLICIES)
+def test_edge_of_grid_sessions(tmp_path, kind, fov_radius):
+    spec = map_from_ascii("edge", EDGE_ART, fov_radius=fov_radius)
+    policy = AgentPolicy(PolicyKind(kind), params={"dither": 0.2})
+    team = [(Role.MEDIC, policy), (Role.MEDIC, policy),
+            (Role.ENGINEER, policy), (Role.ENGINEER, policy)]
+    digest = hashlib.sha256()
+    for seed in EDGE_SEEDS:
+        session = run_mission(spec, team, seed=seed)
+        for path in write_session(session, tmp_path / f"{kind}-{seed}.jsonl",
+                                  map_meta=map_meta(spec)):
+            digest.update(path.read_bytes())
+    assert digest.hexdigest() == EDGE_PINS[f"{kind}-fov{fov_radius}"], digest.hexdigest()
