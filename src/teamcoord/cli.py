@@ -184,33 +184,39 @@ def cmd_metrics(args) -> int:
 # stats command
 
 
-def _read_table(path: str) -> list[dict]:
+def _read_table(path: str) -> list[tuple[int, dict]]:
+    """The table's data rows, each with the file line it ends on."""
     p = Path(path)
     if not p.exists():
         raise SessionFormatError("missing table", p)
     with p.open(encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        return [(reader.line_num, row) for row in reader]
 
 
-def _columns(rows: list[dict], names) -> dict[str, np.ndarray]:
+def _columns(rows: list[tuple[int, dict]], names) -> dict[str, np.ndarray]:
     if not rows:
         raise UsageError("table has no data rows")
-    missing = [n for n in names if n not in rows[0]]
+    missing = [n for n in names if n not in rows[0][1]]
     if missing:
         raise UsageError(f"table lacks columns: {', '.join(missing)}")
     out = {}
     for n in names:
         try:
-            out[n] = np.array([float(r[n]) for r in rows])
+            out[n] = np.array([float(r[n]) for _, r in rows])
         except ValueError as exc:
             raise UsageError(f"column {n!r} is not numeric: {exc}") from None
+        bad = np.flatnonzero(~np.isfinite(out[n]))
+        if bad.size:
+            line, row = rows[bad[0]]
+            raise UsageError(f"column {n!r} has non-finite value {row[n]!r} on line {line}")
     return out
 
 
-def _session_ids(rows: list[dict]) -> list[str]:
-    if "session_id" not in rows[0]:
+def _session_ids(rows: list[tuple[int, dict]]) -> list[str]:
+    if "session_id" not in rows[0][1]:
         raise UsageError("table lacks columns: session_id")
-    return [r["session_id"] for r in rows]
+    return [r["session_id"] for _, r in rows]
 
 
 def _analysis_correlations(rows, args):
@@ -256,8 +262,8 @@ def _analysis_quadratic(rows, args):
             "constant_p": fit.p_values[0], "linear_p": fit.p_values[1],
             "quadratic_p": fit.p_values[2], "r_squared": fit.r_squared,
             "f_stat": fit.f_stat, "f_p_value": fit.f_p_value,
-            "optimal_value": fit.vertex_x,
-            "pattern": "inverted-u" if fit.inverted_u else "u-or-flat",
+            "optimal_value": "" if fit.flat else fit.vertex_x,
+            "pattern": "flat" if fit.flat else "inverted-u" if fit.inverted_u else "u-or-flat",
         })
     return out, ("metric", "constant", "linear", "quadratic", "constant_p", "linear_p",
                  "quadratic_p", "r_squared", "f_stat", "f_p_value", "optimal_value", "pattern")
@@ -267,11 +273,8 @@ def _analysis_mediation(rows, args):
     cols = _columns(rows, METRIC_VARS)
     out = []
     for metric in ("sed", "sms", "spa"):
-        try:
-            res = bootstrap_mediation(cols[metric], cols["ci"], cols["performance"],
-                                      resamples=args.resamples, seed=args.seed)
-        except ValueError as exc:  # too few rows or resamples
-            raise UsageError(str(exc)) from None
+        res = bootstrap_mediation(cols[metric], cols["ci"], cols["performance"],
+                                  resamples=args.resamples, seed=args.seed)
         out.append({
             "metric": metric, "a": res.a, "b": res.b, "c_total": res.c_total,
             "c_prime": res.c_prime, "indirect": res.indirect_point,
@@ -356,8 +359,10 @@ def _render(rows: list[dict], columns, fmt: str) -> str:
 
 def cmd_stats(args) -> int:
     rows = _read_table(args.table)
-    analysis = _ANALYSES[args.analysis]
-    out_rows, columns = analysis(rows, args)
+    try:
+        out_rows, columns = _ANALYSES[args.analysis](rows, args)
+    except ValueError as exc:  # too few rows for the analysis, or --resamples out of range
+        raise UsageError(str(exc)) from None
     _emit(_render(out_rows, columns, args.format), args.out,
           f"wrote {args.analysis} report to {args.out}")
     return EXIT_OK

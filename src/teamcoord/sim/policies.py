@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..core import ActionTag, Position, Role, VictimType
-from .world import AgentAction, MapSpec, WAIT_ACTION, WorldState
+from .world import VICTIM_CODES, AgentAction, MapSpec, WAIT_ACTION, WorldState
 
 
 class PolicyKind(Enum):
@@ -40,6 +40,8 @@ class AgentPolicy:
 
 
 _DIRS = ((0, -1), (1, 0), (0, 1), (-1, 0))
+_GREEN, _YELLOW, _RED = (VICTIM_CODES[k] for k in
+                         (VictimType.GREEN, VictimType.YELLOW, VictimType.RED))
 
 
 def _bfs_field(neighbors, blocked: list, start: int):
@@ -63,7 +65,15 @@ def _bfs_field(neighbors, blocked: list, start: int):
 
 
 class Controller:
-    """Per-agent runtime state: FOV memory plus the decision rule."""
+    """Per-agent runtime state: FOV memory plus the decision rule.
+
+    Knowledge is held per cell, in flat row-major arrays indexed like
+    `GridSpec.cell_index`: `unseen`, `known_rubble` and `known_doors` are
+    bool masks, and `known_victims` holds `VICTIM_CODES` (0 = no victim).
+    Goals are cell masks; among the reachable goals the one with the
+    smallest (BFS distance, cell index) wins, which is the (distance, y, x)
+    order and keeps trajectories reproducible.
+    """
 
     def __init__(self, spec: MapSpec, role: Role, index: int, rng: np.random.Generator,
                  params: Mapping[str, float]):
@@ -73,20 +83,16 @@ class Controller:
         self.index = index
         self.rng = rng
         self.params = dict(params)
-        self.known_victims: dict[Position, VictimType] = {}
-        self.known_rubble: set[Position] = set()
-        self.known_doors: set[Position] = set()
+        self.unseen = ~spec.wall_mask
+        self.known_rubble = np.zeros(spec.grid.n_cells, dtype=bool)
+        self.known_doors = np.zeros(spec.grid.n_cells, dtype=bool)
+        self.known_victims = np.zeros(spec.grid.n_cells, dtype=np.int8)
         self.still_for: dict[int, int] = {}
         self._last_pos: dict[int, Position] = {}
-        self._base_blocked: list[bool] = spec.wall_mask.tolist()
-        self.unseen: set[Position] = {
-            Position(*spec.grid.cell_xy(int(i)))
-            for i in np.flatnonzero(~spec.wall_mask)
-        }
 
     # -- perception --------------------------------------------------------
 
-    def observe(self, state: WorldState, victims_by_cell: dict[Position, VictimType]):
+    def observe(self, state: WorldState):
         # teammate icons are always visible: track who is standing still
         for j, a in enumerate(state.agents):
             if self._last_pos.get(j) == a.pos:
@@ -97,129 +103,93 @@ class Controller:
         me = state.agents[self.index].pos
         r = self.spec.fov_radius
         g = self.grid
-        for dy in range(-r, r + 1):
-            y = me.y + dy
-            if not 0 <= y < g.height:
-                continue
-            for dx in range(-r, r + 1):
-                x = me.x + dx
-                if not 0 <= x < g.width:
-                    continue
-                cell = Position(x, y)
-                self.unseen.discard(cell)
-                kind = victims_by_cell.get(cell)
-                if kind is not None:
-                    self.known_victims[cell] = kind
-                else:
-                    self.known_victims.pop(cell, None)
-                if cell in state.rubble:
-                    self.known_rubble.add(cell)
-                else:
-                    self.known_rubble.discard(cell)
-                if cell in state.closed_doors:
-                    self.known_doors.add(cell)
-                else:
-                    self.known_doors.discard(cell)
+        view = np.s_[max(me.y - r, 0):me.y + r + 1, max(me.x - r, 0):me.x + r + 1]
+        shape = (g.height, g.width)
+        self.unseen.reshape(shape)[view] = False
+        for known, truth in ((self.known_victims, state.victim_codes),
+                             (self.known_rubble, state.rubble_mask),
+                             (self.known_doors, state.door_mask)):
+            known.reshape(shape)[view] = truth.reshape(shape)[view]
 
     # -- planning helpers ----------------------------------------------------
 
-    def _blocked(self) -> list[bool]:
-        blocked = self._base_blocked.copy()
-        g = self.grid
-        for p in self.known_rubble:
-            blocked[g.cell_index(p.x, p.y)] = True
-        for p in self.known_doors:
-            blocked[g.cell_index(p.x, p.y)] = True
-        return blocked
+    def _cell(self, pos: Position) -> int:
+        return self.grid.cell_index(pos.x, pos.y)
+
+    def _pos(self, cell) -> Position:
+        return Position(*self.grid.cell_xy(int(cell)))
 
     def _field(self, me: Position):
-        return _bfs_field(self.spec.neighbor_lists, self._blocked(),
-                          self.grid.cell_index(me.x, me.y))
+        """BFS distances (an array, -1 where unreachable) and first steps from `me`."""
+        blocked = self.spec.wall_mask | self.known_rubble | self.known_doors
+        dist, first = _bfs_field(self.spec.neighbor_lists, blocked.tolist(), self._cell(me))
+        return np.array(dist), first
 
-    def _standable_neighbors(self, cell: Position) -> list[Position]:
-        out = []
-        for dx, dy in _DIRS:
-            nb = Position(cell.x + dx, cell.y + dy)
-            if (self.grid.contains(nb.x, nb.y) and nb not in self.spec.walls
-                    and nb not in self.known_doors and nb not in self.known_rubble):
-                out.append(nb)
-        return out
-
-    def _move_toward_cells(self, goals, dist, first) -> AgentAction | None:
-        """Step along a shortest path to the nearest goal cell; None if unreachable."""
-        g = self.grid
-        best = None
-        for goal in goals:
-            gi = g.cell_index(goal.x, goal.y)
-            d = dist[gi]
-            if d < 0:
-                continue
-            key = (int(d), goal.y, goal.x)
-            if best is None or key < best[0]:
-                best = (key, gi)
-        if best is None:
+    def _step_toward(self, cell, dist, first) -> AgentAction | None:
+        """First move of a shortest path to `cell`; None if unreachable or already there."""
+        if dist[cell] <= 0:
             return None
-        gi = best[1]
-        if dist[gi] == 0:
-            return WAIT_ACTION  # already there
-        step = first[gi]
-        x, y = g.cell_xy(int(step))
-        return AgentAction(ActionTag.MOVE, Position(x, y))
+        return AgentAction(ActionTag.MOVE, self._pos(first[cell]))
 
-    def _approach_target(self, me: Position, targets, dist, first) -> AgentAction | None:
-        """Move toward a standable neighbor of the nearest target cell."""
-        goals = []
-        for t in targets:
-            goals.extend(self._standable_neighbors(t))
-        if not goals:
+    def _move_toward(self, goals: np.ndarray, dist, first) -> AgentAction | None:
+        """Step toward the nearest reachable goal cell, ties to the lowest index."""
+        cells = np.flatnonzero(goals & (dist >= 0))
+        if cells.size == 0:
             return None
-        return self._move_toward_cells(goals, dist, first)
+        return self._step_toward(cells[np.argmin(dist[cells])], dist, first)
 
-    def _explore(self, me: Position, dist, first, region=None) -> AgentAction | None:
-        if region is None:
-            unseen = list(self.unseen)
-        else:
-            unseen = [cell for cell in self.unseen if region(cell)]
-        if not unseen:
-            return None
-        return self._move_toward_cells(unseen, dist, first)
+    def _approach(self, targets: np.ndarray, dist, first) -> AgentAction | None:
+        """Move toward a standable 4-neighbor of the nearest target cell.
 
-    def _random_move(self, state: WorldState, me: Position) -> AgentAction:
+        Blocked cells are never reachable, so `dist >= 0` keeps only the
+        standable ones.
+        """
+        t = targets.reshape(self.grid.height, self.grid.width)
+        near = np.zeros_like(t)
+        near[1:] |= t[:-1]
+        near[:-1] |= t[1:]
+        near[:, 1:] |= t[:, :-1]
+        near[:, :-1] |= t[:, 1:]
+        return self._move_toward(near.ravel(), dist, first)
+
+    def _touches(self, mask: np.ndarray, me: Position) -> bool:
+        return any(mask[nb] for nb in self.spec.neighbor_lists[self._cell(me)])
+
+    def _serviceable(self) -> np.ndarray:
+        """Known targets this role can service alone: greens, uncovered
+        yellows for medics, and rubble and doors for engineers."""
+        if self.role is Role.MEDIC:
+            return (self.known_victims == _GREEN) | (
+                (self.known_victims == _YELLOW) & ~self.known_rubble)
+        return (self.known_victims == _GREEN) | self.known_rubble | self.known_doors
+
+    def _random_move(self, me: Position) -> AgentAction:
         dx, dy = _DIRS[int(self.rng.integers(4))]
         return AgentAction(ActionTag.MOVE, Position(me.x + dx, me.y + dy))
 
     # -- adjacency opportunities ----------------------------------------------
 
-    def _adjacent_rescue(self, state: WorldState, victims, me: Position,
+    def _adjacent_rescue(self, state: WorldState, me: Position,
                          include_red: bool = True) -> AgentAction | None:
-        t = state.time_s
-        for dx, dy in _DIRS:
-            nb = Position(me.x + dx, me.y + dy)
-            kind = victims.get(nb)
-            if kind is None:
-                continue
-            if self.role is Role.ENGINEER:
-                if kind is VictimType.GREEN:
-                    return AgentAction(ActionTag.RESCUE, nb)
-                continue
-            if kind is VictimType.GREEN:
-                return AgentAction(ActionTag.RESCUE, nb)
-            if kind is VictimType.YELLOW and nb not in state.rubble:
-                return AgentAction(ActionTag.RESCUE, nb)
-            if (kind is VictimType.RED and include_red and t < state.spec.red_cutoff_s
-                    and self._engineer_adjacent(state, nb)):
-                return AgentAction(ActionTag.RESCUE, nb)
+        for nb in self.spec.neighbor_lists[self._cell(me)]:
+            kind = state.victim_codes[nb]
+            if kind != _GREEN and self.role is not Role.MEDIC:
+                continue  # engineers rescue greens only
+            if (kind == _GREEN
+                    or kind == _YELLOW and not state.rubble_mask[nb]
+                    or kind == _RED and include_red and state.time_s < state.spec.red_cutoff_s
+                    and self._engineer_adjacent(state, self._pos(nb))):
+                return AgentAction(ActionTag.RESCUE, self._pos(nb))
         return None
 
     def _adjacent_engineering(self, state: WorldState, me: Position) -> AgentAction | None:
         if self.role is not Role.ENGINEER:
             return None
-        for dx, dy in _DIRS:
-            nb = Position(me.x + dx, me.y + dy)
-            if nb in state.rubble:
-                return AgentAction(ActionTag.CLEAR, nb)
-            if nb in state.closed_doors:
-                return AgentAction(ActionTag.OPEN, nb)
+        for nb in self.spec.neighbor_lists[self._cell(me)]:
+            if state.rubble_mask[nb]:
+                return AgentAction(ActionTag.CLEAR, self._pos(nb))
+            if state.door_mask[nb]:
+                return AgentAction(ActionTag.OPEN, self._pos(nb))
         return None
 
     @staticmethod
@@ -227,30 +197,30 @@ class Controller:
         return any(a.role is Role.ENGINEER and a.pos.manhattan(cell) == 1
                    for a in state.agents)
 
-    def act(self, state: WorldState, victims_by_cell) -> AgentAction:
+    def act(self, state: WorldState) -> AgentAction:
         """Planned decision plus a small seeded dither on plain moves, so
         different seeds produce genuinely different trajectories."""
-        act = self._decide(state, victims_by_cell)
+        act = self._decide(state)
         dither = self.params.get("dither", 0.05)
         if act.kind is ActionTag.MOVE and dither > 0 and self.rng.random() < dither:
-            return self._random_move(state, state.agents[self.index].pos)
+            return self._random_move(state.agents[self.index].pos)
         return act
 
-    def _decide(self, state: WorldState, victims_by_cell) -> AgentAction:
+    def _decide(self, state: WorldState) -> AgentAction:
         raise NotImplementedError
 
 
 class RandomWalkController(Controller):
     """Uniform 4-neighbor wander with a wait probability; never acts."""
 
-    def observe(self, state, victims_by_cell):
+    def observe(self, state):
         pass  # a random walker ignores the world
 
-    def act(self, state, victims_by_cell) -> AgentAction:
+    def act(self, state) -> AgentAction:
         me = state.agents[self.index].pos
         if self.rng.random() < self.params.get("p_wait", 0.4):
             return WAIT_ACTION
-        return self._random_move(state, me)
+        return self._random_move(me)
 
 
 class GreedyRescuerController(Controller):
@@ -262,60 +232,31 @@ class GreedyRescuerController(Controller):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.red_wait: dict[Position, int] = {}
-        self.red_shelved: dict[Position, int] = {}
+        self.red_wait = np.zeros(self.grid.n_cells, dtype=int)
+        self.red_shelved = np.full(self.grid.n_cells, -1, dtype=int)
 
-    def _candidates(self, state: WorldState) -> list[Position]:
-        t = state.time_s
-        out = []
-        for cell, kind in self.known_victims.items():
-            if self.role is Role.MEDIC:
-                if kind is VictimType.GREEN:
-                    out.append(cell)
-                elif kind is VictimType.YELLOW and cell not in self.known_rubble:
-                    out.append(cell)
-                elif (kind is VictimType.RED and t < state.spec.red_cutoff_s
-                      and self.red_shelved.get(cell, -1) < state.tick):
-                    out.append(cell)
-            elif kind is VictimType.GREEN:
-                out.append(cell)
-        if self.role is Role.ENGINEER:
-            out.extend(self.known_rubble)
-            out.extend(self.known_doors)
-        return out
-
-    def _decide(self, state, victims_by_cell) -> AgentAction:
+    def _decide(self, state) -> AgentAction:
         me = state.agents[self.index].pos
-        act = self._adjacent_rescue(state, victims_by_cell, me)
-        if act is not None:
-            return act
-        act = self._adjacent_engineering(state, me)
+        act = self._adjacent_rescue(state, me) or self._adjacent_engineering(state, me)
         if act is not None:
             return act
 
-        # medic camped at a red, hoping an engineer wanders by
+        targets = self._serviceable()
         if self.role is Role.MEDIC and state.time_s < state.spec.red_cutoff_s:
-            for dx, dy in _DIRS:
-                nb = Position(me.x + dx, me.y + dy)
-                if victims_by_cell.get(nb) is VictimType.RED \
-                        and self.red_shelved.get(nb, -1) < state.tick:
-                    waited = self.red_wait.get(nb, 0) + 1
-                    self.red_wait[nb] = waited
-                    if waited <= self.params.get("patience", 8):
+            # camped at a red, hoping an engineer wanders by
+            for nb in self.spec.neighbor_lists[self._cell(me)]:
+                if state.victim_codes[nb] == _RED and self.red_shelved[nb] < state.tick:
+                    self.red_wait[nb] += 1
+                    if self.red_wait[nb] <= self.params.get("patience", 8):
                         return WAIT_ACTION
                     self.red_shelved[nb] = state.tick + 25
                     self.red_wait[nb] = 0
+            targets |= (self.known_victims == _RED) & (self.red_shelved < state.tick)
 
         dist, first = self._field(me)
-        targets = self._candidates(state)
-        if targets:
-            act = self._approach_target(me, targets, dist, first)
-            if act is not None and act is not WAIT_ACTION:
-                return act
-        act = self._explore(me, dist, first)
-        if act is not None and act is not WAIT_ACTION:
-            return act
-        return self._random_move(state, me)
+        return (self._approach(targets, dist, first)
+                or self._move_toward(self.unseen, dist, first)
+                or self._random_move(me))
 
 
 class CoordinatedSpecialistController(Controller):
@@ -333,158 +274,105 @@ class CoordinatedSpecialistController(Controller):
         super().__init__(spec, role, index, rng, params)
         self.pair = pair
         self.waypoint = 0
+        # pair sectors stack vertically in phase 1; roles split left/right in phase 2
+        g = self.grid
+        ys, xs = np.divmod(np.arange(g.n_cells), g.width)
+        self.pair_sector = ys < g.height // 2 if pair == 0 else ys >= g.height // 2
+        self.role_half = xs < g.width // 2 if role is Role.MEDIC else xs >= g.width // 2
+        self.quadrant = self.pair_sector & self.role_half
+        # corners of the own quadrant, patrolled clockwise once it is explored
+        cx = (1, g.width // 2 - 2) if role is Role.MEDIC else (g.width // 2 + 1, g.width - 2)
+        cy = (1, g.height // 2 - 2) if pair == 0 else (g.height // 2 + 1, g.height - 2)
+        self.waypoints = [g.cell_index(x, y) for x, y in
+                          ((cx[0], cy[0]), (cx[1], cy[0]), (cx[1], cy[1]), (cx[0], cy[1]))
+                          if g.contains(x, y) and not spec.wall_mask[g.cell_index(x, y)]]
 
-    # pair sectors stack vertically in phase 1; roles split left/right in phase 2
-    def _in_pair_sector(self, cell: Position) -> bool:
-        mid = self.grid.height // 2
-        return cell.y < mid if self.pair == 0 else cell.y >= mid
-
-    def _in_role_half(self, cell: Position) -> bool:
-        mid = self.grid.width // 2
-        return cell.x < mid if self.role is Role.MEDIC else cell.x >= mid
-
-    def _in_quadrant(self, cell: Position) -> bool:
-        return self._in_role_half(cell) and self._in_pair_sector(cell)
-
-    def _decide(self, state, victims_by_cell) -> AgentAction:
+    def _decide(self, state) -> AgentAction:
         if state.time_s < state.spec.red_cutoff_s:
-            return self._act_converge(state, victims_by_cell)
-        return self._act_disperse(state, victims_by_cell)
+            return self._act_converge(state)
+        return self._act_disperse(state)
 
     # -- phase 1: hunt reds, park beside them, converge on parked teammates ----
 
-    def _parked_teammates(self, state: WorldState, role: Role, me: Position) -> list[Position]:
-        """Cross-role teammates standing still away from the start: someone
-        is parked beside a victim and asking for help."""
+    def _parked_teammates(self, state: WorldState, role: Role, me: Position) -> np.ndarray:
+        """Cells of cross-role teammates standing still away from the start:
+        someone is parked beside a victim and asking for help."""
         hold = int(self.params.get("park_signal_ticks", 3))
-        return [a.pos for j, a in enumerate(state.agents)
-                if a.role is role and self.still_for.get(j, 0) >= hold
-                and a.pos != self.spec.start and me.chebyshev(a.pos) > 2]
+        parked = np.zeros(self.grid.n_cells, dtype=bool)
+        for j, a in enumerate(state.agents):
+            if (a.role is role and self.still_for.get(j, 0) >= hold
+                    and a.pos != self.spec.start and me.chebyshev(a.pos) > 2):
+                parked[self._cell(a.pos)] = True
+        return parked
 
-    def _act_converge(self, state, victims_by_cell) -> AgentAction:
+    def _act_converge(self, state) -> AgentAction:
         me = state.agents[self.index].pos
-        reds = [c for c, k in self.known_victims.items() if k is VictimType.RED]
+        reds = self.known_victims == _RED
 
         if self.role is Role.MEDIC:
-            act = self._adjacent_rescue(state, victims_by_cell, me)
+            act = self._adjacent_rescue(state, me)
             if act is not None:
                 return act
-            for dx, dy in _DIRS:  # parked beside a red: hold until an engineer lands
-                nb = Position(me.x + dx, me.y + dy)
-                if victims_by_cell.get(nb) is VictimType.RED:
-                    return WAIT_ACTION
+            if self._touches(state.victim_codes == _RED, me):
+                return WAIT_ACTION  # parked beside a red: hold until an engineer lands
             dist, first = self._field(me)
-            targets = reds + self._parked_teammates(state, Role.ENGINEER, me)
-            if targets:
-                act = self._approach_target(me, targets, dist, first)
-                if act is not None and act is not WAIT_ACTION:
-                    return act
-            return self._sweep_own_quadrant(state, me, dist, first)
+            targets = reds | self._parked_teammates(state, Role.ENGINEER, me)
+            return (self._approach(targets, dist, first)
+                    or self._sweep_own_quadrant(me, dist, first))
 
         # engineer
         dist, first = self._field(me)
-        confirmed = [c for c in reds
-                     if any(a.role is Role.MEDIC and a.pos.manhattan(c) == 1
-                            for a in state.agents)]
-        if confirmed:
-            if any(me.manhattan(c) == 1 for c in confirmed):
-                act = self._adjacent_engineering(state, me) \
-                    or self._adjacent_rescue(state, victims_by_cell, me)
-                return act or WAIT_ACTION  # presence is the contribution
-            act = self._approach_target(me, confirmed, dist, first)
-            if act is not None and act is not WAIT_ACTION:
-                return act
-        act = self._adjacent_engineering(state, me) \
-            or self._adjacent_rescue(state, victims_by_cell, me)
+        medic_side = np.zeros(self.grid.n_cells, dtype=bool)
+        for a in state.agents:
+            if a.role is Role.MEDIC:
+                medic_side[list(self.spec.neighbor_lists[self._cell(a.pos)])] = True
+        confirmed = reds & medic_side
+        if self._touches(confirmed, me):
+            act = self._adjacent_engineering(state, me) or self._adjacent_rescue(state, me)
+            return act or WAIT_ACTION  # presence is the contribution
+        act = (self._approach(confirmed, dist, first)
+               or self._adjacent_engineering(state, me)
+               or self._adjacent_rescue(state, me)
+               or self._approach(self._parked_teammates(state, Role.MEDIC, me), dist, first))
         if act is not None:
             return act
-        parked = self._parked_teammates(state, Role.MEDIC, me)
-        if parked:
-            act = self._approach_target(me, parked, dist, first)
-            if act is not None and act is not WAIT_ACTION:
-                return act
-        if reds:  # park beside an unclaimed red and flag it for the medics
-            if any(me.manhattan(c) == 1 for c in reds):
-                return WAIT_ACTION
-            act = self._approach_target(me, reds, dist, first)
-            if act is not None and act is not WAIT_ACTION:
-                return act
-        service = [c for c in (*self.known_rubble, *self.known_doors)
-                   if self._in_pair_sector(c)]
-        if service:
-            act = self._approach_target(me, service, dist, first)
-            if act is not None and act is not WAIT_ACTION:
-                return act
-        return self._sweep_own_quadrant(state, me, dist, first)
+        if self._touches(reds, me):
+            return WAIT_ACTION  # park beside an unclaimed red and flag it for the medics
+        service = (self.known_rubble | self.known_doors) & self.pair_sector
+        return (self._approach(reds, dist, first)
+                or self._approach(service, dist, first)
+                or self._sweep_own_quadrant(me, dist, first))
 
     # -- phase 2: disperse into role territories ------------------------------
 
-    def _phase2_candidates(self) -> list[Position]:
-        out = []
-        for cell, kind in self.known_victims.items():
-            if not self._in_role_half(cell):
-                continue
-            if self.role is Role.MEDIC:
-                if kind is VictimType.GREEN or (kind is VictimType.YELLOW
-                                                and cell not in self.known_rubble):
-                    out.append(cell)
-            elif kind is VictimType.GREEN:
-                out.append(cell)
-        if self.role is Role.ENGINEER:
-            out.extend(c for c in self.known_rubble if self._in_role_half(c))
-            out.extend(c for c in self.known_doors if self._in_role_half(c))
-        return out
-
-    def _quadrant_waypoints(self) -> list[Position]:
-        g = self.grid
-        xs = (1, g.width // 2 - 2) if self.role is Role.MEDIC else (g.width // 2 + 1, g.width - 2)
-        ys = (1, g.height // 2 - 2) if self.pair == 0 else (g.height // 2 + 1, g.height - 2)
-        corners = [Position(xs[0], ys[0]), Position(xs[1], ys[0]),
-                   Position(xs[1], ys[1]), Position(xs[0], ys[1])]
-        return [c for c in corners if g.contains(c.x, c.y) and c not in self.spec.walls]
-
-    def _sweep_own_quadrant(self, state, me: Position, dist, first) -> AgentAction:
+    def _sweep_own_quadrant(self, me: Position, dist, first) -> AgentAction:
         """Explore the unseen parts of the own role/pair quadrant, then
         cycle its corners; never wander into teammate territory."""
-        act = self._explore(me, dist, first, region=self._in_quadrant)
-        if act is not None and act is not WAIT_ACTION:
+        act = self._move_toward(self.unseen & self.quadrant, dist, first)
+        if act is not None:
             return act
-        waypoints = self._quadrant_waypoints()
-        if waypoints:
-            for _ in range(len(waypoints)):
-                wp = waypoints[self.waypoint % len(waypoints)]
-                if wp == me:
-                    self.waypoint += 1
-                    continue
-                act = self._move_toward_cells([wp], dist, first)
-                if act is not None and act is not WAIT_ACTION:
-                    return act
-                self.waypoint += 1
-        return self._random_move(state, me)
+        for _ in self.waypoints:
+            act = self._step_toward(self.waypoints[self.waypoint % len(self.waypoints)],
+                                    dist, first)
+            if act is not None:
+                return act
+            self.waypoint += 1
+        return self._random_move(me)
 
-    def _act_disperse(self, state, victims_by_cell) -> AgentAction:
+    def _act_disperse(self, state) -> AgentAction:
         me = state.agents[self.index].pos
-        act = self._adjacent_rescue(state, victims_by_cell, me, include_red=False) \
+        act = self._adjacent_rescue(state, me, include_red=False) \
             or self._adjacent_engineering(state, me)
         if act is not None:
             return act
 
         dist, first = self._field(me)
-        if not self._in_role_half(me):
-            g = self.grid
-            half = [Position(x, y) for y in range(g.height) for x in range(g.width)
-                    if self._in_role_half(Position(x, y)) and Position(x, y) not in self.spec.walls]
-            act = self._move_toward_cells(half, dist, first)
-            if act is not None and act is not WAIT_ACTION:
+        if not self.role_half[self._cell(me)]:
+            act = self._move_toward(self.role_half, dist, first)
+            if act is not None:
                 return act
-
-        targets = self._phase2_candidates()
-        if targets:
-            act = self._approach_target(me, targets, dist, first)
-            if act is not None and act is not WAIT_ACTION:
-                return act
-
-        return self._sweep_own_quadrant(state, me, dist, first)
+        return (self._approach(self._serviceable() & self.role_half, dist, first)
+                or self._sweep_own_quadrant(me, dist, first))
 
 
 _CONTROLLERS = {

@@ -38,6 +38,18 @@ class MalformedActionError(TeamCoordError):
     """Agent action is not one of the known kinds."""
 
 
+# per-cell victim codes in `WorldState.victim_codes`; 0 means no victim
+VICTIM_CODES = {VictimType.GREEN: 1, VictimType.YELLOW: 2, VictimType.RED: 3}
+
+
+def _cell_array(grid: GridSpec, cells, values=True, dtype=bool) -> np.ndarray:
+    """Read-only row-major per-cell array: `values` at `cells`, zero elsewhere."""
+    arr = np.zeros(grid.n_cells, dtype=dtype)
+    arr[[grid.cell_index(c.x, c.y) for c in cells]] = values
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class Victim:
     cell: Position
@@ -107,11 +119,7 @@ class MapSpec:
 
     @cached_property
     def wall_mask(self) -> np.ndarray:
-        mask = np.zeros(self.grid.n_cells, dtype=bool)
-        for c in self.walls:
-            mask[self.grid.cell_index(c.x, c.y)] = True
-        mask.flags.writeable = False
-        return mask
+        return _cell_array(self.grid, self.walls)
 
     @cached_property
     def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
@@ -171,6 +179,21 @@ class WorldState:
     @property
     def time_s(self) -> float:
         return self.tick * self.sample_interval_s
+
+    # row-major per-cell views of the fields above, built on first use
+
+    @cached_property
+    def victim_codes(self) -> np.ndarray:
+        return _cell_array(self.spec.grid, [v.cell for v in self.victims],
+                           [VICTIM_CODES[v.kind] for v in self.victims], np.int8)
+
+    @cached_property
+    def rubble_mask(self) -> np.ndarray:
+        return _cell_array(self.spec.grid, self.rubble)
+
+    @cached_property
+    def door_mask(self) -> np.ndarray:
+        return _cell_array(self.spec.grid, self.closed_doors)
 
     def traversable(self, pos: Position) -> bool:
         return (self.spec.grid.contains(pos.x, pos.y)
@@ -291,10 +314,9 @@ def run_mission(spec: MapSpec, policies, seed: int, session_id: str | None = Non
     samples: list[list[TrajectorySample]] = [[] for _ in agents]
 
     for t in range(n_ticks):
-        victims_by_cell = {v.cell: v.kind for v in state.victims}
         for c in controllers:
-            c.observe(state, victims_by_cell)
-        actions = [c.act(state, victims_by_cell) for c in controllers]
+            c.observe(state)
+        actions = [c.act(state) for c in controllers]
         new_state, resolved = step_resolved(state, actions)
         for i, agent in enumerate(state.agents):
             act = resolved[i]

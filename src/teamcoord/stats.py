@@ -190,6 +190,11 @@ class QuadraticFit:
     def inverted_u(self) -> bool:
         return self.c2 < 0
 
+    @property
+    def flat(self) -> bool:
+        """A constant outcome: no slope, no curvature, no vertex."""
+        return self.c1 == 0.0 and self.c2 == 0.0
+
 
 def vertex_of(c1: float, c2: float) -> float:
     """Extremum location -c1 / (2 c2) of c0 + c1 x + c2 x^2."""
@@ -205,6 +210,14 @@ def quadratic_fit(x, y) -> QuadraticFit:
         raise ValueError(f"need at least 4 observations, got {xv.size}")
     if np.unique(xv).size < 3:
         raise RankDeficiencyError("x needs at least 3 distinct values for a quadratic fit")
+    if np.all(yv == yv[0]):
+        # Least squares would fit rounding noise: a constant outcome has no slope,
+        # curvature or optimum. p-values follow `ols` on an exact fit (0 for a
+        # nonzero term, 1 for a zero one).
+        c0 = float(yv[0])
+        return QuadraticFit(c0=c0, c1=0.0, c2=0.0, vertex_x=math.nan, r_squared=0.0,
+                            f_stat=0.0, f_p_value=1.0,
+                            p_values=np.array([0.0 if c0 else 1.0, 1.0, 1.0]))
     res = ols(yv, design_matrix(xv, xv * xv))
     c0, c1, c2 = (float(b) for b in res.coefficients)
     return QuadraticFit(c0=c0, c1=c1, c2=c2, vertex_x=vertex_of(c1, c2),

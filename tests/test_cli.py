@@ -20,6 +20,13 @@ def sim_corpus(tmp_path, runs=8, policies="coordinated", seed=0, mapname="small"
     return sorted(out.glob("*.jsonl"))
 
 
+def random_table(path, n_rows, seed=5):
+    rng = np.random.default_rng(seed)
+    rows = [MetricsTableRow(f"s{i:02d}", *rng.random(4), performance=int(rng.integers(500)))
+            for i in range(n_rows)]
+    return write_metrics_table(rows, path)
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     for cmd in ("simulate", "metrics", "stats", "timeseries"):
@@ -268,10 +275,7 @@ def test_metrics_malformed_record_exits_1_with_path_and_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("n_rows, resamples", [(20, 0), (4, 500)])
 def test_stats_mediation_out_of_range_exits_2(tmp_path, capsys, n_rows, resamples):
-    rng = np.random.default_rng(5)
-    rows = [MetricsTableRow(f"s{i:02d}", *rng.random(4), performance=int(rng.integers(500)))
-            for i in range(n_rows)]
-    table = write_metrics_table(rows, tmp_path / "m.csv")
+    table = random_table(tmp_path / "m.csv", n_rows)
     assert run(["stats", "--table", str(table), "--analysis", "mediation",
                 "--resamples", str(resamples)]) == EXIT_USAGE
     assert "usage error" in capsys.readouterr().err
@@ -299,3 +303,42 @@ def test_timeseries_mixed_mission_clocks_exit_2(tmp_path, capsys, field, value):
     manifest.write_text(json.dumps(doc))
     assert run(["timeseries", *map(str, logs), "--metric", "sed"]) == EXIT_USAGE
     assert "mission clock" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("analysis, n_rows, message", [
+    ("correlations", 2, "need at least 3 observations"),
+    ("quadratic", 3, "need at least 4 observations"),
+    ("regression", 4, "need more observations (4) than columns (4)"),
+    ("timeless-anova", 4, "every group needs at least 2 values"),
+])
+def test_stats_too_small_table_exits_2(tmp_path, capsys, analysis, n_rows, message):
+    table = random_table(tmp_path / "m.csv", n_rows)
+    assert run(["stats", "--table", str(table), "--analysis", analysis]) == EXIT_USAGE
+    assert f"usage error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_stats_non_finite_cell_exits_2(tmp_path, capsys, cell):
+    table = random_table(tmp_path / "m.csv", 8)
+    lines = table.read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[1] = cell  # the sed column
+    lines[3] = ",".join(fields)
+    lines.insert(2, "")  # a blank line the reader skips still counts
+    table.write_text("\n".join(lines) + "\n")
+    assert run(["stats", "--table", str(table), "--analysis", "correlations"]) == EXIT_USAGE
+    assert f"column 'sed' has non-finite value '{cell}' on line 5" in capsys.readouterr().err
+
+
+def test_stats_quadratic_flat_outcome_reports_flat(tmp_path, capsys):
+    rng = np.random.default_rng(7)
+    rows = [MetricsTableRow(f"s{i:02d}", *rng.random(4), performance=240) for i in range(4)]
+    table = write_metrics_table(rows, tmp_path / "m.csv")
+    assert run(["stats", "--table", str(table), "--analysis", "quadratic"]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    header = out[0].split(",")
+    for line in out[1:]:
+        row = dict(zip(header, line.split(",")))
+        assert row["pattern"] == "flat"
+        assert row["optimal_value"] == ""
+        assert (row["linear"], row["quadratic"]) == ("0", "0")

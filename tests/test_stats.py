@@ -183,6 +183,16 @@ def test_quadratic_vertex_invariant_under_y_scaling():
         assert quadratic_fit(x, k * y).vertex_x == pytest.approx(base, rel=1e-9)
 
 
+def test_quadratic_flat_outcome_has_no_vertex():
+    # least squares on a constant fits c2 = -5.7e-12 here, which read as an inverted U
+    x = [0.41757316727768112, 0.4923438965729397, 0.50048349567271755, 0.47434543864153433]
+    fit = quadratic_fit(x, [240.0] * 4)
+    assert (fit.c0, fit.c1, fit.c2) == (240.0, 0.0, 0.0)
+    assert math.isnan(fit.vertex_x)
+    assert fit.flat and not fit.inverted_u
+    assert (fit.r_squared, fit.f_stat, fit.f_p_value) == (0.0, 0.0, 1.0)
+
+
 def test_quadratic_requires_three_distinct_x():
     with pytest.raises(RankDeficiencyError):
         quadratic_fit([1.0, 1.0, 2.0, 2.0], [0.0, 1.0, 2.0, 3.0])
