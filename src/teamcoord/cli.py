@@ -48,6 +48,7 @@ from .stats import (
     PerformanceGroup,
     quadratic_fit,
     spearman,
+    TooFewTeamsError,
 )
 from .core import Role
 
@@ -361,7 +362,7 @@ def cmd_stats(args) -> int:
     rows = _read_table(args.table)
     try:
         out_rows, columns = _ANALYSES[args.analysis](rows, args)
-    except ValueError as exc:  # too few rows for the analysis, or --resamples out of range
+    except (ValueError, TooFewTeamsError) as exc:  # too few rows, or --resamples out of range
         raise UsageError(str(exc)) from None
     _emit(_render(out_rows, columns, args.format), args.out,
           f"wrote {args.analysis} report to {args.out}")

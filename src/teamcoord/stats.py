@@ -9,7 +9,6 @@ identical no matter how the loop is scheduled.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -55,15 +54,12 @@ def rankdata(x) -> np.ndarray:
     """Ranks starting at 1; ties share the mean of their ordinal ranks."""
     xv = _vector(x)
     order = np.argsort(xv, kind="mergesort")
-    ranks = np.empty(xv.size, dtype=float)
     sx = xv[order]
-    i = 0
-    while i < xv.size:
-        j = i
-        while j + 1 < xv.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # Runs of equal values in sorted order; a nan equals nothing, so each is its own run.
+    first = np.flatnonzero(np.concatenate(([True], sx[1:] != sx[:-1])))
+    counts = np.diff(np.append(first, xv.size))
+    ranks = np.empty(xv.size, dtype=float)
+    ranks[order] = np.repeat(0.5 * (2 * first + counts - 1) + 1.0, counts)
     return ranks
 
 
@@ -260,30 +256,42 @@ def pct_mediated(indirect: float, total: float) -> float | None:
     return 100.0 * indirect / total
 
 
-def _mediation_paths(x: np.ndarray, m: np.ndarray, y: np.ndarray):
-    """Closed-form OLS paths: a (m~x), b and c' (y~x+m), c (y~x).
+# Cells of the (resamples, n) index matrix handled at once by the bootstrap.
+_BOOT_BLOCK_CELLS = 1 << 18
 
-    Returns None when the resample is degenerate (constant x or collinear
-    x, m), so the caller can redraw.
+
+def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per-row dot products of two (R, n) arrays.
+
+    Stacked matmul runs the same dot kernel as 1-D `u[k] @ v[k]`, so each row
+    rounds as it would on its own; `(u * v).sum(axis=1)` sums in another order.
     """
-    xc = x - x.mean()
-    mc = m - m.mean()
-    yc = y - y.mean()
-    sxx = float(xc @ xc)
-    if sxx == 0.0:
-        return None
-    sxm = float(xc @ mc)
-    smm = float(mc @ mc)
-    sxy = float(xc @ yc)
-    smy = float(mc @ yc)
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _mediation_paths(x: np.ndarray, m: np.ndarray, y: np.ndarray):
+    """Closed-form OLS paths per row of (R, n) arrays: a (m~x), b and c' (y~x+m), c (y~x).
+
+    Returns (a, b, c_prime, c_total, ok); rows where ok is False are
+    degenerate (constant x or collinear x, m) and carry no paths.
+    """
+    xc = x - x.mean(axis=1, keepdims=True)
+    mc = m - m.mean(axis=1, keepdims=True)
+    yc = y - y.mean(axis=1, keepdims=True)
+    sxx = _row_dot(xc, xc)
+    sxm = _row_dot(xc, mc)
+    smm = _row_dot(mc, mc)
+    sxy = _row_dot(xc, yc)
+    smy = _row_dot(mc, yc)
     det = sxx * smm - sxm * sxm
-    if det == 0.0:
-        return None
+    ok = (sxx != 0.0) & (det != 0.0)
+    sxx = np.where(ok, sxx, 1.0)  # degenerate rows divide by 1 and are discarded
+    det = np.where(ok, det, 1.0)
     a = sxm / sxx
     c_total = sxy / sxx
     c_prime = (smm * sxy - sxm * smy) / det
     b = (sxx * smy - sxm * sxy) / det
-    return a, b, c_prime, c_total
+    return a, b, c_prime, c_total, ok
 
 
 def bootstrap_mediation(x, m, y, resamples: int = 5000, seed: int = 0) -> MediationResult:
@@ -292,7 +300,9 @@ def bootstrap_mediation(x, m, y, resamples: int = 5000, seed: int = 0) -> Mediat
     Rows are resampled with replacement as (x, m, y) triples. The 95%
     interval uses the 2.5 and 97.5 percentiles of the resampled indirect
     effects; results are bit-reproducible for a fixed seed and resample
-    count.
+    count. Resample k draws its indices from its own Philox stream, the k-th
+    child of the seed, and draws again from that stream (up to 100 draws in
+    all) while its rows are degenerate.
     """
     xv, mv = _paired(x, m)
     yv = _vector(y, "y")
@@ -303,23 +313,29 @@ def bootstrap_mediation(x, m, y, resamples: int = 5000, seed: int = 0) -> Mediat
         raise ValueError(f"need at least 5 observations, got {n}")
     if resamples < 1:
         raise ValueError("resamples must be positive")
-    paths = _mediation_paths(xv, mv, yv)
-    if paths is None:
+    *paths, ok = _mediation_paths(xv[None], mv[None], yv[None])
+    if not ok[0]:
         raise DegenerateDataError("x is constant or x and m are collinear")
-    a, b, c_prime, c_total = paths
+    a, b, c_prime, c_total = (float(v[0]) for v in paths)
 
     children = np.random.SeedSequence(seed).spawn(resamples)
     boot = np.empty(resamples)
-    for k, child in enumerate(children):
-        rng = np.random.Generator(np.random.Philox(child))
-        for _ in range(100):
-            idx = rng.integers(0, n, size=n)
-            sub = _mediation_paths(xv[idx], mv[idx], yv[idx])
-            if sub is not None:
-                boot[k] = sub[0] * sub[1]
-                break
-        else:
-            raise DegenerateDataError(f"resample {k} stayed degenerate after 100 draws")
+    block = max(1, _BOOT_BLOCK_CELLS // n)  # resamples per block, to bound memory
+    for start in range(0, resamples, block):
+        rngs = [np.random.Generator(np.random.Philox(c)) for c in children[start:start + block]]
+        idx = np.stack([rng.integers(0, n, size=n) for rng in rngs])
+        sub_a, sub_b, _, _, sub_ok = _mediation_paths(xv[idx], mv[idx], yv[idx])
+        boot[start:start + len(rngs)] = sub_a * sub_b
+        for k in np.flatnonzero(~sub_ok).tolist():
+            for _ in range(99):
+                row = rngs[k].integers(0, n, size=n)[None]
+                sub_a, sub_b, _, _, sub_ok = _mediation_paths(xv[row], mv[row], yv[row])
+                if sub_ok[0]:
+                    boot[start + k] = sub_a[0] * sub_b[0]
+                    break
+            else:
+                raise DegenerateDataError(
+                    f"resample {start + k} stayed degenerate after 100 draws")
 
     ci_low, ci_high = np.percentile(boot, [2.5, 97.5])
     return MediationResult(
@@ -367,41 +383,66 @@ def mann_whitney_u(a, b) -> MannWhitneyResult:
     return MannWhitneyResult(u=u, p_value=p, n1=n1, n2=n2)
 
 
-def mann_whitney_u_exact(a, b, alternative: str = "two-sided") -> MannWhitneyResult:
-    """Exact Mann-Whitney p by enumerating all group assignments.
+# Largest subset-count table the exact Mann-Whitney test builds: about 60 vs 60.
+_EXACT_MAX_CELLS = 1_000_000
 
-    Feasible for small groups only (at most 10 per side). `alternative`
-    is "less" (a shifted low), "greater", or "two-sided".
+
+def _subset_sum_counts(scores: list[int], k: int) -> np.ndarray:
+    """counts[t] = number of k-element subsets of `scores` (non-negative ints) summing to t.
+
+    One pass per score over the (k + 1, sum + 1) table of subset counts by
+    size and sum; Python-int entries cannot overflow.
+    """
+    width = sum(scores) + 1
+    counts = np.zeros((k + 1, width), dtype=object)
+    counts[0, 0] = 1
+    for w in scores:
+        counts[1:, w:] = counts[1:, w:] + counts[:-1, :width - w]
+    return counts[k]
+
+
+def mann_whitney_u_exact(a, b, alternative: str = "two-sided") -> MannWhitneyResult:
+    """Exact Mann-Whitney p from the permutation distribution of U.
+
+    Every way of drawing the first group from the pooled values is equally
+    likely under the null. The number of draws at each U comes from the
+    Mann & Whitney (1947) counting recursion, extended to ties: mid-rank
+    scores are doubled to exact integers and a subset-sum table is built one
+    pooled value at a time. Counts are Python integers, so they cannot
+    overflow; the table has about min(n1, n2) (n1 + n2)^2 entries and is
+    refused (ValueError) beyond a million, about 60 vs 60.
+    `alternative` is "less" (a shifted low), "greater", or "two-sided".
     """
     av, bv = _vector(a, "a"), _vector(b, "b")
     n1, n2 = av.size, bv.size
     if n1 == 0 or n2 == 0:
         raise ValueError("both samples must be non-empty")
-    if n1 > 10 or n2 > 10:
-        raise ValueError("exact enumeration supports at most 10 per group")
     if alternative not in ("less", "greater", "two-sided"):
         raise ValueError(f"unknown alternative {alternative!r}")
 
     pooled = np.concatenate([av, bv])
-    total = n1 + n2
-    # s[i] = number of pooled values beaten by value i, counting ties as 1/2;
-    # the U of a subset A is then sum(s[A]) - C(|A|, 2).
+    if np.isnan(pooled).any():
+        raise ValueError("samples must not contain nan")
+    # w[i] = twice the number of pooled values beaten by value i, ties counting
+    # 1/2 each; the U of a subset A is then sum(w[A]) / 2 - C(|A|, 2).
     gt = pooled[:, None] > pooled[None, :]
     eq = pooled[:, None] == pooled[None, :]
-    s = gt.sum(axis=1) + 0.5 * (eq.sum(axis=1) - 1)
+    w = 2 * gt.sum(axis=1) + eq.sum(axis=1) - 1
+    w_obs = int(w[:n1].sum())
 
-    u_obs = float(s[:n1].sum() - n1 * (n1 - 1) / 2.0)
-    adjust = n1 * (n1 - 1) / 2.0
-    n_le = n_ge = 0
-    n_total = 0
-    eps = 1e-9
-    for combo in itertools.combinations(range(total), n1):
-        u = float(sum(s[i] for i in combo) - adjust)
-        n_total += 1
-        if u <= u_obs + eps:
-            n_le += 1
-        if u >= u_obs - eps:
-            n_ge += 1
+    # Count subsets of the smaller group's size; a second-group subset summing
+    # to t leaves a first group summing to sum(w) - t.
+    k = min(n1, n2)
+    cells = (k + 1) * (int(w.sum()) + 1)
+    if cells > _EXACT_MAX_CELLS:
+        raise ValueError(f"exact test needs a table of {cells} counts (limit {_EXACT_MAX_CELLS}); "
+                         "use mann_whitney_u for groups this large")
+    null = _subset_sum_counts(w.tolist(), k)
+    if k < n1:
+        null = null[::-1]
+    n_le = int(null[:w_obs + 1].sum())
+    n_ge = int(null[w_obs:].sum())
+    n_total = math.comb(n1 + n2, n1)
     p_less = n_le / n_total
     p_greater = n_ge / n_total
     if alternative == "less":
@@ -410,6 +451,7 @@ def mann_whitney_u_exact(a, b, alternative: str = "two-sided") -> MannWhitneyRes
         p = p_greater
     else:
         p = min(1.0, 2.0 * min(p_less, p_greater))
+    u_obs = w_obs / 2.0 - n1 * (n1 - 1) / 2.0
     u2 = n1 * n2 - u_obs
     return MannWhitneyResult(u=min(u_obs, u2), p_value=p, n1=n1, n2=n2)
 

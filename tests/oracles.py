@@ -161,3 +161,43 @@ def mann_whitney_normal_p(a, b) -> float:
         return 1.0
     z = max(0.0, abs(u - n1 * n2 / 2.0) - 0.5) / sd
     return min(1.0, 2.0 * normal_sf_ref(z))
+
+
+def _mediation_paths_1d(x, m, y):
+    """Closed-form a, b, c', c for one resample; None when x is constant or x, m collinear."""
+    xc, mc, yc = x - x.mean(), m - m.mean(), y - y.mean()
+    sxx = float(xc @ xc)
+    if sxx == 0.0:
+        return None
+    sxm, smm = float(xc @ mc), float(mc @ mc)
+    sxy, smy = float(xc @ yc), float(mc @ yc)
+    det = sxx * smm - sxm * sxm
+    if det == 0.0:
+        return None
+    return sxm / sxx, (sxx * smy - sxm * sxy) / det, (smm * sxy - sxm * smy) / det, sxy / sxx
+
+
+def bootstrap_indirect_loop(x, m, y, resamples, seed):
+    """Bootstrap indirect effects one resample at a time.
+
+    Resample k draws its row indices from a Philox stream seeded by the k-th
+    SeedSequence child of `seed`, drawing again (at most 100 draws) while the
+    resample is degenerate. Returns (mean, 2.5th percentile, 97.5th
+    percentile) of the a*b values; raises ValueError when a resample stays
+    degenerate.
+    """
+    x, m, y = (np.asarray(v, dtype=float) for v in (x, m, y))
+    n = x.size
+    boot = np.empty(resamples)
+    for k, child in enumerate(np.random.SeedSequence(seed).spawn(resamples)):
+        rng = np.random.Generator(np.random.Philox(child))
+        for _ in range(100):
+            idx = rng.integers(0, n, size=n)
+            paths = _mediation_paths_1d(x[idx], m[idx], y[idx])
+            if paths is not None:
+                boot[k] = paths[0] * paths[1]
+                break
+        else:
+            raise ValueError(f"resample {k} stayed degenerate after 100 draws")
+    low, high = np.percentile(boot, [2.5, 97.5])
+    return float(boot.mean()), float(low), float(high)

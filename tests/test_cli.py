@@ -310,6 +310,8 @@ def test_timeseries_mixed_mission_clocks_exit_2(tmp_path, capsys, field, value):
     ("quadratic", 3, "need at least 4 observations"),
     ("regression", 4, "need more observations (4) than columns (4)"),
     ("timeless-anova", 4, "every group needs at least 2 values"),
+    ("groups", 2, "grouping needs at least 4 teams, got 2"),
+    ("timeless-anova", 2, "grouping needs at least 4 teams, got 2"),
 ])
 def test_stats_too_small_table_exits_2(tmp_path, capsys, analysis, n_rows, message):
     table = random_table(tmp_path / "m.csv", n_rows)

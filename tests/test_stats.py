@@ -1,8 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.stats import mannwhitneyu
 
+from teamcoord import stats
 from teamcoord.stats import (
     DegenerateDataError,
     LengthMismatchError,
@@ -21,11 +24,13 @@ from teamcoord.stats import (
     rankdata,
     spearman,
     vertex_of,
+    _subset_sum_counts,
 )
 
 from oracles import (
     anova_f,
     average_ranks,
+    bootstrap_indirect_loop,
     f_sf_quad,
     mann_whitney_exact_p,
     mann_whitney_normal_p,
@@ -43,6 +48,17 @@ def test_rankdata_matches_definition():
     for _ in range(50):
         x = rng.integers(0, 6, size=rng.integers(2, 15)).astype(float)
         assert rankdata(x).tolist() == average_ranks(x.tolist())
+
+
+def test_rankdata_tie_heavy_large_matches_definition():
+    rng = np.random.default_rng(2)
+    x = rng.integers(-20, 20, size=100_000).astype(float)
+    x[x == 0] = -0.0  # compares equal to 0.0
+    x[::7] = 0.0
+    s = np.sort(x)
+    smaller = np.searchsorted(s, x, side="left")
+    equal = np.searchsorted(s, x, side="right") - smaller
+    assert np.array_equal(rankdata(x), 1.0 + smaller + (equal - 1) / 2.0)
 
 
 def test_spearman_monotone_is_one():
@@ -271,6 +287,34 @@ def test_mediation_strong_chain_interval_excludes_zero():
     assert res.significant
 
 
+def test_mediation_redraws_match_loop_oracle():
+    # A resample misses the only x = 1 row about a third of the time and is redrawn.
+    x, m, y = [0.0, 0, 0, 0, 1], [1.0, 2, 3, 4, 5], [0.5, -1.0, 2.0, 0.25, 1.5]
+    res = bootstrap_mediation(x, m, y, resamples=2000, seed=3)
+    assert (res.boot_indirect_mean, res.ci_low, res.ci_high) == \
+        bootstrap_indirect_loop(x, m, y, 2000, 3)
+
+
+def test_mediation_matches_loop_oracle_across_blocks(monkeypatch):
+    monkeypatch.setattr(stats, "_BOOT_BLOCK_CELLS", 35)  # 7 resamples of 5 rows per block
+    x, m, y = [0.0, 0, 0, 0, 1], [1.0, 2, 3, 4, 5], [0.5, -1.0, 2.0, 0.25, 1.5]
+    res = bootstrap_mediation(x, m, y, resamples=50, seed=8)
+    assert (res.boot_indirect_mean, res.ci_low, res.ci_high) == \
+        bootstrap_indirect_loop(x, m, y, 50, 8)
+
+
+def test_mediation_resample_stuck_degenerate_raises_like_loop_oracle():
+    # x and m lie on one line, but rounding leaves the full-sample determinant
+    # nonzero; about 96% of resamples round it to exactly zero, so some resample
+    # stays degenerate through all 100 draws.
+    x, m, y = [1.0, 1.0, 1.0, 2.0, 2.0], [-0.2, -0.2, -0.2, 0.3, 0.3], [0.5, -1.0, 2.0, 0.25, 1.5]
+    with pytest.raises(ValueError) as want:
+        bootstrap_indirect_loop(x, m, y, 300, 0)
+    with pytest.raises(DegenerateDataError) as got:
+        bootstrap_mediation(x, m, y, resamples=300, seed=0)
+    assert str(got.value) == str(want.value)
+
+
 def test_mediation_degenerate_input_raises():
     with pytest.raises(DegenerateDataError):
         bootstrap_mediation([1.0] * 8, list(range(8)), list(range(8)))
@@ -302,13 +346,48 @@ def test_u_exact_enumeration_small_case():
 
 def test_u_exact_matches_bruteforce_oracle():
     rng = np.random.default_rng(37)
-    for _ in range(25):
-        n1, n2 = int(rng.integers(2, 7)), int(rng.integers(2, 7))
-        a = rng.integers(0, 5, size=n1).astype(float).tolist()
-        b = rng.integers(0, 5, size=n2).astype(float).tolist()
+    sizes = [(int(rng.integers(1, 9)), int(rng.integers(1, 9))) for _ in range(20)] + [(8, 8)]
+    for n1, n2 in sizes:
+        a = rng.integers(0, 4, size=n1).astype(float).tolist()
+        b = rng.integers(0, 4, size=n2).astype(float).tolist()
         for alt in ("less", "greater", "two-sided"):
             got = mann_whitney_u_exact(a, b, alternative=alt)
-            assert got.p_value == pytest.approx(mann_whitney_exact_p(a, b, alt), abs=1e-12)
+            assert got.p_value == mann_whitney_exact_p(a, b, alt)
+            assert got.u == min(u_statistic(a, b), u_statistic(b, a))
+
+
+@pytest.mark.parametrize("n1, n2", [(12, 15), (25, 30), (30, 25)])
+def test_u_exact_above_ten_per_side_matches_scipy(n1, n2):
+    rng = np.random.default_rng(n1 * n2)
+    pooled = rng.permutation(n1 + n2) + rng.normal(scale=0.1, size=n1 + n2)
+    a, b = pooled[:n1] + 3.0, pooled[n1:]
+    for alt in ("less", "greater", "two-sided"):
+        got = mann_whitney_u_exact(a, b, alternative=alt)
+        want = mannwhitneyu(a, b, alternative=alt, method="exact")
+        assert got.p_value == pytest.approx(want.pvalue, rel=1e-9)
+        assert got.u == min(want.statistic, n1 * n2 - want.statistic)
+
+
+def test_u_exact_null_counts_sum_to_binomial():
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        scores = rng.integers(0, 12, size=int(rng.integers(1, 11))).tolist()
+        k = int(rng.integers(0, len(scores) + 1))
+        counts = _subset_sum_counts(scores, k)
+        brute = np.zeros(counts.size, dtype=int)
+        for combo in itertools.combinations(scores, k):
+            brute[sum(combo)] += 1
+        assert counts.tolist() == brute.tolist()
+    # Doubled mid-rank scores of 90 distinct values; C(90, 30) > 2**63.
+    counts = _subset_sum_counts(list(range(0, 180, 2)), 30)
+    assert sum(counts) == math.comb(90, 30)
+
+
+def test_u_exact_rejects_nan_and_oversized_tables():
+    with pytest.raises(ValueError, match="nan"):
+        mann_whitney_u_exact([1.0, math.nan], [2.0, 3.0])
+    with pytest.raises(ValueError, match="use mann_whitney_u"):
+        mann_whitney_u_exact(np.arange(100.0), np.arange(100.0) + 0.5)
 
 
 def test_u_normal_approximation_matches_oracle():
