@@ -19,9 +19,7 @@ import numpy as np
 
 from .core import CompositionError, GridSpec, Role, TeamCoordError, TeamSession, team_roles_partition
 from .occupancy import (
-    OccupancyDistribution,
     cell_indices,
-    coarsen_grid,
     entropy_similarity,
     jaccard_overlap,
     jensen_shannon_divergence,
@@ -140,22 +138,111 @@ def coordination_metrics(session: TeamSession, grid: GridSpec | None = None, coa
     )
 
 
+# Upper bound on the cells of one block of windows in the SED/SMS series
+# kernel, so memory stays bounded for long sessions on large maps.
+_SERIES_BLOCK_CELLS = 1 << 18
+
+
+def _segment_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """values[s:s + n].sum() for each (s, n), rounded exactly like that 1-D sum.
+
+    Segments of one length are gathered into the rows of a C-contiguous
+    matrix, and `.sum(axis=1)` reduces each row with the same pairwise
+    summation as the 1-D `.sum()` of that row (tests pin this numpy
+    property). `np.add.reduceat` would sum each segment sequentially instead.
+    """
+    out = np.empty(starts.size)
+    for n in np.unique(lengths):
+        rows = np.flatnonzero(lengths == n)
+        out[rows] = values[starts[rows, None] + np.arange(n)].sum(axis=1)
+    return out
+
+
+def _row_sums_where(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sum of each row's masked entries, rounded like the row's 1-D `.sum()`.
+
+    `values` holds one value per True entry of `mask`, in row-major order,
+    as `x[mask]` gives them; rows run along the last axis.
+    """
+    lengths = mask.sum(axis=-1).ravel()
+    starts = np.cumsum(lengths) - lengths
+    return _segment_sums(values, starts, lengths).reshape(mask.shape[:-1])
+
+
 def _moving_average(values: np.ndarray, k: int) -> np.ndarray:
     """Centered moving average of k points, shrinking near the edges."""
     if k <= 1:
         return values
     half = k // 2
-    out = np.empty_like(values, dtype=float)
-    for i in range(values.size):
-        lo = max(0, i - half)
-        hi = min(values.size, i + half + 1)
-        out[i] = values[lo:hi].mean()
-    return out
+    i = np.arange(values.size)
+    lo = np.maximum(i - half, 0)
+    n = np.minimum(i + half + 1, values.size) - lo
+    return _segment_sums(values, lo, n) / n
 
 
-def _window_distribution(idx: np.ndarray, grid: GridSpec) -> OccupancyDistribution:
-    counts = np.bincount(idx, minlength=grid.n_cells)
-    return OccupancyDistribution(grid, counts / idx.size)
+def _window_counts(bins: np.ndarray, n_bins: int, window: int, k0: int, k1: int) -> np.ndarray:
+    """(k1 - k0, n_bins) sample counts of windows k0..k1-1 of a (players, ticks) bin array.
+
+    Window k covers ticks k..k + window - 1. The first window is counted
+    directly; each later one adds the tick that enters and drops the tick
+    that leaves.
+    """
+    n = k1 - k0
+    offset = np.arange(1, n) * n_bins
+    enter = (offset + bins[:, k0 + window:k1 - 1 + window]).ravel()
+    leave = (offset + bins[:, k0:k1 - 1]).ravel()
+    delta = np.bincount(enter, minlength=n * n_bins) - np.bincount(leave, minlength=n * n_bins)
+    delta[:n_bins] = np.bincount(bins[:, k0:k0 + window].ravel(), minlength=n_bins)
+    return delta.reshape(n, n_bins).cumsum(axis=0)
+
+
+def _occupancy_window_series(metric: SeriesMetric, idx: np.ndarray, unit: np.ndarray,
+                             window: int) -> np.ndarray:
+    """SED or SMS of every window of `window` ticks, all windows at once.
+
+    `idx` is the (players, ticks) cell index array; player p's samples count
+    toward distribution `unit[p]`: one per player for SED, one per role
+    (medic 0, engineer 1) for SMS. Probabilities, JSD and entropy terms are
+    computed elementwise on the session's visited cells, and each sum rounds
+    like the 1-D sum over one distribution's support in ascending cell
+    order, so every value equals the per-window `OccupancyDistribution`
+    computation bit for bit.
+    """
+    cells = np.unique(idx)
+    n_units, n_cols = int(unit.max()) + 1, cells.size
+    bins = unit[:, None] * n_cols + np.searchsorted(cells, idx)
+    size = (np.bincount(unit, minlength=n_units) * window)[:, None]  # samples per window
+    a, b = np.triu_indices(n_units, k=1)  # unit pairs in itertools.combinations order
+    n_windows = idx.shape[1] - window + 1
+    # a window's largest arrays: SED's (pair, side, cell) stack, the counts per (unit, cell)
+    block = max(1, _SERIES_BLOCK_CELLS // (2 * max(n_units, a.size) * n_cols))
+    vals = np.empty(n_windows)
+    for k0 in range(0, n_windows, block):
+        k1 = min(k0 + block, n_windows)
+        counts = _window_counts(bins, n_units * n_cols, window, k0, k1)
+        p = counts.reshape(k1 - k0, n_units, n_cols) / size
+        if metric is SeriesMetric.SED:
+            pa, pb = p[:, a], p[:, b]
+            x = np.stack([pa, pb], axis=2)  # (window, pair, side, cell)
+            m = np.broadcast_to((0.5 * (pa + pb))[:, :, None], x.shape)
+            mask = x > 0
+            xv = x[mask]
+            kl = _row_sums_where(mask, xv * np.log2(xv / m[mask]))
+            jsd = 0.5 * kl[..., 0] + 0.5 * kl[..., 1]
+            # min(1.0, max(0.0, jsd)) with Python's tie rules, as the scalar JSD clamps
+            jsd = np.where(jsd > 0.0, jsd, 0.0)
+            vals[k0:k1] = np.where(jsd < 1.0, jsd, 1.0).mean(axis=1)
+        else:
+            mask = p > 0
+            pv = p[mask]
+            h = -_row_sums_where(mask, pv * np.log2(pv))
+            h_med, h_eng = h[:, 0], h[:, 1]
+            hi = np.where(h_eng > h_med, h_eng, h_med)  # entropy_similarity, row-wise
+            e_s = np.where(hi == 0.0, 1.0,
+                           1.0 - np.abs(h_med - h_eng) / np.where(hi == 0.0, 1.0, hi))
+            overlap = (mask[:, 0] & mask[:, 1]).sum(axis=1) / (mask[:, 0] | mask[:, 1]).sum(axis=1)
+            vals[k0:k1] = e_s * (1.0 - overlap)
+    return vals
 
 
 def metric_time_series(session: TeamSession, metric: SeriesMetric | str,
@@ -187,34 +274,18 @@ def metric_time_series(session: TeamSession, metric: SeriesMetric | str,
     if window_ticks > t_total:
         raise WindowTooLargeError(f"window of {window_ticks} ticks exceeds session of {t_total}")
 
-    cg = coarsen_grid(grid, coarsen) if coarsen > 1 else grid
     ends = np.arange(window_ticks - 1, t_total)
 
     if metric in (SeriesMetric.SED, SeriesMetric.SMS):
         if metric is SeriesMetric.SED:
-            per_player = [cell_indices(p, grid, coarsen) for p in session.players]
+            players = session.players
+            unit = np.arange(len(players))
         else:
             part = team_roles_partition(session)
-            role_idx = {
-                role: [cell_indices(p, grid, coarsen) for p in part[role]]
-                for role in (Role.MEDIC, Role.ENGINEER)
-            }
-        vals = np.empty(ends.size)
-        for k, e in enumerate(ends):
-            s = e - window_ticks + 1
-            if metric is SeriesMetric.SED:
-                dists = [_window_distribution(idx[s:e + 1], cg) for idx in per_player]
-                vals[k] = np.mean([jensen_shannon_divergence(a, b)
-                                   for a, b in itertools.combinations(dists, 2)])
-            else:
-                pooled = {role: np.concatenate([idx[s:e + 1] for idx in role_idx[role]])
-                          for role in role_idx}
-                h = {role: shannon_entropy(_window_distribution(pooled[role], cg))
-                     for role in pooled}
-                e_s = entropy_similarity(h[Role.MEDIC], h[Role.ENGINEER])
-                overlap = jaccard_overlap(set(np.unique(pooled[Role.MEDIC]).tolist()),
-                                          set(np.unique(pooled[Role.ENGINEER]).tolist()))
-                vals[k] = e_s * (1.0 - overlap)
+            players = part[Role.MEDIC] + part[Role.ENGINEER]
+            unit = np.array([0, 0, 1, 1])
+        idx = np.stack([cell_indices(p, grid, coarsen) for p in players])
+        vals = _occupancy_window_series(metric, idx, unit, window_ticks)
     else:
         d = cross_role_distances(session, distance)
         csum = np.concatenate([[0.0], np.cumsum(d)])

@@ -155,8 +155,38 @@ def _load_json(path, what: str):
         raise SessionFormatError(f"bad {what} JSON: {exc}", path) from exc
 
 
+# Value -> member tables for the enums a log record names. A miss (an unknown
+# or unhashable value) falls back to the Enum call, whose ValueError is the
+# message the reader reports.
+_ROLE_BY_VALUE = {m.value: m for m in Role}
+_ACTION_BY_VALUE = {m.value: m for m in ActionTag}
+
+# The scanner behind json.loads. A record is accepted from it only when the
+# value spans the whole stripped line; anything else reruns json.loads, so a
+# malformed line raises exactly the error json.loads gives.
+_scan_json = json.JSONDecoder().scan_once
+
+
 def read_session(log_path, validate: bool = True) -> TeamSession:
-    """Parse a session log plus manifest; validates unless told otherwise."""
+    """Parse a session log plus manifest; validates unless told otherwise.
+
+    Each non-blank log line must hold exactly one JSON object, and a line
+    that fails any of these checks raises `SessionFormatError` naming the
+    log path and line number, in this order:
+
+    - the line parses as one JSON value with nothing after it;
+    - it has a `session_id` equal to the manifest's;
+    - its `player_id` is on the manifest roster;
+    - its `role` is a known role and the roster's role for that player;
+    - its `action` is null or a known action;
+    - `target_x` and `target_y` are both present or both absent, and
+      convert to int when present;
+    - its `tick` converts to int and is not already logged for the player;
+    - `time_s` converts to float and `x`, `y` convert to int.
+
+    A missing key or a value of the wrong type is reported as `bad record`.
+    With `validate`, the parsed session must also pass `validate_session`.
+    """
     log_path = Path(log_path)
     manifest_path = manifest_path_for(log_path)
     manifest = _load_json(manifest_path, "manifest")
@@ -187,35 +217,58 @@ def read_session(log_path, validate: bool = True) -> TeamSession:
         raise _malformed("manifest", exc, manifest_path) from None
 
     samples: dict[str, dict[int, TrajectorySample]] = {pid: {} for pid in roster}
+    cells: dict[tuple[int, int], Position] = {}  # one Position per distinct cell
     if not log_path.exists():
         raise SessionFormatError("missing log file", log_path)
     with log_path.open(encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
                 continue
             try:
-                rec = json.loads(raw)
-                _require(rec["session_id"] == session_id, "session_id differs from manifest",
-                         log_path, lineno)
+                try:
+                    rec, end = _scan_json(line, 0)
+                except (StopIteration, ValueError):
+                    end = -1
+                if end != len(line):
+                    rec = json.loads(line)
+                if rec["session_id"] != session_id:
+                    raise SessionFormatError("session_id differs from manifest", log_path, lineno)
                 pid = rec["player_id"]
-                _require(pid in roster, f"player {pid!r} not in manifest roster",
-                         log_path, lineno)
-                _require(Role(rec["role"]) is roster[pid], f"role mismatch for {pid!r}",
-                         log_path, lineno)
-                action = None if rec["action"] is None else ActionTag(rec["action"])
+                if pid not in roster:
+                    raise SessionFormatError(f"player {pid!r} not in manifest roster",
+                                             log_path, lineno)
+                value = rec["role"]
+                try:
+                    role = _ROLE_BY_VALUE[value]
+                except (KeyError, TypeError):
+                    role = Role(value)
+                if role is not roster[pid]:
+                    raise SessionFormatError(f"role mismatch for {pid!r}", log_path, lineno)
+                value = rec["action"]
+                if value is None:
+                    action = None
+                else:
+                    try:
+                        action = _ACTION_BY_VALUE[value]
+                    except (KeyError, TypeError):
+                        action = ActionTag(value)
                 target = None
                 if "target_x" in rec or "target_y" in rec:
-                    _require("target_x" in rec and "target_y" in rec,
-                             "target needs both coordinates", log_path, lineno)
-                    target = Position(int(rec["target_x"]), int(rec["target_y"]))
+                    if "target_x" not in rec or "target_y" not in rec:
+                        raise SessionFormatError("target needs both coordinates",
+                                                 log_path, lineno)
+                    xy = (int(rec["target_x"]), int(rec["target_y"]))
+                    target = cells.get(xy) or cells.setdefault(xy, Position(*xy))
                 tick = int(rec["tick"])
-                _require(tick not in samples[pid], f"duplicate tick {tick} for {pid!r}",
-                         log_path, lineno)
-                samples[pid][tick] = TrajectorySample(
-                    tick=tick, time_s=float(rec["time_s"]),
-                    position=Position(int(rec["x"]), int(rec["y"])),
-                    action=action, target=target)
+                ticks = samples[pid]
+                if tick in ticks:
+                    raise SessionFormatError(f"duplicate tick {tick} for {pid!r}",
+                                             log_path, lineno)
+                time_s = float(rec["time_s"])
+                xy = (int(rec["x"]), int(rec["y"]))
+                position = cells.get(xy) or cells.setdefault(xy, Position(*xy))
+                ticks[tick] = TrajectorySample(tick, time_s, position, action, target)
             except _MALFORMED as exc:
                 raise _malformed("record", exc, log_path, lineno) from None
 

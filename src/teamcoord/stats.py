@@ -43,6 +43,12 @@ def _vector(x, name: str = "x") -> np.ndarray:
     return out
 
 
+def _reject_nan(function: str, *samples: np.ndarray) -> None:
+    # rankdata gives each nan its own top rank, which would pass for data
+    if any(np.isnan(v).any() for v in samples):
+        raise ValueError(f"{function}: samples must not contain nan")
+
+
 def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
     xv, yv = _vector(x), _vector(y, "y")
     if xv.size != yv.size:
@@ -80,6 +86,7 @@ def spearman(x, y) -> SpearmanResult:
     n = xv.size
     if n < 3:
         raise ValueError(f"need at least 3 observations, got {n}")
+    _reject_nan("spearman", xv, yv)
     rx, ry = rankdata(xv), rankdata(yv)
     dx, dy = rx - rx.mean(), ry - ry.mean()
     vx, vy = float(dx @ dx), float(dy @ dy)
@@ -364,6 +371,7 @@ def mann_whitney_u(a, b) -> MannWhitneyResult:
     n1, n2 = av.size, bv.size
     if n1 == 0 or n2 == 0:
         raise ValueError("both samples must be non-empty")
+    _reject_nan("mann_whitney_u", av, bv)
     ranks = rankdata(np.concatenate([av, bv]))
     r1 = float(ranks[:n1].sum())
     u1 = r1 - n1 * (n1 + 1) / 2.0
@@ -420,9 +428,8 @@ def mann_whitney_u_exact(a, b, alternative: str = "two-sided") -> MannWhitneyRes
     if alternative not in ("less", "greater", "two-sided"):
         raise ValueError(f"unknown alternative {alternative!r}")
 
+    _reject_nan("mann_whitney_u_exact", av, bv)
     pooled = np.concatenate([av, bv])
-    if np.isnan(pooled).any():
-        raise ValueError("samples must not contain nan")
     # w[i] = twice the number of pooled values beaten by value i, ties counting
     # 1/2 each; the U of a subset A is then sum(w[A]) / 2 - C(|A|, 2).
     gt = pooled[:, None] > pooled[None, :]

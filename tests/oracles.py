@@ -1,8 +1,11 @@
 """Independent reference implementations the tests check the library against.
 
-Nothing here may call into teamcoord: statistics are recomputed from their
-definitions (brute-force sums, enumerations, quadrature), so agreement is
-evidence rather than tautology.
+Statistics are recomputed from their definitions (brute-force sums,
+enumerations, quadrature) without calling into teamcoord, so agreement is
+evidence rather than tautology. The windowed SED/SMS series is the one
+exception: its reference is the plain per-window loop over teamcoord's
+public occupancy kernels (themselves checked against `jsd_base2` and
+`entropy_bits`), which the array kernel must match bit for bit.
 """
 from __future__ import annotations
 
@@ -12,6 +15,15 @@ from statistics import NormalDist
 
 import numpy as np
 from scipy import integrate
+
+from teamcoord.core import GridSpec, Role
+from teamcoord.occupancy import (
+    OccupancyDistribution,
+    entropy_similarity,
+    jaccard_overlap,
+    jensen_shannon_divergence,
+    shannon_entropy,
+)
 
 
 def jsd_base2(p, q) -> float:
@@ -201,3 +213,49 @@ def bootstrap_indirect_loop(x, m, y, resamples, seed):
             raise ValueError(f"resample {k} stayed degenerate after 100 draws")
     low, high = np.percentile(boot, [2.5, 97.5])
     return float(boot.mean()), float(low), float(high)
+
+
+def moving_average_loop(values, k):
+    """Centered mean over i - k // 2 .. i + k // 2, clipped at the ends, one point at a time."""
+    values = np.asarray(values, dtype=float)
+    if k <= 1:
+        return values
+    half = k // 2
+    out = np.empty_like(values)
+    for i in range(values.size):
+        out[i] = values[max(0, i - half):min(values.size, i + half + 1)].mean()
+    return out
+
+
+def window_series_loop(session, metric, window_ticks, smooth_ticks, coarsen=1):
+    """(progress, value) pairs of the "sed" or "sms" series, one window at a time.
+
+    Each window builds an `OccupancyDistribution` per player (sed: mean JSD
+    over player pairs) or per role, pooling its two players (sms: entropy
+    similarity times one minus the Jaccard overlap of the visited cells).
+    """
+    grid = GridSpec(-(-session.grid.width // coarsen), -(-session.grid.height // coarsen))
+
+    def cells(player):
+        return (player.xy[:, 1] // coarsen) * grid.width + player.xy[:, 0] // coarsen
+
+    def dist(idx):
+        return OccupancyDistribution(grid, np.bincount(idx, minlength=grid.n_cells) / idx.size)
+
+    per_player = [cells(p) for p in session.players]
+    by_role = [[cells(p) for p in session.players if p.role is r]
+               for r in (Role.MEDIC, Role.ENGINEER)]
+    ends = np.arange(window_ticks - 1, session.n_ticks)
+    vals = np.empty(ends.size)
+    for k, e in enumerate(ends):
+        s = e - window_ticks + 1
+        if metric == "sed":
+            dists = [dist(idx[s:e + 1]) for idx in per_player]
+            vals[k] = np.mean([jensen_shannon_divergence(a, b)
+                               for a, b in itertools.combinations(dists, 2)])
+        else:
+            med, eng = (np.concatenate([idx[s:e + 1] for idx in group]) for group in by_role)
+            e_s = entropy_similarity(shannon_entropy(dist(med)), shannon_entropy(dist(eng)))
+            vals[k] = e_s * (1.0 - jaccard_overlap(set(med.tolist()), set(eng.tolist())))
+    vals = moving_average_loop(vals, smooth_ticks)
+    return tuple(zip((ends / session.nominal_ticks).tolist(), vals.tolist()))

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from teamcoord import metrics
 from teamcoord.core import GridSpec, Role, TeamSession
 from teamcoord.metrics import (
     SeriesMetric,
@@ -17,8 +18,12 @@ from teamcoord.metrics import (
     spatial_proximity_adaptation,
 )
 from teamcoord.occupancy import jensen_shannon_divergence, occupancy_of
+from teamcoord.sim import AgentPolicy, PolicyKind, builtin_map, run_mission
+from teamcoord.sim.maps import map_from_ascii
 
 from helpers import random_session, session_from_cells, traj
+from oracles import moving_average_loop, window_series_loop
+from test_golden import EDGE_ART
 
 G = GridSpec(8, 8)
 
@@ -254,3 +259,56 @@ def test_series_unknown_metric():
     s = random_session(np.random.default_rng(81), n_ticks=10)
     with pytest.raises(UnsupportedMetricError):
         metric_time_series(s, "velocity", window_ticks=4)
+
+
+# --- window kernels against the per-window loop -------------------------------
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def test_numpy_row_sums_round_like_1d_sums():
+    # The SED/SMS kernels and the moving average rely on this: `.sum(axis=1)`
+    # over a C-contiguous 2-D float array reduces each row exactly like that
+    # row's 1-D `.sum()`. A numpy release that changes it fails here.
+    rng = np.random.default_rng(5)
+    for n in [*range(1, 201), 1000, 8191, 8192, 8193]:
+        rows = rng.standard_normal((7, n)) * 10.0 ** rng.uniform(-8, 8, (7, n))
+        assert rows.flags.c_contiguous
+        assert same_bits(rows.sum(axis=1), [row.sum() for row in rows]), n
+
+
+def test_moving_average_matches_loop_with_shrinking_edges():
+    rng = np.random.default_rng(9)
+    for n in range(1, 121):
+        values = rng.random(n) * 10.0 ** rng.uniform(-3, 3, n)
+        for k in range(1, 16):
+            assert same_bits(metrics._moving_average(values, k), moving_average_loop(values, k)), (n, k)
+
+
+@pytest.mark.parametrize("kind", ["random_walk", "greedy", "coordinated"])
+@pytest.mark.parametrize("map_name", ["small", "medium", "corridor", "edge"])
+def test_sed_sms_series_match_window_loop(map_name, kind):
+    # "edge" has no border walls, so cells on the outer rows and columns are visited
+    spec = map_from_ascii("edge", EDGE_ART) if map_name == "edge" else builtin_map(map_name)
+    policy = AgentPolicy(PolicyKind(kind))
+    s = run_mission(spec, [(Role.MEDIC, policy)] * 2 + [(Role.ENGINEER, policy)] * 2, seed=11)
+    for metric in ("sed", "sms"):
+        for window in (2, 7, 20, s.n_ticks):
+            for coarsen in (1, 2, 3):
+                for smooth in (1, 5):
+                    got = metric_time_series(s, metric, window, smooth, coarsen=coarsen)
+                    want = window_series_loop(s, metric, window, smooth, coarsen)
+                    assert same_bits(got.values, want), (metric, window, coarsen, smooth)
+
+
+def test_sed_sms_series_match_window_loop_across_blocks():
+    s = random_session(np.random.default_rng(17), width=24, height=24, n_ticks=1500)
+    visited = np.unique(np.concatenate([p.xy[:, 1] * 24 + p.xy[:, 0] for p in s.players])).size
+    # windows times the (pair, side) rows of SED times visited cells: many blocks
+    assert (s.n_ticks - 20) * 12 * visited > 4 * metrics._SERIES_BLOCK_CELLS
+    for metric in ("sed", "sms"):
+        # 600-tick windows have supports above 128 cells, where numpy's pairwise sum splits
+        for window, smooth in ((20, 5), (600, 1)):
+            got = metric_time_series(s, metric, window, smooth)
+            assert same_bits(got.values, window_series_loop(s, metric, window, smooth)), metric

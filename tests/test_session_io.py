@@ -219,3 +219,64 @@ def test_map_rejects_malformed_cells(tmp_path):
     p.write_text(json.dumps(doc))
     with pytest.raises(SessionFormatError):
         read_map(p)
+
+
+def record_with(line: str, **fields) -> str:
+    return json.dumps({**json.loads(line), **fields}, sort_keys=True, separators=(",", ":"))
+
+
+def split_before_role(line: str) -> list[str]:
+    cut = line.index(',"role"') + 1
+    return [line[:cut], line[cut:]]
+
+
+# Each case rewrites line 5 of the log from records a (line 5) and b (line
+# 6); the expected message, after "<path>:5: ", is what the reader reported
+# before it parsed through the JSON scanner and the member tables. Extra
+# data starts right after record a; a record cut after a comma fails where
+# the next key should start.
+LINE_ERRORS = {
+    "two_records_comma": (
+        lambda a, b: [a + "," + b],
+        lambda a: f"Extra data: line 1 column {len(a) + 1} (char {len(a)})"),
+    "two_records_space": (
+        lambda a, b: [a + " " + b],
+        lambda a: f"Extra data: line 1 column {len(a) + 2} (char {len(a) + 1})"),
+    "record_split_over_two_lines": (
+        lambda a, b: [*split_before_role(a), b],
+        lambda a: "Expecting property name enclosed in double quotes: "
+                  f"line 1 column {len(split_before_role(a)[0]) + 1} "
+                  f"(char {len(split_before_role(a)[0])})"),
+    "unhashable_role": (lambda a, b: [record_with(a, role=["medic"]), b],
+                        lambda a: "['medic'] is not a valid Role"),
+    "unhashable_action": (lambda a, b: [record_with(a, action=["move"]), b],
+                          lambda a: "['move'] is not a valid ActionTag"),
+    "unhashable_x": (lambda a, b: [record_with(a, x=[1]), b],
+                     lambda a: "int() argument must be a string, a bytes-like object or a "
+                               "real number, not 'list'"),
+    "unknown_role": (lambda a, b: [record_with(a, role="pilot"), b],
+                     lambda a: "'pilot' is not a valid Role"),
+    "unknown_action": (lambda a, b: [record_with(a, action="fly"), b],
+                       lambda a: "'fly' is not a valid ActionTag"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LINE_ERRORS))
+def test_record_error_messages_unchanged(tmp_path, sim_session, case):
+    log, _ = write_session(sim_session, tmp_path / "s.jsonl")
+    lines = log.read_text().splitlines()
+    rewrite, detail = LINE_ERRORS[case]
+    log.write_text("\n".join(lines[:4] + rewrite(lines[4], lines[5]) + lines[6:]) + "\n")
+    with pytest.raises(SessionFormatError) as exc:
+        read_session(log)
+    assert exc.value.line == 5
+    assert str(exc.value) == f"{log}:5: bad record: {detail(lines[4])}"
+
+
+def test_string_coordinates_still_accepted(tmp_path, sim_session):
+    log, _ = write_session(sim_session, tmp_path / "s.jsonl")
+    lines = log.read_text().splitlines()
+    rec = json.loads(lines[4])
+    lines[4] = record_with(lines[4], x=str(rec["x"]), target_y=str(rec["target_y"]))
+    log.write_text("\n".join(lines) + "\n")
+    assert read_session(log) == sim_session

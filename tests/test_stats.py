@@ -390,6 +390,19 @@ def test_u_exact_rejects_nan_and_oversized_tables():
         mann_whitney_u_exact(np.arange(100.0), np.arange(100.0) + 0.5)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: spearman([1.0, math.nan, 3.0, 4.0], [2.0, 4.0, 1.0, 5.0]), "spearman"),
+    (lambda: spearman([1.0, 2.0, 3.0, 4.0], [2.0, 4.0, math.nan, 5.0]), "spearman"),
+    (lambda: mann_whitney_u([1.0, math.nan, 3.0], [2.0, 4.0, math.nan]), "mann_whitney_u"),
+    (lambda: mann_whitney_u([1.0, 2.0, 3.0], [2.0, 4.0, math.nan]), "mann_whitney_u"),
+    (lambda: mann_whitney_u_exact([1.0, math.nan], [2.0, 3.0]), "mann_whitney_u_exact"),
+])
+def test_rank_statistics_reject_nan_naming_the_function(call, name):
+    # before, rankdata ranked each nan on top: rho = 0.6, and U = 3 with p = 0.658
+    with pytest.raises(ValueError, match=f"^{name}: samples must not contain nan$"):
+        call()
+
+
 def test_u_normal_approximation_matches_oracle():
     rng = np.random.default_rng(41)
     for _ in range(60):
