@@ -13,14 +13,15 @@ contrasts coordinated and random teams on a real map.
 import numpy as np
 
 from teamcoord import GridSpec, Role
-from teamcoord.core import PlayerTrajectory, Position, TeamSession, TrajectorySample
+from teamcoord.core import SAMPLE, PlayerTrajectory, TeamSession
 from teamcoord.metrics import coordination_metrics
 from teamcoord.sim import AgentPolicy, PolicyKind, builtin_map, run_mission
 
 
 def walk(pid, role, cells):
-    samples = tuple(TrajectorySample(tick=i, time_s=3.0 * i, position=Position(x, y))
-                    for i, (x, y) in enumerate(cells))
+    # one SAMPLE row per tick: no action (-1) and no target
+    samples = np.array([(i, 3.0 * i, x, y, -1, 0, 0, False) for i, (x, y) in enumerate(cells)],
+                       dtype=SAMPLE)
     return PlayerTrajectory(pid, role, samples)
 
 

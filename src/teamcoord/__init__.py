@@ -18,7 +18,6 @@ from .core import (
     Role,
     TeamCoordError,
     TeamSession,
-    TrajectorySample,
     VictimType,
     Violation,
     team_roles_partition,

@@ -1,12 +1,12 @@
 """Core domain model: grids, roles, trajectories, rescue events, sessions.
 
-Everything here is immutable value data. Cross-field consistency is the job
-of `validate_session`, which reports violations as data instead of raising,
-so malformed logs can be loaded and inspected.
+Everything here is immutable value data, and a player's samples are one
+read-only SAMPLE array. Cross-field consistency is the job of
+`validate_session`, which reports violations as data instead of raising, so
+malformed logs can be loaded and inspected.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -101,9 +101,6 @@ class Position:
     def manhattan(self, other: "Position") -> int:
         return abs(self.x - other.x) + abs(self.y - other.y)
 
-    def euclidean(self, other: "Position") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
     def chebyshev(self, other: "Position") -> int:
         return max(abs(self.x - other.x), abs(self.y - other.y))
 
@@ -116,34 +113,37 @@ class Position:
         return (Position(x, y - 1), Position(x + 1, y), Position(x, y + 1), Position(x - 1, y))
 
 
-@dataclass(frozen=True, slots=True)
-class TrajectorySample:
-    """One logged (tick, player) observation.
+ACTIONS = tuple(ActionTag)
 
-    `target` is the cell acted on (move destination, victim cell, rubble or
-    door cell); None for waits.
-    """
-
-    tick: int
-    time_s: float
-    position: Position
-    action: ActionTag | None = None
-    target: Position | None = None
+# One logged (tick, player) observation per row. `action` indexes ACTIONS,
+# -1 for none. The target is the cell acted on (move destination, victim,
+# rubble or door cell); a row without one holds (0, 0, False).
+SAMPLE = np.dtype([("tick", "i8"), ("time_s", "f8"), ("x", "i8"), ("y", "i8"), ("action", "i1"),
+                   ("target_x", "i8"), ("target_y", "i8"), ("has_target", "?")])
 
 
 @dataclass(frozen=True)
 class PlayerTrajectory:
+    """One player's log: `samples` is a read-only SAMPLE array in tick order."""
+
     player_id: str
     role: Role
-    samples: tuple[TrajectorySample, ...]
+    samples: np.ndarray
+
+    def __post_init__(self):
+        rows = self.samples if isinstance(self.samples, np.ndarray) else list(self.samples)
+        samples = np.array(rows, dtype=SAMPLE)  # via a list: numpy reads a tuple as one record
+        samples.flags.writeable = False
+        object.__setattr__(self, "samples", samples)
+
+    def __eq__(self, other):
+        return (isinstance(other, PlayerTrajectory) and self.player_id == other.player_id
+                and self.role is other.role and np.array_equal(self.samples, other.samples))
 
     @cached_property
     def xy(self) -> np.ndarray:
         """(T, 2) int array of positions, one row per tick."""
-        out = np.empty((len(self.samples), 2), dtype=np.int64)
-        for i, s in enumerate(self.samples):
-            out[i, 0] = s.position.x
-            out[i, 1] = s.position.y
+        out = np.column_stack((self.samples["x"], self.samples["y"]))
         out.flags.writeable = False
         return out
 
@@ -242,27 +242,22 @@ def validate_session(session: TeamSession) -> list[Violation]:
         out.append(Violation(TICK_ALIGNMENT, f"trajectories disagree on tick count: {sorted(tick_counts)}"))
 
     for p in players:
-        prev = None
-        for i, s in enumerate(p.samples):
-            if i == 0 and s.tick != 0:
-                out.append(Violation(DISCONTINUITY, f"player {p.player_id}: first tick is {s.tick}, not 0"))
-            elif prev is not None and s.tick != prev.tick + 1:
+        pid, prev = p.player_id, None
+        for i, (tick, time_s, x, y, *_) in enumerate(p.samples.tolist()):
+            if i == 0 and tick != 0:
+                out.append(Violation(DISCONTINUITY, f"player {pid}: first tick is {tick}, not 0"))
+            elif prev is not None and tick != prev[0] + 1:
+                out.append(Violation(DISCONTINUITY, f"player {pid}: tick jumps from {prev[0]} to {tick}"))
+            if abs(time_s - tick * session.sample_interval_s) > _TIME_TOL:
                 out.append(Violation(
-                    DISCONTINUITY,
-                    f"player {p.player_id}: tick jumps from {prev.tick} to {s.tick}"))
-            if abs(s.time_s - s.tick * session.sample_interval_s) > _TIME_TOL:
+                    TIME_MISMATCH, f"player {pid} tick {tick}: time_s {time_s} != tick * interval"))
+            if not grid.contains(x, y):
                 out.append(Violation(
-                    TIME_MISMATCH,
-                    f"player {p.player_id} tick {s.tick}: time_s {s.time_s} != tick * interval"))
-            if not grid.contains(s.position.x, s.position.y):
-                out.append(Violation(
-                    POSITION_BOUNDS,
-                    f"player {p.player_id} tick {s.tick}: position ({s.position.x}, {s.position.y}) off grid"))
-            if prev is not None and s.position.manhattan(prev.position) > 1:
-                out.append(Violation(
-                    DISCONTINUITY,
-                    f"player {p.player_id} tick {s.tick}: moved {prev.position} -> {s.position} in one tick"))
-            prev = s
+                    POSITION_BOUNDS, f"player {pid} tick {tick}: position ({x}, {y}) off grid"))
+            if prev is not None and abs(x - prev[1]) + abs(y - prev[2]) > 1:
+                moved = f"{Position(*prev[1:])} -> {Position(x, y)}"
+                out.append(Violation(DISCONTINUITY, f"player {pid} tick {tick}: moved {moved} in one tick"))
+            prev = (tick, x, y)
 
     by_id = {p.player_id: p for p in players}
     for k, e in enumerate(session.events):
@@ -284,7 +279,7 @@ def validate_session(session: TeamSession) -> list[Violation]:
             for a in actors:
                 if tick >= a.n_ticks:
                     break
-                if a.samples[tick].position.is_adjacent4(e.victim_cell):
+                if Position(*a.xy[tick].tolist()).is_adjacent4(e.victim_cell):
                     adjacent.append(a)
             roles = {a.role for a in adjacent}
             if roles != {Role.MEDIC, Role.ENGINEER}:

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import ActionTag, Role, RescueEvent, TeamCoordError, TeamSession, VictimType
+from .core import ACTIONS, ActionTag, Role, RescueEvent, TeamCoordError, TeamSession, VictimType
 from .occupancy import cell_indices
 
 
@@ -87,12 +87,14 @@ def collective_intelligence(session: TeamSession, map_meta: MapMeta) -> CIScore:
         distinct = int(np.unique(cell_indices(p, session.grid)).size)
         effort = min(1.0, distinct / map_meta.traversable_cells)
 
-        role_acts = sum(1 for s in p.samples if s.action in ROLE_ACTIONS[p.role])
+        actions = p.samples["action"]  # indices into ACTIONS
+        role_acts = int(np.isin(actions, [ACTIONS.index(a) for a in ROLE_ACTIONS[p.role]]).sum())
         skill = min(1.0, role_acts / p.n_ticks) if p.n_ticks else 0.0
 
         completions = rescue_credits.get(p.player_id, 0)
         if p.role is Role.ENGINEER:
-            completions += sum(1 for s in p.samples if s.action in (ActionTag.CLEAR, ActionTag.OPEN))
+            engineering = [ACTIONS.index(ActionTag.CLEAR), ACTIONS.index(ActionTag.OPEN)]
+            completions += int(np.isin(actions, engineering).sum())
         limit = map_meta.max_tasks.get(p.role, 0)
         if completions > limit:
             raise InconsistentMetadataError(

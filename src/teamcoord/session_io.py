@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .core import (
+    ACTIONS,
     ActionTag,
     GridSpec,
     PlayerTrajectory,
@@ -24,7 +25,6 @@ from .core import (
     Role,
     TeamCoordError,
     TeamSession,
-    TrajectorySample,
     VictimType,
     validate_session,
 )
@@ -80,24 +80,24 @@ def write_session(session: TeamSession, log_path, map_meta: MapMeta | None = Non
 
     lines = []
     order = sorted(range(len(session.players)), key=lambda i: session.players[i].player_id)
-    n_ticks = session.n_ticks
-    for tick in range(n_ticks):
+    rows = [p.samples.tolist() for p in session.players]
+    for tick in range(session.n_ticks):
         for i in order:
             p = session.players[i]
-            s = p.samples[tick]
+            t, time_s, x, y, action, target_x, target_y, has_target = rows[i][tick]
             record = {
                 "session_id": session.session_id,
-                "tick": s.tick,
-                "time_s": s.time_s,
+                "tick": t,
+                "time_s": time_s,
                 "player_id": p.player_id,
                 "role": p.role.value,
-                "x": s.position.x,
-                "y": s.position.y,
-                "action": s.action.value if s.action is not None else None,
+                "x": x,
+                "y": y,
+                "action": ACTIONS[action].value if action >= 0 else None,
             }
-            if s.target is not None:
-                record["target_x"] = s.target.x
-                record["target_y"] = s.target.y
+            if has_target:
+                record["target_x"] = target_x
+                record["target_y"] = target_y
             lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
 
     manifest = {
@@ -138,7 +138,7 @@ def _require(condition: bool, message: str, path, line=None):
 
 
 # What converting a parsed JSON value of the wrong shape or type raises.
-_MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
+_MALFORMED = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
 
 
 def _malformed(what: str, exc: Exception, path, line=None) -> SessionFormatError:
@@ -155,11 +155,11 @@ def _load_json(path, what: str):
         raise SessionFormatError(f"bad {what} JSON: {exc}", path) from exc
 
 
-# Value -> member tables for the enums a log record names. A miss (an unknown
-# or unhashable value) falls back to the Enum call, whose ValueError is the
-# message the reader reports.
+# Value -> role and value -> ACTIONS index tables for the enums a log record
+# names. A miss (an unknown or unhashable value) falls back to the Enum call,
+# whose ValueError is the message the reader reports.
 _ROLE_BY_VALUE = {m.value: m for m in Role}
-_ACTION_BY_VALUE = {m.value: m for m in ActionTag}
+_ACTION_BY_VALUE = {m.value: i for i, m in enumerate(ACTIONS)}
 
 # The scanner behind json.loads. A record is accepted from it only when the
 # value spans the whole stripped line; anything else reruns json.loads, so a
@@ -182,7 +182,8 @@ def read_session(log_path, validate: bool = True) -> TeamSession:
     - `target_x` and `target_y` are both present or both absent, and
       convert to int when present;
     - its `tick` converts to int and is not already logged for the player;
-    - `time_s` converts to float and `x`, `y` convert to int.
+    - `time_s` converts to float and `x`, `y` convert to int;
+    - `tick`, `x`, `y` and the target fit in a signed 64-bit int.
 
     A missing key or a value of the wrong type is reported as `bad record`.
     With `validate`, the parsed session must also pass `validate_session`.
@@ -216,8 +217,7 @@ def read_session(log_path, validate: bool = True) -> TeamSession:
     except _MALFORMED as exc:
         raise _malformed("manifest", exc, manifest_path) from None
 
-    samples: dict[str, dict[int, TrajectorySample]] = {pid: {} for pid in roster}
-    cells: dict[tuple[int, int], Position] = {}  # one Position per distinct cell
+    samples: dict[str, dict[int, tuple]] = {pid: {} for pid in roster}
     if not log_path.exists():
         raise SessionFormatError("missing log file", log_path)
     with log_path.open(encoding="utf-8") as fh:
@@ -247,34 +247,36 @@ def read_session(log_path, validate: bool = True) -> TeamSession:
                     raise SessionFormatError(f"role mismatch for {pid!r}", log_path, lineno)
                 value = rec["action"]
                 if value is None:
-                    action = None
+                    action = -1
                 else:
                     try:
                         action = _ACTION_BY_VALUE[value]
                     except (KeyError, TypeError):
-                        action = ActionTag(value)
-                target = None
-                if "target_x" in rec or "target_y" in rec:
+                        action = ACTIONS.index(ActionTag(value))
+                target_x = target_y = 0
+                has_target = "target_x" in rec or "target_y" in rec
+                if has_target:
                     if "target_x" not in rec or "target_y" not in rec:
                         raise SessionFormatError("target needs both coordinates",
                                                  log_path, lineno)
-                    xy = (int(rec["target_x"]), int(rec["target_y"]))
-                    target = cells.get(xy) or cells.setdefault(xy, Position(*xy))
+                    target_x, target_y = int(rec["target_x"]), int(rec["target_y"])
                 tick = int(rec["tick"])
                 ticks = samples[pid]
                 if tick in ticks:
                     raise SessionFormatError(f"duplicate tick {tick} for {pid!r}",
                                              log_path, lineno)
                 time_s = float(rec["time_s"])
-                xy = (int(rec["x"]), int(rec["y"]))
-                position = cells.get(xy) or cells.setdefault(xy, Position(*xy))
-                ticks[tick] = TrajectorySample(tick, time_s, position, action, target)
+                x, y = int(rec["x"]), int(rec["y"])
+                if (min(tick, x, y, target_x, target_y) < -2 ** 63
+                        or max(tick, x, y, target_x, target_y) >= 2 ** 63):
+                    raise OverflowError("int outside the signed 64-bit range")
+                ticks[tick] = (tick, time_s, x, y, action, target_x, target_y, has_target)
             except _MALFORMED as exc:
                 raise _malformed("record", exc, log_path, lineno) from None
 
     players = tuple(
         PlayerTrajectory(player_id=pid, role=roster[pid],
-                         samples=tuple(s for _, s in sorted(samples[pid].items())))
+                         samples=sorted(samples[pid].values()))
         for pid in roster)
 
     session = TeamSession(

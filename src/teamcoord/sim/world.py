@@ -14,6 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from ..core import (
+    ACTIONS,
     ActionTag,
     CompositionError,
     GridSpec,
@@ -22,7 +23,6 @@ from ..core import (
     Role,
     TeamCoordError,
     TeamSession,
-    TrajectorySample,
     PlayerTrajectory,
     VictimType,
     validate_session,
@@ -311,22 +311,21 @@ def run_mission(spec: MapSpec, policies, seed: int, session_id: str | None = Non
     controllers = build_controllers(policies, spec, seed)
     n_ticks = int(round(spec.mission_duration_s / sample_interval_s))
     state = initial_state(spec, agents, sample_interval_s)
-    samples: list[list[TrajectorySample]] = [[] for _ in agents]
+    samples: list[list[tuple]] = [[] for _ in agents]
 
     for t in range(n_ticks):
         for c in controllers:
             c.observe(state)
         actions = [c.act(state) for c in controllers]
         new_state, resolved = step_resolved(state, actions)
-        for i, agent in enumerate(state.agents):
-            act = resolved[i]
-            samples[i].append(TrajectorySample(
-                tick=t, time_s=t * sample_interval_s, position=agent.pos,
-                action=act.kind, target=act.target))
+        for i, (agent, act) in enumerate(zip(state.agents, resolved)):
+            target = (act.target.x, act.target.y, True) if act.target is not None else (0, 0, False)
+            samples[i].append((t, t * sample_interval_s, agent.pos.x, agent.pos.y,
+                               ACTIONS.index(act.kind), *target))
         state = new_state
 
     players = tuple(
-        PlayerTrajectory(player_id=a.player_id, role=a.role, samples=tuple(samples[i]))
+        PlayerTrajectory(player_id=a.player_id, role=a.role, samples=samples[i])
         for i, a in enumerate(agents))
     session = TeamSession(
         session_id=session_id or f"{spec.name}-{seed}",

@@ -1,29 +1,22 @@
 """Session factories shared by the test modules."""
 from __future__ import annotations
 
-from teamcoord.core import (
-    GridSpec,
-    PlayerTrajectory,
-    Position,
-    Role,
-    TeamSession,
-    TrajectorySample,
-)
+from teamcoord.core import ACTIONS, GridSpec, PlayerTrajectory, Role, TeamSession
 
 MOVES = ((0, -1), (1, 0), (0, 1), (-1, 0))
 
 
 def traj(pid, role, cells, interval=3.0, actions=None, targets=None):
+    """A trajectory over `cells`; `actions` and `targets` hold ActionTags and
+    Positions per tick, None for none."""
     samples = []
     for i, (x, y) in enumerate(cells):
-        samples.append(TrajectorySample(
-            tick=i,
-            time_s=i * interval,
-            position=Position(x, y),
-            action=actions[i] if actions else None,
-            target=targets[i] if targets else None,
-        ))
-    return PlayerTrajectory(player_id=pid, role=role, samples=tuple(samples))
+        action = actions[i] if actions else None
+        target = targets[i] if targets else None
+        code = ACTIONS.index(action) if action is not None else -1
+        tx, ty, has_target = (target.x, target.y, True) if target is not None else (0, 0, False)
+        samples.append((i, i * interval, x, y, code, tx, ty, has_target))
+    return PlayerTrajectory(player_id=pid, role=role, samples=samples)
 
 
 def session_from_cells(medic_cells, engineer_cells, grid, session_id="s", events=(), **kw):

@@ -2,10 +2,11 @@
 
 Statistics are recomputed from their definitions (brute-force sums,
 enumerations, quadrature) without calling into teamcoord, so agreement is
-evidence rather than tautology. The windowed SED/SMS series is the one
-exception: its reference is the plain per-window loop over teamcoord's
+evidence rather than tautology. Two references do use teamcoord: the
+windowed SED/SMS series is the plain per-window loop over teamcoord's
 public occupancy kernels (themselves checked against `jsd_base2` and
-`entropy_bits`), which the array kernel must match bit for bit.
+`entropy_bits`), which the array kernel must match bit for bit, and
+`mission_rule_audit` reads the event rules off a session's sample columns.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from statistics import NormalDist
 import numpy as np
 from scipy import integrate
 
-from teamcoord.core import GridSpec, Role
+from teamcoord.core import ACTIONS, ActionTag, GridSpec, Role, VictimType
 from teamcoord.occupancy import (
     OccupancyDistribution,
     entropy_similarity,
@@ -259,3 +260,30 @@ def window_series_loop(session, metric, window_ticks, smooth_ticks, coarsen=1):
             vals[k] = e_s * (1.0 - jaccard_overlap(set(med.tolist()), set(eng.tolist())))
     vals = moving_average_loop(vals, smooth_ticks)
     return tuple(zip((ends / session.nominal_ticks).tolist(), vals.tolist()))
+
+
+def mission_rule_audit(session):
+    """Assert the simulator's event rules against the trajectory log.
+
+    A red rescue comes before the cutoff, from a medic and an engineer that
+    are both 4-adjacent to the victim at the event's tick. A yellow rescue
+    comes after an engineer's clear that targeted the victim's cell.
+    """
+    by_id = {p.player_id: p for p in session.players}
+    clear = ACTIONS.index(ActionTag.CLEAR)
+    for e in session.events:
+        tick = int(round(e.time_s / session.sample_interval_s))
+        vx, vy = e.victim_cell.x, e.victim_cell.y
+        if e.victim_type is VictimType.RED:
+            assert e.time_s < session.red_cutoff_s
+            assert {by_id[a].role for a in e.actor_ids} == {Role.MEDIC, Role.ENGINEER}
+            for a in e.actor_ids:
+                x, y = by_id[a].xy[tick].tolist()
+                assert abs(x - vx) + abs(y - vy) == 1
+        if e.victim_type is VictimType.YELLOW:
+            cleared = [
+                s for s in (p.samples for p in session.players if p.role is Role.ENGINEER)
+                if np.any((s["action"] == clear) & s["has_target"] & (s["target_x"] == vx)
+                          & (s["target_y"] == vy) & (s["tick"] < tick))
+            ]
+            assert cleared, f"yellow rescue at {e.time_s}s without a prior clear"

@@ -60,6 +60,7 @@ from oracles import (
     jsd_base2,
     mann_whitney_exact_p,
     mann_whitney_normal_p,
+    mission_rule_audit,
     ols_normal_equations,
     spearman_rho,
     t_two_sided_quad,
@@ -351,21 +352,7 @@ def test_c8_simulator_rules(tmp_path, medium_corpus):
     audited.append(run_mission(builtin_map("small"), policy_team(PolicyKind.GREEDY), seed=9))
     for s in audited:
         assert validate_session(s) == []
-        by_id = {p.player_id: p for p in s.players}
-        for e in s.events:
-            tick = int(round(e.time_s / s.sample_interval_s))
-            if e.victim_type is VictimType.RED:
-                assert e.time_s < s.red_cutoff_s
-                roles = {by_id[a].role for a in e.actor_ids}
-                assert roles == {Role.MEDIC, Role.ENGINEER}
-                for actor in e.actor_ids:
-                    pos = by_id[actor].samples[tick].position
-                    assert pos.manhattan(e.victim_cell) == 1
-            if e.victim_type is VictimType.YELLOW:
-                assert any(
-                    smp.action is ActionTag.CLEAR and smp.target == e.victim_cell
-                    and smp.tick < tick
-                    for p in s.players if p.role is Role.ENGINEER for smp in p.samples)
+        mission_rule_audit(s)
 
     # byte-identical replay
     spec_small = builtin_map("small")

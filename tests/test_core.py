@@ -10,10 +10,13 @@ from teamcoord.core import (
     RED_ACTORS,
     RED_CUTOFF,
     ROLE_COMPOSITION,
+    SAMPLE,
     TIME_MISMATCH,
+    ActionTag,
     CompositionError,
     DuplicateIdError,
     GridSpec,
+    PlayerTrajectory,
     Position,
     RescueEvent,
     Role,
@@ -68,23 +71,19 @@ def test_skipped_tick_flagged():
     p = s.players[0]
     broken = traj(p.player_id, p.role, [(0, 0), (1, 0), (1, 1)])
     # renumber the last sample's tick to introduce a gap
-    from teamcoord.core import TrajectorySample
-    samples = list(broken.samples)
-    last = samples[-1]
-    samples[-1] = TrajectorySample(tick=4, time_s=12.0, position=last.position)
-    from teamcoord.core import PlayerTrajectory
-    broken = PlayerTrajectory(p.player_id, p.role, tuple(samples))
+    samples = broken.samples.copy()
+    samples["tick"][-1], samples["time_s"][-1] = 4, 12.0
+    broken = PlayerTrajectory(p.player_id, p.role, samples)
     s = TeamSession(s.session_id, s.grid, (broken,) + s.players[1:], s.events)
     assert DISCONTINUITY in codes(validate_session(s))
 
 
 def test_time_mismatch_flagged():
-    from teamcoord.core import PlayerTrajectory, TrajectorySample
     s = square_session()
     p = s.players[0]
-    samples = list(p.samples)
-    samples[1] = TrajectorySample(tick=1, time_s=5.0, position=samples[1].position)
-    s = TeamSession(s.session_id, s.grid, (PlayerTrajectory(p.player_id, p.role, tuple(samples)),) + s.players[1:])
+    samples = p.samples.copy()
+    samples["time_s"][1] = 5.0
+    s = TeamSession(s.session_id, s.grid, (PlayerTrajectory(p.player_id, p.role, samples),) + s.players[1:])
     assert TIME_MISMATCH in codes(validate_session(s))
 
 
@@ -154,7 +153,6 @@ def test_partition_standard_session():
 def test_partition_rejects_three_medics():
     s = square_session()
     p = s.players[2]
-    from teamcoord.core import PlayerTrajectory
     relabeled = PlayerTrajectory(p.player_id, Role.MEDIC, p.samples)
     s = TeamSession(s.session_id, s.grid, s.players[:2] + (relabeled, s.players[3]))
     with pytest.raises(CompositionError):
@@ -199,3 +197,54 @@ def test_grid_cell_index_roundtrip():
             assert g.cell_xy(i) == (x, y)
             seen.add(i)
     assert seen == set(range(15))
+
+
+def acting_trajectory():
+    """Three ticks with an action and a target on every row but the last."""
+    return traj("engineer1", Role.ENGINEER, [(1, 1), (1, 2), (1, 2)],
+                actions=[ActionTag.MOVE, ActionTag.CLEAR, None],
+                targets=[Position(1, 2), Position(2, 2), None])
+
+
+def test_trajectory_rows_hold_codes_and_empty_target_filler():
+    rows = acting_trajectory().samples.tolist()
+    assert rows == [(0, 0.0, 1, 1, 0, 1, 2, True),
+                    (1, 3.0, 1, 2, 3, 2, 2, True),
+                    (2, 6.0, 1, 2, -1, 0, 0, False)]
+
+
+# One changed value in one row, per SAMPLE field.
+CHANGED_FIELD = {
+    "tick": 5, "time_s": 3.5, "x": 0, "y": 3, "action": 1,
+    "target_x": 0, "target_y": 0, "has_target": False,
+}
+
+
+@pytest.mark.parametrize("field", SAMPLE.names)
+def test_trajectory_equality_sees_every_sample_field(field):
+    a = acting_trajectory()
+    samples = a.samples.copy()
+    assert samples[field][1] != CHANGED_FIELD[field]
+    samples[field][1] = CHANGED_FIELD[field]
+    assert a == PlayerTrajectory(a.player_id, a.role, a.samples.copy())
+    assert a != PlayerTrajectory(a.player_id, a.role, samples)
+
+
+def test_trajectory_equality_sees_id_role_and_length():
+    a = acting_trajectory()
+    assert a != PlayerTrajectory("engineer2", a.role, a.samples)
+    assert a != PlayerTrajectory(a.player_id, Role.MEDIC, a.samples)
+    assert a != PlayerTrajectory(a.player_id, a.role, a.samples[:2])
+    assert a != a.samples
+
+
+def test_trajectory_samples_and_xy_are_read_only():
+    source = acting_trajectory().samples.copy()
+    p = PlayerTrajectory("engineer1", Role.ENGINEER, source)
+    source["x"][0] = 4  # the trajectory holds its own copy
+    assert p.samples["x"][0] == 1
+    with pytest.raises(ValueError):
+        p.samples["x"][0] = 4
+    with pytest.raises(ValueError):
+        p.xy[0, 0] = 4
+    assert p.xy.tolist() == [[1, 1], [1, 2], [1, 2]]

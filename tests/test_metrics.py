@@ -133,7 +133,7 @@ def test_spa_invariant_to_time_reversal():
         s = random_session(rng, n_ticks=14)
         base = spatial_proximity_adaptation(s)
         rev_players = tuple(
-            traj(p.player_id, p.role, [(q.position.x, q.position.y) for q in reversed(p.samples)])
+            traj(p.player_id, p.role, p.xy[::-1].tolist())
             for p in s.players)
         rev = TeamSession(s.session_id, s.grid, rev_players)
         assert spatial_proximity_adaptation(rev) == pytest.approx(base, abs=1e-12)
@@ -216,9 +216,7 @@ def test_series_sed_monotone_around_divergence():
     for end in (32, 36, 40):
         start = end - 9
         dists = [
-            occupancy_of(traj(p.player_id, p.role,
-                              [(q.position.x, q.position.y) for q in p.samples[start:end + 1]]),
-                         s.grid)
+            occupancy_of(traj(p.player_id, p.role, p.xy[start:end + 1].tolist()), s.grid)
             for p in s.players
         ]
         expected = np.mean([jensen_shannon_divergence(a, b)

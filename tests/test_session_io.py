@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from teamcoord.cli import EXIT_IO, main
 from teamcoord.core import DISCONTINUITY, Role
 from teamcoord.session_io import (
     MetricsTableRow,
@@ -44,6 +45,24 @@ def test_session_roundtrip_random_sessions(tmp_path):
         log = tmp_path / f"{i}.jsonl"
         write_session(s, log)
         assert read_session(log) == s
+
+
+@pytest.mark.parametrize("mapname", ["small", "medium", "corridor"])
+def test_session_roundtrip_keeps_targets(tmp_path, mapname):
+    s = run_mission(builtin_map(mapname), POLICIES, seed=1)
+    has_target = np.concatenate([p.samples["has_target"] for p in s.players])
+    assert has_target.any() and not has_target.all()
+    log, _ = write_session(s, tmp_path / "s.jsonl")
+    assert read_session(log) == s
+
+
+def test_samples_per_player_match_log_lines(tmp_path, sim_session):
+    # the benchmark's session_io.lines_read counter sums len(p.samples) over
+    # the players of each read session, so it relies on one row per line
+    log, _ = write_session(sim_session, tmp_path / "s.jsonl")
+    s = read_session(log)
+    assert all(len(p.samples) == p.n_ticks == s.n_ticks for p in s.players)
+    assert sum(len(p.samples) for p in s.players) == len(log.read_text().splitlines())
 
 
 def test_session_files_byte_deterministic(tmp_path, sim_session):
@@ -280,3 +299,75 @@ def test_string_coordinates_still_accepted(tmp_path, sim_session):
     lines[4] = record_with(lines[4], x=str(rec["x"]), target_y=str(rec["target_y"]))
     log.write_text("\n".join(lines) + "\n")
     assert read_session(log) == sim_session
+
+
+def test_minus_one_target_round_trips_byte_identically(tmp_path, sim_session):
+    log, manifest = write_session(sim_session, tmp_path / "s.jsonl")
+    lines = log.read_text().splitlines()
+    lines[4] = record_with(lines[4], target_x=-1, target_y=-1)
+    log.write_text("\n".join(lines) + "\n")
+    again, again_manifest = write_session(read_session(log), tmp_path / "again.jsonl")
+    assert again.read_bytes() == log.read_bytes()
+    assert again_manifest.read_bytes() == manifest.read_bytes()
+
+
+def test_int_columns_hold_the_signed_64_bit_range(tmp_path, sim_session):
+    log, _ = write_session(sim_session, tmp_path / "s.jsonl")
+    lines = log.read_text().splitlines()
+    lines[4] = record_with(lines[4], x=2 ** 63 - 1, target_y=-2 ** 63)
+    log.write_text("\n".join(lines) + "\n")
+    s = read_session(log, validate=False)
+    again, _ = write_session(s, tmp_path / "again.jsonl")
+    assert again.read_bytes() == log.read_bytes()
+
+
+# A value that fits no int column: json reads Infinity as a float that int()
+# refuses, and 1e19 as a float whose int needs more than 64 bits. Such a
+# value used to escape as an OverflowError, or (beyond 64 bits) to pass the
+# reader and fail validation.
+HUGE_FIELDS = {
+    "x_infinity": {"x": float("inf")},
+    "tick_infinity": {"tick": float("inf")},
+    "x_beyond_64_bits": {"x": 1e19},
+    "x_below_64_bits": {"x": -1e19},
+    "tick_beyond_64_bits": {"tick": 1e19},
+    "target_just_past_64_bits": {"target_x": 2 ** 63},
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_FIELDS))
+def test_int_outside_64_bits_names_path_and_line(tmp_path, sim_session, capsys, case):
+    log, _ = write_session(sim_session, tmp_path / "s.jsonl")
+    lines = log.read_text().splitlines()
+    lines[4] = record_with(lines[4], **HUGE_FIELDS[case])
+    log.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SessionFormatError) as exc:
+        read_session(log)
+    assert (exc.value.path, exc.value.line) == (log, 5)
+    assert main(["metrics", str(log)]) == EXIT_IO
+    assert f"{log}:5: bad record" in capsys.readouterr().err
+
+
+def test_infinite_event_cell_names_manifest(tmp_path, sim_session, capsys):
+    log, manifest = write_session(sim_session, tmp_path / "s.jsonl")
+    doc = json.loads(manifest.read_text())
+    doc["events"][0]["x"] = float("inf")
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(SessionFormatError) as exc:
+        read_session(log)
+    assert exc.value.path == manifest
+    assert main(["metrics", str(log)]) == EXIT_IO
+    assert f"{manifest}: bad manifest" in capsys.readouterr().err
+
+
+def test_infinite_map_cell_names_map(tmp_path, sim_session, capsys):
+    path = write_map(builtin_map("small"), tmp_path / "m.json")
+    doc = json.loads(path.read_text())
+    doc["walls"][0] = [float("inf"), 1]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SessionFormatError) as exc:
+        read_map(path)
+    assert exc.value.path == path
+    log, _ = write_session(sim_session, tmp_path / "s.jsonl")
+    assert main(["metrics", str(log), "--map", str(path)]) == EXIT_IO
+    assert f"{path}: bad map" in capsys.readouterr().err
