@@ -23,9 +23,11 @@ from .core import (
     Position,
     RescueEvent,
     Role,
+    TICK_ALIGNMENT,
     TeamCoordError,
     TeamSession,
     VictimType,
+    Violation,
     validate_session,
 )
 from .outcomes import MapMeta
@@ -74,9 +76,17 @@ def manifest_path_for(log_path) -> Path:
 
 
 def write_session(session: TeamSession, log_path, map_meta: MapMeta | None = None) -> tuple[Path, Path]:
-    """Write the trajectory log and its manifest; returns both paths."""
+    """Write the trajectory log and its manifest; returns both paths.
+
+    The log holds one line per tick and player, so players whose tick counts
+    differ raise `SessionValidationError` before anything is written.
+    """
     log_path = Path(log_path)
     manifest_path = manifest_path_for(log_path)
+    if len({p.n_ticks for p in session.players}) > 1:
+        counts = ", ".join(f"{p.player_id} {p.n_ticks}" for p in session.players)
+        message = f"session {session.session_id!r}: players disagree on tick count ({counts})"
+        raise SessionValidationError(log_path, [Violation(TICK_ALIGNMENT, message)])
 
     lines = []
     order = sorted(range(len(session.players)), key=lambda i: session.players[i].player_id)

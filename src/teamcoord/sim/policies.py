@@ -8,7 +8,6 @@ deterministic.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
@@ -44,24 +43,58 @@ _GREEN, _YELLOW, _RED = (VICTIM_CODES[k] for k in
                          (VictimType.GREEN, VictimType.YELLOW, VictimType.RED))
 
 
-def _bfs_field(neighbors, blocked: list, start: int):
-    """Distances and first-step cells from `start` over unblocked cells."""
-    n = len(blocked)
-    dist = [-1] * n
-    first = [-1] * n
-    dist[start] = 0
-    queue = deque([start])
-    while queue:
-        c = queue.popleft()
-        base = dist[c] + 1
-        step = first[c]
-        for nb in neighbors[c]:
-            if blocked[nb] or dist[nb] >= 0:
-                continue
-            dist[nb] = base
-            first[nb] = nb if step < 0 else step
-            queue.append(nb)
-    return dist, first
+class BfsField:
+    """Lazy breadth-first search from one cell, one distance level at a time.
+
+    Cells are reached in the order of a FIFO flood fill, so `dist` (-1 where
+    not reached) and `first` (first step of a shortest path) agree with the
+    full fill wherever they are set. `levels[d]` lists the cells at distance
+    d in that order; level 0 is the start and an empty last level means the
+    search is exhausted. Queries expand only as many levels as they need.
+    """
+
+    def __init__(self, neighbors, blocked: list, start: int):
+        self.neighbors, self.blocked = neighbors, blocked
+        self.dist = [-1] * len(blocked)
+        self.first = [-1] * len(blocked)
+        self.dist[start] = 0
+        self.levels = [[start]]
+
+    def _walk(self):
+        """Yield the levels from 0 on, expanding the next one when asked for it."""
+        neighbors, blocked, dist, first, levels = (
+            self.neighbors, self.blocked, self.dist, self.first, self.levels)
+        d = 0
+        while d < len(levels) or levels[-1]:
+            if d == len(levels):
+                level = []
+                for c in levels[-1]:
+                    step = first[c]
+                    for nb in neighbors[c]:
+                        if not blocked[nb] and dist[nb] < 0:
+                            dist[nb] = d
+                            first[nb] = nb if step < 0 else step
+                            level.append(nb)
+                levels.append(level)
+            yield levels[d]
+            d += 1
+
+    def nearest(self, goals: np.ndarray) -> int | None:
+        """The reachable goal cell of least (distance, cell index), or None."""
+        if goals.any():
+            is_goal = goals.tolist()
+            for level in self._walk():
+                hits = [c for c in level if is_goal[c]]
+                if hits:
+                    return min(hits)
+        return None
+
+    def reach(self, cell: int) -> int:
+        """Distance to `cell`, -1 if it is unreachable."""
+        for _ in self._walk():
+            if self.dist[cell] >= 0:
+                break
+        return self.dist[cell]
 
 
 class Controller:
@@ -70,9 +103,11 @@ class Controller:
     Knowledge is held per cell, in flat row-major arrays indexed like
     `GridSpec.cell_index`: `unseen`, `known_rubble` and `known_doors` are
     bool masks, and `known_victims` holds `VICTIM_CODES` (0 = no victim).
-    Goals are cell masks; among the reachable goals the one with the
-    smallest (BFS distance, cell index) wins, which is the (distance, y, x)
-    order and keeps trajectories reproducible.
+    Each decision plans on one lazy `BfsField` from the agent's cell, which
+    expands only the distance levels its queries need. Goals are cell
+    masks; among the reachable goals the one with the smallest (BFS
+    distance, cell index) wins, which is the (distance, y, x) order and
+    keeps trajectories reproducible.
     """
 
     def __init__(self, spec: MapSpec, role: Role, index: int, rng: np.random.Generator,
@@ -95,11 +130,8 @@ class Controller:
     def observe(self, state: WorldState):
         # teammate icons are always visible: track who is standing still
         for j, a in enumerate(state.agents):
-            if self._last_pos.get(j) == a.pos:
-                self.still_for[j] = self.still_for.get(j, 0) + 1
-            else:
-                self.still_for[j] = 0
-                self._last_pos[j] = a.pos
+            self.still_for[j] = self.still_for[j] + 1 if self._last_pos.get(j) == a.pos else 0
+            self._last_pos[j] = a.pos
         me = state.agents[self.index].pos
         r = self.spec.fov_radius
         g = self.grid
@@ -119,38 +151,37 @@ class Controller:
     def _pos(self, cell) -> Position:
         return Position(*self.grid.cell_xy(int(cell)))
 
-    def _field(self, me: Position):
-        """BFS distances (an array, -1 where unreachable) and first steps from `me`."""
+    def _field(self, me: Position) -> BfsField:
+        """A lazy BFS from `me` over the cells not known to be blocked; one
+        per decision, shared by every query that decision makes."""
         blocked = self.spec.wall_mask | self.known_rubble | self.known_doors
-        dist, first = _bfs_field(self.spec.neighbor_lists, blocked.tolist(), self._cell(me))
-        return np.array(dist), first
+        return BfsField(self.spec.neighbor_lists, blocked.tolist(), self._cell(me))
 
-    def _step_toward(self, cell, dist, first) -> AgentAction | None:
+    def _step_toward(self, cell: int, field: BfsField) -> AgentAction | None:
         """First move of a shortest path to `cell`; None if unreachable or already there."""
-        if dist[cell] <= 0:
+        if field.reach(cell) <= 0:
             return None
-        return AgentAction(ActionTag.MOVE, self._pos(first[cell]))
+        return AgentAction(ActionTag.MOVE, self._pos(field.first[cell]))
 
-    def _move_toward(self, goals: np.ndarray, dist, first) -> AgentAction | None:
+    def _move_toward(self, goals: np.ndarray, field: BfsField) -> AgentAction | None:
         """Step toward the nearest reachable goal cell, ties to the lowest index."""
-        cells = np.flatnonzero(goals & (dist >= 0))
-        if cells.size == 0:
-            return None
-        return self._step_toward(cells[np.argmin(dist[cells])], dist, first)
+        cell = field.nearest(goals)
+        return None if cell is None else self._step_toward(cell, field)
 
-    def _approach(self, targets: np.ndarray, dist, first) -> AgentAction | None:
+    def _approach(self, targets: np.ndarray, field: BfsField) -> AgentAction | None:
         """Move toward a standable 4-neighbor of the nearest target cell.
 
-        Blocked cells are never reachable, so `dist >= 0` keeps only the
-        standable ones.
+        Blocked cells are never reached, so only standable ones can win.
         """
+        if not targets.any():
+            return None
         t = targets.reshape(self.grid.height, self.grid.width)
         near = np.zeros_like(t)
         near[1:] |= t[:-1]
         near[:-1] |= t[1:]
         near[:, 1:] |= t[:, :-1]
         near[:, :-1] |= t[:, 1:]
-        return self._move_toward(near.ravel(), dist, first)
+        return self._move_toward(near.ravel(), field)
 
     def _touches(self, mask: np.ndarray, me: Position) -> bool:
         return any(mask[nb] for nb in self.spec.neighbor_lists[self._cell(me)])
@@ -178,7 +209,8 @@ class Controller:
             if (kind == _GREEN
                     or kind == _YELLOW and not state.rubble_mask[nb]
                     or kind == _RED and include_red and state.time_s < state.spec.red_cutoff_s
-                    and self._engineer_adjacent(state, self._pos(nb))):
+                    and any(a.role is Role.ENGINEER and a.pos.manhattan(self._pos(nb)) == 1
+                            for a in state.agents)):
                 return AgentAction(ActionTag.RESCUE, self._pos(nb))
         return None
 
@@ -191,11 +223,6 @@ class Controller:
             if state.door_mask[nb]:
                 return AgentAction(ActionTag.OPEN, self._pos(nb))
         return None
-
-    @staticmethod
-    def _engineer_adjacent(state: WorldState, cell: Position) -> bool:
-        return any(a.role is Role.ENGINEER and a.pos.manhattan(cell) == 1
-                   for a in state.agents)
 
     def act(self, state: WorldState) -> AgentAction:
         """Planned decision plus a small seeded dither on plain moves, so
@@ -217,10 +244,9 @@ class RandomWalkController(Controller):
         pass  # a random walker ignores the world
 
     def act(self, state) -> AgentAction:
-        me = state.agents[self.index].pos
         if self.rng.random() < self.params.get("p_wait", 0.4):
             return WAIT_ACTION
-        return self._random_move(me)
+        return self._random_move(state.agents[self.index].pos)
 
 
 class GreedyRescuerController(Controller):
@@ -253,9 +279,9 @@ class GreedyRescuerController(Controller):
                     self.red_wait[nb] = 0
             targets |= (self.known_victims == _RED) & (self.red_shelved < state.tick)
 
-        dist, first = self._field(me)
-        return (self._approach(targets, dist, first)
-                or self._move_toward(self.unseen, dist, first)
+        field = self._field(me)
+        return (self._approach(targets, field)
+                or self._move_toward(self.unseen, field)
                 or self._random_move(me))
 
 
@@ -315,13 +341,13 @@ class CoordinatedSpecialistController(Controller):
                 return act
             if self._touches(state.victim_codes == _RED, me):
                 return WAIT_ACTION  # parked beside a red: hold until an engineer lands
-            dist, first = self._field(me)
+            field = self._field(me)
             targets = reds | self._parked_teammates(state, Role.ENGINEER, me)
-            return (self._approach(targets, dist, first)
-                    or self._sweep_own_quadrant(me, dist, first))
+            return (self._approach(targets, field)
+                    or self._sweep_own_quadrant(me, field))
 
         # engineer
-        dist, first = self._field(me)
+        field = self._field(me)
         medic_side = np.zeros(self.grid.n_cells, dtype=bool)
         for a in state.agents:
             if a.role is Role.MEDIC:
@@ -330,30 +356,29 @@ class CoordinatedSpecialistController(Controller):
         if self._touches(confirmed, me):
             act = self._adjacent_engineering(state, me) or self._adjacent_rescue(state, me)
             return act or WAIT_ACTION  # presence is the contribution
-        act = (self._approach(confirmed, dist, first)
+        act = (self._approach(confirmed, field)
                or self._adjacent_engineering(state, me)
                or self._adjacent_rescue(state, me)
-               or self._approach(self._parked_teammates(state, Role.MEDIC, me), dist, first))
+               or self._approach(self._parked_teammates(state, Role.MEDIC, me), field))
         if act is not None:
             return act
         if self._touches(reds, me):
             return WAIT_ACTION  # park beside an unclaimed red and flag it for the medics
         service = (self.known_rubble | self.known_doors) & self.pair_sector
-        return (self._approach(reds, dist, first)
-                or self._approach(service, dist, first)
-                or self._sweep_own_quadrant(me, dist, first))
+        return (self._approach(reds, field)
+                or self._approach(service, field)
+                or self._sweep_own_quadrant(me, field))
 
     # -- phase 2: disperse into role territories ------------------------------
 
-    def _sweep_own_quadrant(self, me: Position, dist, first) -> AgentAction:
+    def _sweep_own_quadrant(self, me: Position, field: BfsField) -> AgentAction:
         """Explore the unseen parts of the own role/pair quadrant, then
         cycle its corners; never wander into teammate territory."""
-        act = self._move_toward(self.unseen & self.quadrant, dist, first)
+        act = self._move_toward(self.unseen & self.quadrant, field)
         if act is not None:
             return act
         for _ in self.waypoints:
-            act = self._step_toward(self.waypoints[self.waypoint % len(self.waypoints)],
-                                    dist, first)
+            act = self._step_toward(self.waypoints[self.waypoint % len(self.waypoints)], field)
             if act is not None:
                 return act
             self.waypoint += 1
@@ -361,18 +386,13 @@ class CoordinatedSpecialistController(Controller):
 
     def _act_disperse(self, state) -> AgentAction:
         me = state.agents[self.index].pos
-        act = self._adjacent_rescue(state, me, include_red=False) \
-            or self._adjacent_engineering(state, me)
-        if act is not None:
-            return act
-
-        dist, first = self._field(me)
-        if not self.role_half[self._cell(me)]:
-            act = self._move_toward(self.role_half, dist, first)
-            if act is not None:
-                return act
-        return (self._approach(self._serviceable() & self.role_half, dist, first)
-                or self._sweep_own_quadrant(me, dist, first))
+        field = self._field(me)
+        # outside the own half, head for it; inside, the nearest half cell is `me`
+        return (self._adjacent_rescue(state, me, include_red=False)
+                or self._adjacent_engineering(state, me)
+                or self._move_toward(self.role_half, field)
+                or self._approach(self._serviceable() & self.role_half, field)
+                or self._sweep_own_quadrant(me, field))
 
 
 _CONTROLLERS = {
@@ -395,8 +415,6 @@ def build_controllers(policies: Sequence[tuple[Role, AgentPolicy]], spec: MapSpe
         cls = _CONTROLLERS.get(policy.kind)
         if cls is None:
             raise ValueError(f"unknown policy kind {policy.kind!r}")
-        if cls is CoordinatedSpecialistController:
-            controllers.append(cls(spec, role, i, rng, policy.params, pair=pair))
-        else:
-            controllers.append(cls(spec, role, i, rng, policy.params))
+        extra = {"pair": pair} if cls is CoordinatedSpecialistController else {}
+        controllers.append(cls(spec, role, i, rng, policy.params, **extra))
     return controllers

@@ -138,15 +138,9 @@ def map_meta(spec: MapSpec) -> MapMeta:
     rescues, clear rubble and open doors.
     """
     kinds = [v.kind for v in spec.victims]
-    greens = kinds.count(VictimType.GREEN)
-    reds = kinds.count(VictimType.RED)
-    return MapMeta(
-        traversable_cells=spec.grid.n_cells - len(spec.walls),
-        max_tasks={
-            Role.MEDIC: len(spec.victims),
-            Role.ENGINEER: greens + reds + len(spec.rubble) + len(spec.doors),
-        },
-    )
+    victim_tasks = kinds.count(VictimType.GREEN) + kinds.count(VictimType.RED)
+    return MapMeta(traversable_cells=spec.grid.n_cells - len(spec.walls), max_tasks={
+        Role.MEDIC: len(kinds), Role.ENGINEER: victim_tasks + len(spec.rubble) + len(spec.doors)})
 
 
 @dataclass(frozen=True)
@@ -237,11 +231,8 @@ def step_resolved(state: WorldState, actions) -> tuple[WorldState, tuple[AgentAc
             continue
         if act.kind is ActionTag.RESCUE:
             kind = victims.get(tgt)
-            if kind is None:
-                continue
-            if agent.role is Role.ENGINEER and kind is not VictimType.GREEN:
-                continue
-            if kind is VictimType.YELLOW and tgt in state.rubble:
+            if (kind is None or agent.role is Role.ENGINEER and kind is not VictimType.GREEN
+                    or kind is VictimType.YELLOW and tgt in state.rubble):
                 continue
             if kind is VictimType.RED:
                 if t >= state.spec.red_cutoff_s:
@@ -257,31 +248,27 @@ def step_resolved(state: WorldState, actions) -> tuple[WorldState, tuple[AgentAc
             events.append(RescueEvent(time_s=t, victim_type=kind, victim_cell=tgt,
                                       actor_ids=actors))
             resolved[i] = act
-        elif act.kind is ActionTag.CLEAR:
-            if agent.role is Role.ENGINEER and tgt in rubble:
-                rubble.discard(tgt)
-                resolved[i] = act
-        elif act.kind is ActionTag.OPEN:
-            if agent.role is Role.ENGINEER and tgt in doors:
-                doors.discard(tgt)
+        else:  # clear rubble or open a door
+            terrain = rubble if act.kind is ActionTag.CLEAR else doors
+            if agent.role is Role.ENGINEER and tgt in terrain:
+                terrain.discard(tgt)
                 resolved[i] = act
 
     # Move phase against start-of-tick terrain; agents may share cells.
     new_agents = []
     for i, (agent, act) in enumerate(zip(state.agents, actions)):
         pos = agent.pos
-        if act.kind is ActionTag.MOVE and act.target is not None:
-            tgt = act.target
-            if pos.manhattan(tgt) == 1 and state.traversable(tgt):
-                pos = tgt
-                resolved[i] = act
+        tgt = act.target
+        if (act.kind is ActionTag.MOVE and tgt is not None and pos.manhattan(tgt) == 1
+                and state.traversable(tgt)):
+            pos = tgt
+            resolved[i] = act
         new_agents.append(replace(agent, pos=pos))
 
-    remaining = tuple(v for v in state.victims if v.cell in victims)
     new_state = WorldState(spec=state.spec, tick=state.tick + 1, agents=tuple(new_agents),
-                           victims=remaining, rubble=frozenset(rubble),
-                           closed_doors=frozenset(doors), events=tuple(events),
-                           sample_interval_s=state.sample_interval_s)
+                           victims=tuple(v for v in state.victims if v.cell in victims),
+                           rubble=frozenset(rubble), closed_doors=frozenset(doors),
+                           events=tuple(events), sample_interval_s=state.sample_interval_s)
     return new_state, tuple(resolved)
 
 
@@ -300,13 +287,8 @@ def run_mission(spec: MapSpec, policies, seed: int, session_id: str | None = Non
     if len(policies) != 4 or roles.count(Role.MEDIC) != 2 or roles.count(Role.ENGINEER) != 2:
         raise CompositionError("run_mission needs exactly 2 medic and 2 engineer policies")
 
-    counters = {Role.MEDIC: 0, Role.ENGINEER: 0}
-    agents = []
-    for role, _ in policies:
-        counters[role] += 1
-        agents.append(AgentState(player_id=f"{role.value}{counters[role]}", role=role,
-                                 pos=spec.start))
-    agents = tuple(agents)
+    agents = tuple(AgentState(player_id=f"{role.value}{roles[:i + 1].count(role)}", role=role,
+                              pos=spec.start) for i, role in enumerate(roles))
 
     controllers = build_controllers(policies, spec, seed)
     n_ticks = int(round(spec.mission_duration_s / sample_interval_s))

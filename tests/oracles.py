@@ -7,11 +7,14 @@ windowed SED/SMS series is the plain per-window loop over teamcoord's
 public occupancy kernels (themselves checked against `jsd_base2` and
 `entropy_bits`), which the array kernel must match bit for bit, and
 `mission_rule_audit` reads the event rules off a session's sample columns.
+`bfs_field` is the plain FIFO flood fill the simulator's lazy field must
+agree with.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from statistics import NormalDist
 
 import numpy as np
@@ -287,3 +290,21 @@ def mission_rule_audit(session):
                           & (s["target_y"] == vy) & (s["tick"] < tick))
             ]
             assert cleared, f"yellow rescue at {e.time_s}s without a prior clear"
+
+
+def bfs_field(neighbors, blocked, start: int):
+    """Full flood fill from `start` over unblocked cells: distances (-1 where
+    unreachable) and the first step of a shortest path (-1 at the start)."""
+    dist = [-1] * len(blocked)
+    first = [-1] * len(blocked)
+    dist[start] = 0
+    queue = deque([start])
+    while queue:
+        c = queue.popleft()
+        for nb in neighbors[c]:
+            if blocked[nb] or dist[nb] >= 0:
+                continue
+            dist[nb] = dist[c] + 1
+            first[nb] = nb if first[c] < 0 else first[c]
+            queue.append(nb)
+    return dist, first

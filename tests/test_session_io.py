@@ -1,10 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from teamcoord.cli import EXIT_IO, main
-from teamcoord.core import DISCONTINUITY, Role
+from teamcoord.core import DISCONTINUITY, TICK_ALIGNMENT, PlayerTrajectory, Role, TeamSession
 from teamcoord.session_io import (
     MetricsTableRow,
     SessionFormatError,
@@ -113,6 +114,39 @@ def test_skipped_tick_surfaces_validation_report(tmp_path, sim_session):
     # the permissive mode still loads it for inspection
     session = read_session(log, validate=False)
     assert session.n_ticks == sim_session.n_ticks - 1
+
+
+@pytest.mark.parametrize("delta", [-1, 2])
+def test_write_refuses_players_with_unequal_tick_counts(tmp_path, sim_session, delta):
+    # the log has one line per tick and player: a shorter or longer later
+    # player is refused by name, before any file is written
+    last = sim_session.players[-1]
+    samples = last.samples[:delta] if delta < 0 else np.concatenate(
+        [last.samples, last.samples[-1:].repeat(delta)])
+    players = sim_session.players[:-1] + (PlayerTrajectory(last.player_id, last.role, samples),)
+    bad = TeamSession(sim_session.session_id, sim_session.grid, players, sim_session.events)
+    log = tmp_path / "s.jsonl"
+    with pytest.raises(SessionValidationError) as exc:
+        write_session(bad, log)
+    assert [v.code for v in exc.value.report] == [TICK_ALIGNMENT]
+    n = sim_session.n_ticks
+    assert f"session {sim_session.session_id!r}" in str(exc.value)
+    assert f"medic1 {n}, medic2 {n}, engineer1 {n}, engineer2 {n + delta}" in str(exc.value)
+    assert not log.exists() and not manifest_path_for(log).exists()
+
+
+def test_docs_examples_roundtrip_byte_identical(tmp_path, capsys):
+    examples = Path(__file__).resolve().parent.parent / "docs" / "examples"
+    src = examples / "session.jsonl"
+    log, manifest = write_session(read_session(src), tmp_path / "session.jsonl",
+                                  read_map_meta(src))
+    assert log.read_bytes() == src.read_bytes()
+    assert manifest.read_bytes() == manifest_path_for(src).read_bytes()
+
+    assert main(["metrics", str(src)]) == 0
+    header, row = (examples / "metrics.csv").read_text().splitlines()[:2]
+    assert row.startswith("demo-pocket-s00001,")
+    assert capsys.readouterr().out.splitlines() == [header, row]
 
 
 def test_map_roundtrip_and_determinism(tmp_path):

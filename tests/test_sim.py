@@ -23,8 +23,9 @@ from teamcoord.sim import (
     run_mission,
     step_resolved,
 )
+from teamcoord.sim.policies import BfsField, build_controllers
 
-from oracles import mission_rule_audit
+from oracles import bfs_field, mission_rule_audit
 
 WAIT = AgentAction(ActionTag.WAIT)
 
@@ -342,3 +343,86 @@ def test_map_meta_counts():
                                              + kinds.count(VictimType.RED)
                                              + len(spec.rubble) + len(spec.doors))
     assert meta.traversable_cells == spec.grid.n_cells - len(spec.walls)
+
+
+def _oracle_nearest(goals, dist):
+    """Least (distance, cell index) over the reachable goal cells, or None."""
+    reachable = [c for c in np.flatnonzero(goals).tolist() if dist[c] >= 0]
+    return min(reachable, key=lambda c: (dist[c], c)) if reachable else None
+
+
+def _assert_reached_cells_match(field, dist, first):
+    for c, d in enumerate(field.dist):
+        if d >= 0:
+            assert (d, field.first[c]) == (dist[c], first[c])
+
+
+@pytest.mark.parametrize("mapname", ["small", "medium", "corridor"])
+def test_bfs_field_matches_full_fill_oracle(mapname):
+    # random blocked masks on each built-in grid; several nearest/reach
+    # queries in mixed order share one field, as they do within a decision
+    spec = builtin_map(mapname)
+    n = spec.grid.n_cells
+    rng = np.random.default_rng(31)
+    for case in range(60):
+        blocked = rng.random(n) < (0.1, 0.3, 0.45)[case % 3]
+        start = int(rng.integers(n))
+        blocked[start] = False
+        blocked = blocked.tolist()
+        dist, first = bfs_field(spec.neighbor_lists, blocked, start)
+        field = BfsField(spec.neighbor_lists, blocked, start)
+        for _ in range(6):
+            if rng.random() < 0.5:
+                goals = rng.random(n) < rng.choice([0.003, 0.03, 0.3])
+                assert field.nearest(goals) == _oracle_nearest(goals, dist)
+            else:
+                c = int(rng.integers(n))
+                assert field.reach(c) == dist[c]
+                assert field.first[c] == first[c]
+        _assert_reached_cells_match(field, dist, first)
+
+
+def test_bfs_field_edge_cases():
+    spec = builtin_map("small")
+    n = spec.grid.n_cells
+    start = spec.grid.cell_index(spec.start.x, spec.start.y)
+    blocked = spec.wall_mask.tolist()
+    for cell in spec.doors | spec.rubble:  # closed doors seal the rooms
+        blocked[spec.grid.cell_index(cell.x, cell.y)] = True
+    dist, first = bfs_field(spec.neighbor_lists, blocked, start)
+    sealed = np.array([dist[c] < 0 and not blocked[c] for c in range(n)])
+    assert sealed.any()
+
+    field = BfsField(spec.neighbor_lists, blocked, start)
+    assert field.nearest(np.zeros(n, dtype=bool)) is None
+    on_start = np.zeros(n, dtype=bool)
+    on_start[[start, n - 2]] = True
+    assert field.nearest(on_start) == start
+    assert field.reach(start) == 0 and field.first[start] == -1
+    assert field.nearest(sealed) is None  # only unreachable goals: searched to exhaustion
+    assert field.levels[-1] == []
+    assert field.nearest(np.array(blocked)) is None  # blocked cells are never reached
+    assert field.reach(int(np.flatnonzero(sealed)[0])) == -1
+    assert field.dist == dist and field.first == first
+
+    ctrl = build_controllers(policy_team(PolicyKind.GREEDY), spec, seed=0)[0]
+    assert ctrl._move_toward(on_start, ctrl._field(spec.start)) is None  # already there
+
+
+def test_bfs_field_expands_only_the_levels_a_query_needs():
+    # len(levels) - 1 is the number of BFS levels a decision expanded
+    spec = builtin_map("medium")
+    n = spec.grid.n_cells
+    ctrl = build_controllers(policy_team(PolicyKind.COORDINATED), spec, seed=0)[0]
+    field = ctrl._field(spec.start)
+    assert isinstance(field, BfsField)
+    assert field.nearest(np.zeros(n, dtype=bool)) is None
+    assert len(field.levels) - 1 == 0
+
+    start = spec.grid.cell_index(spec.start.x, spec.start.y)
+    nb = next(c for c in spec.neighbor_lists[start] if not spec.wall_mask[c])
+    goals = np.zeros(n, dtype=bool)
+    goals[[nb, n - 1]] = True
+    assert field.nearest(goals) == nb
+    assert len(field.levels) - 1 <= 1
+    assert field.reach(nb) == 1 and len(field.levels) - 1 <= 1
