@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -38,6 +39,7 @@ from .session_io import (
     write_session,
 )
 from .sim import AgentPolicy, PolicyKind, builtin_map, map_meta, run_mission
+from .sim.policies import POLICY_PARAMS
 from .stats import (
     DegenerateDataError,
     bootstrap_mediation,
@@ -120,11 +122,16 @@ def _parse_params(pairs) -> dict:
     for pair in pairs or ():
         if "=" not in pair:
             raise UsageError(f"policy parameter {pair!r} is not key=value")
-        key, value = pair.split("=", 1)
+        key, value = (part.strip() for part in pair.split("=", 1))
+        if key not in POLICY_PARAMS:
+            known = ", ".join(POLICY_PARAMS)
+            raise UsageError(f"unknown policy parameter {key!r} (known: {known})")
         try:
-            params[key.strip()] = float(value)
+            params[key] = float(value)
         except ValueError:
             raise UsageError(f"policy parameter {pair!r} is not numeric") from None
+        if not math.isfinite(params[key]):
+            raise UsageError(f"policy parameter {pair!r} is not finite")
     return params
 
 
@@ -136,6 +143,8 @@ def _policy_slug(policies) -> str:
 def cmd_simulate(args) -> int:
     if args.runs < 1:
         raise UsageError("--runs must be at least 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be non-negative")
     spec = _load_map(args.map)
     policies = _parse_policies(args.policies, _parse_params(args.policy_param))
     out_dir = _out_dir(args)
@@ -263,7 +272,7 @@ def _analysis_quadratic(rows, args):
             "constant_p": fit.p_values[0], "linear_p": fit.p_values[1],
             "quadratic_p": fit.p_values[2], "r_squared": fit.r_squared,
             "f_stat": fit.f_stat, "f_p_value": fit.f_p_value,
-            "optimal_value": "" if fit.flat else fit.vertex_x,
+            "optimal_value": "" if math.isnan(fit.vertex_x) else fit.vertex_x,
             "pattern": "flat" if fit.flat else "inverted-u" if fit.inverted_u else "u-or-flat",
         })
     return out, ("metric", "constant", "linear", "quadratic", "constant_p", "linear_p",

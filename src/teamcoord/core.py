@@ -104,14 +104,6 @@ class Position:
     def chebyshev(self, other: "Position") -> int:
         return max(abs(self.x - other.x), abs(self.y - other.y))
 
-    def is_adjacent4(self, other: "Position") -> bool:
-        """Strict 4-neighborhood: the cell itself does not count."""
-        return self.manhattan(other) == 1
-
-    def neighbors4(self) -> tuple["Position", ...]:
-        x, y = self.x, self.y
-        return (Position(x, y - 1), Position(x + 1, y), Position(x, y + 1), Position(x - 1, y))
-
 
 ACTIONS = tuple(ActionTag)
 
@@ -279,7 +271,7 @@ def validate_session(session: TeamSession) -> list[Violation]:
             for a in actors:
                 if tick >= a.n_ticks:
                     break
-                if Position(*a.xy[tick].tolist()).is_adjacent4(e.victim_cell):
+                if Position(*a.xy[tick].tolist()).manhattan(e.victim_cell) == 1:
                     adjacent.append(a)
             roles = {a.role for a in adjacent}
             if roles != {Role.MEDIC, Role.ENGINEER}:

@@ -14,8 +14,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..core import ActionTag, Position, Role, VictimType
-from .world import VICTIM_CODES, AgentAction, MapSpec, WAIT_ACTION, WorldState
+from ..core import ActionTag, Position, Role
+from .world import _GREEN, _RED, _YELLOW, AgentAction, MapSpec, WAIT_ACTION, WorldState
 
 
 class PolicyKind(Enum):
@@ -38,9 +38,11 @@ class AgentPolicy:
     seed: int | None = None
 
 
+# the numeric knobs the controllers read, with their defaults
+POLICY_PARAMS = {"dither": 0.05, "p_wait": 0.4, "patience": 8, "park_signal_ticks": 3}
+
+
 _DIRS = ((0, -1), (1, 0), (0, 1), (-1, 0))
-_GREEN, _YELLOW, _RED = (VICTIM_CODES[k] for k in
-                         (VictimType.GREEN, VictimType.YELLOW, VictimType.RED))
 
 
 class BfsField:
@@ -117,7 +119,7 @@ class Controller:
         self.role = role
         self.index = index
         self.rng = rng
-        self.params = dict(params)
+        self.params = {**POLICY_PARAMS, **params}
         self.unseen = ~spec.wall_mask
         self.known_rubble = np.zeros(spec.grid.n_cells, dtype=bool)
         self.known_doors = np.zeros(spec.grid.n_cells, dtype=bool)
@@ -228,7 +230,7 @@ class Controller:
         """Planned decision plus a small seeded dither on plain moves, so
         different seeds produce genuinely different trajectories."""
         act = self._decide(state)
-        dither = self.params.get("dither", 0.05)
+        dither = self.params["dither"]
         if act.kind is ActionTag.MOVE and dither > 0 and self.rng.random() < dither:
             return self._random_move(state.agents[self.index].pos)
         return act
@@ -244,7 +246,7 @@ class RandomWalkController(Controller):
         pass  # a random walker ignores the world
 
     def act(self, state) -> AgentAction:
-        if self.rng.random() < self.params.get("p_wait", 0.4):
+        if self.rng.random() < self.params["p_wait"]:
             return WAIT_ACTION
         return self._random_move(state.agents[self.index].pos)
 
@@ -273,7 +275,7 @@ class GreedyRescuerController(Controller):
             for nb in self.spec.neighbor_lists[self._cell(me)]:
                 if state.victim_codes[nb] == _RED and self.red_shelved[nb] < state.tick:
                     self.red_wait[nb] += 1
-                    if self.red_wait[nb] <= self.params.get("patience", 8):
+                    if self.red_wait[nb] <= self.params["patience"]:
                         return WAIT_ACTION
                     self.red_shelved[nb] = state.tick + 25
                     self.red_wait[nb] = 0
@@ -323,7 +325,7 @@ class CoordinatedSpecialistController(Controller):
     def _parked_teammates(self, state: WorldState, role: Role, me: Position) -> np.ndarray:
         """Cells of cross-role teammates standing still away from the start:
         someone is parked beside a victim and asking for help."""
-        hold = int(self.params.get("park_signal_ticks", 3))
+        hold = int(self.params["park_signal_ticks"])
         parked = np.zeros(self.grid.n_cells, dtype=bool)
         for j, a in enumerate(state.agents):
             if (a.role is role and self.still_for.get(j, 0) >= hold

@@ -5,10 +5,14 @@ state: a rubble cell cleared this tick only unblocks its victim next tick,
 and movement cannot pass a door opened this tick. Conflicting rescues of the
 same victim resolve by agent index. Agents may share cells; they all start
 on the common start cell.
+
+The map arrives as cell sets (`MapSpec`). What a mission changes, the
+victims, rubble and closed doors, is held in `WorldState` as per-cell
+row-major arrays, which the step rules and the policies index directly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -40,6 +44,9 @@ class MalformedActionError(TeamCoordError):
 
 # per-cell victim codes in `WorldState.victim_codes`; 0 means no victim
 VICTIM_CODES = {VictimType.GREEN: 1, VictimType.YELLOW: 2, VictimType.RED: 3}
+_VICTIM_KINDS = {code: kind for kind, code in VICTIM_CODES.items()}
+_GREEN, _YELLOW, _RED = (VICTIM_CODES[k] for k in
+                         (VictimType.GREEN, VictimType.YELLOW, VictimType.RED))
 
 
 def _cell_array(grid: GridSpec, cells, values=True, dtype=bool) -> np.ndarray:
@@ -159,14 +166,22 @@ class AgentState:
     pos: Position
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WorldState:
+    """The world at one tick.
+
+    What changes during a mission is held per cell, in read-only row-major
+    arrays indexed like `GridSpec.cell_index`: `victim_codes` holds
+    `VICTIM_CODES` (0 = no victim), and `rubble_mask` and `door_mask` mark
+    the uncleared rubble and the closed doors.
+    """
+
     spec: MapSpec
     tick: int
     agents: tuple[AgentState, ...]
-    victims: tuple[Victim, ...]
-    rubble: frozenset[Position]
-    closed_doors: frozenset[Position]
+    victim_codes: np.ndarray
+    rubble_mask: np.ndarray
+    door_mask: np.ndarray
     events: tuple[RescueEvent, ...] = ()
     sample_interval_s: float = 3.0
 
@@ -174,32 +189,14 @@ class WorldState:
     def time_s(self) -> float:
         return self.tick * self.sample_interval_s
 
-    # row-major per-cell views of the fields above, built on first use
-
-    @cached_property
-    def victim_codes(self) -> np.ndarray:
-        return _cell_array(self.spec.grid, [v.cell for v in self.victims],
-                           [VICTIM_CODES[v.kind] for v in self.victims], np.int8)
-
-    @cached_property
-    def rubble_mask(self) -> np.ndarray:
-        return _cell_array(self.spec.grid, self.rubble)
-
-    @cached_property
-    def door_mask(self) -> np.ndarray:
-        return _cell_array(self.spec.grid, self.closed_doors)
-
-    def traversable(self, pos: Position) -> bool:
-        return (self.spec.grid.contains(pos.x, pos.y)
-                and pos not in self.spec.walls
-                and pos not in self.closed_doors
-                and pos not in self.rubble)
-
 
 def initial_state(spec: MapSpec, agents: tuple[AgentState, ...],
                   sample_interval_s: float = 3.0) -> WorldState:
-    return WorldState(spec=spec, tick=0, agents=agents, victims=spec.victims,
-                      rubble=spec.rubble, closed_doors=spec.doors,
+    victim_codes = _cell_array(spec.grid, [v.cell for v in spec.victims],
+                               [VICTIM_CODES[v.kind] for v in spec.victims], np.int8)
+    return WorldState(spec=spec, tick=0, agents=agents, victim_codes=victim_codes,
+                      rubble_mask=_cell_array(spec.grid, spec.rubble),
+                      door_mask=_cell_array(spec.grid, spec.doors),
                       sample_interval_s=sample_interval_s)
 
 
@@ -214,27 +211,29 @@ def step_resolved(state: WorldState, actions) -> tuple[WorldState, tuple[AgentAc
         if not isinstance(act, AgentAction) or not isinstance(act.kind, ActionTag):
             raise MalformedActionError(f"not an agent action: {act!r}")
 
-    victims = {v.cell: v.kind for v in state.victims}
-    rubble = set(state.rubble)
-    doors = set(state.closed_doors)
+    g = state.spec.grid
+    victims, rubble, doors = (a.copy() for a in (
+        state.victim_codes, state.rubble_mask, state.door_mask))
     events = list(state.events)
     resolved: list[AgentAction] = [WAIT_ACTION] * len(actions)
     t = state.time_s
+    # cell index of each adjacent in-grid target; an action without one degrades to a wait
+    cells = [None if tgt is None or agent.pos.manhattan(tgt) != 1 or not g.contains(tgt.x, tgt.y)
+             else g.cell_index(tgt.x, tgt.y)
+             for agent, tgt in zip(state.agents, [act.target for act in actions])]
 
     # Act phase, in agent-index order. Victim removal is visible within the
     # tick (conflict resolution); terrain checks use the start-of-tick state.
-    for i, (agent, act) in enumerate(zip(state.agents, actions)):
-        if act.kind in (ActionTag.MOVE, ActionTag.WAIT):
+    for i, (agent, act, c) in enumerate(zip(state.agents, actions, cells)):
+        if act.kind in (ActionTag.MOVE, ActionTag.WAIT) or c is None:
             continue
         tgt = act.target
-        if tgt is None or agent.pos.manhattan(tgt) != 1:
-            continue
         if act.kind is ActionTag.RESCUE:
-            kind = victims.get(tgt)
-            if (kind is None or agent.role is Role.ENGINEER and kind is not VictimType.GREEN
-                    or kind is VictimType.YELLOW and tgt in state.rubble):
+            code = victims[c]
+            if (not code or agent.role is Role.ENGINEER and code != _GREEN
+                    or code == _YELLOW and state.rubble_mask[c]):
                 continue
-            if kind is VictimType.RED:
+            if code == _RED:
                 if t >= state.spec.red_cutoff_s:
                     continue
                 helper = next((a for a in state.agents
@@ -244,30 +243,28 @@ def step_resolved(state: WorldState, actions) -> tuple[WorldState, tuple[AgentAc
                 actors = (agent.player_id, helper.player_id)
             else:
                 actors = (agent.player_id,)
-            del victims[tgt]
-            events.append(RescueEvent(time_s=t, victim_type=kind, victim_cell=tgt,
-                                      actor_ids=actors))
+            victims[c] = 0
+            events.append(RescueEvent(time_s=t, victim_type=_VICTIM_KINDS[code],
+                                      victim_cell=tgt, actor_ids=actors))
             resolved[i] = act
         else:  # clear rubble or open a door
             terrain = rubble if act.kind is ActionTag.CLEAR else doors
-            if agent.role is Role.ENGINEER and tgt in terrain:
-                terrain.discard(tgt)
+            if agent.role is Role.ENGINEER and terrain[c]:
+                terrain[c] = False
                 resolved[i] = act
 
     # Move phase against start-of-tick terrain; agents may share cells.
-    new_agents = []
-    for i, (agent, act) in enumerate(zip(state.agents, actions)):
-        pos = agent.pos
-        tgt = act.target
-        if (act.kind is ActionTag.MOVE and tgt is not None and pos.manhattan(tgt) == 1
-                and state.traversable(tgt)):
-            pos = tgt
+    blocked = state.spec.wall_mask | state.rubble_mask | state.door_mask
+    agents = list(state.agents)
+    for i, (agent, act, c) in enumerate(zip(state.agents, actions, cells)):
+        if act.kind is ActionTag.MOVE and c is not None and not blocked[c]:
+            agents[i] = AgentState(agent.player_id, agent.role, act.target)
             resolved[i] = act
-        new_agents.append(replace(agent, pos=pos))
 
-    new_state = WorldState(spec=state.spec, tick=state.tick + 1, agents=tuple(new_agents),
-                           victims=tuple(v for v in state.victims if v.cell in victims),
-                           rubble=frozenset(rubble), closed_doors=frozenset(doors),
+    for a in (victims, rubble, doors):
+        a.flags.writeable = False
+    new_state = WorldState(spec=state.spec, tick=state.tick + 1, agents=tuple(agents),
+                           victim_codes=victims, rubble_mask=rubble, door_mask=doors,
                            events=tuple(events), sample_interval_s=state.sample_interval_s)
     return new_state, tuple(resolved)
 

@@ -207,7 +207,12 @@ def vertex_of(c1: float, c2: float) -> float:
 
 
 def quadratic_fit(x, y) -> QuadraticFit:
-    """OLS of y on (1, x, x^2); the vertex is the fitted optimum."""
+    """OLS of y on (1, x, x^2); the vertex is the fitted optimum.
+
+    A curvature whose effect over the range of x is at rounding level
+    relative to the largest |y| is reported as 0, so a straight line has no
+    vertex rather than one placed by noise.
+    """
     xv, yv = _paired(x, y)
     if xv.size < 4:
         raise ValueError(f"need at least 4 observations, got {xv.size}")
@@ -223,6 +228,8 @@ def quadratic_fit(x, y) -> QuadraticFit:
                             p_values=np.array([0.0 if c0 else 1.0, 1.0, 1.0]))
     res = ols(yv, design_matrix(xv, xv * xv))
     c0, c1, c2 = (float(b) for b in res.coefficients)
+    if abs(c2) * float(np.ptp(xv)) ** 2 <= 1e-9 * float(np.max(np.abs(yv))):
+        c2 = 0.0
     return QuadraticFit(c0=c0, c1=c1, c2=c2, vertex_x=vertex_of(c1, c2),
                         r_squared=res.r_squared, f_stat=res.f_stat,
                         f_p_value=res.f_p_value, p_values=res.coef_p_values)

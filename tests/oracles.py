@@ -8,19 +8,21 @@ public occupancy kernels (themselves checked against `jsd_base2` and
 `entropy_bits`), which the array kernel must match bit for bit, and
 `mission_rule_audit` reads the event rules off a session's sample columns.
 `bfs_field` is the plain FIFO flood fill the simulator's lazy field must
-agree with.
+agree with, and `step_reference` is the simulator's step rules on cell sets,
+which the array step must agree with.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from collections import deque
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 
 import numpy as np
 from scipy import integrate
 
-from teamcoord.core import ACTIONS, ActionTag, GridSpec, Role, VictimType
+from teamcoord.core import ACTIONS, ActionTag, GridSpec, Position, RescueEvent, Role, VictimType
 from teamcoord.occupancy import (
     OccupancyDistribution,
     entropy_similarity,
@@ -28,6 +30,7 @@ from teamcoord.occupancy import (
     jensen_shannon_divergence,
     shannon_entropy,
 )
+from teamcoord.sim import AgentAction, AgentState, MapSpec, Victim
 
 
 def jsd_base2(p, q) -> float:
@@ -308,3 +311,89 @@ def bfs_field(neighbors, blocked, start: int):
             first[nb] = nb if first[c] < 0 else first[c]
             queue.append(nb)
     return dist, first
+
+
+@dataclass(frozen=True)
+class ReferenceWorld:
+    """The world state in set form: victims as `Victim` records, rubble and
+    closed doors as sets of cells."""
+
+    spec: MapSpec
+    tick: int
+    agents: tuple[AgentState, ...]
+    victims: tuple[Victim, ...]
+    rubble: frozenset[Position]
+    closed_doors: frozenset[Position]
+    events: tuple[RescueEvent, ...] = ()
+    sample_interval_s: float = 3.0
+
+    @property
+    def time_s(self) -> float:
+        return self.tick * self.sample_interval_s
+
+    def traversable(self, pos: Position) -> bool:
+        return (self.spec.grid.contains(pos.x, pos.y)
+                and pos not in self.spec.walls
+                and pos not in self.closed_doors
+                and pos not in self.rubble)
+
+
+def step_reference(state: ReferenceWorld, actions):
+    """One tick of the simulator's rules on sets and dicts of cells: acts in
+    agent order against start-of-tick terrain, then moves against
+    start-of-tick terrain. Returns the new state and the resolved actions."""
+    wait = AgentAction(ActionTag.WAIT)
+    victims = {v.cell: v.kind for v in state.victims}
+    rubble = set(state.rubble)
+    doors = set(state.closed_doors)
+    events = list(state.events)
+    resolved = [wait] * len(actions)
+    t = state.time_s
+
+    for i, (agent, act) in enumerate(zip(state.agents, actions)):
+        if act.kind in (ActionTag.MOVE, ActionTag.WAIT):
+            continue
+        tgt = act.target
+        if tgt is None or agent.pos.manhattan(tgt) != 1:
+            continue
+        if act.kind is ActionTag.RESCUE:
+            kind = victims.get(tgt)
+            if (kind is None or agent.role is Role.ENGINEER and kind is not VictimType.GREEN
+                    or kind is VictimType.YELLOW and tgt in state.rubble):
+                continue
+            if kind is VictimType.RED:
+                if t >= state.spec.red_cutoff_s:
+                    continue
+                helper = next((a for a in state.agents
+                               if a.role is Role.ENGINEER and a.pos.manhattan(tgt) == 1), None)
+                if helper is None:
+                    continue
+                actors = (agent.player_id, helper.player_id)
+            else:
+                actors = (agent.player_id,)
+            del victims[tgt]
+            events.append(RescueEvent(time_s=t, victim_type=kind, victim_cell=tgt,
+                                      actor_ids=actors))
+            resolved[i] = act
+        else:  # clear rubble or open a door
+            terrain = rubble if act.kind is ActionTag.CLEAR else doors
+            if agent.role is Role.ENGINEER and tgt in terrain:
+                terrain.discard(tgt)
+                resolved[i] = act
+
+    new_agents = []
+    for i, (agent, act) in enumerate(zip(state.agents, actions)):
+        pos = agent.pos
+        tgt = act.target
+        if (act.kind is ActionTag.MOVE and tgt is not None and pos.manhattan(tgt) == 1
+                and state.traversable(tgt)):
+            pos = tgt
+            resolved[i] = act
+        new_agents.append(replace(agent, pos=pos))
+
+    new_state = ReferenceWorld(
+        spec=state.spec, tick=state.tick + 1, agents=tuple(new_agents),
+        victims=tuple(v for v in state.victims if v.cell in victims),
+        rubble=frozenset(rubble), closed_doors=frozenset(doors),
+        events=tuple(events), sample_interval_s=state.sample_interval_s)
+    return new_state, tuple(resolved)

@@ -41,6 +41,7 @@ from teamcoord.sim import (
     run_mission,
     step_resolved,
 )
+from teamcoord.sim.world import VICTIM_CODES
 from teamcoord.stats import (
     bootstrap_mediation,
     mann_whitney_u,
@@ -329,8 +330,8 @@ def test_c8_simulator_rules(tmp_path, medium_corpus):
               AgentState("engineer1", Role.ENGINEER, Position(5, 4)),
               AgentState("engineer2", Role.ENGINEER, Position(0, 4)))
     w = initial_state(spec, agents)
-    w = WorldState(spec=w.spec, tick=0, agents=w.agents, victims=w.victims,
-                   rubble=w.rubble, closed_doors=w.closed_doors)
+    w = WorldState(spec=w.spec, tick=0, agents=w.agents, victim_codes=w.victim_codes,
+                   rubble_mask=w.rubble_mask, door_mask=w.door_mask)
     initial = {k: sum(1 for v in victims if v.kind is k) for k in VictimType}
     kinds = list(ActionTag)
     for _ in range(150):
@@ -342,7 +343,7 @@ def test_c8_simulator_rules(tmp_path, medium_corpus):
                                     else Position(a.pos.x + dx, a.pos.y + dy)))
         w = step_resolved(w, acts)[0]
         for k in VictimType:
-            remaining = sum(1 for v in w.victims if v.kind is k)
+            remaining = int(np.count_nonzero(w.victim_codes == VICTIM_CODES[k]))
             rescued = sum(1 for e in w.events if e.victim_type is k)
             assert remaining + rescued == initial[k]
 

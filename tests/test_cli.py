@@ -54,6 +54,28 @@ def test_simulate_zero_runs_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "--seed must be non-negative"),
+    (["--policy-param", "park_signal_ticks=inf"],
+     "policy parameter 'park_signal_ticks=inf' is not finite"),
+    (["--policy-param", "park_signal_ticks=nan"],
+     "policy parameter 'park_signal_ticks=nan' is not finite"),
+    (["--policy-param", "bogus=1"],
+     "unknown policy parameter 'bogus' (known: dither, p_wait, patience, park_signal_ticks)"),
+])
+def test_simulate_bad_flags_exit_2(tmp_path, capsys, flags, message):
+    assert run(["simulate", "--map", "small", "--out", str(tmp_path), *flags]) == EXIT_USAGE
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_simulate_accepts_every_known_policy_param(tmp_path, capsys):
+    params = ["dither=0", "p_wait=0.5", "patience=4", "park_signal_ticks=2"]
+    argv = ["simulate", "--map", "small", "--out", str(tmp_path)]
+    assert run(argv + [a for p in params for a in ("--policy-param", p)]) == EXIT_OK
+    assert "points=" in capsys.readouterr().out
+
+
 def test_simulate_bad_policy_exits_3(tmp_path, capsys):
     assert run(["simulate", "--map", "small", "--policies", "quantum",
                 "--out", str(tmp_path)]) == EXIT_DOMAIN
@@ -179,6 +201,19 @@ def test_stats_quadratic_recovers_known_optimum(tmp_path, capsys):
     optimum = float(spa_row[header.index("optimal_value")])
     assert optimum == pytest.approx(0.348, abs=0.01)
     assert spa_row[header.index("pattern")] == "inverted-u"
+
+
+def test_stats_quadratic_straight_line_has_no_optimum(tmp_path, capsys):
+    # performance linear in each metric: least squares leaves rounding-level curvature
+    rows = [MetricsTableRow(f"s{i:02d}", 0.1 * i, 0.05 * i, 0.1 * i, 0.5, performance=30 * i + 100)
+            for i in range(1, 13)]
+    table = write_metrics_table(rows, tmp_path / "m.csv")
+    assert run(["stats", "--table", str(table), "--analysis", "quadratic"]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    header = out[0].split(",")
+    for line in out[1:]:
+        row = dict(zip(header, line.split(",")))
+        assert (row["quadratic"], row["optimal_value"], row["pattern"]) == ("0", "", "u-or-flat")
 
 
 def test_stats_groups_and_anova(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import heapq
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from teamcoord.sim import (
     step_resolved,
 )
 from teamcoord.sim.policies import BfsField, build_controllers
+from teamcoord.sim.world import VICTIM_CODES
 
-from oracles import bfs_field, mission_rule_audit
+from oracles import ReferenceWorld, bfs_field, mission_rule_audit, step_reference
 
 WAIT = AgentAction(ActionTag.WAIT)
 
@@ -42,8 +44,19 @@ def mini_world(tick=0, victims=(), rubble=(), doors=(), agents=None):
             AgentState("engineer2", Role.ENGINEER, Position(0, 1)),
         )
     state = initial_state(spec, agents)
-    return WorldState(spec=spec, tick=tick, agents=state.agents, victims=state.victims,
-                      rubble=state.rubble, closed_doors=state.closed_doors)
+    return WorldState(spec=spec, tick=tick, agents=state.agents, victim_codes=state.victim_codes,
+                      rubble_mask=state.rubble_mask, door_mask=state.door_mask)
+
+
+def cells_of(state, mask):
+    return {Position(*state.spec.grid.cell_xy(c)) for c in np.flatnonzero(mask).tolist()}
+
+
+def victims_of(state):
+    """The victims left in an array state, as {cell: kind}."""
+    kinds = {code: kind for kind, code in VICTIM_CODES.items()}
+    return {Position(*state.spec.grid.cell_xy(c)): kinds[int(state.victim_codes[c])]
+            for c in np.flatnonzero(state.victim_codes).tolist()}
 
 
 RED_CELL = Position(2, 2)
@@ -57,7 +70,7 @@ def test_red_rescue_succeeds_inside_cutoff():
     # tick 59 = 177 s, engineer adjacent: the joint rescue lands
     w = mini_world(tick=59, victims=[Victim(RED_CELL, VictimType.RED)])
     out = step_resolved(w, [rescue(RED_CELL), WAIT, WAIT, WAIT])[0]
-    assert not out.victims
+    assert victims_of(out) == {}
     assert out.events[0].victim_type is VictimType.RED
     assert out.events[0].time_s == 177.0
     assert set(out.events[0].actor_ids) == {"medic1", "engineer1"}
@@ -66,7 +79,7 @@ def test_red_rescue_succeeds_inside_cutoff():
 def test_red_rescue_blocked_at_cutoff():
     w = mini_world(tick=60, victims=[Victim(RED_CELL, VictimType.RED)])
     out, resolved = step_resolved(w, [rescue(RED_CELL), WAIT, WAIT, WAIT])
-    assert len(out.victims) == 1
+    assert victims_of(out) == {RED_CELL: VictimType.RED}
     assert resolved[0].kind is ActionTag.WAIT
 
 
@@ -79,7 +92,7 @@ def test_red_rescue_needs_engineer_adjacent():
     )
     w = mini_world(tick=10, victims=[Victim(RED_CELL, VictimType.RED)], agents=agents)
     out, resolved = step_resolved(w, [rescue(RED_CELL), WAIT, WAIT, WAIT])
-    assert len(out.victims) == 1
+    assert victims_of(out) == {RED_CELL: VictimType.RED}
     assert resolved[0].kind is ActionTag.WAIT
 
 
@@ -89,17 +102,17 @@ def test_yellow_requires_clear_first_and_not_same_tick():
     # medic tries while rubble present: degrades to wait
     out, resolved = step_resolved(w, [rescue(yellow), WAIT, WAIT, WAIT])
     assert resolved[0].kind is ActionTag.WAIT
-    assert len(out.victims) == 1
+    assert victims_of(out) == {yellow: VictimType.YELLOW}
     # clear and rescue on the same tick: the clear lands, the rescue does not
     clear = AgentAction(ActionTag.CLEAR, yellow)
     out, resolved = step_resolved(w, [rescue(yellow), WAIT, clear, WAIT])
     assert resolved[2].kind is ActionTag.CLEAR
     assert resolved[0].kind is ActionTag.WAIT
-    assert len(out.victims) == 1
-    assert yellow not in out.rubble
+    assert victims_of(out) == {yellow: VictimType.YELLOW}
+    assert yellow not in cells_of(out, out.rubble_mask)
     # next tick the same rescue succeeds
     out2 = step_resolved(out, [rescue(yellow), WAIT, WAIT, WAIT])[0]
-    assert not out2.victims
+    assert victims_of(out2) == {}
     assert out2.events[0].victim_type is VictimType.YELLOW
 
 
@@ -116,7 +129,7 @@ def test_engineer_rescues_green_only():
                             AgentState("engineer2", Role.ENGINEER, Position(1, 0))))
     out2, resolved2 = step_resolved(w2, [WAIT, WAIT, rescue(red), WAIT])
     assert resolved2[2].kind is ActionTag.WAIT
-    assert len(out2.victims) == 1
+    assert victims_of(out2) == {red: VictimType.RED}
 
 
 def test_conflicting_rescues_resolve_by_agent_index():
@@ -149,7 +162,7 @@ def test_moves_blocked_by_terrain_and_opened_doors_usable_next_tick():
     out, resolved = step_resolved(w, [move_onto_door, WAIT, open_door, WAIT])
     assert resolved[0].kind is ActionTag.WAIT  # same-tick open does not help the mover
     assert out.agents[0].pos == Position(1, 0)
-    assert door not in out.closed_doors
+    assert door not in cells_of(out, out.door_mask)
     out2, resolved2 = step_resolved(out, [move_onto_door, WAIT, WAIT, WAIT])
     assert resolved2[0].kind is ActionTag.MOVE
     assert out2.agents[0].pos == door
@@ -187,10 +200,121 @@ def test_conservation_under_random_stepping():
             target = None if kind is ActionTag.WAIT else Position(a.pos.x + dx, a.pos.y + dy)
             actions.append(AgentAction(kind, target))
         w = step_resolved(w, actions)[0]
-        remaining = {k: sum(1 for v in w.victims if v.kind is k) for k in VictimType}
+        remaining = {k: int(np.count_nonzero(w.victim_codes == VICTIM_CODES[k]))
+                     for k in VictimType}
         rescued = {k: sum(1 for e in w.events if e.victim_type is k) for k in VictimType}
         for k in VictimType:
             assert remaining[k] + rescued[k] == initial[k]
+
+
+# every victim kind, rubble and doors, no border walls: border agents aim off the grid
+_STEP_MAP = """\
+y.r*g.
+.D#.r.
+gy.y.D
+r.S.*g
+.#r.y.
+g*.D.r
+"""
+
+
+def _random_action(rng, agent, ref):
+    """A random action at an adjacent (possibly off-grid), self, diagonal,
+    far off-grid or missing target. Most picks aim at an adjacent victim,
+    rubble or door cell, mostly with the action that cell invites."""
+    kind = list(ActionTag)[rng.integers(len(ActionTag))]
+    x, y = agent.pos.x, agent.pos.y
+    r = rng.random()
+    if r < 0.05:
+        return AgentAction(kind)
+    if r < 0.1:
+        return AgentAction(kind, agent.pos)
+    if r < 0.15:
+        dx, dy = ((-1, -1), (-1, 1), (1, -1), (1, 1))[rng.integers(4)]
+        return AgentAction(kind, Position(x + dx, y + dy))
+    if r < 0.2:
+        return AgentAction(kind, Position(-1, y) if rng.random() < 0.5
+                           else Position(x, ref.spec.grid.height))
+    victims = {v.cell for v in ref.victims}
+    adjacent = [Position(x + dx, y + dy) for dx, dy in ((0, -1), (1, 0), (0, 1), (-1, 0))]
+    near = [n for n in adjacent if n in victims | ref.rubble | ref.closed_doors]
+    if not near or rng.random() < 0.3:
+        return AgentAction(kind, adjacent[rng.integers(4)])
+    tgt = near[rng.integers(len(near))]
+    invited = ([ActionTag.RESCUE] * (tgt in victims) + [ActionTag.CLEAR] * (tgt in ref.rubble)
+               + [ActionTag.OPEN] * (tgt in ref.closed_doors))
+    if rng.random() < 0.8:
+        kind = invited[rng.integers(len(invited))]
+    return AgentAction(kind, tgt)
+
+
+def test_step_matches_set_reference_under_random_actions():
+    spec = map_from_ascii("step-oracle", _STEP_MAP)
+    g = spec.grid
+    cutoff_tick = int(spec.red_cutoff_s / 3.0)
+    blocked = spec.walls | spec.doors | spec.rubble
+    roles = [("medic1", Role.MEDIC), ("medic2", Role.MEDIC),
+             ("engineer1", Role.ENGINEER), ("engineer2", Role.ENGINEER)]
+    focus = {k: [v.cell for v in spec.victims if v.kind is k] for k in VictimType}
+    rng = np.random.default_rng(5)
+    seen = dict.fromkeys(("off_grid", "diagonal", "self", "conflict", "clear_then_rescue",
+                          "red_at_cutoff", "red_before_cutoff"), 0)
+    kinds_used = set()
+    for episode in range(36):
+        # agents start around one victim, in shuffled order so that engineers
+        # act before medics in some episodes; episodes around a red start just
+        # before the red cutoff and run across it
+        kind = (VictimType.YELLOW, VictimType.RED, VictimType.GREEN, VictimType.RED,
+                VictimType.YELLOW, VictimType.RED)[episode % 6]
+        centre = focus[kind][rng.integers(len(focus[kind]))]
+        around = [n for n in (Position(centre.x + dx, centre.y + dy)
+                              for dx, dy in ((0, -1), (1, 0), (0, 1), (-1, 0)))
+                  if g.contains(n.x, n.y) and n not in blocked]
+        agents = tuple(AgentState(pid, role, around[rng.integers(len(around))])
+                       for pid, role in (roles[k] for k in rng.permutation(4)))
+        start_tick = cutoff_tick - 1 if kind is VictimType.RED else 0
+        state = replace(initial_state(spec, agents), tick=start_tick)
+        ref = ReferenceWorld(spec=spec, tick=start_tick, agents=agents, victims=spec.victims,
+                             rubble=spec.rubble, closed_doors=spec.doors)
+        for _ in range(10):
+            actions = [_random_action(rng, a, ref) for a in ref.agents]
+            victims = {v.cell: v.kind for v in ref.victims}
+            state, resolved = step_resolved(state, actions)
+            ref_next, ref_resolved = step_reference(ref, actions)
+            assert resolved == ref_resolved
+            assert state.tick == ref_next.tick
+            assert state.agents == ref_next.agents
+            assert state.events == ref_next.events
+            assert victims_of(state) == {v.cell: v.kind for v in ref_next.victims}
+            assert cells_of(state, state.rubble_mask) == ref_next.rubble
+            assert cells_of(state, state.door_mask) == ref_next.closed_doors
+
+            # what the tick exercised; `rescues` are adjacent rescue attempts on victims
+            rescues = [(i, act.target) for i, (a, act) in enumerate(zip(ref.agents, actions))
+                       if act.kind is ActionTag.RESCUE and act.target in victims
+                       and a.pos.manhattan(act.target) == 1]
+            for i, (agent, act) in enumerate(zip(ref.agents, actions)):
+                kinds_used.add(act.kind)
+                tgt = act.target
+                if tgt is None:
+                    continue
+                seen["off_grid"] += not g.contains(tgt.x, tgt.y)
+                seen["diagonal"] += agent.pos.manhattan(tgt) == 2 and agent.pos.chebyshev(tgt) == 1
+                seen["self"] += tgt == agent.pos
+                if (ref_resolved[i].kind is ActionTag.CLEAR
+                        and victims.get(tgt) is VictimType.YELLOW):
+                    seen["clear_then_rescue"] += any(
+                        j > i and c == tgt and ref.agents[j].role is Role.MEDIC for j, c in rescues)
+            seen["conflict"] += len({c for _, c in rescues}) < len(rescues)
+            for i, c in rescues:
+                if (victims[c] is VictimType.RED and ref.agents[i].role is Role.MEDIC
+                        and any(a.role is Role.ENGINEER and a.pos.manhattan(c) == 1
+                                for a in ref.agents)):
+                    seen["red_at_cutoff"] += ref.tick == cutoff_tick
+                    seen["red_before_cutoff"] += ref.tick == cutoff_tick - 1
+            ref = ref_next
+    assert kinds_used == set(ActionTag)
+    assert all(seen.values()), str(seen)
 
 
 # --- maps ----------------------------------------------------------------------
@@ -239,8 +363,10 @@ def test_red_victims_reachable_before_cutoff():
         for v in m.victims:
             if v.kind is not VictimType.RED:
                 continue
-            goals = [n for n in v.cell.neighbors4() if m.grid.contains(n.x, n.y)
-                     and n not in m.walls]
+            x, y = v.cell.x, v.cell.y
+            goals = [n for n in (Position(x, y - 1), Position(x + 1, y), Position(x, y + 1),
+                                 Position(x - 1, y))
+                     if m.grid.contains(n.x, n.y) and n not in m.walls]
             ticks = shortest_path_ticks(m, goals)
             assert ticks <= budget, f"{m.name}: red at ({v.cell.x},{v.cell.y}) needs {ticks} ticks"
 

@@ -209,6 +209,17 @@ def test_quadratic_flat_outcome_has_no_vertex():
     assert (fit.r_squared, fit.f_stat, fit.f_p_value) == (0.0, 0.0, 1.0)
 
 
+def test_quadratic_straight_line_has_no_vertex():
+    # least squares fits c2 = -5.9e-16 to this line, which read as an inverted U
+    # with its optimum at x = 2.5e15
+    x = np.linspace(0.1, 0.9, 12)
+    fit = quadratic_fit(x, 3 * x + 1)
+    assert fit.c2 == 0.0
+    assert fit.c1 == pytest.approx(3.0, rel=1e-12)
+    assert math.isnan(fit.vertex_x)
+    assert not fit.inverted_u and not fit.flat
+
+
 def test_quadratic_requires_three_distinct_x():
     with pytest.raises(RankDeficiencyError):
         quadratic_fit([1.0, 1.0, 2.0, 2.0], [0.0, 1.0, 2.0, 3.0])
