@@ -35,15 +35,11 @@ from .metrics import (
     spatial_proximity_adaptation,
 )
 from .occupancy import (
-    CellSet,
-    OccupancyDistribution,
     coarsen_grid,
     entropy_similarity,
     jaccard_overlap,
     jensen_shannon_divergence,
-    occupancy_of,
     shannon_entropy,
-    visited_cells,
 )
 from .outcomes import CIScore, MapMeta, PerformanceScore, collective_intelligence, team_performance
 

@@ -11,7 +11,6 @@ Three whole-mission metrics, each in [0, 1]:
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -19,14 +18,19 @@ import numpy as np
 
 from .core import CompositionError, GridSpec, Role, TeamCoordError, TeamSession, team_roles_partition
 from .occupancy import (
+    EmptyInputError,
+    _segment_sums,
+    _window_counts,
     cell_indices,
     entropy_similarity,
     jaccard_overlap,
     jensen_shannon_divergence,
-    occupancy_of,
     shannon_entropy,
-    visited_cells,
 )
+
+
+class MisalignedSessionError(TeamCoordError):
+    """The players of a session disagree on their tick count."""
 
 
 class TooShortSessionError(TeamCoordError):
@@ -73,28 +77,49 @@ class MetricTimeSeries:
         return np.array([v for _, v in self.values])
 
 
+def _aligned_ticks(players) -> int:
+    """The players' common tick count; raises when they disagree."""
+    counts = [p.n_ticks for p in players]
+    if len(set(counts)) > 1:
+        named = ", ".join(f"{p.player_id} {n}" for p, n in zip(players, counts))
+        raise MisalignedSessionError(f"players disagree on tick count: {named}")
+    return counts[0] if counts else 0
+
+
+def _occupancy_units(session: TeamSession, metric: SeriesMetric, grid: GridSpec | None,
+                     coarsen: int) -> tuple[np.ndarray, np.ndarray]:
+    """(players, ticks) cell indices and the distribution each player's samples count toward.
+
+    SED keeps one distribution per player; SMS pools each role's two players
+    (medics 0, engineers 1).
+    """
+    if metric is SeriesMetric.SED:
+        players = session.players
+        if len(players) < 2:
+            raise CompositionError("exploration diversity needs at least two players")
+        unit = np.arange(len(players))
+    else:
+        part = team_roles_partition(session)
+        players = part[Role.MEDIC] + part[Role.ENGINEER]
+        unit = np.array([0, 0, 1, 1])
+    if _aligned_ticks(players) == 0:
+        raise EmptyInputError("no samples across input trajectories")
+    idx = np.stack([cell_indices(p, grid or session.grid, coarsen) for p in players])
+    return idx, unit
+
+
 def spatial_exploration_diversity(session: TeamSession, grid: GridSpec | None = None,
                                   coarsen: int = 1) -> float:
     """Mean JSD over all unordered player pairs; 0 when everyone moves alike."""
-    grid = grid or session.grid
-    if len(session.players) < 2:
-        raise CompositionError("exploration diversity needs at least two players")
-    dists = [occupancy_of(p, grid, coarsen) for p in session.players]
-    pairs = list(itertools.combinations(dists, 2))
-    return float(np.mean([jensen_shannon_divergence(a, b) for a, b in pairs]))
+    idx, unit = _occupancy_units(session, SeriesMetric.SED, grid, coarsen)
+    return float(_occupancy_window_series(SeriesMetric.SED, idx, unit, idx.shape[1])[0])
 
 
 def spatial_movement_specialization(session: TeamSession, grid: GridSpec | None = None,
                                     coarsen: int = 1) -> float:
     """Entropy similarity of role-pooled occupancy times (1 - cell overlap)."""
-    grid = grid or session.grid
-    part = team_roles_partition(session)
-    p_med = occupancy_of(part[Role.MEDIC], grid, coarsen)
-    p_eng = occupancy_of(part[Role.ENGINEER], grid, coarsen)
-    e_s = entropy_similarity(shannon_entropy(p_med), shannon_entropy(p_eng))
-    overlap = jaccard_overlap(visited_cells(part[Role.MEDIC], grid, coarsen),
-                              visited_cells(part[Role.ENGINEER], grid, coarsen))
-    return e_s * (1.0 - overlap)
+    idx, unit = _occupancy_units(session, SeriesMetric.SMS, grid, coarsen)
+    return float(_occupancy_window_series(SeriesMetric.SMS, idx, unit, idx.shape[1])[0])
 
 
 def cross_role_distances(session: TeamSession, distance: str = "euclidean") -> np.ndarray:
@@ -103,6 +128,7 @@ def cross_role_distances(session: TeamSession, distance: str = "euclidean") -> n
     Euclidean by default; pass distance="manhattan" for taxicab geometry.
     """
     part = team_roles_partition(session)
+    _aligned_ticks(part[Role.MEDIC] + part[Role.ENGINEER])
     med = np.stack([p.xy for p in part[Role.MEDIC]]).astype(float)  # (2, T, 2)
     eng = np.stack([p.xy for p in part[Role.ENGINEER]]).astype(float)
     diff = med[:, None, :, :] - eng[None, :, :, :]  # (2, 2, T, 2)
@@ -143,32 +169,6 @@ def coordination_metrics(session: TeamSession, grid: GridSpec | None = None, coa
 _SERIES_BLOCK_CELLS = 1 << 18
 
 
-def _segment_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """values[s:s + n].sum() for each (s, n), rounded exactly like that 1-D sum.
-
-    Segments of one length are gathered into the rows of a C-contiguous
-    matrix, and `.sum(axis=1)` reduces each row with the same pairwise
-    summation as the 1-D `.sum()` of that row (tests pin this numpy
-    property). `np.add.reduceat` would sum each segment sequentially instead.
-    """
-    out = np.empty(starts.size)
-    for n in np.unique(lengths):
-        rows = np.flatnonzero(lengths == n)
-        out[rows] = values[starts[rows, None] + np.arange(n)].sum(axis=1)
-    return out
-
-
-def _row_sums_where(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Sum of each row's masked entries, rounded like the row's 1-D `.sum()`.
-
-    `values` holds one value per True entry of `mask`, in row-major order,
-    as `x[mask]` gives them; rows run along the last axis.
-    """
-    lengths = mask.sum(axis=-1).ravel()
-    starts = np.cumsum(lengths) - lengths
-    return _segment_sums(values, starts, lengths).reshape(mask.shape[:-1])
-
-
 def _moving_average(values: np.ndarray, k: int) -> np.ndarray:
     """Centered moving average of k points, shrinking near the edges."""
     if k <= 1:
@@ -180,33 +180,15 @@ def _moving_average(values: np.ndarray, k: int) -> np.ndarray:
     return _segment_sums(values, lo, n) / n
 
 
-def _window_counts(bins: np.ndarray, n_bins: int, window: int, k0: int, k1: int) -> np.ndarray:
-    """(k1 - k0, n_bins) sample counts of windows k0..k1-1 of a (players, ticks) bin array.
-
-    Window k covers ticks k..k + window - 1. The first window is counted
-    directly; each later one adds the tick that enters and drops the tick
-    that leaves.
-    """
-    n = k1 - k0
-    offset = np.arange(1, n) * n_bins
-    enter = (offset + bins[:, k0 + window:k1 - 1 + window]).ravel()
-    leave = (offset + bins[:, k0:k1 - 1]).ravel()
-    delta = np.bincount(enter, minlength=n * n_bins) - np.bincount(leave, minlength=n * n_bins)
-    delta[:n_bins] = np.bincount(bins[:, k0:k0 + window].ravel(), minlength=n_bins)
-    return delta.reshape(n, n_bins).cumsum(axis=0)
-
-
 def _occupancy_window_series(metric: SeriesMetric, idx: np.ndarray, unit: np.ndarray,
                              window: int) -> np.ndarray:
     """SED or SMS of every window of `window` ticks, all windows at once.
 
     `idx` is the (players, ticks) cell index array; player p's samples count
     toward distribution `unit[p]`: one per player for SED, one per role
-    (medic 0, engineer 1) for SMS. Probabilities, JSD and entropy terms are
-    computed elementwise on the session's visited cells, and each sum rounds
-    like the 1-D sum over one distribution's support in ascending cell
-    order, so every value equals the per-window `OccupancyDistribution`
-    computation bit for bit.
+    (medic 0, engineer 1) for SMS. The distributions live on the session's
+    visited cells only, in ascending cell order, and the row-wise occupancy
+    kernels give each window the value it would get on its own.
     """
     cells = np.unique(idx)
     n_units, n_cols = int(unit.max()) + 1, cells.size
@@ -222,26 +204,12 @@ def _occupancy_window_series(metric: SeriesMetric, idx: np.ndarray, unit: np.nda
         counts = _window_counts(bins, n_units * n_cols, window, k0, k1)
         p = counts.reshape(k1 - k0, n_units, n_cols) / size
         if metric is SeriesMetric.SED:
-            pa, pb = p[:, a], p[:, b]
-            x = np.stack([pa, pb], axis=2)  # (window, pair, side, cell)
-            m = np.broadcast_to((0.5 * (pa + pb))[:, :, None], x.shape)
-            mask = x > 0
-            xv = x[mask]
-            kl = _row_sums_where(mask, xv * np.log2(xv / m[mask]))
-            jsd = 0.5 * kl[..., 0] + 0.5 * kl[..., 1]
-            # min(1.0, max(0.0, jsd)) with Python's tie rules, as the scalar JSD clamps
-            jsd = np.where(jsd > 0.0, jsd, 0.0)
-            vals[k0:k1] = np.where(jsd < 1.0, jsd, 1.0).mean(axis=1)
+            vals[k0:k1] = jensen_shannon_divergence(p[:, a], p[:, b]).mean(axis=1)
         else:
+            h = shannon_entropy(p)
             mask = p > 0
-            pv = p[mask]
-            h = -_row_sums_where(mask, pv * np.log2(pv))
-            h_med, h_eng = h[:, 0], h[:, 1]
-            hi = np.where(h_eng > h_med, h_eng, h_med)  # entropy_similarity, row-wise
-            e_s = np.where(hi == 0.0, 1.0,
-                           1.0 - np.abs(h_med - h_eng) / np.where(hi == 0.0, 1.0, hi))
-            overlap = (mask[:, 0] & mask[:, 1]).sum(axis=1) / (mask[:, 0] | mask[:, 1]).sum(axis=1)
-            vals[k0:k1] = e_s * (1.0 - overlap)
+            vals[k0:k1] = (entropy_similarity(h[:, 0], h[:, 1])
+                           * (1.0 - jaccard_overlap(mask[:, 0], mask[:, 1])))
     return vals
 
 
@@ -269,22 +237,14 @@ def metric_time_series(session: TeamSession, metric: SeriesMetric | str,
         raise ValueError("window_ticks must be >= 2")
     if smooth_ticks < 1:
         raise ValueError("smooth_ticks must be >= 1")
-    grid = grid or session.grid
-    t_total = session.n_ticks
+    t_total = _aligned_ticks(session.players)
     if window_ticks > t_total:
         raise WindowTooLargeError(f"window of {window_ticks} ticks exceeds session of {t_total}")
 
     ends = np.arange(window_ticks - 1, t_total)
 
     if metric in (SeriesMetric.SED, SeriesMetric.SMS):
-        if metric is SeriesMetric.SED:
-            players = session.players
-            unit = np.arange(len(players))
-        else:
-            part = team_roles_partition(session)
-            players = part[Role.MEDIC] + part[Role.ENGINEER]
-            unit = np.array([0, 0, 1, 1])
-        idx = np.stack([cell_indices(p, grid, coarsen) for p in players])
+        idx, unit = _occupancy_units(session, metric, grid, coarsen)
         vals = _occupancy_window_series(metric, idx, unit, window_ticks)
     else:
         d = cross_role_distances(session, distance)

@@ -1,14 +1,16 @@
-"""Grid occupancy distributions and the information-theoretic kernels on them.
+"""Grid occupancy counts and the information-theoretic kernels on them.
 
 Occupancy is strictly sample-count based: p(cell) = visits / total samples,
 which equals dwell time at a fixed sampling interval. All logarithms are
 base 2, so entropies are in bits and the Jensen-Shannon divergence is
 bounded by 1 exactly.
+
+The kernels work row-wise: a distribution is the last axis of an array, and
+any leading axes index a batch of them. Every sum over a row rounds like the
+1-D `.sum()` of that row's support in ascending cell order, so a batch gives
+each row's value bit for bit as if the row were computed alone.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -30,59 +32,11 @@ class GridMismatchError(TeamCoordError):
 _SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class OccupancyDistribution:
-    """Normalized visit-frequency distribution over the cells of a grid."""
-
-    grid: GridSpec
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
-        if p.shape != (self.grid.n_cells,):
-            raise ValueError(f"expected {self.grid.n_cells} probabilities, got shape {p.shape}")
-        if np.any(p < 0):
-            raise ValueError("probabilities must be non-negative")
-        total = float(p.sum())
-        if total != 0.0 and abs(total - 1.0) > _SUM_TOL:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        p = p.copy()
-        p.flags.writeable = False
-        object.__setattr__(self, "probabilities", p)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.probabilities.any()
-
-    def support(self) -> np.ndarray:
-        """Indices of cells with positive mass."""
-        return np.flatnonzero(self.probabilities > 0)
-
-
-@dataclass(frozen=True)
-class CellSet:
-    """Set of visited grid cells, by row-major index."""
-
-    grid: GridSpec
-    cells: frozenset[int]
-
-    def __post_init__(self):
-        bad = [c for c in self.cells if not 0 <= c < self.grid.n_cells]
-        if bad:
-            raise ValueError(f"cell indices {sorted(bad)[:5]} outside grid of {self.grid.n_cells} cells")
-
-
 def coarsen_grid(grid: GridSpec, factor: int) -> GridSpec:
     """Grid obtained by pooling factor x factor tile blocks into one cell."""
     if factor < 1:
         raise ValueError("coarsening factor must be >= 1")
     return GridSpec(-(-grid.width // factor), -(-grid.height // factor))
-
-
-def _as_trajectories(trajectories) -> list[PlayerTrajectory]:
-    if isinstance(trajectories, PlayerTrajectory):
-        return [trajectories]
-    return list(trajectories)
 
 
 def cell_indices(traj: PlayerTrajectory, grid: GridSpec, coarsen: int = 1) -> np.ndarray:
@@ -96,90 +50,111 @@ def cell_indices(traj: PlayerTrajectory, grid: GridSpec, coarsen: int = 1) -> np
     return (ys // coarsen) * cg.width + (xs // coarsen)
 
 
-def occupancy_of(
-    trajectories: PlayerTrajectory | Iterable[PlayerTrajectory],
-    grid: GridSpec,
-    coarsen: int = 1,
-) -> OccupancyDistribution:
-    """Visit-frequency distribution of one trajectory or a pooled group.
+def _window_counts(bins: np.ndarray, n_bins: int, window: int, k0: int, k1: int) -> np.ndarray:
+    """(k1 - k0, n_bins) sample counts of windows k0..k1-1 of a (players, ticks) bin array.
 
-    Passing several trajectories pools their samples, which is how a role's
-    characteristic movement pattern is built from its two players.
+    Window k covers ticks k..k + window - 1. The first window is counted
+    directly; each later one adds the tick that enters and drops the tick
+    that leaves.
     """
-    trajs = _as_trajectories(trajectories)
-    target = coarsen_grid(grid, coarsen) if coarsen > 1 else grid
-    counts = np.zeros(target.n_cells, dtype=np.int64)
-    total = 0
-    for t in trajs:
-        idx = cell_indices(t, grid, coarsen)
-        counts += np.bincount(idx, minlength=target.n_cells)
-        total += idx.size
-    if total == 0:
-        raise EmptyInputError("no samples across input trajectories")
-    return OccupancyDistribution(target, counts / total)
+    n = k1 - k0
+    offset = np.arange(1, n) * n_bins
+    enter = (offset + bins[:, k0 + window:k1 - 1 + window]).ravel()
+    leave = (offset + bins[:, k0:k1 - 1]).ravel()
+    delta = np.bincount(enter, minlength=n * n_bins) - np.bincount(leave, minlength=n * n_bins)
+    delta[:n_bins] = np.bincount(bins[:, k0:k0 + window].ravel(), minlength=n_bins)
+    return delta.reshape(n, n_bins).cumsum(axis=0)
 
 
-def visited_cells(
-    trajectories: PlayerTrajectory | Iterable[PlayerTrajectory],
-    grid: GridSpec,
-    coarsen: int = 1,
-) -> CellSet:
-    """Set of grid cells visited at least once by any of the trajectories."""
-    trajs = _as_trajectories(trajectories)
-    target = coarsen_grid(grid, coarsen) if coarsen > 1 else grid
-    cells: set[int] = set()
-    for t in trajs:
-        cells.update(np.unique(cell_indices(t, grid, coarsen)).tolist())
-    return CellSet(target, frozenset(cells))
+def _segment_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """values[s:s + n].sum() for each (s, n), rounded exactly like that 1-D sum.
+
+    Segments of one length are gathered into the rows of a C-contiguous
+    matrix, and `.sum(axis=1)` reduces each row with the same pairwise
+    summation as the 1-D `.sum()` of that row (tests pin this numpy
+    property). `np.add.reduceat` would sum each segment sequentially instead.
+    """
+    out = np.empty(starts.size)
+    for n in np.unique(lengths):
+        rows = np.flatnonzero(lengths == n)
+        out[rows] = values[starts[rows, None] + np.arange(n)].sum(axis=1)
+    return out
 
 
-def shannon_entropy(dist: OccupancyDistribution) -> float:
-    """Entropy in bits; 0 for a point mass."""
-    if dist.is_empty:
-        raise EmptyDistributionError("entropy of an all-zero distribution")
-    p = dist.probabilities[dist.probabilities > 0]
-    return float(-(p * np.log2(p)).sum())
+def _row_sums_where(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sum of each row's masked entries, rounded like the row's 1-D `.sum()`.
+
+    `values` holds one value per True entry of `mask`, in row-major order,
+    as `x[mask]` gives them; rows run along the last axis.
+    """
+    lengths = mask.sum(axis=-1).ravel()
+    starts = np.cumsum(lengths) - lengths
+    return _segment_sums(values, starts, lengths).reshape(mask.shape[:-1])
 
 
-def jensen_shannon_divergence(p: OccupancyDistribution, q: OccupancyDistribution) -> float:
-    """JSD(p, q) in base 2, so the result lies in [0, 1].
+def _distributions(p) -> np.ndarray:
+    """`p` as a float array whose rows are non-empty, non-negative and sum to 1."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim == 0:
+        raise ValueError("a distribution needs a cell axis")
+    if not p.min(initial=0.0) >= 0:  # also refuses nan
+        raise ValueError("probabilities must be non-negative")
+    total = p.sum(axis=-1)
+    if not total.all():
+        raise EmptyDistributionError("all-zero distribution")
+    if np.any(np.abs(total - 1.0) > _SUM_TOL):
+        raise ValueError("probabilities must sum to 1 in every row")
+    return p
+
+
+def _same_shape(a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape != b.shape:
+        raise GridMismatchError(f"shapes differ: {a.shape} vs {b.shape}")
+
+
+def shannon_entropy(p) -> np.ndarray:
+    """Entropy in bits of each row; 0 for a point mass."""
+    p = _distributions(p)
+    mask = p > 0
+    pv = p[mask]
+    return (-_row_sums_where(mask, pv * np.log2(pv)))[()]
+
+
+def jensen_shannon_divergence(p, q) -> np.ndarray:
+    """JSD of each row pair of p and q in base 2, so every value lies in [0, 1].
 
     Computed as the mean of KL(p||m) and KL(q||m) with m the equal mixture;
     cells where an argument has zero mass contribute nothing to its sum.
     """
-    if p.grid != q.grid:
-        raise GridMismatchError(f"grids differ: {p.grid} vs {q.grid}")
-    if p.is_empty or q.is_empty:
-        raise EmptyDistributionError("JSD of an all-zero distribution")
-    pp, qq = p.probabilities, q.probabilities
-    m = 0.5 * (pp + qq)
-    sp = pp > 0
-    sq = qq > 0
-    kl_pm = float((pp[sp] * np.log2(pp[sp] / m[sp])).sum())
-    kl_qm = float((qq[sq] * np.log2(qq[sq] / m[sq])).sum())
-    jsd = 0.5 * kl_pm + 0.5 * kl_qm
-    return min(1.0, max(0.0, jsd))
+    p, q = _distributions(p), _distributions(q)
+    _same_shape(p, q)
+    x = np.stack([p, q], axis=-2)  # (..., side, cell)
+    m = np.broadcast_to((0.5 * (p + q))[..., None, :], x.shape)
+    mask = x > 0
+    xv = x[mask]
+    kl = _row_sums_where(mask, xv * np.log2(xv / m[mask]))
+    jsd = 0.5 * kl[..., 0] + 0.5 * kl[..., 1]
+    jsd = np.where(jsd > 0.0, jsd, 0.0)  # min(1.0, max(0.0, jsd)) with Python's tie rules
+    return np.where(jsd < 1.0, jsd, 1.0)[()]
 
 
-def jaccard_overlap(a: CellSet | frozenset | set, b: CellSet | frozenset | set) -> float:
-    """|a n b| / |a u b|, defined as 0 when both sets are empty."""
-    sa = a.cells if isinstance(a, CellSet) else a
-    sb = b.cells if isinstance(b, CellSet) else b
-    union = len(sa | sb)
-    if union == 0:
-        return 0.0
-    return len(sa & sb) / union
+def jaccard_overlap(a, b) -> np.ndarray:
+    """|a n b| / |a u b| of each row pair of two boolean cell masks; 0 when both are empty."""
+    a, b = np.asarray(a, dtype=bool), np.asarray(b, dtype=bool)
+    _same_shape(a, b)
+    union = (a | b).sum(axis=-1)
+    return np.where(union == 0, 0.0, (a & b).sum(axis=-1) / np.maximum(union, 1))[()]
 
 
-def entropy_similarity(h1: float, h2: float) -> float:
-    """1 - |h1 - h2| / max(h1, h2); two zero entropies count as fully similar.
+def entropy_similarity(h1, h2) -> np.ndarray:
+    """1 - |h1 - h2| / max(h1, h2), elementwise; two zero entropies count as fully similar.
 
     The ratio is 0/0 when both distributions are point masses; two point
     masses have identical complexity, hence 1.
     """
-    if h1 < 0 or h2 < 0:
+    h1, h2 = np.asarray(h1, dtype=float), np.asarray(h2, dtype=float)
+    if not (np.all(h1 >= 0) and np.all(h2 >= 0)):
         raise ValueError("entropies must be non-negative")
-    hi = max(h1, h2)
-    if hi == 0.0:
-        return 1.0
-    return 1.0 - abs(h1 - h2) / hi
+    hi = np.where(h2 > h1, h2, h1)
+    safe = np.where(hi == 0.0, 1.0, hi)
+    return np.where(hi == 0.0, 1.0, 1.0 - np.abs(h1 - h2) / safe)[()]

@@ -8,13 +8,14 @@ deterministic.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..core import ActionTag, Position, Role
+from ..core import ActionTag, Position, Role, TeamCoordError
 from .world import _GREEN, _RED, _YELLOW, AgentAction, MapSpec, WAIT_ACTION, WorldState
 
 
@@ -27,6 +28,16 @@ class PolicyKind(Enum):
         return self.value
 
 
+class PolicyParamError(TeamCoordError):
+    """A policy parameter is unknown, not finite or out of its range."""
+
+
+# the numeric knobs the controllers read, with their defaults; all are >= 0,
+# and the probabilities are also <= 1
+POLICY_PARAMS = {"dither": 0.05, "p_wait": 0.4, "patience": 8, "park_signal_ticks": 3}
+_PROBABILITY_PARAMS = ("dither", "p_wait")
+
+
 @dataclass(frozen=True)
 class AgentPolicy:
     """Policy blueprint; the seed is combined with the agent slot, so a run
@@ -37,9 +48,16 @@ class AgentPolicy:
     params: Mapping[str, float] = field(default_factory=dict)
     seed: int | None = None
 
-
-# the numeric knobs the controllers read, with their defaults
-POLICY_PARAMS = {"dither": 0.05, "p_wait": 0.4, "patience": 8, "park_signal_ticks": 3}
+    def __post_init__(self):
+        for key, value in self.params.items():
+            if key not in POLICY_PARAMS:
+                raise PolicyParamError(
+                    f"unknown policy parameter {key!r} (known: {', '.join(POLICY_PARAMS)})")
+            if not math.isfinite(value):
+                raise PolicyParamError(f"policy parameter '{key}={value}' is not finite")
+            if value < 0 or key in _PROBABILITY_PARAMS and value > 1:
+                bound = "in [0, 1]" if key in _PROBABILITY_PARAMS else ">= 0"
+                raise PolicyParamError(f"policy parameter '{key}={value}' must be {bound}")
 
 
 _DIRS = ((0, -1), (1, 0), (0, 1), (-1, 0))

@@ -210,8 +210,9 @@ def quadratic_fit(x, y) -> QuadraticFit:
     """OLS of y on (1, x, x^2); the vertex is the fitted optimum.
 
     A curvature whose effect over the range of x is at rounding level
-    relative to the largest |y| is reported as 0, so a straight line has no
-    vertex rather than one placed by noise.
+    relative to the range of y is reported as 0, so a straight line has no
+    vertex rather than one placed by noise, while a large offset in y hides
+    no real curvature.
     """
     xv, yv = _paired(x, y)
     if xv.size < 4:
@@ -228,7 +229,7 @@ def quadratic_fit(x, y) -> QuadraticFit:
                             p_values=np.array([0.0 if c0 else 1.0, 1.0, 1.0]))
     res = ols(yv, design_matrix(xv, xv * xv))
     c0, c1, c2 = (float(b) for b in res.coefficients)
-    if abs(c2) * float(np.ptp(xv)) ** 2 <= 1e-9 * float(np.max(np.abs(yv))):
+    if abs(c2) * float(np.ptp(xv)) ** 2 <= 1e-9 * float(np.ptp(yv)):
         c2 = 0.0
     return QuadraticFit(c0=c0, c1=c1, c2=c2, vertex_x=vertex_of(c1, c2),
                         r_squared=res.r_squared, f_stat=res.f_stat,
@@ -283,6 +284,11 @@ def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
+# x and m count as collinear when 1 - r^2 is this small: rounding alone leaves
+# about 1e-16 on exactly collinear data, and can leave it of either sign.
+_COLLINEAR_TOL = 1e-12
+
+
 def _mediation_paths(x: np.ndarray, m: np.ndarray, y: np.ndarray):
     """Closed-form OLS paths per row of (R, n) arrays: a (m~x), b and c' (y~x+m), c (y~x).
 
@@ -297,8 +303,8 @@ def _mediation_paths(x: np.ndarray, m: np.ndarray, y: np.ndarray):
     smm = _row_dot(mc, mc)
     sxy = _row_dot(xc, yc)
     smy = _row_dot(mc, yc)
-    det = sxx * smm - sxm * sxm
-    ok = (sxx != 0.0) & (det != 0.0)
+    det = sxx * smm - sxm * sxm  # sxx * smm * (1 - r^2), r the x-m correlation
+    ok = (sxx != 0.0) & (det > _COLLINEAR_TOL * sxx * smm)
     sxx = np.where(ok, sxx, 1.0)  # degenerate rows divide by 1 and are discarded
     det = np.where(ok, det, 1.0)
     a = sxm / sxx

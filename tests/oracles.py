@@ -2,11 +2,14 @@
 
 Statistics are recomputed from their definitions (brute-force sums,
 enumerations, quadrature) without calling into teamcoord, so agreement is
-evidence rather than tautology. Two references do use teamcoord: the
-windowed SED/SMS series is the plain per-window loop over teamcoord's
-public occupancy kernels (themselves checked against `jsd_base2` and
-`entropy_bits`), which the array kernel must match bit for bit, and
-`mission_rule_audit` reads the event rules off a session's sample columns.
+evidence rather than tautology. The windowed SED/SMS series is the plain
+per-window loop over scalar JSD, entropy and entropy-similarity formulas on
+one whole-grid distribution at a time (`jsd_scalar`, `entropy_scalar`,
+`entropy_similarity_scalar`, each summing a distribution's support in
+ascending cell order), which the library's row-wise kernels must match bit
+for bit. The kernels are also checked against `jsd_base2` and
+`entropy_bits`, which sum with `math.fsum`. `mission_rule_audit` reads the
+event rules off a session's sample columns.
 `bfs_field` is the plain FIFO flood fill the simulator's lazy field must
 agree with, and `step_reference` is the simulator's step rules on cell sets,
 which the array step must agree with.
@@ -23,13 +26,6 @@ import numpy as np
 from scipy import integrate
 
 from teamcoord.core import ACTIONS, ActionTag, GridSpec, Position, RescueEvent, Role, VictimType
-from teamcoord.occupancy import (
-    OccupancyDistribution,
-    entropy_similarity,
-    jaccard_overlap,
-    jensen_shannon_divergence,
-    shannon_entropy,
-)
 from teamcoord.sim import AgentAction, AgentState, MapSpec, Victim
 
 
@@ -43,6 +39,28 @@ def jsd_base2(p, q) -> float:
 
 def entropy_bits(p) -> float:
     return -math.fsum(v * math.log2(v) for v in p if v > 0)
+
+
+def jsd_scalar(p: np.ndarray, q: np.ndarray) -> float:
+    """JSD of two distributions as the mean of KL(p||m) and KL(q||m), each a
+    1-D numpy sum over the argument's support, clamped to [0, 1]."""
+    m = 0.5 * (p + q)
+    sp, sq = p > 0, q > 0
+    kl_pm = float((p[sp] * np.log2(p[sp] / m[sp])).sum())
+    kl_qm = float((q[sq] * np.log2(q[sq] / m[sq])).sum())
+    return min(1.0, max(0.0, 0.5 * kl_pm + 0.5 * kl_qm))
+
+
+def entropy_scalar(p: np.ndarray) -> float:
+    """Entropy in bits as a 1-D numpy sum over the support."""
+    p = p[p > 0]
+    return float(-(p * np.log2(p)).sum())
+
+
+def entropy_similarity_scalar(h1: float, h2: float) -> float:
+    """1 - |h1 - h2| / max(h1, h2); 1 for two zero entropies."""
+    hi = max(h1, h2)
+    return 1.0 if hi == 0.0 else 1.0 - abs(h1 - h2) / hi
 
 
 def average_ranks(values) -> list[float]:
@@ -191,7 +209,7 @@ def _mediation_paths_1d(x, m, y):
     sxm, smm = float(xc @ mc), float(mc @ mc)
     sxy, smy = float(xc @ yc), float(mc @ yc)
     det = sxx * smm - sxm * sxm
-    if det == 0.0:
+    if det <= 1e-12 * sxx * smm:  # 1 - r^2 at rounding level: x and m collinear
         return None
     return sxm / sxx, (sxx * smy - sxm * sxy) / det, (smm * sxy - sxm * smy) / det, sxy / sxx
 
@@ -237,9 +255,10 @@ def moving_average_loop(values, k):
 def window_series_loop(session, metric, window_ticks, smooth_ticks, coarsen=1):
     """(progress, value) pairs of the "sed" or "sms" series, one window at a time.
 
-    Each window builds an `OccupancyDistribution` per player (sed: mean JSD
-    over player pairs) or per role, pooling its two players (sms: entropy
-    similarity times one minus the Jaccard overlap of the visited cells).
+    Each window builds a whole-grid visit-frequency distribution per player
+    (sed: mean JSD over player pairs) or per role, pooling its two players
+    (sms: entropy similarity times one minus the Jaccard overlap of the
+    visited cell sets).
     """
     grid = GridSpec(-(-session.grid.width // coarsen), -(-session.grid.height // coarsen))
 
@@ -247,7 +266,7 @@ def window_series_loop(session, metric, window_ticks, smooth_ticks, coarsen=1):
         return (player.xy[:, 1] // coarsen) * grid.width + player.xy[:, 0] // coarsen
 
     def dist(idx):
-        return OccupancyDistribution(grid, np.bincount(idx, minlength=grid.n_cells) / idx.size)
+        return np.bincount(idx, minlength=grid.n_cells) / idx.size
 
     per_player = [cells(p) for p in session.players]
     by_role = [[cells(p) for p in session.players if p.role is r]
@@ -258,12 +277,12 @@ def window_series_loop(session, metric, window_ticks, smooth_ticks, coarsen=1):
         s = e - window_ticks + 1
         if metric == "sed":
             dists = [dist(idx[s:e + 1]) for idx in per_player]
-            vals[k] = np.mean([jensen_shannon_divergence(a, b)
-                               for a, b in itertools.combinations(dists, 2)])
+            vals[k] = np.mean([jsd_scalar(a, b) for a, b in itertools.combinations(dists, 2)])
         else:
             med, eng = (np.concatenate([idx[s:e + 1] for idx in group]) for group in by_role)
-            e_s = entropy_similarity(shannon_entropy(dist(med)), shannon_entropy(dist(eng)))
-            vals[k] = e_s * (1.0 - jaccard_overlap(set(med.tolist()), set(eng.tolist())))
+            e_s = entropy_similarity_scalar(entropy_scalar(dist(med)), entropy_scalar(dist(eng)))
+            med_cells, eng_cells = set(med.tolist()), set(eng.tolist())
+            vals[k] = e_s * (1.0 - len(med_cells & eng_cells) / len(med_cells | eng_cells))
     vals = moving_average_loop(vals, smooth_ticks)
     return tuple(zip((ends / session.nominal_ticks).tolist(), vals.tolist()))
 

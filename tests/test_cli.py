@@ -62,6 +62,10 @@ def test_simulate_zero_runs_exits_2(tmp_path, capsys):
      "policy parameter 'park_signal_ticks=nan' is not finite"),
     (["--policy-param", "bogus=1"],
      "unknown policy parameter 'bogus' (known: dither, p_wait, patience, park_signal_ticks)"),
+    (["--policies", "random_walk", "--policy-param", "p_wait=2"],
+     "policy parameter 'p_wait=2.0' must be in [0, 1]"),
+    (["--policies", "greedy", "--policy-param", "patience=-3"],
+     "policy parameter 'patience=-3.0' must be >= 0"),
 ])
 def test_simulate_bad_flags_exit_2(tmp_path, capsys, flags, message):
     assert run(["simulate", "--map", "small", "--out", str(tmp_path), *flags]) == EXIT_USAGE

@@ -6,6 +6,7 @@ import pytest
 from teamcoord import metrics
 from teamcoord.core import GridSpec, Role, TeamSession
 from teamcoord.metrics import (
+    MisalignedSessionError,
     SeriesMetric,
     TooShortSessionError,
     UnsupportedMetricError,
@@ -17,12 +18,11 @@ from teamcoord.metrics import (
     spatial_movement_specialization,
     spatial_proximity_adaptation,
 )
-from teamcoord.occupancy import jensen_shannon_divergence, occupancy_of
 from teamcoord.sim import AgentPolicy, PolicyKind, builtin_map, run_mission
 from teamcoord.sim.maps import map_from_ascii
 
 from helpers import random_session, session_from_cells, traj
-from oracles import moving_average_loop, window_series_loop
+from oracles import jsd_base2, moving_average_loop, window_series_loop
 from test_golden import EDGE_ART
 
 G = GridSpec(8, 8)
@@ -215,11 +215,9 @@ def test_series_sed_monotone_around_divergence():
     # independent recomputation of each window from sub-trajectories
     for end in (32, 36, 40):
         start = end - 9
-        dists = [
-            occupancy_of(traj(p.player_id, p.role, p.xy[start:end + 1].tolist()), s.grid)
-            for p in s.players
-        ]
-        expected = np.mean([jensen_shannon_divergence(a, b)
+        dists = [np.bincount(p.xy[start:end + 1, 1] * s.grid.width + p.xy[start:end + 1, 0],
+                             minlength=s.grid.n_cells) / 10 for p in s.players]
+        expected = np.mean([jsd_base2(a.tolist(), b.tolist())
                             for a, b in itertools.combinations(dists, 2)])
         assert by_end[end] == pytest.approx(expected, abs=1e-12)
 
@@ -240,11 +238,30 @@ def test_single_window_series_matches_whole_mission_metrics():
         t = s.n_ticks
         sed_ts = metric_time_series(s, "sed", window_ticks=t, smooth_ticks=1)
         assert len(sed_ts.values) == 1
-        assert sed_ts.values[0][1] == pytest.approx(spatial_exploration_diversity(s), abs=1e-12)
+        assert same_bits(sed_ts.values[0][1], spatial_exploration_diversity(s))
         sms_ts = metric_time_series(s, "sms", window_ticks=t, smooth_ticks=1)
-        assert sms_ts.values[0][1] == pytest.approx(spatial_movement_specialization(s), abs=1e-12)
+        assert same_bits(sms_ts.values[0][1], spatial_movement_specialization(s))
         d_ts = metric_time_series(s, "inter_role_distance", window_ticks=t, smooth_ticks=1)
         assert d_ts.values[0][1] == pytest.approx(float(cross_role_distances(s).mean()), abs=1e-12)
+
+
+@pytest.mark.parametrize("entry", [
+    spatial_exploration_diversity,
+    spatial_movement_specialization,
+    coordination_metrics,
+    cross_role_distances,
+    lambda s: metric_time_series(s, "sed", window_ticks=4),
+    lambda s: metric_time_series(s, "inter_role_distance", window_ticks=4),
+], ids=["sed", "sms", "coordination_metrics", "cross_role_distances", "series_sed",
+        "series_distance"])
+def test_misaligned_tick_counts_raise_naming_each_count(entry):
+    # the last engineer lost its final sample
+    s = session_from_cells([static((0, 0), 5), static((1, 0), 5)],
+                           [static((5, 0), 5), static((6, 0), 4)], G)
+    with pytest.raises(MisalignedSessionError) as err:
+        entry(s)
+    assert str(err.value) == ("players disagree on tick count: "
+                              "medic1 5, medic2 5, engineer1 5, engineer2 4")
 
 
 def test_series_window_too_large():

@@ -1,4 +1,5 @@
 import heapq
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from teamcoord.sim import (
     run_mission,
     step_resolved,
 )
-from teamcoord.sim.policies import BfsField, build_controllers
+from teamcoord.sim.policies import BfsField, PolicyParamError, build_controllers
 from teamcoord.sim.world import VICTIM_CODES
 
 from oracles import ReferenceWorld, bfs_field, mission_rule_audit, step_reference
@@ -382,6 +383,21 @@ def test_map_validation_catches_bad_specs():
 
 
 # --- missions -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("params", [
+    {"ditherr": 0.9}, {"p_wait": 2}, {"dither": -0.1}, {"patience": -3},
+    {"park_signal_ticks": -1}, {"patience": math.inf}, {"p_wait": math.nan},
+])
+def test_agent_policy_rejects_unknown_and_out_of_range_params(params):
+    with pytest.raises(PolicyParamError):
+        AgentPolicy(PolicyKind.GREEDY, params)
+
+
+def test_agent_policy_accepts_params_at_their_bounds():
+    for params in ({"dither": 0, "p_wait": 0, "patience": 0, "park_signal_ticks": 0},
+                   {"dither": 1, "p_wait": 1.0, "patience": 1e6, "park_signal_ticks": 50}):
+        assert AgentPolicy(PolicyKind.GREEDY, params).params == params
 
 
 def policy_team(kind, **params):

@@ -220,6 +220,16 @@ def test_quadratic_straight_line_has_no_vertex():
     assert not fit.inverted_u and not fit.flat
 
 
+@pytest.mark.parametrize("offset", [1e9, 1e10])
+def test_quadratic_curvature_survives_a_large_offset(offset):
+    # the spread of y, not its size, sets the rounding level of the curvature
+    x = np.linspace(0, 1, 20)
+    fit = quadratic_fit(x, offset - (x - 0.5) ** 2)
+    assert fit.c2 == pytest.approx(-1.0, abs=1e-4)
+    assert fit.vertex_x == pytest.approx(0.5, abs=1e-4)
+    assert fit.inverted_u
+
+
 def test_quadratic_requires_three_distinct_x():
     with pytest.raises(RankDeficiencyError):
         quadratic_fit([1.0, 1.0, 2.0, 2.0], [0.0, 1.0, 2.0, 3.0])
@@ -315,15 +325,17 @@ def test_mediation_matches_loop_oracle_across_blocks(monkeypatch):
 
 
 def test_mediation_resample_stuck_degenerate_raises_like_loop_oracle():
-    # x and m lie on one line, but rounding leaves the full-sample determinant
-    # nonzero; about 96% of resamples round it to exactly zero, so some resample
-    # stays degenerate through all 100 draws.
-    x, m, y = [1.0, 1.0, 1.0, 2.0, 2.0], [-0.2, -0.2, -0.2, 0.3, 0.3], [0.5, -1.0, 2.0, 0.25, 1.5]
+    # m = 10118999 x + (-6, 4, 3, -6, -5) is so close to a line that 1 - r^2
+    # is only 0.1% above the collinearity bound on the full sample; about 91%
+    # of resamples fall below it, and resample 620 of seed 19 stays below it
+    # through all 100 draws.
+    x, m = [1.0, 2, 2, 2, 2], [10118994.0, 20238004, 20238003, 20237994, 20237995]
+    y = [0.5, -1.0, 2.0, 0.25, 1.5]
     with pytest.raises(ValueError) as want:
-        bootstrap_indirect_loop(x, m, y, 300, 0)
+        bootstrap_indirect_loop(x, m, y, 700, 19)
     with pytest.raises(DegenerateDataError) as got:
-        bootstrap_mediation(x, m, y, resamples=300, seed=0)
-    assert str(got.value) == str(want.value)
+        bootstrap_mediation(x, m, y, resamples=700, seed=19)
+    assert str(got.value) == str(want.value) == "resample 620 stayed degenerate after 100 draws"
 
 
 def test_mediation_degenerate_input_raises():
@@ -332,6 +344,13 @@ def test_mediation_degenerate_input_raises():
     x = list(range(8))
     with pytest.raises(DegenerateDataError):
         bootstrap_mediation(x, [2 * v for v in x], list(range(8)))
+
+
+def test_mediation_exactly_collinear_input_raises_at_the_point_estimate():
+    # m = 0.5 x - 0.7, but rounding leaves a determinant of -5.6e-17, not 0
+    x, m, y = [1.0, 1.0, 1.0, 2.0, 2.0], [-0.2, -0.2, -0.2, 0.3, 0.3], [0.5, -1.0, 2.0, 0.25, 1.5]
+    with pytest.raises(DegenerateDataError, match="x and m are collinear"):
+        bootstrap_mediation(x, m, y, resamples=300, seed=0)
 
 
 # --- Mann-Whitney -----------------------------------------------------------------
