@@ -7,6 +7,7 @@ malformed logs can be loaded and inspected.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -74,6 +75,9 @@ class GridSpec:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError(f"grid must be at least 1x1, got {self.width}x{self.height}")
+        if self.width * self.height >= 2 ** 63:
+            raise ValueError(f"grid of {self.width}x{self.height} cells is too large "
+                             "for int64 cell indices")
 
     @property
     def n_cells(self) -> int:
@@ -209,7 +213,7 @@ def validate_session(session: TeamSession) -> list[Violation]:
     out: list[Violation] = []
     grid = session.grid
 
-    if session.sample_interval_s <= 0 or session.mission_duration_s <= 0:
+    if not (session.sample_interval_s > 0 and session.mission_duration_s > 0):  # nan too
         out.append(Violation(CONFIG, "sample interval and mission duration must be positive"))
     if not 0 < session.red_cutoff_s <= session.mission_duration_s:
         out.append(Violation(CONFIG, "red cutoff must lie inside the mission duration"))
@@ -233,23 +237,7 @@ def validate_session(session: TeamSession) -> list[Violation]:
     if len(tick_counts) > 1:
         out.append(Violation(TICK_ALIGNMENT, f"trajectories disagree on tick count: {sorted(tick_counts)}"))
 
-    for p in players:
-        pid, prev = p.player_id, None
-        for i, (tick, time_s, x, y, *_) in enumerate(p.samples.tolist()):
-            if i == 0 and tick != 0:
-                out.append(Violation(DISCONTINUITY, f"player {pid}: first tick is {tick}, not 0"))
-            elif prev is not None and tick != prev[0] + 1:
-                out.append(Violation(DISCONTINUITY, f"player {pid}: tick jumps from {prev[0]} to {tick}"))
-            if abs(time_s - tick * session.sample_interval_s) > _TIME_TOL:
-                out.append(Violation(
-                    TIME_MISMATCH, f"player {pid} tick {tick}: time_s {time_s} != tick * interval"))
-            if not grid.contains(x, y):
-                out.append(Violation(
-                    POSITION_BOUNDS, f"player {pid} tick {tick}: position ({x}, {y}) off grid"))
-            if prev is not None and abs(x - prev[1]) + abs(y - prev[2]) > 1:
-                moved = f"{Position(*prev[1:])} -> {Position(x, y)}"
-                out.append(Violation(DISCONTINUITY, f"player {pid} tick {tick}: moved {moved} in one tick"))
-            prev = (tick, x, y)
+    out.extend(_sample_violations(players, grid, session.sample_interval_s))
 
     by_id = {p.player_id: p for p in players}
     for k, e in enumerate(session.events):
@@ -266,10 +254,13 @@ def validate_session(session: TeamSession) -> list[Violation]:
             if e.time_s >= session.red_cutoff_s:
                 out.append(Violation(RED_CUTOFF, f"event {k}: red rescue at {e.time_s}s, cutoff {session.red_cutoff_s}s"))
             actors = [by_id[a] for a in e.actor_ids]
-            tick = int(round(e.time_s / session.sample_interval_s))
+            # no tick to check without a positive interval, or where the quotient overflows
+            interval = session.sample_interval_s
+            ticks = e.time_s / interval if interval > 0 else math.nan
+            tick = int(round(ticks)) if math.isfinite(ticks) else None
             adjacent = []
             for a in actors:
-                if tick >= a.n_ticks:
+                if tick is None or tick >= a.n_ticks:
                     break
                 if Position(*a.xy[tick].tolist()).manhattan(e.victim_cell) == 1:
                     adjacent.append(a)
@@ -279,6 +270,62 @@ def validate_session(session: TeamSession) -> list[Violation]:
                     RED_ACTORS,
                     f"event {k}: red rescue needs a medic and an engineer adjacent at tick {tick}"))
     return out
+
+
+def _sample_violations(players, grid: GridSpec, interval: float) -> list[Violation]:
+    """The tick, time, bounds and one-tick-move violations of each player's
+    samples in tick order, player by player; a row's in that order.
+
+    The checks run as masks over all players' int64 columns at once. A
+    difference that wraps around is caught by its sign, so every verdict is
+    the one exact integer arithmetic gives. Messages are built for the
+    flagged rows only.
+    """
+    if not any(p.n_ticks for p in players):
+        return []
+    tick, time_s, x, y = (np.concatenate([p.samples[k] for p in players])
+                          for k in ("tick", "time_s", "x", "y"))
+    first = np.concatenate([np.arange(p.n_ticks) == 0 for p in players])
+    jump = first & (tick != 0)
+    jump[1:] |= ~first[1:] & ((tick[1:] - tick[:-1] != 1) | (tick[:-1] > tick[1:]))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf or nan times compare False
+        late = np.abs(time_s - tick * float(interval)) > _TIME_TOL
+    off = (x < 0) | (x >= grid.width) | (y < 0) | (y >= grid.height)
+    moved = np.zeros(len(tick), bool)
+    moved[1:] = ~first[1:] & (_apart(x[1:], x[:-1]) | _apart(y[1:], y[:-1])
+                              | (x[1:] != x[:-1]) & (y[1:] != y[:-1]))
+    flagged = np.flatnonzero(jump | late | off | moved).tolist()
+    if not flagged:
+        return []
+
+    # a player without samples starts where the next one does
+    starts = np.cumsum([0] + [p.n_ticks for p in players[:-1]])
+    owners = np.searchsorted(starts, flagged, side="right") - 1
+    rows = list(zip(tick.tolist(), time_s.tolist(), x.tolist(), y.tolist()))
+    out = []
+    for i, k in zip(flagged, owners.tolist()):
+        pid, (t, seconds, xi, yi) = players[k].player_id, rows[i]
+        if jump[i]:
+            out.append(Violation(DISCONTINUITY, f"player {pid}: first tick is {t}, not 0"
+                                 if first[i] else
+                                 f"player {pid}: tick jumps from {rows[i - 1][0]} to {t}"))
+        if late[i]:
+            out.append(Violation(
+                TIME_MISMATCH, f"player {pid} tick {t}: time_s {seconds} != tick * interval"))
+        if off[i]:
+            out.append(Violation(
+                POSITION_BOUNDS, f"player {pid} tick {t}: position ({xi}, {yi}) off grid"))
+        if moved[i]:
+            move = f"{Position(*rows[i - 1][2:])} -> {Position(xi, yi)}"
+            out.append(Violation(DISCONTINUITY,
+                                 f"player {pid} tick {t}: moved {move} in one tick"))
+    return out
+
+
+def _apart(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a - b| > 1 elementwise for int64 arrays, also where a - b wraps."""
+    d = a - b
+    return (d > 1) | (d < -1) | ((d > 0) != (a > b))
 
 
 def team_roles_partition(session: TeamSession) -> dict[Role, list[PlayerTrajectory]]:

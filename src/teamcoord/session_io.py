@@ -11,9 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 from dataclasses import dataclass
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 from .core import (
     ACTIONS,
@@ -23,6 +27,7 @@ from .core import (
     Position,
     RescueEvent,
     Role,
+    SAMPLE,
     TICK_ALIGNMENT,
     TeamCoordError,
     TeamSession,
@@ -88,27 +93,8 @@ def write_session(session: TeamSession, log_path, map_meta: MapMeta | None = Non
         message = f"session {session.session_id!r}: players disagree on tick count ({counts})"
         raise SessionValidationError(log_path, [Violation(TICK_ALIGNMENT, message)])
 
-    lines = []
-    order = sorted(range(len(session.players)), key=lambda i: session.players[i].player_id)
-    rows = [p.samples.tolist() for p in session.players]
-    for tick in range(session.n_ticks):
-        for i in order:
-            p = session.players[i]
-            t, time_s, x, y, action, target_x, target_y, has_target = rows[i][tick]
-            record = {
-                "session_id": session.session_id,
-                "tick": t,
-                "time_s": time_s,
-                "player_id": p.player_id,
-                "role": p.role.value,
-                "x": x,
-                "y": y,
-                "action": ACTIONS[action].value if action >= 0 else None,
-            }
-            if has_target:
-                record["target_x"] = target_x
-                record["target_y"] = target_y
-            lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    players = sorted(session.players, key=lambda p: p.player_id)
+    by_tick = zip(*(_player_lines(session.session_id, p) for p in players))
 
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -136,10 +122,38 @@ def write_session(session: TeamSession, log_path, map_meta: MapMeta | None = Non
                                                               key=lambda kv: kv[0].value)},
         }
 
-    log_path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    log_path.write_text("".join(line for lines in by_tick for line in lines), encoding="utf-8")
     manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
                              encoding="utf-8")
     return log_path, manifest_path
+
+
+# What `json.dumps(record, sort_keys=True, separators=(",", ":"))` writes for
+# one value of a log record, and for each action index; index -1, the last
+# entry, is no action.
+_to_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_ACTION_JSON = tuple(_to_json(a.value) for a in ACTIONS) + ("null",)
+
+
+def _player_lines(session_id, player: PlayerTrajectory) -> list[str]:
+    """One player's log lines, newline included, in tick order: the record
+    with sorted keys that `json.dumps` writes, filled into a template that
+    holds the player's escaped ids."""
+    s = player.samples
+    ids = (f',"player_id":{_to_json(player.player_id)},"role":{_to_json(player.role.value)}'
+           f',"session_id":{_to_json(session_id)},')
+    times = [repr(t) for t in s["time_s"].tolist()]
+    for i in np.flatnonzero(~np.isfinite(s["time_s"])).tolist():
+        times[i] = _to_json(s["time_s"][i].item())  # NaN, Infinity, -Infinity
+    targets = [f'"target_x":{x},"target_y":{y},' if has else ""
+               for x, y, has in zip(s["target_x"].tolist(), s["target_y"].tolist(),
+                                    s["has_target"].tolist())]
+    actions = np.maximum(s["action"], -1).tolist()  # any negative index is no action
+    return [f'{{"action":{_ACTION_JSON[a]}{ids}{target}"tick":{t},"time_s":{time_s},'
+            f'"x":{x},"y":{y}}}\n'
+            for a, target, t, time_s, x, y in zip(
+                actions, targets, s["tick"].tolist(), times,
+                s["x"].tolist(), s["y"].tolist())]
 
 
 def _require(condition: bool, message: str, path, line=None):
@@ -161,20 +175,19 @@ def _load_json(path, what: str):
         raise SessionFormatError(f"missing {what}", path)
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SessionFormatError(f"bad {what} JSON: {exc}", path) from exc
 
 
-# Value -> role and value -> ACTIONS index tables for the enums a log record
-# names. A miss (an unknown or unhashable value) falls back to the Enum call,
-# whose ValueError is the message the reader reports.
-_ROLE_BY_VALUE = {m.value: m for m in Role}
-_ACTION_BY_VALUE = {m.value: i for i, m in enumerate(ACTIONS)}
-
-# The scanner behind json.loads. A record is accepted from it only when the
-# value spans the whole stripped line; anything else reruns json.loads, so a
-# malformed line raises exactly the error json.loads gives.
+# The scanner behind json.loads: a line holds one record when the value it
+# scans spans the whole stripped line.
 _scan_json = json.JSONDecoder().scan_once
+
+# The keys of a log record without its target, and of the target; and the
+# ACTIONS index of each value a record's `action` may hold.
+_RECORD_KEYS = ("session_id", "player_id", "role", "action", "tick", "time_s", "x", "y")
+_TARGET_KEYS = ("target_x", "target_y")
+_ACTION_CODES = {None: -1, **{m.value: i for i, m in enumerate(ACTIONS)}}
 
 
 def read_session(log_path, validate: bool = True) -> TeamSession:
@@ -184,6 +197,7 @@ def read_session(log_path, validate: bool = True) -> TeamSession:
     that fails any of these checks raises `SessionFormatError` naming the
     log path and line number, in this order:
 
+    - the line is UTF-8 (the whole log is decoded before any record is read);
     - the line parses as one JSON value with nothing after it;
     - it has a `session_id` equal to the manifest's;
     - its `player_id` is on the manifest roster;
@@ -227,67 +241,14 @@ def read_session(log_path, validate: bool = True) -> TeamSession:
     except _MALFORMED as exc:
         raise _malformed("manifest", exc, manifest_path) from None
 
-    samples: dict[str, dict[int, tuple]] = {pid: {} for pid in roster}
     if not log_path.exists():
         raise SessionFormatError("missing log file", log_path)
-    with log_path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                try:
-                    rec, end = _scan_json(line, 0)
-                except (StopIteration, ValueError):
-                    end = -1
-                if end != len(line):
-                    rec = json.loads(line)
-                if rec["session_id"] != session_id:
-                    raise SessionFormatError("session_id differs from manifest", log_path, lineno)
-                pid = rec["player_id"]
-                if pid not in roster:
-                    raise SessionFormatError(f"player {pid!r} not in manifest roster",
-                                             log_path, lineno)
-                value = rec["role"]
-                try:
-                    role = _ROLE_BY_VALUE[value]
-                except (KeyError, TypeError):
-                    role = Role(value)
-                if role is not roster[pid]:
-                    raise SessionFormatError(f"role mismatch for {pid!r}", log_path, lineno)
-                value = rec["action"]
-                if value is None:
-                    action = -1
-                else:
-                    try:
-                        action = _ACTION_BY_VALUE[value]
-                    except (KeyError, TypeError):
-                        action = ACTIONS.index(ActionTag(value))
-                target_x = target_y = 0
-                has_target = "target_x" in rec or "target_y" in rec
-                if has_target:
-                    if "target_x" not in rec or "target_y" not in rec:
-                        raise SessionFormatError("target needs both coordinates",
-                                                 log_path, lineno)
-                    target_x, target_y = int(rec["target_x"]), int(rec["target_y"])
-                tick = int(rec["tick"])
-                ticks = samples[pid]
-                if tick in ticks:
-                    raise SessionFormatError(f"duplicate tick {tick} for {pid!r}",
-                                             log_path, lineno)
-                time_s = float(rec["time_s"])
-                x, y = int(rec["x"]), int(rec["y"])
-                if (min(tick, x, y, target_x, target_y) < -2 ** 63
-                        or max(tick, x, y, target_x, target_y) >= 2 ** 63):
-                    raise OverflowError("int outside the signed 64-bit range")
-                ticks[tick] = (tick, time_s, x, y, action, target_x, target_y, has_target)
-            except _MALFORMED as exc:
-                raise _malformed("record", exc, log_path, lineno) from None
-
-    players = tuple(
-        PlayerTrajectory(player_id=pid, role=roster[pid],
-                         samples=sorted(samples[pid].values()))
-        for pid in roster)
+    lines = _log_lines(log_path)
+    samples = _columnar_samples(lines, session_id, roster)
+    if samples is None:
+        samples = _record_samples(lines, session_id, roster, log_path)
+    players = tuple(PlayerTrajectory(player_id=pid, role=roster[pid], samples=samples[pid])
+                    for pid in roster)
 
     session = TeamSession(
         session_id=session_id, grid=grid, players=players, events=tuple(events),
@@ -300,6 +261,133 @@ def read_session(log_path, validate: bool = True) -> TeamSession:
     return session
 
 
+def _log_lines(log_path: Path) -> list[str]:
+    """The lines of a log, split at LF, CRLF and CR as a text-mode read
+    splits them; a byte that is not UTF-8 is an error on its line."""
+    raw = log_path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(raw[:exc.start + 1].splitlines())  # the bad byte ends no line
+        raise SessionFormatError("line is not UTF-8", log_path, line) from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
+def _of_types(values, *types) -> bool:
+    return set(map(type, values)) <= set(types)
+
+
+def _columnar_samples(lines, session_id, roster: dict[str, Role]) -> dict[str, np.ndarray] | None:
+    """Each roster player's SAMPLE rows in tick order, built column by column
+    when every record is in the form `write_session` writes.
+
+    That form is: each non-blank line scans as one JSON object with exactly
+    the record keys (with or without both target keys); the manifest's
+    session id; a roster player with its roster role; a known action or
+    null; `int` tick, coordinates and target, within 64 bits, and a `float`
+    time; ticks unique per player. Returns None when any record is not, so
+    that `_record_samples` converts the file one record at a time.
+    """
+    texts = list(filter(None, map(str.strip, lines)))
+    try:
+        scanned = list(map(_scan_json, texts, repeat(0)))
+    except ValueError:
+        return None
+    # the scanner raises StopIteration on a line where no value starts, which
+    # ends the map early
+    if (len(scanned) != len(texts)
+            or list(map(operator.itemgetter(1), scanned)) != list(map(len, texts))):
+        return None
+    records = list(map(operator.itemgetter(0), scanned))
+    if not _of_types(records, dict):
+        return None
+    n_keys = np.fromiter(map(len, records), np.intp, len(records))
+    has_target = n_keys == len(_RECORD_KEYS) + len(_TARGET_KEYS)
+    if not (has_target | (n_keys == len(_RECORD_KEYS))).all():
+        return None
+    # one list per field: no tuple per record stays alive to load the
+    # garbage collector
+    try:
+        sids, pids, roles, actions, ticks, times, xs, ys = (
+            list(map(operator.itemgetter(key), records)) for key in _RECORD_KEYS)
+        target_x, target_y = (list(map(operator.itemgetter(key), compress(records, has_target)))
+                              for key in _TARGET_KEYS)
+    except KeyError:
+        return None
+    ints = ticks + xs + ys + target_x + target_y
+    if (sids.count(session_id) != len(sids) or not _of_types(ints, int)
+            or not _of_types(times, float)):
+        return None
+    # a pair or action outside the tables maps to -1 or -2; an unhashable
+    # value raises TypeError
+    player = {(pid, role.value): i for i, (pid, role) in enumerate(roster.items())}
+    try:
+        owner = np.fromiter(map(player.get, zip(pids, roles), repeat(-1)), np.intp, len(pids))
+        action = np.fromiter(map(_ACTION_CODES.get, actions, repeat(-2)), np.int8, len(actions))
+        ints = np.array(ints, np.int64)
+    except (OverflowError, TypeError):
+        return None
+    if (owner < 0).any() or (action < -1).any():
+        return None
+
+    n, k = len(records), len(target_x)
+    rows = np.zeros(n, SAMPLE)
+    rows["tick"], rows["x"], rows["y"] = ints[:n], ints[n:2 * n], ints[2 * n:3 * n]
+    rows["target_x"][has_target] = ints[3 * n:3 * n + k]
+    rows["target_y"][has_target] = ints[3 * n + k:]
+    rows["time_s"], rows["action"], rows["has_target"] = times, action, has_target
+    order = np.lexsort((rows["tick"], owner))
+    rows, owner = rows[order], owner[order]
+    if ((owner[1:] == owner[:-1]) & (rows["tick"][1:] == rows["tick"][:-1])).any():
+        return None
+    bounds = np.searchsorted(owner, np.arange(len(roster) + 1)).tolist()
+    return {pid: rows[lo:hi] for pid, lo, hi in zip(roster, bounds, bounds[1:])}
+
+
+def _record_samples(lines, session_id, roster: dict[str, Role], log_path) -> dict[str, list]:
+    """Each roster player's sample tuples in tick order, read one record at a
+    time; raises `SessionFormatError` at the first line that fails a check
+    `read_session` lists."""
+    samples: dict[str, dict[int, tuple]] = {pid: {} for pid in roster}
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+            if rec["session_id"] != session_id:
+                raise SessionFormatError("session_id differs from manifest", log_path, lineno)
+            pid = rec["player_id"]
+            if pid not in roster:
+                raise SessionFormatError(f"player {pid!r} not in manifest roster",
+                                         log_path, lineno)
+            if Role(rec["role"]) is not roster[pid]:
+                raise SessionFormatError(f"role mismatch for {pid!r}", log_path, lineno)
+            value = rec["action"]
+            action = -1 if value is None else ACTIONS.index(ActionTag(value))
+            target_x = target_y = 0
+            has_target = "target_x" in rec or "target_y" in rec
+            if has_target:
+                if "target_x" not in rec or "target_y" not in rec:
+                    raise SessionFormatError("target needs both coordinates", log_path, lineno)
+                target_x, target_y = int(rec["target_x"]), int(rec["target_y"])
+            tick = int(rec["tick"])
+            ticks = samples[pid]
+            if tick in ticks:
+                raise SessionFormatError(f"duplicate tick {tick} for {pid!r}", log_path, lineno)
+            time_s = float(rec["time_s"])
+            x, y = int(rec["x"]), int(rec["y"])
+            if (min(tick, x, y, target_x, target_y) < -2 ** 63
+                    or max(tick, x, y, target_x, target_y) >= 2 ** 63):
+                raise OverflowError("int outside the signed 64-bit range")
+            ticks[tick] = (tick, time_s, x, y, action, target_x, target_y, has_target)
+        except _MALFORMED as exc:
+            raise _malformed("record", exc, log_path, lineno) from None
+    return {pid: sorted(ticks.values()) for pid, ticks in samples.items()}
+
+
 def read_map_meta(log_path) -> MapMeta | None:
     """The task inventory embedded in a session manifest, if present."""
     manifest_path = manifest_path_for(log_path)
@@ -310,11 +398,14 @@ def read_map_meta(log_path) -> MapMeta | None:
         raw = manifest.get("map_meta")
         if raw is None:
             return None
-        return MapMeta(
+        meta = MapMeta(
             traversable_cells=int(raw["traversable_cells"]),
             max_tasks={Role(k): int(v) for k, v in raw["max_tasks"].items()})
     except _MALFORMED as exc:
         raise _malformed("map_meta", exc, manifest_path) from None
+    _require(meta.traversable_cells >= 1, "bad map_meta: traversable cell count must be positive",
+             manifest_path)
+    return meta
 
 
 # ---------------------------------------------------------------------------

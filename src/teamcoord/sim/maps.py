@@ -6,6 +6,8 @@ automatically ('y' implies '*').
 """
 from __future__ import annotations
 
+from typing import Iterable
+
 from ..core import GridSpec, Position, VictimType
 from .world import MapSpec, Victim
 
@@ -111,18 +113,18 @@ _CORRIDOR = """\
 """
 
 
-def builtin_maps() -> tuple[MapSpec, ...]:
-    """The named fixture maps: small open-plus-rooms, medium arena, corridor."""
-    return (
-        map_from_ascii("small", _SMALL),
-        map_from_ascii("medium", _MEDIUM),
-        map_from_ascii("corridor", _CORRIDOR),
-    )
+_BUILTIN_ART = {"small": _SMALL, "medium": _MEDIUM, "corridor": _CORRIDOR}
+
+
+def builtin_maps(names: Iterable[str] = tuple(_BUILTIN_ART)) -> tuple[MapSpec, ...]:
+    """The named fixture maps, by default all of them: small
+    open-plus-rooms, medium arena, corridor."""
+    return tuple(map_from_ascii(name, _BUILTIN_ART[name]) for name in names)
 
 
 def builtin_map(name: str) -> MapSpec:
-    for spec in builtin_maps():
-        if spec.name == name:
-            return spec
-    known = ", ".join(m.name for m in builtin_maps())
-    raise KeyError(f"no built-in map named {name!r} (known: {known})")
+    """The built-in map called `name`; only that map is parsed."""
+    if name not in _BUILTIN_ART:
+        known = ", ".join(_BUILTIN_ART)
+        raise KeyError(f"no built-in map named {name!r} (known: {known})")
+    return builtin_maps([name])[0]

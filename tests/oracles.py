@@ -13,19 +13,61 @@ event rules off a session's sample columns.
 `bfs_field` is the plain FIFO flood fill the simulator's lazy field must
 agree with, and `step_reference` is the simulator's step rules on cell sets,
 which the array step must agree with.
+
+Session I/O has three references. `read_session_reference` reads a log one
+line at a time with `json.loads` and converts each record field by field;
+`read_session` must return the same session or raise the same error.
+`validate_session_reference` checks each sample in a Python loop on Python
+ints, which cannot wrap around; `validate_session` must report the same
+violations in the same order. `session_log_reference` writes each record
+with `json.dumps` of a dict; `write_session` must write the same bytes.
 """
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 from scipy import integrate
 
-from teamcoord.core import ACTIONS, ActionTag, GridSpec, Position, RescueEvent, Role, VictimType
+from teamcoord.core import (
+    ACTIONS,
+    CONFIG,
+    DISCONTINUITY,
+    DUPLICATE_ID,
+    EVENT_ACTOR,
+    EVENT_TIME,
+    PLAYER_COUNT,
+    POSITION_BOUNDS,
+    RED_ACTORS,
+    RED_CUTOFF,
+    ROLE_COMPOSITION,
+    TICK_ALIGNMENT,
+    TIME_MISMATCH,
+    ActionTag,
+    GridSpec,
+    PlayerTrajectory,
+    Position,
+    RescueEvent,
+    Role,
+    TeamSession,
+    VictimType,
+    Violation,
+)
+from teamcoord.session_io import (
+    _MALFORMED,
+    FORMAT_VERSION,
+    SessionFormatError,
+    SessionValidationError,
+    _load_json,
+    _malformed,
+    manifest_path_for,
+)
 from teamcoord.sim import AgentAction, AgentState, MapSpec, Victim
 
 
@@ -416,3 +458,209 @@ def step_reference(state: ReferenceWorld, actions):
         rubble=frozenset(rubble), closed_doors=frozenset(doors),
         events=tuple(events), sample_interval_s=state.sample_interval_s)
     return new_state, tuple(resolved)
+
+
+# ---------------------------------------------------------------------------
+# Session I/O, one record at a time
+
+
+def read_session_reference(log_path, validate: bool = True) -> TeamSession:
+    """A session log read line by line: each record is parsed with json and
+    checked and converted field by field, in the order `read_session`
+    documents, and stored per player by tick. With `validate`, the session
+    must pass `validate_session_reference`. Lines are split at LF, CRLF and
+    CR, and each is decoded as UTF-8 on its own."""
+    log_path = Path(log_path)
+    manifest_path = manifest_path_for(log_path)
+    manifest = _load_json(manifest_path, "manifest")
+    try:
+        if manifest["format_version"] != FORMAT_VERSION:
+            raise SessionFormatError(
+                f"unsupported format_version {manifest['format_version']!r}", manifest_path)
+        session_id = manifest["session_id"]
+        grid = GridSpec(int(manifest["grid"]["width"]), int(manifest["grid"]["height"]))
+        roster: dict[str, Role] = {}
+        for entry in manifest["players"]:
+            pid = entry["player_id"]
+            if pid in roster:
+                raise SessionFormatError(f"player {pid!r} listed twice", manifest_path)
+            roster[pid] = Role(entry["role"])
+        events = []
+        for entry in manifest["events"]:
+            actors = tuple(entry["actor_ids"])
+            if not all(isinstance(a, str) for a in actors):
+                raise SessionFormatError("actor ids must be strings", manifest_path)
+            events.append(RescueEvent(
+                time_s=float(entry["time_s"]),
+                victim_type=VictimType(entry["victim_type"]),
+                victim_cell=Position(int(entry["x"]), int(entry["y"])),
+                actor_ids=actors))
+        mission_duration_s = float(manifest["mission_duration_s"])
+        red_cutoff_s = float(manifest["red_cutoff_s"])
+        sample_interval_s = float(manifest["sample_interval_s"])
+    except _MALFORMED as exc:
+        raise _malformed("manifest", exc, manifest_path) from None
+
+    samples: dict[str, dict[int, tuple]] = {pid: {} for pid in roster}
+    if not log_path.exists():
+        raise SessionFormatError("missing log file", log_path)
+    for lineno, raw in enumerate(log_path.read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise SessionFormatError("line is not UTF-8", log_path, lineno) from None
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+            if rec["session_id"] != session_id:
+                raise SessionFormatError("session_id differs from manifest", log_path, lineno)
+            pid = rec["player_id"]
+            if pid not in roster:
+                raise SessionFormatError(f"player {pid!r} not in manifest roster",
+                                         log_path, lineno)
+            if Role(rec["role"]) is not roster[pid]:
+                raise SessionFormatError(f"role mismatch for {pid!r}", log_path, lineno)
+            action = -1 if rec["action"] is None else ACTIONS.index(ActionTag(rec["action"]))
+            target_x = target_y = 0
+            has_target = "target_x" in rec or "target_y" in rec
+            if has_target:
+                if "target_x" not in rec or "target_y" not in rec:
+                    raise SessionFormatError("target needs both coordinates", log_path, lineno)
+                target_x, target_y = int(rec["target_x"]), int(rec["target_y"])
+            tick = int(rec["tick"])
+            if tick in samples[pid]:
+                raise SessionFormatError(f"duplicate tick {tick} for {pid!r}", log_path, lineno)
+            time_s = float(rec["time_s"])
+            x, y = int(rec["x"]), int(rec["y"])
+            if any(not -2 ** 63 <= v < 2 ** 63 for v in (tick, x, y, target_x, target_y)):
+                raise OverflowError("int outside the signed 64-bit range")
+            samples[pid][tick] = (tick, time_s, x, y, action, target_x, target_y, has_target)
+        except _MALFORMED as exc:
+            raise _malformed("record", exc, log_path, lineno) from None
+
+    players = tuple(PlayerTrajectory(player_id=pid, role=roster[pid],
+                                     samples=sorted(samples[pid].values()))
+                    for pid in roster)
+    session = TeamSession(
+        session_id=session_id, grid=grid, players=players, events=tuple(events),
+        mission_duration_s=mission_duration_s, red_cutoff_s=red_cutoff_s,
+        sample_interval_s=sample_interval_s)
+    if validate:
+        report = validate_session_reference(session)
+        if report:
+            raise SessionValidationError(log_path, report)
+    return session
+
+
+def validate_session_reference(session: TeamSession) -> list[Violation]:
+    """Every session invariant, checked one sample at a time on Python ints.
+
+    Same checks, codes, messages and order as `validate_session`: the
+    configuration, the roster, tick alignment, then each player's samples
+    in tick order (first tick or tick jump, time, bounds, one-tick move),
+    then the events.
+    """
+    out: list[Violation] = []
+    grid = session.grid
+
+    if not (session.sample_interval_s > 0 and session.mission_duration_s > 0):
+        out.append(Violation(CONFIG, "sample interval and mission duration must be positive"))
+    if not 0 < session.red_cutoff_s <= session.mission_duration_s:
+        out.append(Violation(CONFIG, "red cutoff must lie inside the mission duration"))
+
+    players = session.players
+    if len(players) != 4:
+        out.append(Violation(PLAYER_COUNT, f"expected 4 players, found {len(players)}"))
+
+    ids = [p.player_id for p in players]
+    for pid in sorted({i for i in ids if ids.count(i) > 1}):
+        out.append(Violation(DUPLICATE_ID, f"player_id {pid!r} appears more than once"))
+
+    n_medics = sum(p.role is Role.MEDIC for p in players)
+    n_engineers = sum(p.role is Role.ENGINEER for p in players)
+    if len(players) == 4 and (n_medics, n_engineers) != (2, 2):
+        out.append(Violation(
+            ROLE_COMPOSITION,
+            f"expected 2 medics + 2 engineers, found {n_medics} + {n_engineers}"))
+
+    tick_counts = {p.n_ticks for p in players}
+    if len(tick_counts) > 1:
+        out.append(Violation(TICK_ALIGNMENT,
+                             f"trajectories disagree on tick count: {sorted(tick_counts)}"))
+
+    for p in players:
+        pid, prev = p.player_id, None
+        for i, (tick, time_s, x, y, *_) in enumerate(p.samples.tolist()):
+            if i == 0 and tick != 0:
+                out.append(Violation(DISCONTINUITY, f"player {pid}: first tick is {tick}, not 0"))
+            elif prev is not None and tick != prev[0] + 1:
+                out.append(Violation(DISCONTINUITY,
+                                     f"player {pid}: tick jumps from {prev[0]} to {tick}"))
+            if abs(time_s - tick * session.sample_interval_s) > 1e-9:
+                out.append(Violation(
+                    TIME_MISMATCH, f"player {pid} tick {tick}: time_s {time_s} != tick * interval"))
+            if not grid.contains(x, y):
+                out.append(Violation(
+                    POSITION_BOUNDS, f"player {pid} tick {tick}: position ({x}, {y}) off grid"))
+            if prev is not None and abs(x - prev[1]) + abs(y - prev[2]) > 1:
+                moved = f"{Position(*prev[1:])} -> {Position(x, y)}"
+                out.append(Violation(DISCONTINUITY,
+                                     f"player {pid} tick {tick}: moved {moved} in one tick"))
+            prev = (tick, x, y)
+
+    by_id = {p.player_id: p for p in players}
+    for k, e in enumerate(session.events):
+        if not 0 <= e.time_s < session.mission_duration_s:
+            out.append(Violation(EVENT_TIME, f"event {k}: time {e.time_s}s outside mission"))
+            continue
+        if not grid.contains(e.victim_cell.x, e.victim_cell.y):
+            out.append(Violation(POSITION_BOUNDS, f"event {k}: victim cell off grid"))
+        unknown = [a for a in e.actor_ids if a not in by_id]
+        if not e.actor_ids or unknown:
+            out.append(Violation(EVENT_ACTOR, f"event {k}: unknown or missing actors {unknown}"))
+            continue
+        if e.victim_type is VictimType.RED:
+            if e.time_s >= session.red_cutoff_s:
+                out.append(Violation(RED_CUTOFF, f"event {k}: red rescue at {e.time_s}s, "
+                                                 f"cutoff {session.red_cutoff_s}s"))
+            interval = session.sample_interval_s
+            tick = None  # without a positive interval, or past what it counts, no tick to check
+            if interval > 0 and math.isfinite(e.time_s / interval):
+                tick = int(round(e.time_s / interval))
+            adjacent = []
+            for a in (by_id[a] for a in e.actor_ids):
+                if tick is None or tick >= a.n_ticks:
+                    break
+                if Position(*a.xy[tick].tolist()).manhattan(e.victim_cell) == 1:
+                    adjacent.append(a)
+            if {a.role for a in adjacent} != {Role.MEDIC, Role.ENGINEER}:
+                out.append(Violation(
+                    RED_ACTORS,
+                    f"event {k}: red rescue needs a medic and an engineer adjacent at tick {tick}"))
+    return out
+
+
+def session_log_reference(session: TeamSession) -> bytes:
+    """The bytes of a session's log file: one `json.dumps` of a dict with
+    sorted keys per tick and player, players in player-id order."""
+    lines = []
+    order = sorted(session.players, key=lambda p: p.player_id)
+    for tick in range(session.n_ticks):
+        for p in order:
+            t, time_s, x, y, action, target_x, target_y, has_target = p.samples[tick].tolist()
+            record = {
+                "session_id": session.session_id,
+                "tick": t,
+                "time_s": time_s,
+                "player_id": p.player_id,
+                "role": p.role.value,
+                "x": x,
+                "y": y,
+                "action": ACTIONS[action].value if action >= 0 else None,
+            }
+            if has_target:
+                record["target_x"] = target_x
+                record["target_y"] = target_y
+            lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")

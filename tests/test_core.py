@@ -27,6 +27,7 @@ from teamcoord.core import (
 )
 
 from helpers import random_session, session_from_cells, traj
+from oracles import validate_session_reference
 
 GRID = GridSpec(6, 6)
 
@@ -248,3 +249,56 @@ def test_trajectory_samples_and_xy_are_read_only():
     with pytest.raises(ValueError):
         p.xy[0, 0] = 4
     assert p.xy.tolist() == [[1, 1], [1, 2], [1, 2]]
+
+
+def test_validation_matches_reference_loop_on_random_faults():
+    # random sessions with random ticks, times and cells, some of them off
+    # grid, some players empty: the masks must flag what the loop flags, in
+    # its order and wording
+    rng = np.random.default_rng(29)
+    for case in range(200):
+        s = random_session(rng, width=5, height=4, n_ticks=int(rng.integers(0, 7)))
+        players = []
+        for p in s.players:
+            rows = p.samples.copy()
+            for field, low, high in (("tick", -2, 9), ("x", -2, 7), ("y", -2, 6)):
+                hit = rng.random(len(rows)) < 0.15
+                rows[field][hit] = rng.integers(low, high, hit.sum())
+            rows["time_s"][rng.random(len(rows)) < 0.1] = rng.choice([np.nan, np.inf, 1.5])
+            players.append(PlayerTrajectory(p.player_id, p.role, rows[:int(rng.integers(0, 8))]))
+        s = TeamSession(s.session_id, s.grid, tuple(players),
+                        sample_interval_s=float(rng.choice([3.0, 0.5, np.inf])))
+        assert validate_session(s) == validate_session_reference(s), case
+
+
+def naive_discontinuities(samples, dtype=np.int64):
+    """Per step, whether the tick jumps or the position moves more than one
+    cell, from `t[:-1] + 1` and `np.diff` on int64 or float64 columns."""
+    t = samples["tick"]
+    x, y = samples["x"].astype(dtype), samples["y"].astype(dtype)
+    return ((t[1:] != t[:-1] + 1) | (np.abs(np.diff(x)) + np.abs(np.diff(y)) > 1)).tolist()
+
+
+# Two samples of one player at the int64 limits: the fields of each row, and
+# the dtype of the naive check that misses the step between them.
+INT64_STEPS = {
+    "tick_max_then_min": ((2 ** 63 - 1, 0), (-2 ** 63, 0), np.int64),
+    "x_minus_one_then_max": ((0, -1), (1, 2 ** 63 - 1), np.int64),
+    "x_two_apart_past_float_precision": ((0, 2 ** 62), (1, 2 ** 62 + 2), np.float64),
+    "x_min_then_max": ((0, -2 ** 63), (1, 2 ** 63 - 1), np.int64),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INT64_STEPS))
+def test_validation_at_the_int64_limits_matches_reference(case):
+    (t0, x0), (t1, x1), naive_dtype = INT64_STEPS[case]
+    rows = np.array([(t0, 0.0, x0, 1, -1, 0, 0, False), (t1, 3.0, x1, 1, -1, 0, 0, False)],
+                    dtype=SAMPLE)
+    s = square_session()
+    s = TeamSession(s.session_id, s.grid,
+                    (PlayerTrajectory("medic1", Role.MEDIC, rows),) + s.players[1:])
+    report = validate_session(s)
+    assert report == validate_session_reference(s)
+    assert any(v.code == DISCONTINUITY and "medic1" in v.message and (
+        "tick jumps" in v.message or "moved" in v.message) for v in report)
+    assert naive_discontinuities(rows, naive_dtype) == [False]

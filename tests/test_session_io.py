@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from teamcoord.cli import EXIT_IO, main
-from teamcoord.core import DISCONTINUITY, TICK_ALIGNMENT, PlayerTrajectory, Role, TeamSession
+from teamcoord.core import (
+    DISCONTINUITY,
+    TICK_ALIGNMENT,
+    GridSpec,
+    PlayerTrajectory,
+    Role,
+    TeamSession,
+)
 from teamcoord.session_io import (
     MetricsTableRow,
     SessionFormatError,
@@ -23,6 +30,7 @@ from teamcoord.session_io import (
 from teamcoord.sim import AgentPolicy, PolicyKind, builtin_map, builtin_maps, map_meta, run_mission
 
 from helpers import random_session
+from oracles import session_log_reference
 
 POLICIES = [(Role.MEDIC, AgentPolicy(PolicyKind.GREEDY))] * 2 + \
            [(Role.ENGINEER, AgentPolicy(PolicyKind.GREEDY))] * 2
@@ -405,3 +413,50 @@ def test_infinite_map_cell_names_map(tmp_path, sim_session, capsys):
     log, _ = write_session(sim_session, tmp_path / "s.jsonl")
     assert main(["metrics", str(log), "--map", str(path)]) == EXIT_IO
     assert f"{path}: bad map" in capsys.readouterr().err
+
+
+# Player and session ids that JSON escapes, and times it writes specially.
+ODD_IDS = ('med"ic', "back\\slash", "médic-ü-世界", "tab\there\x00\x1f\x7f", " line")
+ODD_TIMES = (float("nan"), float("inf"), float("-inf"), -0.0, 5e-324)
+
+
+def test_writer_escapes_ids_and_times_like_json_dumps(tmp_path):
+    rows = [(t, ODD_TIMES[t % len(ODD_TIMES)], t, 0, t % 6 - 1)
+            + ((-1, -1, True) if t % 2 else (0, 0, False)) for t in range(10)]
+    players = tuple(PlayerTrajectory(pid, role, rows)
+                    for pid, role in zip(ODD_IDS, [Role.MEDIC, Role.ENGINEER] * 3))
+    s = TeamSession('sess "ion\\é\n', GridSpec(12, 4), players)
+    log, _ = write_session(s, tmp_path / "s.jsonl")
+    assert log.read_bytes() == session_log_reference(s)
+    assert b'"target_x":-1,"target_y":-1' in log.read_bytes()
+    again = read_session(log, validate=False)
+    assert [p.samples.tobytes() for p in again.players] == [p.samples.tobytes() for p in players]
+
+
+def test_zero_tick_session_writes_an_empty_log(tmp_path):
+    players = tuple(PlayerTrajectory(f"p{i}", Role.MEDIC, []) for i in range(4))
+    s = TeamSession("empty", GridSpec(3, 3), players)
+    log, _ = write_session(s, tmp_path / "s.jsonl")
+    assert log.read_bytes() == b"" == session_log_reference(s)
+    assert read_session(log, validate=False) == s
+
+
+def test_writer_matches_reference_on_simulated_and_random_sessions(tmp_path, sim_session):
+    rng = np.random.default_rng(31)
+    for i, s in enumerate([sim_session] + [random_session(rng, session_id=f"r{i}")
+                                           for i in range(10)]):
+        log, _ = write_session(s, tmp_path / f"{i}.jsonl")
+        assert log.read_bytes() == session_log_reference(s)
+
+
+@pytest.mark.parametrize("bad", [b"\xff", b"\xc3(", b"\xe2\x82"])
+def test_log_line_not_utf8_names_path_and_line(tmp_path, sim_session, capsys, bad):
+    log, _ = write_session(sim_session, tmp_path / "s.jsonl")
+    lines = log.read_bytes().split(b"\n")
+    lines[2] = lines[2][:30] + bad + lines[2][30:]
+    log.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(SessionFormatError) as exc:
+        read_session(log)
+    assert str(exc.value) == f"{log}:3: line is not UTF-8"
+    assert main(["metrics", str(log)]) == EXIT_IO
+    assert f"{log}:3: line is not UTF-8" in capsys.readouterr().err

@@ -338,6 +338,23 @@ def test_builtin_maps_are_valid_fixtures():
         builtin_map("atlantis")
 
 
+def test_builtin_map_builds_the_named_map_only(monkeypatch):
+    from teamcoord.sim import maps
+
+    built = []
+    monkeypatch.setattr(maps, "map_from_ascii",
+                        lambda name, art: built.append(name) or map_from_ascii(name, art))
+    for spec in builtin_maps():
+        built.clear()
+        assert maps.builtin_map(spec.name) == spec
+        assert built == [spec.name]
+    built.clear()
+    with pytest.raises(KeyError) as exc:
+        maps.builtin_map("atlantis")
+    assert exc.value.args[0] == "no built-in map named 'atlantis' (known: small, medium, corridor)"
+    assert built == []
+
+
 def shortest_path_ticks(spec, goal_cells):
     """Dijkstra oracle: door and rubble cells cost 2 ticks (open/clear first)."""
     start = spec.grid.cell_index(spec.start.x, spec.start.y)
