@@ -129,10 +129,9 @@ def write_session(session: TeamSession, log_path, map_meta: MapMeta | None = Non
 
 
 # What `json.dumps(record, sort_keys=True, separators=(",", ":"))` writes for
-# one value of a log record, and for each action index; index -1, the last
-# entry, is no action.
+# one value of a log record, and for each action index (-1 for none).
 _to_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-_ACTION_JSON = tuple(_to_json(a.value) for a in ACTIONS) + ("null",)
+_ACTION_JSON = {-1: "null", **{i: _to_json(a.value) for i, a in enumerate(ACTIONS)}}
 
 
 def _player_lines(session_id, player: PlayerTrajectory) -> list[str]:

@@ -16,9 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from teamcoord.cli import main
-from teamcoord.core import TeamCoordError, validate_session
 from teamcoord import session_io
+from teamcoord.cli import EXIT_IO, main
+from teamcoord.core import TeamCoordError, validate_session
 from teamcoord.session_io import manifest_path_for, read_session
 
 from oracles import read_session_reference, validate_session_reference
@@ -154,12 +154,12 @@ def mutants():
     return out
 
 
-def outcome(read, log, **kw):
+def outcome(read, log):
     """The session a reader returns, or the error it raises, in a form that
     compares bit for bit (nan times included)."""
     try:
-        s = read(log, **kw)
-    except Exception as exc:  # noqa: BLE001 - the class is part of the outcome
+        s = read(log)
+    except Exception as exc:  # the class is part of the outcome
         return ("raised", type(exc), str(exc), getattr(exc, "path", None),
                 getattr(exc, "line", None), getattr(exc, "report", None))
     return ("read", repr((s.session_id, s.grid, s.events, s.mission_duration_s, s.red_cutoff_s,
@@ -238,18 +238,18 @@ def test_metrics_exits_with_a_documented_code(cases, capsys):
 # ValueError) from `read_session` or `teamcoord metrics`, each found by
 # mutating one value of the example manifest, which holds a red rescue.
 MANIFEST_HOLES = {
-    "grid_past_int64_cells": ("grid", {"width": 2 ** 63, "height": 8}, 1),
-    "interval_zero": ("sample_interval_s", 0.0, 1),
-    "interval_negative": ("sample_interval_s", -3.0, 1),
-    "interval_nan": ("sample_interval_s", float("nan"), 1),
-    "interval_subnormal": ("sample_interval_s", 5e-324, 1),
-    "no_traversable_cells": ("map_meta", {"traversable_cells": 0, "max_tasks": {}}, 1),
+    "grid_past_int64_cells": ("grid", {"width": 2 ** 63, "height": 8}),
+    "interval_zero": ("sample_interval_s", 0.0),
+    "interval_negative": ("sample_interval_s", -3.0),
+    "interval_nan": ("sample_interval_s", float("nan")),
+    "interval_subnormal": ("sample_interval_s", 5e-324),
+    "no_traversable_cells": ("map_meta", {"traversable_cells": 0, "max_tasks": {}}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MANIFEST_HOLES))
 def test_broken_manifest_values_end_in_typed_errors(tmp_path, capsys, case):
-    key, value, exit_code = MANIFEST_HOLES[case]
+    key, value = MANIFEST_HOLES[case]
     src = SOURCES[0]
     manifest = json.loads(manifest_path_for(src).read_text())
     manifest[key] = value
@@ -263,5 +263,5 @@ def test_broken_manifest_values_end_in_typed_errors(tmp_path, capsys, case):
         pass
     else:
         assert validate_session(session) == validate_session_reference(session)
-    assert main(["metrics", str(log)]) == exit_code
+    assert main(["metrics", str(log)]) == EXIT_IO
     assert f"{log.parent}" in capsys.readouterr().err
