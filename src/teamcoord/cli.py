@@ -36,6 +36,7 @@ from .session_io import (
     read_map,
     read_map_meta,
     read_session,
+    read_utf8,
     write_session,
 )
 from .sim import AgentPolicy, PolicyKind, builtin_map, map_meta, run_mission
@@ -194,9 +195,8 @@ def _read_table(path: str) -> list[tuple[int, dict]]:
     p = Path(path)
     if not p.exists():
         raise SessionFormatError("missing table", p)
-    with p.open(encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [(reader.line_num, row) for row in reader]
+    reader = csv.DictReader(io.StringIO(read_utf8(p), newline=""))
+    return [(reader.line_num, row) for row in reader]
 
 
 def _columns(rows: list[tuple[int, dict]], names) -> dict[str, np.ndarray]:

@@ -260,15 +260,20 @@ def read_session(log_path, validate: bool = True) -> TeamSession:
     return session
 
 
+def read_utf8(path: Path) -> str:
+    """The text of a file; a byte that is not UTF-8 is an error on its line."""
+    raw = path.read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(raw[:exc.start + 1].splitlines())  # the bad byte ends no line
+        raise SessionFormatError("line is not UTF-8", path, line) from None
+
+
 def _log_lines(log_path: Path) -> list[str]:
     """The lines of a log, split at LF, CRLF and CR as a text-mode read
     splits them; a byte that is not UTF-8 is an error on its line."""
-    raw = log_path.read_bytes()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = len(raw[:exc.start + 1].splitlines())  # the bad byte ends no line
-        raise SessionFormatError("line is not UTF-8", log_path, line) from None
+    text = read_utf8(log_path)
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text.split("\n")
@@ -493,24 +498,23 @@ def read_metrics_table(path) -> list[MetricsTableRow]:
     path = Path(path)
     if not path.exists():
         raise SessionFormatError("missing metrics table", path)
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SessionFormatError("empty file, expected a header", path) from None
+    _require(tuple(header) == METRICS_COLUMNS,
+             f"bad header {header!r}, expected {list(METRICS_COLUMNS)}", path, 1)
+    rows = []
+    for lineno, rec in enumerate(reader, start=2):
+        if not rec:
+            continue
+        _require(len(rec) == len(METRICS_COLUMNS), f"expected {len(METRICS_COLUMNS)} fields",
+                 path, lineno)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SessionFormatError("empty file, expected a header", path) from None
-        _require(tuple(header) == METRICS_COLUMNS,
-                 f"bad header {header!r}, expected {list(METRICS_COLUMNS)}", path, 1)
-        rows = []
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            _require(len(rec) == len(METRICS_COLUMNS), f"expected {len(METRICS_COLUMNS)} fields",
-                     path, lineno)
-            try:
-                rows.append(MetricsTableRow(
-                    session_id=rec[0], sed=float(rec[1]), sms=float(rec[2]),
-                    spa=float(rec[3]), ci=float(rec[4]), performance=int(rec[5])))
-            except ValueError as exc:
-                raise SessionFormatError(f"bad number: {exc}", path, lineno) from exc
+            rows.append(MetricsTableRow(
+                session_id=rec[0], sed=float(rec[1]), sms=float(rec[2]),
+                spa=float(rec[3]), ci=float(rec[4]), performance=int(rec[5])))
+        except ValueError as exc:
+            raise SessionFormatError(f"bad number: {exc}", path, lineno) from exc
     return rows

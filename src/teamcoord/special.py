@@ -71,16 +71,6 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def student_t_sf(t: float, df: float) -> float:
-    """P(T > t) for Student's t with df degrees of freedom."""
-    if df <= 0:
-        raise ValueError("degrees of freedom must be positive")
-    if math.isinf(t):
-        return 0.0 if t > 0 else 1.0
-    half = 0.5 * regularized_incomplete_beta(0.5 * df, 0.5, df / (df + t * t))
-    return half if t >= 0 else 1.0 - half
-
-
 def student_t_two_sided(t: float, df: float) -> float:
     """P(|T| >= |t|), the two-sided p-value for a t statistic."""
     if df <= 0:

@@ -5,11 +5,16 @@ Everything is implemented directly on numpy; tail probabilities come from
 the incomplete-beta routines in `special`. Ties always receive average
 ranks. The bootstrap uses numpy's splittable SeedSequence/Philox streams:
 resample k draws from the k-th child stream of the seed, so results are
-identical no matter how the loop is scheduled.
+identical no matter how the loop is scheduled. Those streams are computed
+in bulk, for all resamples of a block at once: numpy's SeedSequence mixing,
+Philox4x64-10 (Salmon et al. 2011) and Lemire's bounded draws (Lemire 2019)
+are redone on uint64 arrays, and a row where Lemire's method may reject a
+draw is drawn from numpy's own generator instead.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
@@ -274,6 +279,124 @@ def pct_mediated(indirect: float, total: float) -> float | None:
 # Cells of the (resamples, n) index matrix handled at once by the bootstrap.
 _BOOT_BLOCK_CELLS = 1 << 18
 
+# numpy's SeedSequence hash constants (uint32 arithmetic) and Philox4x64-10's
+# round multipliers and key bumps.
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+
+
+def _hashmix(value, h: int, mult: int):
+    """SeedSequence's hashmix of uint32 value(s) under hash constant h.
+
+    Returns the mixed value and the advanced hash constant. Values are Python
+    ints or uint64 arrays holding uint32s; a product of two stays below 2**64.
+    """
+    h_next = h * mult & _M32
+    value = (value ^ h) * h_next & _M32
+    return value ^ value >> 16, h_next
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 values (ints or uint64 arrays)."""
+    r = ((_MIX_MULT_L * x & _M32) - (_MIX_MULT_R * y & _M32)) & _M32
+    return r ^ r >> 16
+
+
+def _philox_keys(seed: int, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Philox key words of `SeedSequence(seed, spawn_key=(k,))` per k.
+
+    For seed and k below 2**32 the entropy is [seed, 0, 0, 0, k]: the pool of
+    four words mixes the seed part alone, then k into each word in turn.
+    """
+    h = _INIT_A
+    pool = []
+    for word in (seed, 0, 0, 0):
+        word, h = _hashmix(word, h, _MULT_A)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                word, h = _hashmix(pool[src], h, _MULT_A)
+                pool[dst] = _mix(pool[dst], word)
+    for dst in range(4):  # hashmix(k) once per pool word, each under the next constant
+        word, h = _hashmix(ks, h, _MULT_A)
+        pool[dst] = _mix(pool[dst], word)
+    h = _INIT_B
+    state = []
+    for word in pool:  # generate_state(2, uint64): four uint32 words, low word first
+        word, h = _hashmix(word, h, _MULT_B)
+        state.append(word)
+    return state[0] | state[1] << 32, state[2] | state[3] << 32
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products a * b, from 32-bit halves."""
+    a_lo, a_hi = a & _M32, a >> 32
+    b_lo, b_hi = b & _M32, b >> 32
+    t = a_lo * b_lo
+    mid = a_hi * b_lo + (t >> 32)
+    carry = (a_lo * b_hi + (mid & _M32)) >> 32
+    return a_hi * b_hi + (mid >> 32) + carry, b * np.uint64(a)
+
+
+def _philox_words(k0: np.ndarray, k1: np.ndarray, blocks: int) -> np.ndarray:
+    """The first 4 * blocks uint64 outputs of Philox4x64-10 per (k0, k1) key.
+
+    numpy's Philox starts at counter 0 and increments it before each block,
+    so block j runs on counter (j + 1, 0, 0, 0).
+    """
+    k0, k1 = k0[:, None], k1[:, None]
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (k0.size, blocks))
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack([c0, c1, c2, c3], axis=-1).reshape(k0.size, 4 * blocks)
+
+
+def _resample_rng(seed: int, k: int) -> np.random.Generator:
+    """Resample k's own stream: the k-th child that SeedSequence(seed).spawn makes."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(k,))))
+
+
+def _may_reject(low: np.ndarray, n: int) -> np.ndarray:
+    """Rows where some draw's low product word is below n, so Lemire may reject it."""
+    return (low < n).any(axis=1)
+
+
+def _resample_indices(seed: int, start: int, count: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices of resamples start .. start + count - 1, with the fallback rows.
+
+    Row k equals `_resample_rng(seed, k).integers(0, n, size=n)`. numpy draws
+    it with Lemire's method from uint32s, two per Philox output, low half
+    first: index (u * n) >> 32, rejected only when (u * n) mod 2**32 is
+    below (2**32 - n) mod n, which is below n. All rows are computed at once
+    that way; a row where a rejection may happen, and every row when seed, n
+    or k reaches 2**32, is drawn from its own generator instead and marked
+    in the returned mask.
+    """
+    seed = operator.index(seed)
+    if seed >= 1 << 32 or n >= 1 << 32 or start + count > 1 << 32:
+        idx = np.empty((count, n), dtype=np.int64)
+        fallback = np.ones(count, dtype=bool)
+    else:
+        k0, k1 = _philox_keys(seed, np.arange(start, start + count, dtype=np.uint64))
+        words = _philox_words(k0, k1, -(-n // 8))  # 8 draws per block
+        draws = np.stack([words & _M32, words >> 32], axis=-1).reshape(count, -1)[:, :n]
+        product = draws * np.uint64(n)
+        idx = (product >> 32).astype(np.int64)
+        fallback = _may_reject(product & _M32, n)
+    for r in np.flatnonzero(fallback).tolist():
+        idx[r] = _resample_rng(seed, start + r).integers(0, n, size=n)
+    return idx, fallback
+
 
 def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Per-row dot products of two (R, n) arrays.
@@ -322,7 +445,11 @@ def bootstrap_mediation(x, m, y, resamples: int = 5000, seed: int = 0) -> Mediat
     effects; results are bit-reproducible for a fixed seed and resample
     count. Resample k draws its indices from its own Philox stream, the k-th
     child of the seed, and draws again from that stream (up to 100 draws in
-    all) while its rows are degenerate.
+    all) while its rows are degenerate. The first draws of all resamples are
+    computed in bulk, bit for bit as the streams would give them; a resample
+    whose first draw may hit a Lemire rejection (or every resample, when the
+    seed reaches 2**32) and a degenerate resample's redraws go through the
+    stream's own `Generator`.
     """
     xv, mv = _paired(x, m)
     yv = _vector(y, "y")
@@ -333,29 +460,30 @@ def bootstrap_mediation(x, m, y, resamples: int = 5000, seed: int = 0) -> Mediat
         raise ValueError(f"need at least 5 observations, got {n}")
     if resamples < 1:
         raise ValueError("resamples must be positive")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     *paths, ok = _mediation_paths(xv[None], mv[None], yv[None])
     if not ok[0]:
         raise DegenerateDataError("x is constant or x and m are collinear")
     a, b, c_prime, c_total = (float(v[0]) for v in paths)
 
-    children = np.random.SeedSequence(seed).spawn(resamples)
     boot = np.empty(resamples)
     block = max(1, _BOOT_BLOCK_CELLS // n)  # resamples per block, to bound memory
     for start in range(0, resamples, block):
-        rngs = [np.random.Generator(np.random.Philox(c)) for c in children[start:start + block]]
-        idx = np.stack([rng.integers(0, n, size=n) for rng in rngs])
+        idx, _ = _resample_indices(seed, start, min(block, resamples - start), n)
         sub_a, sub_b, _, _, sub_ok = _mediation_paths(xv[idx], mv[idx], yv[idx])
-        boot[start:start + len(rngs)] = sub_a * sub_b
-        for k in np.flatnonzero(~sub_ok).tolist():
+        boot[start:start + len(idx)] = sub_a * sub_b
+        for k in (start + np.flatnonzero(~sub_ok)).tolist():
+            rng = _resample_rng(seed, k)
+            rng.integers(0, n, size=n)  # replays the first draw
             for _ in range(99):
-                row = rngs[k].integers(0, n, size=n)[None]
+                row = rng.integers(0, n, size=n)[None]
                 sub_a, sub_b, _, _, sub_ok = _mediation_paths(xv[row], mv[row], yv[row])
                 if sub_ok[0]:
-                    boot[start + k] = sub_a[0] * sub_b[0]
+                    boot[k] = sub_a[0] * sub_b[0]
                     break
             else:
-                raise DegenerateDataError(
-                    f"resample {start + k} stayed degenerate after 100 draws")
+                raise DegenerateDataError(f"resample {k} stayed degenerate after 100 draws")
 
     ci_low, ci_high = np.percentile(boot, [2.5, 97.5])
     return MediationResult(

@@ -188,6 +188,22 @@ def test_stats_mediation_deterministic(tmp_path, capsys):
     assert "sms" in first
 
 
+def test_stats_mediation_negative_seed_exits_2(tmp_path, capsys):
+    table = random_table(tmp_path / "m.csv", 8)
+    rc = run(["stats", "--table", str(table), "--analysis", "mediation", "--seed", "-1"])
+    assert rc == EXIT_USAGE
+    assert "usage error: seed must be non-negative" in capsys.readouterr().err
+
+
+def test_stats_table_not_utf8_names_path_and_line_exits_1(tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    table.write_bytes(b"session_id,sed,sms,spa,ci,performance\r\n"
+                      b"s1,0.1,0.2,0.3,0.4,5\r\nx\xff,0.1,0.2,0.3,0.4,5\r\n")
+    rc = run(["stats", "--table", str(table), "--analysis", "correlations"])
+    assert rc == EXIT_IO
+    assert f"error: {table}:3: line is not UTF-8" in capsys.readouterr().err
+
+
 def test_stats_quadratic_recovers_known_optimum(tmp_path, capsys):
     rng = np.random.default_rng(11)
     rows = []

@@ -197,6 +197,15 @@ def test_metrics_table_34_rows_is_35_lines(tmp_path):
     assert read_metrics_table(p) == rows
 
 
+def test_metrics_table_not_utf8_names_path_and_line(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_bytes(b"session_id,sed,sms,spa,ci,performance\ns1,0.1,0.2,0.3,0.4,5\n"
+                  b"x\xff,0.1,0.2,0.3,0.4,5\n")
+    with pytest.raises(SessionFormatError) as exc:
+        read_metrics_table(p)
+    assert str(exc.value) == f"{p}:3: line is not UTF-8"
+
+
 def test_metrics_table_bad_header_and_numbers(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("who,sed,sms,spa,ci,performance\n")

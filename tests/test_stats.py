@@ -353,6 +353,71 @@ def test_mediation_exactly_collinear_input_raises_at_the_point_estimate():
         bootstrap_mediation(x, m, y, resamples=300, seed=0)
 
 
+def test_mediation_refuses_negative_seed():
+    x, m, y = [0.0, 0, 0, 0, 1], [1.0, 2, 3, 4, 5], [0.5, -1.0, 2.0, 0.25, 1.5]
+    with pytest.raises(ValueError, match="^seed must be non-negative$"):
+        bootstrap_mediation(x, m, y, resamples=10, seed=-1)
+
+
+# --- bulk resample indices ---------------------------------------------------------
+
+def spawned_indices(seed, start, count, n):
+    """Rows start .. start + count - 1 drawn from the spawned Philox streams one at a time."""
+    children = np.random.SeedSequence(seed).spawn(start + count)[start:]
+    return np.stack([np.random.Generator(np.random.Philox(c)).integers(0, n, size=n)
+                     for c in children])
+
+
+# n = 1 draws nothing, odd n leaves half a uint64 over, 8 and 16 fill whole
+# 4-word Philox blocks and 9 and 17 start a new one; 2**32 - 1 is the largest
+# seed of one uint32 word, and start = 6553 is the second block at n = 40.
+@pytest.mark.parametrize("seed,start,count,n", [
+    (0, 0, 5000, 40), (19, 0, 3000, 5), (7, 0, 2000, 123), (12345, 0, 1000, 2),
+    (41, 0, 500, 7), (3, 0, 200, 9), (5, 0, 300, 1), (6, 0, 300, 8), (8, 0, 300, 16),
+    (9, 0, 300, 17), (2**32 - 1, 0, 300, 40), (1, 6553, 300, 40), (77, 123456, 50, 33),
+])
+def test_resample_indices_match_spawned_streams(seed, start, count, n):
+    idx, fallback = stats._resample_indices(seed, start, count, n)
+    assert idx.dtype == np.int64
+    assert np.array_equal(idx, spawned_indices(seed, start, count, n))
+    assert not fallback.any()
+
+
+def test_resample_indices_seed_of_two_words_takes_every_row_from_its_stream():
+    idx, fallback = stats._resample_indices(2**32, 0, 40, 40)
+    assert fallback.all()
+    assert np.array_equal(idx, spawned_indices(2**32, 0, 40, 40))
+
+
+def test_resample_indices_redraw_rows_where_lemire_rejects(monkeypatch):
+    # At n = 30000 a draw is rejected with probability about 4e-6, so some of
+    # these rows hold a rejection: the bulk draws alone get them wrong.
+    want = spawned_indices(11, 0, 12, 30000)
+    idx, fallback = stats._resample_indices(11, 0, 12, 30000)
+    assert np.array_equal(idx, want)
+    assert 0 < fallback.sum() < 12
+    monkeypatch.setattr(stats, "_may_reject", lambda low, n: np.zeros(len(low), dtype=bool))
+    bulk, _ = stats._resample_indices(11, 0, 12, 30000)
+    wrong = (bulk != want).any(axis=1)
+    assert wrong.any() and not (wrong & ~fallback).any()
+
+
+def test_mediation_matches_loop_oracle_with_every_row_from_its_stream(monkeypatch):
+    monkeypatch.setattr(stats, "_may_reject", lambda low, n: np.ones(len(low), dtype=bool))
+    monkeypatch.setattr(stats, "_BOOT_BLOCK_CELLS", 35)
+    x, m, y = [0.0, 0, 0, 0, 1], [1.0, 2, 3, 4, 5], [0.5, -1.0, 2.0, 0.25, 1.5]
+    res = bootstrap_mediation(x, m, y, resamples=300, seed=5)
+    assert (res.boot_indirect_mean, res.ci_low, res.ci_high) == \
+        bootstrap_indirect_loop(x, m, y, 300, 5)
+
+
+def test_mediation_with_a_seed_of_two_words_matches_loop_oracle():
+    x, m, y = [0.0, 0, 0, 0, 1], [1.0, 2, 3, 4, 5], [0.5, -1.0, 2.0, 0.25, 1.5]
+    res = bootstrap_mediation(x, m, y, resamples=300, seed=2**32 + 5)
+    assert (res.boot_indirect_mean, res.ci_low, res.ci_high) == \
+        bootstrap_indirect_loop(x, m, y, 300, 2**32 + 5)
+
+
 # --- Mann-Whitney -----------------------------------------------------------------
 
 def test_u_complete_separation():
