@@ -288,3 +288,65 @@ def test_edge_of_grid_sessions(tmp_path, kind, fov_radius):
                                   map_meta=map_meta(spec)):
             digest.update(path.read_bytes())
     assert digest.hexdigest() == EDGE_PINS[f"{kind}-fov{fov_radius}"], digest.hexdigest()
+
+# Mixed teams and non-default planner parameters, on every built-in map at
+# seed 0: each pin hashes the session log and manifest of one mission.
+MIXED_TEAMS = {
+    "mixed4": (("medic", "coordinated"), ("medic", "greedy"),
+               ("engineer", "greedy"), ("engineer", "random_walk")),
+    "coordmedics": (("medic", "coordinated"), ("medic", "coordinated"),
+                    ("engineer", "greedy"), ("engineer", "greedy")),
+}
+PLANNER_PARAMS = {"dither": 0, "patience": 0, "park_signal_ticks": 0}
+TEAM_PINS = {
+    "small-coordmedics":
+        "dfe105e647778d6787edcc2e56882edccb0ad0bb9112481f1723711d96c5f3fb",
+    "small-mixed4":
+        "569efa675cbfdacae4448e6a04bef2a95eec2c078050ea832551d0f631b19f59",
+    "small-greedy-params":
+        "f2e32bbaebdbc0d50317230077e3c18d9145fbb6b32cc7306d2c73127d2760d0",
+    "small-coordinated-params":
+        "7b26161c3329951ebb678288f6835c744102e3eeab3f5b033ffd132a3b385c21",
+    "medium-coordmedics":
+        "ad56a31719a69f940d2f695b03d554bbd1727bcdf1d132e75c30e61620f391a4",
+    "medium-mixed4":
+        "508a35b23a3dc1502fec655c24265b1762f42782a95b7920ea6b63f60f210c9f",
+    "medium-greedy-params":
+        "3ca99d176bdfdae1e47c7441670533a6f85835419ba9b7d406938364efc81451",
+    "medium-coordinated-params":
+        "eaeb1adbebf445a6019a92f92c9f6af937c22cfd5fbaf56e1ed25609ff581114",
+    "corridor-coordmedics":
+        "de866e8a2908ed36dac3608751aa041208ef469bf0ed4f84d35d47e1899b7820",
+    "corridor-mixed4":
+        "e06e86948874348c686403777662a222ac02b3dc5cb7d29fa451f3a9b53221f2",
+    "corridor-greedy-params":
+        "e725aea4e38f4c96296a06706098822dafc67b98f42796c8da08143ef3f44e57",
+    "corridor-coordinated-params":
+        "1d9c574c3e7b62ad852e1b4ce47a928241f83f25bff260b8d625815336f83727",
+}
+
+
+def _team_digest(tmp_path, spec, team) -> str:
+    session = run_mission(spec, team, seed=0)
+    digest = hashlib.sha256()
+    for path in write_session(session, tmp_path / "team.jsonl", map_meta=map_meta(spec)):
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("mapname", MAPS)
+@pytest.mark.parametrize("team", sorted(MIXED_TEAMS))
+def test_mixed_team_sessions(tmp_path, mapname, team):
+    slots = [(Role(role), AgentPolicy(PolicyKind(kind))) for role, kind in MIXED_TEAMS[team]]
+    got = _team_digest(tmp_path, builtin_map(mapname), slots)
+    assert got == TEAM_PINS[f"{mapname}-{team}"], got
+
+
+@pytest.mark.parametrize("mapname", MAPS)
+@pytest.mark.parametrize("kind", ["greedy", "coordinated"])
+def test_planner_params_sessions(tmp_path, mapname, kind):
+    policy = AgentPolicy(PolicyKind(kind), params=PLANNER_PARAMS)
+    slots = [(Role.MEDIC, policy), (Role.MEDIC, policy),
+             (Role.ENGINEER, policy), (Role.ENGINEER, policy)]
+    got = _team_digest(tmp_path, builtin_map(mapname), slots)
+    assert got == TEAM_PINS[f"{mapname}-{kind}-params"], got
