@@ -66,15 +66,18 @@ _DIRS = ((0, -1), (1, 0), (0, 1), (-1, 0))
 class BfsField:
     """Lazy breadth-first search from one cell, one distance level at a time.
 
-    Cells are reached in the order of a FIFO flood fill, so `dist` (-1 where
-    not reached) and `first` (first step of a shortest path) agree with the
-    full fill wherever they are set. `levels[d]` lists the cells at distance
-    d in that order; level 0 is the start and an empty last level means the
-    search is exhausted. Queries expand only as many levels as they need.
+    It walks `neighbors` (non-wall, as in `MapSpec.neighbor_lists`) around
+    the cells of the bytes-like `blocked` mask, in the order of a FIFO flood
+    fill, so `dist` (-1 where not reached) and `first` (first step of a
+    shortest path) agree with the full fill wherever they are set. `levels[d]`
+    lists the cells at distance d in that order; level 0 is the start and an
+    empty last level means the search is exhausted. Queries expand only as
+    many levels as they need.
     """
 
-    def __init__(self, neighbors, blocked: list, start: int):
-        self.neighbors, self.blocked = neighbors, blocked
+    def __init__(self, neighbors, blocked, start: int):
+        self.neighbors, self.seen = neighbors, bytearray(blocked)
+        self.seen[start] = 1  # reached or blocked: never enqueued again
         self.dist = [-1] * len(blocked)
         self.first = [-1] * len(blocked)
         self.dist[start] = 0
@@ -82,8 +85,8 @@ class BfsField:
 
     def _walk(self):
         """Yield the levels from 0 on, expanding the next one when asked for it."""
-        neighbors, blocked, dist, first, levels = (
-            self.neighbors, self.blocked, self.dist, self.first, self.levels)
+        neighbors, seen, dist, first, levels = (
+            self.neighbors, self.seen, self.dist, self.first, self.levels)
         d = 0
         while d < len(levels) or levels[-1]:
             if d == len(levels):
@@ -91,7 +94,8 @@ class BfsField:
                 for c in levels[-1]:
                     step = first[c]
                     for nb in neighbors[c]:
-                        if not blocked[nb] and dist[nb] < 0:
+                        if not seen[nb]:
+                            seen[nb] = 1
                             dist[nb] = d
                             first[nb] = nb if step < 0 else step
                             level.append(nb)
@@ -99,12 +103,12 @@ class BfsField:
             yield levels[d]
             d += 1
 
-    def nearest(self, goals: np.ndarray) -> int | None:
-        """The reachable goal cell of least (distance, cell index), or None."""
-        if goals.any():
-            is_goal = goals.tolist()
+    def nearest(self, goals) -> int | None:
+        """The reachable goal cell of least (distance, cell index), or None;
+        `goals` is a bytes-like per-cell mask, 1 at the goal cells."""
+        if 1 in goals:
             for level in self._walk():
-                hits = [c for c in level if is_goal[c]]
+                hits = [c for c in level if goals[c]]
                 if hits:
                     return min(hits)
         return None
@@ -124,10 +128,11 @@ class Controller:
     `GridSpec.cell_index`: `unseen`, `known_rubble` and `known_doors` are
     bool masks, and `known_victims` holds `VICTIM_CODES` (0 = no victim).
     Each decision plans on one lazy `BfsField` from the agent's cell, which
-    expands only the distance levels its queries need. Goals are cell
-    masks; among the reachable goals the one with the smallest (BFS
-    distance, cell index) wins, which is the (distance, y, x) order and
-    keeps trajectories reproducible.
+    expands only the distance levels its queries need and never enters walls
+    or known rubble and doors. Goals are per-cell byte masks (a bool mask's
+    `tobytes()`, or a `bytearray` filled from a few target cells); the one
+    with the smallest (BFS distance, cell index) among the reachable goals
+    wins, which is the (distance, y, x) order and keeps runs reproducible.
     """
 
     def __init__(self, spec: MapSpec, role: Role, index: int, rng: np.random.Generator,
@@ -142,26 +147,28 @@ class Controller:
         self.known_rubble = np.zeros(spec.grid.n_cells, dtype=bool)
         self.known_doors = np.zeros(spec.grid.n_cells, dtype=bool)
         self.known_victims = np.zeros(spec.grid.n_cells, dtype=np.int8)
-        self.still_for: dict[int, int] = {}
-        self._last_pos: dict[int, Position] = {}
+        self.still_for: list[int] = []  # ticks each teammate has stood still, by agent index
+        self._last_pos: list[Position] = []
+        # 2-D views of the knowledge arrays, written through by `observe`
+        self._views = [a.reshape(self.grid.height, self.grid.width) for a in (
+            self.unseen, self.known_victims, self.known_rubble, self.known_doors)]
 
     # -- perception --------------------------------------------------------
 
     def observe(self, state: WorldState):
         # teammate icons are always visible: track who is standing still
-        for j, a in enumerate(state.agents):
-            self.still_for[j] = self.still_for[j] + 1 if self._last_pos.get(j) == a.pos else 0
-            self._last_pos[j] = a.pos
-        me = state.agents[self.index].pos
+        pos = [a.pos for a in state.agents]
+        self.still_for = [s + 1 if p == q else 0 for s, p, q in
+                          zip(self.still_for or [-1] * len(pos), pos, self._last_pos or pos)]
+        self._last_pos = pos
+        me = pos[self.index]
         r = self.spec.fov_radius
-        g = self.grid
         view = np.s_[max(me.y - r, 0):me.y + r + 1, max(me.x - r, 0):me.x + r + 1]
-        shape = (g.height, g.width)
-        self.unseen.reshape(shape)[view] = False
-        for known, truth in ((self.known_victims, state.victim_codes),
-                             (self.known_rubble, state.rubble_mask),
-                             (self.known_doors, state.door_mask)):
-            known.reshape(shape)[view] = truth.reshape(shape)[view]
+        unseen, victims, rubble, doors = self._views
+        unseen[view] = False
+        for known, truth in ((victims, state.victim_codes), (rubble, state.rubble_mask),
+                             (doors, state.door_mask)):
+            known[view] = truth.reshape(unseen.shape)[view]
 
     # -- planning helpers ----------------------------------------------------
 
@@ -174,8 +181,8 @@ class Controller:
     def _field(self, me: Position) -> BfsField:
         """A lazy BFS from `me` over the cells not known to be blocked; one
         per decision, shared by every query that decision makes."""
-        blocked = self.spec.wall_mask | self.known_rubble | self.known_doors
-        return BfsField(self.spec.neighbor_lists, blocked.tolist(), self._cell(me))
+        return BfsField(self.spec.neighbor_lists, (self.known_rubble | self.known_doors).tobytes(),
+                        self._cell(me))
 
     def _step_toward(self, cell: int, field: BfsField) -> AgentAction | None:
         """First move of a shortest path to `cell`; None if unreachable or already there."""
@@ -183,28 +190,21 @@ class Controller:
             return None
         return AgentAction(ActionTag.MOVE, self._pos(field.first[cell]))
 
-    def _move_toward(self, goals: np.ndarray, field: BfsField) -> AgentAction | None:
+    def _move_toward(self, goals, field: BfsField) -> AgentAction | None:
         """Step toward the nearest reachable goal cell, ties to the lowest index."""
         cell = field.nearest(goals)
         return None if cell is None else self._step_toward(cell, field)
 
-    def _approach(self, targets: np.ndarray, field: BfsField) -> AgentAction | None:
-        """Move toward a standable 4-neighbor of the nearest target cell.
+    def _approach(self, targets, field: BfsField) -> AgentAction | None:
+        """Move toward a standable 4-neighbor of the nearest of the `targets` cells.
 
         Blocked cells are never reached, so only standable ones can win.
         """
-        if not targets.any():
-            return None
-        t = targets.reshape(self.grid.height, self.grid.width)
-        near = np.zeros_like(t)
-        near[1:] |= t[:-1]
-        near[:-1] |= t[1:]
-        near[:, 1:] |= t[:, :-1]
-        near[:, :-1] |= t[:, 1:]
-        return self._move_toward(near.ravel(), field)
-
-    def _touches(self, mask: np.ndarray, me: Position) -> bool:
-        return any(mask[nb] for nb in self.spec.neighbor_lists[self._cell(me)])
+        goals = bytearray(self.grid.n_cells)
+        for t in targets:
+            for nb in self.spec.neighbor_lists[t]:
+                goals[nb] = 1
+        return self._move_toward(goals, field)
 
     def _serviceable(self) -> np.ndarray:
         """Known targets this role can service alone: greens, uncovered
@@ -300,8 +300,8 @@ class GreedyRescuerController(Controller):
             targets |= (self.known_victims == _RED) & (self.red_shelved < state.tick)
 
         field = self._field(me)
-        return (self._approach(targets, field)
-                or self._move_toward(self.unseen, field)
+        return (self._approach(np.flatnonzero(targets).tolist(), field)
+                or self._move_toward(self.unseen.tobytes(), field)
                 or self._random_move(me))
 
 
@@ -318,7 +318,6 @@ class CoordinatedSpecialistController(Controller):
 
     def __init__(self, spec, role, index, rng, params, pair: int = 0):
         super().__init__(spec, role, index, rng, params)
-        self.pair = pair
         self.waypoint = 0
         # pair sectors stack vertically in phase 1; roles split left/right in phase 2
         g = self.grid
@@ -340,53 +339,47 @@ class CoordinatedSpecialistController(Controller):
 
     # -- phase 1: hunt reds, park beside them, converge on parked teammates ----
 
-    def _parked_teammates(self, state: WorldState, role: Role, me: Position) -> np.ndarray:
+    def _parked_teammates(self, state: WorldState, role: Role, me: Position) -> list[int]:
         """Cells of cross-role teammates standing still away from the start:
         someone is parked beside a victim and asking for help."""
         hold = int(self.params["park_signal_ticks"])
-        parked = np.zeros(self.grid.n_cells, dtype=bool)
-        for j, a in enumerate(state.agents):
-            if (a.role is role and self.still_for.get(j, 0) >= hold
-                    and a.pos != self.spec.start and me.chebyshev(a.pos) > 2):
-                parked[self._cell(a.pos)] = True
-        return parked
+        return [self._cell(a.pos) for a, still in zip(state.agents, self.still_for)
+                if a.role is role and still >= hold
+                and a.pos != self.spec.start and me.chebyshev(a.pos) > 2]
 
     def _act_converge(self, state) -> AgentAction:
         me = state.agents[self.index].pos
-        reds = self.known_victims == _RED
+        around = self.spec.neighbor_lists[self._cell(me)]
+        reds = np.flatnonzero(self.known_victims == _RED).tolist()
 
         if self.role is Role.MEDIC:
             act = self._adjacent_rescue(state, me)
             if act is not None:
                 return act
-            if self._touches(state.victim_codes == _RED, me):
+            if any(state.victim_codes[nb] == _RED for nb in around):
                 return WAIT_ACTION  # parked beside a red: hold until an engineer lands
             field = self._field(me)
-            targets = reds | self._parked_teammates(state, Role.ENGINEER, me)
-            return (self._approach(targets, field)
+            return (self._approach(reds + self._parked_teammates(state, Role.ENGINEER, me), field)
                     or self._sweep_own_quadrant(me, field))
 
         # engineer
-        field = self._field(me)
-        medic_side = np.zeros(self.grid.n_cells, dtype=bool)
-        for a in state.agents:
-            if a.role is Role.MEDIC:
-                medic_side[list(self.spec.neighbor_lists[self._cell(a.pos)])] = True
-        confirmed = reds & medic_side
-        if self._touches(confirmed, me):
+        confirmed = [c for c in reds if any(
+            a.role is Role.MEDIC and a.pos.manhattan(self._pos(c)) == 1 for a in state.agents)]
+        if any(nb in confirmed for nb in around):
             act = self._adjacent_engineering(state, me) or self._adjacent_rescue(state, me)
             return act or WAIT_ACTION  # presence is the contribution
+        field = self._field(me)
         act = (self._approach(confirmed, field)
                or self._adjacent_engineering(state, me)
                or self._adjacent_rescue(state, me)
                or self._approach(self._parked_teammates(state, Role.MEDIC, me), field))
         if act is not None:
             return act
-        if self._touches(reds, me):
+        if any(nb in reds for nb in around):
             return WAIT_ACTION  # park beside an unclaimed red and flag it for the medics
         service = (self.known_rubble | self.known_doors) & self.pair_sector
         return (self._approach(reds, field)
-                or self._approach(service, field)
+                or self._approach(np.flatnonzero(service).tolist(), field)
                 or self._sweep_own_quadrant(me, field))
 
     # -- phase 2: disperse into role territories ------------------------------
@@ -394,7 +387,7 @@ class CoordinatedSpecialistController(Controller):
     def _sweep_own_quadrant(self, me: Position, field: BfsField) -> AgentAction:
         """Explore the unseen parts of the own role/pair quadrant, then
         cycle its corners; never wander into teammate territory."""
-        act = self._move_toward(self.unseen & self.quadrant, field)
+        act = self._move_toward((self.unseen & self.quadrant).tobytes(), field)
         if act is not None:
             return act
         for _ in self.waypoints:
@@ -410,8 +403,9 @@ class CoordinatedSpecialistController(Controller):
         # outside the own half, head for it; inside, the nearest half cell is `me`
         return (self._adjacent_rescue(state, me, include_red=False)
                 or self._adjacent_engineering(state, me)
-                or self._move_toward(self.role_half, field)
-                or self._approach(self._serviceable() & self.role_half, field)
+                or self._move_toward(self.role_half.tobytes(), field)
+                or self._approach(np.flatnonzero(self._serviceable() & self.role_half).tolist(),
+                                  field)
                 or self._sweep_own_quadrant(me, field))
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -130,12 +131,15 @@ class MapSpec:
 
     @cached_property
     def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
-        """In-grid 4-neighbor cell indices of each cell, in N, E, S, W order."""
+        """In-grid 4-neighbor cell indices of each cell that are not walls,
+        in N, E, S, W order. Victims, rubble and doors never sit on walls."""
         g = self.grid
-        return tuple(
-            tuple(g.cell_index(x + dx, y + dy) for dx, dy in ((0, -1), (1, 0), (0, 1), (-1, 0))
-                  if g.contains(x + dx, y + dy))
-            for y in range(g.height) for x in range(g.width))
+        ys, xs = np.divmod(np.arange(g.n_cells), g.width)
+        nbs = np.arange(g.n_cells)[:, None] + [-g.width, 1, g.width, -1]
+        ok = np.stack([ys > 0, xs < g.width - 1, ys < g.height - 1, xs > 0], axis=1)
+        ok[ok] = ~self.wall_mask[nbs[ok]]
+        kept = iter(nbs[ok].tolist())  # row-major, so each cell's neighbors stay in order
+        return tuple(tuple(islice(kept, k)) for k in ok.sum(axis=1).tolist())
 
 
 def map_meta(spec: MapSpec) -> MapMeta:

@@ -309,12 +309,13 @@ def _mix(x, y):
 def _philox_keys(seed: int, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Philox key words of `SeedSequence(seed, spawn_key=(k,))` per k.
 
-    For seed and k below 2**32 the entropy is [seed, 0, 0, 0, k]: the pool of
-    four words mixes the seed part alone, then k into each word in turn.
+    For a seed below 2**128 and k below 2**32 the entropy is the seed's four
+    little-endian uint32 words, then k: the pool of four words mixes the
+    seed part alone, then k into each word in turn.
     """
     h = _INIT_A
     pool = []
-    for word in (seed, 0, 0, 0):
+    for word in (seed >> shift & _M32 for shift in (0, 32, 64, 96)):
         word, h = _hashmix(word, h, _MULT_A)
         pool.append(word)
     for src in range(4):
@@ -378,12 +379,12 @@ def _resample_indices(seed: int, start: int, count: int, n: int) -> tuple[np.nda
     it with Lemire's method from uint32s, two per Philox output, low half
     first: index (u * n) >> 32, rejected only when (u * n) mod 2**32 is
     below (2**32 - n) mod n, which is below n. All rows are computed at once
-    that way; a row where a rejection may happen, and every row when seed, n
-    or k reaches 2**32, is drawn from its own generator instead and marked
-    in the returned mask.
+    that way; a row where a rejection may happen, and every row when the
+    seed reaches 2**128 or n or k reaches 2**32, is drawn from its own
+    generator instead and marked in the returned mask.
     """
     seed = operator.index(seed)
-    if seed >= 1 << 32 or n >= 1 << 32 or start + count > 1 << 32:
+    if seed >= 1 << 128 or n >= 1 << 32 or start + count > 1 << 32:
         idx = np.empty((count, n), dtype=np.int64)
         fallback = np.ones(count, dtype=bool)
     else:
@@ -448,7 +449,7 @@ def bootstrap_mediation(x, m, y, resamples: int = 5000, seed: int = 0) -> Mediat
     all) while its rows are degenerate. The first draws of all resamples are
     computed in bulk, bit for bit as the streams would give them; a resample
     whose first draw may hit a Lemire rejection (or every resample, when the
-    seed reaches 2**32) and a degenerate resample's redraws go through the
+    seed reaches 2**128) and a degenerate resample's redraws go through the
     stream's own `Generator`.
     """
     xv, mv = _paired(x, m)

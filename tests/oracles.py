@@ -11,7 +11,7 @@ for bit. The kernels are also checked against `jsd_base2` and
 `entropy_bits`, which sum with `math.fsum`. `mission_rule_audit` reads the
 event rules off a session's sample columns.
 `bfs_field` is the plain FIFO flood fill the simulator's lazy field must
-agree with, and `step_reference` is the simulator's step rules on cell sets,
+agree with, over the full in-grid neighbours of `grid_neighbors`, and `step_reference` is the simulator's step rules on cell sets,
 which the array step must agree with.
 
 Session I/O has three references. `read_session_reference` reads a log one
@@ -354,6 +354,14 @@ def mission_rule_audit(session):
                           & (s["target_y"] == vy) & (s["tick"] < tick))
             ]
             assert cleared, f"yellow rescue at {e.time_s}s without a prior clear"
+
+
+def grid_neighbors(width: int, height: int) -> list[list[int]]:
+    """In-grid 4-neighbours of each row-major cell, walls included, in
+    N, E, S, W order."""
+    return [[(y + dy) * width + x + dx for dx, dy in ((0, -1), (1, 0), (0, 1), (-1, 0))
+             if 0 <= x + dx < width and 0 <= y + dy < height]
+            for y in range(height) for x in range(width)]
 
 
 def bfs_field(neighbors, blocked, start: int):

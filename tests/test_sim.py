@@ -28,7 +28,14 @@ from teamcoord.sim import (
 from teamcoord.sim.policies import BfsField, PolicyParamError, build_controllers
 from teamcoord.sim.world import VICTIM_CODES
 
-from oracles import ReferenceWorld, bfs_field, mission_rule_audit, step_reference
+from oracles import (
+    ReferenceWorld,
+    bfs_field,
+    grid_neighbors,
+    mission_rule_audit,
+    step_reference,
+)
+from test_golden import EDGE_ART
 
 WAIT = AgentAction(ActionTag.WAIT)
 
@@ -510,30 +517,57 @@ def _oracle_nearest(goals, dist):
     return min(reachable, key=lambda c: (dist[c], c)) if reachable else None
 
 
+def _sparse_goals(n, cells):
+    goals = bytearray(n)
+    for c in cells:
+        goals[c] = 1
+    return goals
+
+
 def _assert_reached_cells_match(field, dist, first):
     for c, d in enumerate(field.dist):
         if d >= 0:
             assert (d, field.first[c]) == (dist[c], first[c])
 
 
+EDGE_MAP = map_from_ascii("edge", EDGE_ART)
+PLANNING_MAPS = [*(builtin_map(name) for name in ("small", "medium", "corridor")), EDGE_MAP]
+
+
+@pytest.mark.parametrize("spec", PLANNING_MAPS, ids=lambda spec: spec.name)
+def test_neighbor_lists_are_the_in_grid_non_wall_neighbors(spec):
+    g = spec.grid
+    full = grid_neighbors(g.width, g.height)
+    assert len(spec.neighbor_lists) == g.n_cells
+    for c, nbs in enumerate(spec.neighbor_lists):
+        assert list(nbs) == [nb for nb in full[c] if not spec.wall_mask[nb]]
+
+
 @pytest.mark.parametrize("mapname", ["small", "medium", "corridor"])
 def test_bfs_field_matches_full_fill_oracle(mapname):
     # random blocked masks on each built-in grid; several nearest/reach
-    # queries in mixed order share one field, as they do within a decision
+    # queries in mixed order share one field, as they do within a decision.
+    # The oracle walks every in-grid neighbour with the walls blocked.
     spec = builtin_map(mapname)
     n = spec.grid.n_cells
+    full = grid_neighbors(spec.grid.width, spec.grid.height)
     rng = np.random.default_rng(31)
     for case in range(60):
         blocked = rng.random(n) < (0.1, 0.3, 0.45)[case % 3]
         start = int(rng.integers(n))
         blocked[start] = False
-        blocked = blocked.tolist()
-        dist, first = bfs_field(spec.neighbor_lists, blocked, start)
-        field = BfsField(spec.neighbor_lists, blocked, start)
+        walled = (blocked | spec.wall_mask).tolist()
+        walled[start] = False
+        dist, first = bfs_field(full, walled, start)
+        field = BfsField(spec.neighbor_lists, blocked.tobytes(), start)
         for _ in range(6):
             if rng.random() < 0.5:
                 goals = rng.random(n) < rng.choice([0.003, 0.03, 0.3])
-                assert field.nearest(goals) == _oracle_nearest(goals, dist)
+                want = _oracle_nearest(goals, dist)
+                if rng.random() < 0.5:
+                    assert field.nearest(goals.tobytes()) == want
+                else:
+                    assert field.nearest(_sparse_goals(n, np.flatnonzero(goals).tolist())) == want
             else:
                 c = int(rng.integers(n))
                 assert field.reach(c) == dist[c]
@@ -548,24 +582,24 @@ def test_bfs_field_edge_cases():
     blocked = spec.wall_mask.tolist()
     for cell in spec.doors | spec.rubble:  # closed doors seal the rooms
         blocked[spec.grid.cell_index(cell.x, cell.y)] = True
-    dist, first = bfs_field(spec.neighbor_lists, blocked, start)
+    dist, first = bfs_field(grid_neighbors(spec.grid.width, spec.grid.height), blocked, start)
     sealed = np.array([dist[c] < 0 and not blocked[c] for c in range(n)])
     assert sealed.any()
 
-    field = BfsField(spec.neighbor_lists, blocked, start)
-    assert field.nearest(np.zeros(n, dtype=bool)) is None
+    field = BfsField(spec.neighbor_lists, bytes(blocked), start)
+    assert field.nearest(bytes(n)) is None
     on_start = np.zeros(n, dtype=bool)
     on_start[[start, n - 2]] = True
-    assert field.nearest(on_start) == start
+    assert field.nearest(on_start.tobytes()) == start
     assert field.reach(start) == 0 and field.first[start] == -1
-    assert field.nearest(sealed) is None  # only unreachable goals: searched to exhaustion
+    assert field.nearest(sealed.tobytes()) is None  # only unreachable goals: searched to exhaustion
     assert field.levels[-1] == []
-    assert field.nearest(np.array(blocked)) is None  # blocked cells are never reached
+    assert field.nearest(bytes(blocked)) is None  # blocked cells are never reached
     assert field.reach(int(np.flatnonzero(sealed)[0])) == -1
     assert field.dist == dist and field.first == first
 
     ctrl = build_controllers(policy_team(PolicyKind.GREEDY), spec, seed=0)[0]
-    assert ctrl._move_toward(on_start, ctrl._field(spec.start)) is None  # already there
+    assert ctrl._move_toward(on_start.tobytes(), ctrl._field(spec.start)) is None  # already there
 
 
 def test_bfs_field_expands_only_the_levels_a_query_needs():
@@ -575,13 +609,56 @@ def test_bfs_field_expands_only_the_levels_a_query_needs():
     ctrl = build_controllers(policy_team(PolicyKind.COORDINATED), spec, seed=0)[0]
     field = ctrl._field(spec.start)
     assert isinstance(field, BfsField)
-    assert field.nearest(np.zeros(n, dtype=bool)) is None
+    assert field.nearest(np.zeros(n, dtype=bool).tobytes()) is None
     assert len(field.levels) - 1 == 0
 
     start = spec.grid.cell_index(spec.start.x, spec.start.y)
     nb = next(c for c in spec.neighbor_lists[start] if not spec.wall_mask[c])
     goals = np.zeros(n, dtype=bool)
     goals[[nb, n - 1]] = True
-    assert field.nearest(goals) == nb
+    assert field.nearest(goals.tobytes()) == nb
     assert len(field.levels) - 1 <= 1
     assert field.reach(nb) == 1 and len(field.levels) - 1 <= 1
+
+
+@pytest.mark.parametrize("spec", PLANNING_MAPS, ids=lambda spec: spec.name)
+@pytest.mark.parametrize("kind", [PolicyKind.GREEDY, PolicyKind.COORDINATED])
+def test_controller_planning_matches_full_fill_oracle(spec, kind):
+    # random knowledge states: the controller's field, its dense and sparse
+    # goals and its approach to targets against a flood fill over every
+    # in-grid neighbour with the walls, known rubble and known doors blocked
+    g = spec.grid
+    n = g.n_cells
+    full = grid_neighbors(g.width, g.height)
+    open_cells = np.flatnonzero(~spec.wall_mask)
+    rng = np.random.default_rng(57)
+    for ctrl in build_controllers(policy_team(kind), spec, seed=4):
+        for case in range(15):
+            density = (0.05, 0.2, 0.4)[case % 3]
+            ctrl.known_rubble[:] = (rng.random(n) < density) & ~spec.wall_mask
+            ctrl.known_doors[:] = (rng.random(n) < density / 2) & ~spec.wall_mask
+            start = int(rng.choice(open_cells))
+            me = Position(*g.cell_xy(start))
+            blocked = (spec.wall_mask | ctrl.known_rubble | ctrl.known_doors).tolist()
+            dist, first = bfs_field(full, blocked, start)
+
+            field = ctrl._field(me)
+            dense = rng.random(n) < rng.choice([0.01, 0.1])
+            assert field.nearest(dense.tobytes()) == _oracle_nearest(dense, dist)
+            cells = rng.choice(n, size=int(rng.integers(1, 6)), replace=False).tolist()
+            assert field.nearest(_sparse_goals(n, cells)) == _oracle_nearest(
+                np.isin(np.arange(n), cells), dist)
+            _assert_reached_cells_match(field, dist, first)
+
+            near = np.zeros(n, dtype=bool)
+            for t in cells:
+                near[full[t]] = True
+            goal = _oracle_nearest(near, dist)
+            want = (None if goal is None or dist[goal] == 0
+                    else AgentAction(ActionTag.MOVE, Position(*g.cell_xy(first[goal]))))
+            assert ctrl._approach(cells, ctrl._field(me)) == want
+
+            exhausted = ctrl._field(me)
+            for _ in exhausted._walk():
+                pass
+            assert exhausted.dist == dist and exhausted.first == first

@@ -383,10 +383,18 @@ def test_resample_indices_match_spawned_streams(seed, start, count, n):
     assert not fallback.any()
 
 
-def test_resample_indices_seed_of_two_words_takes_every_row_from_its_stream():
-    idx, fallback = stats._resample_indices(2**32, 0, 40, 40)
+def test_resample_indices_seeds_of_two_to_four_words_match_spawned_streams():
+    # the seed's little-endian uint32 words fill the four entropy pool words
+    for seed in (2**32, 2**64 + 7, 2**128 - 1):
+        idx, fallback = stats._resample_indices(seed, 0, 40, 40)
+        assert np.array_equal(idx, spawned_indices(seed, 0, 40, 40))
+        assert not fallback.any()
+
+
+def test_resample_indices_seed_of_five_words_takes_every_row_from_its_stream():
+    idx, fallback = stats._resample_indices(2**128, 0, 40, 40)
     assert fallback.all()
-    assert np.array_equal(idx, spawned_indices(2**32, 0, 40, 40))
+    assert np.array_equal(idx, spawned_indices(2**128, 0, 40, 40))
 
 
 def test_resample_indices_redraw_rows_where_lemire_rejects(monkeypatch):
