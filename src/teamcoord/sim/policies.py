@@ -66,13 +66,13 @@ _DIRS = ((0, -1), (1, 0), (0, 1), (-1, 0))
 class BfsField:
     """Lazy breadth-first search from one cell, one distance level at a time.
 
-    It walks `neighbors` (non-wall, as in `MapSpec.neighbor_lists`) around
-    the cells of the bytes-like `blocked` mask, in the order of a FIFO flood
-    fill, so `dist` (-1 where not reached) and `first` (first step of a
-    shortest path) agree with the full fill wherever they are set. `levels[d]`
-    lists the cells at distance d in that order; level 0 is the start and an
-    empty last level means the search is exhausted. Queries expand only as
-    many levels as they need.
+    It steps along `neighbors` (non-wall, as in `MapSpec.neighbor_lists`)
+    and never enters a cell set in the bytes-like `blocked` mask. Cells are
+    reached in FIFO flood-fill order, so `dist` (-1 where not reached) and
+    `first` (first step of a shortest path) agree with the full fill wherever
+    they are set. `levels[d]` lists the cells at distance d in that order;
+    level 0 is the start and an empty last level means the search is
+    exhausted. Queries expand only as many levels as they need.
     """
 
     def __init__(self, neighbors, blocked, start: int):
@@ -156,7 +156,7 @@ class Controller:
     # -- perception --------------------------------------------------------
 
     def observe(self, state: WorldState):
-        # teammate icons are always visible: track who is standing still
+        # teammate icons are always visible: count the ticks each has stood still
         pos = [a.pos for a in state.agents]
         self.still_for = [s + 1 if p == q else 0 for s, p, q in
                           zip(self.still_for or [-1] * len(pos), pos, self._last_pos or pos)]

@@ -11,8 +11,9 @@ for bit. The kernels are also checked against `jsd_base2` and
 `entropy_bits`, which sum with `math.fsum`. `mission_rule_audit` reads the
 event rules off a session's sample columns.
 `bfs_field` is the plain FIFO flood fill the simulator's lazy field must
-agree with, over the full in-grid neighbours of `grid_neighbors`, and `step_reference` is the simulator's step rules on cell sets,
-which the array step must agree with.
+agree with, over the full in-grid neighbours of `grid_neighbors`, and
+`step_reference` is the simulator's step rules on cell sets, which the array
+step must agree with.
 
 Session I/O has three references. `read_session_reference` reads a log one
 line at a time with `json.loads` and converts each record field by field;
