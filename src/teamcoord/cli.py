@@ -29,14 +29,14 @@ from .metrics import (
 from .outcomes import collective_intelligence, team_performance
 from .session_io import (
     METRICS_COLUMNS,
+    MetricTableError,
     MetricsTableRow,
     SessionFormatError,
     fmt_float,
     format_metrics_table,
     read_map,
-    read_map_meta,
+    read_metrics_table,
     read_session,
-    read_utf8,
     write_session,
 )
 from .sim import AgentPolicy, PolicyKind, builtin_map, map_meta, run_mission
@@ -165,10 +165,10 @@ def cmd_metrics(args) -> int:
     for path in args.sessions:
         try:
             session = read_session(path)
-            meta = read_map_meta(path) or fallback_meta
         except TeamCoordError as exc:
             failures.append(f"{path}: {exc}")
             continue
+        meta = session.map_meta or fallback_meta
         if meta is None:
             raise UsageError(f"{path}: no embedded map metadata; pass --map")
         try:
@@ -190,48 +190,13 @@ def cmd_metrics(args) -> int:
 # stats command
 
 
-def _read_table(path: str) -> list[tuple[int, dict]]:
-    """The table's data rows, each with the file line it ends on."""
-    p = Path(path)
-    if not p.exists():
-        raise SessionFormatError("missing table", p)
-    reader = csv.DictReader(io.StringIO(read_utf8(p), newline=""))
-    return [(reader.line_num, row) for row in reader]
-
-
-def _columns(rows: list[tuple[int, dict]], names) -> dict[str, np.ndarray]:
-    if not rows:
-        raise UsageError("table has no data rows")
-    missing = [n for n in names if n not in rows[0][1]]
-    if missing:
-        raise UsageError(f"table lacks columns: {', '.join(missing)}")
-    out = {}
-    for n in names:
-        try:
-            out[n] = np.array([float(r[n]) for _, r in rows])
-        except ValueError as exc:
-            raise UsageError(f"column {n!r} is not numeric: {exc}") from None
-        bad = np.flatnonzero(~np.isfinite(out[n]))
-        if bad.size:
-            line, row = rows[bad[0]]
-            raise UsageError(f"column {n!r} has non-finite value {row[n]!r} on line {line}")
-    return out
-
-
-def _session_ids(rows: list[tuple[int, dict]]) -> list[str]:
-    if "session_id" not in rows[0][1]:
-        raise UsageError("table lacks columns: session_id")
-    return [r["session_id"] for _, r in rows]
-
-
-def _analysis_correlations(rows, args):
-    cols = _columns(rows, METRIC_VARS)
+def _analysis_correlations(cols, args):
+    n = len(cols["sed"])
     out = []
     for a in METRIC_VARS:
         for b in METRIC_VARS:
             if a == b:
-                out.append({"var_a": a, "var_b": b, "rho": 1.0, "p_value": 0.0,
-                            "n": len(rows)})
+                out.append({"var_a": a, "var_b": b, "rho": 1.0, "p_value": 0.0, "n": n})
                 continue
             try:
                 r = spearman(cols[a], cols[b])
@@ -239,12 +204,11 @@ def _analysis_correlations(rows, args):
                             "n": r.n})
             except DegenerateDataError:  # a constant column: correlation undefined
                 out.append({"var_a": a, "var_b": b, "rho": float("nan"),
-                            "p_value": float("nan"), "n": len(rows)})
+                            "p_value": float("nan"), "n": n})
     return out, ("var_a", "var_b", "rho", "p_value", "n")
 
 
-def _analysis_regression(rows, args):
-    cols = _columns(rows, METRIC_VARS)
+def _analysis_regression(cols, args):
     X = design_matrix(cols["sed"], cols["sms"], cols["spa"])
     out = []
     for response in ("ci", "performance"):
@@ -257,8 +221,7 @@ def _analysis_regression(rows, args):
     return out, ("response", "term", "coefficient", "p_value", "r_squared", "f_stat", "f_p_value")
 
 
-def _analysis_quadratic(rows, args):
-    cols = _columns(rows, METRIC_VARS)
+def _analysis_quadratic(cols, args):
     out = []
     for metric in ("sed", "sms", "spa"):
         fit = quadratic_fit(cols[metric], cols["performance"])
@@ -274,8 +237,7 @@ def _analysis_quadratic(rows, args):
                  "quadratic_p", "r_squared", "f_stat", "f_p_value", "optimal_value", "pattern")
 
 
-def _analysis_mediation(rows, args):
-    cols = _columns(rows, METRIC_VARS)
+def _analysis_mediation(cols, args):
     out = []
     for metric in ("sed", "sms", "spa"):
         res = bootstrap_mediation(cols[metric], cols["ci"], cols["performance"],
@@ -292,20 +254,18 @@ def _analysis_mediation(rows, args):
                  "significant", "pct_mediated", "resamples", "seed")
 
 
-def _analysis_groups(rows, args):
-    cols = _columns(rows, ("performance",))
-    ids = _session_ids(rows)
-    assignment = performance_groups(dict(zip(ids, cols["performance"])))
+def _analysis_groups(cols, args):
+    ids, performance = cols["session_id"], cols["performance"]
+    assignment = performance_groups(dict(zip(ids, performance)))
     out = [{"session_id": sid, "group": assignment.groups[sid].value,
             "performance": score}
-           for sid, score in sorted(zip(ids, cols["performance"]))]
+           for sid, score in sorted(zip(ids, performance))]
     return out, ("session_id", "group", "performance")
 
 
-def _analysis_anova(rows, args):
+def _analysis_anova(cols, args):
     """Group teams 25/50/25 by each metric and test performance across groups."""
-    cols = _columns(rows, ("sed", "sms", "spa", "performance"))
-    ids = _session_ids(rows)
+    ids = cols["session_id"]
     out = []
     for metric in ("sed", "sms", "spa"):
         assignment = performance_groups(dict(zip(ids, cols[metric])))
@@ -327,13 +287,14 @@ def _analysis_anova(rows, args):
                  "df_between", "df_within")
 
 
+# each analysis, the numeric columns it reads, and whether it groups rows by session id
 _ANALYSES = {
-    "correlations": _analysis_correlations,
-    "regression": _analysis_regression,
-    "quadratic": _analysis_quadratic,
-    "mediation": _analysis_mediation,
-    "groups": _analysis_groups,
-    "timeless-anova": _analysis_anova,
+    "correlations": (_analysis_correlations, METRIC_VARS, False),
+    "regression": (_analysis_regression, METRIC_VARS, False),
+    "quadratic": (_analysis_quadratic, METRIC_VARS, False),
+    "mediation": (_analysis_mediation, METRIC_VARS, False),
+    "groups": (_analysis_groups, ("performance",), True),
+    "timeless-anova": (_analysis_anova, ("sed", "sms", "spa", "performance"), True),
 }
 
 
@@ -363,9 +324,10 @@ def _render(rows: list[dict], columns, fmt: str) -> str:
 
 
 def cmd_stats(args) -> int:
-    rows = _read_table(args.table)
+    analysis, names, ids = _ANALYSES[args.analysis]
+    cols, _ = read_metrics_table(args.table, names, ids)
     try:
-        out_rows, columns = _ANALYSES[args.analysis](rows, args)
+        out_rows, columns = analysis(cols, args)
     except (ValueError, TooFewTeamsError) as exc:  # too few rows, or --resamples out of range
         raise UsageError(str(exc)) from None
     _emit(_render(out_rows, columns, args.format), args.out,
@@ -472,7 +434,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (UsageError, PolicyParamError) as exc:  # policy parameters come from flags
+    except (UsageError, PolicyParamError, MetricTableError) as exc:  # flags and table contents
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SessionFormatError as exc:

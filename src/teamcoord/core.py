@@ -8,9 +8,10 @@ malformed logs can be loaded and inspected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import Mapping
 
 import numpy as np
 
@@ -157,6 +158,14 @@ class RescueEvent:
 
 
 @dataclass(frozen=True)
+class MapMeta:
+    """Task inventory used to normalize the collective-intelligence components."""
+
+    traversable_cells: int
+    max_tasks: Mapping[Role, int]
+
+
+@dataclass(frozen=True)
 class TeamSession:
     """One team's mission record: trajectories plus the rescue event log."""
 
@@ -167,6 +176,8 @@ class TeamSession:
     mission_duration_s: float = 300.0
     red_cutoff_s: float = 180.0
     sample_interval_s: float = 3.0
+    # a manifest's embedded task inventory; not part of the record, so not compared
+    map_meta: MapMeta | None = field(default=None, compare=False)
 
     @property
     def n_ticks(self) -> int:

@@ -86,40 +86,41 @@ def _aligned_ticks(players) -> int:
     return counts[0] if counts else 0
 
 
-def _occupancy_units(session: TeamSession, metric: SeriesMetric, grid: GridSpec | None,
-                     coarsen: int) -> tuple[np.ndarray, np.ndarray]:
-    """(players, ticks) cell indices and the distribution each player's samples count toward.
-
-    SED keeps one distribution per player; SMS pools each role's two players
-    (medics 0, engineers 1).
-    """
+def _occupancy_units(session: TeamSession, metric: SeriesMetric) -> np.ndarray:
+    """The distribution each player's samples count toward, players in
+    session order: one per player for SED; for SMS, one per role (medics 0,
+    engineers 1). Raises for a team the metric cannot score."""
     if metric is SeriesMetric.SED:
-        players = session.players
-        if len(players) < 2:
+        if len(session.players) < 2:
             raise CompositionError("exploration diversity needs at least two players")
-        unit = np.arange(len(players))
-    else:
-        part = team_roles_partition(session)
-        players = part[Role.MEDIC] + part[Role.ENGINEER]
-        unit = np.array([0, 0, 1, 1])
-    if _aligned_ticks(players) == 0:
+        return np.arange(len(session.players))
+    team_roles_partition(session)
+    return np.array([p.role is Role.ENGINEER for p in session.players], dtype=np.intp)
+
+
+def _cell_index_array(session: TeamSession, grid: GridSpec | None, coarsen: int) -> np.ndarray:
+    """(players, ticks) cell indices, players in session order."""
+    if _aligned_ticks(session.players) == 0:
         raise EmptyInputError("no samples across input trajectories")
-    idx = np.stack([cell_indices(p, grid or session.grid, coarsen) for p in players])
-    return idx, unit
+    return np.stack([cell_indices(p, grid or session.grid, coarsen) for p in session.players])
+
+
+def _whole_mission(metric: SeriesMetric, idx: np.ndarray, unit: np.ndarray) -> float:
+    return float(_occupancy_window_series(metric, idx, unit, idx.shape[1])[0])
 
 
 def spatial_exploration_diversity(session: TeamSession, grid: GridSpec | None = None,
                                   coarsen: int = 1) -> float:
     """Mean JSD over all unordered player pairs; 0 when everyone moves alike."""
-    idx, unit = _occupancy_units(session, SeriesMetric.SED, grid, coarsen)
-    return float(_occupancy_window_series(SeriesMetric.SED, idx, unit, idx.shape[1])[0])
+    unit = _occupancy_units(session, SeriesMetric.SED)
+    return _whole_mission(SeriesMetric.SED, _cell_index_array(session, grid, coarsen), unit)
 
 
 def spatial_movement_specialization(session: TeamSession, grid: GridSpec | None = None,
                                     coarsen: int = 1) -> float:
     """Entropy similarity of role-pooled occupancy times (1 - cell overlap)."""
-    idx, unit = _occupancy_units(session, SeriesMetric.SMS, grid, coarsen)
-    return float(_occupancy_window_series(SeriesMetric.SMS, idx, unit, idx.shape[1])[0])
+    unit = _occupancy_units(session, SeriesMetric.SMS)
+    return _whole_mission(SeriesMetric.SMS, _cell_index_array(session, grid, coarsen), unit)
 
 
 def cross_role_distances(session: TeamSession, distance: str = "euclidean") -> np.ndarray:
@@ -157,9 +158,12 @@ def spatial_proximity_adaptation(session: TeamSession, distance: str = "euclidea
 
 def coordination_metrics(session: TeamSession, grid: GridSpec | None = None, coarsen: int = 1,
                          distance: str = "euclidean") -> CoordinationMetrics:
+    """SED, SMS and SPA of one session; SED and SMS share one cell-index array."""
+    sed_unit = _occupancy_units(session, SeriesMetric.SED)
+    idx = _cell_index_array(session, grid, coarsen)
     return CoordinationMetrics(
-        sed=spatial_exploration_diversity(session, grid, coarsen),
-        sms=spatial_movement_specialization(session, grid, coarsen),
+        sed=_whole_mission(SeriesMetric.SED, idx, sed_unit),
+        sms=_whole_mission(SeriesMetric.SMS, idx, _occupancy_units(session, SeriesMetric.SMS)),
         spa=spatial_proximity_adaptation(session, distance),
     )
 
@@ -244,8 +248,9 @@ def metric_time_series(session: TeamSession, metric: SeriesMetric | str,
     ends = np.arange(window_ticks - 1, t_total)
 
     if metric in (SeriesMetric.SED, SeriesMetric.SMS):
-        idx, unit = _occupancy_units(session, metric, grid, coarsen)
-        vals = _occupancy_window_series(metric, idx, unit, window_ticks)
+        unit = _occupancy_units(session, metric)
+        vals = _occupancy_window_series(metric, _cell_index_array(session, grid, coarsen), unit,
+                                        window_ticks)
     else:
         d = cross_role_distances(session, distance)
         csum = np.concatenate([[0.0], np.cumsum(d)])

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import ACTIONS, ActionTag, Role, RescueEvent, TeamCoordError, TeamSession, VictimType
+from .core import ACTIONS, ActionTag, MapMeta, Role, RescueEvent, TeamCoordError, TeamSession, VictimType
 from .occupancy import cell_indices
 
 
@@ -49,14 +49,6 @@ class PlayerCI:
 class CIScore:
     per_player: Mapping[str, PlayerCI]
     team_ci: float
-
-
-@dataclass(frozen=True)
-class MapMeta:
-    """Task inventory used to normalize the CI components."""
-
-    traversable_cells: int
-    max_tasks: Mapping[Role, int]
 
 
 def team_performance(events: Iterable[RescueEvent]) -> PerformanceScore:

@@ -12,10 +12,10 @@ import csv
 import io
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress, repeat
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .core import (
     ACTIONS,
     ActionTag,
     GridSpec,
+    MapMeta,
     PlayerTrajectory,
     Position,
     RescueEvent,
@@ -35,7 +36,6 @@ from .core import (
     Violation,
     validate_session,
 )
-from .outcomes import MapMeta
 from .sim.world import MapSpec, Victim
 
 FORMAT_VERSION = 1
@@ -210,6 +210,8 @@ def read_session(log_path, validate: bool = True) -> TeamSession:
 
     A missing key or a value of the wrong type is reported as `bad record`.
     With `validate`, the parsed session must also pass `validate_session`.
+    Last, the manifest's `map_meta`, when present, becomes the session's
+    `map_meta`; a malformed one is a `bad map_meta` error on the manifest.
     """
     log_path = Path(log_path)
     manifest_path = manifest_path_for(log_path)
@@ -257,7 +259,17 @@ def read_session(log_path, validate: bool = True) -> TeamSession:
         report = validate_session(session)
         if report:
             raise SessionValidationError(log_path, report)
-    return session
+    raw = manifest.get("map_meta")
+    if raw is None:
+        return session
+    try:
+        meta = MapMeta(traversable_cells=int(raw["traversable_cells"]),
+                       max_tasks={Role(k): int(v) for k, v in raw["max_tasks"].items()})
+    except _MALFORMED as exc:
+        raise _malformed("map_meta", exc, manifest_path) from None
+    _require(meta.traversable_cells >= 1, "bad map_meta: traversable cell count must be positive",
+             manifest_path)
+    return replace(session, map_meta=meta)
 
 
 def read_utf8(path: Path) -> str:
@@ -392,26 +404,6 @@ def _record_samples(lines, session_id, roster: dict[str, Role], log_path) -> dic
     return {pid: sorted(ticks.values()) for pid, ticks in samples.items()}
 
 
-def read_map_meta(log_path) -> MapMeta | None:
-    """The task inventory embedded in a session manifest, if present."""
-    manifest_path = manifest_path_for(log_path)
-    if not manifest_path.exists():
-        return None
-    manifest = _load_json(manifest_path, "manifest")
-    try:
-        raw = manifest.get("map_meta")
-        if raw is None:
-            return None
-        meta = MapMeta(
-            traversable_cells=int(raw["traversable_cells"]),
-            max_tasks={Role(k): int(v) for k, v in raw["max_tasks"].items()})
-    except _MALFORMED as exc:
-        raise _malformed("map_meta", exc, manifest_path) from None
-    _require(meta.traversable_cells >= 1, "bad map_meta: traversable cell count must be positive",
-             manifest_path)
-    return meta
-
-
 # ---------------------------------------------------------------------------
 # Maps
 
@@ -494,27 +486,61 @@ def write_metrics_table(rows: Iterable[MetricsTableRow], path) -> Path:
     return path
 
 
-def read_metrics_table(path) -> list[MetricsTableRow]:
+class MetricTableError(TeamCoordError):
+    """A metric table's rows, columns or cells cannot feed the analysis."""
+
+
+def read_metrics_table(path, columns: Sequence[str] = METRICS_COLUMNS[1:],
+                       ids: bool = True) -> tuple[dict, tuple[int, ...]]:
+    """The named columns of a metric table, as float arrays, and the file
+    line each data row ends on; with `ids`, also the `session_id` column as
+    a tuple of unique strings. Other columns and blank lines are skipped.
+
+    A file that is missing or not UTF-8, a line the CSV reader refuses, or a
+    row whose field count differs from the header's is a `SessionFormatError`
+    naming the path and line. Then no data rows, a missing column, a cell
+    that is not a finite number, or a repeated id is a `MetricTableError`;
+    docs/formats.md lists every message in check order.
+    """
     path = Path(path)
     if not path.exists():
-        raise SessionFormatError("missing metrics table", path)
+        raise SessionFormatError("missing table", path)
     reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise SessionFormatError("empty file, expected a header", path) from None
-    _require(tuple(header) == METRICS_COLUMNS,
-             f"bad header {header!r}, expected {list(METRICS_COLUMNS)}", path, 1)
-    rows = []
-    for lineno, rec in enumerate(reader, start=2):
-        if not rec:
-            continue
-        _require(len(rec) == len(METRICS_COLUMNS), f"expected {len(METRICS_COLUMNS)} fields",
-                 path, lineno)
+        (_, header), *rows = [(reader.line_num, rec) for rec in reader if rec] or [(0, [])]
+    except csv.Error as exc:
+        raise SessionFormatError(f"bad CSV: {exc}", path, reader.line_num) from None
+    for line, rec in rows:
+        _require(len(rec) == len(header), f"expected {len(header)} fields", path, line)
+    if not rows:
+        raise MetricTableError("table has no data rows")
+    index = {name: i for i, name in enumerate(header)}
+    missing = [n for n in columns if n not in index]
+    if missing:
+        raise MetricTableError(f"table lacks columns: {', '.join(missing)}")
+    out = {n: _numbers(n, [(line, rec[index[n]]) for line, rec in rows]) for n in columns}
+    if ids:
+        if "session_id" not in index:
+            raise MetricTableError("table lacks columns: session_id")
+        first: dict[str, int] = {}
+        for line, rec in rows:
+            sid = rec[index["session_id"]]
+            if first.setdefault(sid, line) != line:
+                raise MetricTableError(f"session_id {sid!r} on line {line} repeats line {first[sid]}")
+        out["session_id"] = tuple(first)  # every id once, in row order
+    return out, tuple(line for line, _ in rows)
+
+
+def _numbers(name: str, cells: list[tuple[int, str]]) -> np.ndarray:
+    """One column's (line, text) cells as floats; each must be a finite number."""
+    values = np.empty(len(cells))
+    for k, (line, text) in enumerate(cells):
         try:
-            rows.append(MetricsTableRow(
-                session_id=rec[0], sed=float(rec[1]), sms=float(rec[2]),
-                spa=float(rec[3]), ci=float(rec[4]), performance=int(rec[5])))
+            values[k] = float(text)
         except ValueError as exc:
-            raise SessionFormatError(f"bad number: {exc}", path, lineno) from exc
-    return rows
+            raise MetricTableError(f"column {name!r} is not numeric: {exc} on line {line}") from None
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        line, text = cells[bad[0]]
+        raise MetricTableError(f"column {name!r} has non-finite value {text!r} on line {line}")
+    return values

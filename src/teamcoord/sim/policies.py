@@ -147,8 +147,6 @@ class Controller:
         self.known_rubble = np.zeros(spec.grid.n_cells, dtype=bool)
         self.known_doors = np.zeros(spec.grid.n_cells, dtype=bool)
         self.known_victims = np.zeros(spec.grid.n_cells, dtype=np.int8)
-        self.still_for: list[int] = []  # ticks each teammate has stood still, by agent index
-        self._last_pos: list[Position] = []
         # 2-D views of the knowledge arrays, written through by `observe`
         self._views = [a.reshape(self.grid.height, self.grid.width) for a in (
             self.unseen, self.known_victims, self.known_rubble, self.known_doors)]
@@ -156,12 +154,7 @@ class Controller:
     # -- perception --------------------------------------------------------
 
     def observe(self, state: WorldState):
-        # teammate icons are always visible: count the ticks each has stood still
-        pos = [a.pos for a in state.agents]
-        self.still_for = [s + 1 if p == q else 0 for s, p, q in
-                          zip(self.still_for or [-1] * len(pos), pos, self._last_pos or pos)]
-        self._last_pos = pos
-        me = pos[self.index]
+        me = state.agents[self.index].pos
         r = self.spec.fov_radius
         view = np.s_[max(me.y - r, 0):me.y + r + 1, max(me.x - r, 0):me.x + r + 1]
         unseen, victims, rubble, doors = self._views
@@ -331,6 +324,15 @@ class CoordinatedSpecialistController(Controller):
         self.waypoints = [g.cell_index(x, y) for x, y in
                           ((cx[0], cy[0]), (cx[1], cy[0]), (cx[1], cy[1]), (cx[0], cy[1]))
                           if g.contains(x, y) and not spec.wall_mask[g.cell_index(x, y)]]
+        self.still_for, self._last_pos = [], []  # ticks each agent has stood still, and where
+
+    def observe(self, state: WorldState):
+        # teammate icons are always visible: count the ticks each has stood still
+        pos = [a.pos for a in state.agents]
+        self.still_for = [s + 1 if p == q else 0 for s, p, q in
+                          zip(self.still_for or [-1] * len(pos), pos, self._last_pos or pos)]
+        self._last_pos = pos
+        super().observe(state)
 
     def _decide(self, state) -> AgentAction:
         if state.time_s < state.spec.red_cutoff_s:

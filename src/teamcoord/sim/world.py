@@ -23,6 +23,7 @@ from ..core import (
     ActionTag,
     CompositionError,
     GridSpec,
+    MapMeta,
     Position,
     RescueEvent,
     Role,
@@ -32,7 +33,6 @@ from ..core import (
     VictimType,
     validate_session,
 )
-from ..outcomes import MapMeta
 
 
 class InvalidMapError(TeamCoordError):

@@ -60,6 +60,7 @@ from teamcoord.core import (
     VictimType,
     Violation,
 )
+from teamcoord.outcomes import MapMeta
 from teamcoord.session_io import (
     _MALFORMED,
     FORMAT_VERSION,
@@ -559,7 +560,18 @@ def read_session_reference(log_path, validate: bool = True) -> TeamSession:
         report = validate_session_reference(session)
         if report:
             raise SessionValidationError(log_path, report)
-    return session
+    raw = manifest.get("map_meta")
+    if raw is None:
+        return session
+    try:
+        meta = MapMeta(traversable_cells=int(raw["traversable_cells"]),
+                       max_tasks={Role(k): int(v) for k, v in raw["max_tasks"].items()})
+    except _MALFORMED as exc:
+        raise _malformed("map_meta", exc, manifest_path) from None
+    if meta.traversable_cells < 1:
+        raise SessionFormatError("bad map_meta: traversable cell count must be positive",
+                                 manifest_path)
+    return replace(session, map_meta=meta)
 
 
 def validate_session_reference(session: TeamSession) -> list[Violation]:

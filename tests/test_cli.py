@@ -102,13 +102,12 @@ def test_metrics_command_builds_table(tmp_path, capsys):
     rc = run(["metrics", *map(str, logs), "--out", str(out_csv)])
     assert rc == EXIT_OK
     capsys.readouterr()
-    rows = read_metrics_table(out_csv)
-    assert len(rows) == 4
-    assert [r.session_id for r in rows] == sorted(r.session_id for r in rows)
-    for r in rows:
-        assert 0.0 <= r.sed <= 1.0 and 0.0 <= r.sms <= 1.0 and 0.0 <= r.spa <= 1.0
-        assert 0.0 <= r.ci <= 1.0
-        assert r.performance >= 0
+    cols, lines = read_metrics_table(out_csv)
+    assert lines == (2, 3, 4, 5)
+    assert list(cols["session_id"]) == sorted(cols["session_id"])
+    for name in ("sed", "sms", "spa", "ci"):
+        assert ((0.0 <= cols[name]) & (cols[name] <= 1.0)).all()
+    assert (cols["performance"] >= 0).all()
 
 
 def test_metrics_rows_match_library_values(tmp_path, capsys):
@@ -118,16 +117,29 @@ def test_metrics_rows_match_library_values(tmp_path, capsys):
     capsys.readouterr()
     from teamcoord.metrics import coordination_metrics
     from teamcoord.outcomes import collective_intelligence, team_performance
-    from teamcoord.session_io import read_map_meta, read_session
-    by_id = {r.session_id: r for r in read_metrics_table(out_csv)}
+    from teamcoord.session_io import read_session
+    cols, _ = read_metrics_table(out_csv)
     for log in logs:
         s = read_session(log)
         m = coordination_metrics(s)
-        ci = collective_intelligence(s, read_map_meta(log))
-        row = by_id[s.session_id]
-        assert (row.sed, row.sms, row.spa) == (m.sed, m.sms, m.spa)
-        assert row.ci == ci.team_ci
-        assert row.performance == team_performance(s.events).points
+        ci = collective_intelligence(s, s.map_meta)
+        row = {name: col[cols["session_id"].index(s.session_id)] for name, col in cols.items()}
+        assert (row["sed"], row["sms"], row["spa"]) == (m.sed, m.sms, m.spa)
+        assert row["ci"] == ci.team_ci
+        assert row["performance"] == team_performance(s.events).points
+
+
+def test_metrics_decodes_each_manifest_once(tmp_path, capsys, monkeypatch):
+    from teamcoord import session_io
+    logs = sim_corpus(tmp_path, runs=3)
+    capsys.readouterr()
+    decoded = []
+    load = session_io._load_json
+    monkeypatch.setattr(session_io, "_load_json",
+                        lambda path, what: decoded.append(path.name) or load(path, what))
+    assert run(["metrics", *map(str, logs)]) == EXIT_OK
+    assert capsys.readouterr().out.count("\n") == 4  # header + one row per session
+    assert sorted(decoded) == sorted(log.with_suffix(".manifest.json").name for log in logs)
 
 
 def test_metrics_reports_broken_file_and_exits_1(tmp_path, capsys):
@@ -139,7 +151,7 @@ def test_metrics_reports_broken_file_and_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "broken.jsonl" in err
     # the readable sessions still landed in the table
-    assert len(read_metrics_table(tmp_path / "m.csv")) == 2
+    assert read_metrics_table(tmp_path / "m.csv")[1] == (2, 3)
 
 
 def test_stats_correlations_full_matrix(tmp_path, capsys):
@@ -385,6 +397,46 @@ def test_stats_non_finite_cell_exits_2(tmp_path, capsys, cell):
     table.write_text("\n".join(lines) + "\n")
     assert run(["stats", "--table", str(table), "--analysis", "correlations"]) == EXIT_USAGE
     assert f"column 'sed' has non-finite value '{cell}' on line 5" in capsys.readouterr().err
+
+
+def test_stats_non_numeric_cell_names_its_line_exits_2(tmp_path, capsys):
+    table = random_table(tmp_path / "m.csv", 8)
+    lines = table.read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[1] = "abc"  # the sed column
+    lines[3] = ",".join(fields)
+    lines.insert(2, "")  # a blank line the reader skips still counts
+    table.write_text("\n".join(lines) + "\n")
+    assert run(["stats", "--table", str(table), "--analysis", "correlations"]) == EXIT_USAGE
+    assert ("usage error: column 'sed' is not numeric: could not convert string to float: "
+            "'abc' on line 5") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, message", [
+    ("s99,0.1,0.2", "expected 6 fields"),
+    ("s99,0.1,0.2,0.3,0.4,5,6", "expected 6 fields"),
+    ("s99," + "1" * 200_000 + ",0.2,0.3,0.4,5", "bad CSV: field larger than field limit (131072)"),
+], ids=["short", "long", "huge_field"])
+def test_stats_malformed_row_names_path_and_line_exits_1(tmp_path, capsys, row, message):
+    table = random_table(tmp_path / "m.csv", 8)
+    lines = table.read_text().splitlines()
+    lines.insert(4, row)
+    table.write_text("\n".join(lines) + "\n")
+    assert run(["stats", "--table", str(table), "--analysis", "correlations"]) == EXIT_IO
+    assert f"error: {table}:5: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("analysis", ["groups", "timeless-anova"])
+def test_stats_repeated_session_id_exits_2(tmp_path, capsys, analysis):
+    table = random_table(tmp_path / "m.csv", 8)
+    lines = table.read_text().splitlines()
+    lines[6] = "s01" + lines[6][3:]  # the row of s05, on line 7, takes the id on line 3
+    table.write_text("\n".join(lines) + "\n")
+    assert run(["stats", "--table", str(table), "--analysis", analysis]) == EXIT_USAGE
+    assert "usage error: session_id 's01' on line 7 repeats line 3" in capsys.readouterr().err
+    # analyses that do not group rows by id still read the table
+    assert run(["stats", "--table", str(table), "--analysis", "correlations"]) == EXIT_OK
+    capsys.readouterr()
 
 
 def test_stats_quadratic_flat_outcome_reports_flat(tmp_path, capsys):

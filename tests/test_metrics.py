@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -315,6 +316,28 @@ def test_sed_sms_series_match_window_loop(map_name, kind):
                     got = metric_time_series(s, metric, window, smooth, coarsen=coarsen)
                     want = window_series_loop(s, metric, window, smooth, coarsen)
                     assert same_bits(got.values, want), (metric, window, coarsen, smooth)
+
+
+@pytest.mark.parametrize("kind", ["random_walk", "greedy", "coordinated"])
+@pytest.mark.parametrize("map_name", ["small", "medium", "corridor"])
+def test_coordination_metrics_share_one_cell_index_array(monkeypatch, map_name, kind):
+    calls = []
+    index = metrics.cell_indices
+    monkeypatch.setattr(metrics, "cell_indices",
+                        lambda traj, *args: calls.append(traj.player_id) or index(traj, *args))
+    policy = AgentPolicy(PolicyKind(kind))
+    for seed in (0, 1, 2):
+        s = run_mission(builtin_map(map_name),
+                        [(Role.MEDIC, policy)] * 2 + [(Role.ENGINEER, policy)] * 2, seed=seed)
+        # engineers first: SMS pools players by role in any order
+        for session in (s, dataclasses.replace(s, players=s.players[2:] + s.players[:2])):
+            for coarsen in (1, 2, 3):
+                calls.clear()
+                m = coordination_metrics(session, coarsen=coarsen)
+                assert calls == [p.player_id for p in session.players]
+                for metric, value in (("sed", m.sed), ("sms", m.sms)):
+                    (_, want), = window_series_loop(session, metric, session.n_ticks, 1, coarsen)
+                    assert same_bits(value, want), (metric, seed, coarsen)
 
 
 def test_sed_sms_series_match_window_loop_across_blocks():

@@ -14,13 +14,13 @@ from teamcoord.core import (
     TeamSession,
 )
 from teamcoord.session_io import (
+    MetricTableError,
     MetricsTableRow,
     SessionFormatError,
     SessionValidationError,
     fmt_float,
     manifest_path_for,
     read_map,
-    read_map_meta,
     read_metrics_table,
     read_session,
     write_map,
@@ -86,10 +86,12 @@ def test_map_meta_embedding(tmp_path, sim_session):
     meta = map_meta(builtin_map("small"))
     log = tmp_path / "s.jsonl"
     write_session(sim_session, log, map_meta=meta)
-    assert read_map_meta(log) == meta
+    assert read_session(log).map_meta == meta
     bare = tmp_path / "bare.jsonl"
     write_session(sim_session, bare)
-    assert read_map_meta(bare) is None
+    assert read_session(bare).map_meta is None
+    # the inventory is not part of the mission record
+    assert read_session(log) == read_session(bare)
 
 
 def test_truncated_line_reports_line_number(tmp_path, sim_session):
@@ -108,6 +110,10 @@ def test_missing_manifest_is_an_error(tmp_path, sim_session):
     manifest.unlink()
     with pytest.raises(SessionFormatError):
         read_session(log)
+    manifest.write_text("{not json")
+    with pytest.raises(SessionFormatError, match="bad manifest JSON") as exc:
+        read_session(log)
+    assert exc.value.path == manifest
 
 
 def test_skipped_tick_surfaces_validation_report(tmp_path, sim_session):
@@ -146,8 +152,8 @@ def test_write_refuses_players_with_unequal_tick_counts(tmp_path, sim_session, d
 def test_docs_examples_roundtrip_byte_identical(tmp_path, capsys):
     examples = Path(__file__).resolve().parent.parent / "docs" / "examples"
     src = examples / "session.jsonl"
-    log, manifest = write_session(read_session(src), tmp_path / "session.jsonl",
-                                  read_map_meta(src))
+    session = read_session(src)
+    log, manifest = write_session(session, tmp_path / "session.jsonl", session.map_meta)
     assert log.read_bytes() == src.read_bytes()
     assert manifest.read_bytes() == manifest_path_for(src).read_bytes()
 
@@ -175,17 +181,25 @@ def test_map_rejects_bad_payload(tmp_path):
         read_map(p)
 
 
+def table_rows(cols) -> list[MetricsTableRow]:
+    """The rows of the columns `read_metrics_table` returns, as the writer takes them."""
+    return [MetricsTableRow(sid, *(cols[n][k] for n in ("sed", "sms", "spa", "ci")),
+                            performance=int(cols["performance"][k]))
+            for k, sid in enumerate(cols["session_id"])]
+
+
 def test_metrics_table_empty_is_header_only(tmp_path):
     p = write_metrics_table([], tmp_path / "m.csv")
     assert p.read_text() == "session_id,sed,sms,spa,ci,performance\n"
-    assert read_metrics_table(p) == []
+    with pytest.raises(MetricTableError, match="^table has no data rows$"):
+        read_metrics_table(p)
 
 
 def test_metrics_table_roundtrip_single_row(tmp_path):
     row = MetricsTableRow("s1", sed=1 / 3, sms=0.5249999999999999, spa=0.0, ci=0.1234567891234,
                           performance=220)
     p = write_metrics_table([row], tmp_path / "m.csv")
-    assert read_metrics_table(p) == [row]
+    assert table_rows(read_metrics_table(p)[0]) == [row]
 
 
 def test_metrics_table_34_rows_is_35_lines(tmp_path):
@@ -194,7 +208,21 @@ def test_metrics_table_34_rows_is_35_lines(tmp_path):
             for i in range(34)]
     p = write_metrics_table(rows, tmp_path / "m.csv")
     assert len(p.read_text().splitlines()) == 35
-    assert read_metrics_table(p) == rows
+    cols, lines = read_metrics_table(p)
+    assert lines == tuple(range(2, 36))
+    assert table_rows(cols) == rows
+
+
+def test_metrics_table_reads_asked_columns_ignores_the_rest(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_text("\nnote,performance,session_id,sed\n\nx,30,s1,0.5\r\ny,\"1e1\",s2,0.25\n")
+    cols, lines = read_metrics_table(p, ("sed", "performance"))
+    assert lines == (4, 5)
+    assert sorted(cols) == ["performance", "sed", "session_id"]
+    assert cols["session_id"] == ("s1", "s2")
+    assert cols["performance"].tolist() == [30.0, 10.0]
+    assert cols["sed"].tolist() == [0.5, 0.25]
+    assert list(read_metrics_table(p, ("sed",), ids=False)[0]) == ["sed"]
 
 
 def test_metrics_table_not_utf8_names_path_and_line(tmp_path):
@@ -208,13 +236,25 @@ def test_metrics_table_not_utf8_names_path_and_line(tmp_path):
 
 def test_metrics_table_bad_header_and_numbers(tmp_path):
     p = tmp_path / "m.csv"
-    p.write_text("who,sed,sms,spa,ci,performance\n")
-    with pytest.raises(SessionFormatError):
+    p.write_text("who,sed,sms,spa,ci,performance\ns1,0.1,0.2,0.3,0.4,5\n")
+    with pytest.raises(MetricTableError, match="^table lacks columns: session_id$"):
+        read_metrics_table(p)
+    assert read_metrics_table(p, ids=False)[1] == (2,)
+    p.write_text("session_id,sed,sms,spa,ci\ns1,0.1,0.2,0.3,0.4\n")
+    with pytest.raises(MetricTableError, match="^table lacks columns: performance$"):
         read_metrics_table(p)
     p.write_text("session_id,sed,sms,spa,ci,performance\ns1,a,b,c,d,e\n")
+    with pytest.raises(MetricTableError) as exc:
+        read_metrics_table(p)
+    assert str(exc.value) == ("column 'sed' is not numeric: "
+                              "could not convert string to float: 'a' on line 2")
+    p.write_text("session_id,sed,sms,spa,ci,performance\ns1,0.1,0.2,0.3,0.4,5\ns2,0.1\n")
     with pytest.raises(SessionFormatError) as exc:
         read_metrics_table(p)
-    assert exc.value.line == 2
+    assert (exc.value.path, exc.value.line) == (p, 3)
+    assert str(exc.value) == f"{p}:3: expected 6 fields"
+    with pytest.raises(SessionFormatError, match="missing table"):
+        read_metrics_table(tmp_path / "absent.csv")
 
 
 def test_fmt_float_round_trips_exactly():
@@ -273,13 +313,20 @@ def test_malformed_manifest_names_path(tmp_path, sim_session, case):
     assert exc.value.path == manifest
 
 
-@pytest.mark.parametrize("text", ["{not json", '{"map_meta": {"max_tasks": []}}', "[1]"])
-def test_read_map_meta_rejects_malformed_manifest(tmp_path, sim_session, text):
+@pytest.mark.parametrize("map_meta, detail", [
+    ({"max_tasks": []}, "missing 'traversable_cells'"),
+    ([1], "list indices must be integers or slices, not str"),
+    ({"traversable_cells": 0, "max_tasks": {}}, "traversable cell count must be positive"),
+], ids=["missing_cells", "list", "zero_cells"])
+def test_read_session_rejects_malformed_map_meta(tmp_path, sim_session, map_meta, detail):
     log, manifest = write_session(sim_session, tmp_path / "s.jsonl")
-    manifest.write_text(text)
-    with pytest.raises(SessionFormatError) as exc:
-        read_map_meta(log)
-    assert exc.value.path == manifest
+    doc = json.loads(manifest.read_text())
+    manifest.write_text(json.dumps({**doc, "map_meta": map_meta}))
+    for validate in (True, False):
+        with pytest.raises(SessionFormatError) as exc:
+            read_session(log, validate=validate)
+        assert exc.value.path == manifest
+        assert str(exc.value) == f"{manifest}: bad map_meta: {detail}"
 
 
 def test_map_rejects_malformed_cells(tmp_path):
