@@ -43,7 +43,7 @@ from .sim import AgentPolicy, PolicyKind, builtin_map, map_meta, run_mission
 from .sim.policies import PolicyParamError
 from .stats import (
     DegenerateDataError,
-    bootstrap_mediation,
+    bootstrap_mediations,
     design_matrix,
     one_way_anova,
     ols,
@@ -239,9 +239,10 @@ def _analysis_quadratic(cols, args):
 
 def _analysis_mediation(cols, args):
     out = []
-    for metric in ("sed", "sms", "spa"):
-        res = bootstrap_mediation(cols[metric], cols["ci"], cols["performance"],
-                                  resamples=args.resamples, seed=args.seed)
+    metrics = ("sed", "sms", "spa")
+    results = bootstrap_mediations([cols[metric] for metric in metrics], cols["ci"],
+                                   cols["performance"], resamples=args.resamples, seed=args.seed)
+    for metric, res in zip(metrics, results):
         out.append({
             "metric": metric, "a": res.a, "b": res.b, "c_total": res.c_total,
             "c_prime": res.c_prime, "indirect": res.indirect_point,

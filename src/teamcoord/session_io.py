@@ -494,7 +494,8 @@ def read_metrics_table(path, columns: Sequence[str] = METRICS_COLUMNS[1:],
                        ids: bool = True) -> tuple[dict, tuple[int, ...]]:
     """The named columns of a metric table, as float arrays, and the file
     line each data row ends on; with `ids`, also the `session_id` column as
-    a tuple of unique strings. Other columns and blank lines are skipped.
+    a tuple of unique strings. Other columns, blank lines and one leading
+    UTF-8 byte-order mark are skipped.
 
     A file that is missing or not UTF-8, a line the CSV reader refuses, or a
     row whose field count differs from the header's is a `SessionFormatError`
@@ -505,7 +506,8 @@ def read_metrics_table(path, columns: Sequence[str] = METRICS_COLUMNS[1:],
     path = Path(path)
     if not path.exists():
         raise SessionFormatError("missing table", path)
-    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    text = read_utf8(path).removeprefix("\ufeff")  # a spreadsheet export's byte-order mark
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         (_, header), *rows = [(reader.line_num, rec) for rec in reader if rec] or [(0, [])]
     except csv.Error as exc:

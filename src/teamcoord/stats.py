@@ -392,8 +392,9 @@ def _resample_indices(seed: int, start: int, count: int, n: int) -> tuple[np.nda
         words = _philox_words(k0, k1, -(-n // 8))  # 8 draws per block
         draws = np.stack([words & _M32, words >> 32], axis=-1).reshape(count, -1)[:, :n]
         product = draws * np.uint64(n)
-        idx = (product >> 32).astype(np.int64)
         fallback = _may_reject(product & _M32, n)
+        product >>= 32
+        idx = product.view(np.int64)  # the indices are below n < 2**32: same bits
     for r in np.flatnonzero(fallback).tolist():
         idx[r] = _resample_rng(seed, start + r).integers(0, n, size=n)
     return idx, fallback
@@ -408,25 +409,34 @@ def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
+def _centred(v: np.ndarray) -> np.ndarray:
+    return v - v.mean(axis=1, keepdims=True)
+
+
+def _mediator_terms(m: np.ndarray, y: np.ndarray):
+    """The terms of the paths that do not involve x, per row of (R, n) arrays:
+    centred m and y, smm and smy."""
+    mc, yc = _centred(m), _centred(y)
+    return mc, yc, _row_dot(mc, mc), _row_dot(mc, yc)
+
+
 # x and m count as collinear when 1 - r^2 is this small: rounding alone leaves
 # about 1e-16 on exactly collinear data, and can leave it of either sign.
 _COLLINEAR_TOL = 1e-12
 
 
-def _mediation_paths(x: np.ndarray, m: np.ndarray, y: np.ndarray):
-    """Closed-form OLS paths per row of (R, n) arrays: a (m~x), b and c' (y~x+m), c (y~x).
+def _mediation_paths(x: np.ndarray, mediator):
+    """Closed-form OLS paths per row of an (R, n) array x and the
+    `_mediator_terms` of the same rows: a (m~x), b and c' (y~x+m), c (y~x).
 
     Returns (a, b, c_prime, c_total, ok); rows where ok is False are
     degenerate (constant x or collinear x, m) and carry no paths.
     """
-    xc = x - x.mean(axis=1, keepdims=True)
-    mc = m - m.mean(axis=1, keepdims=True)
-    yc = y - y.mean(axis=1, keepdims=True)
+    mc, yc, smm, smy = mediator
+    xc = _centred(x)
     sxx = _row_dot(xc, xc)
     sxm = _row_dot(xc, mc)
-    smm = _row_dot(mc, mc)
     sxy = _row_dot(xc, yc)
-    smy = _row_dot(mc, yc)
     det = sxx * smm - sxm * sxm  # sxx * smm * (1 - r^2), r the x-m correlation
     ok = (sxx != 0.0) & (det > _COLLINEAR_TOL * sxx * smm)
     sxx = np.where(ok, sxx, 1.0)  # degenerate rows divide by 1 and are discarded
@@ -436,6 +446,19 @@ def _mediation_paths(x: np.ndarray, m: np.ndarray, y: np.ndarray):
     c_prime = (smm * sxy - sxm * smy) / det
     b = (sxx * smy - sxm * sxy) / det
     return a, b, c_prime, c_total, ok
+
+
+def _redrawn_indirect(xv: np.ndarray, mv: np.ndarray, yv: np.ndarray, seed: int, k: int) -> float:
+    """Resample k's indirect effect from the draws after its degenerate first one."""
+    n = xv.size
+    rng = _resample_rng(seed, k)
+    rng.integers(0, n, size=n)  # replays the first draw
+    for _ in range(99):
+        row = rng.integers(0, n, size=n)[None]
+        a, b, _, _, ok = _mediation_paths(xv[row], _mediator_terms(mv[row], yv[row]))
+        if ok[0]:
+            return a[0] * b[0]
+    raise DegenerateDataError(f"resample {k} stayed degenerate after 100 draws")
 
 
 def bootstrap_mediation(x, m, y, resamples: int = 5000, seed: int = 0) -> MediationResult:
@@ -452,47 +475,70 @@ def bootstrap_mediation(x, m, y, resamples: int = 5000, seed: int = 0) -> Mediat
     seed reaches 2**128) and a degenerate resample's redraws go through the
     stream's own `Generator`.
     """
-    xv, mv = _paired(x, m)
-    yv = _vector(y, "y")
-    if yv.size != xv.size:
-        raise LengthMismatchError(f"lengths differ: {xv.size} vs {yv.size}")
-    n = xv.size
-    if n < 5:
-        raise ValueError(f"need at least 5 observations, got {n}")
-    if resamples < 1:
-        raise ValueError("resamples must be positive")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    *paths, ok = _mediation_paths(xv[None], mv[None], yv[None])
-    if not ok[0]:
-        raise DegenerateDataError("x is constant or x and m are collinear")
-    a, b, c_prime, c_total = (float(v[0]) for v in paths)
+    return bootstrap_mediations([x], m, y, resamples, seed)[0]
 
-    boot = np.empty(resamples)
-    block = max(1, _BOOT_BLOCK_CELLS // n)  # resamples per block, to bound memory
-    for start in range(0, resamples, block):
-        idx, _ = _resample_indices(seed, start, min(block, resamples - start), n)
-        sub_a, sub_b, _, _, sub_ok = _mediation_paths(xv[idx], mv[idx], yv[idx])
-        boot[start:start + len(idx)] = sub_a * sub_b
-        for k in (start + np.flatnonzero(~sub_ok)).tolist():
-            rng = _resample_rng(seed, k)
-            rng.integers(0, n, size=n)  # replays the first draw
-            for _ in range(99):
-                row = rng.integers(0, n, size=n)[None]
-                sub_a, sub_b, _, _, sub_ok = _mediation_paths(xv[row], mv[row], yv[row])
-                if sub_ok[0]:
-                    boot[k] = sub_a[0] * sub_b[0]
-                    break
-            else:
-                raise DegenerateDataError(f"resample {k} stayed degenerate after 100 draws")
 
-    ci_low, ci_high = np.percentile(boot, [2.5, 97.5])
-    return MediationResult(
-        a=a, b=b, c_total=c_total, c_prime=c_prime,
-        indirect_point=a * b, boot_indirect_mean=float(boot.mean()),
-        ci_low=float(ci_low), ci_high=float(ci_high),
-        pct_mediated=pct_mediated(a * b, c_total),
-        resamples=resamples, seed=seed)
+def bootstrap_mediations(xs: Sequence, m, y, resamples: int = 5000,
+                         seed: int = 0) -> list[MediationResult]:
+    """`bootstrap_mediation(x, m, y, resamples, seed)` for each predictor x in xs.
+
+    The resamples are drawn once and shared: every predictor's result is bit
+    for bit that of its own call, since the draws depend only on the seed,
+    the resample and n. A degenerate resample is redrawn for each predictor
+    on its own. Errors are those of the calls in order, with one exception:
+    a predictor's input errors (shape, length, count, resamples, seed) come
+    before the bootstrap of the predictors ahead of it.
+    """
+    xvs, paths, failure = [], [], None
+    for x in xs:
+        xv, mv = _paired(x, m)
+        yv = _vector(y, "y")
+        if yv.size != xv.size:
+            raise LengthMismatchError(f"lengths differ: {xv.size} vs {yv.size}")
+        n = xv.size
+        if n < 5:
+            raise ValueError(f"need at least 5 observations, got {n}")
+        if resamples < 1:
+            raise ValueError("resamples must be positive")
+        if seed < 0:
+            raise ValueError("seed must be non-negative")
+        *point, ok = _mediation_paths(xv[None], _mediator_terms(mv[None], yv[None]))
+        if not ok[0]:  # raised after the bootstraps of the predictors ahead of x
+            failure = DegenerateDataError("x is constant or x and m are collinear")
+            break
+        xvs.append(xv)
+        paths.append([float(v[0]) for v in point])
+
+    boot = [np.empty(resamples) for _ in xvs]
+    active = len(xvs)  # predictors ahead of the first that stays degenerate
+    start = 0
+    while active and start < resamples:
+        stop = min(resamples, start + max(1, _BOOT_BLOCK_CELLS // n))  # blocks bound memory
+        idx, _ = _resample_indices(seed, start, stop - start, n)
+        mediator = _mediator_terms(mv[idx], yv[idx])
+        for i, xv in enumerate(xvs[:active]):
+            sub_a, sub_b, _, _, sub_ok = _mediation_paths(xv[idx], mediator)
+            boot[i][start:stop] = sub_a * sub_b
+            try:
+                for k in (start + np.flatnonzero(~sub_ok)).tolist():
+                    boot[i][k] = _redrawn_indirect(xv, mv, yv, seed, k)
+            except DegenerateDataError as exc:
+                failure, active = exc, i
+                break
+        start = stop
+    if failure is not None:
+        raise failure
+
+    results = []
+    for (a, b, c_prime, c_total), row in zip(paths, boot):
+        ci_low, ci_high = np.percentile(row, [2.5, 97.5])
+        results.append(MediationResult(
+            a=a, b=b, c_total=c_total, c_prime=c_prime,
+            indirect_point=a * b, boot_indirect_mean=float(row.mean()),
+            ci_low=float(ci_low), ci_high=float(ci_high),
+            pct_mediated=pct_mediated(a * b, c_total),
+            resamples=resamples, seed=seed))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -541,10 +587,13 @@ def _subset_sum_counts(scores: list[int], k: int) -> np.ndarray:
     """counts[t] = number of k-element subsets of `scores` (non-negative ints) summing to t.
 
     One pass per score over the (k + 1, sum + 1) table of subset counts by
-    size and sum; Python-int entries cannot overflow.
+    size and sum. An entry counts j-subsets, j <= k, so it is at most the
+    largest C(len(scores), j): int64 holds the table while that is below
+    2**63 (up to 66 scores at any k), Python ints beyond.
     """
     width = sum(scores) + 1
-    counts = np.zeros((k + 1, width), dtype=object)
+    largest = math.comb(len(scores), min(k, len(scores) // 2))
+    counts = np.zeros((k + 1, width), dtype=np.int64 if largest < 1 << 63 else object)
     counts[0, 0] = 1
     for w in scores:
         counts[1:, w:] = counts[1:, w:] + counts[:-1, :width - w]
@@ -558,9 +607,10 @@ def mann_whitney_u_exact(a, b, alternative: str = "two-sided") -> MannWhitneyRes
     likely under the null. The number of draws at each U comes from the
     Mann & Whitney (1947) counting recursion, extended to ties: mid-rank
     scores are doubled to exact integers and a subset-sum table is built one
-    pooled value at a time. Counts are Python integers, so they cannot
-    overflow; the table has about min(n1, n2) (n1 + n2)^2 entries and is
-    refused (ValueError) beyond a million, about 60 vs 60.
+    pooled value at a time. Counts are int64 up to 66 pooled values and
+    Python integers beyond, so they cannot overflow; the table has about
+    min(n1, n2) (n1 + n2)^2 entries and is refused (ValueError) beyond a
+    million, about 60 vs 60.
     `alternative` is "less" (a shifted low), "greater", or "two-sided".
     """
     av, bv = _vector(a, "a"), _vector(b, "b")

@@ -225,6 +225,27 @@ def mann_whitney_exact_p(a, b, alternative="less"):
     return min(1.0, 2.0 * min(n_le / total, n_ge / total))
 
 
+def u_null_counts_distinct(n1: int, n2: int) -> list[int]:
+    """counts[u] = number of splits of n1 + n2 distinct values with U = u.
+
+    Mann & Whitney's (1947) recursion on the largest pooled value: it lies in
+    the first group, beating all n2 of the second, or in the second, beating
+    none. Python ints, so exact at any size.
+    """
+    prev = [[1] for _ in range(n2 + 1)]  # prev[j]: counts for (i - 1, j); i = 0 has U = 0 only
+    for i in range(1, n1 + 1):
+        cur = [[1]]
+        for j in range(1, n2 + 1):
+            counts = [0] * (i * j + 1)
+            for u, c in enumerate(prev[j]):  # largest in group 1: U grows by j
+                counts[u + j] += c
+            for u, c in enumerate(cur[j - 1]):
+                counts[u] += c
+            cur.append(counts)
+        prev = cur
+    return prev[n2]
+
+
 def mann_whitney_normal_p(a, b) -> float:
     """Tie- and continuity-corrected normal approximation, from scratch."""
     pooled = list(a) + list(b)

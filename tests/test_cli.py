@@ -1,11 +1,15 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from teamcoord import stats
 from teamcoord.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from teamcoord.session_io import read_metrics_table, write_map, write_metrics_table, MetricsTableRow
 from teamcoord.sim import builtin_map
+
+EXAMPLE_TABLE = Path(__file__).resolve().parent.parent / "docs" / "examples" / "metrics.csv"
 
 
 def run(argv):
@@ -451,3 +455,44 @@ def test_stats_quadratic_flat_outcome_reports_flat(tmp_path, capsys):
         assert row["pattern"] == "flat"
         assert row["optimal_value"] == ""
         assert (row["linear"], row["quadratic"]) == ("0", "0")
+
+
+def test_stats_mediation_draws_each_block_once_for_all_metrics(tmp_path, capsys, monkeypatch):
+    # at 40 rows a block holds 6553 resamples: 7000 take two blocks, shared by sed, sms and spa
+    table = random_table(tmp_path / "m.csv", 40)
+    calls = []
+    draw = stats._resample_indices
+
+    def counted(seed, start, count, n):
+        calls.append((start, count))
+        return draw(seed, start, count, n)
+
+    monkeypatch.setattr(stats, "_resample_indices", counted)
+    assert run(["stats", "--table", str(table), "--analysis", "mediation",
+                "--resamples", "7000"]) == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    assert calls == [(0, 6553), (6553, 447)]
+
+
+def test_stats_mediation_constant_metric_exits_3(tmp_path, capsys):
+    rng = np.random.default_rng(13)
+    rows = [MetricsTableRow(f"s{i:02d}", rng.random(), 0.5, *rng.random(2),
+                            performance=int(rng.integers(500))) for i in range(12)]
+    table = write_metrics_table(rows, tmp_path / "m.csv")
+    assert run(["stats", "--table", str(table), "--analysis", "mediation"]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: x is constant or x and m are collinear\n")
+
+
+@pytest.mark.parametrize("source", ["example", "random"])
+def test_stats_table_with_byte_order_mark_reads_as_without(tmp_path, capsys, source):
+    # the example table has two rows, too few to group: both copies give the same error
+    plain = EXAMPLE_TABLE if source == "example" else random_table(tmp_path / "m.csv", 8)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outputs = []
+    for table in (plain, bom):
+        rc = run(["stats", "--table", str(table), "--analysis", "groups"])
+        outputs.append((rc, *capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert "session_id" not in outputs[0][2]

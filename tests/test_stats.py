@@ -13,6 +13,7 @@ from teamcoord.stats import (
     RankDeficiencyError,
     TooFewTeamsError,
     bootstrap_mediation,
+    bootstrap_mediations,
     design_matrix,
     mann_whitney_u,
     mann_whitney_u_exact,
@@ -37,6 +38,7 @@ from oracles import (
     ols_normal_equations,
     spearman_rho,
     t_two_sided_quad,
+    u_null_counts_distinct,
     u_statistic,
 )
 
@@ -426,6 +428,69 @@ def test_mediation_with_a_seed_of_two_words_matches_loop_oracle():
         bootstrap_indirect_loop(x, m, y, 300, 2**32 + 5)
 
 
+# --- one bootstrap for several predictors -------------------------------------------
+
+def boot_summary(res):
+    return res.boot_indirect_mean, res.ci_low, res.ci_high
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**128])
+def test_mediations_match_loop_oracle_when_one_predictor_is_redrawn(monkeypatch, seed):
+    # x0 is 1 in one row of twelve, so about 35% of its resamples miss that row
+    # and are redrawn; x1 and x2 vary in every row and are never degenerate.
+    rng = np.random.default_rng(53)
+    n = 12
+    xs = [np.r_[np.zeros(n - 1), 1.0], rng.normal(size=n), rng.normal(size=n)]
+    m = xs[1] + rng.normal(size=n)
+    y = m + rng.normal(size=n)
+    redrawn = []
+    redraw = stats._redrawn_indirect
+
+    def counted(xv, *args):
+        redrawn.append(xv)
+        return redraw(xv, *args)
+
+    monkeypatch.setattr(stats, "_redrawn_indirect", counted)
+    results = bootstrap_mediations(xs, m, y, resamples=300, seed=seed)
+    assert len(redrawn) > 50 and all(xv is xs[0] for xv in redrawn)
+    for x, res in zip(xs, results):
+        assert boot_summary(res) == bootstrap_indirect_loop(x, m, y, 300, seed)
+        assert res == bootstrap_mediation(x, m, y, resamples=300, seed=seed)
+
+
+def test_mediations_match_loop_oracle_across_blocks(monkeypatch):
+    # at n = 40 a block holds 6553 resamples, so 6600 take two
+    rng = np.random.default_rng(59)
+    n = 40
+    xs = list(rng.uniform(0.2, 0.9, size=(3, n)))
+    m = 0.5 * xs[1] + rng.normal(0, 0.08, n)
+    y = 200 * m + rng.normal(0, 25, n)
+    blocks = []
+    draw = stats._resample_indices
+
+    def counted(seed, start, count, n):
+        blocks.append((start, count))
+        return draw(seed, start, count, n)
+
+    monkeypatch.setattr(stats, "_resample_indices", counted)
+    results = bootstrap_mediations(xs, m, y, resamples=6600, seed=0)
+    assert blocks == [(0, 6553), (6553, 47)]
+    for x, res in zip(xs, results):
+        assert boot_summary(res) == bootstrap_indirect_loop(x, m, y, 6600, 0)
+
+
+def test_mediations_raise_the_error_of_the_first_failing_predictor():
+    # x_stuck's resample 620 stays degenerate for seed 19 (see the test above)
+    x_stuck, m = [1.0, 2, 2, 2, 2], [10118994.0, 20238004, 20238003, 20237994, 20237995]
+    y = [0.5, -1.0, 2.0, 0.25, 1.5]
+    x_good, x_const = [0.5, 3.0, -1.0, 2.0, 0.0], [1.0] * 5
+    assert len(bootstrap_mediations([x_good], m, y, resamples=700, seed=19)) == 1
+    with pytest.raises(DegenerateDataError, match="^resample 620 stayed degenerate after 100 draws$"):
+        bootstrap_mediations([x_good, x_stuck, x_const], m, y, resamples=700, seed=19)
+    with pytest.raises(DegenerateDataError, match="^x is constant or x and m are collinear$"):
+        bootstrap_mediations([x_good, x_const, x_stuck], m, y, resamples=700, seed=19)
+
+
 # --- Mann-Whitney -----------------------------------------------------------------
 
 def test_u_complete_separation():
@@ -484,6 +549,27 @@ def test_u_exact_null_counts_sum_to_binomial():
     # Doubled mid-rank scores of 90 distinct values; C(90, 30) > 2**63.
     counts = _subset_sum_counts(list(range(0, 180, 2)), 30)
     assert sum(counts) == math.comb(90, 30)
+
+
+@pytest.mark.parametrize("n1, n2, dtype", [(33, 33, np.int64), (33, 34, object), (34, 33, object)])
+def test_u_exact_int64_table_boundary_matches_exact_counts(n1, n2, dtype):
+    # C(66, 33) < 2**63 < C(67, 33): the largest table that int64 holds, and the smallest it does not
+    pooled = np.random.default_rng(n1 * n2).permutation(n1 + n2).astype(float)
+    a, b = pooled[:n1], pooled[n1:]
+    k, n_total = min(n1, n2), math.comb(n1 + n2, n1)
+    scores = list(range(0, 2 * (n1 + n2), 2))  # doubled mid-ranks of distinct values
+    counts = _subset_sum_counts(scores, k)
+    assert counts.dtype == dtype
+    assert sum(counts) == n_total
+    want = u_null_counts_distinct(k, n1 + n2 - k)  # by U, at every other subset sum
+    assert counts[k * (k - 1)::2][:len(want)].tolist() == want
+    if k < n1:
+        want = want[::-1]  # the null of the larger first group
+    u_obs = int(u_statistic(a, b))
+    p_less, p_greater = sum(want[:u_obs + 1]) / n_total, sum(want[u_obs:]) / n_total
+    for alt, p in (("less", p_less), ("greater", p_greater),
+                   ("two-sided", min(1.0, 2.0 * min(p_less, p_greater)))):
+        assert mann_whitney_u_exact(a, b, alternative=alt).p_value == p
 
 
 def test_u_exact_rejects_nan_and_oversized_tables():
