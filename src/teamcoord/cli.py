@@ -43,7 +43,7 @@ from .sim import AgentPolicy, PolicyKind, builtin_map, map_meta, run_mission
 from .sim.policies import PolicyParamError
 from .stats import (
     DegenerateDataError,
-    bootstrap_mediations,
+    bootstrap_mediation,
     design_matrix,
     one_way_anova,
     ols,
@@ -240,8 +240,8 @@ def _analysis_quadratic(cols, args):
 def _analysis_mediation(cols, args):
     out = []
     metrics = ("sed", "sms", "spa")
-    results = bootstrap_mediations([cols[metric] for metric in metrics], cols["ci"],
-                                   cols["performance"], resamples=args.resamples, seed=args.seed)
+    results = bootstrap_mediation([cols[metric] for metric in metrics], cols["ci"],
+                                  cols["performance"], resamples=args.resamples, seed=args.seed)
     for metric, res in zip(metrics, results):
         out.append({
             "metric": metric, "a": res.a, "b": res.b, "c_total": res.c_total,

@@ -461,7 +461,8 @@ def _redrawn_indirect(xv: np.ndarray, mv: np.ndarray, yv: np.ndarray, seed: int,
     raise DegenerateDataError(f"resample {k} stayed degenerate after 100 draws")
 
 
-def bootstrap_mediation(x, m, y, resamples: int = 5000, seed: int = 0) -> MediationResult:
+def bootstrap_mediation(x, m, y, resamples: int = 5000,
+                        seed: int = 0) -> MediationResult | list[MediationResult]:
     """Indirect effect a*b with a percentile bootstrap confidence interval.
 
     Rows are resampled with replacement as (x, m, y) triples. The 95%
@@ -474,21 +475,22 @@ def bootstrap_mediation(x, m, y, resamples: int = 5000, seed: int = 0) -> Mediat
     whose first draw may hit a Lemire rejection (or every resample, when the
     seed reaches 2**128) and a degenerate resample's redraws go through the
     stream's own `Generator`.
+
+    A two-dimensional x is a stack of predictors, one per row, and gives one
+    result per row. The resamples are drawn once and shared: each row's
+    result is bit for bit that of its own call, since the draws depend only
+    on the seed, the resample and n; a degenerate resample is redrawn for
+    each row on its own. Errors are those of the calls in row order, with
+    one exception: a row's input errors (length, count, resamples, seed)
+    come before the bootstrap of the rows ahead of it.
     """
-    return bootstrap_mediations([x], m, y, resamples, seed)[0]
+    xa = np.asarray(x, dtype=float)
+    if xa.ndim == 2:
+        return _bootstrap_mediations(list(xa), m, y, resamples, seed)
+    return _bootstrap_mediations([xa], m, y, resamples, seed)[0]
 
 
-def bootstrap_mediations(xs: Sequence, m, y, resamples: int = 5000,
-                         seed: int = 0) -> list[MediationResult]:
-    """`bootstrap_mediation(x, m, y, resamples, seed)` for each predictor x in xs.
-
-    The resamples are drawn once and shared: every predictor's result is bit
-    for bit that of its own call, since the draws depend only on the seed,
-    the resample and n. A degenerate resample is redrawn for each predictor
-    on its own. Errors are those of the calls in order, with one exception:
-    a predictor's input errors (shape, length, count, resamples, seed) come
-    before the bootstrap of the predictors ahead of it.
-    """
+def _bootstrap_mediations(xs: list, m, y, resamples: int, seed: int) -> list[MediationResult]:
     xvs, paths, failure = [], [], None
     for x in xs:
         xv, mv = _paired(x, m)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from teamcoord import stats
+from teamcoord import cli, stats
 from teamcoord.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from teamcoord.session_io import read_metrics_table, write_map, write_metrics_table, MetricsTableRow
 from teamcoord.sim import builtin_map
@@ -468,10 +468,20 @@ def test_stats_mediation_draws_each_block_once_for_all_metrics(tmp_path, capsys,
         return draw(seed, start, count, n)
 
     monkeypatch.setattr(stats, "_resample_indices", counted)
+    mediations = []
+    mediation = cli.bootstrap_mediation
+
+    def traced(*args, **kwargs):
+        mediations.append(np.shape(args[0]))
+        return mediation(*args, **kwargs)
+
+    # one call of the public function, whose name the benchmark's tracer reports
+    monkeypatch.setattr(cli, "bootstrap_mediation", traced)
     assert run(["stats", "--table", str(table), "--analysis", "mediation",
                 "--resamples", "7000"]) == EXIT_OK
     assert len(capsys.readouterr().out.splitlines()) == 4
     assert calls == [(0, 6553), (6553, 447)]
+    assert mediations == [(3, 40)]
 
 
 def test_stats_mediation_constant_metric_exits_3(tmp_path, capsys):

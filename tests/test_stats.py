@@ -13,7 +13,6 @@ from teamcoord.stats import (
     RankDeficiencyError,
     TooFewTeamsError,
     bootstrap_mediation,
-    bootstrap_mediations,
     design_matrix,
     mann_whitney_u,
     mann_whitney_u_exact,
@@ -451,8 +450,8 @@ def test_mediations_match_loop_oracle_when_one_predictor_is_redrawn(monkeypatch,
         return redraw(xv, *args)
 
     monkeypatch.setattr(stats, "_redrawn_indirect", counted)
-    results = bootstrap_mediations(xs, m, y, resamples=300, seed=seed)
-    assert len(redrawn) > 50 and all(xv is xs[0] for xv in redrawn)
+    results = bootstrap_mediation(xs, m, y, resamples=300, seed=seed)
+    assert len(redrawn) > 50 and all(np.array_equal(xv, xs[0]) for xv in redrawn)
     for x, res in zip(xs, results):
         assert boot_summary(res) == bootstrap_indirect_loop(x, m, y, 300, seed)
         assert res == bootstrap_mediation(x, m, y, resamples=300, seed=seed)
@@ -473,10 +472,23 @@ def test_mediations_match_loop_oracle_across_blocks(monkeypatch):
         return draw(seed, start, count, n)
 
     monkeypatch.setattr(stats, "_resample_indices", counted)
-    results = bootstrap_mediations(xs, m, y, resamples=6600, seed=0)
+    results = bootstrap_mediation(xs, m, y, resamples=6600, seed=0)
     assert blocks == [(0, 6553), (6553, 47)]
     for x, res in zip(xs, results):
         assert boot_summary(res) == bootstrap_indirect_loop(x, m, y, 6600, 0)
+
+
+def test_mediation_of_a_two_dimensional_x_gives_one_result_per_row():
+    rng = np.random.default_rng(61)
+    xs = rng.normal(size=(2, 20))
+    m = xs[0] + rng.normal(size=20)
+    y = m + rng.normal(size=20)
+    single = [bootstrap_mediation(x, m, y, resamples=200, seed=3) for x in xs]
+    assert all(isinstance(res, stats.MediationResult) for res in single)
+    assert bootstrap_mediation(xs, m, y, resamples=200, seed=3) == single
+    assert bootstrap_mediation(xs.tolist(), m, y, resamples=200, seed=3) == single
+    with pytest.raises(ValueError, match="^x must be one-dimensional$"):
+        bootstrap_mediation(xs[None], m, y)
 
 
 def test_mediations_raise_the_error_of_the_first_failing_predictor():
@@ -484,11 +496,11 @@ def test_mediations_raise_the_error_of_the_first_failing_predictor():
     x_stuck, m = [1.0, 2, 2, 2, 2], [10118994.0, 20238004, 20238003, 20237994, 20237995]
     y = [0.5, -1.0, 2.0, 0.25, 1.5]
     x_good, x_const = [0.5, 3.0, -1.0, 2.0, 0.0], [1.0] * 5
-    assert len(bootstrap_mediations([x_good], m, y, resamples=700, seed=19)) == 1
+    assert len(bootstrap_mediation([x_good], m, y, resamples=700, seed=19)) == 1
     with pytest.raises(DegenerateDataError, match="^resample 620 stayed degenerate after 100 draws$"):
-        bootstrap_mediations([x_good, x_stuck, x_const], m, y, resamples=700, seed=19)
+        bootstrap_mediation([x_good, x_stuck, x_const], m, y, resamples=700, seed=19)
     with pytest.raises(DegenerateDataError, match="^x is constant or x and m are collinear$"):
-        bootstrap_mediations([x_good, x_const, x_stuck], m, y, resamples=700, seed=19)
+        bootstrap_mediation([x_good, x_const, x_stuck], m, y, resamples=700, seed=19)
 
 
 # --- Mann-Whitney -----------------------------------------------------------------
