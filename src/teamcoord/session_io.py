@@ -11,9 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-import operator
+import re
 from dataclasses import dataclass, replace
-from itertools import compress, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -134,13 +134,18 @@ _to_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _ACTION_JSON = {-1: "null", **{i: _to_json(a.value) for i, a in enumerate(ACTIONS)}}
 
 
+def _id_run(session_id, player_id, role: Role) -> str:
+    """The player_id, role and session_id members of a player's log lines."""
+    return (f'"player_id":{_to_json(player_id)},"role":{_to_json(role.value)}'
+            f',"session_id":{_to_json(session_id)}')
+
+
 def _player_lines(session_id, player: PlayerTrajectory) -> list[str]:
     """One player's log lines, newline included, in tick order: the record
     with sorted keys that `json.dumps` writes, filled into a template that
     holds the player's escaped ids."""
     s = player.samples
-    ids = (f',"player_id":{_to_json(player.player_id)},"role":{_to_json(player.role.value)}'
-           f',"session_id":{_to_json(session_id)},')
+    ids = f",{_id_run(session_id, player.player_id, player.role)},"
     times = [repr(t) for t in s["time_s"].tolist()]
     for i in np.flatnonzero(~np.isfinite(s["time_s"])).tolist():
         times[i] = _to_json(s["time_s"][i].item())  # NaN, Infinity, -Infinity
@@ -178,17 +183,6 @@ def _load_json(path, what: str):
         raise SessionFormatError(f"bad {what} JSON: {exc}", path) from exc
 
 
-# The scanner behind json.loads: a line holds one record when the value it
-# scans spans the whole stripped line.
-_scan_json = json.JSONDecoder().scan_once
-
-# The keys of a log record without its target, and of the target; and the
-# ACTIONS index of each value a record's `action` may hold.
-_RECORD_KEYS = ("session_id", "player_id", "role", "action", "tick", "time_s", "x", "y")
-_TARGET_KEYS = ("target_x", "target_y")
-_ACTION_CODES = {None: -1, **{m.value: i for i, m in enumerate(ACTIONS)}}
-
-
 def read_session(log_path, validate: bool = True) -> TeamSession:
     """Parse a session log plus manifest; validates unless told otherwise.
 
@@ -209,6 +203,10 @@ def read_session(log_path, validate: bool = True) -> TeamSession:
     - `tick`, `x`, `y` and the target fit in a signed 64-bit int.
 
     A missing key or a value of the wrong type is reported as `bad record`.
+    A log whose lines are byte for byte what `write_session` writes is
+    converted column by column; any other log is converted one record at a
+    time. Both give the same session and the same errors.
+
     With `validate`, the parsed session must also pass `validate_session`.
     Last, the manifest's `map_meta`, when present, becomes the session's
     `map_meta`; a malformed one is a `bad map_meta` error on the manifest.
@@ -291,69 +289,54 @@ def _log_lines(log_path: Path) -> list[str]:
     return text.split("\n")
 
 
-def _of_types(values, *types) -> bool:
-    return set(map(type, values)) <= set(types)
+# One log line exactly as `_player_lines` writes it: sorted keys, no
+# whitespace, strings without escapes, JSON ints (`[0-9]`, since `\d` matches
+# other digits too) and a time with a fraction or an exponent, or NaN,
+# Infinity or -Infinity. No part matches a newline. The groups are the
+# action, the player_id/role/session_id run, the target x and y ('' when
+# absent), the tick, the time, x and y.
+_INT = r"-?(?:0|[1-9][0-9]*)"
+_STR = r'"[^"\\\n]*"'
+_WRITER_FORM = re.compile(
+    rf'^\{{"action":({"|".join(map(re.escape, _ACTION_JSON.values()))}),'
+    rf'("player_id":{_STR},"role":{_STR},"session_id":{_STR})'
+    rf'(?:,"target_x":({_INT}),"target_y":({_INT}))?,"tick":({_INT}),'
+    rf'"time_s":({_INT}(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)|NaN|-?Infinity),'
+    rf'"x":({_INT}),"y":({_INT})\}}$', re.MULTILINE)
+_ACTION_OF_JSON = {text: i for i, text in _ACTION_JSON.items()}
 
 
 def _columnar_samples(lines, session_id, roster: dict[str, Role]) -> dict[str, np.ndarray] | None:
     """Each roster player's SAMPLE rows in tick order, built column by column
-    when every record is in the form `write_session` writes.
-
-    That form is: each non-blank line scans as one JSON object with exactly
-    the record keys (with or without both target keys); the manifest's
-    session id; a roster player with its roster role; a known action or
-    null; `int` tick, coordinates and target, within 64 bits, and a `float`
-    time; ticks unique per player. Returns None when any record is not, so
-    that `_record_samples` converts the file one record at a time.
+    when every non-blank line is byte for byte a line `write_session` writes
+    for this manifest: a roster player with its roster role, the manifest's
+    session id, ints within 64 bits and ticks unique per player. Returns
+    None when any line is not, so that `_record_samples` converts the file
+    one record at a time.
     """
     texts = list(filter(None, map(str.strip, lines)))
-    try:
-        scanned = list(map(_scan_json, texts, repeat(0)))
-    except ValueError:
+    # a match spans one whole line, so each line matches when the counts agree
+    records = _WRITER_FORM.findall("\n".join(texts))
+    if len(records) != len(texts):
         return None
-    # the scanner raises StopIteration on a line where no value starts, which
-    # ends the map early
-    if (len(scanned) != len(texts)
-            or list(map(operator.itemgetter(1), scanned)) != list(map(len, texts))):
+    n = len(records)
+    actions, ids, target_x, target_y, ticks, times, xs, ys = list(zip(*records)) or [()] * 8
+    player = {_id_run(session_id, pid, role): i for i, (pid, role) in enumerate(roster.items())}
+    owner = np.fromiter(map(player.get, ids, repeat(-1)), np.intp, n)
+    if (owner < 0).any():
         return None
-    records = list(map(operator.itemgetter(0), scanned))
-    if not _of_types(records, dict):
-        return None
-    n_keys = np.fromiter(map(len, records), np.intp, len(records))
-    has_target = n_keys == len(_RECORD_KEYS) + len(_TARGET_KEYS)
-    if not (has_target | (n_keys == len(_RECORD_KEYS))).all():
-        return None
-    # one list per field: no tuple per record stays alive to load the
-    # garbage collector
-    try:
-        sids, pids, roles, actions, ticks, times, xs, ys = (
-            list(map(operator.itemgetter(key), records)) for key in _RECORD_KEYS)
-        target_x, target_y = (list(map(operator.itemgetter(key), compress(records, has_target)))
-                              for key in _TARGET_KEYS)
-    except KeyError:
-        return None
-    ints = ticks + xs + ys + target_x + target_y
-    if (sids.count(session_id) != len(sids) or not _of_types(ints, int)
-            or not _of_types(times, float)):
-        return None
-    # a pair or action outside the tables maps to -1 or -2; an unhashable
-    # value raises TypeError
-    player = {(pid, role.value): i for i, (pid, role) in enumerate(roster.items())}
-    try:
-        owner = np.fromiter(map(player.get, zip(pids, roles), repeat(-1)), np.intp, len(pids))
-        action = np.fromiter(map(_ACTION_CODES.get, actions, repeat(-2)), np.int8, len(actions))
-        ints = np.array(ints, np.int64)
-    except (OverflowError, TypeError):
-        return None
-    if (owner < 0).any() or (action < -1).any():
+    # an absent target is '' and reads as 0, as in `_record_samples`
+    tokens = [t or "0" for t in ticks + xs + ys + target_x + target_y] + list(times)
+    try:  # one parse reads each number as json.loads reads it in a record
+        numbers = json.loads(f"[{','.join(tokens)}]")
+        ints = np.array(numbers[:5 * n], np.int64).reshape(5, n)
+    except (OverflowError, ValueError):  # past 64 bits, or too many digits for an int
         return None
 
-    n, k = len(records), len(target_x)
     rows = np.zeros(n, SAMPLE)
-    rows["tick"], rows["x"], rows["y"] = ints[:n], ints[n:2 * n], ints[2 * n:3 * n]
-    rows["target_x"][has_target] = ints[3 * n:3 * n + k]
-    rows["target_y"][has_target] = ints[3 * n + k:]
-    rows["time_s"], rows["action"], rows["has_target"] = times, action, has_target
+    rows["tick"], rows["x"], rows["y"], rows["target_x"], rows["target_y"] = ints
+    rows["time_s"], rows["has_target"] = numbers[5 * n:], np.fromiter(map(bool, target_x), bool, n)
+    rows["action"] = np.fromiter(map(_ACTION_OF_JSON.__getitem__, actions), np.int8, n)
     order = np.lexsort((rows["tick"], owner))
     rows, owner = rows[order], owner[order]
     if ((owner[1:] == owner[:-1]) & (rows["tick"][1:] == rows["tick"][:-1])).any():

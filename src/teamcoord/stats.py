@@ -54,8 +54,8 @@ def _reject_nan(function: str, *samples: np.ndarray) -> None:
         raise ValueError(f"{function}: samples must not contain nan")
 
 
-def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
-    xv, yv = _vector(x), _vector(y, "y")
+def _paired(x, y, name: str = "y") -> tuple[np.ndarray, np.ndarray]:
+    xv, yv = _vector(x), _vector(y, name)
     if xv.size != yv.size:
         raise LengthMismatchError(f"lengths differ: {xv.size} vs {yv.size}")
     return xv, yv
@@ -493,7 +493,7 @@ def bootstrap_mediation(x, m, y, resamples: int = 5000,
 def _bootstrap_mediations(xs: list, m, y, resamples: int, seed: int) -> list[MediationResult]:
     xvs, paths, failure = [], [], None
     for x in xs:
-        xv, mv = _paired(x, m)
+        xv, mv = _paired(x, m, "m")
         yv = _vector(y, "y")
         if yv.size != xv.size:
             raise LengthMismatchError(f"lengths differ: {xv.size} vs {yv.size}")

@@ -1,9 +1,11 @@
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from teamcoord import session_io
 from teamcoord.cli import EXIT_IO, main
 from teamcoord.core import (
     DISCONTINUITY,
@@ -30,7 +32,8 @@ from teamcoord.session_io import (
 from teamcoord.sim import AgentPolicy, PolicyKind, builtin_map, builtin_maps, map_meta, run_mission
 
 from helpers import random_session
-from oracles import session_log_reference
+from oracles import read_session_reference, session_log_reference
+from test_fuzz_session import outcome
 
 POLICIES = [(Role.MEDIC, AgentPolicy(PolicyKind.GREEDY))] * 2 + \
            [(Role.ENGINEER, AgentPolicy(PolicyKind.GREEDY))] * 2
@@ -516,3 +519,88 @@ def test_log_line_not_utf8_names_path_and_line(tmp_path, sim_session, capsys, ba
     assert str(exc.value) == f"{log}:3: line is not UTF-8"
     assert main(["metrics", str(log)]) == EXIT_IO
     assert f"{log}:3: line is not UTF-8" in capsys.readouterr().err
+
+
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLE_LOG = ROOT / "docs" / "examples" / "session.jsonl"
+REPLAY_LOG = ROOT / "demos" / "out" / "replay_a.jsonl"
+
+
+@pytest.fixture
+def per_record_reads(monkeypatch):
+    """A list that gains an item each time a log is converted one record at
+    a time rather than column by column."""
+    calls = []
+    convert = session_io._record_samples
+    monkeypatch.setattr(session_io, "_record_samples",
+                        lambda *args: calls.append(1) or convert(*args))
+    return calls
+
+
+def replaced(old: str, new: str):
+    return lambda line: [line.replace(old, new, 1)]
+
+
+# One-record logs made from the example's first line, `{"action":"move",
+# "player_id":"engineer1",...,"target_x":1,"target_y":0,"tick":0,
+# "time_s":0.0,"x":1,"y":1}`, that are in the writer's form ...
+WRITER_FORM_VARIANTS = {
+    "as_written": lambda line: [line],
+    "no_target": replaced('"target_x":1,"target_y":0,', ""),
+    "null_action": replaced('"action":"move"', '"action":null'),
+    "time_1e-05": replaced('"time_s":0.0', '"time_s":1e-05'),
+    "time_nan": replaced('"time_s":0.0', '"time_s":NaN'),
+    "time_minus_infinity": replaced('"time_s":0.0', '"time_s":-Infinity'),
+    "negative_ints": lambda line: [line.replace(
+        '"target_x":1,"target_y":0,"tick":0', '"target_x":-1,"target_y":-7,"tick":-3').replace(
+        '"x":1,"y":1', '"x":-20,"y":-9')],
+}
+# ... and that are not, so the per-record conversion decides
+OTHER_FORM_VARIANTS = {
+    "time_minus_zero_int": replaced('"time_s":0.0', '"time_s":-0'),
+    "time_zero_int": replaced('"time_s":0.0', '"time_s":0'),
+    "space_after_colon": replaced('"tick":0', '"tick": 0'),
+    "reordered_keys": replaced('"x":1,"y":1', '"y":1,"x":1'),
+    "escaped_session_id_letter": replaced('-s00001"', '-\\u007300001"'),
+    "arabic_indic_tick": replaced('"tick":0', '"tick":٠'),
+    "leading_zero_tick": replaced('"tick":0', '"tick":01'),
+    "plus_tick": replaced('"tick":0', '"tick":+1'),
+    "tick_2_63": replaced('"tick":0', f'"tick":{2 ** 63}'),
+    "duplicate_tick": lambda line: [line, line],
+    "duplicate_key": replaced('"y":1}', '"y":1,"y":2}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_FORM_VARIANTS) + sorted(OTHER_FORM_VARIANTS))
+def test_writer_form_boundary_matches_reference(tmp_path, per_record_reads, case):
+    variant = WRITER_FORM_VARIANTS.get(case) or OTHER_FORM_VARIANTS[case]
+    lines = variant(EXAMPLE_LOG.read_text(encoding="utf-8").splitlines()[0])
+    log = tmp_path / "s.jsonl"
+    log.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    manifest_path_for(log).write_bytes(manifest_path_for(EXAMPLE_LOG).read_bytes())
+    for validate in (True, False):
+        got = outcome(partial(read_session, validate=validate), log)
+        assert got == outcome(partial(read_session_reference, validate=validate), log)
+    if case in WRITER_FORM_VARIANTS:
+        assert got[0] == "read" and per_record_reads == []
+    else:
+        assert len(per_record_reads) == 2
+
+
+# The bench's mixed team, next to the three one-policy teams.
+WRITTEN_TEAMS = ("random_walk", "greedy", "coordinated",
+                 "medic:coordinated,medic:greedy,engineer:greedy,engineer:random_walk")
+
+
+def test_every_written_session_reads_column_by_column(tmp_path, per_record_reads, capsys):
+    names = [spec.name for spec in builtin_maps()]
+    for name in names:
+        for k, team in enumerate(WRITTEN_TEAMS):
+            assert main(["simulate", "--map", name, "--policies", team, "--runs", "2",
+                         "--out", str(tmp_path / f"{name}-{k}")]) == 0
+    capsys.readouterr()
+    logs = sorted(tmp_path.glob("*/*.jsonl"))
+    assert len(logs) == len(names) * len(WRITTEN_TEAMS) * 2
+    for log in [*logs, EXAMPLE_LOG, REPLAY_LOG]:
+        read_session(log)
+    assert per_record_reads == []

@@ -360,6 +360,18 @@ def test_mediation_refuses_negative_seed():
         bootstrap_mediation(x, m, y, resamples=10, seed=-1)
 
 
+def test_mediation_names_the_argument_that_is_not_one_dimensional():
+    v = [1.0, 2, 3, 4, 5]
+    with pytest.raises(ValueError, match="^m must be one-dimensional$"):
+        bootstrap_mediation(v, [v], v)
+    with pytest.raises(ValueError, match="^y must be one-dimensional$"):
+        bootstrap_mediation(v, v, [v])
+    with pytest.raises(ValueError, match="^y must be one-dimensional$"):
+        spearman(v, [v])
+    with pytest.raises(ValueError, match="^y must be one-dimensional$"):
+        quadratic_fit(v, [v])
+
+
 # --- bulk resample indices ---------------------------------------------------------
 
 def spawned_indices(seed, start, count, n):
