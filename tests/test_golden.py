@@ -350,3 +350,84 @@ def test_planner_params_sessions(tmp_path, mapname, kind):
              (Role.ENGINEER, policy), (Role.ENGINEER, policy)]
     got = _team_digest(tmp_path, builtin_map(mapname), slots)
     assert got == TEAM_PINS[f"{mapname}-{kind}-params"], got
+
+
+# Requested actions, as each controller asked for them before the step rules
+# resolved them: three maps x three policies at seeds 0 and 1, the mixed team
+# on each map at seed 0, and random walkers on EDGE_ART (no border walls, so
+# some moves aim off the grid). A row is (tick, agent, kind, target), the
+# target as (x, y), "off-grid" or None.
+ACTION_STREAM_PINS = {
+    "small-random_walk":
+        "bd34e7a43d91517ea4e976453c6d1c42c18602409e7197b8cc060b9858854af9",
+    "small-greedy":
+        "f4d68c8bf32c3417d7a172d6f2f4af0187c69319d3ae7360846c15b5b551098d",
+    "small-coordinated":
+        "9dd6700e5e8222c10fafd00e724ce65d10993527ec1c0ee9a583b1d2d5cfd872",
+    "small-mixed4":
+        "1125cd9d0dbda741a308ec97de9c8b97a0559b80db8f1bf972eeafe08c9fd067",
+    "medium-random_walk":
+        "a233ff675413b8bca480382599829fb95237901df24c3f38c97a6e879f8cd5ad",
+    "medium-greedy":
+        "d0db868357c5e4008bf190702b0c00e866669f551818d0f30b115ba0473ae196",
+    "medium-coordinated":
+        "1041bfc2c359da7c0c7c5bc046b69da2eb61b187c74670075868e5cf3e980a2c",
+    "medium-mixed4":
+        "6f4ecc7481c72723a444ebd6b94f539bc7fa7abaac2e6eba2db712a55aec2bcd",
+    "corridor-random_walk":
+        "fca2de0fc987885fa77d56ea44d3c7e38704afc7b6d42711013ef0091b19d00d",
+    "corridor-greedy":
+        "f310941dc494235ab51919f319f0a432f9338e0e7f7c0241ba09b67f20212f32",
+    "corridor-coordinated":
+        "943febcdf5f203999f0b0d772d99c1fb7aab83563ca8ff8985f940213d626274",
+    "corridor-mixed4":
+        "5d5df64ad59d6978819688faa9d4adb44a8f9f32271d7695f4711cb89fce2d6e",
+    "edge-random_walk":
+        "1e9ddc1f3def3ffe0ebd9ebe64c4da619150b8e83827b94563dd927cfc6c7380",
+}
+
+
+def _target_key(grid, act):
+    t = act.target
+    if t is None:
+        return None
+    return (t.x, t.y) if grid.contains(t.x, t.y) else "off-grid"
+
+
+def test_requested_action_streams(monkeypatch):
+    from teamcoord.sim import world
+
+    step = world.step_resolved
+    rows = []
+
+    def recording_step(state, actions):
+        grid = state.spec.grid
+        rows.extend((state.tick, i, act.kind.value, _target_key(grid, act))
+                    for i, act in enumerate(actions))
+        return step(state, actions)
+
+    monkeypatch.setattr(world, "step_resolved", recording_step)
+    missions = {}
+    for mapname in MAPS:
+        spec = builtin_map(mapname)
+        for kind in POLICIES:
+            policy = AgentPolicy(PolicyKind(kind))
+            team = [(Role.MEDIC, policy), (Role.MEDIC, policy),
+                    (Role.ENGINEER, policy), (Role.ENGINEER, policy)]
+            missions[f"{mapname}-{kind}"] = [(spec, team, seed) for seed in (0, 1)]
+        mixed = [(Role(role), AgentPolicy(PolicyKind(kind))) for role, kind in MIXED_TEAMS["mixed4"]]
+        missions[f"{mapname}-mixed4"] = [(spec, mixed, 0)]
+    walker = AgentPolicy(PolicyKind.RANDOM_WALK)
+    edge_team = [(Role.MEDIC, walker), (Role.MEDIC, walker),
+                 (Role.ENGINEER, walker), (Role.ENGINEER, walker)]
+    missions["edge-random_walk"] = [(map_from_ascii("edge", EDGE_ART), edge_team, s) for s in (0, 1)]
+
+    got = {}
+    for name, runs in missions.items():
+        rows.clear()
+        for spec, team, seed in runs:
+            run_mission(spec, team, seed=seed)
+        if name == "edge-random_walk":
+            assert any(row[3] == "off-grid" for row in rows)
+        got[name] = sha(repr(rows).encode())
+    assert got == ACTION_STREAM_PINS, got
