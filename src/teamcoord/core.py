@@ -87,16 +87,6 @@ class GridSpec:
     def contains(self, x: int, y: int) -> bool:
         return 0 <= x < self.width and 0 <= y < self.height
 
-    def cell_index(self, x: int, y: int) -> int:
-        if not self.contains(x, y):
-            raise ValueError(f"({x}, {y}) outside {self.width}x{self.height} grid")
-        return y * self.width + x
-
-    def cell_xy(self, index: int) -> tuple[int, int]:
-        if not 0 <= index < self.n_cells:
-            raise ValueError(f"cell index {index} outside grid of {self.n_cells} cells")
-        return index % self.width, index // self.width
-
 
 @dataclass(frozen=True)
 class Position:
@@ -105,9 +95,6 @@ class Position:
 
     def manhattan(self, other: "Position") -> int:
         return abs(self.x - other.x) + abs(self.y - other.y)
-
-    def chebyshev(self, other: "Position") -> int:
-        return max(abs(self.x - other.x), abs(self.y - other.y))
 
 
 ACTIONS = tuple(ActionTag)

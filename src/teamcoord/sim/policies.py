@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..core import ActionTag, Position, Role, TeamCoordError
+from ..core import ActionTag, Role, TeamCoordError
 from .world import _GREEN, _RED, _YELLOW, AgentAction, MapSpec, WAIT_ACTION, WorldState
 
 
@@ -58,9 +58,6 @@ class AgentPolicy:
             if value < 0 or key in _PROBABILITY_PARAMS and value > 1:
                 bound = "in [0, 1]" if key in _PROBABILITY_PARAMS else ">= 0"
                 raise PolicyParamError(f"policy parameter '{key}={value}' must be {bound}")
-
-
-_DIRS = ((0, -1), (1, 0), (0, 1), (-1, 0))
 
 
 class BfsField:
@@ -124,8 +121,8 @@ class BfsField:
 class Controller:
     """Per-agent runtime state: FOV memory plus the decision rule.
 
-    Knowledge is held per cell, in flat row-major arrays indexed like
-    `GridSpec.cell_index`: `unseen`, `known_rubble` and `known_doors` are
+    Cells are row-major int indices, and knowledge is held per cell in flat
+    arrays indexed by them: `unseen`, `known_rubble` and `known_doors` are
     bool masks, and `known_victims` holds `VICTIM_CODES` (0 = no victim).
     Each decision plans on one lazy `BfsField` from the agent's cell, which
     expands only the distance levels its queries need and never enters walls
@@ -154,9 +151,9 @@ class Controller:
     # -- perception --------------------------------------------------------
 
     def observe(self, state: WorldState):
-        me = state.agents[self.index].pos
+        y, x = divmod(state.agents[self.index].cell, self.grid.width)
         r = self.spec.fov_radius
-        view = np.s_[max(me.y - r, 0):me.y + r + 1, max(me.x - r, 0):me.x + r + 1]
+        view = np.s_[max(y - r, 0):y + r + 1, max(x - r, 0):x + r + 1]
         unseen, victims, rubble, doors = self._views
         unseen[view] = False
         for known, truth in ((victims, state.victim_codes), (rubble, state.rubble_mask),
@@ -165,23 +162,17 @@ class Controller:
 
     # -- planning helpers ----------------------------------------------------
 
-    def _cell(self, pos: Position) -> int:
-        return self.grid.cell_index(pos.x, pos.y)
-
-    def _pos(self, cell) -> Position:
-        return Position(*self.grid.cell_xy(int(cell)))
-
-    def _field(self, me: Position) -> BfsField:
+    def _field(self, me: int) -> BfsField:
         """A lazy BFS from `me` over the cells not known to be blocked; one
         per decision, shared by every query that decision makes."""
-        return BfsField(self.spec.neighbor_lists, (self.known_rubble | self.known_doors).tobytes(),
-                        self._cell(me))
+        blocked = (self.known_rubble | self.known_doors).tobytes()
+        return BfsField(self.spec.neighbor_lists, blocked, me)
 
     def _step_toward(self, cell: int, field: BfsField) -> AgentAction | None:
         """First move of a shortest path to `cell`; None if unreachable or already there."""
         if field.reach(cell) <= 0:
             return None
-        return AgentAction(ActionTag.MOVE, self._pos(field.first[cell]))
+        return AgentAction(ActionTag.MOVE, field.first[cell])
 
     def _move_toward(self, goals, field: BfsField) -> AgentAction | None:
         """Step toward the nearest reachable goal cell, ties to the lowest index."""
@@ -207,34 +198,37 @@ class Controller:
                 (self.known_victims == _YELLOW) & ~self.known_rubble)
         return (self.known_victims == _GREEN) | self.known_rubble | self.known_doors
 
-    def _random_move(self, me: Position) -> AgentAction:
-        dx, dy = _DIRS[int(self.rng.integers(4))]
-        return AgentAction(ActionTag.MOVE, Position(me.x + dx, me.y + dy))
+    def _random_move(self, me: int) -> AgentAction:
+        """A move to a uniformly drawn side, walls included; off the grid, no target."""
+        w, side = self.grid.width, int(self.rng.integers(4))
+        y, x = divmod(me, w)
+        inside = (y > 0, x < w - 1, y < self.grid.height - 1, x > 0)[side]
+        return AgentAction(ActionTag.MOVE, me + (-w, 1, w, -1)[side] if inside else None)
 
     # -- adjacency opportunities ----------------------------------------------
 
-    def _adjacent_rescue(self, state: WorldState, me: Position,
+    def _adjacent_rescue(self, state: WorldState, me: int,
                          include_red: bool = True) -> AgentAction | None:
-        for nb in self.spec.neighbor_lists[self._cell(me)]:
+        nbs = self.spec.neighbor_lists
+        for nb in nbs[me]:
             kind = state.victim_codes[nb]
             if kind != _GREEN and self.role is not Role.MEDIC:
                 continue  # engineers rescue greens only
             if (kind == _GREEN
                     or kind == _YELLOW and not state.rubble_mask[nb]
                     or kind == _RED and include_red and state.time_s < state.spec.red_cutoff_s
-                    and any(a.role is Role.ENGINEER and a.pos.manhattan(self._pos(nb)) == 1
-                            for a in state.agents)):
-                return AgentAction(ActionTag.RESCUE, self._pos(nb))
+                    and any(a.role is Role.ENGINEER and a.cell in nbs[nb] for a in state.agents)):
+                return AgentAction(ActionTag.RESCUE, nb)
         return None
 
-    def _adjacent_engineering(self, state: WorldState, me: Position) -> AgentAction | None:
+    def _adjacent_engineering(self, state: WorldState, me: int) -> AgentAction | None:
         if self.role is not Role.ENGINEER:
             return None
-        for nb in self.spec.neighbor_lists[self._cell(me)]:
+        for nb in self.spec.neighbor_lists[me]:
             if state.rubble_mask[nb]:
-                return AgentAction(ActionTag.CLEAR, self._pos(nb))
+                return AgentAction(ActionTag.CLEAR, nb)
             if state.door_mask[nb]:
-                return AgentAction(ActionTag.OPEN, self._pos(nb))
+                return AgentAction(ActionTag.OPEN, nb)
         return None
 
     def act(self, state: WorldState) -> AgentAction:
@@ -243,7 +237,7 @@ class Controller:
         act = self._decide(state)
         dither = self.params["dither"]
         if act.kind is ActionTag.MOVE and dither > 0 and self.rng.random() < dither:
-            return self._random_move(state.agents[self.index].pos)
+            return self._random_move(state.agents[self.index].cell)
         return act
 
     def _decide(self, state: WorldState) -> AgentAction:
@@ -259,7 +253,7 @@ class RandomWalkController(Controller):
     def act(self, state) -> AgentAction:
         if self.rng.random() < self.params["p_wait"]:
             return WAIT_ACTION
-        return self._random_move(state.agents[self.index].pos)
+        return self._random_move(state.agents[self.index].cell)
 
 
 class GreedyRescuerController(Controller):
@@ -275,7 +269,7 @@ class GreedyRescuerController(Controller):
         self.red_shelved = np.full(self.grid.n_cells, -1, dtype=int)
 
     def _decide(self, state) -> AgentAction:
-        me = state.agents[self.index].pos
+        me = state.agents[self.index].cell
         act = self._adjacent_rescue(state, me) or self._adjacent_engineering(state, me)
         if act is not None:
             return act
@@ -283,7 +277,7 @@ class GreedyRescuerController(Controller):
         targets = self._serviceable()
         if self.role is Role.MEDIC and state.time_s < state.spec.red_cutoff_s:
             # camped at a red, hoping an engineer wanders by
-            for nb in self.spec.neighbor_lists[self._cell(me)]:
+            for nb in self.spec.neighbor_lists[me]:
                 if state.victim_codes[nb] == _RED and self.red_shelved[nb] < state.tick:
                     self.red_wait[nb] += 1
                     if self.red_wait[nb] <= self.params["patience"]:
@@ -321,17 +315,19 @@ class CoordinatedSpecialistController(Controller):
         # corners of the own quadrant, patrolled clockwise once it is explored
         cx = (1, g.width // 2 - 2) if role is Role.MEDIC else (g.width // 2 + 1, g.width - 2)
         cy = (1, g.height // 2 - 2) if pair == 0 else (g.height // 2 + 1, g.height - 2)
-        self.waypoints = [g.cell_index(x, y) for x, y in
+        self.waypoints = [y * g.width + x for x, y in
                           ((cx[0], cy[0]), (cx[1], cy[0]), (cx[1], cy[1]), (cx[0], cy[1]))
-                          if g.contains(x, y) and not spec.wall_mask[g.cell_index(x, y)]]
-        self.still_for, self._last_pos = [], []  # ticks each agent has stood still, and where
+                          if 0 <= x < g.width and 0 <= y < g.height
+                          and not spec.wall_mask[y * g.width + x]]
+        self.start = spec.start.y * g.width + spec.start.x
+        self.still_for, self._last_cells = [], []  # ticks each agent has stood still, and where
 
     def observe(self, state: WorldState):
         # teammate icons are always visible: count the ticks each has stood still
-        pos = [a.pos for a in state.agents]
-        self.still_for = [s + 1 if p == q else 0 for s, p, q in
-                          zip(self.still_for or [-1] * len(pos), pos, self._last_pos or pos)]
-        self._last_pos = pos
+        cells = [a.cell for a in state.agents]
+        self.still_for = [s + 1 if c == last else 0 for s, c, last in zip(
+            self.still_for or [-1] * len(cells), cells, self._last_cells or cells)]
+        self._last_cells = cells
         super().observe(state)
 
     def _decide(self, state) -> AgentAction:
@@ -341,17 +337,17 @@ class CoordinatedSpecialistController(Controller):
 
     # -- phase 1: hunt reds, park beside them, converge on parked teammates ----
 
-    def _parked_teammates(self, state: WorldState, role: Role, me: Position) -> list[int]:
-        """Cells of cross-role teammates standing still away from the start:
-        someone is parked beside a victim and asking for help."""
-        hold = int(self.params["park_signal_ticks"])
-        return [self._cell(a.pos) for a, still in zip(state.agents, self.still_for)
-                if a.role is role and still >= hold
-                and a.pos != self.spec.start and me.chebyshev(a.pos) > 2]
+    def _parked_teammates(self, state: WorldState, role: Role, me: int) -> list[int]:
+        """Cells of cross-role teammates standing still away from the start and
+        over two cells (Chebyshev) from `me`: parked by a victim, asking for help."""
+        hold, w = int(self.params["park_signal_ticks"]), self.grid.width
+        return [a.cell for a, still in zip(state.agents, self.still_for)
+                if a.role is role and still >= hold and a.cell != self.start
+                and max(abs(a.cell // w - me // w), abs(a.cell % w - me % w)) > 2]
 
     def _act_converge(self, state) -> AgentAction:
-        me = state.agents[self.index].pos
-        around = self.spec.neighbor_lists[self._cell(me)]
+        me = state.agents[self.index].cell
+        around = self.spec.neighbor_lists[me]
         reds = np.flatnonzero(self.known_victims == _RED).tolist()
 
         if self.role is Role.MEDIC:
@@ -366,7 +362,7 @@ class CoordinatedSpecialistController(Controller):
 
         # engineer
         confirmed = [c for c in reds if any(
-            a.role is Role.MEDIC and a.pos.manhattan(self._pos(c)) == 1 for a in state.agents)]
+            a.role is Role.MEDIC and a.cell in self.spec.neighbor_lists[c] for a in state.agents)]
         if any(nb in confirmed for nb in around):
             act = self._adjacent_engineering(state, me) or self._adjacent_rescue(state, me)
             return act or WAIT_ACTION  # presence is the contribution
@@ -386,7 +382,7 @@ class CoordinatedSpecialistController(Controller):
 
     # -- phase 2: disperse into role territories ------------------------------
 
-    def _sweep_own_quadrant(self, me: Position, field: BfsField) -> AgentAction:
+    def _sweep_own_quadrant(self, me: int, field: BfsField) -> AgentAction:
         """Explore the unseen parts of the own role/pair quadrant, then
         cycle its corners; never wander into teammate territory."""
         act = self._move_toward((self.unseen & self.quadrant).tobytes(), field)
@@ -400,7 +396,7 @@ class CoordinatedSpecialistController(Controller):
         return self._random_move(me)
 
     def _act_disperse(self, state) -> AgentAction:
-        me = state.agents[self.index].pos
+        me = state.agents[self.index].cell
         field = self._field(me)
         # outside the own half, head for it; inside, the nearest half cell is `me`
         return (self._adjacent_rescue(state, me, include_red=False)
@@ -422,15 +418,10 @@ def build_controllers(policies: Sequence[tuple[Role, AgentPolicy]], spec: MapSpe
                       seed: int) -> list[Controller]:
     """Instantiate runtime controllers for a 2+2 mission."""
     controllers: list[Controller] = []
-    pair_count = {Role.MEDIC: 0, Role.ENGINEER: 0}
     for i, (role, policy) in enumerate(policies):
-        pair = pair_count[role]
-        pair_count[role] += 1
+        pair = [r for r, _ in policies[:i]].count(role)  # earlier slots with this role
         entropy = policy.seed if policy.seed is not None else seed
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([entropy, i])))
-        cls = _CONTROLLERS.get(policy.kind)
-        if cls is None:
-            raise ValueError(f"unknown policy kind {policy.kind!r}")
-        extra = {"pair": pair} if cls is CoordinatedSpecialistController else {}
-        controllers.append(cls(spec, role, i, rng, policy.params, **extra))
+        extra = {"pair": pair} if policy.kind is PolicyKind.COORDINATED else {}
+        controllers.append(_CONTROLLERS[policy.kind](spec, role, i, rng, policy.params, **extra))
     return controllers

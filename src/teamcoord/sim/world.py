@@ -6,12 +6,13 @@ and movement cannot pass a door opened this tick. Conflicting rescues of the
 same victim resolve by agent index. Agents may share cells; they all start
 on the common start cell.
 
-The map arrives as cell sets (`MapSpec`). What a mission changes, the
-victims, rubble and closed doors, is held in `WorldState` as per-cell
-row-major arrays, which the step rules and the policies index directly.
+A mission runs on row-major int cells (`y * width + x`): agents, action
+targets and the `WorldState` arrays of victims, rubble and closed doors. The
+map arrives as `Position` sets (`MapSpec`), read once per mission.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -20,6 +21,7 @@ import numpy as np
 
 from ..core import (
     ACTIONS,
+    SAMPLE,
     ActionTag,
     CompositionError,
     GridSpec,
@@ -53,7 +55,7 @@ _GREEN, _YELLOW, _RED = (VICTIM_CODES[k] for k in
 def _cell_array(grid: GridSpec, cells, values=True, dtype=bool) -> np.ndarray:
     """Read-only row-major per-cell array: `values` at `cells`, zero elsewhere."""
     arr = np.zeros(grid.n_cells, dtype=dtype)
-    arr[[grid.cell_index(c.x, c.y) for c in cells]] = values
+    arr[[c.y * grid.width + c.x for c in cells]] = values
     arr.flags.writeable = False
     return arr
 
@@ -86,9 +88,12 @@ class MapSpec:
     def problems(self) -> list[str]:
         out = []
         g = self.grid
+
+        def outside(c: Position) -> bool:
+            return not (0 <= c.x < g.width and 0 <= c.y < g.height)
         for label, cells in (("wall", self.walls), ("door", self.doors), ("rubble", self.rubble)):
             for c in cells:
-                if not g.contains(c.x, c.y):
+                if outside(c):
                     out.append(f"{label} at ({c.x}, {c.y}) outside grid")
         if self.walls & self.doors:
             out.append("door cells overlap walls")
@@ -97,7 +102,7 @@ class MapSpec:
         seen_cells = set()
         for v in self.victims:
             c = v.cell
-            if not g.contains(c.x, c.y):
+            if outside(c):
                 out.append(f"victim at ({c.x}, {c.y}) outside grid")
                 continue
             if c in seen_cells:
@@ -110,12 +115,12 @@ class MapSpec:
             if v.kind is not VictimType.YELLOW and c in self.rubble:
                 out.append(f"{v.kind} victim at ({c.x}, {c.y}) buried under rubble")
         s = self.start
-        if not g.contains(s.x, s.y):
+        if outside(s):
             out.append("start cell outside grid")
         elif s in self.walls or s in self.doors or s in self.rubble or s in seen_cells:
             out.append("start cell not traversable")
-        if not 0 < self.red_cutoff_s <= self.mission_duration_s:
-            out.append("red cutoff outside mission duration")
+        if not 0 < self.red_cutoff_s <= self.mission_duration_s < math.inf:
+            out.append("red cutoff outside a finite mission duration")
         if self.fov_radius < 1:
             out.append("field of view radius must be at least 1")
         return out
@@ -156,8 +161,10 @@ def map_meta(spec: MapSpec) -> MapMeta:
 
 @dataclass(frozen=True)
 class AgentAction:
+    """A requested action: `target` is a row-major cell, None for a wait or a move off the grid."""
+
     kind: ActionTag
-    target: Position | None = None
+    target: int | None = None
 
 
 WAIT_ACTION = AgentAction(ActionTag.WAIT)
@@ -165,19 +172,20 @@ WAIT_ACTION = AgentAction(ActionTag.WAIT)
 
 @dataclass(frozen=True)
 class AgentState:
+    """An agent and the row-major cell it stands on."""
+
     player_id: str
     role: Role
-    pos: Position
+    cell: int
 
 
 @dataclass(frozen=True, eq=False)
 class WorldState:
     """The world at one tick.
 
-    What changes during a mission is held per cell, in read-only row-major
-    arrays indexed like `GridSpec.cell_index`: `victim_codes` holds
-    `VICTIM_CODES` (0 = no victim), and `rubble_mask` and `door_mask` mark
-    the uncleared rubble and the closed doors.
+    What changes during a mission is held in read-only per-cell arrays:
+    `victim_codes` holds `VICTIM_CODES` (0 = no victim), and `rubble_mask`
+    and `door_mask` mark the uncleared rubble and the closed doors.
     """
 
     spec: MapSpec
@@ -207,32 +215,31 @@ def initial_state(spec: MapSpec, agents: tuple[AgentState, ...],
 def step_resolved(state: WorldState, actions) -> tuple[WorldState, tuple[AgentAction, ...]]:
     """Advance one tick; illegal actions degrade to waits.
 
-    Returns the new state and what each agent actually did.
+    A target is adjacent if it is in the agent's `MapSpec.neighbor_lists`, which
+    leave out walls. Returns the new state and what each agent actually did.
     """
     if len(actions) != len(state.agents):
         raise MalformedActionError(f"{len(actions)} actions for {len(state.agents)} agents")
-    for act in actions:
-        if not isinstance(act, AgentAction) or not isinstance(act.kind, ActionTag):
-            raise MalformedActionError(f"not an agent action: {act!r}")
-
-    g = state.spec.grid
+    nbs = state.spec.neighbor_lists
     victims, rubble, doors = (a.copy() for a in (
         state.victim_codes, state.rubble_mask, state.door_mask))
     events = list(state.events)
     resolved: list[AgentAction] = [WAIT_ACTION] * len(actions)
     t = state.time_s
-    # cell index of each adjacent in-grid target; an action without one degrades to a wait
-    cells = [None if tgt is None or agent.pos.manhattan(tgt) != 1 or not g.contains(tgt.x, tgt.y)
-             else g.cell_index(tgt.x, tgt.y)
-             for agent, tgt in zip(state.agents, [act.target for act in actions])]
-
-    # Act phase, in agent-index order. Victim removal is visible within the
-    # tick (conflict resolution); terrain checks use the start-of-tick state.
-    for i, (agent, act, c) in enumerate(zip(state.agents, actions, cells)):
-        if act.kind in (ActionTag.MOVE, ActionTag.WAIT) or c is None:
-            continue
-        tgt = act.target
-        if act.kind is ActionTag.RESCUE:
+    agents = list(state.agents)
+    # In agent order. A rescue removes its victim at once, which settles conflicts;
+    # terrain checks and moves see the start-of-tick state. Agents may share cells.
+    for i, (agent, act) in enumerate(zip(state.agents, actions)):
+        if not isinstance(act, AgentAction) or not isinstance(act.kind, ActionTag):
+            raise MalformedActionError(f"not an agent action: {act!r}")
+        c = act.target
+        if act.kind is ActionTag.WAIT or c not in nbs[agent.cell]:
+            continue  # no adjacent target: a wait
+        if act.kind is ActionTag.MOVE:  # `c` is no wall: neighbor lists leave walls out
+            if not (state.rubble_mask[c] or state.door_mask[c]):
+                agents[i] = AgentState(agent.player_id, agent.role, c)
+                resolved[i] = act
+        elif act.kind is ActionTag.RESCUE:
             code = victims[c]
             if (not code or agent.role is Role.ENGINEER and code != _GREEN
                     or code == _YELLOW and state.rubble_mask[c]):
@@ -241,29 +248,22 @@ def step_resolved(state: WorldState, actions) -> tuple[WorldState, tuple[AgentAc
                 if t >= state.spec.red_cutoff_s:
                     continue
                 helper = next((a for a in state.agents
-                               if a.role is Role.ENGINEER and a.pos.manhattan(tgt) == 1), None)
+                               if a.role is Role.ENGINEER and a.cell in nbs[c]), None)
                 if helper is None:
                     continue
                 actors = (agent.player_id, helper.player_id)
             else:
                 actors = (agent.player_id,)
             victims[c] = 0
+            y, x = divmod(c, state.spec.grid.width)
             events.append(RescueEvent(time_s=t, victim_type=_VICTIM_KINDS[code],
-                                      victim_cell=tgt, actor_ids=actors))
+                                      victim_cell=Position(x, y), actor_ids=actors))
             resolved[i] = act
         else:  # clear rubble or open a door
             terrain = rubble if act.kind is ActionTag.CLEAR else doors
             if agent.role is Role.ENGINEER and terrain[c]:
                 terrain[c] = False
                 resolved[i] = act
-
-    # Move phase against start-of-tick terrain; agents may share cells.
-    blocked = state.spec.wall_mask | state.rubble_mask | state.door_mask
-    agents = list(state.agents)
-    for i, (agent, act, c) in enumerate(zip(state.agents, actions, cells)):
-        if act.kind is ActionTag.MOVE and c is not None and not blocked[c]:
-            agents[i] = AgentState(agent.player_id, agent.role, act.target)
-            resolved[i] = act
 
     for a in (victims, rubble, doors):
         a.flags.writeable = False
@@ -279,7 +279,8 @@ def run_mission(spec: MapSpec, policies, seed: int, session_id: str | None = Non
 
     `policies` is a sequence of four (role, AgentPolicy) pairs, two medics
     and two engineers. Fixed (map, policies, seed) reproduces the mission
-    bit for bit. Player ids are derived from roles in input order.
+    bit for bit. Player ids are derived from roles in input order. It runs on
+    row-major int cells, split into x and y by one `divmod` at the end.
     """
     from .policies import build_controllers  # deferred: policies import world types
 
@@ -287,29 +288,36 @@ def run_mission(spec: MapSpec, policies, seed: int, session_id: str | None = Non
     roles = [role for role, _ in policies]
     if len(policies) != 4 or roles.count(Role.MEDIC) != 2 or roles.count(Role.ENGINEER) != 2:
         raise CompositionError("run_mission needs exactly 2 medic and 2 engineer policies")
-
-    agents = tuple(AgentState(player_id=f"{role.value}{roles[:i + 1].count(role)}", role=role,
-                              pos=spec.start) for i, role in enumerate(roles))
-
-    controllers = build_controllers(policies, spec, seed)
     n_ticks = int(round(spec.mission_duration_s / sample_interval_s))
+    if n_ticks < 1:
+        raise InvalidMapError(f"map {spec.name!r}: a {spec.mission_duration_s} s mission has no "
+                              f"tick at a sample interval of {sample_interval_s} s")
+
+    start = spec.start.y * spec.grid.width + spec.start.x
+    agents = tuple(AgentState(player_id=f"{role.value}{roles[:i + 1].count(role)}", role=role,
+                              cell=start) for i, role in enumerate(roles))
+    controllers = build_controllers(policies, spec, seed)
     state = initial_state(spec, agents, sample_interval_s)
-    samples: list[list[tuple]] = [[] for _ in agents]
+    # per agent and tick: the cell stood on, the resolved action and its target (-1 for none)
+    cells, kinds, targets = (np.empty((len(agents), n_ticks), dtype=dtype)
+                             for dtype in (np.int64, np.int8, np.int64))
 
     for t in range(n_ticks):
         for c in controllers:
             c.observe(state)
-        actions = [c.act(state) for c in controllers]
-        new_state, resolved = step_resolved(state, actions)
+        new_state, resolved = step_resolved(state, [c.act(state) for c in controllers])
         for i, (agent, act) in enumerate(zip(state.agents, resolved)):
-            target = (act.target.x, act.target.y, True) if act.target is not None else (0, 0, False)
-            samples[i].append((t, t * sample_interval_s, agent.pos.x, agent.pos.y,
-                               ACTIONS.index(act.kind), *target))
+            cells[i, t] = agent.cell
+            kinds[i, t] = ACTIONS.index(act.kind)
+            targets[i, t] = -1 if act.target is None else act.target
         state = new_state
 
-    players = tuple(
-        PlayerTrajectory(player_id=a.player_id, role=a.role, samples=samples[i])
-        for i, a in enumerate(agents))
+    ticks = np.broadcast_to(np.arange(n_ticks), cells.shape)
+    ys, xs = np.divmod(np.stack([cells, np.maximum(targets, 0)]), spec.grid.width)
+    samples = np.rec.fromarrays([ticks, ticks * sample_interval_s, xs[0], ys[0], kinds,
+                                 xs[1], ys[1], targets >= 0], dtype=SAMPLE)
+    players = tuple(PlayerTrajectory(player_id=a.player_id, role=a.role, samples=samples[i])
+                    for i, a in enumerate(agents))
     session = TeamSession(
         session_id=session_id or f"{spec.name}-{seed}",
         grid=spec.grid, players=players, events=state.events,

@@ -13,7 +13,9 @@ event rules off a session's sample columns.
 `bfs_field` is the plain FIFO flood fill the simulator's lazy field must
 agree with, over the full in-grid neighbours of `grid_neighbors`, and
 `step_reference` is the simulator's step rules on cell sets, which the array
-step must agree with.
+step must agree with. It works on `Position`s, with agents and actions of its
+own (`RefAgent`, `RefAction`), and `to_sim_agent` / `to_sim_action` translate
+them into the simulator's row-major int cells at its boundary.
 
 Session I/O has three references. `read_session_reference` reads a log one
 line at a time with `json.loads` and converts each record field by field;
@@ -406,13 +408,52 @@ def bfs_field(neighbors, blocked, start: int):
 
 
 @dataclass(frozen=True)
+class RefAgent:
+    """An agent in the reference's form, standing on a `Position`."""
+
+    player_id: str
+    role: Role
+    pos: Position
+
+
+@dataclass(frozen=True)
+class RefAction:
+    """An action in the reference's form: its target is a `Position`, which
+    may lie off the grid."""
+
+    kind: ActionTag
+    target: Position | None = None
+
+
+def to_cell(grid: GridSpec, pos: Position | None) -> int | None:
+    """The row-major cell of `pos`; None for no position or one off the grid."""
+    if pos is None or not grid.contains(pos.x, pos.y):
+        return None
+    return pos.y * grid.width + pos.x
+
+
+def to_position(grid: GridSpec, cell: int) -> Position:
+    y, x = divmod(cell, grid.width)
+    return Position(x, y)
+
+
+def to_sim_agent(grid: GridSpec, agent: RefAgent) -> AgentState:
+    return AgentState(agent.player_id, agent.role, to_cell(grid, agent.pos))
+
+
+def to_sim_action(grid: GridSpec, act: RefAction) -> AgentAction:
+    """The simulator's form of `act`: a target off the grid becomes None."""
+    return AgentAction(act.kind, to_cell(grid, act.target))
+
+
+@dataclass(frozen=True)
 class ReferenceWorld:
     """The world state in set form: victims as `Victim` records, rubble and
     closed doors as sets of cells."""
 
     spec: MapSpec
     tick: int
-    agents: tuple[AgentState, ...]
+    agents: tuple[RefAgent, ...]
     victims: tuple[Victim, ...]
     rubble: frozenset[Position]
     closed_doors: frozenset[Position]
@@ -434,7 +475,7 @@ def step_reference(state: ReferenceWorld, actions):
     """One tick of the simulator's rules on sets and dicts of cells: acts in
     agent order against start-of-tick terrain, then moves against
     start-of-tick terrain. Returns the new state and the resolved actions."""
-    wait = AgentAction(ActionTag.WAIT)
+    wait = RefAction(ActionTag.WAIT)
     victims = {v.cell: v.kind for v in state.victims}
     rubble = set(state.rubble)
     doors = set(state.closed_doors)

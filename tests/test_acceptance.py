@@ -66,6 +66,7 @@ from oracles import (
     ols_normal_equations,
     spearman_rho,
     t_two_sided_quad,
+    to_cell,
     u_statistic,
 )
 
@@ -322,10 +323,10 @@ def test_c8_simulator_rules(tmp_path, medium_corpus):
     spec = MapSpec(name="audit", grid=GridSpec(6, 6), walls=frozenset(), doors=frozenset(),
                    rubble=frozenset({Position(1, 4)}), victims=tuple(victims),
                    start=Position(0, 0))
-    agents = (AgentState("medic1", Role.MEDIC, Position(1, 2)),
-              AgentState("medic2", Role.MEDIC, Position(3, 4)),
-              AgentState("engineer1", Role.ENGINEER, Position(5, 4)),
-              AgentState("engineer2", Role.ENGINEER, Position(0, 4)))
+    agents = (AgentState("medic1", Role.MEDIC, to_cell(spec.grid, Position(1, 2))),
+              AgentState("medic2", Role.MEDIC, to_cell(spec.grid, Position(3, 4))),
+              AgentState("engineer1", Role.ENGINEER, to_cell(spec.grid, Position(5, 4))),
+              AgentState("engineer2", Role.ENGINEER, to_cell(spec.grid, Position(0, 4))))
     w = initial_state(spec, agents)
     w = WorldState(spec=w.spec, tick=0, agents=w.agents, victim_codes=w.victim_codes,
                    rubble_mask=w.rubble_mask, door_mask=w.door_mask)
@@ -336,8 +337,9 @@ def test_c8_simulator_rules(tmp_path, medium_corpus):
         for a in w.agents:
             kind = kinds[rng.integers(len(kinds))]
             dx, dy = ((0, -1), (1, 0), (0, 1), (-1, 0))[rng.integers(4)]
+            y, x = divmod(a.cell, spec.grid.width)  # a target off the grid is None
             acts.append(AgentAction(kind, None if kind is ActionTag.WAIT
-                                    else Position(a.pos.x + dx, a.pos.y + dy)))
+                                    else to_cell(spec.grid, Position(x + dx, y + dy))))
         w = step_resolved(w, acts)[0]
         for k in VictimType:
             remaining = int(np.count_nonzero(w.victim_codes == VICTIM_CODES[k]))

@@ -10,6 +10,7 @@ from teamcoord.session_io import read_metrics_table, write_map, write_metrics_ta
 from teamcoord.sim import builtin_map
 
 EXAMPLE_TABLE = Path(__file__).resolve().parent.parent / "docs" / "examples" / "metrics.csv"
+EXAMPLE_MAP = EXAMPLE_TABLE.with_name("map.json")
 
 
 def run(argv):
@@ -98,6 +99,34 @@ def test_simulate_mixed_policies_and_custom_map(tmp_path, capsys):
               "--runs", "1", "--out", str(tmp_path / "o")])
     assert rc == EXIT_OK
     assert "mixed" in capsys.readouterr().out
+
+
+def example_map_with(tmp_path, **fields):
+    """A copy of the example map JSON with `fields` replaced."""
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({**json.loads(EXAMPLE_MAP.read_text()), **fields}))
+    return path
+
+
+@pytest.mark.parametrize("fields", [{"mission_duration_s": float("inf")},
+                                    {"mission_duration_s": float("inf"),
+                                     "red_cutoff_s": float("inf")}])
+def test_simulate_infinite_mission_clock_exits_3(tmp_path, capsys, fields):
+    argv = ["simulate", "--map", str(example_map_with(tmp_path, **fields)), "--runs", "1",
+            "--out", str(tmp_path / "o")]
+    assert run(argv) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert "error: map 'demo-pocket': red cutoff outside a finite mission duration" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_mission_shorter_than_one_sample_exits_3(tmp_path, capsys):
+    path = example_map_with(tmp_path, mission_duration_s=1.0, red_cutoff_s=1.0)
+    argv = ["simulate", "--map", str(path), "--runs", "1", "--out", str(tmp_path / "o")]
+    assert run(argv) == EXIT_DOMAIN
+    assert capsys.readouterr().err == ("error: map 'demo-pocket': a 1.0 s mission has no tick "
+                                       "at a sample interval of 3.0 s\n")
+    assert not list((tmp_path / "o").iterdir())
 
 
 def test_metrics_command_builds_table(tmp_path, capsys):

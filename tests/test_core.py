@@ -189,17 +189,6 @@ def test_grid_rejects_degenerate_dimensions():
         GridSpec(0, 4)
 
 
-def test_grid_cell_index_roundtrip():
-    g = GridSpec(5, 3)
-    seen = set()
-    for y in range(3):
-        for x in range(5):
-            i = g.cell_index(x, y)
-            assert g.cell_xy(i) == (x, y)
-            seen.add(i)
-    assert seen == set(range(15))
-
-
 def acting_trajectory():
     """Three ticks with an action and a target on every row but the last."""
     return traj("engineer1", Role.ENGINEER, [(1, 1), (1, 2), (1, 2)],

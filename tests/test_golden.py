@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from teamcoord import Role
+from teamcoord.core import ActionTag
 from teamcoord.cli import EXIT_OK, main
 from teamcoord.metrics import SeriesMetric
 from teamcoord.session_io import write_session
@@ -388,10 +389,11 @@ ACTION_STREAM_PINS = {
 
 
 def _target_key(grid, act):
-    t = act.target
-    if t is None:
-        return None
-    return (t.x, t.y) if grid.contains(t.x, t.y) else "off-grid"
+    """A requested target as (x, y); a move off the grid has no target cell."""
+    if act.target is None:
+        return "off-grid" if act.kind is ActionTag.MOVE else None
+    y, x = divmod(act.target, grid.width)
+    return (x, y)
 
 
 def test_requested_action_streams(monkeypatch):

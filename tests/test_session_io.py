@@ -1,4 +1,5 @@
 import json
+import math
 from functools import partial
 from pathlib import Path
 
@@ -29,7 +30,8 @@ from teamcoord.session_io import (
     write_metrics_table,
     write_session,
 )
-from teamcoord.sim import AgentPolicy, PolicyKind, builtin_map, builtin_maps, map_meta, run_mission
+from teamcoord.sim import (AgentPolicy, InvalidMapError, PolicyKind, builtin_map, builtin_maps,
+                           map_meta, run_mission)
 
 from helpers import random_session
 from oracles import read_session_reference, session_log_reference
@@ -338,6 +340,15 @@ def test_map_rejects_malformed_cells(tmp_path):
     doc["walls"][0] = ["a", 1]
     p.write_text(json.dumps(doc))
     with pytest.raises(SessionFormatError):
+        read_map(p)
+
+
+@pytest.mark.parametrize("fields", [{"mission_duration_s": math.inf},
+                                    {"mission_duration_s": math.inf, "red_cutoff_s": math.inf}])
+def test_map_rejects_infinite_mission_clock(tmp_path, fields):
+    p = write_map(builtin_map("small"), tmp_path / "m.json")
+    p.write_text(json.dumps({**json.loads(p.read_text()), **fields}))  # written as Infinity
+    with pytest.raises(InvalidMapError, match="red cutoff outside a finite mission duration"):
         read_map(p)
 
 

@@ -10,7 +10,6 @@ from teamcoord.outcomes import team_performance
 from teamcoord.sim import (
     AgentAction,
     AgentPolicy,
-    AgentState,
     InvalidMapError,
     MalformedActionError,
     MapSpec,
@@ -29,15 +28,26 @@ from teamcoord.sim.policies import BfsField, PolicyParamError, build_controllers
 from teamcoord.sim.world import VICTIM_CODES
 
 from oracles import (
+    RefAction,
+    RefAgent,
     ReferenceWorld,
     bfs_field,
     grid_neighbors,
     mission_rule_audit,
     step_reference,
+    to_cell,
+    to_position,
+    to_sim_action,
+    to_sim_agent,
 )
 from test_golden import EDGE_ART
 
 WAIT = AgentAction(ActionTag.WAIT)
+
+
+def at(pos):
+    """The cell of `pos` in the 6x6 mini world."""
+    return to_cell(GridSpec(6, 6), pos)
 
 
 def mini_world(tick=0, victims=(), rubble=(), doors=(), agents=None):
@@ -46,24 +56,24 @@ def mini_world(tick=0, victims=(), rubble=(), doors=(), agents=None):
                    victims=tuple(victims), start=Position(0, 0))
     if agents is None:
         agents = (
-            AgentState("medic1", Role.MEDIC, Position(2, 1)),
-            AgentState("medic2", Role.MEDIC, Position(0, 0)),
-            AgentState("engineer1", Role.ENGINEER, Position(3, 2)),
-            AgentState("engineer2", Role.ENGINEER, Position(0, 1)),
+            RefAgent("medic1", Role.MEDIC, Position(2, 1)),
+            RefAgent("medic2", Role.MEDIC, Position(0, 0)),
+            RefAgent("engineer1", Role.ENGINEER, Position(3, 2)),
+            RefAgent("engineer2", Role.ENGINEER, Position(0, 1)),
         )
-    state = initial_state(spec, agents)
+    state = initial_state(spec, tuple(to_sim_agent(spec.grid, a) for a in agents))
     return WorldState(spec=spec, tick=tick, agents=state.agents, victim_codes=state.victim_codes,
                       rubble_mask=state.rubble_mask, door_mask=state.door_mask)
 
 
 def cells_of(state, mask):
-    return {Position(*state.spec.grid.cell_xy(c)) for c in np.flatnonzero(mask).tolist()}
+    return {to_position(state.spec.grid, c) for c in np.flatnonzero(mask).tolist()}
 
 
 def victims_of(state):
     """The victims left in an array state, as {cell: kind}."""
     kinds = {code: kind for kind, code in VICTIM_CODES.items()}
-    return {Position(*state.spec.grid.cell_xy(c)): kinds[int(state.victim_codes[c])]
+    return {to_position(state.spec.grid, c): kinds[int(state.victim_codes[c])]
             for c in np.flatnonzero(state.victim_codes).tolist()}
 
 
@@ -71,7 +81,7 @@ RED_CELL = Position(2, 2)
 
 
 def rescue(cell):
-    return AgentAction(ActionTag.RESCUE, cell)
+    return AgentAction(ActionTag.RESCUE, at(cell))
 
 
 def test_red_rescue_succeeds_inside_cutoff():
@@ -93,10 +103,10 @@ def test_red_rescue_blocked_at_cutoff():
 
 def test_red_rescue_needs_engineer_adjacent():
     agents = (
-        AgentState("medic1", Role.MEDIC, Position(2, 1)),
-        AgentState("medic2", Role.MEDIC, Position(0, 0)),
-        AgentState("engineer1", Role.ENGINEER, Position(5, 5)),
-        AgentState("engineer2", Role.ENGINEER, Position(0, 1)),
+        RefAgent("medic1", Role.MEDIC, Position(2, 1)),
+        RefAgent("medic2", Role.MEDIC, Position(0, 0)),
+        RefAgent("engineer1", Role.ENGINEER, Position(5, 5)),
+        RefAgent("engineer2", Role.ENGINEER, Position(0, 1)),
     )
     w = mini_world(tick=10, victims=[Victim(RED_CELL, VictimType.RED)], agents=agents)
     out, resolved = step_resolved(w, [rescue(RED_CELL), WAIT, WAIT, WAIT])
@@ -112,7 +122,7 @@ def test_yellow_requires_clear_first_and_not_same_tick():
     assert resolved[0].kind is ActionTag.WAIT
     assert victims_of(out) == {yellow: VictimType.YELLOW}
     # clear and rescue on the same tick: the clear lands, the rescue does not
-    clear = AgentAction(ActionTag.CLEAR, yellow)
+    clear = AgentAction(ActionTag.CLEAR, at(yellow))
     out, resolved = step_resolved(w, [rescue(yellow), WAIT, clear, WAIT])
     assert resolved[2].kind is ActionTag.CLEAR
     assert resolved[0].kind is ActionTag.WAIT
@@ -131,10 +141,10 @@ def test_engineer_rescues_green_only():
     assert resolved[2].kind is ActionTag.RESCUE
     assert out.events[0].actor_ids == ("engineer1",)
     w2 = mini_world(victims=[Victim(red, VictimType.RED)],
-                    agents=(AgentState("medic1", Role.MEDIC, Position(0, 0)),
-                            AgentState("medic2", Role.MEDIC, Position(0, 1)),
-                            AgentState("engineer1", Role.ENGINEER, Position(3, 2)),
-                            AgentState("engineer2", Role.ENGINEER, Position(1, 0))))
+                    agents=(RefAgent("medic1", Role.MEDIC, Position(0, 0)),
+                            RefAgent("medic2", Role.MEDIC, Position(0, 1)),
+                            RefAgent("engineer1", Role.ENGINEER, Position(3, 2)),
+                            RefAgent("engineer2", Role.ENGINEER, Position(1, 0))))
     out2, resolved2 = step_resolved(w2, [WAIT, WAIT, rescue(red), WAIT])
     assert resolved2[2].kind is ActionTag.WAIT
     assert victims_of(out2) == {red: VictimType.RED}
@@ -143,10 +153,10 @@ def test_engineer_rescues_green_only():
 def test_conflicting_rescues_resolve_by_agent_index():
     green = Position(1, 1)
     agents = (
-        AgentState("medic1", Role.MEDIC, Position(1, 0)),
-        AgentState("medic2", Role.MEDIC, Position(0, 1)),
-        AgentState("engineer1", Role.ENGINEER, Position(2, 1)),
-        AgentState("engineer2", Role.ENGINEER, Position(1, 2)),
+        RefAgent("medic1", Role.MEDIC, Position(1, 0)),
+        RefAgent("medic2", Role.MEDIC, Position(0, 1)),
+        RefAgent("engineer1", Role.ENGINEER, Position(2, 1)),
+        RefAgent("engineer2", Role.ENGINEER, Position(1, 2)),
     )
     w = mini_world(victims=[Victim(green, VictimType.GREEN)], agents=agents)
     out, resolved = step_resolved(w, [rescue(green)] * 4)
@@ -159,28 +169,29 @@ def test_conflicting_rescues_resolve_by_agent_index():
 def test_moves_blocked_by_terrain_and_opened_doors_usable_next_tick():
     door = Position(2, 0)
     agents = (
-        AgentState("medic1", Role.MEDIC, Position(1, 0)),
-        AgentState("medic2", Role.MEDIC, Position(0, 0)),
-        AgentState("engineer1", Role.ENGINEER, Position(2, 1)),
-        AgentState("engineer2", Role.ENGINEER, Position(0, 1)),
+        RefAgent("medic1", Role.MEDIC, Position(1, 0)),
+        RefAgent("medic2", Role.MEDIC, Position(0, 0)),
+        RefAgent("engineer1", Role.ENGINEER, Position(2, 1)),
+        RefAgent("engineer2", Role.ENGINEER, Position(0, 1)),
     )
     w = mini_world(doors=[door], agents=agents)
-    move_onto_door = AgentAction(ActionTag.MOVE, door)
-    open_door = AgentAction(ActionTag.OPEN, door)
+    move_onto_door = AgentAction(ActionTag.MOVE, at(door))
+    open_door = AgentAction(ActionTag.OPEN, at(door))
     out, resolved = step_resolved(w, [move_onto_door, WAIT, open_door, WAIT])
     assert resolved[0].kind is ActionTag.WAIT  # same-tick open does not help the mover
-    assert out.agents[0].pos == Position(1, 0)
+    assert out.agents[0].cell == at(Position(1, 0))
     assert door not in cells_of(out, out.door_mask)
     out2, resolved2 = step_resolved(out, [move_onto_door, WAIT, WAIT, WAIT])
     assert resolved2[0].kind is ActionTag.MOVE
-    assert out2.agents[0].pos == door
+    assert out2.agents[0].cell == at(door)
 
 
 def test_diagonal_or_long_moves_degrade_to_wait():
     w = mini_world()
-    out, resolved = step_resolved(w, [AgentAction(ActionTag.MOVE, Position(4, 4)), WAIT, WAIT, WAIT])
+    far = AgentAction(ActionTag.MOVE, at(Position(4, 4)))
+    out, resolved = step_resolved(w, [far, WAIT, WAIT, WAIT])
     assert resolved[0].kind is ActionTag.WAIT
-    assert out.agents[0].pos == Position(2, 1)
+    assert out.agents[0].cell == at(Position(2, 1))
 
 
 def test_step_rejects_malformed_actions():
@@ -205,7 +216,8 @@ def test_conservation_under_random_stepping():
         for a in w.agents:
             kind = kinds[rng.integers(len(kinds))]
             dx, dy = ((0, -1), (1, 0), (0, 1), (-1, 0))[rng.integers(4)]
-            target = None if kind is ActionTag.WAIT else Position(a.pos.x + dx, a.pos.y + dy)
+            y, x = divmod(a.cell, w.spec.grid.width)  # a target off the grid is None
+            target = None if kind is ActionTag.WAIT else at(Position(x + dx, y + dy))
             actions.append(AgentAction(kind, target))
         w = step_resolved(w, actions)[0]
         remaining = {k: int(np.count_nonzero(w.victim_codes == VICTIM_CODES[k]))
@@ -234,26 +246,26 @@ def _random_action(rng, agent, ref):
     x, y = agent.pos.x, agent.pos.y
     r = rng.random()
     if r < 0.05:
-        return AgentAction(kind)
+        return RefAction(kind)
     if r < 0.1:
-        return AgentAction(kind, agent.pos)
+        return RefAction(kind, agent.pos)
     if r < 0.15:
         dx, dy = ((-1, -1), (-1, 1), (1, -1), (1, 1))[rng.integers(4)]
-        return AgentAction(kind, Position(x + dx, y + dy))
+        return RefAction(kind, Position(x + dx, y + dy))
     if r < 0.2:
-        return AgentAction(kind, Position(-1, y) if rng.random() < 0.5
+        return RefAction(kind, Position(-1, y) if rng.random() < 0.5
                            else Position(x, ref.spec.grid.height))
     victims = {v.cell for v in ref.victims}
     adjacent = [Position(x + dx, y + dy) for dx, dy in ((0, -1), (1, 0), (0, 1), (-1, 0))]
     near = [n for n in adjacent if n in victims | ref.rubble | ref.closed_doors]
     if not near or rng.random() < 0.3:
-        return AgentAction(kind, adjacent[rng.integers(4)])
+        return RefAction(kind, adjacent[rng.integers(4)])
     tgt = near[rng.integers(len(near))]
     invited = ([ActionTag.RESCUE] * (tgt in victims) + [ActionTag.CLEAR] * (tgt in ref.rubble)
                + [ActionTag.OPEN] * (tgt in ref.closed_doors))
     if rng.random() < 0.8:
         kind = invited[rng.integers(len(invited))]
-    return AgentAction(kind, tgt)
+    return RefAction(kind, tgt)
 
 
 def test_step_matches_set_reference_under_random_actions():
@@ -278,20 +290,21 @@ def test_step_matches_set_reference_under_random_actions():
         around = [n for n in (Position(centre.x + dx, centre.y + dy)
                               for dx, dy in ((0, -1), (1, 0), (0, 1), (-1, 0)))
                   if g.contains(n.x, n.y) and n not in blocked]
-        agents = tuple(AgentState(pid, role, around[rng.integers(len(around))])
+        agents = tuple(RefAgent(pid, role, around[rng.integers(len(around))])
                        for pid, role in (roles[k] for k in rng.permutation(4)))
         start_tick = cutoff_tick - 1 if kind is VictimType.RED else 0
-        state = replace(initial_state(spec, agents), tick=start_tick)
+        state = replace(initial_state(spec, tuple(to_sim_agent(g, a) for a in agents)),
+                        tick=start_tick)
         ref = ReferenceWorld(spec=spec, tick=start_tick, agents=agents, victims=spec.victims,
                              rubble=spec.rubble, closed_doors=spec.doors)
         for _ in range(10):
             actions = [_random_action(rng, a, ref) for a in ref.agents]
             victims = {v.cell: v.kind for v in ref.victims}
-            state, resolved = step_resolved(state, actions)
+            state, resolved = step_resolved(state, [to_sim_action(g, a) for a in actions])
             ref_next, ref_resolved = step_reference(ref, actions)
-            assert resolved == ref_resolved
+            assert resolved == tuple(to_sim_action(g, a) for a in ref_resolved)
             assert state.tick == ref_next.tick
-            assert state.agents == ref_next.agents
+            assert state.agents == tuple(to_sim_agent(g, a) for a in ref_next.agents)
             assert state.events == ref_next.events
             assert victims_of(state) == {v.cell: v.kind for v in ref_next.victims}
             assert cells_of(state, state.rubble_mask) == ref_next.rubble
@@ -307,7 +320,7 @@ def test_step_matches_set_reference_under_random_actions():
                 if tgt is None:
                     continue
                 seen["off_grid"] += not g.contains(tgt.x, tgt.y)
-                seen["diagonal"] += agent.pos.manhattan(tgt) == 2 and agent.pos.chebyshev(tgt) == 1
+                seen["diagonal"] += abs(tgt.x - agent.pos.x) == abs(tgt.y - agent.pos.y) == 1
                 seen["self"] += tgt == agent.pos
                 if (ref_resolved[i].kind is ActionTag.CLEAR
                         and victims.get(tgt) is VictimType.YELLOW):
@@ -364,7 +377,7 @@ def test_builtin_map_builds_the_named_map_only(monkeypatch):
 
 def shortest_path_ticks(spec, goal_cells):
     """Dijkstra oracle: door and rubble cells cost 2 ticks (open/clear first)."""
-    start = spec.grid.cell_index(spec.start.x, spec.start.y)
+    start = to_cell(spec.grid, spec.start)
     costs = {}
     heap = [(0, start)]
     while heap:
@@ -375,10 +388,10 @@ def shortest_path_ticks(spec, goal_cells):
         for nb in spec.neighbor_lists[c]:
             if spec.wall_mask[nb] or nb in costs:
                 continue
-            x, y = spec.grid.cell_xy(nb)
-            extra = 2 if (Position(x, y) in spec.doors or Position(x, y) in spec.rubble) else 1
+            p = to_position(spec.grid, nb)
+            extra = 2 if (p in spec.doors or p in spec.rubble) else 1
             heapq.heappush(heap, (d + extra, nb))
-    return min((costs.get(spec.grid.cell_index(c.x, c.y), 10 ** 9) for c in goal_cells),
+    return min((costs.get(to_cell(spec.grid, c), 10 ** 9) for c in goal_cells),
                default=10 ** 9)
 
 
@@ -404,6 +417,23 @@ def test_map_validation_catches_bad_specs():
                 start=Position(2, 2)).validate()
     with pytest.raises(ValueError):
         map_from_ascii("ragged", "##\n###\n")
+
+
+@pytest.mark.parametrize("clock", [{"mission_duration_s": math.inf},
+                                   {"mission_duration_s": math.inf, "red_cutoff_s": math.inf}])
+def test_map_validation_refuses_infinite_mission_clock(clock):
+    with pytest.raises(InvalidMapError, match="red cutoff outside a finite mission duration"):
+        map_from_ascii("endless", "S.\n..\n", **clock)
+
+
+def test_mission_shorter_than_one_sample_is_refused_before_controllers(monkeypatch):
+    from teamcoord.sim import policies
+
+    spec = map_from_ascii("short", "S.\n..\n", mission_duration_s=1.0, red_cutoff_s=1.0)
+    monkeypatch.setattr(policies, "build_controllers", lambda *a: pytest.fail("built controllers"))
+    with pytest.raises(InvalidMapError, match=r"^map 'short': a 1\.0 s mission has no tick at "
+                                              r"a sample interval of 3\.0 s$"):
+        run_mission(spec, policy_team(PolicyKind.RANDOM_WALK), seed=0)
 
 
 # --- missions -----------------------------------------------------------------
@@ -578,10 +608,10 @@ def test_bfs_field_matches_full_fill_oracle(mapname):
 def test_bfs_field_edge_cases():
     spec = builtin_map("small")
     n = spec.grid.n_cells
-    start = spec.grid.cell_index(spec.start.x, spec.start.y)
+    start = to_cell(spec.grid, spec.start)
     blocked = spec.wall_mask.tolist()
     for cell in spec.doors | spec.rubble:  # closed doors seal the rooms
-        blocked[spec.grid.cell_index(cell.x, cell.y)] = True
+        blocked[to_cell(spec.grid, cell)] = True
     dist, first = bfs_field(grid_neighbors(spec.grid.width, spec.grid.height), blocked, start)
     sealed = np.array([dist[c] < 0 and not blocked[c] for c in range(n)])
     assert sealed.any()
@@ -599,7 +629,7 @@ def test_bfs_field_edge_cases():
     assert field.dist == dist and field.first == first
 
     ctrl = build_controllers(policy_team(PolicyKind.GREEDY), spec, seed=0)[0]
-    assert ctrl._move_toward(on_start.tobytes(), ctrl._field(spec.start)) is None  # already there
+    assert ctrl._move_toward(on_start.tobytes(), ctrl._field(start)) is None  # already there
 
 
 def test_bfs_field_expands_only_the_levels_a_query_needs():
@@ -607,12 +637,12 @@ def test_bfs_field_expands_only_the_levels_a_query_needs():
     spec = builtin_map("medium")
     n = spec.grid.n_cells
     ctrl = build_controllers(policy_team(PolicyKind.COORDINATED), spec, seed=0)[0]
-    field = ctrl._field(spec.start)
+    start = to_cell(spec.grid, spec.start)
+    field = ctrl._field(start)
     assert isinstance(field, BfsField)
     assert field.nearest(np.zeros(n, dtype=bool).tobytes()) is None
     assert len(field.levels) - 1 == 0
 
-    start = spec.grid.cell_index(spec.start.x, spec.start.y)
     nb = next(c for c in spec.neighbor_lists[start] if not spec.wall_mask[c])
     goals = np.zeros(n, dtype=bool)
     goals[[nb, n - 1]] = True
@@ -638,11 +668,10 @@ def test_controller_planning_matches_full_fill_oracle(spec, kind):
             ctrl.known_rubble[:] = (rng.random(n) < density) & ~spec.wall_mask
             ctrl.known_doors[:] = (rng.random(n) < density / 2) & ~spec.wall_mask
             start = int(rng.choice(open_cells))
-            me = Position(*g.cell_xy(start))
             blocked = (spec.wall_mask | ctrl.known_rubble | ctrl.known_doors).tolist()
             dist, first = bfs_field(full, blocked, start)
 
-            field = ctrl._field(me)
+            field = ctrl._field(start)
             dense = rng.random(n) < rng.choice([0.01, 0.1])
             assert field.nearest(dense.tobytes()) == _oracle_nearest(dense, dist)
             cells = rng.choice(n, size=int(rng.integers(1, 6)), replace=False).tolist()
@@ -655,10 +684,10 @@ def test_controller_planning_matches_full_fill_oracle(spec, kind):
                 near[full[t]] = True
             goal = _oracle_nearest(near, dist)
             want = (None if goal is None or dist[goal] == 0
-                    else AgentAction(ActionTag.MOVE, Position(*g.cell_xy(first[goal]))))
-            assert ctrl._approach(cells, ctrl._field(me)) == want
+                    else AgentAction(ActionTag.MOVE, first[goal]))
+            assert ctrl._approach(cells, ctrl._field(start)) == want
 
-            exhausted = ctrl._field(me)
+            exhausted = ctrl._field(start)
             for _ in exhausted._walk():
                 pass
             assert exhausted.dist == dist and exhausted.first == first
