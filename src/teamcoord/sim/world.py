@@ -87,10 +87,10 @@ class MapSpec:
 
     def problems(self) -> list[str]:
         out = []
-        g = self.grid
 
         def outside(c: Position) -> bool:
-            return not (0 <= c.x < g.width and 0 <= c.y < g.height)
+            return not (0 <= c.x < self.grid.width and 0 <= c.y < self.grid.height)
+
         for label, cells in (("wall", self.walls), ("door", self.doors), ("rubble", self.rubble)):
             for c in cells:
                 if outside(c):
