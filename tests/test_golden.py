@@ -2,12 +2,12 @@
 
 Pins cover the session files the simulator writes for every built-in map x
 policy x seed in {0, 1, 2}, the metric table over that corpus (file and
-stdout), each `stats` analysis over that table, each `timeseries` metric,
-the committed replay in demos/out/, and missions on a small map without
-border walls (field-of-view windows clipped at the grid edge, targets on
-the outer rows and columns). A pin may change only in a change
-that says in CHANGES.md why the output moved; the assertion message shows
-the new digest.
+stdout), each `stats` analysis over that table and each `timeseries` metric
+(in csv, markdown and json-lines), the committed replay in demos/out/, and
+missions on a small map without border walls (field-of-view windows clipped
+at the grid edge, targets on the outer rows and columns). A pin may change
+only in a change that says in CHANGES.md why the output moved; the
+assertion message shows the new digest.
 """
 from __future__ import annotations
 
@@ -164,6 +164,52 @@ SERIES_PINS = {
     "inter_role_distance":
         "169929448484417ece0b355e448b9fa14497581746aad8573a21307a17ca2ac6",
 }
+# The markdown and json-lines forms of the same reports; the csv form is
+# pinned above.
+STATS_FORMAT_PINS = {
+    ("correlations", "markdown"):
+        "ad7aef3bc7477506383a685f874cb5e70addf8d19e452ae1c88b13947922ee0e",
+    ("regression", "markdown"):
+        "9e8c4d553ab5ba6595c90c7d71ab2bbd6d9cfffe6d268656e5b37829bbf0c63e",
+    ("quadratic", "markdown"):
+        "94c5e181ed38e4ebea732c41d16bdb9fd57fc14e9a5886b732d32286ae818325",
+    ("mediation", "markdown"):
+        "c6744b914416bdf619d33c6bf056608f435e00d48fda4167b6f17700b5b1ab39",
+    ("groups", "markdown"):
+        "4f26182840cfb9e1b8176ea11ec37b99aa5140328f1d3a2d9169f8cb9c82248d",
+    ("timeless-anova", "markdown"):
+        "fe454b0eb9cf93d1f897f44a29a5ee455cee9eedebf1300341b1c0542cb0c741",
+    ("correlations", "json-lines"):
+        "b09145768aea8e2bcf6172aefdecc69ea8024d090ea0a161ec32e9e82de25344",
+    ("regression", "json-lines"):
+        "3f344dee05614c698335a8b8d424e11cbb60d3a202e5e935aa8e908a9ae97af5",
+    ("quadratic", "json-lines"):
+        "51ba7f40bc59931bbf4b2906ac57bb8c80b3cd0f52858645cec85e032ce099b2",
+    ("mediation", "json-lines"):
+        "eb6bad0ff98dfdfe78bb7d94bfafe0a2b8c7b23960854ef39176388bfeb8a149",
+    ("groups", "json-lines"):
+        "9116268cacb377ec643fc9abd05746e5289dfd0a93a9f939da6a7c5d3a4b8062",
+    ("timeless-anova", "json-lines"):
+        "ce9b9d0151a5233e94976b4e75c4bb54642251f396bd55087088680e2be77310",
+}
+SERIES_FORMAT_PINS = {
+    ("sed", "markdown"):
+        "55619e1e6e7862b901144d573e0c95049a6bc782e0c744775aedb8fd5a6e3400",
+    ("sms", "markdown"):
+        "1139527ef0b4e7549d6fe7d7ca0f7581d9d62b14de85a14d13298ffae0dc4b6f",
+    ("spa_rolling", "markdown"):
+        "d96659b84fd43aba5a161411fb014e3b88b18df5d73d3b10f9a306d9391f1ca7",
+    ("inter_role_distance", "markdown"):
+        "b151c82104854b05f9501f3f658870da62d82b911e15710acd6f88a700dfcc18",
+    ("sed", "json-lines"):
+        "7c59060b646499063943abd3967cf311b616aae490163485c5fef07546b79b1d",
+    ("sms", "json-lines"):
+        "e7ada988afa0c828bba4c8b81d8bfcec22980e709e1faf4005e4285af641f94d",
+    ("spa_rolling", "json-lines"):
+        "8b8307a871c4edcc4c10aa68101f6a4825e04d2019f5485a3032d11cafe22ba5",
+    ("inter_role_distance", "json-lines"):
+        "d92205824a9d582da713f10373419822321f01420a86767d0efc5c3d5bed101c",
+}
 REPLAY_PINS = {
     "replay_a.jsonl":
         "9450ef0dbdf110516bae327250c2b0047194f9b73248670244f6aa892bd8c0e8",
@@ -260,6 +306,25 @@ def test_timeseries(corpus, metric, capsys):
     out = run_cli(capsys, ["timeseries", *map(str, sorted(corpus.glob("*.jsonl"))),
                            "--metric", metric])
     assert sha(out) == SERIES_PINS[metric], sha(out)
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "json-lines"])
+@pytest.mark.parametrize("analysis", ["correlations", "regression", "quadratic", "mediation",
+                                      "groups", "timeless-anova"])
+def test_stats_report_formats(table, analysis, fmt, capsys):
+    capsys.readouterr()
+    out = run_cli(capsys, ["stats", "--table", str(table), "--analysis", analysis,
+                           "--seed", "0", "--resamples", "500", "--format", fmt])
+    assert sha(out) == STATS_FORMAT_PINS[analysis, fmt], sha(out)
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "json-lines"])
+@pytest.mark.parametrize("metric", [m.value for m in SeriesMetric])
+def test_timeseries_formats(corpus, metric, fmt, capsys):
+    capsys.readouterr()
+    out = run_cli(capsys, ["timeseries", *map(str, sorted(corpus.glob("*.jsonl"))),
+                           "--metric", metric, "--format", fmt])
+    assert sha(out) == SERIES_FORMAT_PINS[metric, fmt], sha(out)
 
 
 def test_committed_replay(tmp_path):
