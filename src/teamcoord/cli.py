@@ -205,7 +205,7 @@ def _analysis_correlations(cols, args):
             except DegenerateDataError:  # a constant column: correlation undefined
                 out.append({"var_a": a, "var_b": b, "rho": float("nan"),
                             "p_value": float("nan"), "n": n})
-    return out, ("var_a", "var_b", "rho", "p_value", "n")
+    return out
 
 
 def _analysis_regression(cols, args):
@@ -218,7 +218,7 @@ def _analysis_regression(cols, args):
             out.append({"response": response, "term": name, "coefficient": coef,
                         "p_value": p, "r_squared": res.r_squared,
                         "f_stat": res.f_stat, "f_p_value": res.f_p_value})
-    return out, ("response", "term", "coefficient", "p_value", "r_squared", "f_stat", "f_p_value")
+    return out
 
 
 def _analysis_quadratic(cols, args):
@@ -233,8 +233,7 @@ def _analysis_quadratic(cols, args):
             "optimal_value": "" if math.isnan(fit.vertex_x) else fit.vertex_x,
             "pattern": "flat" if fit.flat else "inverted-u" if fit.inverted_u else "u-or-flat",
         })
-    return out, ("metric", "constant", "linear", "quadratic", "constant_p", "linear_p",
-                 "quadratic_p", "r_squared", "f_stat", "f_p_value", "optimal_value", "pattern")
+    return out
 
 
 def _analysis_mediation(cols, args):
@@ -251,17 +250,14 @@ def _analysis_mediation(cols, args):
             "pct_mediated": res.pct_mediated if res.pct_mediated is not None else "",
             "resamples": res.resamples, "seed": res.seed,
         })
-    return out, ("metric", "a", "b", "c_total", "c_prime", "indirect", "ci_low", "ci_high",
-                 "significant", "pct_mediated", "resamples", "seed")
+    return out
 
 
 def _analysis_groups(cols, args):
     ids, performance = cols["session_id"], cols["performance"]
     assignment = performance_groups(dict(zip(ids, performance)))
-    out = [{"session_id": sid, "group": assignment.groups[sid].value,
-            "performance": score}
-           for sid, score in sorted(zip(ids, performance))]
-    return out, ("session_id", "group", "performance")
+    return [{"session_id": sid, "group": assignment.groups[sid].value, "performance": score}
+            for sid, score in sorted(zip(ids, performance))]
 
 
 def _analysis_anova(cols, args):
@@ -284,8 +280,7 @@ def _analysis_anova(cols, args):
             "f_stat": res.f, "p_value": res.p_value,
             "df_between": res.df_between, "df_within": res.df_within,
         })
-    return out, ("metric", "mean_low", "mean_middle", "mean_high", "f_stat", "p_value",
-                 "df_between", "df_within")
+    return out
 
 
 # each analysis, the numeric columns it reads, and whether it groups rows by session id
@@ -307,7 +302,9 @@ def _format_value(v, human: bool) -> str:
     return str(v)
 
 
-def _render(rows: list[dict], columns, fmt: str) -> str:
+def _render(rows: list[dict], fmt: str) -> str:
+    """A report in `fmt`; the columns are the first row's keys, in order."""
+    columns = list(rows[0])
     if fmt == "json-lines":
         return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in rows)
     if fmt == "markdown":
@@ -328,10 +325,10 @@ def cmd_stats(args) -> int:
     analysis, names, ids = _ANALYSES[args.analysis]
     cols, _ = read_metrics_table(args.table, names, ids)
     try:
-        out_rows, columns = analysis(cols, args)
+        out_rows = analysis(cols, args)
     except (ValueError, TooFewTeamsError) as exc:  # too few rows, or --resamples out of range
         raise UsageError(str(exc)) from None
-    _emit(_render(out_rows, columns, args.format), args.out,
+    _emit(_render(out_rows, args.format), args.out,
           f"wrote {args.analysis} report to {args.out}")
     return EXIT_OK
 
@@ -373,8 +370,7 @@ def cmd_timeseries(args) -> int:
          "phase": "pre-cutoff" if progress < cutoff_fraction else "post-cutoff"}
         for (group, progress), vals in sorted(bins.items())
     ]
-    _emit(_render(out_rows, ("metric", "group", "progress", "value", "phase"), args.format),
-          args.out, f"wrote {len(out_rows)} rows to {args.out}")
+    _emit(_render(out_rows, args.format), args.out, f"wrote {len(out_rows)} rows to {args.out}")
     return EXIT_OK
 
 

@@ -99,6 +99,9 @@ class Position:
 
 ACTIONS = tuple(ActionTag)
 
+# Seconds between two logged ticks: the simulator's clock and a session's default.
+SAMPLE_INTERVAL_S = 3.0
+
 # One logged (tick, player) observation per row. `action` indexes ACTIONS,
 # -1 for none. The target is the cell acted on (move destination, victim,
 # rubble or door cell); a row without one holds (0, 0, False).
@@ -162,7 +165,7 @@ class TeamSession:
     events: tuple[RescueEvent, ...] = ()
     mission_duration_s: float = 300.0
     red_cutoff_s: float = 180.0
-    sample_interval_s: float = 3.0
+    sample_interval_s: float = SAMPLE_INTERVAL_S
     # a manifest's embedded task inventory; not part of the record, so not compared
     map_meta: MapMeta | None = field(default=None, compare=False)
 

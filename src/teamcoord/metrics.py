@@ -7,7 +7,8 @@ Three whole-mission metrics, each in [0, 1]:
 - movement specialization: entropy similarity of the two role-pooled
   distributions times one minus the Jaccard overlap of the role cell sets;
 - proximity adaptation: normalized absolute change of the mean cross-role
-  distance between the two mission halves (split at tick floor(T/2)).
+  Euclidean distance between the two mission halves (split at tick
+  floor(T/2)).
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import CompositionError, GridSpec, Role, TeamCoordError, TeamSession, team_roles_partition
+from .core import CompositionError, Role, TeamCoordError, TeamSession, team_roles_partition
 from .occupancy import (
     EmptyInputError,
     _segment_sums,
@@ -98,53 +99,42 @@ def _occupancy_units(session: TeamSession, metric: SeriesMetric) -> np.ndarray:
     return np.array([p.role is Role.ENGINEER for p in session.players], dtype=np.intp)
 
 
-def _cell_index_array(session: TeamSession, grid: GridSpec | None, coarsen: int) -> np.ndarray:
+def _cell_index_array(session: TeamSession, coarsen: int) -> np.ndarray:
     """(players, ticks) cell indices, players in session order."""
     if _aligned_ticks(session.players) == 0:
         raise EmptyInputError("no samples across input trajectories")
-    return np.stack([cell_indices(p, grid or session.grid, coarsen) for p in session.players])
+    return np.stack([cell_indices(p, session.grid, coarsen) for p in session.players])
 
 
 def _whole_mission(metric: SeriesMetric, idx: np.ndarray, unit: np.ndarray) -> float:
     return float(_occupancy_window_series(metric, idx, unit, idx.shape[1])[0])
 
 
-def spatial_exploration_diversity(session: TeamSession, grid: GridSpec | None = None,
-                                  coarsen: int = 1) -> float:
+def spatial_exploration_diversity(session: TeamSession, coarsen: int = 1) -> float:
     """Mean JSD over all unordered player pairs; 0 when everyone moves alike."""
     unit = _occupancy_units(session, SeriesMetric.SED)
-    return _whole_mission(SeriesMetric.SED, _cell_index_array(session, grid, coarsen), unit)
+    return _whole_mission(SeriesMetric.SED, _cell_index_array(session, coarsen), unit)
 
 
-def spatial_movement_specialization(session: TeamSession, grid: GridSpec | None = None,
-                                    coarsen: int = 1) -> float:
+def spatial_movement_specialization(session: TeamSession, coarsen: int = 1) -> float:
     """Entropy similarity of role-pooled occupancy times (1 - cell overlap)."""
     unit = _occupancy_units(session, SeriesMetric.SMS)
-    return _whole_mission(SeriesMetric.SMS, _cell_index_array(session, grid, coarsen), unit)
+    return _whole_mission(SeriesMetric.SMS, _cell_index_array(session, coarsen), unit)
 
 
-def cross_role_distances(session: TeamSession, distance: str = "euclidean") -> np.ndarray:
-    """Per-tick mean distance over the four medic-engineer pairs.
-
-    Euclidean by default; pass distance="manhattan" for taxicab geometry.
-    """
+def cross_role_distances(session: TeamSession) -> np.ndarray:
+    """Per-tick mean Euclidean distance over the four medic-engineer pairs."""
     part = team_roles_partition(session)
     _aligned_ticks(part[Role.MEDIC] + part[Role.ENGINEER])
     med = np.stack([p.xy for p in part[Role.MEDIC]]).astype(float)  # (2, T, 2)
     eng = np.stack([p.xy for p in part[Role.ENGINEER]]).astype(float)
     diff = med[:, None, :, :] - eng[None, :, :, :]  # (2, 2, T, 2)
-    if distance == "euclidean":
-        d = np.sqrt((diff ** 2).sum(axis=-1))
-    elif distance == "manhattan":
-        d = np.abs(diff).sum(axis=-1)
-    else:
-        raise ValueError(f"unknown distance {distance!r}")
-    return d.mean(axis=(0, 1))  # (T,)
+    return np.sqrt((diff ** 2).sum(axis=-1)).mean(axis=(0, 1))  # (T,)
 
 
-def spatial_proximity_adaptation(session: TeamSession, distance: str = "euclidean") -> float:
+def spatial_proximity_adaptation(session: TeamSession) -> float:
     """|D2 - D1| / max(D1, D2) over the two mission halves; 0 if both are 0."""
-    d = cross_role_distances(session, distance)
+    d = cross_role_distances(session)
     t = d.size
     if t < 2:
         raise TooShortSessionError(f"proximity adaptation needs >= 2 ticks, got {t}")
@@ -156,15 +146,14 @@ def spatial_proximity_adaptation(session: TeamSession, distance: str = "euclidea
     return 0.0 if bottom == 0.0 else top / bottom
 
 
-def coordination_metrics(session: TeamSession, grid: GridSpec | None = None, coarsen: int = 1,
-                         distance: str = "euclidean") -> CoordinationMetrics:
+def coordination_metrics(session: TeamSession, coarsen: int = 1) -> CoordinationMetrics:
     """SED, SMS and SPA of one session; SED and SMS share one cell-index array."""
     sed_unit = _occupancy_units(session, SeriesMetric.SED)
-    idx = _cell_index_array(session, grid, coarsen)
+    idx = _cell_index_array(session, coarsen)
     return CoordinationMetrics(
         sed=_whole_mission(SeriesMetric.SED, idx, sed_unit),
         sms=_whole_mission(SeriesMetric.SMS, idx, _occupancy_units(session, SeriesMetric.SMS)),
-        spa=spatial_proximity_adaptation(session, distance),
+        spa=spatial_proximity_adaptation(session),
     )
 
 
@@ -177,7 +166,7 @@ def _moving_average(values: np.ndarray, k: int) -> np.ndarray:
     """Centered moving average of k points, shrinking near the edges."""
     if k <= 1:
         return values
-    half = k // 2
+    half = min(k // 2, values.size)  # a wider half-width still averages every point
     i = np.arange(values.size)
     lo = np.maximum(i - half, 0)
     n = np.minimum(i + half + 1, values.size) - lo
@@ -219,8 +208,7 @@ def _occupancy_window_series(metric: SeriesMetric, idx: np.ndarray, unit: np.nda
 
 def metric_time_series(session: TeamSession, metric: SeriesMetric | str,
                        window_ticks: int = 20, smooth_ticks: int = 5,
-                       grid: GridSpec | None = None, coarsen: int = 1,
-                       distance: str = "euclidean") -> MetricTimeSeries:
+                       coarsen: int = 1) -> MetricTimeSeries:
     """Sliding-window series of a metric across mission progress.
 
     SED and SMS are recomputed over each window of samples; the cross-role
@@ -249,10 +237,10 @@ def metric_time_series(session: TeamSession, metric: SeriesMetric | str,
 
     if metric in (SeriesMetric.SED, SeriesMetric.SMS):
         unit = _occupancy_units(session, metric)
-        vals = _occupancy_window_series(metric, _cell_index_array(session, grid, coarsen), unit,
+        vals = _occupancy_window_series(metric, _cell_index_array(session, coarsen), unit,
                                         window_ticks)
     else:
-        d = cross_role_distances(session, distance)
+        d = cross_role_distances(session)
         csum = np.concatenate([[0.0], np.cumsum(d)])
         means = (csum[ends + 1] - csum[ends + 1 - window_ticks]) / window_ticks
         if metric is SeriesMetric.INTER_ROLE_DISTANCE:

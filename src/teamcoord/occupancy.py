@@ -46,6 +46,9 @@ def cell_indices(traj: PlayerTrajectory, grid: GridSpec, coarsen: int = 1) -> np
         raise ValueError(f"trajectory {traj.player_id!r} leaves the {grid.width}x{grid.height} grid")
     if coarsen == 1:
         return ys * grid.width + xs
+    # the grid's larger side already pools every cell into cell 0; a larger
+    # factor would overflow int64 in `ys // coarsen`
+    coarsen = min(coarsen, max(grid.width, grid.height))
     cg = coarsen_grid(grid, coarsen)
     return (ys // coarsen) * cg.width + (xs // coarsen)
 

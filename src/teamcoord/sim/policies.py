@@ -40,13 +40,10 @@ _PROBABILITY_PARAMS = ("dither", "p_wait")
 
 @dataclass(frozen=True)
 class AgentPolicy:
-    """Policy blueprint; the seed is combined with the agent slot, so a run
-    is reproducible from (kind, params, seed, map) while two agents sharing
-    a blueprint still behave independently."""
+    """Policy blueprint: a controller kind and its parameters."""
 
     kind: PolicyKind
     params: Mapping[str, float] = field(default_factory=dict)
-    seed: int | None = None
 
     def __post_init__(self):
         for key, value in self.params.items():
@@ -416,12 +413,16 @@ _CONTROLLERS = {
 
 def build_controllers(policies: Sequence[tuple[Role, AgentPolicy]], spec: MapSpec,
                       seed: int) -> list[Controller]:
-    """Instantiate runtime controllers for a 2+2 mission."""
+    """Instantiate runtime controllers for a 2+2 mission.
+
+    Slot i draws from `SeedSequence([seed, i])`, so a mission is reproducible
+    from (map, policies, mission seed) while two agents sharing a blueprint
+    still behave independently.
+    """
     controllers: list[Controller] = []
     for i, (role, policy) in enumerate(policies):
         pair = [r for r, _ in policies[:i]].count(role)  # earlier slots with this role
-        entropy = policy.seed if policy.seed is not None else seed
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([entropy, i])))
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, i])))
         extra = {"pair": pair} if policy.kind is PolicyKind.COORDINATED else {}
         controllers.append(_CONTROLLERS[policy.kind](spec, role, i, rng, policy.params, **extra))
     return controllers

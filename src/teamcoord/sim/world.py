@@ -22,6 +22,7 @@ import numpy as np
 from ..core import (
     ACTIONS,
     SAMPLE,
+    SAMPLE_INTERVAL_S,
     ActionTag,
     CompositionError,
     GridSpec,
@@ -195,21 +196,18 @@ class WorldState:
     rubble_mask: np.ndarray
     door_mask: np.ndarray
     events: tuple[RescueEvent, ...] = ()
-    sample_interval_s: float = 3.0
 
     @property
     def time_s(self) -> float:
-        return self.tick * self.sample_interval_s
+        return self.tick * SAMPLE_INTERVAL_S
 
 
-def initial_state(spec: MapSpec, agents: tuple[AgentState, ...],
-                  sample_interval_s: float = 3.0) -> WorldState:
+def initial_state(spec: MapSpec, agents: tuple[AgentState, ...]) -> WorldState:
     victim_codes = _cell_array(spec.grid, [v.cell for v in spec.victims],
                                [VICTIM_CODES[v.kind] for v in spec.victims], np.int8)
     return WorldState(spec=spec, tick=0, agents=agents, victim_codes=victim_codes,
                       rubble_mask=_cell_array(spec.grid, spec.rubble),
-                      door_mask=_cell_array(spec.grid, spec.doors),
-                      sample_interval_s=sample_interval_s)
+                      door_mask=_cell_array(spec.grid, spec.doors))
 
 
 def step_resolved(state: WorldState, actions) -> tuple[WorldState, tuple[AgentAction, ...]]:
@@ -269,12 +267,11 @@ def step_resolved(state: WorldState, actions) -> tuple[WorldState, tuple[AgentAc
         a.flags.writeable = False
     new_state = WorldState(spec=state.spec, tick=state.tick + 1, agents=tuple(agents),
                            victim_codes=victims, rubble_mask=rubble, door_mask=doors,
-                           events=tuple(events), sample_interval_s=state.sample_interval_s)
+                           events=tuple(events))
     return new_state, tuple(resolved)
 
 
-def run_mission(spec: MapSpec, policies, seed: int, session_id: str | None = None,
-                sample_interval_s: float = 3.0) -> TeamSession:
+def run_mission(spec: MapSpec, policies, seed: int, session_id: str | None = None) -> TeamSession:
     """Run one full mission and return its validated session record.
 
     `policies` is a sequence of four (role, AgentPolicy) pairs, two medics
@@ -288,16 +285,16 @@ def run_mission(spec: MapSpec, policies, seed: int, session_id: str | None = Non
     roles = [role for role, _ in policies]
     if len(policies) != 4 or roles.count(Role.MEDIC) != 2 or roles.count(Role.ENGINEER) != 2:
         raise CompositionError("run_mission needs exactly 2 medic and 2 engineer policies")
-    n_ticks = int(round(spec.mission_duration_s / sample_interval_s))
+    n_ticks = int(round(spec.mission_duration_s / SAMPLE_INTERVAL_S))
     if n_ticks < 1:
         raise InvalidMapError(f"map {spec.name!r}: a {spec.mission_duration_s} s mission has no "
-                              f"tick at a sample interval of {sample_interval_s} s")
+                              f"tick at a sample interval of {SAMPLE_INTERVAL_S} s")
 
     start = spec.start.y * spec.grid.width + spec.start.x
     agents = tuple(AgentState(player_id=f"{role.value}{roles[:i + 1].count(role)}", role=role,
                               cell=start) for i, role in enumerate(roles))
     controllers = build_controllers(policies, spec, seed)
-    state = initial_state(spec, agents, sample_interval_s)
+    state = initial_state(spec, agents)
     # per agent and tick: the cell stood on, the resolved action and its target (-1 for none)
     cells, kinds, targets = (np.empty((len(agents), n_ticks), dtype=dtype)
                              for dtype in (np.int64, np.int8, np.int64))
@@ -314,15 +311,14 @@ def run_mission(spec: MapSpec, policies, seed: int, session_id: str | None = Non
 
     ticks = np.broadcast_to(np.arange(n_ticks), cells.shape)
     ys, xs = np.divmod(np.stack([cells, np.maximum(targets, 0)]), spec.grid.width)
-    samples = np.rec.fromarrays([ticks, ticks * sample_interval_s, xs[0], ys[0], kinds,
+    samples = np.rec.fromarrays([ticks, ticks * SAMPLE_INTERVAL_S, xs[0], ys[0], kinds,
                                  xs[1], ys[1], targets >= 0], dtype=SAMPLE)
     players = tuple(PlayerTrajectory(player_id=a.player_id, role=a.role, samples=samples[i])
                     for i, a in enumerate(agents))
     session = TeamSession(
         session_id=session_id or f"{spec.name}-{seed}",
         grid=spec.grid, players=players, events=state.events,
-        mission_duration_s=spec.mission_duration_s, red_cutoff_s=spec.red_cutoff_s,
-        sample_interval_s=sample_interval_s)
+        mission_duration_s=spec.mission_duration_s, red_cutoff_s=spec.red_cutoff_s)
     report = validate_session(session)
     if report:  # a violation here is a simulator bug, not user error
         raise AssertionError(f"simulator produced an invalid session: {report[:3]}")

@@ -394,6 +394,29 @@ def test_metrics_coarsen_zero_exits_2(tmp_path, capsys):
     assert "--coarsen" in capsys.readouterr().err
 
 
+def test_metrics_coarsen_past_the_grid_pools_it_whole(capsys):
+    # beyond the grid's larger side every factor gives one cell; 2**63 and up
+    # do not fit an int64
+    session = str(EXAMPLE_TABLE.with_name("session.jsonl"))
+    outs = []
+    for factor in (12, 1000, 2 ** 63, 2 ** 70):
+        assert run(["metrics", session, "--coarsen", str(factor)]) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs == [outs[0]] * 4
+
+
+def test_timeseries_smooth_past_the_series_averages_it_whole(tmp_path, capsys):
+    # 2**64 // 2 does not fit an int64
+    logs = sim_corpus(tmp_path, runs=4)
+    capsys.readouterr()
+    outs = []
+    for smooth in (1000, 2 ** 63, 2 ** 64, 2 ** 70):
+        assert run(["timeseries", *map(str, logs), "--metric", "inter_role_distance",
+                    "--smooth", str(smooth)]) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs == [outs[0]] * 4
+
+
 @pytest.mark.parametrize("field, value", [("mission_duration_s", 600.0), ("red_cutoff_s", 200.0)])
 def test_timeseries_mixed_mission_clocks_exit_2(tmp_path, capsys, field, value):
     logs = sim_corpus(tmp_path, runs=4)

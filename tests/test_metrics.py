@@ -146,15 +146,10 @@ def test_spa_needs_two_ticks():
         spatial_proximity_adaptation(s)
 
 
-def test_distance_metric_switch():
+def test_cross_role_distance_is_euclidean():
     s = session_from_cells([static((0, 0)), static((0, 0))],
                            [static((3, 4)), static((3, 4))], G)
-    d_euc = cross_role_distances(s, "euclidean")
-    d_man = cross_role_distances(s, "manhattan")
-    assert d_euc[0] == pytest.approx(5.0)
-    assert d_man[0] == pytest.approx(7.0)
-    with pytest.raises(ValueError):
-        cross_role_distances(s, "chebyshev")
+    assert cross_role_distances(s)[0] == pytest.approx(5.0)
 
 
 # --- bounds on random sessions ----------------------------------------------
