@@ -4,7 +4,8 @@ Policies observe the world through a Chebyshev field-of-view disc: victims,
 rubble and door states are learned (and unlearned) only when their cell is in
 view; static walls and teammate positions are always known, mirroring a map
 whose layout is shown but whose entities are fogged. Everything is seeded and
-deterministic.
+deterministic. The action rules live in `world.py`: the controllers act
+through its `_rescuers` and `_terrain_action`, as the step does.
 """
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..core import ActionTag, Role, TeamCoordError
-from .world import _GREEN, _RED, _YELLOW, AgentAction, MapSpec, WAIT_ACTION, WorldState
+from .world import (_GREEN, _RED, _YELLOW, AgentAction, MapSpec, WAIT_ACTION, WorldState,
+                    _rescuers, _terrain_action)
 
 
 class PolicyKind(Enum):
@@ -204,28 +206,18 @@ class Controller:
 
     # -- adjacency opportunities ----------------------------------------------
 
-    def _adjacent_rescue(self, state: WorldState, me: int,
-                         include_red: bool = True) -> AgentAction | None:
-        nbs = self.spec.neighbor_lists
-        for nb in nbs[me]:
-            kind = state.victim_codes[nb]
-            if kind != _GREEN and self.role is not Role.MEDIC:
-                continue  # engineers rescue greens only
-            if (kind == _GREEN
-                    or kind == _YELLOW and not state.rubble_mask[nb]
-                    or kind == _RED and include_red and state.time_s < state.spec.red_cutoff_s
-                    and any(a.role is Role.ENGINEER and a.cell in nbs[nb] for a in state.agents)):
+    def _adjacent_rescue(self, state: WorldState, me: int) -> AgentAction | None:
+        agent = state.agents[self.index]
+        for nb in self.spec.neighbor_lists[me]:
+            if _rescuers(state, state.victim_codes, agent, nb):
                 return AgentAction(ActionTag.RESCUE, nb)
         return None
 
     def _adjacent_engineering(self, state: WorldState, me: int) -> AgentAction | None:
-        if self.role is not Role.ENGINEER:
-            return None
         for nb in self.spec.neighbor_lists[me]:
-            if state.rubble_mask[nb]:
-                return AgentAction(ActionTag.CLEAR, nb)
-            if state.door_mask[nb]:
-                return AgentAction(ActionTag.OPEN, nb)
+            kind = _terrain_action(self.role, state.rubble_mask, state.door_mask, nb)
+            if kind is not None:
+                return AgentAction(kind, nb)
         return None
 
     def act(self, state: WorldState) -> AgentAction:
@@ -314,8 +306,7 @@ class CoordinatedSpecialistController(Controller):
         cy = (1, g.height // 2 - 2) if pair == 0 else (g.height // 2 + 1, g.height - 2)
         self.waypoints = [y * g.width + x for x, y in
                           ((cx[0], cy[0]), (cx[1], cy[0]), (cx[1], cy[1]), (cx[0], cy[1]))
-                          if 0 <= x < g.width and 0 <= y < g.height
-                          and not spec.wall_mask[y * g.width + x]]
+                          if g.contains(x, y) and not spec.wall_mask[y * g.width + x]]
         self.start = spec.start.y * g.width + spec.start.x
         self.still_for, self._last_cells = [], []  # ticks each agent has stood still, and where
 
@@ -396,7 +387,7 @@ class CoordinatedSpecialistController(Controller):
         me = state.agents[self.index].cell
         field = self._field(me)
         # outside the own half, head for it; inside, the nearest half cell is `me`
-        return (self._adjacent_rescue(state, me, include_red=False)
+        return (self._adjacent_rescue(state, me)
                 or self._adjacent_engineering(state, me)
                 or self._move_toward(self.role_half.tobytes(), field)
                 or self._approach(np.flatnonzero(self._serviceable() & self.role_half).tolist(),

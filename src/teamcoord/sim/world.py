@@ -8,7 +8,9 @@ on the common start cell.
 
 A mission runs on row-major int cells (`y * width + x`): agents, action
 targets and the `WorldState` arrays of victims, rubble and closed doors. The
-map arrives as `Position` sets (`MapSpec`), read once per mission.
+map arrives as `Position` sets (`MapSpec`), read once per mission. The action
+rules live here, in `_rescuers` and `_terrain_action`, and the step and the
+controllers of `policies.py` both act through them.
 """
 from __future__ import annotations
 
@@ -88,13 +90,9 @@ class MapSpec:
 
     def problems(self) -> list[str]:
         out = []
-
-        def outside(c: Position) -> bool:
-            return not (0 <= c.x < self.grid.width and 0 <= c.y < self.grid.height)
-
         for label, cells in (("wall", self.walls), ("door", self.doors), ("rubble", self.rubble)):
             for c in cells:
-                if outside(c):
+                if not self.grid.contains(c.x, c.y):
                     out.append(f"{label} at ({c.x}, {c.y}) outside grid")
         if self.walls & self.doors:
             out.append("door cells overlap walls")
@@ -103,7 +101,7 @@ class MapSpec:
         seen_cells = set()
         for v in self.victims:
             c = v.cell
-            if outside(c):
+            if not self.grid.contains(c.x, c.y):
                 out.append(f"victim at ({c.x}, {c.y}) outside grid")
                 continue
             if c in seen_cells:
@@ -116,7 +114,7 @@ class MapSpec:
             if v.kind is not VictimType.YELLOW and c in self.rubble:
                 out.append(f"{v.kind} victim at ({c.x}, {c.y}) buried under rubble")
         s = self.start
-        if outside(s):
+        if not self.grid.contains(s.x, s.y):
             out.append("start cell outside grid")
         elif s in self.walls or s in self.doors or s in self.rubble or s in seen_cells:
             out.append("start cell not traversable")
@@ -210,6 +208,31 @@ def initial_state(spec: MapSpec, agents: tuple[AgentState, ...]) -> WorldState:
                       door_mask=_cell_array(spec.grid, spec.doors))
 
 
+def _rescuers(state: WorldState, victims: np.ndarray, agent: AgentState,
+              c: int) -> tuple[str, ...] | None:
+    """Ids credited when `agent` rescues the victim at `c` in `victims`; None if not
+    allowed. Engineers rescue greens only, a yellow needs its rubble gone at the start
+    of the tick, and a red needs the cutoff ahead and an engineer beside `c`."""
+    code = victims[c]
+    if (not code or agent.role is Role.ENGINEER and code != _GREEN
+            or code == _YELLOW and state.rubble_mask[c]):
+        return None
+    if code != _RED:
+        return (agent.player_id,)
+    around = state.spec.neighbor_lists[c]
+    helper = next((a for a in state.agents if a.role is Role.ENGINEER and a.cell in around), None)
+    if helper is None or state.time_s >= state.spec.red_cutoff_s:
+        return None
+    return (agent.player_id, helper.player_id)
+
+
+def _terrain_action(role: Role, rubble: np.ndarray, doors: np.ndarray, c: int) -> ActionTag | None:
+    """An engineer CLEARs rubble and OPENs a closed door at `c`; None otherwise."""
+    if role is not Role.ENGINEER:
+        return None
+    return ActionTag.CLEAR if rubble[c] else ActionTag.OPEN if doors[c] else None
+
+
 def step_resolved(state: WorldState, actions) -> tuple[WorldState, tuple[AgentAction, ...]]:
     """Advance one tick; illegal actions degrade to waits.
 
@@ -218,12 +241,10 @@ def step_resolved(state: WorldState, actions) -> tuple[WorldState, tuple[AgentAc
     """
     if len(actions) != len(state.agents):
         raise MalformedActionError(f"{len(actions)} actions for {len(state.agents)} agents")
-    nbs = state.spec.neighbor_lists
     victims, rubble, doors = (a.copy() for a in (
         state.victim_codes, state.rubble_mask, state.door_mask))
     events = list(state.events)
     resolved: list[AgentAction] = [WAIT_ACTION] * len(actions)
-    t = state.time_s
     agents = list(state.agents)
     # In agent order. A rescue removes its victim at once, which settles conflicts;
     # terrain checks and moves see the start-of-tick state. Agents may share cells.
@@ -231,37 +252,23 @@ def step_resolved(state: WorldState, actions) -> tuple[WorldState, tuple[AgentAc
         if not isinstance(act, AgentAction) or not isinstance(act.kind, ActionTag):
             raise MalformedActionError(f"not an agent action: {act!r}")
         c = act.target
-        if act.kind is ActionTag.WAIT or c not in nbs[agent.cell]:
+        if act.kind is ActionTag.WAIT or c not in state.spec.neighbor_lists[agent.cell]:
             continue  # no adjacent target: a wait
         if act.kind is ActionTag.MOVE:  # `c` is no wall: neighbor lists leave walls out
             if not (state.rubble_mask[c] or state.door_mask[c]):
                 agents[i] = AgentState(agent.player_id, agent.role, c)
                 resolved[i] = act
         elif act.kind is ActionTag.RESCUE:
-            code = victims[c]
-            if (not code or agent.role is Role.ENGINEER and code != _GREEN
-                    or code == _YELLOW and state.rubble_mask[c]):
-                continue
-            if code == _RED:
-                if t >= state.spec.red_cutoff_s:
-                    continue
-                helper = next((a for a in state.agents
-                               if a.role is Role.ENGINEER and a.cell in nbs[c]), None)
-                if helper is None:
-                    continue
-                actors = (agent.player_id, helper.player_id)
-            else:
-                actors = (agent.player_id,)
-            victims[c] = 0
-            y, x = divmod(c, state.spec.grid.width)
-            events.append(RescueEvent(time_s=t, victim_type=_VICTIM_KINDS[code],
-                                      victim_cell=Position(x, y), actor_ids=actors))
-            resolved[i] = act
-        else:  # clear rubble or open a door
-            terrain = rubble if act.kind is ActionTag.CLEAR else doors
-            if agent.role is Role.ENGINEER and terrain[c]:
-                terrain[c] = False
+            actors = _rescuers(state, victims, agent, c)
+            if actors is not None:
+                y, x = divmod(c, state.spec.grid.width)
+                events.append(RescueEvent(time_s=state.time_s, victim_cell=Position(x, y),
+                                          victim_type=_VICTIM_KINDS[victims[c]], actor_ids=actors))
+                victims[c] = 0
                 resolved[i] = act
+        elif _terrain_action(agent.role, rubble, doors, c) is act.kind:  # clear or open
+            (rubble if act.kind is ActionTag.CLEAR else doors)[c] = False
+            resolved[i] = act
 
     for a in (victims, rubble, doors):
         a.flags.writeable = False
