@@ -515,6 +515,34 @@ def test_mission_rule_audit(kind):
             mission_rule_audit(run_mission(builtin_map(mapname), policy_team(kind), seed=seed))
 
 
+def test_requested_actions_resolve_when_the_others_wait(monkeypatch):
+    """The controllers and the step act through the same rules in `world.py`:
+    every rescue, clear or open a planner requests goes through when the step
+    runs it with the other three agents waiting."""
+    from teamcoord.sim import world
+
+    step = world.step_resolved
+    checked, degraded = [], []
+
+    def checking_step(state, actions):
+        for i, act in enumerate(actions):
+            if act.kind in (ActionTag.RESCUE, ActionTag.CLEAR, ActionTag.OPEN):
+                alone = [WAIT] * len(actions)
+                alone[i] = act
+                checked.append(act)
+                if step(state, alone)[1][i] is not act:
+                    degraded.append((state.spec.name, state.tick, i, act))
+        return step(state, actions)
+
+    monkeypatch.setattr(world, "step_resolved", checking_step)
+    for mapname in ("small", "medium", "corridor"):
+        for kind in (PolicyKind.GREEDY, PolicyKind.COORDINATED):
+            for seed in (0, 1):
+                run_mission(builtin_map(mapname), policy_team(kind), seed=seed)
+    assert degraded == []
+    assert len(checked) == 360  # the golden missions' requests, pinned with their streams
+
+
 def test_policy_ordering_on_medium_map():
     spec = builtin_map("medium")
     means = {}
