@@ -53,6 +53,7 @@ VICTIM_CODES = {VictimType.GREEN: 1, VictimType.YELLOW: 2, VictimType.RED: 3}
 _VICTIM_KINDS = {code: kind for kind, code in VICTIM_CODES.items()}
 _GREEN, _YELLOW, _RED = (VICTIM_CODES[k] for k in
                          (VictimType.GREEN, VictimType.YELLOW, VictimType.RED))
+_MAX_TICKS = 10 ** 6  # the longest mission: about 35 days at the 3 s sample interval
 
 
 def _cell_array(grid: GridSpec, cells, values=True, dtype=bool) -> np.ndarray:
@@ -293,9 +294,10 @@ def run_mission(spec: MapSpec, policies, seed: int, session_id: str | None = Non
     if len(policies) != 4 or roles.count(Role.MEDIC) != 2 or roles.count(Role.ENGINEER) != 2:
         raise CompositionError("run_mission needs exactly 2 medic and 2 engineer policies")
     n_ticks = int(round(spec.mission_duration_s / SAMPLE_INTERVAL_S))
-    if n_ticks < 1:
-        raise InvalidMapError(f"map {spec.name!r}: a {spec.mission_duration_s} s mission has no "
-                              f"tick at a sample interval of {SAMPLE_INTERVAL_S} s")
+    if not 1 <= n_ticks <= _MAX_TICKS:
+        ticks = "no tick" if n_ticks < 1 else f"more than the {_MAX_TICKS} ticks allowed"
+        raise InvalidMapError(f"map {spec.name!r}: a {spec.mission_duration_s} s mission has "
+                              f"{ticks} at a sample interval of {SAMPLE_INTERVAL_S} s")
 
     start = spec.start.y * spec.grid.width + spec.start.x
     agents = tuple(AgentState(player_id=f"{role.value}{roles[:i + 1].count(role)}", role=role,

@@ -129,6 +129,16 @@ def test_simulate_mission_shorter_than_one_sample_exits_3(tmp_path, capsys):
     assert not list((tmp_path / "o").iterdir())
 
 
+def test_simulate_mission_over_the_tick_ceiling_exits_3(tmp_path, capsys):
+    path = example_map_with(tmp_path, mission_duration_s=1e300)
+    argv = ["simulate", "--map", str(path), "--runs", "1", "--out", str(tmp_path / "o")]
+    assert run(argv) == EXIT_DOMAIN
+    assert capsys.readouterr().err == (
+        "error: map 'demo-pocket': a 1e+300 s mission has more than the 1000000 ticks allowed "
+        "at a sample interval of 3.0 s\n")
+    assert not list((tmp_path / "o").iterdir())
+
+
 def test_metrics_command_builds_table(tmp_path, capsys):
     logs = sim_corpus(tmp_path, runs=4)
     out_csv = tmp_path / "metrics.csv"

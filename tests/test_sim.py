@@ -436,6 +436,27 @@ def test_mission_shorter_than_one_sample_is_refused_before_controllers(monkeypat
         run_mission(spec, policy_team(PolicyKind.RANDOM_WALK), seed=0)
 
 
+def test_mission_over_the_tick_ceiling_is_refused_before_controllers(monkeypatch):
+    from teamcoord.sim import policies
+
+    class Built(Exception):
+        pass
+
+    def build_controllers(*args):
+        raise Built
+
+    monkeypatch.setattr(policies, "build_controllers", build_controllers)
+    team = policy_team(PolicyKind.RANDOM_WALK)
+    with pytest.raises(Built):  # 10**6 ticks are allowed
+        run_mission(map_from_ascii("long", "S.\n..\n", mission_duration_s=3e6), team, seed=0)
+    for duration, shown in ((3e6 + 3, r"3000003\.0"), (1e300, r"1e\+300")):
+        spec = map_from_ascii("long", "S.\n..\n", mission_duration_s=duration)
+        with pytest.raises(InvalidMapError, match=(
+                rf"^map 'long': a {shown} s mission has more than the 1000000 ticks allowed "
+                r"at a sample interval of 3\.0 s$")):
+            run_mission(spec, team, seed=0)
+
+
 # --- missions -----------------------------------------------------------------
 
 
