@@ -278,6 +278,8 @@ def pct_mediated(indirect: float, total: float) -> float | None:
 
 # Cells of the (resamples, n) index matrix handled at once by the bootstrap.
 _BOOT_BLOCK_CELLS = 1 << 18
+# The most resamples one bootstrap draws: its results take 8 bytes each.
+_MAX_RESAMPLES = 10 ** 6
 
 # numpy's SeedSequence hash constants (uint32 arithmetic) and Philox4x64-10's
 # round multipliers and key bumps.
@@ -502,6 +504,8 @@ def _bootstrap_mediations(xs: list, m, y, resamples: int, seed: int) -> list[Med
             raise ValueError(f"need at least 5 observations, got {n}")
         if resamples < 1:
             raise ValueError("resamples must be positive")
+        if resamples > _MAX_RESAMPLES:
+            raise ValueError(f"resamples must be at most {_MAX_RESAMPLES}, got {resamples}")
         if seed < 0:
             raise ValueError("seed must be non-negative")
         *point, ok = _mediation_paths(xv[None], _mediator_terms(mv[None], yv[None]))

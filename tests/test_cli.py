@@ -391,6 +391,15 @@ def test_stats_mediation_out_of_range_exits_2(tmp_path, capsys, n_rows, resample
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("resamples", [2**63 - 1, 2**64])
+def test_stats_mediation_resamples_over_the_ceiling_exit_2(tmp_path, capsys, resamples):
+    table = random_table(tmp_path / "m.csv", 30)
+    assert run(["stats", "--table", str(table), "--analysis", "mediation",
+                "--resamples", str(resamples)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"usage error: resamples must be at most 1000000, got {resamples}\n")
+
+
 @pytest.mark.parametrize("flags", [["--window", "1"], ["--smooth", "0"]])
 def test_timeseries_out_of_range_flags_exit_2(tmp_path, capsys, flags):
     logs = sim_corpus(tmp_path, runs=4)

@@ -354,6 +354,13 @@ def test_mediation_exactly_collinear_input_raises_at_the_point_estimate():
         bootstrap_mediation(x, m, y, resamples=300, seed=0)
 
 
+@pytest.mark.parametrize("resamples", [10**6 + 1, 2**63 - 1, 2**64])
+def test_mediation_refuses_resamples_over_the_ceiling(resamples):
+    x, m, y = [0.0, 0, 0, 0, 1], [1.0, 2, 3, 4, 5], [0.5, -1.0, 2.0, 0.25, 1.5]
+    with pytest.raises(ValueError, match=f"^resamples must be at most 1000000, got {resamples}$"):
+        bootstrap_mediation(x, m, y, resamples=resamples)
+
+
 def test_mediation_refuses_negative_seed():
     x, m, y = [0.0, 0, 0, 0, 1], [1.0, 2, 3, 4, 5], [0.5, -1.0, 2.0, 0.25, 1.5]
     with pytest.raises(ValueError, match="^seed must be non-negative$"):
