@@ -629,10 +629,9 @@ def mann_whitney_u_exact(a, b, alternative: str = "two-sided") -> MannWhitneyRes
     _reject_nan("mann_whitney_u_exact", av, bv)
     pooled = np.concatenate([av, bv])
     # w[i] = twice the number of pooled values beaten by value i, ties counting
-    # 1/2 each; the U of a subset A is then sum(w[A]) / 2 - C(|A|, 2).
-    gt = pooled[:, None] > pooled[None, :]
-    eq = pooled[:, None] == pooled[None, :]
-    w = 2 * gt.sum(axis=1) + eq.sum(axis=1) - 1
+    # 1/2 each, which is 2 * (mid-rank - 1); the U of a subset A is then
+    # sum(w[A]) / 2 - C(|A|, 2).
+    w = (2 * rankdata(pooled) - 2).astype(np.int64)
     w_obs = int(w[:n1].sum())
 
     # Count subsets of the smaller group's size; a second-group subset summing

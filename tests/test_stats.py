@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -608,6 +609,18 @@ def test_u_exact_rejects_nan_and_oversized_tables():
         mann_whitney_u_exact([1.0, math.nan], [2.0, 3.0])
     with pytest.raises(ValueError, match="use mann_whitney_u"):
         mann_whitney_u_exact(np.arange(100.0), np.arange(100.0) + 0.5)
+
+
+def test_u_exact_refuses_an_oversized_table_before_allocating_much():
+    # the scores once came from two n x n comparison matrices, 68.8 MB at 3000 vs 3000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="use mann_whitney_u"):
+            mann_whitney_u_exact(np.arange(3000.0), np.arange(3000.0) + 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize("call, name", [
