@@ -11,7 +11,7 @@ from pathlib import Path
 from teamcoord import Role, validate_session
 from teamcoord.outcomes import team_performance
 from teamcoord.session_io import read_session, write_session
-from teamcoord.sim import AgentPolicy, PolicyKind, builtin_map, map_meta, run_mission
+from teamcoord.sim import AgentPolicy, PolicyKind, builtin_map, run_mission
 
 OUT = Path(__file__).parent / "out"
 
@@ -41,9 +41,9 @@ def main():
     OUT.mkdir(exist_ok=True)
     a = run_mission(spec, team(PolicyKind.COORDINATED), seed=7, session_id="replay")
     b = run_mission(spec, team(PolicyKind.COORDINATED), seed=7, session_id="replay")
-    pa, _ = write_session(a, OUT / "replay_a.jsonl", map_meta=map_meta(spec))
+    pa, _ = write_session(a, OUT / "replay_a.jsonl")
     with tempfile.TemporaryDirectory() as tmp:
-        pb, _ = write_session(b, Path(tmp) / "replay_b.jsonl", map_meta=map_meta(spec))
+        pb, _ = write_session(b, Path(tmp) / "replay_b.jsonl")
         print("byte-identical:", pa.read_bytes() == pb.read_bytes())
     print("round-trip preserves the session exactly:", read_session(pa) == a)
 

@@ -144,13 +144,12 @@ def cmd_simulate(args) -> int:
     spec = _load_map(args.map)
     policies = _parse_policies(args.policies, _parse_params(args.policy_param))
     out_dir = _out_dir(args)
-    meta = map_meta(spec)
     slug = _policy_slug(policies)
     for i in range(args.runs):
         seed = args.seed + i
         session_id = f"{spec.name}-{slug}-s{seed:05d}"
         session = run_mission(spec, policies, seed=seed, session_id=session_id)
-        log_path, _ = write_session(session, out_dir / f"{session_id}.jsonl", map_meta=meta)
+        log_path, _ = write_session(session, out_dir / f"{session_id}.jsonl")
         perf = team_performance(session.events)
         rescues = ",".join(f"{k.value}={v}" for k, v in sorted(perf.rescues.items(),
                                                                key=lambda kv: kv[0].value))
@@ -159,6 +158,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    if args.coarsen < 1:
+        raise UsageError("--coarsen must be at least 1")
     fallback_meta = map_meta(_load_map(args.map)) if args.map else None
     rows = []
     failures = []
@@ -171,10 +172,7 @@ def cmd_metrics(args) -> int:
         meta = session.map_meta or fallback_meta
         if meta is None:
             raise UsageError(f"{path}: no embedded map metadata; pass --map")
-        try:
-            m = coordination_metrics(session, coarsen=args.coarsen)
-        except ValueError as exc:  # coarsening factor below 1
-            raise UsageError(f"--coarsen: {exc}") from None
+        m = coordination_metrics(session, coarsen=args.coarsen)
         ci = collective_intelligence(session, meta)
         perf = team_performance(session.events)
         rows.append(MetricsTableRow(session_id=session.session_id, sed=m.sed, sms=m.sms,

@@ -166,7 +166,7 @@ class TeamSession:
     mission_duration_s: float = 300.0
     red_cutoff_s: float = 180.0
     sample_interval_s: float = SAMPLE_INTERVAL_S
-    # a manifest's embedded task inventory; not part of the record, so not compared
+    # the map's task inventory, which manifests embed; not part of the record, so not compared
     map_meta: MapMeta | None = field(default=None, compare=False)
 
     @property
@@ -216,6 +216,8 @@ def validate_session(session: TeamSession) -> list[Violation]:
 
     if not (session.sample_interval_s > 0 and session.mission_duration_s > 0):  # nan too
         out.append(Violation(CONFIG, "sample interval and mission duration must be positive"))
+    elif not math.isfinite(session.mission_duration_s / session.sample_interval_s):
+        out.append(Violation(CONFIG, "mission duration must span finitely many sample intervals"))
     if not 0 < session.red_cutoff_s <= session.mission_duration_s:
         out.append(Violation(CONFIG, "red cutoff must lie inside the mission duration"))
 

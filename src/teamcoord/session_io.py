@@ -80,11 +80,11 @@ def manifest_path_for(log_path) -> Path:
 # Sessions
 
 
-def write_session(session: TeamSession, log_path, map_meta: MapMeta | None = None) -> tuple[Path, Path]:
+def write_session(session: TeamSession, log_path) -> tuple[Path, Path]:
     """Write the trajectory log and its manifest; returns both paths.
 
-    The log holds one line per tick and player, so players whose tick counts
-    differ raise `SessionValidationError` before anything is written.
+    The manifest embeds `session.map_meta` when set. The log holds one line per tick and
+    player; players whose tick counts differ raise `SessionValidationError` before any write.
     """
     log_path = Path(log_path)
     manifest_path = manifest_path_for(log_path)
@@ -115,11 +115,11 @@ def write_session(session: TeamSession, log_path, map_meta: MapMeta | None = Non
             for e in session.events
         ],
     }
-    if map_meta is not None:
+    if (meta := session.map_meta) is not None:
         manifest["map_meta"] = {
-            "traversable_cells": map_meta.traversable_cells,
-            "max_tasks": {role.value: n for role, n in sorted(map_meta.max_tasks.items(),
-                                                              key=lambda kv: kv[0].value)},
+            "traversable_cells": meta.traversable_cells,
+            "max_tasks": {role.value: n for role, n in sorted(meta.max_tasks.items(),
+                                                          key=lambda kv: kv[0].value)},
         }
 
     log_path.write_text("".join(line for lines in by_tick for line in lines), encoding="utf-8")
@@ -208,8 +208,8 @@ def read_session(log_path, validate: bool = True) -> TeamSession:
     time. Both give the same session and the same errors.
 
     With `validate`, the parsed session must also pass `validate_session`.
-    Last, the manifest's `map_meta`, when present, becomes the session's
-    `map_meta`; a malformed one is a `bad map_meta` error on the manifest.
+    Last, the manifest's `map_meta`, when present, becomes the session's `map_meta`, which
+    `write_session` writes back; a malformed one is a `bad map_meta` error on the manifest.
     """
     log_path = Path(log_path)
     manifest_path = manifest_path_for(log_path)
@@ -414,24 +414,34 @@ def write_map(spec: MapSpec, path) -> Path:
     return path
 
 
+def _json_int(value, name: str) -> int:
+    """`value` when JSON wrote it as an integer; a bool, float or string is a TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
 def read_map(path) -> MapSpec:
+    """A map manifest; its sizes, field of view and cell coordinates must be JSON integers."""
     path = Path(path)
     doc = _load_json(path, "map file")
+    def cell(x, y, name):
+        return Position(_json_int(x, name), _json_int(y, name))
     def cells(key):
-        return frozenset(Position(int(x), int(y)) for x, y in doc[key])
+        return frozenset(cell(x, y, key) for x, y in doc[key])
     try:
         _require(doc["format_version"] == FORMAT_VERSION,
                  f"unsupported format_version {doc['format_version']!r}", path)
         spec = MapSpec(
             name=doc["name"],
-            grid=GridSpec(int(doc["width"]), int(doc["height"])),
+            grid=GridSpec(_json_int(doc["width"], "width"), _json_int(doc["height"], "height")),
             walls=cells("walls"), doors=cells("doors"), rubble=cells("rubble"),
-            victims=tuple(Victim(Position(int(v["x"]), int(v["y"])), VictimType(v["type"]))
+            victims=tuple(Victim(cell(v["x"], v["y"], "victims"), VictimType(v["type"]))
                           for v in doc["victims"]),
-            start=Position(int(doc["start"][0]), int(doc["start"][1])),
+            start=cell(doc["start"][0], doc["start"][1], "start"),
             mission_duration_s=float(doc["mission_duration_s"]),
             red_cutoff_s=float(doc["red_cutoff_s"]),
-            fov_radius=int(doc["fov_radius"]))
+            fov_radius=_json_int(doc["fov_radius"], "fov_radius"))
     except _MALFORMED as exc:
         raise _malformed("map", exc, path) from None
     spec.validate()

@@ -280,7 +280,7 @@ def step_resolved(state: WorldState, actions) -> tuple[WorldState, tuple[AgentAc
 
 
 def run_mission(spec: MapSpec, policies, seed: int, session_id: str | None = None) -> TeamSession:
-    """Run one full mission and return its validated session record.
+    """Run one full mission and return its validated session record, carrying `map_meta(spec)`.
 
     `policies` is a sequence of four (role, AgentPolicy) pairs, two medics
     and two engineers. Fixed (map, policies, seed) reproduces the mission
@@ -327,7 +327,8 @@ def run_mission(spec: MapSpec, policies, seed: int, session_id: str | None = Non
     session = TeamSession(
         session_id=session_id or f"{spec.name}-{seed}",
         grid=spec.grid, players=players, events=state.events,
-        mission_duration_s=spec.mission_duration_s, red_cutoff_s=spec.red_cutoff_s)
+        mission_duration_s=spec.mission_duration_s, red_cutoff_s=spec.red_cutoff_s,
+        map_meta=map_meta(spec))
     report = validate_session(session)
     if report:  # a violation here is a simulator bug, not user error
         raise AssertionError(f"simulator produced an invalid session: {report[:3]}")

@@ -649,6 +649,8 @@ def validate_session_reference(session: TeamSession) -> list[Violation]:
 
     if not (session.sample_interval_s > 0 and session.mission_duration_s > 0):
         out.append(Violation(CONFIG, "sample interval and mission duration must be positive"))
+    elif not math.isfinite(session.mission_duration_s / session.sample_interval_s):
+        out.append(Violation(CONFIG, "mission duration must span finitely many sample intervals"))
     if not 0 < session.red_cutoff_s <= session.mission_duration_s:
         out.append(Violation(CONFIG, "red cutoff must lie inside the mission duration"))
 

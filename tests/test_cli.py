@@ -120,6 +120,18 @@ def test_simulate_infinite_mission_clock_exits_3(tmp_path, capsys, fields):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("field, value", [("fov_radius", 2.5), ("fov_radius", True),
+                                          ("fov_radius", "2"), ("width", 7.9), ("height", 8.0)])
+def test_simulate_map_with_a_non_integer_size_exits_1(tmp_path, capsys, field, value):
+    path = example_map_with(tmp_path, **{field: value})
+    argv = ["simulate", "--map", str(path), "--runs", "1", "--out", str(tmp_path / "o")]
+    assert run(argv) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {path}: bad map: {field} must be a JSON integer, "
+                   f"got {json.dumps(value)}\n")
+
+
 def test_simulate_mission_shorter_than_one_sample_exits_3(tmp_path, capsys):
     path = example_map_with(tmp_path, mission_duration_s=1.0, red_cutoff_s=1.0)
     argv = ["simulate", "--map", str(path), "--runs", "1", "--out", str(tmp_path / "o")]
@@ -413,6 +425,13 @@ def test_metrics_coarsen_zero_exits_2(tmp_path, capsys):
     assert "--coarsen" in capsys.readouterr().err
 
 
+def test_metrics_coarsen_zero_exits_2_before_reading_sessions(tmp_path, capsys):
+    assert run(["metrics", "--coarsen", "0", str(tmp_path / "missing.jsonl")]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "usage error: --coarsen must be at least 1\n"
+
+
 def test_metrics_coarsen_past_the_grid_pools_it_whole(capsys):
     # beyond the grid's larger side every factor gives one cell; 2**63 and up
     # do not fit an int64
@@ -445,6 +464,23 @@ def test_timeseries_mixed_mission_clocks_exit_2(tmp_path, capsys, field, value):
     manifest.write_text(json.dumps(doc))
     assert run(["timeseries", *map(str, logs), "--metric", "sed"]) == EXIT_USAGE
     assert "mission clock" in capsys.readouterr().err
+
+
+def test_timeseries_infinite_mission_clock_exits_1(tmp_path, capsys):
+    # four copies of the example session with distinct ids and an infinite mission
+    src = EXAMPLE_TABLE.with_name("session.jsonl")
+    logs = []
+    for k in range(4):
+        log = tmp_path / f"s{k}.jsonl"
+        log.write_text(src.read_text().replace("demo-pocket-s00001", f"s{k}"))
+        doc = json.loads(src.with_suffix(".manifest.json").read_text())
+        doc.update(session_id=f"s{k}", mission_duration_s=float("inf"))
+        log.with_suffix(".manifest.json").write_text(json.dumps(doc))
+        logs.append(str(log))
+    assert run(["timeseries", *logs, "--metric", "sed"]) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: {logs[0]}: {logs[0]}: invalid session: CONFIG: mission duration" in err
 
 
 @pytest.mark.parametrize("analysis, n_rows, message", [

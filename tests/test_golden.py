@@ -21,7 +21,7 @@ from teamcoord.core import ActionTag
 from teamcoord.cli import EXIT_OK, main
 from teamcoord.metrics import SeriesMetric
 from teamcoord.session_io import write_session
-from teamcoord.sim import AgentPolicy, PolicyKind, builtin_map, map_meta, run_mission
+from teamcoord.sim import AgentPolicy, PolicyKind, builtin_map, run_mission
 from teamcoord.sim.maps import map_from_ascii
 
 MAPS = ("small", "medium", "corridor")
@@ -333,7 +333,7 @@ def test_committed_replay(tmp_path):
     team = [(Role.MEDIC, policy), (Role.MEDIC, policy),
             (Role.ENGINEER, policy), (Role.ENGINEER, policy)]
     session = run_mission(spec, team, seed=7, session_id="replay")
-    fresh = write_session(session, tmp_path / "replay_a.jsonl", map_meta=map_meta(spec))
+    fresh = write_session(session, tmp_path / "replay_a.jsonl")
     for path in fresh:
         committed = (REPLAY_DIR / path.name).read_bytes()
         assert committed == path.read_bytes()
@@ -350,8 +350,7 @@ def test_edge_of_grid_sessions(tmp_path, kind, fov_radius):
     digest = hashlib.sha256()
     for seed in EDGE_SEEDS:
         session = run_mission(spec, team, seed=seed)
-        for path in write_session(session, tmp_path / f"{kind}-{seed}.jsonl",
-                                  map_meta=map_meta(spec)):
+        for path in write_session(session, tmp_path / f"{kind}-{seed}.jsonl"):
             digest.update(path.read_bytes())
     assert digest.hexdigest() == EDGE_PINS[f"{kind}-fov{fov_radius}"], digest.hexdigest()
 
@@ -395,7 +394,7 @@ TEAM_PINS = {
 def _team_digest(tmp_path, spec, team) -> str:
     session = run_mission(spec, team, seed=0)
     digest = hashlib.sha256()
-    for path in write_session(session, tmp_path / "team.jsonl", map_meta=map_meta(spec)):
+    for path in write_session(session, tmp_path / "team.jsonl"):
         digest.update(path.read_bytes())
     return digest.hexdigest()
 

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -39,6 +40,10 @@ from test_fuzz_session import outcome
 
 POLICIES = [(Role.MEDIC, AgentPolicy(PolicyKind.GREEDY))] * 2 + \
            [(Role.ENGINEER, AgentPolicy(PolicyKind.GREEDY))] * 2
+
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLE_LOG = ROOT / "docs" / "examples" / "session.jsonl"
+REPLAY_LOG = ROOT / "demos" / "out" / "replay_a.jsonl"
 
 
 @pytest.fixture(scope="module")
@@ -90,10 +95,10 @@ def test_session_files_byte_deterministic(tmp_path, sim_session):
 def test_map_meta_embedding(tmp_path, sim_session):
     meta = map_meta(builtin_map("small"))
     log = tmp_path / "s.jsonl"
-    write_session(sim_session, log, map_meta=meta)
+    write_session(sim_session, log)
     assert read_session(log).map_meta == meta
     bare = tmp_path / "bare.jsonl"
-    write_session(sim_session, bare)
+    write_session(replace(sim_session, map_meta=None), bare)
     assert read_session(bare).map_meta is None
     # the inventory is not part of the mission record
     assert read_session(log) == read_session(bare)
@@ -154,16 +159,18 @@ def test_write_refuses_players_with_unequal_tick_counts(tmp_path, sim_session, d
     assert not log.exists() and not manifest_path_for(log).exists()
 
 
-def test_docs_examples_roundtrip_byte_identical(tmp_path, capsys):
-    examples = Path(__file__).resolve().parent.parent / "docs" / "examples"
-    src = examples / "session.jsonl"
-    session = read_session(src)
-    log, manifest = write_session(session, tmp_path / "session.jsonl", session.map_meta)
+@pytest.mark.parametrize("src", [EXAMPLE_LOG, REPLAY_LOG], ids=["docs-example", "demo-replay"])
+def test_committed_session_writes_back_byte_identical(tmp_path, src):
+    # the session carries the manifest's map_meta, so nothing is passed beside it
+    log, manifest = write_session(read_session(src), tmp_path / src.name)
     assert log.read_bytes() == src.read_bytes()
     assert manifest.read_bytes() == manifest_path_for(src).read_bytes()
 
-    assert main(["metrics", str(src)]) == 0
-    header, row = (examples / "metrics.csv").read_text().splitlines()[:2]
+
+def test_docs_examples_roundtrip_byte_identical(capsys):
+    # the byte round trip of the example is in test_committed_session_writes_back_byte_identical
+    assert main(["metrics", str(EXAMPLE_LOG)]) == 0
+    header, row = EXAMPLE_LOG.with_name("metrics.csv").read_text().splitlines()[:2]
     assert row.startswith("demo-pocket-s00001,")
     assert capsys.readouterr().out.splitlines() == [header, row]
 
@@ -341,6 +348,20 @@ def test_map_rejects_malformed_cells(tmp_path):
     p.write_text(json.dumps(doc))
     with pytest.raises(SessionFormatError):
         read_map(p)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("width", 7.9), ("height", 8.0), ("fov_radius", 2.5), ("fov_radius", True), ("fov_radius", "2"),
+    ("walls", [[0, 1.5]]), ("doors", [[True, 1]]), ("rubble", [["3", 1]]),
+    ("victims", [{"x": 1.0, "y": 1, "type": "green"}]), ("start", [1, 1.0]),
+])
+def test_map_integer_fields_must_be_json_integers(tmp_path, field, value):
+    p = write_map(builtin_map("small"), tmp_path / "m.json")
+    p.write_text(json.dumps({**json.loads(p.read_text()), field: value}))
+    with pytest.raises(SessionFormatError) as exc:
+        read_map(p)
+    assert exc.value.path == p
+    assert f"{p}: bad map: {field} must be a JSON integer, got " in str(exc.value)
 
 
 @pytest.mark.parametrize("fields", [{"mission_duration_s": math.inf},
@@ -530,11 +551,6 @@ def test_log_line_not_utf8_names_path_and_line(tmp_path, sim_session, capsys, ba
     assert str(exc.value) == f"{log}:3: line is not UTF-8"
     assert main(["metrics", str(log)]) == EXIT_IO
     assert f"{log}:3: line is not UTF-8" in capsys.readouterr().err
-
-
-ROOT = Path(__file__).resolve().parent.parent
-EXAMPLE_LOG = ROOT / "docs" / "examples" / "session.jsonl"
-REPLAY_LOG = ROOT / "demos" / "out" / "replay_a.jsonl"
 
 
 @pytest.fixture
