@@ -28,21 +28,22 @@ class DuplicateIdError(TeamCoordError):
     """Two players share a player_id."""
 
 
-class Role(Enum):
+class ValueEnum(Enum):
+    """An enum whose members print as their values, in str(), f-strings and format()."""
+
+    def __str__(self) -> str:
+        return self.value
+
+
+class Role(ValueEnum):
     MEDIC = "medic"
     ENGINEER = "engineer"
 
-    def __str__(self) -> str:
-        return self.value
 
-
-class VictimType(Enum):
+class VictimType(ValueEnum):
     GREEN = "green"
     YELLOW = "yellow"
     RED = "red"
-
-    def __str__(self) -> str:
-        return self.value
 
     @property
     def performance_weight(self) -> int:
@@ -53,7 +54,7 @@ class VictimType(Enum):
 _PERFORMANCE_WEIGHTS = {VictimType.GREEN: 10, VictimType.YELLOW: 30, VictimType.RED: 60}
 
 
-class ActionTag(Enum):
+class ActionTag(ValueEnum):
     """What a player did during one tick."""
 
     MOVE = "move"
@@ -61,9 +62,6 @@ class ActionTag(Enum):
     RESCUE = "rescue"
     CLEAR = "clear"
     OPEN = "open"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -153,6 +151,10 @@ class MapMeta:
 
     traversable_cells: int
     max_tasks: Mapping[Role, int]
+
+    def __post_init__(self):
+        if self.traversable_cells < 1:
+            raise ValueError("traversable cell count must be positive")
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,11 @@ Three whole-mission metrics, each in [0, 1]:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .core import CompositionError, Role, TeamCoordError, TeamSession, team_roles_partition
+from .core import (CompositionError, Role, TeamCoordError, TeamSession, ValueEnum,
+                   team_roles_partition)
 from .occupancy import (
     EmptyInputError,
     _segment_sums,
@@ -46,14 +46,11 @@ class WindowTooLargeError(TeamCoordError):
     """Sliding window longer than the session."""
 
 
-class SeriesMetric(Enum):
+class SeriesMetric(ValueEnum):
     SED = "sed"
     SMS = "sms"
     SPA_ROLLING = "spa_rolling"
     INTER_ROLE_DISTANCE = "inter_role_distance"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -68,7 +65,6 @@ class CoordinationMetrics:
 @dataclass(frozen=True)
 class MetricTimeSeries:
     metric: SeriesMetric
-    window_ticks: int
     values: tuple[tuple[float, float], ...]  # (progress fraction, value)
 
     def progress(self) -> np.ndarray:
@@ -256,4 +252,4 @@ def metric_time_series(session: TeamSession, metric: SeriesMetric | str,
 
     vals = _moving_average(np.asarray(vals, dtype=float), smooth_ticks)
     progress = ends / session.nominal_ticks
-    return MetricTimeSeries(metric, window_ticks, tuple(zip(progress.tolist(), vals.tolist())))
+    return MetricTimeSeries(metric, tuple(zip(progress.tolist(), vals.tolist())))

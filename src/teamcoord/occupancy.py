@@ -44,8 +44,6 @@ def cell_indices(traj: PlayerTrajectory, grid: GridSpec, coarsen: int = 1) -> np
     xs, ys = traj.xy[:, 0], traj.xy[:, 1]
     if xs.size and (xs.min() < 0 or ys.min() < 0 or xs.max() >= grid.width or ys.max() >= grid.height):
         raise ValueError(f"trajectory {traj.player_id!r} leaves the {grid.width}x{grid.height} grid")
-    if coarsen == 1:
-        return ys * grid.width + xs
     # the grid's larger side already pools every cell into cell 0; a larger
     # factor would overflow int64 in `ys // coarsen`
     coarsen = min(coarsen, max(grid.width, grid.height))

@@ -67,8 +67,6 @@ def collective_intelligence(session: TeamSession, map_meta: MapMeta) -> CIScore:
     rescue credits both the medic and the assisting engineer; clears and
     door openings are read off the engineer's own action log.
     """
-    if map_meta.traversable_cells < 1:
-        raise ValueError("traversable cell count must be positive")
     rescue_credits: dict[str, int] = {}
     for e in session.events:
         for a in e.actor_ids:

@@ -11,23 +11,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..core import ActionTag, Role, TeamCoordError
+from ..core import ActionTag, Role, TeamCoordError, ValueEnum
 from .world import (_GREEN, _RED, _YELLOW, AgentAction, MapSpec, WAIT_ACTION, WorldState,
                     _rescuers, _terrain_action)
 
 
-class PolicyKind(Enum):
+class PolicyKind(ValueEnum):
     RANDOM_WALK = "random_walk"
     GREEDY = "greedy"
     COORDINATED = "coordinated"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 class PolicyParamError(TeamCoordError):

@@ -16,12 +16,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import TeamCoordError
+from .core import TeamCoordError, ValueEnum
 from .special import f_sf, normal_sf, student_t_two_sided
 
 
@@ -118,10 +117,7 @@ class OlsResult:
     f_stat: float
     f_p_value: float
     coef_p_values: np.ndarray
-    coef_se: np.ndarray
     residuals: np.ndarray
-    n: int
-    df_resid: int
 
 
 def ols(y, design) -> OlsResult:
@@ -169,7 +165,7 @@ def ols(y, design) -> OlsResult:
         else:
             p_values[i] = student_t_two_sided(beta[i] / se[i], df_resid)
     return OlsResult(coefficients=beta, r_squared=r2, f_stat=f_stat, f_p_value=f_p,
-                     coef_p_values=p_values, coef_se=se, residuals=resid, n=n, df_resid=df_resid)
+                     coef_p_values=p_values, residuals=resid)
 
 
 def design_matrix(*columns) -> np.ndarray:
@@ -555,8 +551,6 @@ def _bootstrap_mediations(xs: list, m, y, resamples: int, seed: int) -> list[Med
 class MannWhitneyResult:
     u: float
     p_value: float
-    n1: int
-    n2: int
 
 
 def mann_whitney_u(a, b) -> MannWhitneyResult:
@@ -582,7 +576,7 @@ def mann_whitney_u(a, b) -> MannWhitneyResult:
     else:
         z = max(0.0, abs(u - n1 * n2 / 2.0) - 0.5) / sd
         p = min(1.0, 2.0 * normal_sf(z))
-    return MannWhitneyResult(u=u, p_value=p, n1=n1, n2=n2)
+    return MannWhitneyResult(u=u, p_value=p)
 
 
 # Largest subset-count table the exact Mann-Whitney test builds: about 60 vs 60.
@@ -657,7 +651,7 @@ def mann_whitney_u_exact(a, b, alternative: str = "two-sided") -> MannWhitneyRes
         p = min(1.0, 2.0 * min(p_less, p_greater))
     u_obs = w_obs / 2.0 - n1 * (n1 - 1) / 2.0
     u2 = n1 * n2 - u_obs
-    return MannWhitneyResult(u=min(u_obs, u2), p_value=p, n1=n1, n2=n2)
+    return MannWhitneyResult(u=min(u_obs, u2), p_value=p)
 
 
 # ---------------------------------------------------------------------------
@@ -699,13 +693,10 @@ def one_way_anova(groups: Sequence) -> AnovaResult:
 # Performance grouping
 
 
-class PerformanceGroup(Enum):
+class PerformanceGroup(ValueEnum):
     BOTTOM25 = "bottom25"
     MIDDLE50 = "middle50"
     TOP25 = "top25"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True)

@@ -630,9 +630,6 @@ def read_session_reference(log_path, validate: bool = True) -> TeamSession:
                        max_tasks={Role(k): int(v) for k, v in raw["max_tasks"].items()})
     except _MALFORMED as exc:
         raise _malformed("map_meta", exc, manifest_path) from None
-    if meta.traversable_cells < 1:
-        raise SessionFormatError("bad map_meta: traversable cell count must be positive",
-                                 manifest_path)
     return replace(session, map_meta=meta)
 
 

@@ -16,6 +16,7 @@ from teamcoord.core import (
     CompositionError,
     DuplicateIdError,
     GridSpec,
+    MapMeta,
     PlayerTrajectory,
     Position,
     RescueEvent,
@@ -25,6 +26,9 @@ from teamcoord.core import (
     team_roles_partition,
     validate_session,
 )
+from teamcoord.metrics import SeriesMetric
+from teamcoord.sim.policies import PolicyKind
+from teamcoord.stats import PerformanceGroup
 
 from helpers import random_session, session_from_cells, traj
 from oracles import validate_session_reference
@@ -291,3 +295,16 @@ def test_validation_at_the_int64_limits_matches_reference(case):
     assert any(v.code == DISCONTINUITY and "medic1" in v.message and (
         "tick jumps" in v.message or "moved" in v.message) for v in report)
     assert naive_discontinuities(rows, naive_dtype) == [False]
+
+
+def test_map_meta_needs_a_traversable_cell():
+    with pytest.raises(ValueError, match="traversable cell count must be positive"):
+        MapMeta(traversable_cells=0, max_tasks={})
+
+
+@pytest.mark.parametrize("enum", [Role, VictimType, ActionTag, SeriesMetric, PolicyKind,
+                                  PerformanceGroup], ids=lambda e: e.__name__)
+def test_enum_members_print_as_their_values(enum):
+    for member in enum:
+        assert str(member) == f"{member}" == format(member) == member.value
+        assert format(member, ">24") == format(member.value, ">24")
