@@ -157,6 +157,13 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _read_failure(path, exc: TeamCoordError) -> str:
+    """Why session `path` could not be read, naming `path` once: an error on the
+    log starts with it, one on the manifest gets it in front."""
+    text = str(exc)
+    return text if text.startswith(f"{Path(path)}:") else f"{path}: {text}"
+
+
 def cmd_metrics(args) -> int:
     if args.coarsen < 1:
         raise UsageError("--coarsen must be at least 1")
@@ -167,7 +174,7 @@ def cmd_metrics(args) -> int:
         try:
             session = read_session(path)
         except TeamCoordError as exc:
-            failures.append(f"{path}: {exc}")
+            failures.append(_read_failure(path, exc))
             continue
         meta = session.map_meta or fallback_meta
         if meta is None:
@@ -339,7 +346,7 @@ def cmd_timeseries(args) -> int:
         try:
             sessions.append(read_session(path))
         except TeamCoordError as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
+            print(f"error: {_read_failure(path, exc)}", file=sys.stderr)
             return EXIT_IO
     if len({(s.mission_duration_s, s.red_cutoff_s) for s in sessions}) > 1:
         raise UsageError("sessions differ in mission_duration_s or red_cutoff_s; "

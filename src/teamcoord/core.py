@@ -99,6 +99,15 @@ ACTIONS = tuple(ActionTag)
 
 # Seconds between two logged ticks: the simulator's clock and a session's default.
 SAMPLE_INTERVAL_S = 3.0
+MAX_TICKS = 10 ** 6  # the longest mission: about 35 days at the 3 s sample interval
+
+
+def _clock_ticks(duration_s: float, interval_s: float) -> float:
+    """The tick count a mission clock implies: duration / interval to the nearest
+    whole tick, or inf when the quotient overflows."""
+    ticks = duration_s / interval_s
+    return round(ticks) if math.isfinite(ticks) else ticks
+
 
 # One logged (tick, player) observation per row. `action` indexes ACTIONS,
 # -1 for none. The target is the cell acted on (move destination, victim,
@@ -178,7 +187,7 @@ class TeamSession:
     @property
     def nominal_ticks(self) -> int:
         """Tick count implied by the mission clock (100 for the defaults)."""
-        return max(self.n_ticks, int(round(self.mission_duration_s / self.sample_interval_s)))
+        return max(self.n_ticks, _clock_ticks(self.mission_duration_s, self.sample_interval_s))
 
 
 # Violation codes emitted by validate_session.
@@ -218,8 +227,9 @@ def validate_session(session: TeamSession) -> list[Violation]:
 
     if not (session.sample_interval_s > 0 and session.mission_duration_s > 0):  # nan too
         out.append(Violation(CONFIG, "sample interval and mission duration must be positive"))
-    elif not math.isfinite(session.mission_duration_s / session.sample_interval_s):
-        out.append(Violation(CONFIG, "mission duration must span finitely many sample intervals"))
+    elif _clock_ticks(session.mission_duration_s, session.sample_interval_s) > MAX_TICKS:
+        out.append(Violation(CONFIG, f"mission duration must span at most {MAX_TICKS} "
+                                     "sample intervals"))
     if not 0 < session.red_cutoff_s <= session.mission_duration_s:
         out.append(Violation(CONFIG, "red cutoff must lie inside the mission duration"))
 

@@ -423,10 +423,11 @@ def read_map(path) -> MapSpec:
     """A map manifest; its sizes, field of view and cell coordinates must be JSON integers."""
     path = Path(path)
     doc = _load_json(path, "map file")
-    def cell(x, y, name):
+    def cell(xy, name):
+        x, y = xy
         return Position(_json_int(x, name), _json_int(y, name))
     def cells(key):
-        return frozenset(cell(x, y, key) for x, y in doc[key])
+        return frozenset(cell(xy, key) for xy in doc[key])
     try:
         _require(doc["format_version"] == FORMAT_VERSION,
                  f"unsupported format_version {doc['format_version']!r}", path)
@@ -434,9 +435,9 @@ def read_map(path) -> MapSpec:
             name=doc["name"],
             grid=GridSpec(_json_int(doc["width"], "width"), _json_int(doc["height"], "height")),
             walls=cells("walls"), doors=cells("doors"), rubble=cells("rubble"),
-            victims=tuple(Victim(cell(v["x"], v["y"], "victims"), VictimType(v["type"]))
+            victims=tuple(Victim(cell((v["x"], v["y"]), "victims"), VictimType(v["type"]))
                           for v in doc["victims"]),
-            start=cell(doc["start"][0], doc["start"][1], "start"),
+            start=cell(doc["start"], "start"),
             mission_duration_s=float(doc["mission_duration_s"]),
             red_cutoff_s=float(doc["red_cutoff_s"]),
             fov_radius=_json_int(doc["fov_radius"], "fov_radius"))

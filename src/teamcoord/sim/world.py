@@ -23,6 +23,7 @@ import numpy as np
 
 from ..core import (
     ACTIONS,
+    MAX_TICKS,
     SAMPLE,
     SAMPLE_INTERVAL_S,
     ActionTag,
@@ -36,6 +37,7 @@ from ..core import (
     TeamSession,
     PlayerTrajectory,
     VictimType,
+    _clock_ticks,
     validate_session,
 )
 
@@ -53,7 +55,6 @@ VICTIM_CODES = {VictimType.GREEN: 1, VictimType.YELLOW: 2, VictimType.RED: 3}
 _VICTIM_KINDS = {code: kind for kind, code in VICTIM_CODES.items()}
 _GREEN, _YELLOW, _RED = (VICTIM_CODES[k] for k in
                          (VictimType.GREEN, VictimType.YELLOW, VictimType.RED))
-_MAX_TICKS = 10 ** 6  # the longest mission: about 35 days at the 3 s sample interval
 
 
 def _cell_array(grid: GridSpec, cells, values=True, dtype=bool) -> np.ndarray:
@@ -293,9 +294,9 @@ def run_mission(spec: MapSpec, policies, seed: int, session_id: str | None = Non
     roles = [role for role, _ in policies]
     if len(policies) != 4 or roles.count(Role.MEDIC) != 2 or roles.count(Role.ENGINEER) != 2:
         raise CompositionError("run_mission needs exactly 2 medic and 2 engineer policies")
-    n_ticks = int(round(spec.mission_duration_s / SAMPLE_INTERVAL_S))
-    if not 1 <= n_ticks <= _MAX_TICKS:
-        ticks = "no tick" if n_ticks < 1 else f"more than the {_MAX_TICKS} ticks allowed"
+    n_ticks = _clock_ticks(spec.mission_duration_s, SAMPLE_INTERVAL_S)
+    if not 1 <= n_ticks <= MAX_TICKS:
+        ticks = "no tick" if n_ticks < 1 else f"more than the {MAX_TICKS} ticks allowed"
         raise InvalidMapError(f"map {spec.name!r}: a {spec.mission_duration_s} s mission has "
                               f"{ticks} at a sample interval of {SAMPLE_INTERVAL_S} s")
 

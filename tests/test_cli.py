@@ -132,6 +132,18 @@ def test_simulate_map_with_a_non_integer_size_exits_1(tmp_path, capsys, field, v
                    f"got {json.dumps(value)}\n")
 
 
+@pytest.mark.parametrize("start", [[], [1], "x", [[1]], [1, 2, 3]],
+                         ids=["empty", "one", "string", "nested", "three"])
+def test_simulate_map_with_a_malformed_start_exits_1(tmp_path, capsys, start):
+    path = example_map_with(tmp_path, start=start)
+    argv = ["simulate", "--map", str(path), "--runs", "1", "--out", str(tmp_path / "o")]
+    assert run(argv) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path}: bad map: ") and "values to unpack" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_mission_shorter_than_one_sample_exits_3(tmp_path, capsys):
     path = example_map_with(tmp_path, mission_duration_s=1.0, red_cutoff_s=1.0)
     argv = ["simulate", "--map", str(path), "--runs", "1", "--out", str(tmp_path / "o")]
@@ -466,21 +478,36 @@ def test_timeseries_mixed_mission_clocks_exit_2(tmp_path, capsys, field, value):
     assert "mission clock" in capsys.readouterr().err
 
 
-def test_timeseries_infinite_mission_clock_exits_1(tmp_path, capsys):
-    # four copies of the example session with distinct ids and an infinite mission
+def example_sessions_with_duration(tmp_path, duration):
+    """Four copies of the example session with distinct ids and `duration` as mission clock."""
     src = EXAMPLE_TABLE.with_name("session.jsonl")
     logs = []
     for k in range(4):
         log = tmp_path / f"s{k}.jsonl"
         log.write_text(src.read_text().replace("demo-pocket-s00001", f"s{k}"))
         doc = json.loads(src.with_suffix(".manifest.json").read_text())
-        doc.update(session_id=f"s{k}", mission_duration_s=float("inf"))
+        doc.update(session_id=f"s{k}", mission_duration_s=duration)
         log.with_suffix(".manifest.json").write_text(json.dumps(doc))
         logs.append(str(log))
+    return logs
+
+
+def test_timeseries_infinite_mission_clock_exits_1(tmp_path, capsys):
+    logs = example_sessions_with_duration(tmp_path, float("inf"))
     assert run(["timeseries", *logs, "--metric", "sed"]) == EXIT_IO
     out, err = capsys.readouterr()
     assert out == ""
-    assert f"error: {logs[0]}: {logs[0]}: invalid session: CONFIG: mission duration" in err
+    assert f"error: {logs[0]}: invalid session: CONFIG: mission duration" in err
+
+
+@pytest.mark.parametrize("command", [["metrics"], ["timeseries", "--metric", "sed"]])
+def test_huge_mission_clock_exits_1_naming_each_session_once(tmp_path, capsys, command):
+    logs = example_sessions_with_duration(tmp_path, 1e300)
+    assert run([command[0], *logs, *command[1:]]) == EXIT_IO
+    err = capsys.readouterr().err
+    failed = logs if command[0] == "metrics" else logs[:1]  # timeseries stops at the first
+    assert err == "".join(f"error: {log}: invalid session: CONFIG: mission duration must span "
+                          "at most 1000000 sample intervals\n" for log in failed)
 
 
 @pytest.mark.parametrize("analysis, n_rows, message", [

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from teamcoord.core import (
+    CONFIG,
     DISCONTINUITY,
     DUPLICATE_ID,
     EVENT_TIME,
@@ -49,6 +50,17 @@ def codes(report):
 
 def test_well_formed_session_validates_clean():
     assert validate_session(square_session()) == []
+
+
+@pytest.mark.parametrize("duration, flagged", [
+    (3e6, False),  # exactly 10**6 sample intervals
+    (3e6 + 1.5, False),  # 1000000.5 intervals round to the even 10**6
+    (3e6 + 3.0, True), (1e300, True), (float("inf"), True)])
+def test_mission_clock_spans_at_most_a_million_ticks(duration, flagged):
+    s = square_session(mission_duration_s=duration)
+    report = validate_session(s)
+    assert (CONFIG in codes(report)) is flagged
+    assert report == validate_session_reference(s)
 
 
 def test_three_players_flagged():

@@ -244,6 +244,7 @@ MANIFEST_HOLES = {
     "interval_nan": ("sample_interval_s", float("nan")),
     "interval_subnormal": ("sample_interval_s", 5e-324),
     "duration_infinite": ("mission_duration_s", float("inf")),
+    "duration_huge": ("mission_duration_s", 1e300),
     "no_traversable_cells": ("map_meta", {"traversable_cells": 0, "max_tasks": {}}),
 }
 
