@@ -424,6 +424,8 @@ def read_map(path) -> MapSpec:
     path = Path(path)
     doc = _load_json(path, "map file")
     def cell(xy, name):
+        if type(xy) is not list or len(xy) != 2:
+            raise TypeError(f"{name} must be a pair of JSON integers, got {json.dumps(xy)}")
         x, y = xy
         return Position(_json_int(x, name), _json_int(y, name))
     def cells(key):
@@ -435,7 +437,7 @@ def read_map(path) -> MapSpec:
             name=doc["name"],
             grid=GridSpec(_json_int(doc["width"], "width"), _json_int(doc["height"], "height")),
             walls=cells("walls"), doors=cells("doors"), rubble=cells("rubble"),
-            victims=tuple(Victim(cell((v["x"], v["y"]), "victims"), VictimType(v["type"]))
+            victims=tuple(Victim(cell([v["x"], v["y"]], "victims"), VictimType(v["type"]))
                           for v in doc["victims"]),
             start=cell(doc["start"], "start"),
             mission_duration_s=float(doc["mission_duration_s"]),

@@ -283,8 +283,11 @@ _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+# The Philox arithmetic takes np.uint64 scalars only: under numpy 1.x, a uint64
+# scalar with a Python int gives float64.
+_U32, _U32_MASK = np.uint64(32), np.uint64(_M32)
 
 
 def _hashmix(value, h: int, mult: int):
@@ -332,31 +335,53 @@ def _philox_keys(seed: int, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return state[0] | state[1] << 32, state[2] | state[3] << 32
 
 
-def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products a * b, from 32-bit halves."""
-    a_lo, a_hi = a & _M32, a >> 32
-    b_lo, b_hi = b & _M32, b >> 32
-    t = a_lo * b_lo
-    mid = a_hi * b_lo + (t >> 32)
-    carry = (a_lo * b_hi + (mid & _M32)) >> 32
-    return a_hi * b_hi + (mid >> 32) + carry, b * np.uint64(a)
+def _mulhilo(a: np.uint64, b: np.ndarray, hi: np.ndarray, lo: np.ndarray,
+             t: np.ndarray) -> None:
+    """Write the high and low words of the 128-bit products a * b, from 32-bit
+    halves, into hi and lo; t is scratch of b's shape."""
+    a_lo, a_hi = a & _U32_MASK, a >> _U32
+    np.bitwise_and(b, _U32_MASK, out=lo)
+    np.multiply(lo, a_hi, out=hi)
+    lo *= a_lo
+    lo >>= _U32
+    hi += lo  # mid = a_hi * b_lo + (a_lo * b_lo >> 32)
+    np.bitwise_and(hi, _U32_MASK, out=lo)
+    hi >>= _U32
+    np.right_shift(b, _U32, out=t)
+    t *= a_lo
+    t += lo
+    t >>= _U32  # carry = (a_lo * b_hi + (mid & M32)) >> 32
+    hi += t
+    np.right_shift(b, _U32, out=t)
+    t *= a_hi
+    hi += t  # a_hi * b_hi + (mid >> 32) + carry
+    np.multiply(b, a, out=lo)
 
 
 def _philox_words(k0: np.ndarray, k1: np.ndarray, blocks: int) -> np.ndarray:
     """The first 4 * blocks uint64 outputs of Philox4x64-10 per (k0, k1) key.
 
     numpy's Philox starts at counter 0 and increments it before each block,
-    so block j runs on counter (j + 1, 0, 0, 0).
+    so block j runs on counter (j + 1, 0, 0, 0). The counter words and the
+    products of a round live in (keys, blocks) arrays allocated once; each
+    round writes its products in place and renames the arrays.
     """
-    k0, k1 = k0[:, None], k1[:, None]
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (k0.size, blocks))
-    c1 = c2 = c3 = np.zeros_like(c0)
+    k0 = np.array(k0, dtype=np.uint64)[:, None]  # own copies, bumped in place
+    k1 = np.array(k1, dtype=np.uint64)[:, None]
+    c0, c1, c2, c3, hi0, lo0, hi1, lo1, t = np.zeros((9, k0.size, blocks), dtype=np.uint64)
+    c0[:] = np.arange(1, blocks + 1, dtype=np.uint64)
     for r in range(10):
         if r:
-            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+            k0 += _PHILOX_W[0]
+            k1 += _PHILOX_W[1]
+        _mulhilo(_PHILOX_M[0], c0, hi0, lo0, t)
+        _mulhilo(_PHILOX_M[1], c2, hi1, lo1, t)
+        hi1 ^= c1
+        hi1 ^= k0
+        hi0 ^= c3
+        hi0 ^= k1
+        # the products are the next counter; the spent counter holds the next products
+        (c0, c1, c2, c3), (hi0, lo0, hi1, lo1) = (hi1, lo1, hi0, lo0), (c0, c1, c2, c3)
     return np.stack([c0, c1, c2, c3], axis=-1).reshape(k0.size, 4 * blocks)
 
 
@@ -388,8 +413,10 @@ def _resample_indices(seed: int, start: int, count: int, n: int) -> tuple[np.nda
     else:
         k0, k1 = _philox_keys(seed, np.arange(start, start + count, dtype=np.uint64))
         words = _philox_words(k0, k1, -(-n // 8))  # 8 draws per block
-        draws = np.stack([words & _M32, words >> 32], axis=-1).reshape(count, -1)[:, :n]
-        product = draws * np.uint64(n)
+        # uint32 halves of each word, low half first on any byte order
+        draws = words.astype("<u8", copy=False).view("<u4")[:, :n]
+        # an explicit uint64 product: numpy 1.x keeps uint32 * np.uint64 in uint32
+        product = np.multiply(draws, np.uint64(n), dtype=np.uint64)
         fallback = _may_reject(product & _M32, n)
         product >>= 32
         idx = product.view(np.int64)  # the indices are below n < 2**32: same bits
@@ -411,10 +438,15 @@ def _centred(v: np.ndarray) -> np.ndarray:
     return v - v.mean(axis=1, keepdims=True)
 
 
-def _mediator_terms(m: np.ndarray, y: np.ndarray):
-    """The terms of the paths that do not involve x, per row of (R, n) arrays:
-    centred m and y, smm and smy."""
-    mc, yc = _centred(m), _centred(y)
+def _centre(v: np.ndarray) -> np.ndarray:
+    """`_centred(v)` written over v: for a fresh gather that nothing else holds."""
+    v -= v.mean(axis=1, keepdims=True)
+    return v
+
+
+def _mediator_terms(mc: np.ndarray, yc: np.ndarray):
+    """The terms of the paths that do not involve x, per row of centred (R, n)
+    arrays m and y: mc, yc, smm and smy."""
     return mc, yc, _row_dot(mc, mc), _row_dot(mc, yc)
 
 
@@ -423,15 +455,14 @@ def _mediator_terms(m: np.ndarray, y: np.ndarray):
 _COLLINEAR_TOL = 1e-12
 
 
-def _mediation_paths(x: np.ndarray, mediator):
-    """Closed-form OLS paths per row of an (R, n) array x and the
+def _mediation_paths(xc: np.ndarray, mediator):
+    """Closed-form OLS paths per row of a centred (R, n) array x and the
     `_mediator_terms` of the same rows: a (m~x), b and c' (y~x+m), c (y~x).
 
     Returns (a, b, c_prime, c_total, ok); rows where ok is False are
     degenerate (constant x or collinear x, m) and carry no paths.
     """
     mc, yc, smm, smy = mediator
-    xc = _centred(x)
     sxx = _row_dot(xc, xc)
     sxm = _row_dot(xc, mc)
     sxy = _row_dot(xc, yc)
@@ -446,6 +477,11 @@ def _mediation_paths(x: np.ndarray, mediator):
     return a, b, c_prime, c_total, ok
 
 
+def _paths(x: np.ndarray, m: np.ndarray, y: np.ndarray):
+    """`_mediation_paths` of (R, n) arrays x, m and y, which stay as they are."""
+    return _mediation_paths(_centred(x), _mediator_terms(_centred(m), _centred(y)))
+
+
 def _redrawn_indirect(xv: np.ndarray, mv: np.ndarray, yv: np.ndarray, seed: int, k: int) -> float:
     """Resample k's indirect effect from the draws after its degenerate first one."""
     n = xv.size
@@ -453,7 +489,7 @@ def _redrawn_indirect(xv: np.ndarray, mv: np.ndarray, yv: np.ndarray, seed: int,
     rng.integers(0, n, size=n)  # replays the first draw
     for _ in range(99):
         row = rng.integers(0, n, size=n)[None]
-        a, b, _, _, ok = _mediation_paths(xv[row], _mediator_terms(mv[row], yv[row]))
+        a, b, _, _, ok = _paths(xv[row], mv[row], yv[row])
         if ok[0]:
             return a[0] * b[0]
     raise DegenerateDataError(f"resample {k} stayed degenerate after 100 draws")
@@ -504,7 +540,7 @@ def _bootstrap_mediations(xs: list, m, y, resamples: int, seed: int) -> list[Med
             raise ValueError(f"resamples must be at most {_MAX_RESAMPLES}, got {resamples}")
         if seed < 0:
             raise ValueError("seed must be non-negative")
-        *point, ok = _mediation_paths(xv[None], _mediator_terms(mv[None], yv[None]))
+        *point, ok = _paths(xv[None], mv[None], yv[None])
         if not ok[0]:  # raised after the bootstraps of the predictors ahead of x
             failure = DegenerateDataError("x is constant or x and m are collinear")
             break
@@ -517,9 +553,9 @@ def _bootstrap_mediations(xs: list, m, y, resamples: int, seed: int) -> list[Med
     while active and start < resamples:
         stop = min(resamples, start + max(1, _BOOT_BLOCK_CELLS // n))  # blocks bound memory
         idx, _ = _resample_indices(seed, start, stop - start, n)
-        mediator = _mediator_terms(mv[idx], yv[idx])
+        mediator = _mediator_terms(_centre(mv[idx]), _centre(yv[idx]))
         for i, xv in enumerate(xvs[:active]):
-            sub_a, sub_b, _, _, sub_ok = _mediation_paths(xv[idx], mediator)
+            sub_a, sub_b, _, _, sub_ok = _mediation_paths(_centre(xv[idx]), mediator)
             boot[i][start:stop] = sub_a * sub_b
             try:
                 for k in (start + np.flatnonzero(~sub_ok)).tolist():

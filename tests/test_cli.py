@@ -132,15 +132,26 @@ def test_simulate_map_with_a_non_integer_size_exits_1(tmp_path, capsys, field, v
                    f"got {json.dumps(value)}\n")
 
 
-@pytest.mark.parametrize("start", [[], [1], "x", [[1]], [1, 2, 3]],
-                         ids=["empty", "one", "string", "nested", "three"])
+@pytest.mark.parametrize("start", [[], [1], "x", [[1]], [1, 2, 3], 5],
+                         ids=["empty", "one", "string", "nested", "three", "int"])
 def test_simulate_map_with_a_malformed_start_exits_1(tmp_path, capsys, start):
     path = example_map_with(tmp_path, start=start)
     argv = ["simulate", "--map", str(path), "--runs", "1", "--out", str(tmp_path / "o")]
     assert run(argv) == EXIT_IO
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith(f"error: {path}: bad map: ") and "values to unpack" in err
+    assert err == (f"error: {path}: bad map: start must be a pair of JSON integers, "
+                   f"got {json.dumps(start)}\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("wall", [[1], 5, [1, 2, 3]], ids=["one", "int", "three"])
+def test_simulate_map_with_a_malformed_wall_exits_1(tmp_path, capsys, wall):
+    path = example_map_with(tmp_path, walls=[wall])
+    argv = ["simulate", "--map", str(path), "--runs", "1", "--out", str(tmp_path / "o")]
+    assert run(argv) == EXIT_IO
+    assert capsys.readouterr().err == (f"error: {path}: bad map: walls must be a pair of "
+                                       f"JSON integers, got {json.dumps(wall)}\n")
     assert not (tmp_path / "o").exists()
 
 

@@ -161,6 +161,23 @@ def test_ols_oracle_sweep_with_p_values():
         assert np.max(np.abs(X.T @ res.residuals)) < 1e-8
 
 
+def test_ols_refuses_a_design_that_is_not_a_matrix_or_not_as_long_as_y():
+    with pytest.raises(ValueError, match="^design must be a 2-d matrix$"):
+        ols([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+    with pytest.raises(LengthMismatchError, match="^y has 3 rows, design has 4$"):
+        ols([1.0, 2.0, 3.0], design_matrix([1.0, 2.0, 3.0, 4.0]))
+
+
+@pytest.mark.parametrize("level, p", [(2.0, 0.0), (0.0, 1.0)])
+def test_ols_exact_fit_has_zero_se_and_a_p_value_of_0_or_1(level, p):
+    # an intercept-only fit of a constant leaves residuals of exactly 0, so
+    # sigma2 = 0: a nonzero coefficient is certain, a zero one carries nothing
+    res = ols(np.full(4, level), np.ones((4, 1)))
+    assert not res.residuals.any()
+    assert res.coefficients[0] == level
+    assert res.coef_p_values[0] == p
+
+
 def test_ols_rank_deficiency():
     x = np.arange(8.0)
     X = np.column_stack([np.ones(8), x, 2 * x])
@@ -362,6 +379,12 @@ def test_mediation_refuses_resamples_over_the_ceiling(resamples):
         bootstrap_mediation(x, m, y, resamples=resamples)
 
 
+def test_mediation_refuses_a_y_of_another_length():
+    x = [0.0, 0, 0, 0, 1]
+    with pytest.raises(LengthMismatchError, match="^lengths differ: 5 vs 4$"):
+        bootstrap_mediation(x, x, [1.0, 2, 3, 4], resamples=10)
+
+
 def test_mediation_refuses_negative_seed():
     x, m, y = [0.0, 0, 0, 0, 1], [1.0, 2, 3, 4, 5], [0.5, -1.0, 2.0, 0.25, 1.5]
     with pytest.raises(ValueError, match="^seed must be non-negative$"):
@@ -402,6 +425,19 @@ def test_resample_indices_match_spawned_streams(seed, start, count, n):
     assert idx.dtype == np.int64
     assert np.array_equal(idx, spawned_indices(seed, start, count, n))
     assert not fallback.any()
+
+
+@pytest.mark.parametrize("key", [(0, 0), (2**64 - 1, 2**64 - 1),
+                                 (0x8F3A61C2D4B7E905, 0x1C6E2A9F7B3D4058)])
+@pytest.mark.parametrize("blocks", [1, 5, 16])
+def test_philox_words_match_numpy_philox(key, blocks):
+    # rows keyed (k0, k1) and (k1, k0); numpy takes the key as a uint64 array,
+    # since a list of Python ints above 2**53 loses bits on the way in
+    k0s = np.array(key, dtype=np.uint64)
+    words = stats._philox_words(k0s, k0s[::-1], blocks)
+    assert words.dtype == np.uint64 and words.shape == (2, 4 * blocks)
+    for row, pair in zip(words, np.stack([k0s, k0s[::-1]], axis=1)):
+        assert np.array_equal(row, np.random.Philox(key=pair).random_raw(4 * blocks))
 
 
 def test_resample_indices_seeds_of_two_to_four_words_match_spawned_streams():
@@ -652,7 +688,26 @@ def test_u_empty_sample_rejected():
         mann_whitney_u([], [1.0])
 
 
+def test_u_of_all_tied_values_has_p_1():
+    # the tie correction leaves no variance: no evidence either way
+    assert mann_whitney_u([2.0, 2.0], [2.0, 2.0, 2.0]) == stats.MannWhitneyResult(u=3.0, p_value=1.0)
+
+
+def test_u_exact_refuses_an_empty_sample_and_an_unknown_alternative():
+    for a, b in (([], [1.0]), ([1.0], [])):
+        with pytest.raises(ValueError, match="^both samples must be non-empty$"):
+            mann_whitney_u_exact(a, b)
+    with pytest.raises(ValueError, match="^unknown alternative 'two_sided'$"):
+        mann_whitney_u_exact([1.0], [2.0], alternative="two_sided")
+
+
 # --- ANOVA -----------------------------------------------------------------------
+
+@pytest.mark.parametrize("groups", [[], [[1.0, 2.0, 3.0]]])
+def test_anova_needs_two_groups(groups):
+    with pytest.raises(ValueError, match="^need at least 2 groups$"):
+        one_way_anova(groups)
+
 
 def test_anova_equal_means_gives_zero_f():
     r = one_way_anova([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
