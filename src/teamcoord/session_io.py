@@ -11,9 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
+from array import array
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from itertools import repeat
+from operator import itemgetter, ne
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -134,18 +136,13 @@ _to_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _ACTION_JSON = {-1: "null", **{i: _to_json(a.value) for i, a in enumerate(ACTIONS)}}
 
 
-def _id_run(session_id, player_id, role: Role) -> str:
-    """The player_id, role and session_id members of a player's log lines."""
-    return (f'"player_id":{_to_json(player_id)},"role":{_to_json(role.value)}'
-            f',"session_id":{_to_json(session_id)}')
-
-
 def _player_lines(session_id, player: PlayerTrajectory) -> list[str]:
     """One player's log lines, newline included, in tick order: the record
     with sorted keys that `json.dumps` writes, filled into a template that
     holds the player's escaped ids."""
     s = player.samples
-    ids = f",{_id_run(session_id, player.player_id, player.role)},"
+    ids = (f',"player_id":{_to_json(player.player_id)},"role":{_to_json(player.role.value)}'
+           f',"session_id":{_to_json(session_id)},')
     times = [repr(t) for t in s["time_s"].tolist()]
     for i in np.flatnonzero(~np.isfinite(s["time_s"])).tolist():
         times[i] = _to_json(s["time_s"][i].item())  # NaN, Infinity, -Infinity
@@ -175,37 +172,34 @@ def _malformed(what: str, exc: Exception, path, line=None) -> SessionFormatError
 
 
 def _load_json(path, what: str):
-    if not path.exists():
-        raise SessionFormatError(f"missing {what}", path)
+    _require(path.exists(), f"missing {what}", path)
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep for json
         raise SessionFormatError(f"bad {what} JSON: {exc}", path) from exc
 
 
 def read_session(log_path, validate: bool = True) -> TeamSession:
     """Parse a session log plus manifest; validates unless told otherwise.
 
-    Each non-blank log line must hold exactly one JSON object, and a line
-    that fails any of these checks raises `SessionFormatError` naming the
-    log path and line number, in this order:
+    Each non-blank log line must hold one JSON object. The lowest line that
+    fails a check raises `SessionFormatError` naming the log path, the line
+    and the first check it fails, in this order:
 
     - the line is UTF-8 (the whole log is decoded before any record is read);
-    - the line parses as one JSON value with nothing after it;
+    - the line parses as one JSON object with nothing after it;
     - it has a `session_id` equal to the manifest's;
     - its `player_id` is on the manifest roster;
     - its `role` is a known role and the roster's role for that player;
     - its `action` is null or a known action;
-    - `target_x` and `target_y` are both present or both absent, and
-      convert to int when present;
-    - its `tick` converts to int and is not already logged for the player;
-    - `time_s` converts to float and `x`, `y` convert to int;
+    - `target_x` and `target_y` are both present or both absent, and are
+      JSON integers when present;
+    - its `tick` is a JSON integer not already logged for the player;
+    - `time_s` is a JSON number within float range, `x` and `y` JSON integers;
     - `tick`, `x`, `y` and the target fit in a signed 64-bit int.
 
-    A missing key or a value of the wrong type is reported as `bad record`.
-    A log whose lines are byte for byte what `write_session` writes is
-    converted column by column; any other log is converted one record at a
-    time. Both give the same session and the same errors.
+    A missing key or a value of the wrong type (a bool is no integer, a
+    string no number) is reported as `bad record`.
 
     With `validate`, the parsed session must also pass `validate_session`.
     Last, the manifest's `map_meta`, when present, becomes the session's `map_meta`, which
@@ -240,14 +234,8 @@ def read_session(log_path, validate: bool = True) -> TeamSession:
     except _MALFORMED as exc:
         raise _malformed("manifest", exc, manifest_path) from None
 
-    if not log_path.exists():
-        raise SessionFormatError("missing log file", log_path)
-    lines = _log_lines(log_path)
-    samples = _columnar_samples(lines, session_id, roster)
-    if samples is None:
-        samples = _record_samples(lines, session_id, roster, log_path)
-    players = tuple(PlayerTrajectory(player_id=pid, role=roster[pid], samples=samples[pid])
-                    for pid in roster)
+    _require(log_path.exists(), "missing log file", log_path)
+    players = _log_players(log_path, session_id, roster)
 
     session = TeamSession(
         session_id=session_id, grid=grid, players=players, events=tuple(events),
@@ -278,111 +266,128 @@ def read_utf8(path: Path) -> str:
         raise SessionFormatError("line is not UTF-8", path, line) from None
 
 
-def _log_lines(log_path: Path) -> list[str]:
-    """The lines of a log, split at LF, CRLF and CR as a text-mode read
-    splits them; a byte that is not UTF-8 is an error on its line."""
-    text = read_utf8(log_path)
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text.split("\n")
+_ABSENT = object()  # a record's value for a key it lacks, which every check refuses
+_REQUIRED = ("action", "player_id", "role", "session_id", "tick", "time_s", "x", "y")
+_JSON_TYPES = {"integer": {int}, "number": {int, float}}  # a bool is neither
+_ACTION_INDEX = {None: -1, **{a.value: i for i, a in enumerate(ACTIONS)}}
+_ROLE_INDEX = {r.value: i for i, r in enumerate(Role)}
 
 
-# One log line exactly as `_player_lines` writes it: sorted keys, no
-# whitespace, strings without escapes, JSON ints (`[0-9]`, since `\d` matches
-# other digits too) and a time with a fraction or an exponent, or NaN,
-# Infinity or -Infinity. No part matches a newline. The groups are the
-# action, the player_id/role/session_id run, the target x and y ('' when
-# absent), the tick, the time, x and y.
-_INT = r"-?(?:0|[1-9][0-9]*)"
-_STR = r'"[^"\\\n]*"'
-_WRITER_FORM = re.compile(
-    rf'^\{{"action":({"|".join(map(re.escape, _ACTION_JSON.values()))}),'
-    rf'("player_id":{_STR},"role":{_STR},"session_id":{_STR})'
-    rf'(?:,"target_x":({_INT}),"target_y":({_INT}))?,"tick":({_INT}),'
-    rf'"time_s":({_INT}(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)|NaN|-?Infinity),'
-    rf'"x":({_INT}),"y":({_INT})\}}$', re.MULTILINE)
-_ACTION_OF_JSON = {text: i for i, text in _ACTION_JSON.items()}
+def _decode(texts: list[str]) -> tuple[list[dict], Exception | None]:
+    """The object on each log line, from one parse of the whole log if it gives a dict per line,
+    each line starts with `{` and ends with `}`, and the log has no other `{`; else per line."""
+    joined = ",\n".join(texts)
+    try:
+        records = json.loads(f"[{joined}]")
+        trusted = (len(records) == len(texts) == joined.count("{") and set(map(type, records))
+                   == {dict} and set(map(itemgetter(0, -1), texts)) == {("{", "}")})
+    except (ValueError, RecursionError):  # RecursionError: nesting too deep for json
+        trusted = False
+    return (records, None) if trusted else _decode_lines(texts)
 
 
-def _columnar_samples(lines, session_id, roster: dict[str, Role]) -> dict[str, np.ndarray] | None:
-    """Each roster player's SAMPLE rows in tick order, built column by column
-    when every non-blank line is byte for byte a line `write_session` writes
-    for this manifest: a roster player with its roster role, the manifest's
-    session id, ints within 64 bits and ticks unique per player. Returns
-    None when any line is not, so that `_record_samples` converts the file
-    one record at a time.
-    """
-    texts = list(filter(None, map(str.strip, lines)))
-    # a match spans one whole line, so each line matches when the counts agree
-    records = _WRITER_FORM.findall("\n".join(texts))
-    if len(records) != len(texts):
-        return None
-    n = len(records)
-    actions, ids, target_x, target_y, ticks, times, xs, ys = list(zip(*records)) or [()] * 8
-    player = {_id_run(session_id, pid, role): i for i, (pid, role) in enumerate(roster.items())}
-    owner = np.fromiter(map(player.get, ids, repeat(-1)), np.intp, n)
-    if (owner < 0).any():
-        return None
-    # an absent target is '' and reads as 0, as in `_record_samples`
-    tokens = [t or "0" for t in ticks + xs + ys + target_x + target_y] + list(times)
-    try:  # one parse reads each number as json.loads reads it in a record
-        numbers = json.loads(f"[{','.join(tokens)}]")
-        ints = np.array(numbers[:5 * n], np.int64).reshape(5, n)
-    except (OverflowError, ValueError):  # past 64 bits, or too many digits for an int
-        return None
-
-    rows = np.zeros(n, SAMPLE)
-    rows["tick"], rows["x"], rows["y"], rows["target_x"], rows["target_y"] = ints
-    rows["time_s"], rows["has_target"] = numbers[5 * n:], np.fromiter(map(bool, target_x), bool, n)
-    rows["action"] = np.fromiter(map(_ACTION_OF_JSON.__getitem__, actions), np.int8, n)
-    order = np.lexsort((rows["tick"], owner))
-    rows, owner = rows[order], owner[order]
-    if ((owner[1:] == owner[:-1]) & (rows["tick"][1:] == rows["tick"][:-1])).any():
-        return None
-    bounds = np.searchsorted(owner, np.arange(len(roster) + 1)).tolist()
-    return {pid: rows[lo:hi] for pid, lo, hi in zip(roster, bounds, bounds[1:])}
-
-
-def _record_samples(lines, session_id, roster: dict[str, Role], log_path) -> dict[str, list]:
-    """Each roster player's sample tuples in tick order, read one record at a
-    time; raises `SessionFormatError` at the first line that fails a check
-    `read_session` lists."""
-    samples: dict[str, dict[int, tuple]] = {pid: {} for pid in roster}
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
+def _decode_lines(texts: list[str]) -> tuple[list[dict], Exception | None]:
+    """Each line's object, one line at a time, up to the first line holding none, and its error."""
+    records = []
+    for text in texts:
         try:
-            rec = json.loads(line)
-            if rec["session_id"] != session_id:
-                raise SessionFormatError("session_id differs from manifest", log_path, lineno)
-            pid = rec["player_id"]
-            if pid not in roster:
-                raise SessionFormatError(f"player {pid!r} not in manifest roster",
-                                         log_path, lineno)
-            if Role(rec["role"]) is not roster[pid]:
-                raise SessionFormatError(f"role mismatch for {pid!r}", log_path, lineno)
-            value = rec["action"]
-            action = -1 if value is None else ACTIONS.index(ActionTag(value))
-            target_x = target_y = 0
-            has_target = "target_x" in rec or "target_y" in rec
-            if has_target:
-                if "target_x" not in rec or "target_y" not in rec:
-                    raise SessionFormatError("target needs both coordinates", log_path, lineno)
-                target_x, target_y = int(rec["target_x"]), int(rec["target_y"])
-            tick = int(rec["tick"])
-            ticks = samples[pid]
-            if tick in ticks:
-                raise SessionFormatError(f"duplicate tick {tick} for {pid!r}", log_path, lineno)
-            time_s = float(rec["time_s"])
-            x, y = int(rec["x"]), int(rec["y"])
-            if (min(tick, x, y, target_x, target_y) < -2 ** 63
-                    or max(tick, x, y, target_x, target_y) >= 2 ** 63):
-                raise OverflowError("int outside the signed 64-bit range")
-            ticks[tick] = (tick, time_s, x, y, action, target_x, target_y, has_target)
-        except _MALFORMED as exc:
-            raise _malformed("record", exc, log_path, lineno) from None
-    return {pid: sorted(ticks.values()) for pid, ticks in samples.items()}
+            record = json.loads(text)
+            record if type(record) is dict else record["session_id"]  # a non-object raises
+        except (ValueError, RecursionError, TypeError) as exc:
+            return records, exc
+        records.append(record)
+    return records, None
+
+
+def _codes(table: dict, values: list, missing: int) -> np.ndarray:
+    """`table[v]` for each of `values`, or `missing` where v is no key."""
+    try:
+        return np.fromiter(map(table.get, values, repeat(missing)), np.intp, len(values))
+    except TypeError:  # an unhashable array or object is no key
+        return np.array([missing if type(v) in (list, dict) else table.get(v, missing)
+                         for v in values], np.intp)
+
+
+def _number_column(values: list, kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """JSON integers as int64 or numbers as float64, with masks of the values that are no JSON
+    `kind` and of those the dtype cannot hold (0 in the array); `array` checks the range."""
+    code, types = "q" if kind == "integer" else "d", _JSON_TYPES[kind]
+    wrong, outside = np.zeros(len(values), bool), np.zeros(len(values), bool)
+    if set(map(type, values)) <= types:
+        with suppress(OverflowError):
+            return np.asarray(array(code, values)), wrong, outside
+    kept = array(code)
+    for k, value in enumerate(values):
+        wrong[k] = type(value) not in types
+        try:
+            kept.append(0 if wrong[k] else value)
+        except OverflowError:
+            kept.append(0)
+            outside[k] = True
+    return np.asarray(kept), wrong, outside
+
+
+def _log_players(log_path: Path, session_id, roster: dict[str, Role]) -> tuple:
+    """Each roster player's trajectory; each check `read_session` lists is a column mask."""
+    text = read_utf8(log_path)  # CRLF and CR end a line too, as in a text-mode read
+    lines = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text).split("\n")
+    records, undecoded = _decode(list(filter(None, map(str.strip, lines))))
+    n = len(records)
+    try:  # the keys every record must hold, in one pass
+        held = dict(zip(_REQUIRED, zip(*map(itemgetter(*_REQUIRED), records))))
+    except KeyError:  # a record lacks one, so each column is read on its own
+        held = {}
+    def column(key, absent=_ABSENT):
+        return held.get(key) or list(map(dict.get, records, repeat(key, n), repeat(absent, n)))
+    player = _codes({pid: i for i, pid in enumerate(roster)}, column("player_id"), -1)
+    roster_role = np.array([_ROLE_INDEX[r.value] for r in roster.values()] + [-1])[player]
+    has_x, has_y = (np.fromiter(map(dict.__contains__, records, repeat(key, n)), bool, n)
+                    for key in ("target_x", "target_y"))
+    (tick, x, y, target_x, target_y), wrong, outside = (a.reshape(5, n) for a in _number_column(
+        [*column("tick"), *column("x"), *column("y"), *column("target_x", 0),
+         *column("target_y", 0)], "integer"))  # an absent target reads as 0
+    times, bad_time, big_time = _number_column(column("time_s"), "number")
+    action = _codes(_ACTION_INDEX, column("action"), -2)
+    order = np.lexsort((tick, player))
+    repeated = np.zeros(n, bool)  # a player's tick on an earlier line
+    repeated[order[1:][(player[order][1:] == player[order][:-1])
+                       & (tick[order][1:] == tick[order][:-1])]] = True
+    # Each check's mask, true on its failing lines (and maybe on lines an earlier check fails),
+    # and its message for one, which reading a missing or wrong-typed field raises instead.
+    checks = (
+        (np.fromiter(map(ne, column("session_id"), repeat(session_id)), bool, n),
+         lambda r: r["session_id"] != session_id and "session_id differs from manifest"),
+        (player < 0,
+         lambda r: r["player_id"] in roster or f"player {r['player_id']!r} not in manifest roster"),
+        (_codes(_ROLE_INDEX, column("role"), -2) != roster_role,
+         lambda r: Role(r["role"]) and f"role mismatch for {r['player_id']!r}"),
+        (action < -1, lambda r: ActionTag(r["action"])),
+        ((has_x != has_y) | wrong[3] | wrong[4],
+         lambda r: "target needs both coordinates" if ("target_x" in r) != ("target_y" in r)
+         else (_json_value(r["target_x"], "target_x"), _json_value(r["target_y"], "target_y"))),
+        (wrong[0] | repeated & ~outside[0],  # a tick past 64 bits reads as 0 but repeats none
+         lambda r: f"duplicate tick {_json_value(r['tick'], 'tick')} for {r['player_id']!r}"),
+        (bad_time | big_time, lambda r: float(_json_value(r["time_s"], "time_s", "number"))),
+        (wrong[1] | wrong[2], lambda r: (_json_value(r["x"], "x"), _json_value(r["y"], "y"))),
+        (outside.any(axis=0), lambda r: "bad record: int outside the signed 64-bit range"),
+    )
+    failed = np.array([mask for mask, _ in checks])
+    k = int(np.argmax(failed.any(axis=0))) if failed.any() else n  # n: the undecoded line
+    if k < n or undecoded is not None:
+        line = [i for i, text in enumerate(lines, start=1) if text.strip()][k]
+        try:
+            if k == n:
+                raise undecoded
+            message = checks[int(np.argmax(failed[:, k]))][1](records[k])
+        except (*_MALFORMED, RecursionError) as exc:
+            raise _malformed("record", exc, log_path, line) from None
+        raise SessionFormatError(message, log_path, line)
+    rows = np.empty(n, SAMPLE)
+    for name, values in zip(SAMPLE.names, (tick, times, x, y, action, target_x, target_y, has_x)):
+        rows[name] = values
+    bounds = np.searchsorted(player[order], np.arange(len(roster) + 1)).tolist()
+    return tuple(PlayerTrajectory(pid, role, rows[order[lo:hi]])
+                 for (pid, role), lo, hi in zip(roster.items(), bounds, bounds[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +417,10 @@ def write_map(spec: MapSpec, path) -> Path:
     return path
 
 
-def _json_int(value, name: str) -> int:
-    """`value` when JSON wrote it as an integer; a bool, float or string is a TypeError."""
-    if type(value) is not int:
-        raise TypeError(f"{name} must be a JSON integer, got {json.dumps(value)}")
+def _json_value(value, name: str, kind: str = "integer"):
+    """`value` if JSON wrote it as a `kind`: "integer" (no bool or float) or "number" (no bool)."""
+    if type(value) not in _JSON_TYPES[kind]:
+        raise TypeError(f"{name} must be a JSON {kind}, got {json.dumps(value)}")
     return value
 
 
@@ -427,7 +432,7 @@ def read_map(path) -> MapSpec:
         if type(xy) is not list or len(xy) != 2:
             raise TypeError(f"{name} must be a pair of JSON integers, got {json.dumps(xy)}")
         x, y = xy
-        return Position(_json_int(x, name), _json_int(y, name))
+        return Position(_json_value(x, name), _json_value(y, name))
     def cells(key):
         return frozenset(cell(xy, key) for xy in doc[key])
     try:
@@ -435,14 +440,14 @@ def read_map(path) -> MapSpec:
                  f"unsupported format_version {doc['format_version']!r}", path)
         spec = MapSpec(
             name=doc["name"],
-            grid=GridSpec(_json_int(doc["width"], "width"), _json_int(doc["height"], "height")),
+            grid=GridSpec(_json_value(doc["width"], "width"), _json_value(doc["height"], "height")),
             walls=cells("walls"), doors=cells("doors"), rubble=cells("rubble"),
             victims=tuple(Victim(cell([v["x"], v["y"]], "victims"), VictimType(v["type"]))
                           for v in doc["victims"]),
             start=cell(doc["start"], "start"),
             mission_duration_s=float(doc["mission_duration_s"]),
             red_cutoff_s=float(doc["red_cutoff_s"]),
-            fov_radius=_json_int(doc["fov_radius"], "fov_radius"))
+            fov_radius=_json_value(doc["fov_radius"], "fov_radius"))
     except _MALFORMED as exc:
         raise _malformed("map", exc, path) from None
     spec.validate()
@@ -472,12 +477,6 @@ def format_metrics_table(rows: Iterable[MetricsTableRow]) -> str:
         writer.writerow([r.session_id, fmt_float(r.sed), fmt_float(r.sms),
                          fmt_float(r.spa), fmt_float(r.ci), str(int(r.performance))])
     return buf.getvalue()
-
-
-def write_metrics_table(rows: Iterable[MetricsTableRow], path) -> Path:
-    path = Path(path)
-    path.write_text(format_metrics_table(rows), encoding="utf-8", newline="")
-    return path
 
 
 class MetricTableError(TeamCoordError):

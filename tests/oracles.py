@@ -536,10 +536,24 @@ def step_reference(state: ReferenceWorld, actions):
 # Session I/O, one record at a time
 
 
+def _json_int_reference(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
+def _json_number_reference(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a JSON number, got {json.dumps(value)}")
+    return float(value)
+
+
 def read_session_reference(log_path, validate: bool = True) -> TeamSession:
     """A session log read line by line: each record is parsed with json and
     checked and converted field by field, in the order `read_session`
-    documents, and stored per player by tick. With `validate`, the session
+    documents, and stored per player by tick. Ticks, cells and targets must
+    be JSON integers and times JSON numbers; a line nested too deep for json
+    is a `bad record` like any line json refuses. With `validate`, the session
     must pass `validate_session_reference`. Lines are split at LF, CRLF and
     CR, and each is decoded as UTF-8 on its own."""
     log_path = Path(log_path)
@@ -599,16 +613,17 @@ def read_session_reference(log_path, validate: bool = True) -> TeamSession:
             if has_target:
                 if "target_x" not in rec or "target_y" not in rec:
                     raise SessionFormatError("target needs both coordinates", log_path, lineno)
-                target_x, target_y = int(rec["target_x"]), int(rec["target_y"])
-            tick = int(rec["tick"])
+                target_x = _json_int_reference(rec["target_x"], "target_x")
+                target_y = _json_int_reference(rec["target_y"], "target_y")
+            tick = _json_int_reference(rec["tick"], "tick")
             if tick in samples[pid]:
                 raise SessionFormatError(f"duplicate tick {tick} for {pid!r}", log_path, lineno)
-            time_s = float(rec["time_s"])
-            x, y = int(rec["x"]), int(rec["y"])
+            time_s = _json_number_reference(rec["time_s"], "time_s")
+            x, y = _json_int_reference(rec["x"], "x"), _json_int_reference(rec["y"], "y")
             if any(not -2 ** 63 <= v < 2 ** 63 for v in (tick, x, y, target_x, target_y)):
                 raise OverflowError("int outside the signed 64-bit range")
             samples[pid][tick] = (tick, time_s, x, y, action, target_x, target_y, has_target)
-        except _MALFORMED as exc:
+        except (*_MALFORMED, RecursionError) as exc:
             raise _malformed("record", exc, log_path, lineno) from None
 
     players = tuple(PlayerTrajectory(player_id=pid, role=roster[pid],

@@ -22,11 +22,11 @@ from teamcoord.outcomes import team_performance
 from teamcoord.session_io import (
     MetricTableError,
     MetricsTableRow,
+    format_metrics_table,
     read_map,
     read_metrics_table,
     read_session,
     write_map,
-    write_metrics_table,
     write_session,
 )
 from teamcoord.sim import (
@@ -418,7 +418,7 @@ def test_c9_roundtrip_property(tmp_path):
                                 performance=int(rng.integers(0, 800)))
                 for j in range(int(rng.integers(0, 12)))]
         path = tmp_path / "t.csv"
-        write_metrics_table(rows, path)
+        path.write_text(format_metrics_table(rows))
         if not rows:
             with pytest.raises(MetricTableError, match="no data rows"):
                 read_metrics_table(path)

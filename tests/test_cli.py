@@ -6,7 +6,8 @@ import pytest
 
 from teamcoord import cli, stats
 from teamcoord.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from teamcoord.session_io import read_metrics_table, write_map, write_metrics_table, MetricsTableRow
+from teamcoord.session_io import (MetricsTableRow, format_metrics_table, read_metrics_table,
+                                  write_map)
 from teamcoord.sim import builtin_map
 
 EXAMPLE_TABLE = Path(__file__).resolve().parent.parent / "docs" / "examples" / "metrics.csv"
@@ -29,7 +30,8 @@ def random_table(path, n_rows, seed=5):
     rng = np.random.default_rng(seed)
     rows = [MetricsTableRow(f"s{i:02d}", *rng.random(4), performance=int(rng.integers(500)))
             for i in range(n_rows)]
-    return write_metrics_table(rows, path)
+    path.write_text(format_metrics_table(rows))
+    return path
 
 
 def test_help_exits_zero(capsys):
@@ -268,7 +270,7 @@ def test_stats_mediation_deterministic(tmp_path, capsys):
         perf = int(400 * ci + 40 * rng.random())
         rows.append(MetricsTableRow(f"s{i:02d}", sed, sms, spa, ci, perf))
     table = tmp_path / "m.csv"
-    write_metrics_table(rows, table)
+    table.write_text(format_metrics_table(rows))
     args = ["stats", "--table", str(table), "--analysis", "mediation",
             "--resamples", "500", "--seed", "42"]
     assert run(args) == EXIT_OK
@@ -303,7 +305,7 @@ def test_stats_quadratic_recovers_known_optimum(tmp_path, capsys):
         rows.append(MetricsTableRow(f"s{i:02d}", rng.random(), rng.random(), spa,
                                     rng.random(), max(0, int(perf))))
     table = tmp_path / "m.csv"
-    write_metrics_table(rows, table)
+    table.write_text(format_metrics_table(rows))
     assert run(["stats", "--table", str(table), "--analysis", "quadratic"]) == EXIT_OK
     out = capsys.readouterr().out.splitlines()
     header = out[0].split(",")
@@ -317,7 +319,8 @@ def test_stats_quadratic_straight_line_has_no_optimum(tmp_path, capsys):
     # performance linear in each metric: least squares leaves rounding-level curvature
     rows = [MetricsTableRow(f"s{i:02d}", 0.1 * i, 0.05 * i, 0.1 * i, 0.5, performance=30 * i + 100)
             for i in range(1, 13)]
-    table = write_metrics_table(rows, tmp_path / "m.csv")
+    table = tmp_path / "m.csv"
+    table.write_text(format_metrics_table(rows))
     assert run(["stats", "--table", str(table), "--analysis", "quadratic"]) == EXIT_OK
     out = capsys.readouterr().out.splitlines()
     header = out[0].split(",")
@@ -331,7 +334,7 @@ def test_stats_groups_and_anova(tmp_path, capsys):
     rows = [MetricsTableRow(f"s{i:02d}", *rng.random(4), performance=int(rng.integers(500)))
             for i in range(12)]
     table = tmp_path / "m.csv"
-    write_metrics_table(rows, table)
+    table.write_text(format_metrics_table(rows))
     assert run(["stats", "--table", str(table), "--analysis", "groups"]) == EXIT_OK
     out = capsys.readouterr().out.strip().splitlines()
     groups = [line.split(",")[1] for line in out[1:]]
@@ -591,7 +594,8 @@ def test_stats_repeated_session_id_exits_2(tmp_path, capsys, analysis):
 def test_stats_quadratic_flat_outcome_reports_flat(tmp_path, capsys):
     rng = np.random.default_rng(7)
     rows = [MetricsTableRow(f"s{i:02d}", *rng.random(4), performance=240) for i in range(4)]
-    table = write_metrics_table(rows, tmp_path / "m.csv")
+    table = tmp_path / "m.csv"
+    table.write_text(format_metrics_table(rows))
     assert run(["stats", "--table", str(table), "--analysis", "quadratic"]) == EXIT_OK
     out = capsys.readouterr().out.splitlines()
     header = out[0].split(",")
@@ -633,7 +637,8 @@ def test_stats_mediation_constant_metric_exits_3(tmp_path, capsys):
     rng = np.random.default_rng(13)
     rows = [MetricsTableRow(f"s{i:02d}", rng.random(), 0.5, *rng.random(2),
                             performance=int(rng.integers(500))) for i in range(12)]
-    table = write_metrics_table(rows, tmp_path / "m.csv")
+    table = tmp_path / "m.csv"
+    table.write_text(format_metrics_table(rows))
     assert run(["stats", "--table", str(table), "--analysis", "mediation"]) == EXIT_DOMAIN
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: x is constant or x and m are collinear\n")

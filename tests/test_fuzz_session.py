@@ -26,7 +26,7 @@ from oracles import read_session_reference, validate_session_reference
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = (ROOT / "docs" / "examples" / "session.jsonl", ROOT / "demos" / "out" / "replay_a.jsonl")
 SEED = 1018
-N_MUTANTS = 320
+N_MUTANTS = 360
 
 # Values a mutated field or manifest entry takes: other types, the int64
 # limits and just past them, non-finite and integral floats, numeric strings.
@@ -80,8 +80,10 @@ def _mutate_record(rng, log: bytes, _) -> bytes:
     i = rng.randrange(len(lines))
     rec = json.loads(lines[i])
     key = rng.choice(sorted(rec) + ["target_x", "target_y", "extra"])
-    kind = rng.randrange(4)
-    if kind == 0 and key in rec:
+    kind = rng.randrange(5)
+    if kind == 4:  # the other role, which the roster does not give the player
+        rec["role"] = {"medic": "engineer", "engineer": "medic"}[rec["role"]]
+    elif kind == 0 and key in rec:
         del rec[key]
     elif kind == 1 and key in rec:
         rec[key + "_"] = rec.pop(key)
@@ -187,20 +189,23 @@ def cases(tmp_path_factory):
 
 
 def test_read_matches_reference_reader(cases, monkeypatch):
-    # count the files read one record at a time, so that both of the
-    # reader's paths are known to be reached
-    per_record = []
-    convert = session_io._record_samples
-    monkeypatch.setattr(session_io, "_record_samples",
-                        lambda *args: per_record.append(1) or convert(*args))
+    # count the files whose whole-log parse is not trusted, so that both
+    # ways of decoding a log are known to be reached
+    per_line = []
+    decode = session_io._decode_lines
+    monkeypatch.setattr(session_io, "_decode_lines",
+                        lambda texts: per_line.append(1) or decode(texts))
     seen = {}
+    messages = []
     for log in cases:
         got, want = outcome(read_session, log), outcome(read_session_reference, log)
         assert got == want, log.parent.name
         key = got[0] if got[0] == "read" else got[1].__name__
         seen[key] = seen.get(key, 0) + 1
+        messages.append(got[2] if got[0] == "raised" else "")
     assert {"read", "SessionFormatError", "SessionValidationError"} <= seen.keys()
-    assert 0 < len(per_record) < len(cases)
+    assert 0 < len(per_line) < len(cases)
+    assert any("role mismatch for" in m for m in messages)
 
 
 def test_validation_matches_reference_loop(cases):

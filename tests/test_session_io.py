@@ -23,12 +23,12 @@ from teamcoord.session_io import (
     SessionFormatError,
     SessionValidationError,
     fmt_float,
+    format_metrics_table,
     manifest_path_for,
     read_map,
     read_metrics_table,
     read_session,
     write_map,
-    write_metrics_table,
     write_session,
 )
 from teamcoord.sim import (AgentPolicy, InvalidMapError, PolicyKind, builtin_map, builtin_maps,
@@ -201,7 +201,8 @@ def table_rows(cols) -> list[MetricsTableRow]:
 
 
 def test_metrics_table_empty_is_header_only(tmp_path):
-    p = write_metrics_table([], tmp_path / "m.csv")
+    p = tmp_path / "m.csv"
+    p.write_text(format_metrics_table([]))
     assert p.read_text() == "session_id,sed,sms,spa,ci,performance\n"
     with pytest.raises(MetricTableError, match="^table has no data rows$"):
         read_metrics_table(p)
@@ -210,7 +211,8 @@ def test_metrics_table_empty_is_header_only(tmp_path):
 def test_metrics_table_roundtrip_single_row(tmp_path):
     row = MetricsTableRow("s1", sed=1 / 3, sms=0.5249999999999999, spa=0.0, ci=0.1234567891234,
                           performance=220)
-    p = write_metrics_table([row], tmp_path / "m.csv")
+    p = tmp_path / "m.csv"
+    p.write_text(format_metrics_table([row]))
     assert table_rows(read_metrics_table(p)[0]) == [row]
 
 
@@ -218,7 +220,8 @@ def test_metrics_table_34_rows_is_35_lines(tmp_path):
     rng = np.random.default_rng(7)
     rows = [MetricsTableRow(f"t{i:02d}", *rng.random(4), performance=int(rng.integers(500)))
             for i in range(34)]
-    p = write_metrics_table(rows, tmp_path / "m.csv")
+    p = tmp_path / "m.csv"
+    p.write_text(format_metrics_table(rows))
     assert len(p.read_text().splitlines()) == 35
     cols, lines = read_metrics_table(p)
     assert lines == tuple(range(2, 36))
@@ -384,9 +387,10 @@ def split_before_role(line: str) -> list[str]:
 
 # Each case rewrites line 5 of the log from records a (line 5) and b (line
 # 6); the expected message, after "<path>:5: ", is what the reader reported
-# before it parsed through the JSON scanner and the member tables. Extra
-# data starts right after record a; a record cut after a comma fails where
-# the next key should start.
+# before it parsed through the JSON scanner and the member tables, or for a
+# tick, cell, target or time of the wrong JSON type, what it reports since
+# those must be JSON integers and numbers. Extra data starts right after
+# record a; a record cut after a comma fails where the next key should start.
 LINE_ERRORS = {
     "two_records_comma": (
         lambda a, b: [a + "," + b],
@@ -404,8 +408,20 @@ LINE_ERRORS = {
     "unhashable_action": (lambda a, b: [record_with(a, action=["move"]), b],
                           lambda a: "['move'] is not a valid ActionTag"),
     "unhashable_x": (lambda a, b: [record_with(a, x=[1]), b],
-                     lambda a: "int() argument must be a string, a bytes-like object or a "
-                               "real number, not 'list'"),
+                     lambda a: "x must be a JSON integer, got [1]"),
+    "bare_number": (lambda a, b: ["42", b], lambda a: "'int' object is not subscriptable"),
+    "fractional_x": (lambda a, b: [record_with(a, x=1.7), b],
+                     lambda a: "x must be a JSON integer, got 1.7"),
+    "integral_float_tick": (lambda a, b: [record_with(a, tick=4.0), b],
+                            lambda a: "tick must be a JSON integer, got 4.0"),
+    "bool_target_x": (lambda a, b: [record_with(a, target_x=True, target_y=0), b],
+                      lambda a: "target_x must be a JSON integer, got true"),
+    "string_time": (lambda a, b: [record_with(a, time_s="3.0"), b],
+                    lambda a: 'time_s must be a JSON number, got "3.0"'),
+    "bool_time": (lambda a, b: [record_with(a, time_s=False), b],
+                  lambda a: "time_s must be a JSON number, got false"),
+    "time_past_float": (lambda a, b: [record_with(a, time_s=10 ** 400), b],
+                        lambda a: "int too large to convert to float"),
     "unknown_role": (lambda a, b: [record_with(a, role="pilot"), b],
                      lambda a: "'pilot' is not a valid Role"),
     "unknown_action": (lambda a, b: [record_with(a, action="fly"), b],
@@ -423,15 +439,20 @@ def test_record_error_messages_unchanged(tmp_path, sim_session, case):
         read_session(log)
     assert exc.value.line == 5
     assert str(exc.value) == f"{log}:5: bad record: {detail(lines[4])}"
+    assert outcome(read_session, log) == outcome(read_session_reference, log)
 
 
-def test_string_coordinates_still_accepted(tmp_path, sim_session):
+def test_string_coordinates_are_refused(tmp_path, sim_session):
     log, _ = write_session(sim_session, tmp_path / "s.jsonl")
     lines = log.read_text().splitlines()
     rec = json.loads(lines[4])
     lines[4] = record_with(lines[4], x=str(rec["x"]), target_y=str(rec["target_y"]))
     log.write_text("\n".join(lines) + "\n")
-    assert read_session(log) == sim_session
+    with pytest.raises(SessionFormatError) as exc:
+        read_session(log)
+    # the target is checked before the cell
+    assert str(exc.value) == (f'{log}:5: bad record: target_y must be a JSON integer, '
+                              f'got "{rec["target_y"]}"')
 
 
 def test_minus_one_target_round_trips_byte_identically(tmp_path, sim_session):
@@ -506,6 +527,31 @@ def test_infinite_map_cell_names_map(tmp_path, sim_session, capsys):
     assert f"{path}: bad map" in capsys.readouterr().err
 
 
+# One JSON value nested past the parser's recursion limit.
+DEEP = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("kind", ["log_line", "manifest", "map"])
+def test_deeply_nested_json_names_the_file(tmp_path, sim_session, capsys, kind):
+    log, manifest = write_session(sim_session, tmp_path / "s.jsonl")
+    argv = ["metrics", str(log)]
+    if kind == "log_line":
+        lines = log.read_text().splitlines()
+        log.write_text("\n".join(lines[:4] + [DEEP] + lines[5:]) + "\n")
+        where = f"{log}:5: bad record: maximum recursion depth exceeded"
+        assert outcome(read_session, log) == outcome(read_session_reference, log)
+    elif kind == "manifest":
+        manifest.write_text(DEEP)
+        where = f"{manifest}: bad manifest JSON: maximum recursion depth exceeded"
+    else:
+        path = tmp_path / "m.json"
+        path.write_text(DEEP)
+        argv = ["simulate", "--map", str(path), "--runs", "1", "--out", str(tmp_path / "o")]
+        where = f"{path}: bad map file JSON: maximum recursion depth exceeded"
+    assert main(argv) == EXIT_IO
+    assert where in capsys.readouterr().err
+
+
 # Player and session ids that JSON escapes, and times it writes specially.
 ODD_IDS = ('med"ic', "back\\slash", "médic-ü-世界", "tab\there\x00\x1f\x7f", " line")
 ODD_TIMES = (float("nan"), float("inf"), float("-inf"), -0.0, 5e-324)
@@ -554,35 +600,36 @@ def test_log_line_not_utf8_names_path_and_line(tmp_path, sim_session, capsys, ba
 
 
 @pytest.fixture
-def per_record_reads(monkeypatch):
-    """A list that gains an item each time a log is converted one record at
-    a time rather than column by column."""
+def per_line_decodes(monkeypatch):
+    """A list that gains an item each time a log is decoded one line at a
+    time because its one parse of the whole log is not trusted."""
     calls = []
-    convert = session_io._record_samples
-    monkeypatch.setattr(session_io, "_record_samples",
-                        lambda *args: calls.append(1) or convert(*args))
+    decode = session_io._decode_lines
+    monkeypatch.setattr(session_io, "_decode_lines",
+                        lambda texts: calls.append(1) or decode(texts))
     return calls
 
 
 def replaced(old: str, new: str):
-    return lambda line: [line.replace(old, new, 1)]
+    return lambda a, b: [a.replace(old, new, 1)]
 
 
-# One-record logs made from the example's first line, `{"action":"move",
+# Logs made from the example's first two lines: a, `{"action":"move",
 # "player_id":"engineer1",...,"target_x":1,"target_y":0,"tick":0,
-# "time_s":0.0,"x":1,"y":1}`, that are in the writer's form ...
+# "time_s":0.0,"x":1,"y":1}`, and b, engineer2's record at tick 0. These
+# one-record logs are in the form `write_session` writes ...
 WRITER_FORM_VARIANTS = {
-    "as_written": lambda line: [line],
+    "as_written": lambda a, b: [a],
     "no_target": replaced('"target_x":1,"target_y":0,', ""),
     "null_action": replaced('"action":"move"', '"action":null'),
     "time_1e-05": replaced('"time_s":0.0', '"time_s":1e-05'),
     "time_nan": replaced('"time_s":0.0', '"time_s":NaN'),
     "time_minus_infinity": replaced('"time_s":0.0', '"time_s":-Infinity'),
-    "negative_ints": lambda line: [line.replace(
+    "negative_ints": lambda a, b: [a.replace(
         '"target_x":1,"target_y":0,"tick":0', '"target_x":-1,"target_y":-7,"tick":-3').replace(
         '"x":1,"y":1', '"x":-20,"y":-9')],
 }
-# ... and that are not, so the per-record conversion decides
+# ... these are in another form ...
 OTHER_FORM_VARIANTS = {
     "time_minus_zero_int": replaced('"time_s":0.0', '"time_s":-0'),
     "time_zero_int": replaced('"time_s":0.0', '"time_s":0'),
@@ -593,25 +640,44 @@ OTHER_FORM_VARIANTS = {
     "leading_zero_tick": replaced('"tick":0', '"tick":01'),
     "plus_tick": replaced('"tick":0', '"tick":+1'),
     "tick_2_63": replaced('"tick":0', f'"tick":{2 ** 63}'),
-    "duplicate_tick": lambda line: [line, line],
+    "duplicate_tick": lambda a, b: [a, a],
     "duplicate_key": replaced('"y":1}', '"y":1,"y":2}'),
 }
+# ... and these parse as a whole log, but that parse must not be trusted: a
+# list that spans two lines, so line 1 alone is no JSON; a list that holds
+# the next line's record; two records on one line; a record holding an object.
+BULK_PARSE_TRAPS = {
+    "list_spans_two_lines": lambda a, b: [a[:-1] + ',"z":[0', "0]}," + b],
+    "next_record_inside_a_list": lambda a, b: [a[:-1] + ',"z":[0', b + "]}"],
+    "two_records_on_a_line": lambda a, b: [a + "," + b],
+    "nested_object": lambda a, b: [a[:-1] + ',"z":{"k":1}}', b],
+}
+LOG_VARIANTS = {**WRITER_FORM_VARIANTS, **OTHER_FORM_VARIANTS, **BULK_PARSE_TRAPS}
 
 
-@pytest.mark.parametrize("case", sorted(WRITER_FORM_VARIANTS) + sorted(OTHER_FORM_VARIANTS))
-def test_writer_form_boundary_matches_reference(tmp_path, per_record_reads, case):
-    variant = WRITER_FORM_VARIANTS.get(case) or OTHER_FORM_VARIANTS[case]
-    lines = variant(EXAMPLE_LOG.read_text(encoding="utf-8").splitlines()[0])
+@pytest.mark.parametrize("case", sorted(WRITER_FORM_VARIANTS) + sorted(OTHER_FORM_VARIANTS)
+                         + sorted(BULK_PARSE_TRAPS))
+def test_writer_form_boundary_matches_reference(tmp_path, per_line_decodes, case):
+    lines = LOG_VARIANTS[case](*EXAMPLE_LOG.read_text(encoding="utf-8").splitlines()[:2])
     log = tmp_path / "s.jsonl"
     log.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     manifest_path_for(log).write_bytes(manifest_path_for(EXAMPLE_LOG).read_bytes())
     for validate in (True, False):
         got = outcome(partial(read_session, validate=validate), log)
         assert got == outcome(partial(read_session_reference, validate=validate), log)
-    if case in WRITER_FORM_VARIANTS:
-        assert got[0] == "read" and per_record_reads == []
-    else:
-        assert len(per_record_reads) == 2
+    if case in WRITER_FORM_VARIANTS or case == "nested_object":
+        assert got[0] == "read"
+    if case in BULK_PARSE_TRAPS:
+        assert len(per_line_decodes) == 2
+        assert case == "nested_object" or got[4] == 1  # line 1 alone is no record
+
+
+def test_brace_in_session_id_reads_line_by_line(tmp_path, per_line_decodes):
+    s = random_session(np.random.default_rng(3), session_id="run{7}")
+    log, _ = write_session(s, tmp_path / "s.jsonl")
+    assert read_session(log) == s
+    assert per_line_decodes == [1]
+    assert outcome(read_session, log) == outcome(read_session_reference, log)
 
 
 # The bench's mixed team, next to the three one-policy teams.
@@ -619,7 +685,8 @@ WRITTEN_TEAMS = ("random_walk", "greedy", "coordinated",
                  "medic:coordinated,medic:greedy,engineer:greedy,engineer:random_walk")
 
 
-def test_every_written_session_reads_column_by_column(tmp_path, per_record_reads, capsys):
+def test_every_written_session_reads_column_by_column(tmp_path, per_line_decodes, capsys):
+    # every log that `write_session` writes takes the one parse of the whole log
     names = [spec.name for spec in builtin_maps()]
     for name in names:
         for k, team in enumerate(WRITTEN_TEAMS):
@@ -630,4 +697,4 @@ def test_every_written_session_reads_column_by_column(tmp_path, per_record_reads
     assert len(logs) == len(names) * len(WRITTEN_TEAMS) * 2
     for log in [*logs, EXAMPLE_LOG, REPLAY_LOG]:
         read_session(log)
-    assert per_record_reads == []
+    assert per_line_decodes == []
