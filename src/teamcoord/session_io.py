@@ -277,13 +277,13 @@ def _decode(texts: list[str]) -> tuple[list[dict], Exception | None]:
     """The object on each log line, from one parse of the whole log if it gives a dict per line,
     each line starts with `{` and ends with `}`, and the log has no other `{`; else per line."""
     joined = ",\n".join(texts)
-    try:
+    with suppress(ValueError, RecursionError):  # RecursionError: nesting too deep for json
         records = json.loads(f"[{joined}]")
-        trusted = (len(records) == len(texts) == joined.count("{") and set(map(type, records))
-                   == {dict} and set(map(itemgetter(0, -1), texts)) == {("{", "}")})
-    except (ValueError, RecursionError):  # RecursionError: nesting too deep for json
-        trusted = False
-    return (records, None) if trusted else _decode_lines(texts)
+        if (len(records) == len(texts) == joined.count("{")
+                and set(map(type, records)) == {dict} and set(map(itemgetter(0), texts)) == {"{"}
+                and set(map(itemgetter(-1), texts)) == {"}"}):
+            return records, None
+    return _decode_lines(texts)
 
 
 def _decode_lines(texts: list[str]) -> tuple[list[dict], Exception | None]:
