@@ -442,6 +442,27 @@ def test_record_error_messages_unchanged(tmp_path, sim_session, case):
     assert outcome(read_session, log) == outcome(read_session_reference, log)
 
 
+@pytest.mark.parametrize("bad_role_first", [True, False])
+def test_line_that_does_not_parse_comes_after_earlier_lines_checks(tmp_path, sim_session,
+                                                                    bad_role_first):
+    log, _ = write_session(sim_session, tmp_path / "s.jsonl")
+    lines = log.read_text().splitlines()
+    bad = [record_with(lines[3], role="pilot"), "{bad"]
+    lines[3:5] = bad if bad_role_first else bad[::-1]
+    log.write_text("\n".join(lines) + "\n")
+    got = outcome(read_session, log)
+    assert got == outcome(read_session_reference, log)
+    assert got[4] == 4
+
+
+def test_nan_session_id_differs_from_itself(tmp_path, sim_session):
+    # json reads every NaN as one float object, which is still unequal to itself
+    log, _ = write_session(replace(sim_session, session_id=float("nan")), tmp_path / "s.jsonl")
+    got = outcome(read_session, log)
+    assert got == outcome(read_session_reference, log)
+    assert got[2] == f"{log}:1: session_id differs from manifest"
+
+
 def test_string_coordinates_are_refused(tmp_path, sim_session):
     log, _ = write_session(sim_session, tmp_path / "s.jsonl")
     lines = log.read_text().splitlines()
