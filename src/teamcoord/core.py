@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate
 from typing import Mapping
 
 import numpy as np
@@ -118,14 +119,20 @@ SAMPLE = np.dtype([("tick", "i8"), ("time_s", "f8"), ("x", "i8"), ("y", "i8"), (
 
 @dataclass(frozen=True)
 class PlayerTrajectory:
-    """One player's log: `samples` is a read-only SAMPLE array in tick order."""
+    """One player's log: `samples` is a read-only SAMPLE array in tick order.
+
+    A read-only SAMPLE ndarray is held as it is given; any other rows are copied into one.
+    """
 
     player_id: str
     role: Role
     samples: np.ndarray
 
     def __post_init__(self):
-        rows = self.samples if isinstance(self.samples, np.ndarray) else list(self.samples)
+        rows = self.samples
+        if type(rows) is np.ndarray and rows.dtype == SAMPLE and not rows.flags.writeable:
+            return
+        rows = rows if isinstance(rows, np.ndarray) else list(rows)
         samples = np.array(rows, dtype=SAMPLE)  # via a list: numpy reads a tuple as one record
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
@@ -296,11 +303,14 @@ def _sample_violations(players, grid: GridSpec, interval: float) -> list[Violati
     the one exact integer arithmetic gives. Messages are built for the
     flagged rows only.
     """
-    if not any(p.n_ticks for p in players):
+    counts = [p.n_ticks for p in players]
+    if not any(counts):
         return []
     tick, time_s, x, y = (np.concatenate([p.samples[k] for p in players])
                           for k in ("tick", "time_s", "x", "y"))
-    first = np.concatenate([np.arange(p.n_ticks) == 0 for p in players])
+    starts = [0, *accumulate(counts[:-1])]  # a player without samples starts where the next does
+    first = np.zeros(len(tick), bool)
+    first[[start for start, count in zip(starts, counts) if count]] = True
     jump = first & (tick != 0)
     jump[1:] |= ~first[1:] & ((tick[1:] - tick[:-1] != 1) | (tick[:-1] > tick[1:]))
     with np.errstate(invalid="ignore", over="ignore"):  # inf or nan times compare False
@@ -313,8 +323,6 @@ def _sample_violations(players, grid: GridSpec, interval: float) -> list[Violati
     if not flagged:
         return []
 
-    # a player without samples starts where the next one does
-    starts = np.cumsum([0] + [p.n_ticks for p in players[:-1]])
     owners = np.searchsorted(starts, flagged, side="right") - 1
     rows = list(zip(tick.tolist(), time_s.tolist(), x.tolist(), y.tolist()))
     out = []

@@ -199,11 +199,14 @@ def read_session(log_path, validate: bool = True) -> TeamSession:
     - `tick`, `x`, `y` and the target fit in a signed 64-bit int.
 
     A missing key or a value of the wrong type (a bool is no integer, a
-    string no number) is reported as `bad record`.
+    string no number) is reported as `bad record`. The manifest is read before
+    the log: its grid size and event cells must be JSON integers, and its
+    event times and mission clock JSON numbers, or it is a `bad manifest`.
 
     With `validate`, the parsed session must also pass `validate_session`.
     Last, the manifest's `map_meta`, when present, becomes the session's `map_meta`, which
-    `write_session` writes back; a malformed one is a `bad map_meta` error on the manifest.
+    `write_session` writes back; a malformed one, or counts that are no JSON integers, is a
+    `bad map_meta` error on the manifest.
     """
     log_path = Path(log_path)
     manifest_path = manifest_path_for(log_path)
@@ -212,7 +215,8 @@ def read_session(log_path, validate: bool = True) -> TeamSession:
         _require(manifest["format_version"] == FORMAT_VERSION,
                  f"unsupported format_version {manifest['format_version']!r}", manifest_path)
         session_id = manifest["session_id"]
-        grid = GridSpec(int(manifest["grid"]["width"]), int(manifest["grid"]["height"]))
+        size = manifest["grid"]
+        grid = GridSpec(_json_value(size["width"], "width"), _json_value(size["height"], "height"))
         roster: dict[str, Role] = {}
         for entry in manifest["players"]:
             pid = entry["player_id"]
@@ -224,13 +228,13 @@ def read_session(log_path, validate: bool = True) -> TeamSession:
             _require(all(isinstance(a, str) for a in actors), "actor ids must be strings",
                      manifest_path)
             events.append(RescueEvent(
-                time_s=float(entry["time_s"]),
+                time_s=float(_json_value(entry["time_s"], "time_s", "number")),
                 victim_type=VictimType(entry["victim_type"]),
-                victim_cell=Position(int(entry["x"]), int(entry["y"])),
+                victim_cell=Position(_json_value(entry["x"], "x"), _json_value(entry["y"], "y")),
                 actor_ids=actors))
-        mission_duration_s = float(manifest["mission_duration_s"])
-        red_cutoff_s = float(manifest["red_cutoff_s"])
-        sample_interval_s = float(manifest["sample_interval_s"])
+        mission_duration_s, red_cutoff_s, sample_interval_s = (
+            float(_json_value(manifest[key], key, "number"))
+            for key in ("mission_duration_s", "red_cutoff_s", "sample_interval_s"))
     except _MALFORMED as exc:
         raise _malformed("manifest", exc, manifest_path) from None
 
@@ -249,8 +253,9 @@ def read_session(log_path, validate: bool = True) -> TeamSession:
     if raw is None:
         return session
     try:
-        meta = MapMeta(traversable_cells=int(raw["traversable_cells"]),
-                       max_tasks={Role(k): int(v) for k, v in raw["max_tasks"].items()})
+        meta = MapMeta(
+            traversable_cells=_json_value(raw["traversable_cells"], "traversable_cells"),
+            max_tasks={Role(k): _json_value(v, "max_tasks") for k, v in raw["max_tasks"].items()})
     except _MALFORMED as exc:
         raise _malformed("map_meta", exc, manifest_path) from None
     return replace(session, map_meta=meta)
@@ -267,23 +272,31 @@ def read_utf8(path: Path) -> str:
 
 
 _ABSENT = object()  # a record's value for a key it lacks, which every check refuses
-_REQUIRED = ("action", "player_id", "role", "session_id", "tick", "time_s", "x", "y")
 _JSON_TYPES = {"integer": {int}, "number": {int, float}}  # a bool is neither
 _ACTION_INDEX = {None: -1, **{a.value: i for i, a in enumerate(ACTIONS)}}
 _ROLE_INDEX = {r.value: i for i, r in enumerate(Role)}
+_LF, _OPEN, _CLOSE = b"\n{}"  # the bytes of a line break and of an object's braces
 
 
-def _decode(texts: list[str]) -> tuple[list[dict], Exception | None]:
-    """The object on each log line, from one parse of the whole log if it gives a dict per line,
-    each line starts with `{` and ends with `}`, and the log has no other `{`; else per line."""
-    joined = ",\n".join(texts)
-    with suppress(ValueError, RecursionError):  # RecursionError: nesting too deep for json
-        records = json.loads(f"[{joined}]")
-        if (len(records) == len(texts) == joined.count("{")
-                and set(map(type, records)) == {dict} and set(map(itemgetter(0), texts)) == {"{"}
-                and set(map(itemgetter(-1), texts)) == {"}"}):
-            return records, None
-    return _decode_lines(texts)
+def _decode(text: str) -> tuple[list[dict], Exception | None]:
+    """The object on each non-blank line: from one parse of the whole log when every line starts
+    with `{` and ends with `}`, the log holds no other `{` and the parse gives one dict per line;
+    else from one parse per line.
+
+    Then each `{` opens one of the dicts and each line's last `}` closes one, so each dict is
+    one line's text. The bytes are checked as numpy masks: UTF-8 writes these three characters
+    as one byte each and uses those bytes for nothing else.
+    """
+    body = text.rstrip("\n")
+    b = np.frombuffer(body.encode(), np.uint8)
+    ends = np.flatnonzero(b == _LF)  # where each line but the last ends
+    if (b.size and b[0] == _OPEN and b[-1] == _CLOSE and (b[ends - 1] == _CLOSE).all()
+            and (b[ends + 1] == _OPEN).all() and np.count_nonzero(b == _OPEN) == ends.size + 1):
+        with suppress(ValueError, RecursionError):  # RecursionError: nesting too deep for json
+            records = json.loads("[" + body.replace("\n", ",") + "]")
+            if len(records) == ends.size + 1 and set(map(type, records)) == {dict}:
+                return records, None
+    return _decode_lines(list(filter(None, map(str.strip, text.split("\n")))))
 
 
 def _decode_lines(texts: list[str]) -> tuple[list[dict], Exception | None]:
@@ -297,6 +310,14 @@ def _decode_lines(texts: list[str]) -> tuple[list[dict], Exception | None]:
             return records, exc
         records.append(record)
     return records, None
+
+
+def _column(records: list[dict], key: str, absent=_ABSENT) -> list:
+    """Each record's value for `key`, or `absent` where a record lacks it."""
+    try:
+        return list(map(itemgetter(key), records))
+    except KeyError:
+        return list(map(dict.get, records, repeat(key), repeat(absent)))
 
 
 def _codes(table: dict, values: list, missing: int) -> np.ndarray:
@@ -330,36 +351,32 @@ def _number_column(values: list, kind: str) -> tuple[np.ndarray, np.ndarray, np.
 def _log_players(log_path: Path, session_id, roster: dict[str, Role]) -> tuple:
     """Each roster player's trajectory; each check `read_session` lists is a column mask."""
     text = read_utf8(log_path)  # CRLF and CR end a line too, as in a text-mode read
-    lines = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text).split("\n")
-    records, undecoded = _decode(list(filter(None, map(str.strip, lines))))
+    text = text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+    records, undecoded = _decode(text)
     n = len(records)
-    try:  # the keys every record must hold, in one pass
-        held = dict(zip(_REQUIRED, zip(*map(itemgetter(*_REQUIRED), records))))
-    except KeyError:  # a record lacks one, so each column is read on its own
-        held = {}
-    def column(key, absent=_ABSENT):
-        return held.get(key) or list(map(dict.get, records, repeat(key, n), repeat(absent, n)))
-    player = _codes({pid: i for i, pid in enumerate(roster)}, column("player_id"), -1)
+    player = _codes({pid: i for i, pid in enumerate(roster)}, _column(records, "player_id"), -1)
     roster_role = np.array([_ROLE_INDEX[r.value] for r in roster.values()] + [-1])[player]
     has_x, has_y = (np.fromiter(map(dict.__contains__, records, repeat(key, n)), bool, n)
                     for key in ("target_x", "target_y"))
-    (tick, x, y, target_x, target_y), wrong, outside = (a.reshape(5, n) for a in _number_column(
-        [*column("tick"), *column("x"), *column("y"), *column("target_x", 0),
-         *column("target_y", 0)], "integer"))  # an absent target reads as 0
-    times, bad_time, big_time = _number_column(column("time_s"), "number")
-    action = _codes(_ACTION_INDEX, column("action"), -2)
+    (tick, x, y, target_x, target_y), wrong, outside = zip(*(
+        _number_column(_column(records, key, absent), "integer")
+        for key, absent in (("tick", _ABSENT), ("x", _ABSENT), ("y", _ABSENT),
+                            ("target_x", 0), ("target_y", 0))))  # an absent target reads as 0
+    times, bad_time, big_time = _number_column(_column(records, "time_s"), "number")
+    action = _codes(_ACTION_INDEX, _column(records, "action"), -2)
     order = np.lexsort((tick, player))
+    sorted_player, sorted_tick = player[order], tick[order]
     repeated = np.zeros(n, bool)  # a player's tick on an earlier line
-    repeated[order[1:][(player[order][1:] == player[order][:-1])
-                       & (tick[order][1:] == tick[order][:-1])]] = True
+    repeated[order[1:][(sorted_player[1:] == sorted_player[:-1])
+                       & (sorted_tick[1:] == sorted_tick[:-1])]] = True
     # Each check's mask, true on its failing lines (and maybe on lines an earlier check fails),
     # and its message for one, which reading a missing or wrong-typed field raises instead.
     checks = (
-        (np.fromiter(map(ne, column("session_id"), repeat(session_id)), bool, n),
+        (np.fromiter(map(ne, _column(records, "session_id"), repeat(session_id)), bool, n),
          lambda r: r["session_id"] != session_id and "session_id differs from manifest"),
         (player < 0,
          lambda r: r["player_id"] in roster or f"player {r['player_id']!r} not in manifest roster"),
-        (_codes(_ROLE_INDEX, column("role"), -2) != roster_role,
+        (_codes(_ROLE_INDEX, _column(records, "role"), -2) != roster_role,
          lambda r: Role(r["role"]) and f"role mismatch for {r['player_id']!r}"),
         (action < -1, lambda r: ActionTag(r["action"])),
         ((has_x != has_y) | wrong[3] | wrong[4],
@@ -369,12 +386,12 @@ def _log_players(log_path: Path, session_id, roster: dict[str, Role]) -> tuple:
          lambda r: f"duplicate tick {_json_value(r['tick'], 'tick')} for {r['player_id']!r}"),
         (bad_time | big_time, lambda r: float(_json_value(r["time_s"], "time_s", "number"))),
         (wrong[1] | wrong[2], lambda r: (_json_value(r["x"], "x"), _json_value(r["y"], "y"))),
-        (outside.any(axis=0), lambda r: "bad record: int outside the signed 64-bit range"),
+        (np.any(outside, axis=0), lambda r: "bad record: int outside the signed 64-bit range"),
     )
     failed = np.array([mask for mask, _ in checks])
     k = int(np.argmax(failed.any(axis=0))) if failed.any() else n  # n: the undecoded line
     if k < n or undecoded is not None:
-        line = [i for i, text in enumerate(lines, start=1) if text.strip()][k]
+        line = [i for i, t in enumerate(text.split("\n"), start=1) if t.strip()][k]
         try:
             if k == n:
                 raise undecoded
@@ -382,11 +399,14 @@ def _log_players(log_path: Path, session_id, roster: dict[str, Role]) -> tuple:
         except (*_MALFORMED, RecursionError) as exc:
             raise _malformed("record", exc, log_path, line) from None
         raise SessionFormatError(message, log_path, line)
+    # every player's rows in one read-only array, in (player, tick) order, which each
+    # trajectory holds a slice of
     rows = np.empty(n, SAMPLE)
     for name, values in zip(SAMPLE.names, (tick, times, x, y, action, target_x, target_y, has_x)):
-        rows[name] = values
-    bounds = np.searchsorted(player[order], np.arange(len(roster) + 1)).tolist()
-    return tuple(PlayerTrajectory(pid, role, rows[order[lo:hi]])
+        rows[name] = values[order]
+    rows.flags.writeable = False
+    bounds = np.searchsorted(sorted_player, np.arange(len(roster) + 1)).tolist()
+    return tuple(PlayerTrajectory(pid, role, rows[lo:hi])
                  for (pid, role), lo, hi in zip(roster.items(), bounds, bounds[1:]))
 
 

@@ -551,11 +551,13 @@ def _json_number_reference(value, name: str) -> float:
 def read_session_reference(log_path, validate: bool = True) -> TeamSession:
     """A session log read line by line: each record is parsed with json and
     checked and converted field by field, in the order `read_session`
-    documents, and stored per player by tick. Ticks, cells and targets must
-    be JSON integers and times JSON numbers; a line nested too deep for json
-    is a `bad record` like any line json refuses. With `validate`, the session
-    must pass `validate_session_reference`. Lines are split at LF, CRLF and
-    CR, and each is decoded as UTF-8 on its own."""
+    documents, and stored per player by tick. Ticks, cells and targets, and
+    the manifest's grid size, event cells and map_meta counts, must be JSON
+    integers; times, event times and the mission clock must be JSON numbers.
+    A line nested too deep for json is a `bad record` like any line json
+    refuses. With `validate`, the session must pass
+    `validate_session_reference`. Lines are split at LF, CRLF and CR, and
+    each is decoded as UTF-8 on its own."""
     log_path = Path(log_path)
     manifest_path = manifest_path_for(log_path)
     manifest = _load_json(manifest_path, "manifest")
@@ -564,7 +566,8 @@ def read_session_reference(log_path, validate: bool = True) -> TeamSession:
             raise SessionFormatError(
                 f"unsupported format_version {manifest['format_version']!r}", manifest_path)
         session_id = manifest["session_id"]
-        grid = GridSpec(int(manifest["grid"]["width"]), int(manifest["grid"]["height"]))
+        grid = GridSpec(_json_int_reference(manifest["grid"]["width"], "width"),
+                        _json_int_reference(manifest["grid"]["height"], "height"))
         roster: dict[str, Role] = {}
         for entry in manifest["players"]:
             pid = entry["player_id"]
@@ -577,13 +580,16 @@ def read_session_reference(log_path, validate: bool = True) -> TeamSession:
             if not all(isinstance(a, str) for a in actors):
                 raise SessionFormatError("actor ids must be strings", manifest_path)
             events.append(RescueEvent(
-                time_s=float(entry["time_s"]),
+                time_s=_json_number_reference(entry["time_s"], "time_s"),
                 victim_type=VictimType(entry["victim_type"]),
-                victim_cell=Position(int(entry["x"]), int(entry["y"])),
+                victim_cell=Position(_json_int_reference(entry["x"], "x"),
+                                     _json_int_reference(entry["y"], "y")),
                 actor_ids=actors))
-        mission_duration_s = float(manifest["mission_duration_s"])
-        red_cutoff_s = float(manifest["red_cutoff_s"])
-        sample_interval_s = float(manifest["sample_interval_s"])
+        mission_duration_s = _json_number_reference(manifest["mission_duration_s"],
+                                                    "mission_duration_s")
+        red_cutoff_s = _json_number_reference(manifest["red_cutoff_s"], "red_cutoff_s")
+        sample_interval_s = _json_number_reference(manifest["sample_interval_s"],
+                                                   "sample_interval_s")
     except _MALFORMED as exc:
         raise _malformed("manifest", exc, manifest_path) from None
 
@@ -641,8 +647,11 @@ def read_session_reference(log_path, validate: bool = True) -> TeamSession:
     if raw is None:
         return session
     try:
-        meta = MapMeta(traversable_cells=int(raw["traversable_cells"]),
-                       max_tasks={Role(k): int(v) for k, v in raw["max_tasks"].items()})
+        cells = _json_int_reference(raw["traversable_cells"], "traversable_cells")
+        tasks = {}
+        for role, count in raw["max_tasks"].items():
+            tasks[Role(role)] = _json_int_reference(count, "max_tasks")
+        meta = MapMeta(traversable_cells=cells, max_tasks=tasks)
     except _MALFORMED as exc:
         raise _malformed("map_meta", exc, manifest_path) from None
     return replace(session, map_meta=meta)

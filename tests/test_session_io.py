@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -344,6 +345,51 @@ def test_read_session_rejects_malformed_map_meta(tmp_path, sim_session, map_meta
         assert str(exc.value) == f"{manifest}: bad map_meta: {detail}"
 
 
+# A manifest number of the wrong JSON type, one field per case: how to set it,
+# the value, and the error. Each of these read as int() or float() made it.
+MANIFEST_NUMBERS = {
+    "grid_width": (lambda m, v: m["grid"].update(width=v), 7.9,
+                   "bad manifest: width must be a JSON integer, got 7.9"),
+    "grid_height": (lambda m, v: m["grid"].update(height=v), "5",
+                    'bad manifest: height must be a JSON integer, got "5"'),
+    "event_x": (lambda m, v: m["events"][0].update(x=v), "5",
+                'bad manifest: x must be a JSON integer, got "5"'),
+    "event_y": (lambda m, v: m["events"][0].update(y=v), 1.0,
+                "bad manifest: y must be a JSON integer, got 1.0"),
+    "event_time_s": (lambda m, v: m["events"][0].update(time_s=v), "21",
+                     'bad manifest: time_s must be a JSON number, got "21"'),
+    "mission_duration_s": (lambda m, v: m.update(mission_duration_s=v), "60",
+                           'bad manifest: mission_duration_s must be a JSON number, got "60"'),
+    "red_cutoff_s": (lambda m, v: m.update(red_cutoff_s=v), True,
+                     "bad manifest: red_cutoff_s must be a JSON number, got true"),
+    "sample_interval_s": (lambda m, v: m.update(sample_interval_s=v), None,
+                          "bad manifest: sample_interval_s must be a JSON number, got null"),
+    "traversable_cells": (lambda m, v: m["map_meta"].update(traversable_cells=v), 33.5,
+                          "bad map_meta: traversable_cells must be a JSON integer, got 33.5"),
+    "max_tasks": (lambda m, v: m["map_meta"]["max_tasks"].update(medic=v), False,
+                  "bad map_meta: max_tasks must be a JSON integer, got false"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MANIFEST_NUMBERS))
+def test_manifest_numbers_must_have_their_json_type(tmp_path, capsys, case):
+    set_value, value, message = MANIFEST_NUMBERS[case]
+    log = tmp_path / "s.jsonl"
+    log.write_bytes(EXAMPLE_LOG.read_bytes())
+    doc = json.loads(manifest_path_for(EXAMPLE_LOG).read_text(encoding="utf-8"))
+    set_value(doc, value)
+    manifest = manifest_path_for(log)
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    for validate in (True, False):
+        with pytest.raises(SessionFormatError) as exc:
+            read_session(log, validate=validate)
+        assert str(exc.value) == f"{manifest}: {message}"
+        assert outcome(partial(read_session, validate=validate), log) == \
+            outcome(partial(read_session_reference, validate=validate), log)
+    assert main(["metrics", str(log)]) == EXIT_IO
+    assert f"{manifest}: {message}" in capsys.readouterr().err
+
+
 def test_map_rejects_malformed_cells(tmp_path):
     p = write_map(builtin_map("small"), tmp_path / "m.json")
     doc = json.loads(p.read_text())
@@ -663,15 +709,20 @@ OTHER_FORM_VARIANTS = {
     "tick_2_63": replaced('"tick":0', f'"tick":{2 ** 63}'),
     "duplicate_tick": lambda a, b: [a, a],
     "duplicate_key": replaced('"y":1}', '"y":1,"y":2}'),
+    "indented_line": lambda a, b: [" " + a, b],
+    "trailing_space": lambda a, b: [a + " \t", b],
+    "blank_line_between": lambda a, b: [a, "", b],
 }
 # ... and these parse as a whole log, but that parse must not be trusted: a
 # list that spans two lines, so line 1 alone is no JSON; a list that holds
-# the next line's record; two records on one line; a record holding an object.
+# the next line's record; two records on one line; a record holding an
+# object; a number in front of a record.
 BULK_PARSE_TRAPS = {
     "list_spans_two_lines": lambda a, b: [a[:-1] + ',"z":[0', "0]}," + b],
     "next_record_inside_a_list": lambda a, b: [a[:-1] + ',"z":[0', b + "]}"],
     "two_records_on_a_line": lambda a, b: [a + "," + b],
     "nested_object": lambda a, b: [a[:-1] + ',"z":{"k":1}}', b],
+    "value_before_a_record": lambda a, b: ["5," + a, b],
 }
 LOG_VARIANTS = {**WRITER_FORM_VARIANTS, **OTHER_FORM_VARIANTS, **BULK_PARSE_TRAPS}
 
@@ -717,5 +768,20 @@ def test_every_written_session_reads_column_by_column(tmp_path, per_line_decodes
     logs = sorted(tmp_path.glob("*/*.jsonl"))
     assert len(logs) == len(names) * len(WRITTEN_TEAMS) * 2
     for log in [*logs, EXAMPLE_LOG, REPLAY_LOG]:
-        read_session(log)
+        got = outcome(read_session, log)
+        assert got[0] == "read"
+        assert got == outcome(read_session_reference, log), log.name
+    assert per_line_decodes == []
+
+
+def test_shuffled_log_reads_as_written(tmp_path, per_line_decodes, sim_session):
+    # the reader sorts each player's records itself, whatever order the lines are in
+    log, _ = write_session(sim_session, tmp_path / "s.jsonl")
+    lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    random.Random(23).shuffle(lines)
+    shuffled = "".join(lines)
+    assert shuffled != log.read_text(encoding="utf-8")
+    log.write_text(shuffled, encoding="utf-8")
+    assert read_session(log) == sim_session
+    assert outcome(read_session, log) == outcome(read_session_reference, log)
     assert per_line_decodes == []

@@ -419,6 +419,69 @@ def test_map_validation_catches_bad_specs():
         map_from_ascii("ragged", "##\n###\n")
 
 
+# A 4 x 4 map without problems: a wall, a door, a yellow victim under rubble,
+# a green victim and a free start cell.
+GOOD_MAP = MapSpec(name="good", grid=GridSpec(4, 4), walls=frozenset({Position(0, 0)}),
+                   doors=frozenset({Position(3, 0)}), rubble=frozenset({Position(1, 1)}),
+                   victims=(Victim(Position(1, 1), VictimType.YELLOW),
+                            Victim(Position(2, 2), VictimType.GREEN)),
+                   start=Position(0, 3))
+
+
+def _with(**fields):
+    """GOOD_MAP with a cell added to a cell set, a victim added, or another field replaced."""
+    def merged(key, value):
+        old = getattr(GOOD_MAP, key)
+        if isinstance(old, frozenset):
+            return old | {value}
+        if isinstance(old, tuple):
+            return old + (value,)
+        return value
+    return replace(GOOD_MAP, **{key: merged(key, value) for key, value in fields.items()})
+
+
+# One defect per case, for each problem `MapSpec.problems()` reports.
+MAP_DEFECTS = {
+    "wall_outside_grid": (_with(walls=Position(4, 0)), "wall at (4, 0) outside grid"),
+    "door_outside_grid": (_with(doors=Position(0, -1)), "door at (0, -1) outside grid"),
+    "rubble_outside_grid": (_with(rubble=Position(9, 9)), "rubble at (9, 9) outside grid"),
+    "door_on_wall": (_with(doors=Position(0, 0)), "door cells overlap walls"),
+    "rubble_on_wall": (_with(rubble=Position(0, 0)), "rubble cells overlap walls or doors"),
+    "rubble_on_door": (_with(rubble=Position(3, 0)), "rubble cells overlap walls or doors"),
+    "victim_outside_grid": (_with(victims=Victim(Position(5, 1), VictimType.GREEN)),
+                            "victim at (5, 1) outside grid"),
+    "victims_share_a_cell": (_with(victims=Victim(Position(2, 2), VictimType.RED)),
+                             "two victims share cell (2, 2)"),
+    "victim_on_wall": (_with(victims=Victim(Position(0, 0), VictimType.GREEN)),
+                       "victim at (0, 0) on a wall or door"),
+    "victim_on_door": (_with(victims=Victim(Position(3, 0), VictimType.RED)),
+                       "victim at (3, 0) on a wall or door"),
+    "yellow_without_rubble": (_with(victims=Victim(Position(2, 1), VictimType.YELLOW)),
+                              "yellow victim at (2, 1) has no rubble"),
+    "green_under_rubble": (_with(rubble=Position(2, 2)),
+                           "green victim at (2, 2) buried under rubble"),
+    "start_outside_grid": (_with(start=Position(4, 3)), "start cell outside grid"),
+    "start_on_wall": (_with(start=Position(0, 0)), "start cell not traversable"),
+    "start_on_door": (_with(start=Position(3, 0)), "start cell not traversable"),
+    "start_on_rubble": (_with(start=Position(1, 1)), "start cell not traversable"),
+    "start_on_victim": (_with(start=Position(2, 2)), "start cell not traversable"),
+    "red_cutoff_zero": (_with(red_cutoff_s=0.0), "red cutoff outside a finite mission duration"),
+    "red_cutoff_after_mission": (_with(red_cutoff_s=301.0),
+                                 "red cutoff outside a finite mission duration"),
+    "field_of_view_zero": (_with(fov_radius=0), "field of view radius must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MAP_DEFECTS))
+def test_map_problems_name_each_defect(case):
+    spec, problem = MAP_DEFECTS[case]
+    assert GOOD_MAP.problems() == []
+    assert spec.problems() == [problem]
+    with pytest.raises(InvalidMapError) as exc:
+        spec.validate()
+    assert str(exc.value) == f"map 'good': {problem}"
+
+
 @pytest.mark.parametrize("clock", [{"mission_duration_s": math.inf},
                                    {"mission_duration_s": math.inf, "red_cutoff_s": math.inf}])
 def test_map_validation_refuses_infinite_mission_clock(clock):
