@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -200,16 +201,15 @@ def _analysis_correlations(cols, args):
     out = []
     for a in METRIC_VARS:
         for b in METRIC_VARS:
-            if a == b:
+            if a == b and cols[a].min() < cols[a].max():
                 out.append({"var_a": a, "var_b": b, "rho": 1.0, "p_value": 0.0, "n": n})
                 continue
             try:
                 r = spearman(cols[a], cols[b])
                 out.append({"var_a": a, "var_b": b, "rho": r.rho, "p_value": r.p_value,
                             "n": r.n})
-            except DegenerateDataError:  # a constant column: correlation undefined
-                out.append({"var_a": a, "var_b": b, "rho": float("nan"),
-                            "p_value": float("nan"), "n": n})
+            except DegenerateDataError:  # a constant column, itself included: undefined
+                out.append({"var_a": a, "var_b": b, "rho": None, "p_value": None, "n": n})
     return out
 
 
@@ -235,7 +235,7 @@ def _analysis_quadratic(cols, args):
             "constant_p": fit.p_values[0], "linear_p": fit.p_values[1],
             "quadratic_p": fit.p_values[2], "r_squared": fit.r_squared,
             "f_stat": fit.f_stat, "f_p_value": fit.f_p_value,
-            "optimal_value": "" if math.isnan(fit.vertex_x) else fit.vertex_x,
+            "optimal_value": None if math.isnan(fit.vertex_x) else fit.vertex_x,
             "pattern": "flat" if fit.flat else "inverted-u" if fit.inverted_u else "u-or-flat",
         })
     return out
@@ -252,7 +252,7 @@ def _analysis_mediation(cols, args):
             "c_prime": res.c_prime, "indirect": res.indirect_point,
             "ci_low": res.ci_low, "ci_high": res.ci_high,
             "significant": res.significant,
-            "pct_mediated": res.pct_mediated if res.pct_mediated is not None else "",
+            "pct_mediated": res.pct_mediated,
             "resamples": res.resamples, "seed": res.seed,
         })
     return out
@@ -300,6 +300,8 @@ _ANALYSES = {
 
 
 def _format_value(v, human: bool) -> str:
+    if v is None:  # an undefined statistic
+        return ""
     if isinstance(v, bool):
         return str(v).lower()
     if isinstance(v, float):
@@ -308,7 +310,9 @@ def _format_value(v, human: bool) -> str:
 
 
 def _render(rows: list[dict], fmt: str) -> str:
-    """A report in `fmt`; the columns are the first row's keys, in order."""
+    """A report in `fmt`; the columns are the first row's keys, in order. An
+    undefined statistic, None, is an empty cell in csv and markdown and null
+    in json-lines."""
     columns = list(rows[0])
     if fmt == "json-lines":
         return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in rows)
@@ -328,7 +332,7 @@ def _render(rows: list[dict], fmt: str) -> str:
 
 def cmd_stats(args) -> int:
     analysis, names, ids = _ANALYSES[args.analysis]
-    cols, _ = read_metrics_table(args.table, names, ids)
+    cols = read_metrics_table(args.table, names, ids)
     try:
         out_rows = analysis(cols, args)
     except (ValueError, TooFewTeamsError) as exc:  # too few rows, or --resamples out of range
@@ -379,6 +383,7 @@ def cmd_timeseries(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built on the first call, once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="teamcoord",
@@ -395,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--runs", type=int, default=1)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", help="output directory (default $TEAMCOORD_OUT or .)")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_met = sub.add_parser("metrics", help="compute the per-session metric table")
     p_met.add_argument("sessions", nargs="+", help="session log paths (.jsonl)")
@@ -403,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pool k x k tile blocks before computing occupancy")
     p_met.add_argument("--map", help="map JSON for sessions without embedded metadata")
     p_met.add_argument("--out", help="output CSV path (default stdout)")
-    p_met.set_defaults(func=cmd_metrics)
 
     p_sta = sub.add_parser("stats", help="run an analysis over a metric table")
     p_sta.add_argument("--table", required=True, help="metric table CSV")
@@ -412,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sta.add_argument("--seed", type=int, default=0)
     p_sta.add_argument("--format", choices=("csv", "json-lines", "markdown"), default="csv")
     p_sta.add_argument("--out", help="output path (default stdout)")
-    p_sta.set_defaults(func=cmd_stats)
 
     p_ts = sub.add_parser("timeseries",
                           help="averaged top/bottom-group metric trends over mission progress")
@@ -423,19 +425,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_ts.add_argument("--smooth", type=int, default=5)
     p_ts.add_argument("--format", choices=("csv", "json-lines", "markdown"), default="csv")
     p_ts.add_argument("--out", help="output path (default stdout)")
-    p_ts.set_defaults(func=cmd_timeseries)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 for --help, 2 for usage errors
         return int(exc.code or 0)
+    # looked up per call, not stored in the parser, so a patched cmd_* takes effect
+    command = {"simulate": cmd_simulate, "metrics": cmd_metrics, "stats": cmd_stats,
+               "timeseries": cmd_timeseries}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (UsageError, PolicyParamError, MetricTableError) as exc:  # flags and table contents
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -67,12 +67,6 @@ class MetricTimeSeries:
     metric: SeriesMetric
     values: tuple[tuple[float, float], ...]  # (progress fraction, value)
 
-    def progress(self) -> np.ndarray:
-        return np.array([p for p, _ in self.values])
-
-    def series(self) -> np.ndarray:
-        return np.array([v for _, v in self.values])
-
 
 def _aligned_ticks(players) -> int:
     """The players' common tick count; raises when they disagree."""
@@ -214,13 +208,10 @@ def metric_time_series(session: TeamSession, metric: SeriesMetric | str,
     end tick divided by the nominal mission tick count, so the red cutoff
     lands exactly at its mission-progress fraction.
     """
-    if isinstance(metric, str):
-        try:
-            metric = SeriesMetric(metric)
-        except ValueError:
-            raise UnsupportedMetricError(f"unknown metric {metric!r}") from None
-    if not isinstance(metric, SeriesMetric):
-        raise UnsupportedMetricError(f"unknown metric {metric!r}")
+    try:
+        metric = SeriesMetric(metric)
+    except ValueError:
+        raise UnsupportedMetricError(f"unknown metric {metric!r}") from None
     if window_ticks < 2:
         raise ValueError("window_ticks must be >= 2")
     if smooth_ticks < 1:

@@ -445,7 +445,8 @@ def _json_value(value, name: str, kind: str = "integer"):
 
 
 def read_map(path) -> MapSpec:
-    """A map manifest; its sizes, field of view and cell coordinates must be JSON integers."""
+    """A map manifest; its sizes, field of view and cell coordinates must be JSON
+    integers, its mission clock JSON numbers."""
     path = Path(path)
     doc = _load_json(path, "map file")
     def cell(xy, name):
@@ -465,8 +466,9 @@ def read_map(path) -> MapSpec:
             victims=tuple(Victim(cell([v["x"], v["y"]], "victims"), VictimType(v["type"]))
                           for v in doc["victims"]),
             start=cell(doc["start"], "start"),
-            mission_duration_s=float(doc["mission_duration_s"]),
-            red_cutoff_s=float(doc["red_cutoff_s"]),
+            mission_duration_s=float(_json_value(doc["mission_duration_s"], "mission_duration_s",
+                                                 "number")),
+            red_cutoff_s=float(_json_value(doc["red_cutoff_s"], "red_cutoff_s", "number")),
             fov_radius=_json_value(doc["fov_radius"], "fov_radius"))
     except _MALFORMED as exc:
         raise _malformed("map", exc, path) from None
@@ -504,11 +506,10 @@ class MetricTableError(TeamCoordError):
 
 
 def read_metrics_table(path, columns: Sequence[str] = METRICS_COLUMNS[1:],
-                       ids: bool = True) -> tuple[dict, tuple[int, ...]]:
-    """The named columns of a metric table, as float arrays, and the file
-    line each data row ends on; with `ids`, also the `session_id` column as
-    a tuple of unique strings. Other columns, blank lines and one leading
-    UTF-8 byte-order mark are skipped.
+                       ids: bool = True) -> dict:
+    """The named columns of a metric table, as float arrays; with `ids`, also
+    the `session_id` column as a tuple of unique strings. Other columns,
+    blank lines and one leading UTF-8 byte-order mark are skipped.
 
     A file that is missing or not UTF-8, a line the CSV reader refuses, or a
     row whose field count differs from the header's is a `SessionFormatError`
@@ -543,7 +544,7 @@ def read_metrics_table(path, columns: Sequence[str] = METRICS_COLUMNS[1:],
             if first.setdefault(sid, line) != line:
                 raise MetricTableError(f"session_id {sid!r} on line {line} repeats line {first[sid]}")
         out["session_id"] = tuple(first)  # every id once, in row order
-    return out, tuple(line for line, _ in rows)
+    return out
 
 
 def _numbers(name: str, cells: list[tuple[int, str]]) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Deterministic, seeded search-and-rescue simulator on grid maps."""
 
 from .maps import builtin_map, builtin_maps, map_from_ascii
-from .policies import AgentPolicy, PolicyKind
+from .policies import AgentPolicy, PolicyKind, run_mission
 from .world import (
     AgentAction,
     AgentState,
@@ -12,6 +12,5 @@ from .world import (
     WorldState,
     initial_state,
     map_meta,
-    run_mission,
     step_resolved,
 )

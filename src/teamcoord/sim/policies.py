@@ -5,7 +5,8 @@ rubble and door states are learned (and unlearned) only when their cell is in
 view; static walls and teammate positions are always known, mirroring a map
 whose layout is shown but whose entities are fogged. Everything is seeded and
 deterministic. The action rules live in `world.py`: the controllers act
-through its `_rescuers` and `_terrain_action`, as the step does.
+through its `_rescuers` and `_terrain_action`, as the step does, and
+`run_mission` drives the controllers and the step through a whole mission.
 """
 from __future__ import annotations
 
@@ -15,9 +16,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..core import ActionTag, Role, TeamCoordError, ValueEnum
-from .world import (_GREEN, _RED, _YELLOW, AgentAction, MapSpec, WAIT_ACTION, WorldState,
-                    _rescuers, _terrain_action)
+from ..core import (ACTIONS, MAX_TICKS, SAMPLE, SAMPLE_INTERVAL_S, ActionTag, CompositionError,
+                    PlayerTrajectory, Role, TeamCoordError, TeamSession, ValueEnum, _clock_ticks,
+                    validate_session)
+from .world import (_GREEN, _RED, _YELLOW, AgentAction, AgentState, InvalidMapError, MapSpec,
+                    WAIT_ACTION, WorldState, _rescuers, _terrain_action, initial_state, map_meta,
+                    step_resolved)
 
 
 class PolicyKind(ValueEnum):
@@ -125,6 +129,7 @@ class Controller:
     `tobytes()`, or a `bytearray` filled from a few target cells); the one
     with the smallest (BFS distance, cell index) among the reachable goals
     wins, which is the (distance, y, x) order and keeps runs reproducible.
+    A subclass defines `_decide`, or overrides `act` itself.
     """
 
     def __init__(self, spec: MapSpec, role: Role, index: int, rng: np.random.Generator,
@@ -224,9 +229,6 @@ class Controller:
         if act.kind is ActionTag.MOVE and dither > 0 and self.rng.random() < dither:
             return self._random_move(state.agents[self.index].cell)
         return act
-
-    def _decide(self, state: WorldState) -> AgentAction:
-        raise NotImplementedError
 
 
 class RandomWalkController(Controller):
@@ -413,3 +415,57 @@ def build_controllers(policies: Sequence[tuple[Role, AgentPolicy]], spec: MapSpe
         extra = {"pair": pair} if policy.kind is PolicyKind.COORDINATED else {}
         controllers.append(_CONTROLLERS[policy.kind](spec, role, i, rng, policy.params, **extra))
     return controllers
+
+
+def run_mission(spec: MapSpec, policies, seed: int, session_id: str | None = None) -> TeamSession:
+    """Run one full mission and return its validated session record, carrying `map_meta(spec)`.
+
+    `policies` is a sequence of four (role, AgentPolicy) pairs, two medics
+    and two engineers. Fixed (map, policies, seed) reproduces the mission
+    bit for bit. Player ids are derived from roles in input order. It runs on
+    row-major int cells, split into x and y by one `divmod` at the end.
+    """
+    spec.validate()
+    roles = [role for role, _ in policies]
+    if len(policies) != 4 or roles.count(Role.MEDIC) != 2 or roles.count(Role.ENGINEER) != 2:
+        raise CompositionError("run_mission needs exactly 2 medic and 2 engineer policies")
+    n_ticks = _clock_ticks(spec.mission_duration_s, SAMPLE_INTERVAL_S)
+    if not 1 <= n_ticks <= MAX_TICKS:
+        ticks = "no tick" if n_ticks < 1 else f"more than the {MAX_TICKS} ticks allowed"
+        raise InvalidMapError(f"map {spec.name!r}: a {spec.mission_duration_s} s mission has "
+                              f"{ticks} at a sample interval of {SAMPLE_INTERVAL_S} s")
+
+    start = spec.start.y * spec.grid.width + spec.start.x
+    agents = tuple(AgentState(player_id=f"{role.value}{roles[:i + 1].count(role)}", role=role,
+                              cell=start) for i, role in enumerate(roles))
+    controllers = build_controllers(policies, spec, seed)
+    state = initial_state(spec, agents)
+    # per agent and tick: the cell stood on, the resolved action and its target (-1 for none)
+    cells, kinds, targets = (np.empty((len(agents), n_ticks), dtype=dtype)
+                             for dtype in (np.int64, np.int8, np.int64))
+
+    for t in range(n_ticks):
+        for c in controllers:
+            c.observe(state)
+        new_state, resolved = step_resolved(state, [c.act(state) for c in controllers])
+        for i, (agent, act) in enumerate(zip(state.agents, resolved)):
+            cells[i, t] = agent.cell
+            kinds[i, t] = ACTIONS.index(act.kind)
+            targets[i, t] = -1 if act.target is None else act.target
+        state = new_state
+
+    ticks = np.broadcast_to(np.arange(n_ticks), cells.shape)
+    ys, xs = np.divmod(np.stack([cells, np.maximum(targets, 0)]), spec.grid.width)
+    samples = np.rec.fromarrays([ticks, ticks * SAMPLE_INTERVAL_S, xs[0], ys[0], kinds,
+                                 xs[1], ys[1], targets >= 0], dtype=SAMPLE)
+    players = tuple(PlayerTrajectory(player_id=a.player_id, role=a.role, samples=samples[i])
+                    for i, a in enumerate(agents))
+    session = TeamSession(
+        session_id=session_id or f"{spec.name}-{seed}",
+        grid=spec.grid, players=players, events=state.events,
+        mission_duration_s=spec.mission_duration_s, red_cutoff_s=spec.red_cutoff_s,
+        map_meta=map_meta(spec))
+    report = validate_session(session)
+    if report:  # a violation here is a simulator bug, not user error
+        raise AssertionError(f"simulator produced an invalid session: {report[:3]}")
+    return session

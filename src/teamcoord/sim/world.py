@@ -10,7 +10,8 @@ A mission runs on row-major int cells (`y * width + x`): agents, action
 targets and the `WorldState` arrays of victims, rubble and closed doors. The
 map arrives as `Position` sets (`MapSpec`), read once per mission. The action
 rules live here, in `_rescuers` and `_terrain_action`, and the step and the
-controllers of `policies.py` both act through them.
+controllers of `policies.py` both act through them; `policies.run_mission`
+drives a whole mission.
 """
 from __future__ import annotations
 
@@ -22,23 +23,15 @@ from itertools import islice
 import numpy as np
 
 from ..core import (
-    ACTIONS,
-    MAX_TICKS,
-    SAMPLE,
     SAMPLE_INTERVAL_S,
     ActionTag,
-    CompositionError,
     GridSpec,
     MapMeta,
     Position,
     RescueEvent,
     Role,
     TeamCoordError,
-    TeamSession,
-    PlayerTrajectory,
     VictimType,
-    _clock_ticks,
-    validate_session,
 )
 
 
@@ -278,59 +271,3 @@ def step_resolved(state: WorldState, actions) -> tuple[WorldState, tuple[AgentAc
                            victim_codes=victims, rubble_mask=rubble, door_mask=doors,
                            events=tuple(events))
     return new_state, tuple(resolved)
-
-
-def run_mission(spec: MapSpec, policies, seed: int, session_id: str | None = None) -> TeamSession:
-    """Run one full mission and return its validated session record, carrying `map_meta(spec)`.
-
-    `policies` is a sequence of four (role, AgentPolicy) pairs, two medics
-    and two engineers. Fixed (map, policies, seed) reproduces the mission
-    bit for bit. Player ids are derived from roles in input order. It runs on
-    row-major int cells, split into x and y by one `divmod` at the end.
-    """
-    from .policies import build_controllers  # deferred: policies import world types
-
-    spec.validate()
-    roles = [role for role, _ in policies]
-    if len(policies) != 4 or roles.count(Role.MEDIC) != 2 or roles.count(Role.ENGINEER) != 2:
-        raise CompositionError("run_mission needs exactly 2 medic and 2 engineer policies")
-    n_ticks = _clock_ticks(spec.mission_duration_s, SAMPLE_INTERVAL_S)
-    if not 1 <= n_ticks <= MAX_TICKS:
-        ticks = "no tick" if n_ticks < 1 else f"more than the {MAX_TICKS} ticks allowed"
-        raise InvalidMapError(f"map {spec.name!r}: a {spec.mission_duration_s} s mission has "
-                              f"{ticks} at a sample interval of {SAMPLE_INTERVAL_S} s")
-
-    start = spec.start.y * spec.grid.width + spec.start.x
-    agents = tuple(AgentState(player_id=f"{role.value}{roles[:i + 1].count(role)}", role=role,
-                              cell=start) for i, role in enumerate(roles))
-    controllers = build_controllers(policies, spec, seed)
-    state = initial_state(spec, agents)
-    # per agent and tick: the cell stood on, the resolved action and its target (-1 for none)
-    cells, kinds, targets = (np.empty((len(agents), n_ticks), dtype=dtype)
-                             for dtype in (np.int64, np.int8, np.int64))
-
-    for t in range(n_ticks):
-        for c in controllers:
-            c.observe(state)
-        new_state, resolved = step_resolved(state, [c.act(state) for c in controllers])
-        for i, (agent, act) in enumerate(zip(state.agents, resolved)):
-            cells[i, t] = agent.cell
-            kinds[i, t] = ACTIONS.index(act.kind)
-            targets[i, t] = -1 if act.target is None else act.target
-        state = new_state
-
-    ticks = np.broadcast_to(np.arange(n_ticks), cells.shape)
-    ys, xs = np.divmod(np.stack([cells, np.maximum(targets, 0)]), spec.grid.width)
-    samples = np.rec.fromarrays([ticks, ticks * SAMPLE_INTERVAL_S, xs[0], ys[0], kinds,
-                                 xs[1], ys[1], targets >= 0], dtype=SAMPLE)
-    players = tuple(PlayerTrajectory(player_id=a.player_id, role=a.role, samples=samples[i])
-                    for i, a in enumerate(agents))
-    session = TeamSession(
-        session_id=session_id or f"{spec.name}-{seed}",
-        grid=spec.grid, players=players, events=state.events,
-        mission_duration_s=spec.mission_duration_s, red_cutoff_s=spec.red_cutoff_s,
-        map_meta=map_meta(spec))
-    report = validate_session(session)
-    if report:  # a violation here is a simulator bug, not user error
-        raise AssertionError(f"simulator produced an invalid session: {report[:3]}")
-    return session

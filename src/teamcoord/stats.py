@@ -117,7 +117,6 @@ class OlsResult:
     f_stat: float
     f_p_value: float
     coef_p_values: np.ndarray
-    residuals: np.ndarray
 
 
 def ols(y, design) -> OlsResult:
@@ -165,7 +164,7 @@ def ols(y, design) -> OlsResult:
         else:
             p_values[i] = student_t_two_sided(beta[i] / se[i], df_resid)
     return OlsResult(coefficients=beta, r_squared=r2, f_stat=f_stat, f_p_value=f_p,
-                     coef_p_values=p_values, residuals=resid)
+                     coef_p_values=p_values)
 
 
 def design_matrix(*columns) -> np.ndarray:
@@ -700,7 +699,6 @@ class AnovaResult:
     p_value: float
     df_between: int
     df_within: int
-    infinite_f: bool = False
 
 
 def one_way_anova(groups: Sequence) -> AnovaResult:
@@ -719,8 +717,7 @@ def one_way_anova(groups: Sequence) -> AnovaResult:
     if ss_within == 0.0:
         if ss_between == 0.0:
             return AnovaResult(f=0.0, p_value=1.0, df_between=df_b, df_within=df_w)
-        return AnovaResult(f=math.inf, p_value=0.0, df_between=df_b, df_within=df_w,
-                           infinite_f=True)
+        return AnovaResult(f=math.inf, p_value=0.0, df_between=df_b, df_within=df_w)
     f = (ss_between / df_b) / (ss_within / df_w)
     return AnovaResult(f=f, p_value=f_sf(f, df_b, df_w), df_between=df_b, df_within=df_w)
 

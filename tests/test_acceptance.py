@@ -423,7 +423,7 @@ def test_c9_roundtrip_property(tmp_path):
             with pytest.raises(MetricTableError, match="no data rows"):
                 read_metrics_table(path)
             continue
-        cols, _ = read_metrics_table(path)
+        cols = read_metrics_table(path)
         assert cols.pop("session_id") == tuple(r.session_id for r in rows)
         for name, column in cols.items():
             assert column.tolist() == [getattr(r, name) for r in rows]

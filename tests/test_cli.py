@@ -1,13 +1,18 @@
+import dataclasses
 import json
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from teamcoord import cli, stats
+from teamcoord import cli, session_io, stats
 from teamcoord.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from teamcoord.metrics import coordination_metrics
+from teamcoord.outcomes import collective_intelligence, team_performance
 from teamcoord.session_io import (MetricsTableRow, format_metrics_table, read_metrics_table,
-                                  write_map)
+                                  read_session, write_map, write_session)
 from teamcoord.sim import builtin_map
 
 EXAMPLE_TABLE = Path(__file__).resolve().parent.parent / "docs" / "examples" / "metrics.csv"
@@ -39,6 +44,36 @@ def test_help_exits_zero(capsys):
     for cmd in ("simulate", "metrics", "stats", "timeseries"):
         assert run([cmd, "--help"]) == 0
     capsys.readouterr()
+
+
+def test_python_m_teamcoord_exits_with_mains_code(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["teamcoord", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("teamcoord", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: teamcoord ")
+    monkeypatch.setattr(sys, "argv", ["teamcoord", "stats"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("teamcoord", run_name="__main__")
+    assert exc.value.code == EXIT_USAGE
+    assert "the following arguments are required: --table, --analysis" in capsys.readouterr().err
+
+
+def test_main_builds_the_parser_once_and_calls_the_module_command(monkeypatch, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "cmd_stats", lambda args: 7)
+    assert run(["stats", "--table", "t.csv", "--analysis", "groups"]) == 7
+
+
+def test_output_that_cannot_be_written_exits_1(tmp_path, capsys):
+    table = random_table(tmp_path / "m.csv", 8)
+    directory = tmp_path / "out"
+    directory.mkdir()
+    assert run(["stats", "--table", str(table), "--analysis", "groups",
+                "--out", str(directory)]) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("i/o error: ") and err.endswith(f"{str(directory)!r}\n")
 
 
 def test_simulate_writes_deterministic_files(tmp_path, capsys):
@@ -73,6 +108,12 @@ def test_simulate_zero_runs_exits_2(tmp_path, capsys):
      "policy parameter 'p_wait=2.0' must be in [0, 1]"),
     (["--policies", "greedy", "--policy-param", "patience=-3"],
      "policy parameter 'patience=-3.0' must be >= 0"),
+    (["--policies", "medic:greedy,engineer:greedy"],
+     "policies must be one kind or four role:kind entries"),
+    (["--policies", "medic:greedy,medic:greedy,engineer:greedy,greedy"],
+     "policy entry 'greedy' is not role:kind"),
+    (["--policy-param", "dither"], "policy parameter 'dither' is not key=value"),
+    (["--policy-param", "dither=abc"], "policy parameter 'dither=abc' is not numeric"),
 ])
 def test_simulate_bad_flags_exit_2(tmp_path, capsys, flags, message):
     assert run(["simulate", "--map", "small", "--out", str(tmp_path), *flags]) == EXIT_USAGE
@@ -90,7 +131,12 @@ def test_simulate_accepts_every_known_policy_param(tmp_path, capsys):
 def test_simulate_bad_policy_exits_3(tmp_path, capsys):
     assert run(["simulate", "--map", "small", "--policies", "quantum",
                 "--out", str(tmp_path)]) == EXIT_DOMAIN
-    capsys.readouterr()
+    assert capsys.readouterr().err == ("error: unknown policy 'quantum' "
+                                       "(known: random_walk, greedy, coordinated)\n")
+    assert run(["simulate", "--map", "small", "--out", str(tmp_path), "--policies",
+                "pilot:greedy,medic:greedy,engineer:greedy,engineer:greedy"]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == "error: unknown role 'pilot'\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_simulate_mixed_policies_and_custom_map(tmp_path, capsys):
@@ -132,6 +178,18 @@ def test_simulate_map_with_a_non_integer_size_exits_1(tmp_path, capsys, field, v
     assert out == ""
     assert err == (f"error: {path}: bad map: {field} must be a JSON integer, "
                    f"got {json.dumps(value)}\n")
+
+
+@pytest.mark.parametrize("field, value", [("mission_duration_s", "300"), ("red_cutoff_s", True)])
+def test_simulate_map_with_a_non_number_clock_exits_1(tmp_path, capsys, field, value):
+    path = example_map_with(tmp_path, **{field: value})
+    argv = ["simulate", "--map", str(path), "--runs", "1", "--out", str(tmp_path / "o")]
+    assert run(argv) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {path}: bad map: {field} must be a JSON number, "
+                   f"got {json.dumps(value)}\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("start", [[], [1], "x", [[1]], [1, 2, 3], 5],
@@ -182,8 +240,8 @@ def test_metrics_command_builds_table(tmp_path, capsys):
     rc = run(["metrics", *map(str, logs), "--out", str(out_csv)])
     assert rc == EXIT_OK
     capsys.readouterr()
-    cols, lines = read_metrics_table(out_csv)
-    assert lines == (2, 3, 4, 5)
+    cols = read_metrics_table(out_csv)
+    assert len(cols["session_id"]) == 4
     assert list(cols["session_id"]) == sorted(cols["session_id"])
     for name in ("sed", "sms", "spa", "ci"):
         assert ((0.0 <= cols[name]) & (cols[name] <= 1.0)).all()
@@ -195,10 +253,7 @@ def test_metrics_rows_match_library_values(tmp_path, capsys):
     out_csv = tmp_path / "m.csv"
     assert run(["metrics", *map(str, logs), "--out", str(out_csv)]) == EXIT_OK
     capsys.readouterr()
-    from teamcoord.metrics import coordination_metrics
-    from teamcoord.outcomes import collective_intelligence, team_performance
-    from teamcoord.session_io import read_session
-    cols, _ = read_metrics_table(out_csv)
+    cols = read_metrics_table(out_csv)
     for log in logs:
         s = read_session(log)
         m = coordination_metrics(s)
@@ -210,7 +265,6 @@ def test_metrics_rows_match_library_values(tmp_path, capsys):
 
 
 def test_metrics_decodes_each_manifest_once(tmp_path, capsys, monkeypatch):
-    from teamcoord import session_io
     logs = sim_corpus(tmp_path, runs=3)
     capsys.readouterr()
     decoded = []
@@ -222,6 +276,21 @@ def test_metrics_decodes_each_manifest_once(tmp_path, capsys, monkeypatch):
     assert sorted(decoded) == sorted(log.with_suffix(".manifest.json").name for log in logs)
 
 
+def test_metrics_without_map_metadata_needs_a_map(tmp_path, capsys):
+    log = sim_corpus(tmp_path, runs=1)[0]
+    capsys.readouterr()
+    bare, _ = write_session(dataclasses.replace(read_session(log), map_meta=None),
+                            tmp_path / "bare.jsonl")
+    assert "map_meta" not in bare.with_suffix(".manifest.json").read_text()
+    assert run(["metrics", str(bare)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"usage error: {bare}: no embedded map metadata; pass --map\n")
+    assert run(["metrics", str(bare), "--map", "small"]) == EXIT_OK
+    with_map = capsys.readouterr().out
+    assert run(["metrics", str(log)]) == EXIT_OK
+    assert with_map == capsys.readouterr().out
+
+
 def test_metrics_reports_broken_file_and_exits_1(tmp_path, capsys):
     logs = sim_corpus(tmp_path, runs=2)
     bad = tmp_path / "runs" / "broken.jsonl"
@@ -231,7 +300,7 @@ def test_metrics_reports_broken_file_and_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "broken.jsonl" in err
     # the readable sessions still landed in the table
-    assert read_metrics_table(tmp_path / "m.csv")[1] == (2, 3)
+    assert len(read_metrics_table(tmp_path / "m.csv")["session_id"]) == 2
 
 
 def test_stats_correlations_full_matrix(tmp_path, capsys):

@@ -24,6 +24,7 @@ from teamcoord.core import (
     Role,
     TeamSession,
     VictimType,
+    Violation,
     team_roles_partition,
     validate_session,
 )
@@ -67,6 +68,11 @@ def test_three_players_flagged():
     s = square_session()
     s = TeamSession(s.session_id, s.grid, s.players[:3], s.events)
     assert PLAYER_COUNT in codes(validate_session(s))
+
+
+def test_session_without_players_is_only_a_player_count_violation():
+    s = TeamSession(session_id="empty", grid=GridSpec(4, 4), players=(), events=())
+    assert validate_session(s) == [Violation(PLAYER_COUNT, "expected 4 players, found 0")]
 
 
 def test_two_cell_jump_flagged():

@@ -3,7 +3,8 @@
 Pins cover the session files the simulator writes for every built-in map x
 policy x seed in {0, 1, 2}, the metric table over that corpus (file and
 stdout), each `stats` analysis over that table and each `timeseries` metric
-(in csv, markdown and json-lines), the committed replay in demos/out/, and
+(in csv, markdown and json-lines), the correlations of a table with a
+constant column, the committed replay in demos/out/, and
 missions on a small map without border walls (field-of-view windows clipped
 at the grid edge, targets on the outer rows and columns). A pin may change
 only in a change that says in CHANGES.md why the output moved; the
@@ -12,6 +13,7 @@ assertion message shows the new digest.
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,7 @@ from teamcoord.core import ActionTag
 from teamcoord.cli import EXIT_OK, main
 from teamcoord.metrics import SeriesMetric
 from teamcoord.session_io import write_session
-from teamcoord.sim import AgentPolicy, PolicyKind, builtin_map, run_mission
+from teamcoord.sim import AgentPolicy, PolicyKind, builtin_map, policies, run_mission
 from teamcoord.sim.maps import map_from_ascii
 
 MAPS = ("small", "medium", "corridor")
@@ -186,7 +188,7 @@ STATS_FORMAT_PINS = {
     ("quadratic", "json-lines"):
         "51ba7f40bc59931bbf4b2906ac57bb8c80b3cd0f52858645cec85e032ce099b2",
     ("mediation", "json-lines"):
-        "eb6bad0ff98dfdfe78bb7d94bfafe0a2b8c7b23960854ef39176388bfeb8a149",
+        "5a6c56b4462c1e59c8ac61ca0f849b1cfbff5ddc272cb7dbb790b410bb7d1bfa",
     ("groups", "json-lines"):
         "9116268cacb377ec643fc9abd05746e5289dfd0a93a9f939da6a7c5d3a4b8062",
     ("timeless-anova", "json-lines"):
@@ -327,6 +329,45 @@ def test_timeseries_formats(corpus, metric, fmt, capsys):
     assert sha(out) == SERIES_FORMAT_PINS[metric, fmt], sha(out)
 
 
+# A table whose sms column is constant: every correlation with sms, its own
+# included, is undefined.
+CONSTANT_SMS_TABLE = """\
+session_id,sed,sms,spa,ci,performance
+t1,0.1,0.5,0.2,0.3,10
+t2,0.2,0.5,0.4,0.1,30
+t3,0.3,0.5,0.1,0.4,20
+t4,0.4,0.5,0.3,0.2,40
+"""
+CONSTANT_SMS_PINS = {
+    "csv": "c3e9110b33a5dc8081eb88a1cdb94d8bec2e9f80410d1188585702a4bf344e30",
+    "markdown": "6d23d94e91d7a63ca48cbeb382c01391ebc15778156a2d7ba439a2e0a1929ca1",
+    "json-lines": "87801905559dd73b5530a22e18dc53a7e77b0c88b984d79e074af89490e63842",
+}
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "markdown", "json-lines"])
+def test_undefined_correlations(tmp_path, fmt, capsys):
+    """An undefined statistic is an empty cell in csv and markdown, null in json-lines."""
+    path = tmp_path / "constant.csv"
+    path.write_text(CONSTANT_SMS_TABLE)
+    out = run_cli(capsys, ["stats", "--table", str(path), "--analysis", "correlations",
+                           "--format", fmt])
+    text = out.decode()
+    assert "nan" not in text.lower()
+    if fmt == "json-lines":
+        rows = [json.loads(line, parse_constant=_no_constant) for line in text.splitlines()]
+        others = ("sed", "spa", "ci", "performance")
+        undefined = [(r["var_a"], r["var_b"]) for r in rows if r["rho"] is None]
+        assert sorted(undefined) == sorted([(v, "sms") for v in others]
+                                           + [("sms", v) for v in others] + [("sms", "sms")])
+        assert all((r["rho"] is None) == (r["p_value"] is None) for r in rows)
+    assert sha(out) == CONSTANT_SMS_PINS[fmt], sha(out)
+
+
 def test_committed_replay(tmp_path):
     spec = builtin_map("medium")
     policy = AgentPolicy(PolicyKind.COORDINATED)
@@ -461,9 +502,7 @@ def _target_key(grid, act):
 
 
 def test_requested_action_streams(monkeypatch):
-    from teamcoord.sim import world
-
-    step = world.step_resolved
+    step = policies.step_resolved
     rows = []
 
     def recording_step(state, actions):
@@ -472,7 +511,7 @@ def test_requested_action_streams(monkeypatch):
                     for i, act in enumerate(actions))
         return step(state, actions)
 
-    monkeypatch.setattr(world, "step_resolved", recording_step)
+    monkeypatch.setattr(policies, "step_resolved", recording_step)
     missions = {}
     for mapname in MAPS:
         spec = builtin_map(mapname)

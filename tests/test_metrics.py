@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from teamcoord import metrics
-from teamcoord.core import GridSpec, Role, TeamSession
+from teamcoord.core import CompositionError, GridSpec, PlayerTrajectory, Role, TeamSession
 from teamcoord.metrics import (
     MisalignedSessionError,
     SeriesMetric,
@@ -54,6 +54,12 @@ def test_sed_two_identical_pairs():
     assert spatial_exploration_diversity(s) == pytest.approx(4 / 6, abs=1e-12)
 
 
+def test_sed_needs_two_players():
+    s = session_from_cells([static((0, 0))], [], G)
+    with pytest.raises(CompositionError, match="^exploration diversity needs at least two players$"):
+        spatial_exploration_diversity(s)
+
+
 def test_sed_permutation_invariant():
     rng = np.random.default_rng(21)
     for _ in range(20):
@@ -94,7 +100,6 @@ def test_sms_invariant_to_role_label_swap():
     for _ in range(20):
         s = random_session(rng)
         base = spatial_movement_specialization(s)
-        from teamcoord.core import PlayerTrajectory
         flipped = tuple(
             PlayerTrajectory(p.player_id,
                              Role.ENGINEER if p.role is Role.MEDIC else Role.MEDIC,
@@ -188,7 +193,7 @@ def test_series_constant_for_static_inter_role_distance():
     s = session_from_cells([static((0, 0), 30), static((1, 0), 30)],
                            [static((5, 0), 30), static((6, 0), 30)], G)
     ts = metric_time_series(s, "inter_role_distance", window_ticks=5, smooth_ticks=3)
-    vals = ts.series()
+    vals = np.array([v for _, v in ts.values])
     assert np.allclose(vals, vals[0])
 
 
@@ -196,7 +201,7 @@ def test_series_rolling_adaptation_zero_on_constant_distance():
     s = session_from_cells([static((0, 0), 30), static((1, 0), 30)],
                            [static((5, 0), 30), static((6, 0), 30)], G)
     ts = metric_time_series(s, SeriesMetric.SPA_ROLLING, window_ticks=5, smooth_ticks=1)
-    assert np.allclose(ts.series(), 0.0)
+    assert np.allclose([v for _, v in ts.values], 0.0)
 
 
 def test_series_sed_monotone_around_divergence():
@@ -222,7 +227,7 @@ def test_series_progress_is_strictly_increasing_in_unit_interval():
     s = split_session()
     for metric in SeriesMetric:
         ts = metric_time_series(s, metric, window_ticks=8, smooth_ticks=3)
-        prog = ts.progress()
+        prog = np.array([p for p, _ in ts.values])
         assert np.all(np.diff(prog) > 0)
         assert prog[0] >= 0.0 and prog[-1] <= 1.0
 
@@ -266,10 +271,19 @@ def test_series_window_too_large():
         metric_time_series(s, "sed", window_ticks=11)
 
 
+def test_series_rolling_adaptation_needs_two_windows():
+    s = random_session(np.random.default_rng(73), n_ticks=10)
+    assert len(metric_time_series(s, "spa_rolling", window_ticks=9).values) == 1
+    with pytest.raises(WindowTooLargeError, match="^rolling adaptation needs at least two windows$"):
+        metric_time_series(s, "spa_rolling", window_ticks=10)
+
+
 def test_series_unknown_metric():
     s = random_session(np.random.default_rng(81), n_ticks=10)
-    with pytest.raises(UnsupportedMetricError):
-        metric_time_series(s, "velocity", window_ticks=4)
+    for metric in ("velocity", 3, None, ["sed"]):
+        with pytest.raises(UnsupportedMetricError) as exc:
+            metric_time_series(s, metric, window_ticks=4)
+        assert str(exc.value) == f"unknown metric {metric!r}"
 
 
 # --- window kernels against the per-window loop -------------------------------

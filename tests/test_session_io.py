@@ -214,7 +214,7 @@ def test_metrics_table_roundtrip_single_row(tmp_path):
                           performance=220)
     p = tmp_path / "m.csv"
     p.write_text(format_metrics_table([row]))
-    assert table_rows(read_metrics_table(p)[0]) == [row]
+    assert table_rows(read_metrics_table(p)) == [row]
 
 
 def test_metrics_table_34_rows_is_35_lines(tmp_path):
@@ -224,21 +224,22 @@ def test_metrics_table_34_rows_is_35_lines(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text(format_metrics_table(rows))
     assert len(p.read_text().splitlines()) == 35
-    cols, lines = read_metrics_table(p)
-    assert lines == tuple(range(2, 36))
-    assert table_rows(cols) == rows
+    assert table_rows(read_metrics_table(p)) == rows
 
 
 def test_metrics_table_reads_asked_columns_ignores_the_rest(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("\nnote,performance,session_id,sed\n\nx,30,s1,0.5\r\ny,\"1e1\",s2,0.25\n")
-    cols, lines = read_metrics_table(p, ("sed", "performance"))
-    assert lines == (4, 5)
+    cols = read_metrics_table(p, ("sed", "performance"))
     assert sorted(cols) == ["performance", "sed", "session_id"]
     assert cols["session_id"] == ("s1", "s2")
     assert cols["performance"].tolist() == [30.0, 10.0]
     assert cols["sed"].tolist() == [0.5, 0.25]
-    assert list(read_metrics_table(p, ("sed",), ids=False)[0]) == ["sed"]
+    assert list(read_metrics_table(p, ("sed",), ids=False)) == ["sed"]
+    # blank lines count: the second data row ends on line 5
+    p.write_text("\nnote,performance,session_id,sed\n\nx,30,s1,0.5\r\ny,\"1e1\",s2,nan\n")
+    with pytest.raises(MetricTableError, match="^column 'sed' has non-finite value 'nan' on line 5$"):
+        read_metrics_table(p, ("sed", "performance"))
 
 
 def test_metrics_table_not_utf8_names_path_and_line(tmp_path):
@@ -255,7 +256,7 @@ def test_metrics_table_bad_header_and_numbers(tmp_path):
     p.write_text("who,sed,sms,spa,ci,performance\ns1,0.1,0.2,0.3,0.4,5\n")
     with pytest.raises(MetricTableError, match="^table lacks columns: session_id$"):
         read_metrics_table(p)
-    assert read_metrics_table(p, ids=False)[1] == (2,)
+    assert sorted(read_metrics_table(p, ids=False)) == ["ci", "performance", "sed", "sms", "spa"]
     p.write_text("session_id,sed,sms,spa,ci\ns1,0.1,0.2,0.3,0.4\n")
     with pytest.raises(MetricTableError, match="^table lacks columns: performance$"):
         read_metrics_table(p)

@@ -1,11 +1,14 @@
 import heapq
+import importlib
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from teamcoord.core import ActionTag, GridSpec, Position, Role, VictimType, validate_session
+from teamcoord.core import (ActionTag, CompositionError, GridSpec, Position, Role, VictimType,
+                            validate_session)
 from teamcoord.outcomes import team_performance
 from teamcoord.sim import (
     AgentAction,
@@ -21,6 +24,8 @@ from teamcoord.sim import (
     initial_state,
     map_from_ascii,
     map_meta,
+    maps,
+    policies,
     run_mission,
     step_resolved,
 )
@@ -359,8 +364,6 @@ def test_builtin_maps_are_valid_fixtures():
 
 
 def test_builtin_map_builds_the_named_map_only(monkeypatch):
-    from teamcoord.sim import maps
-
     built = []
     monkeypatch.setattr(maps, "map_from_ascii",
                         lambda name, art: built.append(name) or map_from_ascii(name, art))
@@ -417,6 +420,18 @@ def test_map_validation_catches_bad_specs():
                 start=Position(2, 2)).validate()
     with pytest.raises(ValueError):
         map_from_ascii("ragged", "##\n###\n")
+
+
+@pytest.mark.parametrize("art, message", [
+    ("\n  \n", "empty map art"),
+    ("S.\n.S\n", "map 'm': two start cells"),
+    ("S.\n.x\n", "map 'm': unknown tile 'x' at (1, 1)"),
+    ("..\n..\n", "map 'm': no start cell"),
+], ids=["empty", "two-starts", "unknown-tile", "no-start"])
+def test_map_art_errors(art, message):
+    with pytest.raises(ValueError) as exc:
+        map_from_ascii("m", art)
+    assert str(exc.value) == message
 
 
 # A 4 x 4 map without problems: a wall, a door, a yellow victim under rubble,
@@ -490,8 +505,6 @@ def test_map_validation_refuses_infinite_mission_clock(clock):
 
 
 def test_mission_shorter_than_one_sample_is_refused_before_controllers(monkeypatch):
-    from teamcoord.sim import policies
-
     spec = map_from_ascii("short", "S.\n..\n", mission_duration_s=1.0, red_cutoff_s=1.0)
     monkeypatch.setattr(policies, "build_controllers", lambda *a: pytest.fail("built controllers"))
     with pytest.raises(InvalidMapError, match=r"^map 'short': a 1\.0 s mission has no tick at "
@@ -500,8 +513,6 @@ def test_mission_shorter_than_one_sample_is_refused_before_controllers(monkeypat
 
 
 def test_mission_over_the_tick_ceiling_is_refused_before_controllers(monkeypatch):
-    from teamcoord.sim import policies
-
     class Built(Exception):
         pass
 
@@ -580,9 +591,46 @@ def test_agents_sharing_a_blueprint_walk_differently():
 def test_mission_requires_two_and_two():
     spec = builtin_map("small")
     p = AgentPolicy(PolicyKind.RANDOM_WALK)
-    from teamcoord.core import CompositionError
     with pytest.raises(CompositionError):
         run_mission(spec, [(Role.MEDIC, p)] * 3 + [(Role.ENGINEER, p)], seed=0)
+
+
+def test_an_invalid_simulated_session_is_a_simulator_bug(monkeypatch):
+    step = policies.step_resolved
+    far = 10 * 12 + 10  # (10, 10) on the 12 x 12 small map, far from the start (1, 1)
+
+    def teleporting_step(state, actions):
+        new, resolved = step(state, actions)
+        if new.tick == 5:
+            new = replace(new, agents=(replace(new.agents[0], cell=far), *new.agents[1:]))
+        return new, resolved
+
+    monkeypatch.setattr(policies, "step_resolved", teleporting_step)
+    with pytest.raises(AssertionError, match=r"^simulator produced an invalid session: "
+                                             r"\[Violation\(code='DISCONTINUITY', message="
+                                             r"'player medic1 tick 5: moved "):
+        run_mission(builtin_map("small"), policy_team(PolicyKind.RANDOM_WALK), seed=0)
+
+
+def test_run_mission_survives_a_reimport_of_the_package():
+    """A caller holding `run_mission` and `PolicyKind` from before the package is
+    imported afresh (as a benchmark that times the import does) still runs
+    missions: `run_mission` reaches the controllers of its own import."""
+    def ours():
+        return [n for n in sys.modules if n == "teamcoord" or n.startswith("teamcoord.")]
+
+    saved = {name: sys.modules[name] for name in ours()}
+    try:
+        for name in saved:
+            del sys.modules[name]
+        importlib.import_module("teamcoord.cli")
+        assert sys.modules["teamcoord.sim.policies"].PolicyKind is not PolicyKind
+        session = run_mission(builtin_map("small"), policy_team(PolicyKind.GREEDY), seed=0)
+    finally:
+        for name in ours():
+            del sys.modules[name]
+        sys.modules.update(saved)
+    assert session == run_mission(builtin_map("small"), policy_team(PolicyKind.GREEDY), seed=0)
 
 
 @pytest.mark.parametrize("kind", list(PolicyKind))
@@ -603,9 +651,7 @@ def test_requested_actions_resolve_when_the_others_wait(monkeypatch):
     """The controllers and the step act through the same rules in `world.py`:
     every rescue, clear or open a planner requests goes through when the step
     runs it with the other three agents waiting."""
-    from teamcoord.sim import world
-
-    step = world.step_resolved
+    step = policies.step_resolved
     checked, degraded = [], []
 
     def checking_step(state, actions):
@@ -618,7 +664,7 @@ def test_requested_actions_resolve_when_the_others_wait(monkeypatch):
                     degraded.append((state.spec.name, state.tick, i, act))
         return step(state, actions)
 
-    monkeypatch.setattr(world, "step_resolved", checking_step)
+    monkeypatch.setattr(policies, "step_resolved", checking_step)
     for mapname in ("small", "medium", "corridor"):
         for kind in (PolicyKind.GREEDY, PolicyKind.COORDINATED):
             for seed in (0, 1):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
+from teamcoord import special
 from teamcoord.special import (
     f_sf,
     log_beta,
@@ -66,3 +67,25 @@ def test_f_tail_edges():
 def test_normal_sf_reference():
     for z in (-4.2, -1.0, 0.0, 0.5, 1.96, 6.0):
         assert normal_sf(z) == pytest.approx(normal_sf_ref(z), abs=1e-14)
+
+
+def test_continued_fraction_steps_over_a_zero_denominator():
+    assert special._nonzero(0.0) == special._nonzero(-1e-301) == special._FPMIN
+    assert special._nonzero(-0.5) == -0.5
+    # a = b = x = 1: the first denominator 1 - (a + b) x / (a + 1) is exactly 0
+    assert special._betacf(1.0, 1.0, 1.0) == 1.0 / special._FPMIN
+
+
+def test_continued_fraction_that_does_not_converge_raises(monkeypatch):
+    monkeypatch.setattr(special, "_MAX_ITER", 1)
+    with pytest.raises(ArithmeticError, match=r"^incomplete beta continued fraction did not "
+                                              r"converge for a=2\.5, b=7\.0, x=0\.2$"):
+        regularized_incomplete_beta(2.5, 7.0, 0.2)
+
+
+@pytest.mark.parametrize("call", [lambda: student_t_two_sided(1.0, 0.0),
+                                  lambda: f_sf(1.0, 0.0, 3.0), lambda: f_sf(1.0, 3.0, -1.0)],
+                         ids=["t-df", "f-d1", "f-d2"])
+def test_tails_refuse_degrees_of_freedom_that_are_not_positive(call):
+    with pytest.raises(ValueError, match="^degrees of freedom must be positive$"):
+        call()
