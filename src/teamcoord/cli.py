@@ -14,7 +14,6 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -66,13 +65,6 @@ METRIC_VARS = METRICS_COLUMNS[1:]
 
 class UsageError(Exception):
     """Post-parse flag/input problems that map to exit code 2."""
-
-
-def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("TEAMCOORD_OUT") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _emit(text: str, out: str | None, summary: str) -> None:
@@ -144,7 +136,8 @@ def cmd_simulate(args) -> int:
         raise UsageError("--seed must be non-negative")
     spec = _load_map(args.map)
     policies = _parse_policies(args.policies, _parse_params(args.policy_param))
-    out_dir = _out_dir(args)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     slug = _policy_slug(policies)
     for i in range(args.runs):
         seed = args.seed + i
@@ -309,13 +302,20 @@ def _format_value(v, human: bool) -> str:
     return str(v)
 
 
+def _json_cell(v):
+    """`v` as json-lines writes it: JSON has no infinity or nan, so a
+    non-finite float becomes a string of its csv text ("inf")."""
+    return fmt_float(v) if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def _render(rows: list[dict], fmt: str) -> str:
     """A report in `fmt`; the columns are the first row's keys, in order. An
     undefined statistic, None, is an empty cell in csv and markdown and null
     in json-lines."""
     columns = list(rows[0])
     if fmt == "json-lines":
-        return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in rows)
+        return "".join(json.dumps({c: _json_cell(v) for c, v in r.items()}, allow_nan=False,
+                                  sort_keys=True, separators=(",", ":")) + "\n" for r in rows)
     if fmt == "markdown":
         head = "| " + " | ".join(columns) + " |"
         sep = "| " + " | ".join("---" for _ in columns) + " |"
@@ -399,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="numeric policy parameter, repeatable")
     p_sim.add_argument("--runs", type=int, default=1)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--out", help="output directory (default $TEAMCOORD_OUT or .)")
+    p_sim.add_argument("--out", default=".", help="output directory (default .)")
 
     p_met = sub.add_parser("metrics", help="compute the per-session metric table")
     p_met.add_argument("sessions", nargs="+", help="session log paths (.jsonl)")

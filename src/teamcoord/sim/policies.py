@@ -64,25 +64,22 @@ class BfsField:
 
     It steps along `neighbors` (non-wall, as in `MapSpec.neighbor_lists`)
     and never enters a cell set in the bytes-like `blocked` mask. Cells are
-    reached in FIFO flood-fill order, so `dist` (-1 where not reached) and
-    `first` (first step of a shortest path) agree with the full fill wherever
-    they are set. `levels[d]` lists the cells at distance d in that order;
-    level 0 is the start and an empty last level means the search is
+    reached in FIFO flood-fill order, so `first` (first step of a shortest
+    path, -1 at the start and where not reached) agrees with the full fill
+    wherever it is set. `levels[d]` lists the cells at distance d in that
+    order; level 0 is the start and an empty last level means the search is
     exhausted. Queries expand only as many levels as they need.
     """
 
     def __init__(self, neighbors, blocked, start: int):
         self.neighbors, self.seen = neighbors, bytearray(blocked)
         self.seen[start] = 1  # reached or blocked: never enqueued again
-        self.dist = [-1] * len(blocked)
         self.first = [-1] * len(blocked)
-        self.dist[start] = 0
         self.levels = [[start]]
 
     def _walk(self):
         """Yield the levels from 0 on, expanding the next one when asked for it."""
-        neighbors, seen, dist, first, levels = (
-            self.neighbors, self.seen, self.dist, self.first, self.levels)
+        neighbors, seen, first, levels = self.neighbors, self.seen, self.first, self.levels
         d = 0
         while d < len(levels) or levels[-1]:
             if d == len(levels):
@@ -92,7 +89,6 @@ class BfsField:
                     for nb in neighbors[c]:
                         if not seen[nb]:
                             seen[nb] = 1
-                            dist[nb] = d
                             first[nb] = nb if step < 0 else step
                             level.append(nb)
                 levels.append(level)
@@ -109,12 +105,14 @@ class BfsField:
                     return min(hits)
         return None
 
-    def reach(self, cell: int) -> int:
-        """Distance to `cell`, -1 if it is unreachable."""
-        for _ in self._walk():
-            if self.dist[cell] >= 0:
-                break
-        return self.dist[cell]
+    def first_step(self, cell: int) -> int | None:
+        """First cell of a shortest path to `cell`; None if `cell` is the
+        start or unreachable. Expands levels up to the one holding `cell`."""
+        if cell != self.levels[0][0]:
+            for _ in self._walk():
+                if self.first[cell] >= 0:
+                    return self.first[cell]
+        return None
 
 
 class Controller:
@@ -170,9 +168,8 @@ class Controller:
 
     def _step_toward(self, cell: int, field: BfsField) -> AgentAction | None:
         """First move of a shortest path to `cell`; None if unreachable or already there."""
-        if field.reach(cell) <= 0:
-            return None
-        return AgentAction(ActionTag.MOVE, field.first[cell])
+        step = field.first_step(cell)
+        return None if step is None else AgentAction(ActionTag.MOVE, step)
 
     def _move_toward(self, goals, field: BfsField) -> AgentAction | None:
         """Step toward the nearest reachable goal cell, ties to the lowest index."""

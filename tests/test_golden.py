@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -366,6 +367,38 @@ def test_undefined_correlations(tmp_path, fmt, capsys):
                                            + [("sms", v) for v in others] + [("sms", "sms")])
         assert all((r["rho"] is None) == (r["p_value"] is None) for r in rows)
     assert sha(out) == CONSTANT_SMS_PINS[fmt], sha(out)
+
+
+# A table on which both infinite F statistics arise: performance is 10 * sms exactly, and
+# neither the sed nor the sms groups have any spread in it.
+NO_SPREAD_TABLE = """\
+session_id,sed,sms,spa,ci,performance
+t1,0.1,1,0.7,0.3,10
+t2,0.2,1,0.2,0.1,10
+t3,0.3,2,0.5,0.4,20
+t4,0.4,2,0.1,0.2,20
+t5,0.5,2,0.8,0.6,20
+t6,0.6,2,0.3,0.5,20
+t7,0.7,3,0.6,0.8,30
+t8,0.8,3,0.4,0.7,30
+"""
+
+
+@pytest.mark.parametrize("analysis, key, infinite", [
+    ("timeless-anova", "metric", {"sed", "sms"}),
+    ("regression", "response", {"performance"}),
+])
+def test_infinite_f_statistics_are_json(tmp_path, analysis, key, infinite, capsys):
+    """An infinite F is the string "inf" in json-lines, as it is inf in csv; no bare Infinity."""
+    path = tmp_path / "no_spread.csv"
+    path.write_text(NO_SPREAD_TABLE)
+    out = run_cli(capsys, ["stats", "--table", str(path), "--analysis", analysis,
+                           "--format", "json-lines"]).decode()
+    rows = [json.loads(line, parse_constant=_no_constant) for line in out.splitlines()]
+    assert {r[key] for r in rows if r["f_stat"] == "inf"} == infinite
+    assert all(r["f_stat"] == "inf" or math.isfinite(r["f_stat"]) for r in rows)
+    csv_out = run_cli(capsys, ["stats", "--table", str(path), "--analysis", analysis]).decode()
+    assert csv_out.count(",inf,") == sum(r["f_stat"] == "inf" for r in rows)
 
 
 def test_committed_replay(tmp_path):

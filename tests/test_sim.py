@@ -707,8 +707,17 @@ def _sparse_goals(n, cells):
     return goals
 
 
+def _level_dist(field, n):
+    """Each cell's distance, its index in `field.levels`; -1 where not reached."""
+    dist = [-1] * n
+    for d, level in enumerate(field.levels):
+        for c in level:
+            dist[c] = d
+    return dist
+
+
 def _assert_reached_cells_match(field, dist, first):
-    for c, d in enumerate(field.dist):
+    for c, d in enumerate(_level_dist(field, len(dist))):
         if d >= 0:
             assert (d, field.first[c]) == (dist[c], first[c])
 
@@ -728,7 +737,7 @@ def test_neighbor_lists_are_the_in_grid_non_wall_neighbors(spec):
 
 @pytest.mark.parametrize("mapname", ["small", "medium", "corridor"])
 def test_bfs_field_matches_full_fill_oracle(mapname):
-    # random blocked masks on each built-in grid; several nearest/reach
+    # random blocked masks on each built-in grid; several nearest/first_step
     # queries in mixed order share one field, as they do within a decision.
     # The oracle walks every in-grid neighbour with the walls blocked.
     spec = builtin_map(mapname)
@@ -753,8 +762,14 @@ def test_bfs_field_matches_full_fill_oracle(mapname):
                     assert field.nearest(_sparse_goals(n, np.flatnonzero(goals).tolist())) == want
             else:
                 c = int(rng.integers(n))
-                assert field.reach(c) == dist[c]
+                expanded = len(field.levels) - 1
+                assert field.first_step(c) == (first[c] if dist[c] > 0 else None)
                 assert field.first[c] == first[c]
+                if dist[c] < 0:  # searched to exhaustion
+                    assert field.levels[-1] == []
+                else:  # up to the level holding c, and no further
+                    assert len(field.levels) - 1 == max(expanded, dist[c])
+                    assert c in field.levels[dist[c]]
         _assert_reached_cells_match(field, dist, first)
 
 
@@ -774,12 +789,12 @@ def test_bfs_field_edge_cases():
     on_start = np.zeros(n, dtype=bool)
     on_start[[start, n - 2]] = True
     assert field.nearest(on_start.tobytes()) == start
-    assert field.reach(start) == 0 and field.first[start] == -1
+    assert field.first_step(start) is None and field.first[start] == -1
     assert field.nearest(sealed.tobytes()) is None  # only unreachable goals: searched to exhaustion
     assert field.levels[-1] == []
     assert field.nearest(bytes(blocked)) is None  # blocked cells are never reached
-    assert field.reach(int(np.flatnonzero(sealed)[0])) == -1
-    assert field.dist == dist and field.first == first
+    assert field.first_step(int(np.flatnonzero(sealed)[0])) is None
+    assert _level_dist(field, n) == dist and field.first == first
 
     ctrl = build_controllers(policy_team(PolicyKind.GREEDY), spec, seed=0)[0]
     assert ctrl._move_toward(on_start.tobytes(), ctrl._field(start)) is None  # already there
@@ -801,7 +816,7 @@ def test_bfs_field_expands_only_the_levels_a_query_needs():
     goals[[nb, n - 1]] = True
     assert field.nearest(goals.tobytes()) == nb
     assert len(field.levels) - 1 <= 1
-    assert field.reach(nb) == 1 and len(field.levels) - 1 <= 1
+    assert field.first_step(nb) == nb and len(field.levels) - 1 <= 1
 
 
 @pytest.mark.parametrize("spec", PLANNING_MAPS, ids=lambda spec: spec.name)
@@ -843,4 +858,4 @@ def test_controller_planning_matches_full_fill_oracle(spec, kind):
             exhausted = ctrl._field(start)
             for _ in exhausted._walk():
                 pass
-            assert exhausted.dist == dist and exhausted.first == first
+            assert _level_dist(exhausted, n) == dist and exhausted.first == first

@@ -605,37 +605,79 @@ def test_u_exact_above_ten_per_side_matches_scipy(n1, n2):
         assert got.u == min(want.statistic, n1 * n2 - want.statistic)
 
 
+def _digits(counts: int, slot: int) -> list[int]:
+    """The base-2**slot digits of packed subset counts, lowest sum first."""
+    mask = (1 << slot) - 1
+    return [(counts >> t * slot) & mask for t in range(counts.bit_length() // slot + 1)]
+
+
 def test_u_exact_null_counts_sum_to_binomial():
     rng = np.random.default_rng(47)
     for _ in range(20):
         scores = rng.integers(0, 12, size=int(rng.integers(1, 11))).tolist()
         k = int(rng.integers(0, len(scores) + 1))
-        counts = _subset_sum_counts(scores, k)
-        brute = np.zeros(counts.size, dtype=int)
+        counts, slot = _subset_sum_counts(scores, k)
+        brute = [0] * (sum(scores) + 1)
         for combo in itertools.combinations(scores, k):
             brute[sum(combo)] += 1
-        assert counts.tolist() == brute.tolist()
+        digits = _digits(counts, slot)
+        assert digits + [0] * (len(brute) - len(digits)) == brute
+    # Equal scores put all C(12, j) j-subsets on one digit, up to 924 at j = 6 on the way to 66.
+    assert _digits(*_subset_sum_counts([3] * 12, 10)) == [0] * 30 + [66]
     # Doubled mid-rank scores of 90 distinct values; C(90, 30) > 2**63.
-    counts = _subset_sum_counts(list(range(0, 180, 2)), 30)
-    assert sum(counts) == math.comb(90, 30)
+    counts, slot = _subset_sum_counts(list(range(0, 180, 2)), 30)
+    assert sum(_digits(counts, slot)) == counts % ((1 << slot) - 1) == math.comb(90, 30)
 
 
-@pytest.mark.parametrize("n1, n2, dtype", [(33, 33, np.int64), (33, 34, object), (34, 33, object)])
-def test_u_exact_int64_table_boundary_matches_exact_counts(n1, n2, dtype):
-    # C(66, 33) < 2**63 < C(67, 33): the largest table that int64 holds, and the smallest it does not
+@pytest.mark.parametrize("n1, n2", [(33, 33), (33, 34), (34, 33), (45, 45), (60, 60)])
+def test_u_exact_distinct_counts_match_the_recursion(n1, n2):
+    # C(66, 33) < 2**63 < C(67, 33), so 33 vs 33 to 34 vs 33 cross what int64 holds; 60 vs 60 is
+    # near the size limit
     pooled = np.random.default_rng(n1 * n2).permutation(n1 + n2).astype(float)
     a, b = pooled[:n1], pooled[n1:]
     k, n_total = min(n1, n2), math.comb(n1 + n2, n1)
     scores = list(range(0, 2 * (n1 + n2), 2))  # doubled mid-ranks of distinct values
-    counts = _subset_sum_counts(scores, k)
-    assert counts.dtype == dtype
-    assert sum(counts) == n_total
+    counts, slot = _subset_sum_counts(scores, k)
+    digits = _digits(counts, slot)
+    assert sum(digits) == n_total
     want = u_null_counts_distinct(k, n1 + n2 - k)  # by U, at every other subset sum
-    assert counts[k * (k - 1)::2][:len(want)].tolist() == want
+    assert digits[k * (k - 1)::2] == want
     if k < n1:
         want = want[::-1]  # the null of the larger first group
     u_obs = int(u_statistic(a, b))
     p_less, p_greater = sum(want[:u_obs + 1]) / n_total, sum(want[u_obs:]) / n_total
+    for alt, p in (("less", p_less), ("greater", p_greater),
+                   ("two-sided", min(1.0, 2.0 * min(p_less, p_greater)))):
+        assert mann_whitney_u_exact(a, b, alternative=alt).p_value == p
+
+
+# (n1, n2, n_le, n_ge) of seeded tied samples: the subsets whose first-group sum of doubled
+# mid-ranks is at most and at least the observed one. Computed once at commit 9d01452, from
+# the numpy object table of Python ints that the exact test built beyond 66 pooled values.
+_TIED_TAILS = [
+    (45, 45, 64582552937139807879768, 103763792747785801507650926),
+    (60, 60, 646066896941974187996108914476531, 95973677410166246456091150337976043),
+    (61, 59, 502428437140258450350834002188322, 94532496559405649500571035934484660),
+]
+
+
+@pytest.mark.parametrize("n1, n2, n_le, n_ge", _TIED_TAILS,
+                         ids=[f"{n1}-{n2}" for n1, n2, _, _ in _TIED_TAILS])
+def test_u_exact_tied_tails_match_the_pinned_counts(n1, n2, n_le, n_ge):
+    rng = np.random.default_rng(n1 * 1000 + n2)
+    a = rng.integers(0, 15, size=n1).astype(float)
+    b = rng.integers(2, 17, size=n2).astype(float)
+    w = (2 * rankdata(np.concatenate([a, b])) - 2).astype(int).tolist()
+    k = min(n1, n2)
+    counts, slot = _subset_sum_counts(w, k)
+    null = _digits(counts, slot)
+    null += [0] * (sum(w) + 1 - len(null))
+    if k < n1:
+        null = null[::-1]  # a second-group subset leaves the first group the rest of the sum
+    w_obs = sum(w[:n1])
+    assert (sum(null[:w_obs + 1]), sum(null[w_obs:])) == (n_le, n_ge)
+    n_total = math.comb(n1 + n2, n1)
+    p_less, p_greater = n_le / n_total, n_ge / n_total
     for alt, p in (("less", p_less), ("greater", p_greater),
                    ("two-sided", min(1.0, 2.0 * min(p_less, p_greater)))):
         assert mann_whitney_u_exact(a, b, alternative=alt).p_value == p
