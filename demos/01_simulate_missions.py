@@ -8,6 +8,8 @@ from (map, policies, seed).
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from teamcoord import Role, validate_session
 from teamcoord.outcomes import team_performance
 from teamcoord.session_io import read_session, write_session
@@ -24,9 +26,10 @@ def team(kind: PolicyKind):
 
 def main():
     spec = builtin_map("medium")
+    start_y, start_x = divmod(spec.start, spec.grid.width)  # cells are row-major ints
     print(f"map {spec.name!r}: {spec.grid.width}x{spec.grid.height}, "
-          f"{len(spec.victims)} victims, {len(spec.doors)} doors, "
-          f"{len(spec.rubble)} rubble cells, start at ({spec.start.x}, {spec.start.y})")
+          f"{np.count_nonzero(spec.victim_codes)} victims, {spec.door_mask.sum()} doors, "
+          f"{spec.rubble_mask.sum()} rubble cells, start at ({start_x}, {start_y})")
     print(f"mission {spec.mission_duration_s:.0f}s, red victims lock at {spec.red_cutoff_s:.0f}s\n")
 
     for kind in PolicyKind:

@@ -385,13 +385,15 @@ def cmd_timeseries(args) -> int:
 
 @functools.cache  # built on the first call, once per process
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a flag is spelled in full, so a prefix is an error (exit 2)
     parser = argparse.ArgumentParser(
-        prog="teamcoord",
+        prog="teamcoord", allow_abbrev=False,
         description="Simulate grid search-and-rescue missions, score spatial "
                     "coordination, and run the analysis pipeline.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="run seeded missions and write session logs")
+    p_sim = sub.add_parser("simulate", allow_abbrev=False,
+                           help="run seeded missions and write session logs")
     p_sim.add_argument("--map", required=True, help="built-in map name or map JSON path")
     p_sim.add_argument("--policies", default="coordinated",
                        help="one policy kind for all agents, or four role:kind entries")
@@ -401,14 +403,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", default=".", help="output directory (default .)")
 
-    p_met = sub.add_parser("metrics", help="compute the per-session metric table")
+    p_met = sub.add_parser("metrics", allow_abbrev=False,
+                           help="compute the per-session metric table")
     p_met.add_argument("sessions", nargs="+", help="session log paths (.jsonl)")
     p_met.add_argument("--coarsen", type=int, default=1,
                        help="pool k x k tile blocks before computing occupancy")
     p_met.add_argument("--map", help="map JSON for sessions without embedded metadata")
     p_met.add_argument("--out", help="output CSV path (default stdout)")
 
-    p_sta = sub.add_parser("stats", help="run an analysis over a metric table")
+    p_sta = sub.add_parser("stats", allow_abbrev=False,
+                           help="run an analysis over a metric table")
     p_sta.add_argument("--table", required=True, help="metric table CSV")
     p_sta.add_argument("--analysis", required=True, choices=sorted(_ANALYSES))
     p_sta.add_argument("--resamples", type=int, default=5000)
@@ -416,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sta.add_argument("--format", choices=("csv", "json-lines", "markdown"), default="csv")
     p_sta.add_argument("--out", help="output path (default stdout)")
 
-    p_ts = sub.add_parser("timeseries",
+    p_ts = sub.add_parser("timeseries", allow_abbrev=False,
                           help="averaged top/bottom-group metric trends over mission progress")
     p_ts.add_argument("sessions", nargs="+", help="session log paths (.jsonl)")
     p_ts.add_argument("--metric", required=True,

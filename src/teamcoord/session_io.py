@@ -38,7 +38,8 @@ from .core import (
     Violation,
     validate_session,
 )
-from .sim.world import MapSpec, Victim
+from .sim.maps import map_from_cells
+from .sim.world import _VICTIM_KINDS, MapSpec
 
 FORMAT_VERSION = 1
 
@@ -415,20 +416,22 @@ def _log_players(log_path: Path, session_id, roster: dict[str, Role]) -> tuple:
 
 
 def write_map(spec: MapSpec, path) -> Path:
+    """Write `spec`, each cell list sorted by x, then y."""
     path = Path(path)
+    g, codes = spec.grid, spec.victim_codes
     def cells(values):
-        return sorted([[c.x, c.y] for c in values])
+        return np.transpose(np.nonzero(values.reshape(g.height, g.width).T)).tolist()
     doc = {
         "format_version": FORMAT_VERSION,
         "name": spec.name,
-        "width": spec.grid.width,
-        "height": spec.grid.height,
-        "walls": cells(spec.walls),
-        "doors": cells(spec.doors),
-        "rubble": cells(spec.rubble),
-        "victims": [{"x": v.cell.x, "y": v.cell.y, "type": v.kind.value}
-                    for v in spec.victims],
-        "start": [spec.start.x, spec.start.y],
+        "width": g.width,
+        "height": g.height,
+        "walls": cells(spec.wall_mask),
+        "doors": cells(spec.door_mask),
+        "rubble": cells(spec.rubble_mask),
+        "victims": [{"x": x, "y": y, "type": _VICTIM_KINDS[codes[y * g.width + x]].value}
+                    for x, y in cells(codes)],
+        "start": [spec.start % g.width, spec.start // g.width],
         "mission_duration_s": spec.mission_duration_s,
         "red_cutoff_s": spec.red_cutoff_s,
         "fov_radius": spec.fov_radius,
@@ -446,25 +449,25 @@ def _json_value(value, name: str, kind: str = "integer"):
 
 def read_map(path) -> MapSpec:
     """A map manifest; its sizes, field of view and cell coordinates must be JSON
-    integers, its mission clock JSON numbers."""
+    integers, its mission clock JSON numbers, and its map pass `map_from_cells`."""
     path = Path(path)
     doc = _load_json(path, "map file")
     def cell(xy, name):
         if type(xy) is not list or len(xy) != 2:
             raise TypeError(f"{name} must be a pair of JSON integers, got {json.dumps(xy)}")
         x, y = xy
-        return Position(_json_value(x, name), _json_value(y, name))
+        return _json_value(x, name), _json_value(y, name)
     def cells(key):
-        return frozenset(cell(xy, key) for xy in doc[key])
+        return [cell(xy, key) for xy in doc[key]]
     try:
         _require(doc["format_version"] == FORMAT_VERSION,
                  f"unsupported format_version {doc['format_version']!r}", path)
-        spec = MapSpec(
+        fields = dict(
             name=doc["name"],
             grid=GridSpec(_json_value(doc["width"], "width"), _json_value(doc["height"], "height")),
             walls=cells("walls"), doors=cells("doors"), rubble=cells("rubble"),
-            victims=tuple(Victim(cell([v["x"], v["y"]], "victims"), VictimType(v["type"]))
-                          for v in doc["victims"]),
+            victims=[(*cell([v["x"], v["y"]], "victims"), VictimType(v["type"]))
+                     for v in doc["victims"]],
             start=cell(doc["start"], "start"),
             mission_duration_s=float(_json_value(doc["mission_duration_s"], "mission_duration_s",
                                                  "number")),
@@ -472,8 +475,7 @@ def read_map(path) -> MapSpec:
             fov_radius=_json_value(doc["fov_radius"], "fov_radius"))
     except _MALFORMED as exc:
         raise _malformed("map", exc, path) from None
-    spec.validate()
-    return spec
+    return map_from_cells(**fields)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Deterministic, seeded search-and-rescue simulator on grid maps."""
 
-from .maps import builtin_map, builtin_maps, map_from_ascii
+from .maps import builtin_map, builtin_maps, map_from_ascii, map_from_cells
 from .policies import AgentPolicy, PolicyKind, run_mission
 from .world import (
     AgentAction,
@@ -8,7 +8,6 @@ from .world import (
     InvalidMapError,
     MalformedActionError,
     MapSpec,
-    Victim,
     WorldState,
     initial_state,
     map_meta,

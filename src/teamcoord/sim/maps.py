@@ -1,17 +1,52 @@
-"""Built-in maps, drawn as ASCII art.
+"""Map builders, from cell coordinates and from ASCII art, and the built-in maps.
 
-Legend: '#' wall, '.' floor, 'D' closed door, '*' bare rubble, 'S' the common
-start cell, and 'g'/'y'/'r' victims. Yellow victims get rubble on their cell
-automatically ('y' implies '*').
+Legend of the art: '#' wall, '.' floor, 'D' closed door, '*' bare rubble, 'S'
+the common start cell, and 'g'/'y'/'r' victims. Yellow victims get rubble on
+their cell automatically ('y' implies '*').
 """
 from __future__ import annotations
 
 from typing import Iterable
 
-from ..core import GridSpec, Position, VictimType
-from .world import MapSpec, Victim
+import numpy as np
+
+from ..core import GridSpec, VictimType
+from .world import VICTIM_CODES, MapSpec, raise_map_problems
 
 _VICTIM_CHARS = {"g": VictimType.GREEN, "y": VictimType.YELLOW, "r": VictimType.RED}
+
+MAX_MAP_CELLS = 2 ** 20  # a map file's size does not bound the grid it declares
+
+
+def map_from_cells(name: str, grid: GridSpec, walls, doors, rubble, victims, start,
+                   **clock) -> MapSpec:
+    """A validated map from (x, y) wall, door and rubble cells, (x, y, kind) victims,
+    an (x, y) start cell and `MapSpec`'s clock and field of view. Raises
+    `InvalidMapError` for a grid of over `MAX_MAP_CELLS` cells before any array is
+    made, else naming every problem: first the cells outside the grid and the
+    victims on a cell an earlier one holds, in list order, then `MapSpec.problems`."""
+    if grid.n_cells > MAX_MAP_CELLS:
+        raise_map_problems(name, [f"grid of {grid.width}x{grid.height} cells is larger "
+                                  f"than the limit of {MAX_MAP_CELLS} cells"])
+    problems = []
+    def cell(label, x, y):
+        if grid.contains(x, y):
+            return y * grid.width + x
+        problems.append(f"{label} at ({x}, {y}) outside grid")
+    masks = [np.zeros(grid.n_cells, dtype=bool) for _ in range(3)]
+    for mask, label, cells in zip(masks, ("wall", "door", "rubble"), (walls, doors, rubble)):
+        mask[[c for x, y in cells if (c := cell(label, x, y)) is not None]] = True
+    codes = np.zeros(grid.n_cells, dtype=np.int8)
+    for x, y, kind in victims:
+        if (c := cell("victim", x, y)) is not None and codes[c]:
+            problems.append(f"two victims share cell ({x}, {y})")
+        elif c is not None:
+            codes[c] = VICTIM_CODES[kind]
+    x, y = start  # a start outside the grid is -1, which `MapSpec.problems` reports
+    spec = MapSpec(name, grid, *masks, codes, y * grid.width + x if grid.contains(x, y) else -1,
+                   **clock)
+    raise_map_problems(name, problems + spec.problems())
+    return spec
 
 
 def map_from_ascii(name: str, art: str, mission_duration_s: float = 300.0,
@@ -22,36 +57,22 @@ def map_from_ascii(name: str, art: str, mission_duration_s: float = 300.0,
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError(f"map {name!r}: ragged rows")
-    walls, doors, rubble = set(), set(), set()
-    victims: list[Victim] = []
-    start = None
-    for y, row in enumerate(rows):
-        for x, ch in enumerate(row):
-            cell = Position(x, y)
-            if ch == "#":
-                walls.add(cell)
-            elif ch == "D":
-                doors.add(cell)
-            elif ch == "*":
-                rubble.add(cell)
-            elif ch == "S":
-                if start is not None:
-                    raise ValueError(f"map {name!r}: two start cells")
-                start = cell
-            elif ch in _VICTIM_CHARS:
-                kind = _VICTIM_CHARS[ch]
-                victims.append(Victim(cell, kind))
-                if kind is VictimType.YELLOW:
-                    rubble.add(cell)
-            elif ch != ".":
-                raise ValueError(f"map {name!r}: unknown tile {ch!r} at ({x}, {y})")
-    if start is None:
-        raise ValueError(f"map {name!r}: no start cell")
-    spec = MapSpec(name=name, grid=GridSpec(width, len(rows)), walls=frozenset(walls),
-                   doors=frozenset(doors), rubble=frozenset(rubble), victims=tuple(victims),
-                   start=start, mission_duration_s=mission_duration_s,
+    tiles = np.array([list(r) for r in rows]).ravel()  # row-major, one tile per cell
+    unknown = np.flatnonzero(~np.isin(tiles, list("#.DS*" + "".join(_VICTIM_CHARS))))
+    if unknown.size:
+        y, x = divmod(int(unknown[0]), width)
+        raise ValueError(f"map {name!r}: unknown tile {rows[y][x]!r} at ({x}, {y})")
+    starts = np.flatnonzero(tiles == "S").tolist()
+    if len(starts) != 1:
+        raise ValueError(f"map {name!r}: " + ("two start cells" if starts else "no start cell"))
+    codes = np.zeros(tiles.size, dtype=np.int8)
+    for ch, kind in _VICTIM_CHARS.items():
+        codes[tiles == ch] = VICTIM_CODES[kind]
+    spec = MapSpec(name=name, grid=GridSpec(width, len(rows)), wall_mask=tiles == "#",
+                   door_mask=tiles == "D", rubble_mask=(tiles == "*") | (tiles == "y"),
+                   victim_codes=codes, start=starts[0], mission_duration_s=mission_duration_s,
                    red_cutoff_s=red_cutoff_s, fov_radius=fov_radius)
-    spec.validate()
+    raise_map_problems(name, spec.problems())
     return spec
 
 

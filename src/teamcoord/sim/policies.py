@@ -19,9 +19,9 @@ import numpy as np
 from ..core import (ACTIONS, MAX_TICKS, SAMPLE, SAMPLE_INTERVAL_S, ActionTag, CompositionError,
                     PlayerTrajectory, Role, TeamCoordError, TeamSession, ValueEnum, _clock_ticks,
                     validate_session)
-from .world import (_GREEN, _RED, _YELLOW, AgentAction, AgentState, InvalidMapError, MapSpec,
-                    WAIT_ACTION, WorldState, _rescuers, _terrain_action, initial_state, map_meta,
-                    step_resolved)
+from .world import (_GREEN, _RED, _YELLOW, AgentAction, AgentState, MapSpec, WAIT_ACTION,
+                    WorldState, _rescuers, _terrain_action, initial_state, map_meta,
+                    raise_map_problems, step_resolved)
 
 
 class PolicyKind(ValueEnum):
@@ -302,7 +302,6 @@ class CoordinatedSpecialistController(Controller):
         self.waypoints = [y * g.width + x for x, y in
                           ((cx[0], cy[0]), (cx[1], cy[0]), (cx[1], cy[1]), (cx[0], cy[1]))
                           if g.contains(x, y) and not spec.wall_mask[y * g.width + x]]
-        self.start = spec.start.y * g.width + spec.start.x
         self.still_for, self._last_cells = [], []  # ticks each agent has stood still, and where
 
     def observe(self, state: WorldState):
@@ -325,7 +324,7 @@ class CoordinatedSpecialistController(Controller):
         over two cells (Chebyshev) from `me`: parked by a victim, asking for help."""
         hold, w = int(self.params["park_signal_ticks"]), self.grid.width
         return [a.cell for a, still in zip(state.agents, self.still_for)
-                if a.role is role and still >= hold and a.cell != self.start
+                if a.role is role and still >= hold and a.cell != self.spec.start
                 and max(abs(a.cell // w - me // w), abs(a.cell % w - me % w)) > 2]
 
     def _act_converge(self, state) -> AgentAction:
@@ -422,19 +421,18 @@ def run_mission(spec: MapSpec, policies, seed: int, session_id: str | None = Non
     bit for bit. Player ids are derived from roles in input order. It runs on
     row-major int cells, split into x and y by one `divmod` at the end.
     """
-    spec.validate()
+    raise_map_problems(spec.name, spec.problems())
     roles = [role for role, _ in policies]
     if len(policies) != 4 or roles.count(Role.MEDIC) != 2 or roles.count(Role.ENGINEER) != 2:
         raise CompositionError("run_mission needs exactly 2 medic and 2 engineer policies")
     n_ticks = _clock_ticks(spec.mission_duration_s, SAMPLE_INTERVAL_S)
     if not 1 <= n_ticks <= MAX_TICKS:
         ticks = "no tick" if n_ticks < 1 else f"more than the {MAX_TICKS} ticks allowed"
-        raise InvalidMapError(f"map {spec.name!r}: a {spec.mission_duration_s} s mission has "
-                              f"{ticks} at a sample interval of {SAMPLE_INTERVAL_S} s")
+        raise_map_problems(spec.name, [f"a {spec.mission_duration_s} s mission has {ticks} at "
+                                       f"a sample interval of {SAMPLE_INTERVAL_S} s"])
 
-    start = spec.start.y * spec.grid.width + spec.start.x
     agents = tuple(AgentState(player_id=f"{role.value}{roles[:i + 1].count(role)}", role=role,
-                              cell=start) for i, role in enumerate(roles))
+                              cell=spec.start) for i, role in enumerate(roles))
     controllers = build_controllers(policies, spec, seed)
     state = initial_state(spec, agents)
     # per agent and tick: the cell stood on, the resolved action and its target (-1 for none)

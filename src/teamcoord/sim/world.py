@@ -7,11 +7,11 @@ same victim resolve by agent index. Agents may share cells; they all start
 on the common start cell.
 
 A mission runs on row-major int cells (`y * width + x`): agents, action
-targets and the `WorldState` arrays of victims, rubble and closed doors. The
-map arrives as `Position` sets (`MapSpec`), read once per mission. The action
-rules live here, in `_rescuers` and `_terrain_action`, and the step and the
-controllers of `policies.py` both act through them; `policies.run_mission`
-drives a whole mission.
+targets, the map (`MapSpec`) and the `WorldState` arrays of victims, rubble
+and closed doors, which start as the map's own arrays. The action rules live
+here, in `_rescuers` and `_terrain_action`, and the step and the controllers
+of `policies.py` both act through them; `policies.run_mission` drives a whole
+mission.
 """
 from __future__ import annotations
 
@@ -50,83 +50,69 @@ _GREEN, _YELLOW, _RED = (VICTIM_CODES[k] for k in
                          (VictimType.GREEN, VictimType.YELLOW, VictimType.RED))
 
 
-def _cell_array(grid: GridSpec, cells, values=True, dtype=bool) -> np.ndarray:
-    """Read-only row-major per-cell array: `values` at `cells`, zero elsewhere."""
-    arr = np.zeros(grid.n_cells, dtype=dtype)
-    arr[[c.y * grid.width + c.x for c in cells]] = values
-    arr.flags.writeable = False
-    return arr
+def raise_map_problems(name: str, problems: list[str]) -> None:
+    """Raise `InvalidMapError` naming every problem of map `name`, if it has any."""
+    if problems:
+        raise InvalidMapError(f"map {name!r}: " + "; ".join(problems))
 
 
-@dataclass(frozen=True)
-class Victim:
-    cell: Position
-    kind: VictimType
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MapSpec:
     """Static world: walls, doors, rubble, victims and the mission clock.
 
-    Rubble blocks both movement and the rescue of the yellow victim under
+    Cells are row-major ints, as in `WorldState`: read-only per-cell arrays of
+    bools (`wall_mask`, `door_mask`, `rubble_mask`) and of int8 `VICTIM_CODES`,
+    and the common `start` cell. `maps.map_from_cells` and `map_from_ascii` build
+    one. Rubble blocks both movement and the rescue of the yellow victim under
     it; closed doors block movement until an engineer opens them.
     """
 
     name: str
     grid: GridSpec
-    walls: frozenset[Position]
-    doors: frozenset[Position]
-    rubble: frozenset[Position]
-    victims: tuple[Victim, ...]
-    start: Position
+    wall_mask: np.ndarray
+    door_mask: np.ndarray
+    rubble_mask: np.ndarray
+    victim_codes: np.ndarray
+    start: int
     mission_duration_s: float = 300.0
     red_cutoff_s: float = 180.0
     fov_radius: int = 5
 
+    def __post_init__(self):
+        for a in (self.wall_mask, self.door_mask, self.rubble_mask, self.victim_codes):
+            a.flags.writeable = False
+
     def problems(self) -> list[str]:
+        """The broken invariants, in this order: overlapping terrain, each victim's
+        cell in row-major order, the start cell, the clock, the field of view."""
+        walls, doors, rubble, codes = (self.wall_mask, self.door_mask, self.rubble_mask,
+                                       self.victim_codes)
         out = []
-        for label, cells in (("wall", self.walls), ("door", self.doors), ("rubble", self.rubble)):
-            for c in cells:
-                if not self.grid.contains(c.x, c.y):
-                    out.append(f"{label} at ({c.x}, {c.y}) outside grid")
-        if self.walls & self.doors:
+        if (walls & doors).any():
             out.append("door cells overlap walls")
-        if self.rubble & self.walls or self.rubble & self.doors:
+        if (rubble & (walls | doors)).any():
             out.append("rubble cells overlap walls or doors")
-        seen_cells = set()
-        for v in self.victims:
-            c = v.cell
-            if not self.grid.contains(c.x, c.y):
-                out.append(f"victim at ({c.x}, {c.y}) outside grid")
-                continue
-            if c in seen_cells:
-                out.append(f"two victims share cell ({c.x}, {c.y})")
-            seen_cells.add(c)
-            if c in self.walls or c in self.doors:
-                out.append(f"victim at ({c.x}, {c.y}) on a wall or door")
-            if v.kind is VictimType.YELLOW and c not in self.rubble:
-                out.append(f"yellow victim at ({c.x}, {c.y}) has no rubble")
-            if v.kind is not VictimType.YELLOW and c in self.rubble:
-                out.append(f"{v.kind} victim at ({c.x}, {c.y}) buried under rubble")
+        on_terrain = (codes != 0) & (walls | doors)
+        unburied = (codes == _YELLOW) & ~rubble
+        buried = (codes != 0) & (codes != _YELLOW) & rubble
+        for c in np.flatnonzero(on_terrain | unburied | buried).tolist():
+            y, x = divmod(c, self.grid.width)
+            if on_terrain[c]:
+                out.append(f"victim at ({x}, {y}) on a wall or door")
+            if unburied[c]:
+                out.append(f"yellow victim at ({x}, {y}) has no rubble")
+            if buried[c]:
+                out.append(f"{_VICTIM_KINDS[codes[c]]} victim at ({x}, {y}) buried under rubble")
         s = self.start
-        if not self.grid.contains(s.x, s.y):
+        if not 0 <= s < self.grid.n_cells:
             out.append("start cell outside grid")
-        elif s in self.walls or s in self.doors or s in self.rubble or s in seen_cells:
+        elif walls[s] or doors[s] or rubble[s] or codes[s]:
             out.append("start cell not traversable")
         if not 0 < self.red_cutoff_s <= self.mission_duration_s < math.inf:
             out.append("red cutoff outside a finite mission duration")
         if self.fov_radius < 1:
             out.append("field of view radius must be at least 1")
         return out
-
-    def validate(self) -> None:
-        problems = self.problems()
-        if problems:
-            raise InvalidMapError(f"map {self.name!r}: " + "; ".join(problems))
-
-    @cached_property
-    def wall_mask(self) -> np.ndarray:
-        return _cell_array(self.grid, self.walls)
 
     @cached_property
     def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
@@ -147,10 +133,10 @@ def map_meta(spec: MapSpec) -> MapMeta:
     Medics may rescue every victim; engineers may rescue greens, assist red
     rescues, clear rubble and open doors.
     """
-    kinds = [v.kind for v in spec.victims]
-    victim_tasks = kinds.count(VictimType.GREEN) + kinds.count(VictimType.RED)
-    return MapMeta(traversable_cells=spec.grid.n_cells - len(spec.walls), max_tasks={
-        Role.MEDIC: len(kinds), Role.ENGINEER: victim_tasks + len(spec.rubble) + len(spec.doors)})
+    counts = np.bincount(spec.victim_codes, minlength=len(VICTIM_CODES) + 1).tolist()
+    terrain = int(spec.rubble_mask.sum() + spec.door_mask.sum())
+    return MapMeta(traversable_cells=spec.grid.n_cells - int(spec.wall_mask.sum()), max_tasks={
+        Role.MEDIC: sum(counts[1:]), Role.ENGINEER: counts[_GREEN] + counts[_RED] + terrain})
 
 
 @dataclass(frozen=True)
@@ -196,11 +182,8 @@ class WorldState:
 
 
 def initial_state(spec: MapSpec, agents: tuple[AgentState, ...]) -> WorldState:
-    victim_codes = _cell_array(spec.grid, [v.cell for v in spec.victims],
-                               [VICTIM_CODES[v.kind] for v in spec.victims], np.int8)
-    return WorldState(spec=spec, tick=0, agents=agents, victim_codes=victim_codes,
-                      rubble_mask=_cell_array(spec.grid, spec.rubble),
-                      door_mask=_cell_array(spec.grid, spec.doors))
+    return WorldState(spec=spec, tick=0, agents=agents, victim_codes=spec.victim_codes,
+                      rubble_mask=spec.rubble_mask, door_mask=spec.door_mask)
 
 
 def _rescuers(state: WorldState, victims: np.ndarray, agent: AgentState,

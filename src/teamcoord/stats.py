@@ -119,11 +119,18 @@ class OlsResult:
     coef_p_values: np.ndarray
 
 
+# A predictor is collinear with the others when 1 - R^2 of it on them is at most
+# this: rounding alone leaves about 1e-16 on exactly collinear data, and can leave
+# it of either sign. `ols` and `_mediation_paths` refuse such predictors.
+_COLLINEAR_TOL = 1e-12
+
+
 def ols(y, design) -> OlsResult:
     """Least squares of y on a design matrix whose first column is the intercept.
 
     The F statistic tests the slope terms jointly; coefficient p-values are
-    two-sided t tests on n - k residual degrees of freedom.
+    two-sided t tests on n - k residual degrees of freedom. A design whose
+    predictors are collinear (`_COLLINEAR_TOL`) raises `RankDeficiencyError`.
     """
     yv = _vector(y, "y")
     X = np.asarray(design, dtype=float)
@@ -136,6 +143,17 @@ def ols(y, design) -> OlsResult:
         raise ValueError(f"need more observations ({n}) than columns ({k})")
     if np.linalg.matrix_rank(X) < k:
         raise RankDeficiencyError("design matrix is rank deficient")
+    collinear = []
+    for j in range(1, k):  # 1 - R^2 is the residual over the centred sum of squares
+        others = np.delete(X, j, axis=1)
+        resid = X[:, j] - others @ np.linalg.lstsq(others, X[:, j], rcond=None)[0]
+        centred = X[:, j] - X[:, j].mean()
+        if resid @ resid <= _COLLINEAR_TOL * (centred @ centred):
+            collinear.append(j)
+    if collinear:
+        raise RankDeficiencyError(f"design columns {', '.join(map(str, collinear))} are "
+                                  f"collinear: 1 - R^2 of each on the other columns is at most "
+                                  f"{_COLLINEAR_TOL:g}")
 
     beta, _, _, _ = np.linalg.lstsq(X, yv, rcond=None)
     resid = yv - X @ beta
@@ -449,11 +467,6 @@ def _mediator_terms(mc: np.ndarray, yc: np.ndarray):
     return mc, yc, _row_dot(mc, mc), _row_dot(mc, yc)
 
 
-# x and m count as collinear when 1 - r^2 is this small: rounding alone leaves
-# about 1e-16 on exactly collinear data, and can leave it of either sign.
-_COLLINEAR_TOL = 1e-12
-
-
 def _mediation_paths(xc: np.ndarray, mediator):
     """Closed-form OLS paths per row of a centred (R, n) array x and the
     `_mediator_terms` of the same rows: a (m~x), b and c' (y~x+m), c (y~x).
@@ -622,17 +635,22 @@ def _subset_sum_counts(scores: list[int], k: int) -> tuple[int, int]:
     """The k-element subsets of `scores` (non-negative ints) counted by sum, as (counts, slot).
 
     Digit t of `counts` in base 2**slot is the number of subsets summing to t.
-    sizes[j] holds the j-subsets the same way, and each score adds the
-    (j - 1)-subsets shifted by it, j running down. Python ints are exact, so
-    only the k-subset counts must fit their digits: each, and their sum, is
-    at most C(len(scores), k) < 2**(slot - 1), so a sum of digits is the int
-    modulo 2**slot - 1.
+    sizes[j] holds the j-subsets the same way, and score i adds the
+    (j - 1)-subsets shifted by it, j running down. Only the sizes j that are
+    both reachable (j <= i + 1) and still able to grow into a k-subset with
+    the n - i - 1 scores after it are updated; the others are never read
+    again. Python ints are exact, so a digit of sizes[j] may carry into the
+    next without changing the sum they stand for. Only the k-subset counts
+    are read digit by digit: each, and their sum, is at most
+    C(len(scores), k) < 2**(slot - 1), so no digit of sizes[k] carries and a
+    sum of digits is the int modulo 2**slot - 1.
     """
-    slot = math.comb(len(scores), k).bit_length() + 1
+    n = len(scores)
+    slot = math.comb(n, k).bit_length() + 1
     sizes = [1] + [0] * k
-    for w in scores:
+    for i, w in enumerate(scores):
         shift = w * slot
-        for j in range(k, 0, -1):
+        for j in range(min(k, i + 1), max(0, k - (n - i)), -1):
             sizes[j] += sizes[j - 1] << shift
     return sizes[k], slot
 

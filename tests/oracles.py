@@ -15,7 +15,8 @@ agree with, over the full in-grid neighbours of `grid_neighbors`, and
 `step_reference` is the simulator's step rules on cell sets, which the array
 step must agree with. It works on `Position`s, with agents and actions of its
 own (`RefAgent`, `RefAction`), and `to_sim_agent` / `to_sim_action` translate
-them into the simulator's row-major int cells at its boundary.
+them into the simulator's row-major int cells at its boundary. `map_sets`
+reads a map's per-cell arrays into its sets one cell at a time.
 
 Session I/O has three references. `read_session_reference` reads a log one
 line at a time with `json.loads` and converts each record field by field;
@@ -72,7 +73,8 @@ from teamcoord.session_io import (
     _malformed,
     manifest_path_for,
 )
-from teamcoord.sim import AgentAction, AgentState, MapSpec, Victim
+from teamcoord.sim import AgentAction, AgentState, MapSpec
+from teamcoord.sim.world import VICTIM_CODES
 
 
 def jsd_base2(p, q) -> float:
@@ -448,13 +450,14 @@ def to_sim_action(grid: GridSpec, act: RefAction) -> AgentAction:
 
 @dataclass(frozen=True)
 class ReferenceWorld:
-    """The world state in set form: victims as `Victim` records, rubble and
-    closed doors as sets of cells."""
+    """The world state in set form: walls, rubble and closed doors as sets of
+    cells, victims as (cell, kind) pairs."""
 
     spec: MapSpec
     tick: int
     agents: tuple[RefAgent, ...]
-    victims: tuple[Victim, ...]
+    walls: frozenset[Position]
+    victims: tuple[tuple[Position, VictimType], ...]
     rubble: frozenset[Position]
     closed_doors: frozenset[Position]
     events: tuple[RescueEvent, ...] = ()
@@ -466,9 +469,23 @@ class ReferenceWorld:
 
     def traversable(self, pos: Position) -> bool:
         return (self.spec.grid.contains(pos.x, pos.y)
-                and pos not in self.spec.walls
+                and pos not in self.walls
                 and pos not in self.closed_doors
                 and pos not in self.rubble)
+
+
+def map_sets(spec: MapSpec) -> dict:
+    """The `ReferenceWorld` fields of `spec`'s initial world, read from its
+    arrays one cell at a time."""
+    g = spec.grid
+    kinds = {code: kind for kind, code in VICTIM_CODES.items()}
+
+    def cells(values):
+        return frozenset(to_position(g, c) for c in range(g.n_cells) if values[c])
+    return {"walls": cells(spec.wall_mask),
+            "victims": tuple((to_position(g, c), kinds[code])
+                             for c, code in enumerate(spec.victim_codes.tolist()) if code),
+            "rubble": cells(spec.rubble_mask), "closed_doors": cells(spec.door_mask)}
 
 
 def step_reference(state: ReferenceWorld, actions):
@@ -476,7 +493,7 @@ def step_reference(state: ReferenceWorld, actions):
     agent order against start-of-tick terrain, then moves against
     start-of-tick terrain. Returns the new state and the resolved actions."""
     wait = RefAction(ActionTag.WAIT)
-    victims = {v.cell: v.kind for v in state.victims}
+    victims = dict(state.victims)
     rubble = set(state.rubble)
     doors = set(state.closed_doors)
     events = list(state.events)
@@ -525,8 +542,8 @@ def step_reference(state: ReferenceWorld, actions):
         new_agents.append(replace(agent, pos=pos))
 
     new_state = ReferenceWorld(
-        spec=state.spec, tick=state.tick + 1, agents=tuple(new_agents),
-        victims=tuple(v for v in state.victims if v.cell in victims),
+        spec=state.spec, tick=state.tick + 1, agents=tuple(new_agents), walls=state.walls,
+        victims=tuple((c, kind) for c, kind in state.victims if c in victims),
         rubble=frozenset(rubble), closed_doors=frozenset(doors),
         events=tuple(events), sample_interval_s=state.sample_interval_s)
     return new_state, tuple(resolved)

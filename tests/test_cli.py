@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import runpy
@@ -63,6 +64,44 @@ def test_main_builds_the_parser_once_and_calls_the_module_command(monkeypatch, c
     assert cli.build_parser() is cli.build_parser()
     monkeypatch.setattr(cli, "cmd_stats", lambda args: 7)
     assert run(["stats", "--table", "t.csv", "--analysis", "groups"]) == 7
+
+
+# A valid value for each flag, and the arguments each command requires.
+FLAG_VALUES = {"--map": "small", "--policies": "greedy", "--policy-param": "p_wait=0.5",
+               "--runs": "1", "--seed": "0", "--out": "o", "--coarsen": "1", "--table": "t.csv",
+               "--analysis": "groups", "--resamples": "50", "--format": "csv", "--metric": "sed",
+               "--window": "20", "--smooth": "5"}
+REQUIRED = {"simulate": ["--map", "small"], "metrics": ["s.jsonl"],
+            "stats": ["--table", "t.csv", "--analysis", "groups"],
+            "timeseries": ["s.jsonl", "--metric", "sed"]}
+
+
+def flag_prefixes():
+    """(command, argv) pairs that spell one flag of a command without its last letter."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(REQUIRED)
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            for flag in (f for f in action.option_strings if f.startswith("--")):
+                base = REQUIRED[command]
+                if flag in base:
+                    at = base.index(flag)
+                    base = base[:at] + base[at + 2:]
+                value = [FLAG_VALUES[flag]] if action.nargs != 0 else []
+                yield command, [command, *base, flag[:-1], *value]
+
+
+@pytest.mark.parametrize("argv", [
+    *(argv for _, argv in flag_prefixes()),
+    ["stats", "--table", "T", "--analysis", "mediation", "--res", "50", "--se", "1",
+     "--form", "markdown"],
+    ["simulate", "--map", "small", "--policy", "greedy"],
+], ids=" ".join)
+def test_flag_prefixes_exit_2(monkeypatch, capsys, argv):
+    for command in REQUIRED:
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: pytest.fail("parsed"))
+    assert run(argv) == EXIT_USAGE
+    assert "error: " in capsys.readouterr().err  # an unrecognized or a missing flag
 
 
 def test_output_that_cannot_be_written_exits_1(tmp_path, capsys):
@@ -222,6 +261,16 @@ def test_simulate_mission_shorter_than_one_sample_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == ("error: map 'demo-pocket': a 1.0 s mission has no tick "
                                        "at a sample interval of 3.0 s\n")
     assert not list((tmp_path / "o").iterdir())
+
+
+@pytest.mark.parametrize("width, height", [(2 ** 62, 1), (10 ** 5, 10 ** 5), (3000, 3000)])
+def test_metrics_map_declaring_too_many_cells_exits_3(tmp_path, capsys, width, height):
+    # the file is a few hundred bytes whatever grid it declares; no per-cell array is made
+    path = example_map_with(tmp_path, width=width, height=height)
+    session = str(EXAMPLE_TABLE.with_name("session.jsonl"))
+    assert run(["metrics", session, "--map", str(path)]) == EXIT_DOMAIN
+    assert capsys.readouterr() == ("", f"error: map 'demo-pocket': grid of {width}x{height} "
+                                       "cells is larger than the limit of 1048576 cells\n")
 
 
 def test_simulate_mission_over_the_tick_ceiling_exits_3(tmp_path, capsys):
@@ -411,6 +460,37 @@ def test_stats_groups_and_anova(tmp_path, capsys):
     assert run(["stats", "--table", str(table), "--analysis", "timeless-anova"]) == EXIT_OK
     anova_out = capsys.readouterr().out
     assert anova_out.count("\n") == 4  # header + one row per metric
+
+
+def test_stats_regression_refuses_collinear_metrics_exits_3(tmp_path, capsys):
+    # sms is sed plus noise at 1e-12: the fit would report coefficients near
+    # +-2.8e11 with p near 1e-62 from rounding alone
+    rng = np.random.default_rng(1)
+    sed = rng.normal(size=20)
+    sms = sed + 1e-12 * rng.normal(size=20)
+    spa, ci, performance = (rng.normal(size=20) for _ in range(3))
+    table = tmp_path / "t.csv"
+    table.write_text("session_id,sed,sms,spa,ci,performance\n" + "".join(
+        f"t{i:02d}," + ",".join(repr(float(c[i])) for c in (sed, sms, spa, ci, performance)) + "\n"
+        for i in range(20)))
+    assert run(["stats", "--table", str(table), "--analysis", "regression"]) == EXIT_DOMAIN
+    assert capsys.readouterr() == ("", "error: design columns 1, 2 are collinear: 1 - R^2 of "
+                                       "each on the other columns is at most 1e-12\n")
+
+
+def test_stats_quadratic_refuses_a_metric_collinear_with_its_square_exits_3(tmp_path, capsys):
+    # sed spreads 1e-6 around 1, so sed and sed^2 are collinear: the fit would
+    # report noise-made coefficients near +-5e11
+    rng = np.random.default_rng(1)
+    sed = 1 + 1e-6 * rng.normal(size=20)
+    sms, spa, ci, performance = (rng.normal(size=20) for _ in range(4))
+    table = tmp_path / "t.csv"
+    table.write_text("session_id,sed,sms,spa,ci,performance\n" + "".join(
+        f"t{i:02d}," + ",".join(repr(float(c[i])) for c in (sed, sms, spa, ci, performance)) + "\n"
+        for i in range(20)))
+    assert run(["stats", "--table", str(table), "--analysis", "quadratic"]) == EXIT_DOMAIN
+    assert capsys.readouterr() == ("", "error: design columns 1, 2 are collinear: 1 - R^2 of "
+                                       "each on the other columns is at most 1e-12\n")
 
 
 def test_stats_markdown_format(tmp_path, capsys):

@@ -181,7 +181,12 @@ def test_map_roundtrip_and_determinism(tmp_path):
         p1 = write_map(spec, tmp_path / f"{spec.name}1.json")
         p2 = write_map(spec, tmp_path / f"{spec.name}2.json")
         assert p1.read_bytes() == p2.read_bytes()
-        assert read_map(p1) == spec
+        assert write_map(read_map(p1), p2).read_bytes() == p1.read_bytes()
+
+
+def test_example_map_writes_back_byte_identical(tmp_path):
+    example = EXAMPLE_LOG.with_name("map.json")
+    assert write_map(read_map(example), tmp_path / "m.json").read_bytes() == example.read_bytes()
 
 
 def test_map_rejects_bad_payload(tmp_path):

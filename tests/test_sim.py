@@ -1,5 +1,6 @@
 import heapq
 import importlib
+import json
 import math
 import sys
 from dataclasses import replace
@@ -7,22 +8,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from teamcoord.cli import main
 from teamcoord.core import (ActionTag, CompositionError, GridSpec, Position, Role, VictimType,
                             validate_session)
 from teamcoord.outcomes import team_performance
+from teamcoord.session_io import write_map
 from teamcoord.sim import (
     AgentAction,
     AgentPolicy,
     InvalidMapError,
     MalformedActionError,
-    MapSpec,
     PolicyKind,
-    Victim,
     WorldState,
     builtin_map,
     builtin_maps,
     initial_state,
     map_from_ascii,
+    map_from_cells,
     map_meta,
     maps,
     policies,
@@ -30,6 +32,7 @@ from teamcoord.sim import (
     step_resolved,
 )
 from teamcoord.sim.policies import BfsField, PolicyParamError, build_controllers
+from teamcoord.sim.maps import MAX_MAP_CELLS
 from teamcoord.sim.world import VICTIM_CODES
 
 from oracles import (
@@ -38,6 +41,7 @@ from oracles import (
     ReferenceWorld,
     bfs_field,
     grid_neighbors,
+    map_sets,
     mission_rule_audit,
     step_reference,
     to_cell,
@@ -56,9 +60,10 @@ def at(pos):
 
 
 def mini_world(tick=0, victims=(), rubble=(), doors=(), agents=None):
-    spec = MapSpec(name="mini", grid=GridSpec(6, 6), walls=frozenset(),
-                   doors=frozenset(doors), rubble=frozenset(rubble),
-                   victims=tuple(victims), start=Position(0, 0))
+    """A 6x6 world without walls; `victims` are (cell, kind) pairs."""
+    spec = map_from_cells("mini", GridSpec(6, 6), walls=[], doors=[(p.x, p.y) for p in doors],
+                          rubble=[(p.x, p.y) for p in rubble],
+                          victims=[(p.x, p.y, kind) for p, kind in victims], start=(0, 0))
     if agents is None:
         agents = (
             RefAgent("medic1", Role.MEDIC, Position(2, 1)),
@@ -91,7 +96,7 @@ def rescue(cell):
 
 def test_red_rescue_succeeds_inside_cutoff():
     # tick 59 = 177 s, engineer adjacent: the joint rescue lands
-    w = mini_world(tick=59, victims=[Victim(RED_CELL, VictimType.RED)])
+    w = mini_world(tick=59, victims=[(RED_CELL, VictimType.RED)])
     out = step_resolved(w, [rescue(RED_CELL), WAIT, WAIT, WAIT])[0]
     assert victims_of(out) == {}
     assert out.events[0].victim_type is VictimType.RED
@@ -100,7 +105,7 @@ def test_red_rescue_succeeds_inside_cutoff():
 
 
 def test_red_rescue_blocked_at_cutoff():
-    w = mini_world(tick=60, victims=[Victim(RED_CELL, VictimType.RED)])
+    w = mini_world(tick=60, victims=[(RED_CELL, VictimType.RED)])
     out, resolved = step_resolved(w, [rescue(RED_CELL), WAIT, WAIT, WAIT])
     assert victims_of(out) == {RED_CELL: VictimType.RED}
     assert resolved[0].kind is ActionTag.WAIT
@@ -113,7 +118,7 @@ def test_red_rescue_needs_engineer_adjacent():
         RefAgent("engineer1", Role.ENGINEER, Position(5, 5)),
         RefAgent("engineer2", Role.ENGINEER, Position(0, 1)),
     )
-    w = mini_world(tick=10, victims=[Victim(RED_CELL, VictimType.RED)], agents=agents)
+    w = mini_world(tick=10, victims=[(RED_CELL, VictimType.RED)], agents=agents)
     out, resolved = step_resolved(w, [rescue(RED_CELL), WAIT, WAIT, WAIT])
     assert victims_of(out) == {RED_CELL: VictimType.RED}
     assert resolved[0].kind is ActionTag.WAIT
@@ -121,7 +126,7 @@ def test_red_rescue_needs_engineer_adjacent():
 
 def test_yellow_requires_clear_first_and_not_same_tick():
     yellow = Position(2, 2)
-    w = mini_world(victims=[Victim(yellow, VictimType.YELLOW)], rubble=[yellow])
+    w = mini_world(victims=[(yellow, VictimType.YELLOW)], rubble=[yellow])
     # medic tries while rubble present: degrades to wait
     out, resolved = step_resolved(w, [rescue(yellow), WAIT, WAIT, WAIT])
     assert resolved[0].kind is ActionTag.WAIT
@@ -141,11 +146,11 @@ def test_yellow_requires_clear_first_and_not_same_tick():
 
 def test_engineer_rescues_green_only():
     green, red = Position(2, 2), Position(3, 3)
-    w = mini_world(victims=[Victim(green, VictimType.GREEN), Victim(red, VictimType.RED)])
+    w = mini_world(victims=[(green, VictimType.GREEN), (red, VictimType.RED)])
     out, resolved = step_resolved(w, [WAIT, WAIT, rescue(green), WAIT])
     assert resolved[2].kind is ActionTag.RESCUE
     assert out.events[0].actor_ids == ("engineer1",)
-    w2 = mini_world(victims=[Victim(red, VictimType.RED)],
+    w2 = mini_world(victims=[(red, VictimType.RED)],
                     agents=(RefAgent("medic1", Role.MEDIC, Position(0, 0)),
                             RefAgent("medic2", Role.MEDIC, Position(0, 1)),
                             RefAgent("engineer1", Role.ENGINEER, Position(3, 2)),
@@ -163,7 +168,7 @@ def test_conflicting_rescues_resolve_by_agent_index():
         RefAgent("engineer1", Role.ENGINEER, Position(2, 1)),
         RefAgent("engineer2", Role.ENGINEER, Position(1, 2)),
     )
-    w = mini_world(victims=[Victim(green, VictimType.GREEN)], agents=agents)
+    w = mini_world(victims=[(green, VictimType.GREEN)], agents=agents)
     out, resolved = step_resolved(w, [rescue(green)] * 4)
     assert len(out.events) == 1
     assert out.events[0].actor_ids == ("medic1",)
@@ -209,12 +214,12 @@ def test_step_rejects_malformed_actions():
 
 def test_conservation_under_random_stepping():
     rng = np.random.default_rng(3)
-    victims = [Victim(Position(2, 2), VictimType.GREEN),
-               Victim(Position(4, 4), VictimType.GREEN),
-               Victim(Position(1, 4), VictimType.RED),
-               Victim(Position(4, 1), VictimType.YELLOW)]
+    victims = [(Position(2, 2), VictimType.GREEN),
+               (Position(4, 4), VictimType.GREEN),
+               (Position(1, 4), VictimType.RED),
+               (Position(4, 1), VictimType.YELLOW)]
     w = mini_world(victims=victims, rubble=[Position(4, 1)])
-    initial = {k: sum(1 for v in victims if v.kind is k) for k in VictimType}
+    initial = {k: sum(1 for _, kind in victims if kind is k) for k in VictimType}
     kinds = [ActionTag.MOVE, ActionTag.WAIT, ActionTag.RESCUE, ActionTag.CLEAR, ActionTag.OPEN]
     for _ in range(200):
         actions = []
@@ -260,7 +265,7 @@ def _random_action(rng, agent, ref):
     if r < 0.2:
         return RefAction(kind, Position(-1, y) if rng.random() < 0.5
                            else Position(x, ref.spec.grid.height))
-    victims = {v.cell for v in ref.victims}
+    victims = {c for c, _ in ref.victims}
     adjacent = [Position(x + dx, y + dy) for dx, dy in ((0, -1), (1, 0), (0, 1), (-1, 0))]
     near = [n for n in adjacent if n in victims | ref.rubble | ref.closed_doors]
     if not near or rng.random() < 0.3:
@@ -277,10 +282,11 @@ def test_step_matches_set_reference_under_random_actions():
     spec = map_from_ascii("step-oracle", _STEP_MAP)
     g = spec.grid
     cutoff_tick = int(spec.red_cutoff_s / 3.0)
-    blocked = spec.walls | spec.doors | spec.rubble
+    sets = map_sets(spec)
+    blocked = sets["walls"] | sets["closed_doors"] | sets["rubble"]
     roles = [("medic1", Role.MEDIC), ("medic2", Role.MEDIC),
              ("engineer1", Role.ENGINEER), ("engineer2", Role.ENGINEER)]
-    focus = {k: [v.cell for v in spec.victims if v.kind is k] for k in VictimType}
+    focus = {k: [c for c, kind in sets["victims"] if kind is k] for k in VictimType}
     rng = np.random.default_rng(5)
     seen = dict.fromkeys(("off_grid", "diagonal", "self", "conflict", "clear_then_rescue",
                           "red_at_cutoff", "red_before_cutoff"), 0)
@@ -300,18 +306,17 @@ def test_step_matches_set_reference_under_random_actions():
         start_tick = cutoff_tick - 1 if kind is VictimType.RED else 0
         state = replace(initial_state(spec, tuple(to_sim_agent(g, a) for a in agents)),
                         tick=start_tick)
-        ref = ReferenceWorld(spec=spec, tick=start_tick, agents=agents, victims=spec.victims,
-                             rubble=spec.rubble, closed_doors=spec.doors)
+        ref = ReferenceWorld(spec=spec, tick=start_tick, agents=agents, **sets)
         for _ in range(10):
             actions = [_random_action(rng, a, ref) for a in ref.agents]
-            victims = {v.cell: v.kind for v in ref.victims}
+            victims = dict(ref.victims)
             state, resolved = step_resolved(state, [to_sim_action(g, a) for a in actions])
             ref_next, ref_resolved = step_reference(ref, actions)
             assert resolved == tuple(to_sim_action(g, a) for a in ref_resolved)
             assert state.tick == ref_next.tick
             assert state.agents == tuple(to_sim_agent(g, a) for a in ref_next.agents)
             assert state.events == ref_next.events
-            assert victims_of(state) == {v.cell: v.kind for v in ref_next.victims}
+            assert victims_of(state) == dict(ref_next.victims)
             assert cells_of(state, state.rubble_mask) == ref_next.rubble
             assert cells_of(state, state.door_mask) == ref_next.closed_doors
 
@@ -351,10 +356,10 @@ def test_builtin_maps_are_valid_fixtures():
     assert [m.name for m in maps] == ["small", "medium", "corridor"]
     for m in maps:
         assert m.problems() == []
-        kinds = [v.kind for v in m.victims]
         for kind in VictimType:
-            assert kinds.count(kind) >= 2, f"{m.name} lacks {kind}"
-        assert m.doors and m.rubble
+            assert np.count_nonzero(m.victim_codes == VICTIM_CODES[kind]) >= 2, \
+                f"{m.name} lacks {kind}"
+        assert m.door_mask.any() and m.rubble_mask.any()
     small = builtin_map("small")
     assert (small.grid.width, small.grid.height) == (12, 12)
     medium = builtin_map("medium")
@@ -363,13 +368,14 @@ def test_builtin_maps_are_valid_fixtures():
         builtin_map("atlantis")
 
 
-def test_builtin_map_builds_the_named_map_only(monkeypatch):
+def test_builtin_map_builds_the_named_map_only(monkeypatch, tmp_path):
     built = []
     monkeypatch.setattr(maps, "map_from_ascii",
                         lambda name, art: built.append(name) or map_from_ascii(name, art))
     for spec in builtin_maps():
         built.clear()
-        assert maps.builtin_map(spec.name) == spec
+        one = write_map(maps.builtin_map(spec.name), tmp_path / "one.json")
+        assert one.read_bytes() == write_map(spec, tmp_path / "all.json").read_bytes()
         assert built == [spec.name]
     built.clear()
     with pytest.raises(KeyError) as exc:
@@ -380,7 +386,8 @@ def test_builtin_map_builds_the_named_map_only(monkeypatch):
 
 def shortest_path_ticks(spec, goal_cells):
     """Dijkstra oracle: door and rubble cells cost 2 ticks (open/clear first)."""
-    start = to_cell(spec.grid, spec.start)
+    sets = map_sets(spec)
+    start = spec.start
     costs = {}
     heap = [(0, start)]
     while heap:
@@ -392,7 +399,7 @@ def shortest_path_ticks(spec, goal_cells):
             if spec.wall_mask[nb] or nb in costs:
                 continue
             p = to_position(spec.grid, nb)
-            extra = 2 if (p in spec.doors or p in spec.rubble) else 1
+            extra = 2 if (p in sets["closed_doors"] or p in sets["rubble"]) else 1
             heapq.heappush(heap, (d + extra, nb))
     return min((costs.get(to_cell(spec.grid, c), 10 ** 9) for c in goal_cells),
                default=10 ** 9)
@@ -401,23 +408,23 @@ def shortest_path_ticks(spec, goal_cells):
 def test_red_victims_reachable_before_cutoff():
     for m in builtin_maps():
         budget = int(m.red_cutoff_s / 3.0) - 1  # arrive with one tick left to act
-        for v in m.victims:
-            if v.kind is not VictimType.RED:
+        sets = map_sets(m)
+        for cell, kind in sets["victims"]:
+            if kind is not VictimType.RED:
                 continue
-            x, y = v.cell.x, v.cell.y
+            x, y = cell.x, cell.y
             goals = [n for n in (Position(x, y - 1), Position(x + 1, y), Position(x, y + 1),
                                  Position(x - 1, y))
-                     if m.grid.contains(n.x, n.y) and n not in m.walls]
+                     if m.grid.contains(n.x, n.y) and n not in sets["walls"]]
             ticks = shortest_path_ticks(m, goals)
-            assert ticks <= budget, f"{m.name}: red at ({v.cell.x},{v.cell.y}) needs {ticks} ticks"
+            assert ticks <= budget, f"{m.name}: red at ({x},{y}) needs {ticks} ticks"
 
 
 def test_map_validation_catches_bad_specs():
     with pytest.raises(InvalidMapError):
-        MapSpec(name="bad", grid=GridSpec(4, 4), walls=frozenset({Position(0, 0)}),
-                doors=frozenset(), rubble=frozenset(),
-                victims=(Victim(Position(1, 1), VictimType.YELLOW),),  # no rubble on yellow
-                start=Position(2, 2)).validate()
+        map_from_cells("bad", GridSpec(4, 4), walls=[(0, 0)], doors=[], rubble=[],
+                       victims=[(1, 1, VictimType.YELLOW)],  # no rubble on yellow
+                       start=(2, 2))
     with pytest.raises(ValueError):
         map_from_ascii("ragged", "##\n###\n")
 
@@ -434,52 +441,43 @@ def test_map_art_errors(art, message):
     assert str(exc.value) == message
 
 
-# A 4 x 4 map without problems: a wall, a door, a yellow victim under rubble,
-# a green victim and a free start cell.
-GOOD_MAP = MapSpec(name="good", grid=GridSpec(4, 4), walls=frozenset({Position(0, 0)}),
-                   doors=frozenset({Position(3, 0)}), rubble=frozenset({Position(1, 1)}),
-                   victims=(Victim(Position(1, 1), VictimType.YELLOW),
-                            Victim(Position(2, 2), VictimType.GREEN)),
-                   start=Position(0, 3))
+# A 4 x 4 map without problems, as `map_from_cells` arguments: a wall, a door, a
+# yellow victim under rubble, a green victim and a free start cell.
+GOOD_MAP = {"name": "good", "grid": GridSpec(4, 4), "walls": [(0, 0)], "doors": [(3, 0)],
+            "rubble": [(1, 1)], "victims": [(1, 1, VictimType.YELLOW), (2, 2, VictimType.GREEN)],
+            "start": (0, 3)}
 
 
 def _with(**fields):
-    """GOOD_MAP with a cell added to a cell set, a victim added, or another field replaced."""
-    def merged(key, value):
-        old = getattr(GOOD_MAP, key)
-        if isinstance(old, frozenset):
-            return old | {value}
-        if isinstance(old, tuple):
-            return old + (value,)
-        return value
-    return replace(GOOD_MAP, **{key: merged(key, value) for key, value in fields.items()})
+    """GOOD_MAP with a cell or a victim added to a list, or another field replaced."""
+    return {**GOOD_MAP, **{key: GOOD_MAP[key] + [value] if type(GOOD_MAP.get(key)) is list
+                           else value for key, value in fields.items()}}
 
 
-# One defect per case, for each problem `MapSpec.problems()` reports.
+# One defect per case, for each problem `map_from_cells` reports.
 MAP_DEFECTS = {
-    "wall_outside_grid": (_with(walls=Position(4, 0)), "wall at (4, 0) outside grid"),
-    "door_outside_grid": (_with(doors=Position(0, -1)), "door at (0, -1) outside grid"),
-    "rubble_outside_grid": (_with(rubble=Position(9, 9)), "rubble at (9, 9) outside grid"),
-    "door_on_wall": (_with(doors=Position(0, 0)), "door cells overlap walls"),
-    "rubble_on_wall": (_with(rubble=Position(0, 0)), "rubble cells overlap walls or doors"),
-    "rubble_on_door": (_with(rubble=Position(3, 0)), "rubble cells overlap walls or doors"),
-    "victim_outside_grid": (_with(victims=Victim(Position(5, 1), VictimType.GREEN)),
+    "wall_outside_grid": (_with(walls=(4, 0)), "wall at (4, 0) outside grid"),
+    "door_outside_grid": (_with(doors=(0, -1)), "door at (0, -1) outside grid"),
+    "rubble_outside_grid": (_with(rubble=(9, 9)), "rubble at (9, 9) outside grid"),
+    "door_on_wall": (_with(doors=(0, 0)), "door cells overlap walls"),
+    "rubble_on_wall": (_with(rubble=(0, 0)), "rubble cells overlap walls or doors"),
+    "rubble_on_door": (_with(rubble=(3, 0)), "rubble cells overlap walls or doors"),
+    "victim_outside_grid": (_with(victims=(5, 1, VictimType.GREEN)),
                             "victim at (5, 1) outside grid"),
-    "victims_share_a_cell": (_with(victims=Victim(Position(2, 2), VictimType.RED)),
+    "victims_share_a_cell": (_with(victims=(2, 2, VictimType.RED)),
                              "two victims share cell (2, 2)"),
-    "victim_on_wall": (_with(victims=Victim(Position(0, 0), VictimType.GREEN)),
+    "victim_on_wall": (_with(victims=(0, 0, VictimType.GREEN)),
                        "victim at (0, 0) on a wall or door"),
-    "victim_on_door": (_with(victims=Victim(Position(3, 0), VictimType.RED)),
+    "victim_on_door": (_with(victims=(3, 0, VictimType.RED)),
                        "victim at (3, 0) on a wall or door"),
-    "yellow_without_rubble": (_with(victims=Victim(Position(2, 1), VictimType.YELLOW)),
+    "yellow_without_rubble": (_with(victims=(2, 1, VictimType.YELLOW)),
                               "yellow victim at (2, 1) has no rubble"),
-    "green_under_rubble": (_with(rubble=Position(2, 2)),
-                           "green victim at (2, 2) buried under rubble"),
-    "start_outside_grid": (_with(start=Position(4, 3)), "start cell outside grid"),
-    "start_on_wall": (_with(start=Position(0, 0)), "start cell not traversable"),
-    "start_on_door": (_with(start=Position(3, 0)), "start cell not traversable"),
-    "start_on_rubble": (_with(start=Position(1, 1)), "start cell not traversable"),
-    "start_on_victim": (_with(start=Position(2, 2)), "start cell not traversable"),
+    "green_under_rubble": (_with(rubble=(2, 2)), "green victim at (2, 2) buried under rubble"),
+    "start_outside_grid": (_with(start=(4, 3)), "start cell outside grid"),
+    "start_on_wall": (_with(start=(0, 0)), "start cell not traversable"),
+    "start_on_door": (_with(start=(3, 0)), "start cell not traversable"),
+    "start_on_rubble": (_with(start=(1, 1)), "start cell not traversable"),
+    "start_on_victim": (_with(start=(2, 2)), "start cell not traversable"),
     "red_cutoff_zero": (_with(red_cutoff_s=0.0), "red cutoff outside a finite mission duration"),
     "red_cutoff_after_mission": (_with(red_cutoff_s=301.0),
                                  "red cutoff outside a finite mission duration"),
@@ -489,12 +487,54 @@ MAP_DEFECTS = {
 
 @pytest.mark.parametrize("case", sorted(MAP_DEFECTS))
 def test_map_problems_name_each_defect(case):
-    spec, problem = MAP_DEFECTS[case]
-    assert GOOD_MAP.problems() == []
-    assert spec.problems() == [problem]
+    fields, problem = MAP_DEFECTS[case]
+    assert map_from_cells(**GOOD_MAP).problems() == []
     with pytest.raises(InvalidMapError) as exc:
-        spec.validate()
+        map_from_cells(**fields)
     assert str(exc.value) == f"map 'good': {problem}"
+
+
+def test_map_problems_come_in_the_documented_order():
+    fields = _with(victims=(0, 0, VictimType.GREEN), walls=(4, 0), doors=(0, 0), start=(0, 0),
+                   fov_radius=0)
+    fields["victims"].insert(0, (9, 9, VictimType.RED))
+    with pytest.raises(InvalidMapError) as exc:
+        map_from_cells(**fields)
+    assert str(exc.value) == (
+        "map 'good': wall at (4, 0) outside grid; victim at (9, 9) outside grid; "
+        "door cells overlap walls; victim at (0, 0) on a wall or door; "
+        "start cell not traversable; field of view radius must be at least 1")
+
+
+def map_document(fields) -> dict:
+    """The map file of `map_from_cells` arguments, written without checking them."""
+    return {"format_version": 1, "name": fields["name"], "width": fields["grid"].width,
+            "height": fields["grid"].height, "walls": [list(c) for c in fields["walls"]],
+            "doors": [list(c) for c in fields["doors"]],
+            "rubble": [list(c) for c in fields["rubble"]],
+            "victims": [{"x": x, "y": y, "type": kind.value} for x, y, kind in fields["victims"]],
+            "start": list(fields["start"]), "mission_duration_s": 300.0, "red_cutoff_s": 180.0,
+            "fov_radius": 5}
+
+
+@pytest.mark.parametrize("case", ["rubble_outside_grid", "rubble_on_door", "victims_share_a_cell"])
+def test_map_file_defects_exit_3_with_their_message(tmp_path, capsys, case):
+    fields, problem = MAP_DEFECTS[case]
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(map_document(fields)))
+    assert main(["simulate", "--map", str(path), "--runs", "1",
+                 "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == f"error: map 'good': {problem}\n"
+
+
+def test_map_grid_up_to_the_cell_limit_builds():
+    empty = {"name": "wide", "walls": [], "doors": [], "rubble": [], "victims": [], "start": (0, 0)}
+    spec = map_from_cells(grid=GridSpec(MAX_MAP_CELLS, 1), **empty)
+    assert spec.wall_mask.shape == (MAX_MAP_CELLS,)
+    with pytest.raises(InvalidMapError) as exc:
+        map_from_cells(grid=GridSpec(MAX_MAP_CELLS + 1, 1), **empty)
+    assert str(exc.value) == (f"map 'wide': grid of {MAX_MAP_CELLS + 1}x1 cells is larger than "
+                              f"the limit of {MAX_MAP_CELLS} cells")
 
 
 @pytest.mark.parametrize("clock", [{"mission_duration_s": math.inf},
@@ -555,8 +595,8 @@ def policy_team(kind, **params):
 
 
 def test_empty_map_random_walkers_score_zero():
-    spec = MapSpec(name="empty", grid=GridSpec(8, 8), walls=frozenset(), doors=frozenset(),
-                   rubble=frozenset(), victims=(), start=Position(4, 4))
+    spec = map_from_cells("empty", GridSpec(8, 8), walls=[], doors=[], rubble=[], victims=[],
+                          start=(4, 4))
     s = run_mission(spec, policy_team(PolicyKind.RANDOM_WALK), seed=3)
     assert s.events == ()
     assert team_performance(s.events).points == 0
@@ -564,9 +604,8 @@ def test_empty_map_random_walkers_score_zero():
 
 
 def test_greedy_engineer_rescues_adjacent_green():
-    spec = MapSpec(name="one-green", grid=GridSpec(6, 6), walls=frozenset(), doors=frozenset(),
-                   rubble=frozenset(), victims=(Victim(Position(3, 2), VictimType.GREEN),),
-                   start=Position(2, 2))
+    spec = map_from_cells("one-green", GridSpec(6, 6), walls=[], doors=[], rubble=[],
+                          victims=[(3, 2, VictimType.GREEN)], start=(2, 2))
     s = run_mission(spec, policy_team(PolicyKind.GREEDY), seed=0)
     perf = team_performance(s.events)
     assert perf.rescues[VictimType.GREEN] == 1
@@ -686,12 +725,15 @@ def test_policy_ordering_on_medium_map():
 def test_map_meta_counts():
     spec = builtin_map("small")
     meta = map_meta(spec)
-    kinds = [v.kind for v in spec.victims]
-    assert meta.max_tasks[Role.MEDIC] == len(spec.victims)
+    sets = map_sets(spec)
+    kinds = [kind for _, kind in sets["victims"]]
+    assert meta.max_tasks[Role.MEDIC] == len(kinds)
     assert meta.max_tasks[Role.ENGINEER] == (kinds.count(VictimType.GREEN)
                                              + kinds.count(VictimType.RED)
-                                             + len(spec.rubble) + len(spec.doors))
-    assert meta.traversable_cells == spec.grid.n_cells - len(spec.walls)
+                                             + len(sets["rubble"]) + len(sets["closed_doors"]))
+    assert meta.traversable_cells == spec.grid.n_cells - len(sets["walls"])
+    # Python ints, which the manifest writes as they are
+    assert {type(n) for n in (meta.traversable_cells, *meta.max_tasks.values())} == {int}
 
 
 def _oracle_nearest(goals, dist):
@@ -776,10 +818,8 @@ def test_bfs_field_matches_full_fill_oracle(mapname):
 def test_bfs_field_edge_cases():
     spec = builtin_map("small")
     n = spec.grid.n_cells
-    start = to_cell(spec.grid, spec.start)
-    blocked = spec.wall_mask.tolist()
-    for cell in spec.doors | spec.rubble:  # closed doors seal the rooms
-        blocked[to_cell(spec.grid, cell)] = True
+    start = spec.start
+    blocked = (spec.wall_mask | spec.door_mask | spec.rubble_mask).tolist()  # closed doors seal rooms
     dist, first = bfs_field(grid_neighbors(spec.grid.width, spec.grid.height), blocked, start)
     sealed = np.array([dist[c] < 0 and not blocked[c] for c in range(n)])
     assert sealed.any()
@@ -805,7 +845,7 @@ def test_bfs_field_expands_only_the_levels_a_query_needs():
     spec = builtin_map("medium")
     n = spec.grid.n_cells
     ctrl = build_controllers(policy_team(PolicyKind.COORDINATED), spec, seed=0)[0]
-    start = to_cell(spec.grid, spec.start)
+    start = spec.start
     field = ctrl._field(start)
     assert isinstance(field, BfsField)
     assert field.nearest(np.zeros(n, dtype=bool).tobytes()) is None

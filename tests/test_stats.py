@@ -186,6 +186,31 @@ def test_ols_rank_deficiency():
         ols(np.arange(8.0), X)
 
 
+def _near_collinear(scale):
+    """A 20-row design whose second predictor is the first plus noise at `scale`,
+    with a normal response, and that predictor's 1 - R^2 on the other columns."""
+    rng = np.random.default_rng(1)
+    sed = rng.normal(size=20)
+    X = design_matrix(sed, sed + scale * rng.normal(size=20), rng.normal(size=20))
+    others = X[:, [0, 1, 3]]
+    resid = X[:, 2] - others @ np.linalg.lstsq(others, X[:, 2], rcond=None)[0]
+    return X, rng.normal(size=20), (resid @ resid) / np.sum((X[:, 2] - X[:, 2].mean()) ** 2)
+
+
+def test_ols_refuses_collinear_predictors_and_fits_just_outside_the_tolerance():
+    for scale, low, high in ((1e-12, 0.0, 1e-20), (5e-7, 5e-13, 1e-12)):
+        X, y, unexplained = _near_collinear(scale)
+        assert low <= unexplained < high
+        with pytest.raises(RankDeficiencyError) as exc:
+            ols(y, X)
+        assert str(exc.value) == ("design columns 1, 2 are collinear: 1 - R^2 of each on the "
+                                  "other columns is at most 1e-12")
+    X, y, unexplained = _near_collinear(6e-7)
+    assert 1e-12 < unexplained < 2e-12
+    res = ols(y, X)
+    assert np.isfinite(res.coefficients).all() and (res.coef_p_values > 0).all()
+
+
 # --- quadratic fits --------------------------------------------------------------
 
 def test_vertex_arithmetic_reported_case():
