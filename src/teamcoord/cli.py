@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import TeamCoordError
+from .core import TeamCoordError, TeamSession
 from .metrics import (
     SeriesMetric,
     WindowTooLargeError,
@@ -158,18 +158,27 @@ def _read_failure(path, exc: TeamCoordError) -> str:
     return text if text.startswith(f"{Path(path)}:") else f"{path}: {text}"
 
 
+def _read_sessions(paths) -> tuple[list[tuple[str, TeamSession]], bool]:
+    """Each readable session of `paths` with its path, in argument order, and
+    whether any was unreadable. Every unreadable one is named on stderr as it
+    is met, so all of them are named before any later error."""
+    sessions, failed = [], False
+    for path in paths:
+        try:
+            sessions.append((path, read_session(path)))
+        except TeamCoordError as exc:
+            print(f"error: {_read_failure(path, exc)}", file=sys.stderr)
+            failed = True
+    return sessions, failed
+
+
 def cmd_metrics(args) -> int:
     if args.coarsen < 1:
         raise UsageError("--coarsen must be at least 1")
     fallback_meta = map_meta(_load_map(args.map)) if args.map else None
+    sessions, failed = _read_sessions(args.sessions)
     rows = []
-    failures = []
-    for path in args.sessions:
-        try:
-            session = read_session(path)
-        except TeamCoordError as exc:
-            failures.append(_read_failure(path, exc))
-            continue
+    for path, session in sessions:
         meta = session.map_meta or fallback_meta
         if meta is None:
             raise UsageError(f"{path}: no embedded map metadata; pass --map")
@@ -178,11 +187,9 @@ def cmd_metrics(args) -> int:
         perf = team_performance(session.events)
         rows.append(MetricsTableRow(session_id=session.session_id, sed=m.sed, sms=m.sms,
                                     spa=m.spa, ci=ci.team_ci, performance=perf.points))
-    for failure in failures:
-        print(f"error: {failure}", file=sys.stderr)
     rows.sort(key=lambda r: r.session_id)
     _emit(format_metrics_table(rows), args.out, f"wrote {len(rows)} rows to {args.out}")
-    return EXIT_IO if failures else EXIT_OK
+    return EXIT_IO if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +352,10 @@ def cmd_stats(args) -> int:
 def cmd_timeseries(args) -> int:
     if len(args.sessions) < 4:
         raise UsageError("timeseries needs at least 4 sessions for grouping")
-    sessions = []
-    for path in args.sessions:
-        try:
-            sessions.append(read_session(path))
-        except TeamCoordError as exc:
-            print(f"error: {_read_failure(path, exc)}", file=sys.stderr)
-            return EXIT_IO
+    read, failed = _read_sessions(args.sessions)
+    if failed:  # the quartile groups are only meaningful over the whole corpus
+        return EXIT_IO
+    sessions = [session for _, session in read]
     if len({(s.mission_duration_s, s.red_cutoff_s) for s in sessions}) > 1:
         raise UsageError("sessions differ in mission_duration_s or red_cutoff_s; "
                          "progress and phases need one mission clock")

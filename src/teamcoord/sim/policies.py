@@ -89,8 +89,11 @@ class BfsField:
                     for nb in neighbors[c]:
                         if not seen[nb]:
                             seen[nb] = 1
-                            first[nb] = nb if step < 0 else step
+                            first[nb] = step
                             level.append(nb)
+                if d == 1:  # the start's neighbours are their own first steps
+                    for nb in level:
+                        first[nb] = nb
                 levels.append(level)
             yield levels[d]
             d += 1
@@ -118,12 +121,20 @@ class BfsField:
 class Controller:
     """Per-agent runtime state: FOV memory plus the decision rule.
 
-    Cells are row-major int indices, and knowledge is held per cell in flat
-    arrays indexed by them: `unseen`, `known_rubble` and `known_doors` are
-    bool masks, and `known_victims` holds `VICTIM_CODES` (0 = no victim).
-    Each decision plans on one lazy `BfsField` from the agent's cell, which
-    expands only the distance levels its queries need and never enters walls
-    or known rubble and doors. Goals are per-cell byte masks (a bool mask's
+    Cells are row-major int indices. `unseen` is the one whole-map knowledge
+    array, a bool mask of the cells never in view. What the agent knows of
+    the entities is held for their few cells only: `known_victims` maps a
+    cell to its last seen `VICTIM_CODES` value (no key: no victim seen), and
+    `known_rubble` and `known_doors` are the sets of cells last seen holding
+    rubble or a closed door. `observe` updates them at the map's entity cells
+    in view (`MapSpec.entity_bands`) from the tick's `WorldState.cell_bytes`.
+
+    A decision walks those few cells for its targets, and reads
+    `cell_bytes` for the cells next to the agent. It plans on one lazy
+    `BfsField` from the agent's cell, which expands only the distance levels
+    its queries need and never enters walls or known rubble and doors; the
+    blocked bytes it starts from are rebuilt only after `observe` changed
+    the known rubble or doors. Goals are per-cell byte masks (a bool mask's
     `tobytes()`, or a `bytearray` filled from a few target cells); the one
     with the smallest (BFS distance, cell index) among the reachable goals
     wins, which is the (distance, y, x) order and keeps runs reproducible.
@@ -139,32 +150,45 @@ class Controller:
         self.rng = rng
         self.params = {**POLICY_PARAMS, **params}
         self.unseen = ~spec.wall_mask
-        self.known_rubble = np.zeros(spec.grid.n_cells, dtype=bool)
-        self.known_doors = np.zeros(spec.grid.n_cells, dtype=bool)
-        self.known_victims = np.zeros(spec.grid.n_cells, dtype=np.int8)
-        # 2-D views of the knowledge arrays, written through by `observe`
-        self._views = [a.reshape(self.grid.height, self.grid.width) for a in (
-            self.unseen, self.known_victims, self.known_rubble, self.known_doors)]
+        # a 2-D view of `unseen`, which `observe` clears the field of view through
+        self._unseen_2d = self.unseen.reshape(self.grid.height, self.grid.width)
+        self.known_victims: dict[int, int] = {}
+        self.known_rubble: set[int] = set()
+        self.known_doors: set[int] = set()
+        self._blocked: bytes | None = None  # known rubble and doors per cell; None: stale
 
     # -- perception --------------------------------------------------------
 
     def observe(self, state: WorldState):
-        y, x = divmod(state.agents[self.index].cell, self.grid.width)
-        r = self.spec.fov_radius
-        view = np.s_[max(y - r, 0):y + r + 1, max(x - r, 0):x + r + 1]
-        unseen, victims, rubble, doors = self._views
-        unseen[view] = False
-        for known, truth in ((victims, state.victim_codes), (rubble, state.rubble_mask),
-                             (doors, state.door_mask)):
-            known[view] = truth.reshape(unseen.shape)[view]
+        w, r = self.grid.width, self.spec.fov_radius
+        y, x = divmod(state.agents[self.index].cell, w)
+        self._unseen_2d[max(y - r, 0):y + r + 1, max(x - r, 0):x + r + 1] = False
+        victims, rubble, doors = state.cell_bytes
+        known_victims, known_rubble, known_doors = (
+            self.known_victims, self.known_rubble, self.known_doors)
+        for c in self.spec.entity_bands[y]:
+            if not x - r <= c % w <= x + r:
+                continue
+            if victims[c]:
+                known_victims[c] = victims[c]
+            else:
+                known_victims.pop(c, None)
+            if rubble[c] != (c in known_rubble) or doors[c] != (c in known_doors):
+                (known_rubble.add if rubble[c] else known_rubble.discard)(c)
+                (known_doors.add if doors[c] else known_doors.discard)(c)
+                self._blocked = None
 
     # -- planning helpers ----------------------------------------------------
 
     def _field(self, me: int) -> BfsField:
         """A lazy BFS from `me` over the cells not known to be blocked; one
         per decision, shared by every query that decision makes."""
-        blocked = (self.known_rubble | self.known_doors).tobytes()
-        return BfsField(self.spec.neighbor_lists, blocked, me)
+        if self._blocked is None:
+            blocked = bytearray(self.grid.n_cells)
+            for c in (*self.known_rubble, *self.known_doors):
+                blocked[c] = 1
+            self._blocked = bytes(blocked)
+        return BfsField(self.spec.neighbor_lists, self._blocked, me)
 
     def _step_toward(self, cell: int, field: BfsField) -> AgentAction | None:
         """First move of a shortest path to `cell`; None if unreachable or already there."""
@@ -181,19 +205,22 @@ class Controller:
 
         Blocked cells are never reached, so only standable ones can win.
         """
+        if not targets:
+            return None
         goals = bytearray(self.grid.n_cells)
         for t in targets:
             for nb in self.spec.neighbor_lists[t]:
                 goals[nb] = 1
         return self._move_toward(goals, field)
 
-    def _serviceable(self) -> np.ndarray:
-        """Known targets this role can service alone: greens, uncovered
-        yellows for medics, and rubble and doors for engineers."""
+    def _serviceable(self) -> list[int]:
+        """Cells of the known targets this role can service alone: greens,
+        uncovered yellows for medics, and rubble and doors for engineers."""
         if self.role is Role.MEDIC:
-            return (self.known_victims == _GREEN) | (
-                (self.known_victims == _YELLOW) & ~self.known_rubble)
-        return (self.known_victims == _GREEN) | self.known_rubble | self.known_doors
+            return [c for c, code in self.known_victims.items()
+                    if code == _GREEN or code == _YELLOW and c not in self.known_rubble]
+        return [c for c, code in self.known_victims.items() if code == _GREEN] + [
+            *self.known_rubble, *self.known_doors]
 
     def _random_move(self, me: int) -> AgentAction:
         """A move to a uniformly drawn side, walls included; off the grid, no target."""
@@ -205,15 +232,16 @@ class Controller:
     # -- adjacency opportunities ----------------------------------------------
 
     def _adjacent_rescue(self, state: WorldState, me: int) -> AgentAction | None:
-        agent = state.agents[self.index]
+        agent, victims = state.agents[self.index], state.cell_bytes[0]
         for nb in self.spec.neighbor_lists[me]:
-            if _rescuers(state, state.victim_codes, agent, nb):
+            if victims[nb] and _rescuers(state, victims, agent, nb):
                 return AgentAction(ActionTag.RESCUE, nb)
         return None
 
     def _adjacent_engineering(self, state: WorldState, me: int) -> AgentAction | None:
+        _, rubble, doors = state.cell_bytes
         for nb in self.spec.neighbor_lists[me]:
-            kind = _terrain_action(self.role, state.rubble_mask, state.door_mask, nb)
+            kind = _terrain_action(self.role, rubble, doors, nb)
             if kind is not None:
                 return AgentAction(kind, nb)
         return None
@@ -249,8 +277,8 @@ class GreedyRescuerController(Controller):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.red_wait = np.zeros(self.grid.n_cells, dtype=int)
-        self.red_shelved = np.full(self.grid.n_cells, -1, dtype=int)
+        self.red_wait = [0] * self.grid.n_cells
+        self.red_shelved = [-1] * self.grid.n_cells
 
     def _decide(self, state) -> AgentAction:
         me = state.agents[self.index].cell
@@ -258,20 +286,22 @@ class GreedyRescuerController(Controller):
         if act is not None:
             return act
 
-        targets = self._serviceable()
+        reds = []
         if self.role is Role.MEDIC and state.time_s < state.spec.red_cutoff_s:
             # camped at a red, hoping an engineer wanders by
+            victims = state.cell_bytes[0]
             for nb in self.spec.neighbor_lists[me]:
-                if state.victim_codes[nb] == _RED and self.red_shelved[nb] < state.tick:
+                if victims[nb] == _RED and self.red_shelved[nb] < state.tick:
                     self.red_wait[nb] += 1
                     if self.red_wait[nb] <= self.params["patience"]:
                         return WAIT_ACTION
                     self.red_shelved[nb] = state.tick + 25
                     self.red_wait[nb] = 0
-            targets |= (self.known_victims == _RED) & (self.red_shelved < state.tick)
+            reds = [c for c, code in self.known_victims.items()
+                    if code == _RED and self.red_shelved[c] < state.tick]
 
         field = self._field(me)
-        return (self._approach(np.flatnonzero(targets).tolist(), field)
+        return (self._approach(self._serviceable() + reds, field)
                 or self._move_toward(self.unseen.tobytes(), field)
                 or self._random_move(me))
 
@@ -293,9 +323,11 @@ class CoordinatedSpecialistController(Controller):
         # pair sectors stack vertically in phase 1; roles split left/right in phase 2
         g = self.grid
         ys, xs = np.divmod(np.arange(g.n_cells), g.width)
-        self.pair_sector = ys < g.height // 2 if pair == 0 else ys >= g.height // 2
-        self.role_half = xs < g.width // 2 if role is Role.MEDIC else xs >= g.width // 2
-        self.quadrant = self.pair_sector & self.role_half
+        pair_sector = ys < g.height // 2 if pair == 0 else ys >= g.height // 2
+        role_half = xs < g.width // 2 if role is Role.MEDIC else xs >= g.width // 2
+        self.quadrant = pair_sector & role_half
+        # one byte per cell, read at a few cells or passed whole as BFS goals
+        self.pair_sector, self.role_half = pair_sector.tobytes(), role_half.tobytes()
         # corners of the own quadrant, patrolled clockwise once it is explored
         cx = (1, g.width // 2 - 2) if role is Role.MEDIC else (g.width // 2 + 1, g.width - 2)
         cy = (1, g.height // 2 - 2) if pair == 0 else (g.height // 2 + 1, g.height - 2)
@@ -330,13 +362,14 @@ class CoordinatedSpecialistController(Controller):
     def _act_converge(self, state) -> AgentAction:
         me = state.agents[self.index].cell
         around = self.spec.neighbor_lists[me]
-        reds = np.flatnonzero(self.known_victims == _RED).tolist()
+        reds = [c for c, code in self.known_victims.items() if code == _RED]
 
         if self.role is Role.MEDIC:
             act = self._adjacent_rescue(state, me)
             if act is not None:
                 return act
-            if any(state.victim_codes[nb] == _RED for nb in around):
+            victims = state.cell_bytes[0]
+            if any(victims[nb] == _RED for nb in around):
                 return WAIT_ACTION  # parked beside a red: hold until an engineer lands
             field = self._field(me)
             return (self._approach(reds + self._parked_teammates(state, Role.ENGINEER, me), field)
@@ -357,9 +390,9 @@ class CoordinatedSpecialistController(Controller):
             return act
         if any(nb in reds for nb in around):
             return WAIT_ACTION  # park beside an unclaimed red and flag it for the medics
-        service = (self.known_rubble | self.known_doors) & self.pair_sector
+        service = [c for c in (*self.known_rubble, *self.known_doors) if self.pair_sector[c]]
         return (self._approach(reds, field)
-                or self._approach(np.flatnonzero(service).tolist(), field)
+                or self._approach(service, field)
                 or self._sweep_own_quadrant(me, field))
 
     # -- phase 2: disperse into role territories ------------------------------
@@ -383,9 +416,8 @@ class CoordinatedSpecialistController(Controller):
         # outside the own half, head for it; inside, the nearest half cell is `me`
         return (self._adjacent_rescue(state, me)
                 or self._adjacent_engineering(state, me)
-                or self._move_toward(self.role_half.tobytes(), field)
-                or self._approach(np.flatnonzero(self._serviceable() & self.role_half).tolist(),
-                                  field)
+                or self._move_toward(self.role_half, field)
+                or self._approach([c for c in self._serviceable() if self.role_half[c]], field)
                 or self._sweep_own_quadrant(me, field))
 
 
@@ -435,19 +467,19 @@ def run_mission(spec: MapSpec, policies, seed: int, session_id: str | None = Non
                               cell=spec.start) for i, role in enumerate(roles))
     controllers = build_controllers(policies, spec, seed)
     state = initial_state(spec, agents)
-    # per agent and tick: the cell stood on, the resolved action and its target (-1 for none)
-    cells, kinds, targets = (np.empty((len(agents), n_ticks), dtype=dtype)
-                             for dtype in (np.int64, np.int8, np.int64))
-
-    for t in range(n_ticks):
+    # per tick and agent: the cell stood on, the resolved action and its target (-1 for none)
+    cells, kinds, targets = [], [], []
+    kind_index = {kind: i for i, kind in enumerate(ACTIONS)}
+    for _ in range(n_ticks):
         for c in controllers:
             c.observe(state)
         new_state, resolved = step_resolved(state, [c.act(state) for c in controllers])
-        for i, (agent, act) in enumerate(zip(state.agents, resolved)):
-            cells[i, t] = agent.cell
-            kinds[i, t] = ACTIONS.index(act.kind)
-            targets[i, t] = -1 if act.target is None else act.target
+        cells.append([agent.cell for agent in state.agents])
+        kinds.append([kind_index[act.kind] for act in resolved])
+        targets.append([-1 if act.target is None else act.target for act in resolved])
         state = new_state
+    cells, kinds, targets = (np.array(a, dtype=dtype).T for a, dtype in (
+        (cells, np.int64), (kinds, np.int8), (targets, np.int64)))
 
     ticks = np.broadcast_to(np.arange(n_ticks), cells.shape)
     ys, xs = np.divmod(np.stack([cells, np.maximum(targets, 0)]), spec.grid.width)

@@ -126,6 +126,19 @@ class MapSpec:
         kept = iter(nbs[ok].tolist())  # row-major, so each cell's neighbors stay in order
         return tuple(tuple(islice(kept, k)) for k in ok.sum(axis=1).tolist())
 
+    @cached_property
+    def entity_bands(self) -> tuple[tuple[int, ...], ...]:
+        """For each grid row y, the cells of rows y - fov_radius to y + fov_radius
+        that hold a victim, rubble or a closed door on the map, in row-major order.
+        A mission only removes these, so a field of view centred on row y finds
+        every entity it can see among them."""
+        h, r = self.grid.height, self.fov_radius
+        cells = np.flatnonzero((self.victim_codes != 0) | self.rubble_mask | self.door_mask)
+        row_starts = np.searchsorted(cells, np.arange(h + 1) * self.grid.width).tolist()
+        cells = cells.tolist()
+        return tuple(tuple(cells[row_starts[max(y - r, 0)]:row_starts[min(y + r + 1, h)]])
+                     for y in range(h))
+
 
 def map_meta(spec: MapSpec) -> MapMeta:
     """Task inventory for collective-intelligence normalization.
@@ -180,17 +193,24 @@ class WorldState:
     def time_s(self) -> float:
         return self.tick * SAMPLE_INTERVAL_S
 
+    @cached_property
+    def cell_bytes(self) -> tuple[bytes, bytes, bytes]:
+        """`victim_codes`, `rubble_mask` and `door_mask` as bytes, one byte per cell:
+        the controllers read the tick's state cell by cell from these."""
+        return self.victim_codes.tobytes(), self.rubble_mask.tobytes(), self.door_mask.tobytes()
+
 
 def initial_state(spec: MapSpec, agents: tuple[AgentState, ...]) -> WorldState:
     return WorldState(spec=spec, tick=0, agents=agents, victim_codes=spec.victim_codes,
                       rubble_mask=spec.rubble_mask, door_mask=spec.door_mask)
 
 
-def _rescuers(state: WorldState, victims: np.ndarray, agent: AgentState,
+def _rescuers(state: WorldState, victims: np.ndarray | bytes, agent: AgentState,
               c: int) -> tuple[str, ...] | None:
-    """Ids credited when `agent` rescues the victim at `c` in `victims`; None if not
-    allowed. Engineers rescue greens only, a yellow needs its rubble gone at the start
-    of the tick, and a red needs the cutoff ahead and an engineer beside `c`."""
+    """Ids credited when `agent` rescues the victim at `c` in `victims`, a per-cell
+    array or bytes; None if not allowed. Engineers rescue greens only, a yellow needs
+    its rubble gone at the start of the tick, and a red needs the cutoff ahead and an
+    engineer beside `c`."""
     code = victims[c]
     if (not code or agent.role is Role.ENGINEER and code != _GREEN
             or code == _YELLOW and state.rubble_mask[c]):
@@ -204,23 +224,34 @@ def _rescuers(state: WorldState, victims: np.ndarray, agent: AgentState,
     return (agent.player_id, helper.player_id)
 
 
-def _terrain_action(role: Role, rubble: np.ndarray, doors: np.ndarray, c: int) -> ActionTag | None:
-    """An engineer CLEARs rubble and OPENs a closed door at `c`; None otherwise."""
+def _terrain_action(role: Role, rubble: np.ndarray | bytes, doors: np.ndarray | bytes,
+                    c: int) -> ActionTag | None:
+    """An engineer CLEARs rubble and OPENs a closed door at `c`; None otherwise.
+    `rubble` and `doors` are per-cell arrays or bytes."""
     if role is not Role.ENGINEER:
         return None
     return ActionTag.CLEAR if rubble[c] else ActionTag.OPEN if doors[c] else None
+
+
+def _erased(a: np.ndarray, start: np.ndarray, c: int) -> np.ndarray:
+    """`a` with cell `c` zeroed, copied first while it is still the read-only `start`."""
+    if a is start:
+        a = a.copy()
+    a[c] = 0
+    return a
 
 
 def step_resolved(state: WorldState, actions) -> tuple[WorldState, tuple[AgentAction, ...]]:
     """Advance one tick; illegal actions degrade to waits.
 
     A target is adjacent if it is in the agent's `MapSpec.neighbor_lists`, which
-    leave out walls. Returns the new state and what each agent actually did.
+    leave out walls. Returns the new state and what each agent actually did. An
+    array no action changes passes to the new state as it is; the others are
+    copied at their first write of the tick.
     """
     if len(actions) != len(state.agents):
         raise MalformedActionError(f"{len(actions)} actions for {len(state.agents)} agents")
-    victims, rubble, doors = (a.copy() for a in (
-        state.victim_codes, state.rubble_mask, state.door_mask))
+    victims, rubble, doors = state.victim_codes, state.rubble_mask, state.door_mask
     events = list(state.events)
     resolved: list[AgentAction] = [WAIT_ACTION] * len(actions)
     agents = list(state.agents)
@@ -242,14 +273,17 @@ def step_resolved(state: WorldState, actions) -> tuple[WorldState, tuple[AgentAc
                 y, x = divmod(c, state.spec.grid.width)
                 events.append(RescueEvent(time_s=state.time_s, victim_cell=Position(x, y),
                                           victim_type=_VICTIM_KINDS[victims[c]], actor_ids=actors))
-                victims[c] = 0
+                victims = _erased(victims, state.victim_codes, c)
                 resolved[i] = act
         elif _terrain_action(agent.role, rubble, doors, c) is act.kind:  # clear or open
-            (rubble if act.kind is ActionTag.CLEAR else doors)[c] = False
+            if act.kind is ActionTag.CLEAR:
+                rubble = _erased(rubble, state.rubble_mask, c)
+            else:
+                doors = _erased(doors, state.door_mask, c)
             resolved[i] = act
 
     for a in (victims, rubble, doors):
-        a.flags.writeable = False
+        a.flags.writeable = False  # the copies; the others are read-only already
     new_state = WorldState(spec=state.spec, tick=state.tick + 1, agents=tuple(agents),
                            victim_codes=victims, rubble_mask=rubble, door_mask=doors,
                            events=tuple(events))

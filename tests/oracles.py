@@ -17,6 +17,9 @@ step must agree with. It works on `Position`s, with agents and actions of its
 own (`RefAgent`, `RefAction`), and `to_sim_agent` / `to_sim_action` translate
 them into the simulator's row-major int cells at its boundary. `map_sets`
 reads a map's per-cell arrays into its sets one cell at a time.
+`MaskKnowledge` is a controller's knowledge in whole-map masks, written by
+2-D view copies of the world's arrays, which the controllers' entity-cell
+knowledge must agree with cell for cell.
 
 Session I/O has three references. `read_session_reference` reads a log one
 line at a time with `json.loads` and converts each record field by field;
@@ -547,6 +550,42 @@ def step_reference(state: ReferenceWorld, actions):
         rubble=frozenset(rubble), closed_doors=frozenset(doors),
         events=tuple(events), sample_interval_s=state.sample_interval_s)
     return new_state, tuple(resolved)
+
+
+class MaskKnowledge:
+    """What a controller knows, as per-cell masks over the whole map: `unseen`,
+    `victims` (`VICTIM_CODES`, 0 = none), `rubble` and `doors`. `observe` copies
+    the world's three arrays into them over the Chebyshev field of view, through
+    2-D views."""
+
+    def __init__(self, spec: MapSpec):
+        n = spec.grid.n_cells
+        self.spec = spec
+        self.unseen = ~spec.wall_mask
+        self.victims = np.zeros(n, dtype=np.int8)
+        self.rubble = np.zeros(n, dtype=bool)
+        self.doors = np.zeros(n, dtype=bool)
+
+    def observe(self, state, cell: int):
+        shape = (self.spec.grid.height, self.spec.grid.width)
+        y, x = divmod(cell, shape[1])
+        r = self.spec.fov_radius
+        view = np.s_[max(y - r, 0):y + r + 1, max(x - r, 0):x + r + 1]
+        self.unseen.reshape(shape)[view] = False
+        for known, truth in ((self.victims, state.victim_codes), (self.rubble, state.rubble_mask),
+                             (self.doors, state.door_mask)):
+            known.reshape(shape)[view] = truth.reshape(shape)[view]
+
+    def serviceable(self, role: Role) -> np.ndarray:
+        """Known greens, and uncovered yellows for medics or rubble and doors for engineers."""
+        green, yellow = VICTIM_CODES[VictimType.GREEN], VICTIM_CODES[VictimType.YELLOW]
+        if role is Role.MEDIC:
+            return (self.victims == green) | ((self.victims == yellow) & ~self.rubble)
+        return (self.victims == green) | self.rubble | self.doors
+
+    def blocked(self) -> bytes:
+        """One byte per cell, 1 where rubble or a closed door is known."""
+        return (self.rubble | self.doors).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -668,9 +668,47 @@ def test_huge_mission_clock_exits_1_naming_each_session_once(tmp_path, capsys, c
     logs = example_sessions_with_duration(tmp_path, 1e300)
     assert run([command[0], *logs, *command[1:]]) == EXIT_IO
     err = capsys.readouterr().err
-    failed = logs if command[0] == "metrics" else logs[:1]  # timeseries stops at the first
     assert err == "".join(f"error: {log}: invalid session: CONFIG: mission duration must span "
-                          "at most 1000000 sample intervals\n" for log in failed)
+                          "at most 1000000 sample intervals\n" for log in logs)
+
+
+def unreadable_log(path: Path) -> str:
+    path.write_text("not json\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("bad_first", [True, False])
+def test_metrics_names_an_unreadable_session_before_a_later_usage_error(tmp_path, capsys,
+                                                                         bad_first):
+    # NOMETA is the example session without `map_meta`, so it needs --map (exit 2)
+    bad = unreadable_log(tmp_path / "bad.jsonl")
+    src = EXAMPLE_TABLE.with_name("session.jsonl")
+    nometa = tmp_path / "nometa.jsonl"
+    nometa.write_text(src.read_text())
+    doc = json.loads(src.with_suffix(".manifest.json").read_text())
+    del doc["map_meta"]
+    nometa.with_suffix(".manifest.json").write_text(json.dumps(doc))
+    argv = [bad, str(nometa)] if bad_first else [str(nometa), bad]
+    assert run(["metrics", *argv]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    first, second = err.splitlines()
+    assert first.startswith(f"error: {bad}:")
+    assert second == f"usage error: {nometa}: no embedded map metadata; pass --map"
+
+
+def test_timeseries_names_every_unreadable_session_in_argument_order(tmp_path, capsys):
+    logs = list(map(str, sim_corpus(tmp_path, runs=4)))
+    bads = [unreadable_log(tmp_path / f"bad{k}.jsonl") for k in range(2)]
+    capsys.readouterr()
+    argv = [bads[0], logs[0], bads[1], *logs[1:]]
+    assert run(["timeseries", *argv, "--metric", "sed"]) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""  # no series from part of the corpus: the quartile groups would shift
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith(f"error: {bad}:") for line, bad in zip(lines, bads))
+    assert run(["timeseries", *logs, "--metric", "sed"]) == EXIT_OK
 
 
 @pytest.mark.parametrize("analysis, n_rows, message", [

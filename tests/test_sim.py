@@ -16,6 +16,7 @@ from teamcoord.session_io import write_map
 from teamcoord.sim import (
     AgentAction,
     AgentPolicy,
+    AgentState,
     InvalidMapError,
     MalformedActionError,
     PolicyKind,
@@ -36,6 +37,7 @@ from teamcoord.sim.maps import MAX_MAP_CELLS
 from teamcoord.sim.world import VICTIM_CODES
 
 from oracles import (
+    MaskKnowledge,
     RefAction,
     RefAgent,
     ReferenceWorld,
@@ -873,10 +875,13 @@ def test_controller_planning_matches_full_fill_oracle(spec, kind):
     for ctrl in build_controllers(policy_team(kind), spec, seed=4):
         for case in range(15):
             density = (0.05, 0.2, 0.4)[case % 3]
-            ctrl.known_rubble[:] = (rng.random(n) < density) & ~spec.wall_mask
-            ctrl.known_doors[:] = (rng.random(n) < density / 2) & ~spec.wall_mask
+            rubble = (rng.random(n) < density) & ~spec.wall_mask
+            doors = (rng.random(n) < density / 2) & ~spec.wall_mask
+            ctrl.known_rubble = set(np.flatnonzero(rubble).tolist())
+            ctrl.known_doors = set(np.flatnonzero(doors).tolist())
+            ctrl._blocked = None  # as `observe` does when the known rubble or doors change
             start = int(rng.choice(open_cells))
-            blocked = (spec.wall_mask | ctrl.known_rubble | ctrl.known_doors).tolist()
+            blocked = (spec.wall_mask | rubble | doors).tolist()
             dist, first = bfs_field(full, blocked, start)
 
             field = ctrl._field(start)
@@ -899,3 +904,48 @@ def test_controller_planning_matches_full_fill_oracle(spec, kind):
             for _ in exhausted._walk():
                 pass
             assert _level_dist(exhausted, n) == dist and exhausted.first == first
+
+
+def _knowledge_maps():
+    """The built-in maps at their own field of view, at radius 1 and at a radius
+    larger than the grid, and the edge map at the radii of its golden pins."""
+    for spec in builtin_maps():
+        for r in (spec.fov_radius, 1, max(spec.grid.width, spec.grid.height) + 1):
+            yield replace(spec, name=f"{spec.name}-fov{r}", fov_radius=r)
+    for r in (1, 2, 5):
+        yield map_from_ascii(f"edge-fov{r}", EDGE_ART, fov_radius=r)
+
+
+@pytest.mark.parametrize("spec", list(_knowledge_maps()), ids=lambda spec: spec.name)
+@pytest.mark.parametrize("kind", [PolicyKind.GREEDY, PolicyKind.COORDINATED])
+def test_controller_knowledge_matches_mask_observe(spec, kind):
+    # after every observe of a mission, the entity-cell knowledge, the serviceable
+    # targets and the field's blocked bytes equal the whole-map mask form's
+    team = policy_team(kind, dither=0.2)
+    agents = tuple(AgentState(f"{role.value}{i}", role, spec.start)
+                   for i, (role, _) in enumerate(team))
+    controllers = build_controllers(team, spec, seed=3)
+    refs = [MaskKnowledge(spec) for _ in controllers]
+    state = initial_state(spec, agents)
+    learned = forgotten = 0
+    for _ in range(round(spec.mission_duration_s / 3.0)):
+        for ctrl, ref in zip(controllers, refs):
+            before = len(ctrl.known_victims) + len(ctrl.known_rubble) + len(ctrl.known_doors)
+            ctrl.observe(state)
+            me = state.agents[ctrl.index].cell
+            ref.observe(state, me)
+            assert np.array_equal(ctrl.unseen, ref.unseen)
+            codes = np.flatnonzero(ref.victims).tolist()
+            assert ctrl.known_victims == dict(zip(codes, ref.victims[codes].tolist()))
+            assert ctrl.known_rubble == set(np.flatnonzero(ref.rubble).tolist())
+            assert ctrl.known_doors == set(np.flatnonzero(ref.doors).tolist())
+            serviceable = np.flatnonzero(ref.serviceable(ctrl.role)).tolist()
+            assert sorted(ctrl._serviceable()) == serviceable
+            blocked = bytearray(ref.blocked())
+            blocked[me] = 1  # a field has reached its start
+            assert ctrl._field(me).seen == blocked
+            after = len(ctrl.known_victims) + len(ctrl.known_rubble) + len(ctrl.known_doors)
+            learned += after > before
+            forgotten += after < before
+        state, _ = step_resolved(state, [ctrl.act(state) for ctrl in controllers])
+    assert learned and forgotten  # knowledge both grew and shrank during the mission
