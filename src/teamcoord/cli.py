@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import TeamCoordError, TeamSession
+from .core import Role, TeamCoordError, TeamSession
 from .metrics import (
     SeriesMetric,
     WindowTooLargeError,
@@ -53,7 +53,6 @@ from .stats import (
     spearman,
     TooFewTeamsError,
 )
-from .core import Role
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -443,8 +442,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 0 for --help, 2 for usage errors
         return int(exc.code or 0)
     # looked up per call, not stored in the parser, so a patched cmd_* takes effect
-    command = {"simulate": cmd_simulate, "metrics": cmd_metrics, "stats": cmd_stats,
-               "timeseries": cmd_timeseries}[args.command]
+    command = globals()[f"cmd_{args.command}"]
     try:
         return command(args)
     except (UsageError, PolicyParamError, MetricTableError) as exc:  # flags and table contents

@@ -127,10 +127,10 @@ class Controller:
     cell to its last seen `VICTIM_CODES` value (no key: no victim seen), and
     `known_rubble` and `known_doors` are the sets of cells last seen holding
     rubble or a closed door. `observe` updates them at the map's entity cells
-    in view (`MapSpec.entity_bands`) from the tick's `WorldState.cell_bytes`.
+    in view (`MapSpec.entity_bands`) from the tick's `WorldState` bytes.
 
-    A decision walks those few cells for its targets, and reads
-    `cell_bytes` for the cells next to the agent. It plans on one lazy
+    A decision walks those few cells for its targets, and reads the
+    `WorldState` bytes for the cells next to the agent. It plans on one lazy
     `BfsField` from the agent's cell, which expands only the distance levels
     its queries need and never enters walls or known rubble and doors; the
     blocked bytes it starts from are rebuilt only after `observe` changed
@@ -163,7 +163,7 @@ class Controller:
         w, r = self.grid.width, self.spec.fov_radius
         y, x = divmod(state.agents[self.index].cell, w)
         self._unseen_2d[max(y - r, 0):y + r + 1, max(x - r, 0):x + r + 1] = False
-        victims, rubble, doors = state.cell_bytes
+        victims, rubble, doors = state.victim_codes, state.rubble_mask, state.door_mask
         known_victims, known_rubble, known_doors = (
             self.known_victims, self.known_rubble, self.known_doors)
         for c in self.spec.entity_bands[y]:
@@ -232,14 +232,14 @@ class Controller:
     # -- adjacency opportunities ----------------------------------------------
 
     def _adjacent_rescue(self, state: WorldState, me: int) -> AgentAction | None:
-        agent, victims = state.agents[self.index], state.cell_bytes[0]
+        agent, victims = state.agents[self.index], state.victim_codes
         for nb in self.spec.neighbor_lists[me]:
             if victims[nb] and _rescuers(state, victims, agent, nb):
                 return AgentAction(ActionTag.RESCUE, nb)
         return None
 
     def _adjacent_engineering(self, state: WorldState, me: int) -> AgentAction | None:
-        _, rubble, doors = state.cell_bytes
+        rubble, doors = state.rubble_mask, state.door_mask
         for nb in self.spec.neighbor_lists[me]:
             kind = _terrain_action(self.role, rubble, doors, nb)
             if kind is not None:
@@ -289,7 +289,7 @@ class GreedyRescuerController(Controller):
         reds = []
         if self.role is Role.MEDIC and state.time_s < state.spec.red_cutoff_s:
             # camped at a red, hoping an engineer wanders by
-            victims = state.cell_bytes[0]
+            victims = state.victim_codes
             for nb in self.spec.neighbor_lists[me]:
                 if victims[nb] == _RED and self.red_shelved[nb] < state.tick:
                     self.red_wait[nb] += 1
@@ -368,7 +368,7 @@ class CoordinatedSpecialistController(Controller):
             act = self._adjacent_rescue(state, me)
             if act is not None:
                 return act
-            victims = state.cell_bytes[0]
+            victims = state.victim_codes
             if any(victims[nb] == _RED for nb in around):
                 return WAIT_ACTION  # parked beside a red: hold until an engineer lands
             field = self._field(me)

@@ -7,11 +7,11 @@ same victim resolve by agent index. Agents may share cells; they all start
 on the common start cell.
 
 A mission runs on row-major int cells (`y * width + x`): agents, action
-targets, the map (`MapSpec`) and the `WorldState` arrays of victims, rubble
-and closed doors, which start as the map's own arrays. The action rules live
-here, in `_rescuers` and `_terrain_action`, and the step and the controllers
-of `policies.py` both act through them; `policies.run_mission` drives a whole
-mission.
+targets, the map (`MapSpec`) and the `WorldState` bytes of victims, rubble
+and closed doors, one byte per cell, made once from the map's arrays. The
+action rules live here, in `_rescuers` and `_terrain_action`, and the step
+and the controllers of `policies.py` both act through them;
+`policies.run_mission` drives a whole mission.
 """
 from __future__ import annotations
 
@@ -176,41 +176,37 @@ class AgentState:
 class WorldState:
     """The world at one tick.
 
-    What changes during a mission is held in read-only per-cell arrays:
+    What changes during a mission is held as bytes, one per row-major cell:
     `victim_codes` holds `VICTIM_CODES` (0 = no victim), and `rubble_mask`
-    and `door_mask` mark the uncleared rubble and the closed doors.
+    and `door_mask` mark the uncleared rubble and the closed doors with 1.
+    The controllers read them cell by cell.
     """
 
     spec: MapSpec
     tick: int
     agents: tuple[AgentState, ...]
-    victim_codes: np.ndarray
-    rubble_mask: np.ndarray
-    door_mask: np.ndarray
+    victim_codes: bytes
+    rubble_mask: bytes
+    door_mask: bytes
     events: tuple[RescueEvent, ...] = ()
 
     @property
     def time_s(self) -> float:
         return self.tick * SAMPLE_INTERVAL_S
 
-    @cached_property
-    def cell_bytes(self) -> tuple[bytes, bytes, bytes]:
-        """`victim_codes`, `rubble_mask` and `door_mask` as bytes, one byte per cell:
-        the controllers read the tick's state cell by cell from these."""
-        return self.victim_codes.tobytes(), self.rubble_mask.tobytes(), self.door_mask.tobytes()
-
 
 def initial_state(spec: MapSpec, agents: tuple[AgentState, ...]) -> WorldState:
-    return WorldState(spec=spec, tick=0, agents=agents, victim_codes=spec.victim_codes,
-                      rubble_mask=spec.rubble_mask, door_mask=spec.door_mask)
+    return WorldState(spec=spec, tick=0, agents=agents,
+                      victim_codes=spec.victim_codes.tobytes(),
+                      rubble_mask=spec.rubble_mask.tobytes(), door_mask=spec.door_mask.tobytes())
 
 
-def _rescuers(state: WorldState, victims: np.ndarray | bytes, agent: AgentState,
+def _rescuers(state: WorldState, victims: bytes, agent: AgentState,
               c: int) -> tuple[str, ...] | None:
-    """Ids credited when `agent` rescues the victim at `c` in `victims`, a per-cell
-    array or bytes; None if not allowed. Engineers rescue greens only, a yellow needs
-    its rubble gone at the start of the tick, and a red needs the cutoff ahead and an
-    engineer beside `c`."""
+    """Ids credited when `agent` rescues the victim at `c` in `victims`, per-cell
+    bytes as in `WorldState`; None if not allowed. Engineers rescue greens only,
+    a yellow needs its rubble gone at the start of the tick, and a red needs the
+    cutoff ahead and an engineer beside `c`."""
     code = victims[c]
     if (not code or agent.role is Role.ENGINEER and code != _GREEN
             or code == _YELLOW and state.rubble_mask[c]):
@@ -224,30 +220,20 @@ def _rescuers(state: WorldState, victims: np.ndarray | bytes, agent: AgentState,
     return (agent.player_id, helper.player_id)
 
 
-def _terrain_action(role: Role, rubble: np.ndarray | bytes, doors: np.ndarray | bytes,
-                    c: int) -> ActionTag | None:
+def _terrain_action(role: Role, rubble: bytes, doors: bytes, c: int) -> ActionTag | None:
     """An engineer CLEARs rubble and OPENs a closed door at `c`; None otherwise.
-    `rubble` and `doors` are per-cell arrays or bytes."""
+    `rubble` and `doors` are per-cell bytes as in `WorldState`."""
     if role is not Role.ENGINEER:
         return None
     return ActionTag.CLEAR if rubble[c] else ActionTag.OPEN if doors[c] else None
-
-
-def _erased(a: np.ndarray, start: np.ndarray, c: int) -> np.ndarray:
-    """`a` with cell `c` zeroed, copied first while it is still the read-only `start`."""
-    if a is start:
-        a = a.copy()
-    a[c] = 0
-    return a
 
 
 def step_resolved(state: WorldState, actions) -> tuple[WorldState, tuple[AgentAction, ...]]:
     """Advance one tick; illegal actions degrade to waits.
 
     A target is adjacent if it is in the agent's `MapSpec.neighbor_lists`, which
-    leave out walls. Returns the new state and what each agent actually did. An
-    array no action changes passes to the new state as it is; the others are
-    copied at their first write of the tick.
+    leave out walls. Returns the new state and what each agent actually did;
+    `state` is left as it was.
     """
     if len(actions) != len(state.agents):
         raise MalformedActionError(f"{len(actions)} actions for {len(state.agents)} agents")
@@ -273,17 +259,15 @@ def step_resolved(state: WorldState, actions) -> tuple[WorldState, tuple[AgentAc
                 y, x = divmod(c, state.spec.grid.width)
                 events.append(RescueEvent(time_s=state.time_s, victim_cell=Position(x, y),
                                           victim_type=_VICTIM_KINDS[victims[c]], actor_ids=actors))
-                victims = _erased(victims, state.victim_codes, c)
+                victims = victims[:c] + b"\0" + victims[c + 1:]
                 resolved[i] = act
         elif _terrain_action(agent.role, rubble, doors, c) is act.kind:  # clear or open
             if act.kind is ActionTag.CLEAR:
-                rubble = _erased(rubble, state.rubble_mask, c)
+                rubble = rubble[:c] + b"\0" + rubble[c + 1:]
             else:
-                doors = _erased(doors, state.door_mask, c)
+                doors = doors[:c] + b"\0" + doors[c + 1:]
             resolved[i] = act
 
-    for a in (victims, rubble, doors):
-        a.flags.writeable = False  # the copies; the others are read-only already
     new_state = WorldState(spec=state.spec, tick=state.tick + 1, agents=tuple(agents),
                            victim_codes=victims, rubble_mask=rubble, door_mask=doors,
                            events=tuple(events))

@@ -555,8 +555,8 @@ def step_reference(state: ReferenceWorld, actions):
 class MaskKnowledge:
     """What a controller knows, as per-cell masks over the whole map: `unseen`,
     `victims` (`VICTIM_CODES`, 0 = none), `rubble` and `doors`. `observe` copies
-    the world's three arrays into them over the Chebyshev field of view, through
-    2-D views."""
+    the world's three per-cell byte strings into them over the Chebyshev field of
+    view, through 2-D views."""
 
     def __init__(self, spec: MapSpec):
         n = spec.grid.n_cells
@@ -574,7 +574,7 @@ class MaskKnowledge:
         self.unseen.reshape(shape)[view] = False
         for known, truth in ((self.victims, state.victim_codes), (self.rubble, state.rubble_mask),
                              (self.doors, state.door_mask)):
-            known.reshape(shape)[view] = truth.reshape(shape)[view]
+            known.reshape(shape)[view] = np.frombuffer(truth, known.dtype).reshape(shape)[view]
 
     def serviceable(self, role: Role) -> np.ndarray:
         """Known greens, and uncovered yellows for medics or rubble and doors for engineers."""

@@ -339,7 +339,7 @@ def test_c8_simulator_rules(tmp_path, medium_corpus):
                                     else to_cell(spec.grid, Position(x + dx, y + dy))))
         w = step_resolved(w, acts)[0]
         for k in VictimType:
-            remaining = int(np.count_nonzero(w.victim_codes == VICTIM_CODES[k]))
+            remaining = w.victim_codes.count(VICTIM_CODES[k])
             rescued = sum(1 for e in w.events if e.victim_type is k)
             assert remaining + rescued == initial[k]
 

@@ -66,6 +66,13 @@ def test_main_builds_the_parser_once_and_calls_the_module_command(monkeypatch, c
     assert run(["stats", "--table", "t.csv", "--analysis", "groups"]) == 7
 
 
+def test_parser_subcommands_are_the_module_commands():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    commands = {name.removeprefix("cmd_") for name, obj in vars(cli).items()
+                if name.startswith("cmd_") and callable(obj)}
+    assert set(sub.choices) == commands == {"simulate", "metrics", "stats", "timeseries"}
+
+
 # A valid value for each flag, and the arguments each command requires.
 FLAG_VALUES = {"--map": "small", "--policies": "greedy", "--policy-param": "p_wait=0.5",
                "--runs": "1", "--seed": "0", "--out": "o", "--coarsen": "1", "--table": "t.csv",

@@ -79,14 +79,15 @@ def mini_world(tick=0, victims=(), rubble=(), doors=(), agents=None):
 
 
 def cells_of(state, mask):
-    return {to_position(state.spec.grid, c) for c in np.flatnonzero(mask).tolist()}
+    """The cells marked in one of the state's per-cell byte masks, as positions."""
+    return {to_position(state.spec.grid, c) for c, marked in enumerate(mask) if marked}
 
 
 def victims_of(state):
-    """The victims left in an array state, as {cell: kind}."""
+    """The victims left in a state, as {cell: kind}."""
     kinds = {code: kind for kind, code in VICTIM_CODES.items()}
-    return {to_position(state.spec.grid, c): kinds[int(state.victim_codes[c])]
-            for c in np.flatnonzero(state.victim_codes).tolist()}
+    return {to_position(state.spec.grid, c): kinds[code]
+            for c, code in enumerate(state.victim_codes) if code}
 
 
 RED_CELL = Position(2, 2)
@@ -214,6 +215,28 @@ def test_step_rejects_malformed_actions():
         step_resolved(w, [WAIT, WAIT, WAIT, "north"])[0]
 
 
+def test_step_leaves_its_input_state_unchanged():
+    # one rescue, one clear and one open in a tick: each writes one of the three fields
+    green, rubble, door = Position(2, 2), Position(4, 2), Position(0, 2)
+    w = mini_world(victims=[(green, VictimType.GREEN)], rubble=[rubble], doors=[door])
+
+    def fields(state):
+        return state.victim_codes, state.rubble_mask, state.door_mask
+
+    assert all(type(f) is bytes for f in fields(w))
+    before = tuple(bytearray(f) for f in fields(w))
+    actions = [rescue(green), WAIT, AgentAction(ActionTag.CLEAR, at(rubble)),
+               AgentAction(ActionTag.OPEN, at(door))]
+    out, resolved = step_resolved(w, actions)
+    assert resolved == tuple(actions)
+    assert fields(w) == before and w.events == ()
+    assert victims_of(out) == {} and cells_of(out, out.rubble_mask) == set()
+    assert cells_of(out, out.door_mask) == set()
+    again, resolved_again = step_resolved(w, actions)
+    assert fields(again) == fields(out) and again.events == out.events
+    assert resolved_again == resolved
+
+
 def test_conservation_under_random_stepping():
     rng = np.random.default_rng(3)
     victims = [(Position(2, 2), VictimType.GREEN),
@@ -232,8 +255,7 @@ def test_conservation_under_random_stepping():
             target = None if kind is ActionTag.WAIT else at(Position(x + dx, y + dy))
             actions.append(AgentAction(kind, target))
         w = step_resolved(w, actions)[0]
-        remaining = {k: int(np.count_nonzero(w.victim_codes == VICTIM_CODES[k]))
-                     for k in VictimType}
+        remaining = {k: w.victim_codes.count(VICTIM_CODES[k]) for k in VictimType}
         rescued = {k: sum(1 for e in w.events if e.victim_type is k) for k in VictimType}
         for k in VictimType:
             assert remaining[k] + rescued[k] == initial[k]
