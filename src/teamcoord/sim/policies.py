@@ -69,6 +69,11 @@ class BfsField:
     wherever it is set. `levels[d]` lists the cells at distance d in that
     order; level 0 is the start and an empty last level means the search is
     exhausted. Queries expand only as many levels as they need.
+
+    An exhausted field has reached whole components of the graph of the
+    non-wall cells not blocked: the start's, or those of its neighbours if
+    the start is blocked. A field from any cell of them reaches only cells
+    of them, which lets `Controller` answer "no reachable goal" unflooded.
     """
 
     def __init__(self, neighbors, blocked, start: int):
@@ -77,45 +82,45 @@ class BfsField:
         self.first = [-1] * len(blocked)
         self.levels = [[start]]
 
-    def _walk(self):
-        """Yield the levels from 0 on, expanding the next one when asked for it."""
-        neighbors, seen, first, levels = self.neighbors, self.seen, self.first, self.levels
-        d = 0
-        while d < len(levels) or levels[-1]:
-            if d == len(levels):
-                level = []
-                for c in levels[-1]:
-                    step = first[c]
-                    for nb in neighbors[c]:
-                        if not seen[nb]:
-                            seen[nb] = 1
-                            first[nb] = step
-                            level.append(nb)
-                if d == 1:  # the start's neighbours are their own first steps
-                    for nb in level:
-                        first[nb] = nb
-                levels.append(level)
-            yield levels[d]
-            d += 1
+    def _grow(self) -> list[int]:
+        """Expand the level after the last one, append it to `levels` and
+        return it; call only while the last level is not empty."""
+        neighbors, seen, first = self.neighbors, self.seen, self.first
+        level = []
+        for c in self.levels[-1]:
+            step = first[c]
+            for nb in neighbors[c]:
+                if not seen[nb]:
+                    seen[nb] = 1
+                    first[nb] = step
+                    level.append(nb)
+        if len(self.levels) == 1:  # the start's neighbours are their own first steps
+            for nb in level:
+                first[nb] = nb
+        self.levels.append(level)
+        return level
 
     def nearest(self, goals) -> int | None:
         """The reachable goal cell of least (distance, cell index), or None;
         `goals` is a bytes-like per-cell mask, 1 at the goal cells."""
         if 1 in goals:
-            for level in self._walk():
+            levels = self.levels
+            for level in levels:  # the loop runs on into the levels `_grow` appends
                 hits = [c for c in level if goals[c]]
                 if hits:
                     return min(hits)
+                if level is levels[-1] and level:
+                    self._grow()
         return None
 
     def first_step(self, cell: int) -> int | None:
         """First cell of a shortest path to `cell`; None if `cell` is the
         start or unreachable. Expands levels up to the one holding `cell`."""
-        if cell != self.levels[0][0]:
-            for _ in self._walk():
-                if self.first[cell] >= 0:
-                    return self.first[cell]
-        return None
+        first, levels = self.first, self.levels
+        if cell != levels[0][0]:  # the start's `first` stays -1
+            while first[cell] < 0 and levels[-1]:
+                self._grow()
+        return None if first[cell] < 0 else first[cell]
 
 
 class Controller:
@@ -138,6 +143,15 @@ class Controller:
     `tobytes()`, or a `bytearray` filled from a few target cells); the one
     with the smallest (BFS distance, cell index) among the reachable goals
     wins, which is the (distance, y, x) order and keeps runs reproducible.
+
+    `_component` memoises the cells reached by the last `_field` that
+    `_move_toward` searched to exhaustion, as an int with bit 8 * c set for
+    cell c (`int.from_bytes` of a byte mask, little-endian); 0 is none. They
+    are whole components (see `BfsField`), so from a start among them a goal
+    mask that shares no bit with them has no reachable goal, and
+    `_move_toward` answers None without a flood. That holds while the blocked
+    bytes stay the same, so the memo is cleared whenever they are rebuilt.
+
     A subclass defines `_decide`, or overrides `act` itself.
     """
 
@@ -156,6 +170,7 @@ class Controller:
         self.known_rubble: set[int] = set()
         self.known_doors: set[int] = set()
         self._blocked: bytes | None = None  # known rubble and doors per cell; None: stale
+        self._component = 0  # the reached cells of the last exhausted field, as above
 
     # -- perception --------------------------------------------------------
 
@@ -188,6 +203,7 @@ class Controller:
             for c in (*self.known_rubble, *self.known_doors):
                 blocked[c] = 1
             self._blocked = bytes(blocked)
+            self._component = 0
         return BfsField(self.spec.neighbor_lists, self._blocked, me)
 
     def _step_toward(self, cell: int, field: BfsField) -> AgentAction | None:
@@ -197,8 +213,16 @@ class Controller:
 
     def _move_toward(self, goals, field: BfsField) -> AgentAction | None:
         """Step toward the nearest reachable goal cell, ties to the lowest index."""
+        start, component = field.levels[0][0], self._component
+        if component >> 8 * start & 1 and not int.from_bytes(goals, "little") & component:
+            return None  # no goal in the start's component
         cell = field.nearest(goals)
-        return None if cell is None else self._step_toward(cell, field)
+        if cell is not None:
+            return self._step_toward(cell, field)
+        if not field.levels[-1]:  # exhausted: whole components reached
+            self._component = (int.from_bytes(field.seen, "little")
+                               ^ int.from_bytes(self._blocked, "little"))
+        return None
 
     def _approach(self, targets, field: BfsField) -> AgentAction | None:
         """Move toward a standable 4-neighbor of the nearest of the `targets` cells.

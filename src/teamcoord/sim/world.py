@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,9 +153,10 @@ def map_meta(spec: MapSpec) -> MapMeta:
         Role.MEDIC: sum(counts[1:]), Role.ENGINEER: counts[_GREEN] + counts[_RED] + terrain})
 
 
-@dataclass(frozen=True)
-class AgentAction:
-    """A requested action: `target` is a row-major cell, None for a wait or a move off the grid."""
+class AgentAction(NamedTuple):
+    """A requested action, an immutable tuple: `target` is a row-major cell,
+    None for a wait or a move off the grid. `step_resolved` takes no other
+    tuple for one, not even an equal plain tuple."""
 
     kind: ActionTag
     target: int | None = None
@@ -163,9 +165,8 @@ class AgentAction:
 WAIT_ACTION = AgentAction(ActionTag.WAIT)
 
 
-@dataclass(frozen=True)
-class AgentState:
-    """An agent and the row-major cell it stands on."""
+class AgentState(NamedTuple):
+    """An agent and the row-major cell it stands on, an immutable tuple."""
 
     player_id: str
     role: Role

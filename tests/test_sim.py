@@ -213,6 +213,13 @@ def test_step_rejects_malformed_actions():
         step_resolved(w, [WAIT, WAIT, WAIT])[0]
     with pytest.raises(MalformedActionError):
         step_resolved(w, [WAIT, WAIT, WAIT, "north"])[0]
+    # an action is a tuple, but an equal plain tuple is not an action, and
+    # neither is one whose kind is the tag's string
+    move = (ActionTag.MOVE, at(Position(1, 1)))  # engineer2 stands at (0, 1)
+    assert step_resolved(w, [WAIT, WAIT, WAIT, AgentAction(*move)])[1][3] == move
+    for act in (move, AgentAction("move", move[1])):
+        with pytest.raises(MalformedActionError):
+            step_resolved(w, [WAIT, WAIT, WAIT, act])
 
 
 def test_step_leaves_its_input_state_unchanged():
@@ -665,7 +672,7 @@ def test_an_invalid_simulated_session_is_a_simulator_bug(monkeypatch):
     def teleporting_step(state, actions):
         new, resolved = step(state, actions)
         if new.tick == 5:
-            new = replace(new, agents=(replace(new.agents[0], cell=far), *new.agents[1:]))
+            new = replace(new, agents=(new.agents[0]._replace(cell=far), *new.agents[1:]))
         return new, resolved
 
     monkeypatch.setattr(policies, "step_resolved", teleporting_step)
@@ -771,6 +778,16 @@ def _sparse_goals(n, cells):
     for c in cells:
         goals[c] = 1
     return goals
+
+
+def _oracle_approach(full, dist, first, targets):
+    """The first move toward the nearest in-grid neighbour of the `targets`
+    that the full fill reaches; None if there is none or it is the start."""
+    near = np.zeros(len(dist), dtype=bool)
+    for t in targets:
+        near[full[t]] = True
+    goal = _oracle_nearest(near, dist)
+    return None if goal is None or dist[goal] == 0 else AgentAction(ActionTag.MOVE, first[goal])
 
 
 def _level_dist(field, n):
@@ -914,18 +931,77 @@ def test_controller_planning_matches_full_fill_oracle(spec, kind):
                 np.isin(np.arange(n), cells), dist)
             _assert_reached_cells_match(field, dist, first)
 
-            near = np.zeros(n, dtype=bool)
-            for t in cells:
-                near[full[t]] = True
-            goal = _oracle_nearest(near, dist)
-            want = (None if goal is None or dist[goal] == 0
-                    else AgentAction(ActionTag.MOVE, first[goal]))
+            want = _oracle_approach(full, dist, first, cells)
             assert ctrl._approach(cells, ctrl._field(start)) == want
 
             exhausted = ctrl._field(start)
-            for _ in exhausted._walk():
-                pass
+            while exhausted.levels[-1]:
+                exhausted._grow()
             assert _level_dist(exhausted, n) == dist and exhausted.first == first
+
+
+@pytest.mark.parametrize("spec", PLANNING_MAPS, ids=lambda spec: spec.name)
+def test_controller_component_memo_matches_full_fill_oracle(spec):
+    # after an `_approach` that searched its field to exhaustion, a second one
+    # from the same component answers without growing a level, and one from
+    # outside that component or after the blocked bytes are rebuilt floods;
+    # each agrees with the full fill
+    g = spec.grid
+    n = g.n_cells
+    full = grid_neighbors(g.width, g.height)
+    rng = np.random.default_rng(29)
+    ctrl = build_controllers(policy_team(PolicyKind.GREEDY), spec, seed=4)[0]
+    exhausted = outside = reopened = 0
+    for case in range(30):
+        density = (0.1, 0.25, 0.4)[case % 3]
+        rubble = (rng.random(n) < density) & ~spec.wall_mask
+        doors = (rng.random(n) < density / 2) & ~spec.wall_mask
+        ctrl.known_rubble = set(np.flatnonzero(rubble).tolist())
+        ctrl.known_doors = set(np.flatnonzero(doors).tolist())
+        ctrl._blocked = None
+        blocked = (spec.wall_mask | rubble | doors).tolist()
+        start = int(rng.choice([c for c in range(n) if not blocked[c]]))
+        dist, first = bfs_field(full, blocked, start)
+        # targets with a non-wall neighbour, none of them reached from the start
+        sealed = [t for t in range(n) if spec.neighbor_lists[t]
+                  and all(dist[nb] < 0 for nb in spec.neighbor_lists[t])]
+        if not sealed:
+            continue
+        targets = rng.choice(sealed, size=min(3, len(sealed)), replace=False).tolist()
+        field = ctrl._field(start)
+        assert ctrl._approach(targets, field) is None and field.levels[-1] == []
+        exhausted += 1
+
+        # the same component: no flood, and a reachable target still wins
+        other = int(rng.choice([c for c in range(n) if dist[c] >= 0]))
+        field = ctrl._field(other)
+        assert ctrl._approach(targets, field) is None and len(field.levels) == 1
+        dist_o, first_o = bfs_field(full, blocked, other)
+        near = [start, *targets]
+        assert ctrl._approach(near, ctrl._field(other)) == _oracle_approach(
+            full, dist_o, first_o, near)
+
+        # another component floods, and may find the targets
+        beyond = [c for c in range(n) if dist[c] < 0 and not blocked[c]]
+        if beyond:
+            cell = int(rng.choice(beyond))
+            dist_b, first_b = bfs_field(full, blocked, cell)
+            assert ctrl._approach(targets, ctrl._field(cell)) == _oracle_approach(
+                full, dist_b, first_b, targets)
+            outside += 1
+
+        # with the memo on the start's component again, forgetting rubble and
+        # doors rebuilds the blocked bytes and clears the memo
+        assert ctrl._approach(targets, ctrl._field(start)) is None
+        ctrl.known_rubble = set(np.flatnonzero(rubble & (rng.random(n) < 0.3)).tolist())
+        ctrl.known_doors = set()
+        ctrl._blocked = None
+        blocked = [spec.wall_mask[c] or c in ctrl.known_rubble for c in range(n)]
+        dist_r, first_r = bfs_field(full, blocked, start)
+        want = _oracle_approach(full, dist_r, first_r, targets)
+        assert ctrl._approach(targets, ctrl._field(start)) == want
+        reopened += want is not None
+    assert exhausted and outside and reopened
 
 
 def _knowledge_maps():
