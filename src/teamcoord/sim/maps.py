@@ -3,9 +3,16 @@
 Legend of the art: '#' wall, '.' floor, 'D' closed door, '*' bare rubble, 'S'
 the common start cell, and 'g'/'y'/'r' victims. Yellow victims get rubble on
 their cell automatically ('y' implies '*').
+
+A built-in map is built on its first use and then shared: `builtin_map` and
+`builtin_maps` return one `MapSpec` per name per process, whose
+`neighbor_lists` and `entity_bands` tables are made once. The spec is
+read-only (frozen, read-only arrays, tuple tables) and no mission writes to
+it. A map file (`read_map`) is read afresh on every call.
 """
 from __future__ import annotations
 
+import functools
 from typing import Iterable
 
 import numpy as np
@@ -139,13 +146,19 @@ _BUILTIN_ART = {"small": _SMALL, "medium": _MEDIUM, "corridor": _CORRIDOR}
 
 def builtin_maps(names: Iterable[str] = tuple(_BUILTIN_ART)) -> tuple[MapSpec, ...]:
     """The named fixture maps, by default all of them: small
-    open-plus-rooms, medium arena, corridor."""
-    return tuple(map_from_ascii(name, _BUILTIN_ART[name]) for name in names)
+    open-plus-rooms, medium arena, corridor. Only these names are parsed,
+    each on its first use; later calls return the same read-only specs."""
+    return tuple(_builtin_spec(name) for name in names)
 
 
 def builtin_map(name: str) -> MapSpec:
-    """The built-in map called `name`; only that map is parsed."""
+    """The built-in map called `name`, as `builtin_maps` gives it."""
+    return builtin_maps([name])[0]
+
+
+@functools.cache  # an unknown name raises, and so is not cached
+def _builtin_spec(name: str) -> MapSpec:
     if name not in _BUILTIN_ART:
         known = ", ".join(_BUILTIN_ART)
         raise KeyError(f"no built-in map named {name!r} (known: {known})")
-    return builtin_maps([name])[0]
+    return map_from_ascii(name, _BUILTIN_ART[name])

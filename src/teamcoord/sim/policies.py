@@ -145,12 +145,14 @@ class Controller:
     wins, which is the (distance, y, x) order and keeps runs reproducible.
 
     `_component` memoises the cells reached by the last `_field` that
-    `_move_toward` searched to exhaustion, as an int with bit 8 * c set for
-    cell c (`int.from_bytes` of a byte mask, little-endian); 0 is none. They
-    are whole components (see `BfsField`), so from a start among them a goal
-    mask that shares no bit with them has no reachable goal, and
-    `_move_toward` answers None without a flood. That holds while the blocked
-    bytes stay the same, so the memo is cleared whenever they are rebuilt.
+    `_move_toward` or a patrol waypoint searched to exhaustion, as an int
+    with bit 8 * c set for cell c (`int.from_bytes` of a byte mask,
+    little-endian); 0 is none. They are whole components (see `BfsField`),
+    so from a start among them a goal mask that shares no bit with them has
+    no reachable goal, and `_move_toward` answers None without a flood; a
+    patrol waypoint outside them is skipped the same way. That holds while
+    the blocked bytes stay the same, so the memo is cleared whenever they
+    are rebuilt.
 
     A subclass defines `_decide`, or overrides `act` itself.
     """
@@ -211,6 +213,13 @@ class Controller:
         step = field.first_step(cell)
         return None if step is None else AgentAction(ActionTag.MOVE, step)
 
+    def _remember_component(self, field: BfsField) -> None:
+        """Memoise the cells `field` reached if it is exhausted, as they are
+        whole components; called after a query on it found nothing."""
+        if not field.levels[-1]:
+            self._component = (int.from_bytes(field.seen, "little")
+                               ^ int.from_bytes(self._blocked, "little"))
+
     def _move_toward(self, goals, field: BfsField) -> AgentAction | None:
         """Step toward the nearest reachable goal cell, ties to the lowest index."""
         start, component = field.levels[0][0], self._component
@@ -219,9 +228,7 @@ class Controller:
         cell = field.nearest(goals)
         if cell is not None:
             return self._step_toward(cell, field)
-        if not field.levels[-1]:  # exhausted: whole components reached
-            self._component = (int.from_bytes(field.seen, "little")
-                               ^ int.from_bytes(self._blocked, "little"))
+        self._remember_component(field)
         return None
 
     def _approach(self, targets, field: BfsField) -> AgentAction | None:
@@ -427,10 +434,15 @@ class CoordinatedSpecialistController(Controller):
         act = self._move_toward((self.unseen & self.quadrant).tobytes(), field)
         if act is not None:
             return act
+        start, component = field.levels[0][0], self._component
         for _ in self.waypoints:
-            act = self._step_toward(self.waypoints[self.waypoint % len(self.waypoints)], field)
-            if act is not None:
-                return act
+            cell = self.waypoints[self.waypoint % len(self.waypoints)]
+            # a waypoint outside the start's memoised component is unreachable
+            if not component >> 8 * start & 1 or component >> 8 * cell & 1:
+                act = self._step_toward(cell, field)
+                if act is not None:
+                    return act
+                self._remember_component(field)
             self.waypoint += 1
         return self._random_move(me)
 

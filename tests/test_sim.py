@@ -399,20 +399,55 @@ def test_builtin_maps_are_valid_fixtures():
         builtin_map("atlantis")
 
 
-def test_builtin_map_builds_the_named_map_only(monkeypatch, tmp_path):
+@pytest.fixture
+def cold_map_cache():
+    """An empty built-in map cache, emptied again at teardown."""
+    maps._builtin_spec.cache_clear()
+    yield
+    maps._builtin_spec.cache_clear()
+
+
+def test_builtin_map_builds_the_named_map_only(monkeypatch, tmp_path, cold_map_cache):
     built = []
     monkeypatch.setattr(maps, "map_from_ascii",
                         lambda name, art: built.append(name) or map_from_ascii(name, art))
-    for spec in builtin_maps():
+    for name in ("small", "medium", "corridor"):
+        maps._builtin_spec.cache_clear()
         built.clear()
-        one = write_map(maps.builtin_map(spec.name), tmp_path / "one.json")
-        assert one.read_bytes() == write_map(spec, tmp_path / "all.json").read_bytes()
-        assert built == [spec.name]
+        spec = maps.builtin_map(name)
+        assert built == [name]  # a cold call parses the named map only
+        assert maps.builtin_map(name) is spec and maps.builtin_maps([name]) == (spec,)
+        assert built == [name]  # a warm call parses nothing
+        fresh = map_from_ascii(name, maps._BUILTIN_ART[name])
+        assert (write_map(spec, tmp_path / "one.json").read_bytes()
+                == write_map(fresh, tmp_path / "fresh.json").read_bytes())
     built.clear()
-    with pytest.raises(KeyError) as exc:
-        maps.builtin_map("atlantis")
-    assert exc.value.args[0] == "no built-in map named 'atlantis' (known: small, medium, corridor)"
-    assert built == []
+    cached = maps._builtin_spec.cache_info().currsize
+    for call in (maps.builtin_map, lambda name: maps.builtin_maps(["corridor", name])):
+        with pytest.raises(KeyError) as exc:
+            call("atlantis")
+        assert exc.value.args[0] == (
+            "no built-in map named 'atlantis' (known: small, medium, corridor)")
+    assert built == [] and maps._builtin_spec.cache_info().currsize == cached  # not cached
+
+
+def test_missions_leave_the_shared_builtin_spec_unchanged(tmp_path):
+    # one mission of each policy on each shared spec: its map bytes, tables
+    # and read-only arrays are as a fresh parse of the same art makes them
+    for name in ("small", "medium", "corridor"):
+        spec = builtin_map(name)
+        tables = spec.neighbor_lists, spec.entity_bands
+        before = write_map(spec, tmp_path / "before.json").read_bytes()
+        for kind in PolicyKind:
+            run_mission(spec, policy_team(kind, dither=0.2), seed=7)
+        assert builtin_map(name) is spec
+        assert write_map(spec, tmp_path / "after.json").read_bytes() == before
+        fresh = map_from_ascii(name, maps._BUILTIN_ART[name])
+        assert (spec.neighbor_lists, spec.entity_bands) == tables == (
+            fresh.neighbor_lists, fresh.entity_bands)
+        for attr in ("wall_mask", "door_mask", "rubble_mask", "victim_codes"):
+            a = getattr(spec, attr)
+            assert not a.flags.writeable and np.array_equal(a, getattr(fresh, attr))
 
 
 def shortest_path_ticks(spec, goal_cells):
@@ -1002,6 +1037,54 @@ def test_controller_component_memo_matches_full_fill_oracle(spec):
         assert ctrl._approach(targets, ctrl._field(start)) == want
         reopened += want is not None
     assert exhausted and outside and reopened
+
+
+@pytest.mark.parametrize("spec", PLANNING_MAPS, ids=lambda spec: spec.name)
+def test_patrol_waypoint_skip_matches_full_fill_oracle(spec):
+    # with the own quadrant explored, a sweep steps toward the first waypoint
+    # in patrol order that the full fill reaches; after a sweep that searched
+    # its field to exhaustion, one from the same component skips the
+    # unreachable waypoints without growing a level
+    g = spec.grid
+    n = g.n_cells
+    full = grid_neighbors(g.width, g.height)
+    rng = np.random.default_rng(30)
+    ctrls = [c for c in build_controllers(policy_team(PolicyKind.COORDINATED), spec, seed=4)
+             if c.waypoints]
+    exhausted = skipped = 0
+    for case in range(40):
+        ctrl = ctrls[case % len(ctrls)]
+        ctrl.unseen[:] = False  # nothing left to explore: the sweep patrols
+        density = (0.1, 0.25, 0.4)[case % 3]
+        rubble = (rng.random(n) < density) & ~spec.wall_mask
+        doors = (rng.random(n) < density / 2) & ~spec.wall_mask
+        ctrl.known_rubble = set(np.flatnonzero(rubble).tolist())
+        ctrl.known_doors = set(np.flatnonzero(doors).tolist())
+        ctrl._blocked = None
+        blocked = (spec.wall_mask | rubble | doors).tolist()
+        start = int(rng.choice([c for c in range(n) if not blocked[c]]))
+        for _ in range(3):  # from a start, then from cells it reaches
+            dist, first = bfs_field(full, blocked, start)
+            order = [ctrl.waypoints[(ctrl.waypoint + k) % len(ctrl.waypoints)]
+                     for k in range(len(ctrl.waypoints))]
+            hit = next((k for k, w in enumerate(order) if dist[w] > 0), None)
+            waypoint = ctrl.waypoint
+            field = ctrl._field(start)
+            memo_had_start = ctrl._component >> 8 * start & 1
+            act = ctrl._sweep_own_quadrant(start, field)
+            if hit is None:
+                assert ctrl.waypoint == waypoint + len(order) and act.kind is ActionTag.MOVE
+                if memo_had_start:
+                    assert len(field.levels) == 1  # every waypoint skipped unflooded
+                    skipped += 1
+                elif set(order) != {start}:
+                    assert field.levels[-1] == [] and ctrl._component >> 8 * start & 1
+                    exhausted += 1
+            else:
+                assert ctrl.waypoint == waypoint + hit
+                assert act == AgentAction(ActionTag.MOVE, first[order[hit]])
+            start = int(rng.choice([c for c in range(n) if dist[c] >= 0]))
+    assert exhausted and skipped
 
 
 def _knowledge_maps():
