@@ -30,7 +30,8 @@ def main():
     print(f"map {spec.name!r}: {spec.grid.width}x{spec.grid.height}, "
           f"{np.count_nonzero(spec.victim_codes)} victims, {spec.door_mask.sum()} doors, "
           f"{spec.rubble_mask.sum()} rubble cells, start at ({start_x}, {start_y})")
-    print(f"mission {spec.mission_duration_s:.0f}s, red victims lock at {spec.red_cutoff_s:.0f}s\n")
+    clock = spec.clock
+    print(f"mission {clock.mission_duration_s:.0f}s, red victims lock at {clock.red_cutoff_s:.0f}s\n")
 
     for kind in PolicyKind:
         session = run_mission(spec, team(kind), seed=7)

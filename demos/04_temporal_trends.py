@@ -28,7 +28,7 @@ def main():
 
     scores = {s.session_id: float(team_performance(s.events).points) for s in corpus}
     groups = performance_groups(scores)
-    cutoff = spec.red_cutoff_s / spec.mission_duration_s
+    cutoff = spec.clock.red_cutoff_s / spec.clock.mission_duration_s
 
     curves = {}
     for label, group in (("top 25%", PerformanceGroup.TOP25),

@@ -12,6 +12,7 @@ from .core import (
     CompositionError,
     DuplicateIdError,
     GridSpec,
+    MissionClock,
     PlayerTrajectory,
     Position,
     RescueEvent,

@@ -355,12 +355,12 @@ def cmd_timeseries(args) -> int:
     if failed:  # the quartile groups are only meaningful over the whole corpus
         return EXIT_IO
     sessions = [session for _, session in read]
-    if len({(s.mission_duration_s, s.red_cutoff_s) for s in sessions}) > 1:
+    if len({s.clock for s in sessions}) > 1:
         raise UsageError("sessions differ in mission_duration_s or red_cutoff_s; "
                          "progress and phases need one mission clock")
     scores = {s.session_id: float(team_performance(s.events).points) for s in sessions}
     assignment = performance_groups(scores)
-    cutoff_fraction = sessions[0].red_cutoff_s / sessions[0].mission_duration_s
+    cutoff_fraction = sessions[0].clock.red_cutoff_s / sessions[0].clock.mission_duration_s
 
     wanted = {PerformanceGroup.TOP25: "top25", PerformanceGroup.BOTTOM25: "bottom25"}
     bins: dict[tuple[str, float], list[float]] = {}

@@ -1,4 +1,4 @@
-"""Core domain model: grids, roles, trajectories, rescue events, sessions.
+"""Core domain model: grids, roles, trajectories, rescue events, `MissionClock`, sessions.
 
 Everything here is immutable value data, and a player's samples are one
 read-only SAMPLE array. Cross-field consistency is the job of
@@ -103,11 +103,28 @@ SAMPLE_INTERVAL_S = 3.0
 MAX_TICKS = 10 ** 6  # the longest mission: about 35 days at the 3 s sample interval
 
 
-def _clock_ticks(duration_s: float, interval_s: float) -> float:
-    """The tick count a mission clock implies: duration / interval to the nearest
-    whole tick, or inf when the quotient overflows."""
-    ticks = duration_s / interval_s
-    return round(ticks) if math.isfinite(ticks) else ticks
+@dataclass(frozen=True)
+class MissionClock:
+    """A mission's length and its red cutoff, in seconds from the start; the
+    field names are the manifest and map-file keys. A red victim counts only
+    if it is rescued before the cutoff."""
+
+    mission_duration_s: float = 300.0
+    red_cutoff_s: float = 180.0
+
+    def cutoff_inside(self) -> bool:
+        """Whether 0 < red cutoff <= mission duration (False on nan)."""
+        return 0 < self.red_cutoff_s <= self.mission_duration_s
+
+    def red_closed(self, time_s: float) -> bool:
+        """Whether a red rescue at `time_s` comes too late: at or after the cutoff."""
+        return time_s >= self.red_cutoff_s
+
+    def ticks(self, interval_s: float) -> float:
+        """The tick count at `interval_s`: duration / interval to the nearest whole
+        tick, or inf when the quotient overflows."""
+        ticks = self.mission_duration_s / interval_s
+        return round(ticks) if math.isfinite(ticks) else ticks
 
 
 # One logged (tick, player) observation per row. `action` indexes ACTIONS,
@@ -181,8 +198,7 @@ class TeamSession:
     grid: GridSpec
     players: tuple[PlayerTrajectory, ...]
     events: tuple[RescueEvent, ...] = ()
-    mission_duration_s: float = 300.0
-    red_cutoff_s: float = 180.0
+    clock: MissionClock = MissionClock()
     sample_interval_s: float = SAMPLE_INTERVAL_S
     # the map's task inventory, which manifests embed; not part of the record, so not compared
     map_meta: MapMeta | None = field(default=None, compare=False)
@@ -194,7 +210,7 @@ class TeamSession:
     @property
     def nominal_ticks(self) -> int:
         """Tick count implied by the mission clock (100 for the defaults)."""
-        return max(self.n_ticks, _clock_ticks(self.mission_duration_s, self.sample_interval_s))
+        return max(self.n_ticks, self.clock.ticks(self.sample_interval_s))
 
 
 # Violation codes emitted by validate_session.
@@ -230,14 +246,14 @@ def validate_session(session: TeamSession) -> list[Violation]:
     teleporting trajectory still validates, it just validates badly.
     """
     out: list[Violation] = []
-    grid = session.grid
+    grid, clock = session.grid, session.clock
 
-    if not (session.sample_interval_s > 0 and session.mission_duration_s > 0):  # nan too
+    if not (session.sample_interval_s > 0 and clock.mission_duration_s > 0):  # nan too
         out.append(Violation(CONFIG, "sample interval and mission duration must be positive"))
-    elif _clock_ticks(session.mission_duration_s, session.sample_interval_s) > MAX_TICKS:
+    elif clock.ticks(session.sample_interval_s) > MAX_TICKS:
         out.append(Violation(CONFIG, f"mission duration must span at most {MAX_TICKS} "
                                      "sample intervals"))
-    if not 0 < session.red_cutoff_s <= session.mission_duration_s:
+    if not clock.cutoff_inside():
         out.append(Violation(CONFIG, "red cutoff must lie inside the mission duration"))
 
     players = session.players
@@ -263,7 +279,7 @@ def validate_session(session: TeamSession) -> list[Violation]:
 
     by_id = {p.player_id: p for p in players}
     for k, e in enumerate(session.events):
-        if not 0 <= e.time_s < session.mission_duration_s:
+        if not 0 <= e.time_s < clock.mission_duration_s:
             out.append(Violation(EVENT_TIME, f"event {k}: time {e.time_s}s outside mission"))
             continue
         if not grid.contains(e.victim_cell.x, e.victim_cell.y):
@@ -273,8 +289,8 @@ def validate_session(session: TeamSession) -> list[Violation]:
             out.append(Violation(EVENT_ACTOR, f"event {k}: unknown or missing actors {unknown}"))
             continue
         if e.victim_type is VictimType.RED:
-            if e.time_s >= session.red_cutoff_s:
-                out.append(Violation(RED_CUTOFF, f"event {k}: red rescue at {e.time_s}s, cutoff {session.red_cutoff_s}s"))
+            if clock.red_closed(e.time_s):
+                out.append(Violation(RED_CUTOFF, f"event {k}: red rescue at {e.time_s}s, cutoff {clock.red_cutoff_s}s"))
             actors = [by_id[a] for a in e.actor_ids]
             # no tick to check without a positive interval, or where the quotient overflows
             interval = session.sample_interval_s

@@ -13,7 +13,7 @@ import io
 import json
 from array import array
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import repeat
 from operator import itemgetter, ne
 from pathlib import Path
@@ -26,6 +26,7 @@ from .core import (
     ActionTag,
     GridSpec,
     MapMeta,
+    MissionClock,
     PlayerTrajectory,
     Position,
     RescueEvent,
@@ -103,8 +104,7 @@ def write_session(session: TeamSession, log_path) -> tuple[Path, Path]:
         "format_version": FORMAT_VERSION,
         "session_id": session.session_id,
         "grid": {"width": session.grid.width, "height": session.grid.height},
-        "mission_duration_s": session.mission_duration_s,
-        "red_cutoff_s": session.red_cutoff_s,
+        **asdict(session.clock),
         "sample_interval_s": session.sample_interval_s,
         "players": [{"player_id": p.player_id, "role": p.role.value} for p in session.players],
         "events": [
@@ -233,7 +233,7 @@ def read_session(log_path, validate: bool = True) -> TeamSession:
                 victim_type=VictimType(entry["victim_type"]),
                 victim_cell=Position(_json_value(entry["x"], "x"), _json_value(entry["y"], "y")),
                 actor_ids=actors))
-        mission_duration_s, red_cutoff_s, sample_interval_s = (
+        *clock, sample_interval_s = (
             float(_json_value(manifest[key], key, "number"))
             for key in ("mission_duration_s", "red_cutoff_s", "sample_interval_s"))
     except _MALFORMED as exc:
@@ -244,8 +244,7 @@ def read_session(log_path, validate: bool = True) -> TeamSession:
 
     session = TeamSession(
         session_id=session_id, grid=grid, players=players, events=tuple(events),
-        mission_duration_s=mission_duration_s, red_cutoff_s=red_cutoff_s,
-        sample_interval_s=sample_interval_s)
+        clock=MissionClock(*clock), sample_interval_s=sample_interval_s)
     if validate:
         report = validate_session(session)
         if report:
@@ -432,8 +431,7 @@ def write_map(spec: MapSpec, path) -> Path:
         "victims": [{"x": x, "y": y, "type": _VICTIM_KINDS[codes[y * g.width + x]].value}
                     for x, y in cells(codes)],
         "start": [spec.start % g.width, spec.start // g.width],
-        "mission_duration_s": spec.mission_duration_s,
-        "red_cutoff_s": spec.red_cutoff_s,
+        **asdict(spec.clock),
         "fov_radius": spec.fov_radius,
     }
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -469,9 +467,8 @@ def read_map(path) -> MapSpec:
             victims=[(*cell([v["x"], v["y"]], "victims"), VictimType(v["type"]))
                      for v in doc["victims"]],
             start=cell(doc["start"], "start"),
-            mission_duration_s=float(_json_value(doc["mission_duration_s"], "mission_duration_s",
-                                                 "number")),
-            red_cutoff_s=float(_json_value(doc["red_cutoff_s"], "red_cutoff_s", "number")),
+            clock=MissionClock(*(float(_json_value(doc[key], key, "number"))
+                                 for key in ("mission_duration_s", "red_cutoff_s"))),
             fov_radius=_json_value(doc["fov_radius"], "fov_radius"))
     except _MALFORMED as exc:
         raise _malformed("map", exc, path) from None

@@ -26,11 +26,11 @@ MAX_MAP_CELLS = 2 ** 20  # a map file's size does not bound the grid it declares
 
 
 def map_from_cells(name: str, grid: GridSpec, walls, doors, rubble, victims, start,
-                   **clock) -> MapSpec:
+                   **fields) -> MapSpec:
     """A validated map from (x, y) wall, door and rubble cells, (x, y, kind) victims,
-    an (x, y) start cell and `MapSpec`'s clock and field of view. Raises
-    `InvalidMapError` for a grid of over `MAX_MAP_CELLS` cells before any array is
-    made, else naming every problem: first the cells outside the grid and the
+    an (x, y) start cell and `MapSpec`'s `clock` (a `MissionClock`) and `fov_radius`.
+    Raises `InvalidMapError` for a grid of over `MAX_MAP_CELLS` cells before any array
+    is made, else naming every problem: first the cells outside the grid and the
     victims on a cell an earlier one holds, in list order, then `MapSpec.problems`."""
     if grid.n_cells > MAX_MAP_CELLS:
         raise_map_problems(name, [f"grid of {grid.width}x{grid.height} cells is larger "
@@ -51,13 +51,13 @@ def map_from_cells(name: str, grid: GridSpec, walls, doors, rubble, victims, sta
             codes[c] = VICTIM_CODES[kind]
     x, y = start  # a start outside the grid is -1, which `MapSpec.problems` reports
     spec = MapSpec(name, grid, *masks, codes, y * grid.width + x if grid.contains(x, y) else -1,
-                   **clock)
+                   **fields)
     raise_map_problems(name, problems + spec.problems())
     return spec
 
 
-def map_from_ascii(name: str, art: str, mission_duration_s: float = 300.0,
-                   red_cutoff_s: float = 180.0, fov_radius: int = 5) -> MapSpec:
+def map_from_ascii(name: str, art: str, **fields) -> MapSpec:
+    """A validated map from `art` in the legend above, and `MapSpec`'s `clock` and `fov_radius`."""
     rows = [line for line in art.splitlines() if line.strip()]
     if not rows:
         raise ValueError("empty map art")
@@ -77,8 +77,7 @@ def map_from_ascii(name: str, art: str, mission_duration_s: float = 300.0,
         codes[tiles == ch] = VICTIM_CODES[kind]
     spec = MapSpec(name=name, grid=GridSpec(width, len(rows)), wall_mask=tiles == "#",
                    door_mask=tiles == "D", rubble_mask=(tiles == "*") | (tiles == "y"),
-                   victim_codes=codes, start=starts[0], mission_duration_s=mission_duration_s,
-                   red_cutoff_s=red_cutoff_s, fov_radius=fov_radius)
+                   victim_codes=codes, start=starts[0], **fields)
     raise_map_problems(name, spec.problems())
     return spec
 

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..core import (ACTIONS, MAX_TICKS, SAMPLE, SAMPLE_INTERVAL_S, ActionTag, CompositionError,
-                    PlayerTrajectory, Role, TeamCoordError, TeamSession, ValueEnum, _clock_ticks,
+                    PlayerTrajectory, Role, TeamCoordError, TeamSession, ValueEnum,
                     validate_session)
 from .world import (_GREEN, _RED, _YELLOW, AgentAction, AgentState, MapSpec, WAIT_ACTION,
                     WorldState, _rescuers, _terrain_action, initial_state, map_meta,
@@ -318,7 +318,7 @@ class GreedyRescuerController(Controller):
             return act
 
         reds = []
-        if self.role is Role.MEDIC and state.time_s < state.spec.red_cutoff_s:
+        if self.role is Role.MEDIC and not state.spec.clock.red_closed(state.time_s):
             # camped at a red, hoping an engineer wanders by
             victims = state.victim_codes
             for nb in self.spec.neighbor_lists[me]:
@@ -376,7 +376,7 @@ class CoordinatedSpecialistController(Controller):
         super().observe(state)
 
     def _decide(self, state) -> AgentAction:
-        if state.time_s < state.spec.red_cutoff_s:
+        if not state.spec.clock.red_closed(state.time_s):
             return self._act_converge(state)
         return self._act_disperse(state)
 
@@ -493,11 +493,11 @@ def run_mission(spec: MapSpec, policies, seed: int, session_id: str | None = Non
     roles = [role for role, _ in policies]
     if len(policies) != 4 or roles.count(Role.MEDIC) != 2 or roles.count(Role.ENGINEER) != 2:
         raise CompositionError("run_mission needs exactly 2 medic and 2 engineer policies")
-    n_ticks = _clock_ticks(spec.mission_duration_s, SAMPLE_INTERVAL_S)
+    n_ticks = spec.clock.ticks(SAMPLE_INTERVAL_S)
     if not 1 <= n_ticks <= MAX_TICKS:
         ticks = "no tick" if n_ticks < 1 else f"more than the {MAX_TICKS} ticks allowed"
-        raise_map_problems(spec.name, [f"a {spec.mission_duration_s} s mission has {ticks} at "
-                                       f"a sample interval of {SAMPLE_INTERVAL_S} s"])
+        raise_map_problems(spec.name, [f"a {spec.clock.mission_duration_s} s mission has {ticks} "
+                                       f"at a sample interval of {SAMPLE_INTERVAL_S} s"])
 
     agents = tuple(AgentState(player_id=f"{role.value}{roles[:i + 1].count(role)}", role=role,
                               cell=spec.start) for i, role in enumerate(roles))
@@ -525,8 +525,7 @@ def run_mission(spec: MapSpec, policies, seed: int, session_id: str | None = Non
                     for i, a in enumerate(agents))
     session = TeamSession(
         session_id=session_id or f"{spec.name}-{seed}",
-        grid=spec.grid, players=players, events=state.events,
-        mission_duration_s=spec.mission_duration_s, red_cutoff_s=spec.red_cutoff_s,
+        grid=spec.grid, players=players, events=state.events, clock=spec.clock,
         map_meta=map_meta(spec))
     report = validate_session(session)
     if report:  # a violation here is a simulator bug, not user error

@@ -28,6 +28,7 @@ from ..core import (
     ActionTag,
     GridSpec,
     MapMeta,
+    MissionClock,
     Position,
     RescueEvent,
     Role,
@@ -59,7 +60,7 @@ def raise_map_problems(name: str, problems: list[str]) -> None:
 
 @dataclass(frozen=True, eq=False)
 class MapSpec:
-    """Static world: walls, doors, rubble, victims and the mission clock.
+    """Static world: walls, doors, rubble, victims and the mission's `MissionClock`.
 
     Cells are row-major ints, as in `WorldState`: read-only per-cell arrays of
     bools (`wall_mask`, `door_mask`, `rubble_mask`) and of int8 `VICTIM_CODES`,
@@ -75,8 +76,7 @@ class MapSpec:
     rubble_mask: np.ndarray
     victim_codes: np.ndarray
     start: int
-    mission_duration_s: float = 300.0
-    red_cutoff_s: float = 180.0
+    clock: MissionClock = MissionClock()
     fov_radius: int = 5
 
     def __post_init__(self):
@@ -109,7 +109,7 @@ class MapSpec:
             out.append("start cell outside grid")
         elif walls[s] or doors[s] or rubble[s] or codes[s]:
             out.append("start cell not traversable")
-        if not 0 < self.red_cutoff_s <= self.mission_duration_s < math.inf:
+        if not (self.clock.cutoff_inside() and self.clock.mission_duration_s < math.inf):
             out.append("red cutoff outside a finite mission duration")
         if self.fov_radius < 1:
             out.append("field of view radius must be at least 1")
@@ -216,7 +216,7 @@ def _rescuers(state: WorldState, victims: bytes, agent: AgentState,
         return (agent.player_id,)
     around = state.spec.neighbor_lists[c]
     helper = next((a for a in state.agents if a.role is Role.ENGINEER and a.cell in around), None)
-    if helper is None or state.time_s >= state.spec.red_cutoff_s:
+    if helper is None or state.spec.clock.red_closed(state.time_s):
         return None
     return (agent.player_id, helper.player_id)
 

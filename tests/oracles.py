@@ -58,6 +58,7 @@ from teamcoord.core import (
     TIME_MISMATCH,
     ActionTag,
     GridSpec,
+    MissionClock,
     PlayerTrajectory,
     Position,
     RescueEvent,
@@ -372,7 +373,7 @@ def mission_rule_audit(session):
         tick = int(round(e.time_s / session.sample_interval_s))
         vx, vy = e.victim_cell.x, e.victim_cell.y
         if e.victim_type is VictimType.RED:
-            assert e.time_s < session.red_cutoff_s
+            assert e.time_s < session.clock.red_cutoff_s
             assert {by_id[a].role for a in e.actor_ids} == {Role.MEDIC, Role.ENGINEER}
             for a in e.actor_ids:
                 x, y = by_id[a].xy[tick].tolist()
@@ -515,7 +516,7 @@ def step_reference(state: ReferenceWorld, actions):
                     or kind is VictimType.YELLOW and tgt in state.rubble):
                 continue
             if kind is VictimType.RED:
-                if t >= state.spec.red_cutoff_s:
+                if t >= state.spec.clock.red_cutoff_s:
                     continue
                 helper = next((a for a in state.agents
                                if a.role is Role.ENGINEER and a.pos.manhattan(tgt) == 1), None)
@@ -641,9 +642,9 @@ def read_session_reference(log_path, validate: bool = True) -> TeamSession:
                 victim_cell=Position(_json_int_reference(entry["x"], "x"),
                                      _json_int_reference(entry["y"], "y")),
                 actor_ids=actors))
-        mission_duration_s = _json_number_reference(manifest["mission_duration_s"],
-                                                    "mission_duration_s")
-        red_cutoff_s = _json_number_reference(manifest["red_cutoff_s"], "red_cutoff_s")
+        clock = MissionClock(_json_number_reference(manifest["mission_duration_s"],
+                                                    "mission_duration_s"),
+                             _json_number_reference(manifest["red_cutoff_s"], "red_cutoff_s"))
         sample_interval_s = _json_number_reference(manifest["sample_interval_s"],
                                                    "sample_interval_s")
     except _MALFORMED as exc:
@@ -693,8 +694,7 @@ def read_session_reference(log_path, validate: bool = True) -> TeamSession:
                     for pid in roster)
     session = TeamSession(
         session_id=session_id, grid=grid, players=players, events=tuple(events),
-        mission_duration_s=mission_duration_s, red_cutoff_s=red_cutoff_s,
-        sample_interval_s=sample_interval_s)
+        clock=clock, sample_interval_s=sample_interval_s)
     if validate:
         report = validate_session_reference(session)
         if report:
@@ -724,12 +724,12 @@ def validate_session_reference(session: TeamSession) -> list[Violation]:
     out: list[Violation] = []
     grid = session.grid
 
-    if not (session.sample_interval_s > 0 and session.mission_duration_s > 0):
+    if not (session.sample_interval_s > 0 and session.clock.mission_duration_s > 0):
         out.append(Violation(CONFIG, "sample interval and mission duration must be positive"))
-    elif (math.isinf(ticks := session.mission_duration_s / session.sample_interval_s)
+    elif (math.isinf(ticks := session.clock.mission_duration_s / session.sample_interval_s)
           or round(ticks) > 10 ** 6):
         out.append(Violation(CONFIG, "mission duration must span at most 1000000 sample intervals"))
-    if not 0 < session.red_cutoff_s <= session.mission_duration_s:
+    if not 0 < session.clock.red_cutoff_s <= session.clock.mission_duration_s:
         out.append(Violation(CONFIG, "red cutoff must lie inside the mission duration"))
 
     players = session.players
@@ -774,7 +774,7 @@ def validate_session_reference(session: TeamSession) -> list[Violation]:
 
     by_id = {p.player_id: p for p in players}
     for k, e in enumerate(session.events):
-        if not 0 <= e.time_s < session.mission_duration_s:
+        if not 0 <= e.time_s < session.clock.mission_duration_s:
             out.append(Violation(EVENT_TIME, f"event {k}: time {e.time_s}s outside mission"))
             continue
         if not grid.contains(e.victim_cell.x, e.victim_cell.y):
@@ -784,9 +784,9 @@ def validate_session_reference(session: TeamSession) -> list[Violation]:
             out.append(Violation(EVENT_ACTOR, f"event {k}: unknown or missing actors {unknown}"))
             continue
         if e.victim_type is VictimType.RED:
-            if e.time_s >= session.red_cutoff_s:
+            if e.time_s >= session.clock.red_cutoff_s:
                 out.append(Violation(RED_CUTOFF, f"event {k}: red rescue at {e.time_s}s, "
-                                                 f"cutoff {session.red_cutoff_s}s"))
+                                                 f"cutoff {session.clock.red_cutoff_s}s"))
             interval = session.sample_interval_s
             tick = None  # without a positive interval, or past what it counts, no tick to check
             if interval > 0 and math.isfinite(e.time_s / interval):

@@ -296,7 +296,7 @@ def test_c6_directional_specialization_link(medium_corpus):
 
 def test_c7_temporal_phase_behavior(medium_corpus):
     (spec, coordinated, _), _ = medium_corpus
-    cut_tick = int(round(spec.red_cutoff_s / 3.0))
+    cut_tick = int(round(spec.clock.red_cutoff_s / 3.0))
     pre, post = [], []
     for s in coordinated:
         d = cross_role_distances(s)

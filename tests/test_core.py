@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from teamcoord.core import (
     DuplicateIdError,
     GridSpec,
     MapMeta,
+    MissionClock,
     PlayerTrajectory,
     Position,
     RescueEvent,
@@ -58,7 +61,7 @@ def test_well_formed_session_validates_clean():
     (3e6 + 1.5, False),  # 1000000.5 intervals round to the even 10**6
     (3e6 + 3.0, True), (1e300, True), (float("inf"), True)])
 def test_mission_clock_spans_at_most_a_million_ticks(duration, flagged):
-    s = square_session(mission_duration_s=duration)
+    s = square_session(clock=MissionClock(mission_duration_s=duration))
     report = validate_session(s)
     assert (CONFIG in codes(report)) is flagged
     assert report == validate_session_reference(s)
@@ -157,6 +160,32 @@ def test_valid_red_event_passes():
         GRID,
         events=(RescueEvent(3.0, VictimType.RED, Position(1, 1), ("medic1", "engineer1")),))
     assert validate_session(s) == []
+
+
+# A red rescue at tick 1 beside a medic and an engineer, in a 3-tick log.
+RED_AT_TICK_1 = RescueEvent(3.0, VictimType.RED, Position(1, 1), ("medic1", "engineer1"))
+
+
+@pytest.mark.parametrize("clock, event, expected", [
+    (MissionClock(9.0, 3.0), RED_AT_TICK_1, {RED_CUTOFF}),  # at the cutoff is too late
+    (MissionClock(9.0, 6.0), RED_AT_TICK_1, set()),
+    (MissionClock(9.0, 9.0), RED_AT_TICK_1, set()),  # the cutoff may end the mission
+    (MissionClock(9.0, math.nan), RED_AT_TICK_1, {CONFIG}),  # a nan cutoff closes no rescue
+    (MissionClock(9.0, 9.0), RescueEvent(9.0, VictimType.GREEN, Position(1, 1), ("medic1",)),
+     {EVENT_TIME}),  # an event at the mission's end is outside it
+    (MissionClock(9.0, 9.0), RescueEvent(6.0, VictimType.GREEN, Position(1, 1), ("medic1",)),
+     set()),
+    (MissionClock(), RescueEvent(9.0, VictimType.RED, Position(1, 1), ("medic1", "engineer1")),
+     {RED_ACTORS}),  # tick 3 is one past the log
+])
+def test_mission_clock_boundaries_match_reference(clock, event, expected):
+    s = session_from_cells(
+        [[(0, 0), (1, 0), (1, 1)], [(2, 2), (2, 3), (2, 3)]],
+        [[(2, 0), (2, 1), (2, 1)], [(5, 0), (5, 1), (5, 2)]],
+        GRID, events=(event,), clock=clock)
+    report = validate_session(s)
+    assert codes(report) == expected
+    assert report == validate_session_reference(s)
 
 
 def test_event_outside_mission_flagged():
@@ -313,6 +342,13 @@ def test_validation_at_the_int64_limits_matches_reference(case):
     assert any(v.code == DISCONTINUITY and "medic1" in v.message and (
         "tick jumps" in v.message or "moved" in v.message) for v in report)
     assert naive_discontinuities(rows, naive_dtype) == [False]
+
+
+def test_smallest_grid_and_inventory_build_and_the_cell_bound_is_exact():
+    assert GridSpec(1, 1).n_cells == 1
+    assert MapMeta(traversable_cells=1, max_tasks={}).traversable_cells == 1
+    with pytest.raises(ValueError, match="too large for int64 cell indices"):
+        GridSpec(2 ** 62, 2)  # exactly 2**63 cells
 
 
 def test_map_meta_needs_a_traversable_cell():

@@ -164,7 +164,7 @@ def outcome(read, log):
     except Exception as exc:  # the class is part of the outcome
         return ("raised", type(exc), str(exc), getattr(exc, "path", None),
                 getattr(exc, "line", None), getattr(exc, "report", None))
-    return ("read", repr((s.session_id, s.grid, s.events, s.mission_duration_s, s.red_cutoff_s,
+    return ("read", repr((s.session_id, s.grid, s.events, s.clock,
                           s.sample_interval_s, s.map_meta)),
             [(p.player_id, p.role, p.samples.tobytes()) for p in s.players])
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from teamcoord import metrics
-from teamcoord.core import CompositionError, GridSpec, PlayerTrajectory, Role, TeamSession
+from teamcoord.core import (CompositionError, GridSpec, MissionClock, PlayerTrajectory, Role,
+                            TeamSession)
 from teamcoord.metrics import (
     MisalignedSessionError,
     SeriesMetric,
@@ -185,8 +186,7 @@ def split_session(t_join=30, t_total=60):
             y += 1
         p4.append((x, y))
     return session_from_cells([p1, p2], [p3, p4], grid,
-                              mission_duration_s=float(t_total * 3),
-                              red_cutoff_s=float(t_total * 3) * 0.6)
+                              clock=MissionClock(float(t_total * 3), float(t_total * 3) * 0.6))
 
 
 def test_series_constant_for_static_inter_role_distance():

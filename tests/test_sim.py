@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from teamcoord.cli import main
-from teamcoord.core import (ActionTag, CompositionError, GridSpec, Position, Role, VictimType,
-                            validate_session)
+from teamcoord.core import (ActionTag, CompositionError, GridSpec, MissionClock, Position, Role,
+                            VictimType, validate_session)
 from teamcoord.outcomes import team_performance
 from teamcoord.session_io import write_map
 from teamcoord.sim import (
@@ -312,7 +312,7 @@ def _random_action(rng, agent, ref):
 def test_step_matches_set_reference_under_random_actions():
     spec = map_from_ascii("step-oracle", _STEP_MAP)
     g = spec.grid
-    cutoff_tick = int(spec.red_cutoff_s / 3.0)
+    cutoff_tick = int(spec.clock.red_cutoff_s / 3.0)
     sets = map_sets(spec)
     blocked = sets["walls"] | sets["closed_doors"] | sets["rubble"]
     roles = [("medic1", Role.MEDIC), ("medic2", Role.MEDIC),
@@ -473,7 +473,7 @@ def shortest_path_ticks(spec, goal_cells):
 
 def test_red_victims_reachable_before_cutoff():
     for m in builtin_maps():
-        budget = int(m.red_cutoff_s / 3.0) - 1  # arrive with one tick left to act
+        budget = int(m.clock.red_cutoff_s / 3.0) - 1  # arrive with one tick left to act
         sets = map_sets(m)
         for cell, kind in sets["victims"]:
             if kind is not VictimType.RED:
@@ -544,8 +544,9 @@ MAP_DEFECTS = {
     "start_on_door": (_with(start=(3, 0)), "start cell not traversable"),
     "start_on_rubble": (_with(start=(1, 1)), "start cell not traversable"),
     "start_on_victim": (_with(start=(2, 2)), "start cell not traversable"),
-    "red_cutoff_zero": (_with(red_cutoff_s=0.0), "red cutoff outside a finite mission duration"),
-    "red_cutoff_after_mission": (_with(red_cutoff_s=301.0),
+    "red_cutoff_zero": (_with(clock=MissionClock(red_cutoff_s=0.0)),
+                        "red cutoff outside a finite mission duration"),
+    "red_cutoff_after_mission": (_with(clock=MissionClock(red_cutoff_s=301.0)),
                                  "red cutoff outside a finite mission duration"),
     "field_of_view_zero": (_with(fov_radius=0), "field of view radius must be at least 1"),
 }
@@ -558,6 +559,17 @@ def test_map_problems_name_each_defect(case):
     with pytest.raises(InvalidMapError) as exc:
         map_from_cells(**fields)
     assert str(exc.value) == f"map 'good': {problem}"
+
+
+def test_map_problems_see_a_start_cell_past_either_end_of_the_grid():
+    spec = map_from_cells(**GOOD_MAP)
+    for start in (-1, spec.grid.n_cells):
+        assert replace(spec, start=start).problems() == ["start cell outside grid"]
+
+
+def test_map_red_cutoff_may_end_the_mission():
+    clock = MissionClock(300.0, 300.0)
+    assert map_from_cells(**_with(clock=clock)).clock == clock
 
 
 def test_map_problems_come_in_the_documented_order():
@@ -603,15 +615,15 @@ def test_map_grid_up_to_the_cell_limit_builds():
                               f"the limit of {MAX_MAP_CELLS} cells")
 
 
-@pytest.mark.parametrize("clock", [{"mission_duration_s": math.inf},
-                                   {"mission_duration_s": math.inf, "red_cutoff_s": math.inf}])
+@pytest.mark.parametrize("clock", [MissionClock(mission_duration_s=math.inf),
+                                   MissionClock(mission_duration_s=math.inf, red_cutoff_s=math.inf)])
 def test_map_validation_refuses_infinite_mission_clock(clock):
     with pytest.raises(InvalidMapError, match="red cutoff outside a finite mission duration"):
-        map_from_ascii("endless", "S.\n..\n", **clock)
+        map_from_ascii("endless", "S.\n..\n", clock=clock)
 
 
 def test_mission_shorter_than_one_sample_is_refused_before_controllers(monkeypatch):
-    spec = map_from_ascii("short", "S.\n..\n", mission_duration_s=1.0, red_cutoff_s=1.0)
+    spec = map_from_ascii("short", "S.\n..\n", clock=MissionClock(1.0, 1.0))
     monkeypatch.setattr(policies, "build_controllers", lambda *a: pytest.fail("built controllers"))
     with pytest.raises(InvalidMapError, match=r"^map 'short': a 1\.0 s mission has no tick at "
                                               r"a sample interval of 3\.0 s$"):
@@ -628,9 +640,9 @@ def test_mission_over_the_tick_ceiling_is_refused_before_controllers(monkeypatch
     monkeypatch.setattr(policies, "build_controllers", build_controllers)
     team = policy_team(PolicyKind.RANDOM_WALK)
     with pytest.raises(Built):  # 10**6 ticks are allowed
-        run_mission(map_from_ascii("long", "S.\n..\n", mission_duration_s=3e6), team, seed=0)
+        run_mission(map_from_ascii("long", "S.\n..\n", clock=MissionClock(3e6)), team, seed=0)
     for duration, shown in ((3e6 + 3, r"3000003\.0"), (1e300, r"1e\+300")):
-        spec = map_from_ascii("long", "S.\n..\n", mission_duration_s=duration)
+        spec = map_from_ascii("long", "S.\n..\n", clock=MissionClock(duration))
         with pytest.raises(InvalidMapError, match=(
                 rf"^map 'long': a {shown} s mission has more than the 1000000 ticks allowed "
                 r"at a sample interval of 3\.0 s$")):
@@ -1109,7 +1121,7 @@ def test_controller_knowledge_matches_mask_observe(spec, kind):
     refs = [MaskKnowledge(spec) for _ in controllers]
     state = initial_state(spec, agents)
     learned = forgotten = 0
-    for _ in range(round(spec.mission_duration_s / 3.0)):
+    for _ in range(round(spec.clock.mission_duration_s / 3.0)):
         for ctrl, ref in zip(controllers, refs):
             before = len(ctrl.known_victims) + len(ctrl.known_rubble) + len(ctrl.known_doors)
             ctrl.observe(state)
