@@ -74,13 +74,12 @@ def main():
     print("\nperformance groups (bottom 25% / middle 50% / top 25%)")
     ids = [f"team{i:02d}" for i in range(N_TEAMS)]
     groups = performance_groups(dict(zip(ids, cols["performance"])))
-    sizes = {g: len(groups.members(g)) for g in PerformanceGroup}
-    print("  sizes:", {g.value: n for g, n in sizes.items()})
+    print("  sizes:", {g.value: list(groups.values()).count(g) for g in PerformanceGroup})
 
     by_group = {g: [] for g in PerformanceGroup}
     spa_groups = performance_groups(dict(zip(ids, cols["spa"])))
     for sid, perf in zip(ids, cols["performance"]):
-        by_group[spa_groups.groups[sid]].append(perf)
+        by_group[spa_groups[sid]].append(perf)
     res = one_way_anova([by_group[PerformanceGroup.BOTTOM25],
                          by_group[PerformanceGroup.MIDDLE50],
                          by_group[PerformanceGroup.TOP25]])

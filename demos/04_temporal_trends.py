@@ -33,7 +33,7 @@ def main():
     curves = {}
     for label, group in (("top 25%", PerformanceGroup.TOP25),
                          ("bottom 25%", PerformanceGroup.BOTTOM25)):
-        members = [s for s in corpus if groups.groups[s.session_id] is group]
+        members = [s for s in corpus if groups[s.session_id] is group]
         per_progress = {}
         for s in members:
             ts = metric_time_series(s, "inter_role_distance", window_ticks=10, smooth_ticks=5)

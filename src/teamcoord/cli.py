@@ -259,8 +259,8 @@ def _analysis_mediation(cols, args):
 
 def _analysis_groups(cols, args):
     ids, performance = cols["session_id"], cols["performance"]
-    assignment = performance_groups(dict(zip(ids, performance)))
-    return [{"session_id": sid, "group": assignment.groups[sid].value, "performance": score}
+    groups = performance_groups(dict(zip(ids, performance)))
+    return [{"session_id": sid, "group": groups[sid].value, "performance": score}
             for sid, score in sorted(zip(ids, performance))]
 
 
@@ -269,10 +269,10 @@ def _analysis_anova(cols, args):
     ids = cols["session_id"]
     out = []
     for metric in ("sed", "sms", "spa"):
-        assignment = performance_groups(dict(zip(ids, cols[metric])))
+        groups = performance_groups(dict(zip(ids, cols[metric])))
         by_group = {g: [] for g in PerformanceGroup}
         for sid, perf in zip(ids, cols["performance"]):
-            by_group[assignment.groups[sid]].append(perf)
+            by_group[groups[sid]].append(perf)
         res = one_way_anova([by_group[PerformanceGroup.BOTTOM25],
                              by_group[PerformanceGroup.MIDDLE50],
                              by_group[PerformanceGroup.TOP25]])
@@ -359,14 +359,13 @@ def cmd_timeseries(args) -> int:
         raise UsageError("sessions differ in mission_duration_s or red_cutoff_s; "
                          "progress and phases need one mission clock")
     scores = {s.session_id: float(team_performance(s.events).points) for s in sessions}
-    assignment = performance_groups(scores)
+    groups = performance_groups(scores)
     cutoff_fraction = sessions[0].clock.red_cutoff_s / sessions[0].clock.mission_duration_s
 
-    wanted = {PerformanceGroup.TOP25: "top25", PerformanceGroup.BOTTOM25: "bottom25"}
     bins: dict[tuple[str, float], list[float]] = {}
     for s in sessions:
-        group = assignment.groups[s.session_id]
-        if group not in wanted:
+        group = groups[s.session_id]
+        if group is PerformanceGroup.MIDDLE50:
             continue
         try:
             ts = metric_time_series(s, args.metric, window_ticks=args.window,
@@ -374,7 +373,7 @@ def cmd_timeseries(args) -> int:
         except (WindowTooLargeError, ValueError) as exc:  # --window or --smooth out of range
             raise UsageError(str(exc)) from None
         for progress, value in ts.values:
-            bins.setdefault((wanted[group], round(progress, 9)), []).append(value)
+            bins.setdefault((group.value, round(progress, 9)), []).append(value)
 
     out_rows = [
         {"metric": str(args.metric), "group": group, "progress": progress,

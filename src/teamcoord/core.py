@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from itertools import accumulate
 from typing import Mapping
 
@@ -139,6 +138,7 @@ class PlayerTrajectory:
     """One player's log: `samples` is a read-only SAMPLE array in tick order.
 
     A read-only SAMPLE ndarray is held as it is given; any other rows are copied into one.
+    Its `x` and `y` columns are the player's positions, and no other copy is kept.
     """
 
     player_id: str
@@ -157,13 +157,6 @@ class PlayerTrajectory:
     def __eq__(self, other):
         return (isinstance(other, PlayerTrajectory) and self.player_id == other.player_id
                 and self.role is other.role and np.array_equal(self.samples, other.samples))
-
-    @cached_property
-    def xy(self) -> np.ndarray:
-        """(T, 2) int array of positions, one row per tick."""
-        out = np.column_stack((self.samples["x"], self.samples["y"]))
-        out.flags.writeable = False
-        return out
 
     @property
     def n_ticks(self) -> int:
@@ -300,7 +293,7 @@ def validate_session(session: TeamSession) -> list[Violation]:
             for a in actors:
                 if tick is None or tick >= a.n_ticks:
                     break
-                if Position(*a.xy[tick].tolist()).manhattan(e.victim_cell) == 1:
+                if Position(*a.samples[["x", "y"]][tick].tolist()).manhattan(e.victim_cell) == 1:
                     adjacent.append(a)
             roles = {a.role for a in adjacent}
             if roles != {Role.MEDIC, Role.ENGINEER}:

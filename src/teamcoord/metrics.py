@@ -116,10 +116,10 @@ def cross_role_distances(session: TeamSession) -> np.ndarray:
     """Per-tick mean Euclidean distance over the four medic-engineer pairs."""
     part = team_roles_partition(session)
     _aligned_ticks(part[Role.MEDIC] + part[Role.ENGINEER])
-    med = np.stack([p.xy for p in part[Role.MEDIC]]).astype(float)  # (2, T, 2)
-    eng = np.stack([p.xy for p in part[Role.ENGINEER]]).astype(float)
-    diff = med[:, None, :, :] - eng[None, :, :, :]  # (2, 2, T, 2)
-    return np.sqrt((diff ** 2).sum(axis=-1)).mean(axis=(0, 1))  # (T,)
+    med, eng = (np.array([(p.samples["x"], p.samples["y"]) for p in part[role]], dtype=float)
+                for role in (Role.MEDIC, Role.ENGINEER))  # (2, 2, T): player, axis, tick
+    diff = med[:, None] - eng[None]  # (2, 2, 2, T)
+    return np.sqrt((diff ** 2).sum(axis=2)).mean(axis=(0, 1))  # (T,)
 
 
 def spatial_proximity_adaptation(session: TeamSession) -> float:

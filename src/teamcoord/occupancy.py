@@ -41,7 +41,7 @@ def coarsen_grid(grid: GridSpec, factor: int) -> GridSpec:
 
 def cell_indices(traj: PlayerTrajectory, grid: GridSpec, coarsen: int = 1) -> np.ndarray:
     """Per-tick cell index of one trajectory, on the (possibly coarsened) grid."""
-    xs, ys = traj.xy[:, 0], traj.xy[:, 1]
+    xs, ys = traj.samples["x"], traj.samples["y"]
     if xs.size and (xs.min() < 0 or ys.min() < 0 or xs.max() >= grid.width or ys.max() >= grid.height):
         raise ValueError(f"trajectory {traj.player_id!r} leaves the {grid.width}x{grid.height} grid")
     # the grid's larger side already pools every cell into cell 0; a larger

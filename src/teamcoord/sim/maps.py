@@ -2,7 +2,8 @@
 
 Legend of the art: '#' wall, '.' floor, 'D' closed door, '*' bare rubble, 'S'
 the common start cell, and 'g'/'y'/'r' victims. Yellow victims get rubble on
-their cell automatically ('y' implies '*').
+their cell automatically ('y' implies '*'). Art is read into the cell lists
+of `map_from_cells`, the one place that builds and checks a `MapSpec`.
 
 A built-in map is built on its first use and then shared: `builtin_map` and
 `builtin_maps` return one `MapSpec` per name per process, whose
@@ -57,29 +58,28 @@ def map_from_cells(name: str, grid: GridSpec, walls, doors, rubble, victims, sta
 
 
 def map_from_ascii(name: str, art: str, **fields) -> MapSpec:
-    """A validated map from `art` in the legend above, and `MapSpec`'s `clock` and `fov_radius`."""
+    """A validated map from `art` in the legend above, and `MapSpec`'s `clock` and `fov_radius`,
+    built by `map_from_cells`; empty or ragged art, an unknown tile or not one start is a `ValueError`."""
     rows = [line for line in art.splitlines() if line.strip()]
     if not rows:
         raise ValueError("empty map art")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError(f"map {name!r}: ragged rows")
-    tiles = np.array([list(r) for r in rows]).ravel()  # row-major, one tile per cell
+    tiles = np.array([list(r) for r in rows])
     unknown = np.flatnonzero(~np.isin(tiles, list("#.DS*" + "".join(_VICTIM_CHARS))))
     if unknown.size:
         y, x = divmod(int(unknown[0]), width)
         raise ValueError(f"map {name!r}: unknown tile {rows[y][x]!r} at ({x}, {y})")
-    starts = np.flatnonzero(tiles == "S").tolist()
+    def cells(chars):
+        ys, xs = np.nonzero(np.isin(tiles, list(chars)))
+        return list(zip(xs.tolist(), ys.tolist()))
+    starts = cells("S")
     if len(starts) != 1:
         raise ValueError(f"map {name!r}: " + ("two start cells" if starts else "no start cell"))
-    codes = np.zeros(tiles.size, dtype=np.int8)
-    for ch, kind in _VICTIM_CHARS.items():
-        codes[tiles == ch] = VICTIM_CODES[kind]
-    spec = MapSpec(name=name, grid=GridSpec(width, len(rows)), wall_mask=tiles == "#",
-                   door_mask=tiles == "D", rubble_mask=(tiles == "*") | (tiles == "y"),
-                   victim_codes=codes, start=starts[0], **fields)
-    raise_map_problems(name, spec.problems())
-    return spec
+    victims = [(x, y, kind) for ch, kind in _VICTIM_CHARS.items() for x, y in cells(ch)]
+    return map_from_cells(name, GridSpec(width, len(rows)), cells("#"), cells("D"), cells("*y"),
+                          victims, starts[0], **fields)
 
 
 # 12x12: open ground plus two door-gated rooms.

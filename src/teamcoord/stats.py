@@ -752,26 +752,18 @@ class PerformanceGroup(ValueEnum):
     TOP25 = "top25"
 
 
-@dataclass(frozen=True)
-class GroupAssignment:
-    groups: Mapping[str, PerformanceGroup]
+def performance_groups(scores: Mapping[str, float]) -> dict[str, PerformanceGroup]:
+    """Bottom 25% / middle 50% / top 25% split by score: each id's group.
 
-    def members(self, group: PerformanceGroup) -> list[str]:
-        return sorted(k for k, g in self.groups.items() if g is group)
-
-
-def performance_groups(scores: Mapping[str, float]) -> GroupAssignment:
-    """Bottom 25% / middle 50% / top 25% split by score.
-
-    Teams are ordered by (score, id) so ties resolve deterministically;
-    both tails take ceil(n/4) teams.
+    Teams are ordered by (score, id) so ties resolve deterministically, and
+    the dict's keys follow that order; both tails take ceil(n/4) teams.
     """
     n = len(scores)
     if n < 4:
         raise TooFewTeamsError(f"grouping needs at least 4 teams, got {n}")
     order = sorted(scores.items(), key=lambda kv: (kv[1], kv[0]))
     q = math.ceil(n / 4)
-    out: dict[str, PerformanceGroup] = {}
+    out = {}
     for i, (sid, _) in enumerate(order):
         if i < q:
             out[sid] = PerformanceGroup.BOTTOM25
@@ -779,4 +771,4 @@ def performance_groups(scores: Mapping[str, float]) -> GroupAssignment:
             out[sid] = PerformanceGroup.TOP25
         else:
             out[sid] = PerformanceGroup.MIDDLE50
-    return GroupAssignment(groups=out)
+    return out

@@ -336,7 +336,7 @@ def window_series_loop(session, metric, window_ticks, smooth_ticks, coarsen=1):
     grid = GridSpec(-(-session.grid.width // coarsen), -(-session.grid.height // coarsen))
 
     def cells(player):
-        return (player.xy[:, 1] // coarsen) * grid.width + player.xy[:, 0] // coarsen
+        return (player.samples["y"] // coarsen) * grid.width + player.samples["x"] // coarsen
 
     def dist(idx):
         return np.bincount(idx, minlength=grid.n_cells) / idx.size
@@ -376,7 +376,7 @@ def mission_rule_audit(session):
             assert e.time_s < session.clock.red_cutoff_s
             assert {by_id[a].role for a in e.actor_ids} == {Role.MEDIC, Role.ENGINEER}
             for a in e.actor_ids:
-                x, y = by_id[a].xy[tick].tolist()
+                x, y = by_id[a].samples[["x", "y"]][tick].tolist()
                 assert abs(x - vx) + abs(y - vy) == 1
         if e.victim_type is VictimType.YELLOW:
             cleared = [
@@ -795,7 +795,7 @@ def validate_session_reference(session: TeamSession) -> list[Violation]:
             for a in (by_id[a] for a in e.actor_ids):
                 if tick is None or tick >= a.n_ticks:
                     break
-                if Position(*a.xy[tick].tolist()).manhattan(e.victim_cell) == 1:
+                if Position(*a.samples[["x", "y"]][tick].tolist()).manhattan(e.victim_cell) == 1:
                     adjacent.append(a)
             if {a.role for a in adjacent} != {Role.MEDIC, Role.ENGINEER}:
                 out.append(Violation(

@@ -140,7 +140,7 @@ def test_spa_invariant_to_time_reversal():
         s = random_session(rng, n_ticks=14)
         base = spatial_proximity_adaptation(s)
         rev_players = tuple(
-            traj(p.player_id, p.role, p.xy[::-1].tolist())
+            traj(p.player_id, p.role, p.samples[["x", "y"]][::-1].tolist())
             for p in s.players)
         rev = TeamSession(s.session_id, s.grid, rev_players)
         assert spatial_proximity_adaptation(rev) == pytest.approx(base, abs=1e-12)
@@ -216,8 +216,9 @@ def test_series_sed_monotone_around_divergence():
     # independent recomputation of each window from sub-trajectories
     for end in (32, 36, 40):
         start = end - 9
-        dists = [np.bincount(p.xy[start:end + 1, 1] * s.grid.width + p.xy[start:end + 1, 0],
-                             minlength=s.grid.n_cells) / 10 for p in s.players]
+        dists = [np.bincount(p.samples["y"][start:end + 1] * s.grid.width
+                             + p.samples["x"][start:end + 1], minlength=s.grid.n_cells) / 10
+                 for p in s.players]
         expected = np.mean([jsd_base2(a.tolist(), b.tolist())
                             for a, b in itertools.combinations(dists, 2)])
         assert by_end[end] == pytest.approx(expected, abs=1e-12)
@@ -351,7 +352,7 @@ def test_coordination_metrics_share_one_cell_index_array(monkeypatch, map_name, 
 
 def test_sed_sms_series_match_window_loop_across_blocks():
     s = random_session(np.random.default_rng(17), width=24, height=24, n_ticks=1500)
-    visited = np.unique(np.concatenate([p.xy[:, 1] * 24 + p.xy[:, 0] for p in s.players])).size
+    visited = np.unique(np.concatenate([p.samples["y"] * 24 + p.samples["x"] for p in s.players])).size
     # windows times the (pair, side) rows of SED times visited cells: many blocks
     assert (s.n_ticks - 20) * 12 * visited > 4 * metrics._SERIES_BLOCK_CELLS
     for metric in ("sed", "sms"):

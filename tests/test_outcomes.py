@@ -155,4 +155,4 @@ def test_scaling_performance_preserves_rank_statistics_and_groups():
         scaled = {i: k * v for i, v in scores.items()}
         r = spearman(other, [scaled[i] for i in ids])
         assert r.rho == pytest.approx(base.rho, abs=1e-12)
-        assert performance_groups(scaled).groups == base_groups.groups
+        assert performance_groups(scaled) == base_groups

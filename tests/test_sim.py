@@ -613,6 +613,9 @@ def test_map_grid_up_to_the_cell_limit_builds():
         map_from_cells(grid=GridSpec(MAX_MAP_CELLS + 1, 1), **empty)
     assert str(exc.value) == (f"map 'wide': grid of {MAX_MAP_CELLS + 1}x1 cells is larger than "
                               f"the limit of {MAX_MAP_CELLS} cells")
+    with pytest.raises(InvalidMapError) as art_exc:  # art is bounded by the same check
+        map_from_ascii("wide", "S" + "." * MAX_MAP_CELLS)
+    assert str(art_exc.value) == str(exc.value)
 
 
 @pytest.mark.parametrize("clock", [MissionClock(mission_duration_s=math.inf),

@@ -827,37 +827,42 @@ def test_anova_degenerate_within_variance_flagged():
 
 # --- grouping -----------------------------------------------------------------------
 
+def members(groups, group):
+    return sorted(k for k, g in groups.items() if g is group)
+
+
 def test_groups_eight_teams_split_2_4_2():
     scores = {f"t{i}": float(i * 10) for i in range(8)}
     g = performance_groups(scores)
-    assert g.members(PerformanceGroup.BOTTOM25) == ["t0", "t1"]
-    assert g.members(PerformanceGroup.TOP25) == ["t6", "t7"]
-    assert len(g.members(PerformanceGroup.MIDDLE50)) == 4
+    assert members(g, PerformanceGroup.BOTTOM25) == ["t0", "t1"]
+    assert members(g, PerformanceGroup.TOP25) == ["t6", "t7"]
+    assert len(members(g, PerformanceGroup.MIDDLE50)) == 4
 
 
 def test_groups_tie_break_by_session_id():
     scores = {sid: 100.0 for sid in ["a", "b", "c", "d"]}
     g = performance_groups(scores)
-    assert g.groups["a"] is PerformanceGroup.BOTTOM25
-    assert g.groups["d"] is PerformanceGroup.TOP25
-    assert performance_groups(dict(reversed(list(scores.items())))).groups == g.groups
+    assert g["a"] is PerformanceGroup.BOTTOM25
+    assert g["d"] is PerformanceGroup.TOP25
+    assert performance_groups(dict(reversed(list(scores.items())))) == g
+    assert list(g) == ["a", "b", "c", "d"]  # keys in (score, id) order
 
 
 def test_groups_34_teams_split_9_16_9():
     scores = {f"team{i:02d}": float(i) for i in range(34)}
     g = performance_groups(scores)
-    assert len(g.members(PerformanceGroup.BOTTOM25)) == 9
-    assert len(g.members(PerformanceGroup.MIDDLE50)) == 16
-    assert len(g.members(PerformanceGroup.TOP25)) == 9
+    assert len(members(g, PerformanceGroup.BOTTOM25)) == 9
+    assert len(members(g, PerformanceGroup.MIDDLE50)) == 16
+    assert len(members(g, PerformanceGroup.TOP25)) == 9
 
 
 def test_groups_invariant_under_positive_affine_transform():
     rng = np.random.default_rng(53)
     scores = {f"s{i}": float(rng.integers(0, 500)) for i in range(15)}
-    base = performance_groups(scores).groups
+    base = performance_groups(scores)
     for k, c in ((2.0, 5.0), (0.3, -10.0)):
         scaled = {i: k * v + c for i, v in scores.items()}
-        assert performance_groups(scaled).groups == base
+        assert performance_groups(scaled) == base
 
 
 def test_groups_too_few_teams():
