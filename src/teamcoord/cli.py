@@ -196,19 +196,24 @@ def cmd_metrics(args) -> int:
 
 
 def _analysis_correlations(cols, args):
+    """Spearman's rho of every ordered pair of metrics. spearman(b, a) has the
+    bits of spearman(a, b), so each unordered pair is computed once."""
     n = len(cols["sed"])
-    out = []
+    out, done = [], {}
     for a in METRIC_VARS:
         for b in METRIC_VARS:
             if a == b and cols[a].min() < cols[a].max():
-                out.append({"var_a": a, "var_b": b, "rho": 1.0, "p_value": 0.0, "n": n})
-                continue
-            try:
-                r = spearman(cols[a], cols[b])
-                out.append({"var_a": a, "var_b": b, "rho": r.rho, "p_value": r.p_value,
-                            "n": r.n})
-            except DegenerateDataError:  # a constant column, itself included: undefined
-                out.append({"var_a": a, "var_b": b, "rho": None, "p_value": None, "n": n})
+                rho, p = 1.0, 0.0
+            elif (b, a) in done:
+                rho, p = done[b, a]
+            else:
+                try:
+                    r = spearman(cols[a], cols[b])
+                    rho, p = r.rho, r.p_value
+                except DegenerateDataError:  # a constant column, itself included: undefined
+                    rho, p = None, None
+                done[a, b] = rho, p
+            out.append({"var_a": a, "var_b": b, "rho": rho, "p_value": p, "n": n})
     return out
 
 
@@ -349,6 +354,10 @@ def cmd_stats(args) -> int:
 
 
 def cmd_timeseries(args) -> int:
+    if args.window < 2:
+        raise UsageError("--window must be at least 2")
+    if args.smooth < 1:
+        raise UsageError("--smooth must be at least 1")
     if len(args.sessions) < 4:
         raise UsageError("timeseries needs at least 4 sessions for grouping")
     read, failed = _read_sessions(args.sessions)
@@ -370,7 +379,7 @@ def cmd_timeseries(args) -> int:
         try:
             ts = metric_time_series(s, args.metric, window_ticks=args.window,
                                     smooth_ticks=args.smooth)
-        except (WindowTooLargeError, ValueError) as exc:  # --window or --smooth out of range
+        except WindowTooLargeError as exc:  # --window longer than a session
             raise UsageError(str(exc)) from None
         for progress, value in ts.values:
             bins.setdefault((group.value, round(progress, 9)), []).append(value)

@@ -289,8 +289,12 @@ def pct_mediated(indirect: float, total: float) -> float | None:
     return 100.0 * indirect / total
 
 
-# Cells of the (resamples, n) index matrix handled at once by the bootstrap.
-_BOOT_BLOCK_CELLS = 1 << 18
+# Cells of the (resamples, n) index matrix handled at once by the bootstrap. At
+# 2**16 a block's index and gathered arrays are 512 KB each and a report touches
+# about 2 MB: blocks four times as large touched about 6.5 MB, which the C
+# allocator hands back to the system after each report and the next one faults
+# in again (some 1500 page faults per 5000-resample report at n = 40).
+_BOOT_BLOCK_CELLS = 1 << 16
 # The most resamples one bootstrap draws: its results take 8 bytes each.
 _MAX_RESAMPLES = 10 ** 6
 
@@ -353,10 +357,11 @@ def _philox_keys(seed: int, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mulhilo(a: np.uint64, b: np.ndarray, hi: np.ndarray, lo: np.ndarray,
-             t: np.ndarray) -> None:
+             t: np.ndarray, u: np.ndarray) -> None:
     """Write the high and low words of the 128-bit products a * b, from 32-bit
-    halves, into hi and lo; t is scratch of b's shape."""
+    halves, into hi and lo; t and u are scratch of b's shape."""
     a_lo, a_hi = a & _U32_MASK, a >> _U32
+    np.right_shift(b, _U32, out=u)  # b_hi
     np.bitwise_and(b, _U32_MASK, out=lo)
     np.multiply(lo, a_hi, out=hi)
     lo *= a_lo
@@ -364,42 +369,71 @@ def _mulhilo(a: np.uint64, b: np.ndarray, hi: np.ndarray, lo: np.ndarray,
     hi += lo  # mid = a_hi * b_lo + (a_lo * b_lo >> 32)
     np.bitwise_and(hi, _U32_MASK, out=lo)
     hi >>= _U32
-    np.right_shift(b, _U32, out=t)
-    t *= a_lo
+    np.multiply(u, a_lo, out=t)
     t += lo
     t >>= _U32  # carry = (a_lo * b_hi + (mid & M32)) >> 32
     hi += t
-    np.right_shift(b, _U32, out=t)
-    t *= a_hi
-    hi += t  # a_hi * b_hi + (mid >> 32) + carry
+    u *= a_hi
+    hi += u  # a_hi * b_hi + (mid >> 32) + carry
     np.multiply(b, a, out=lo)
+
+
+def _products(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low words of a * b in new arrays of b's shape."""
+    hi, lo, t, u = np.empty((4, *b.shape), dtype=np.uint64)
+    _mulhilo(a, b, hi, lo, t, u)
+    return hi, lo
 
 
 def _philox_words(k0: np.ndarray, k1: np.ndarray, blocks: int) -> np.ndarray:
     """The first 4 * blocks uint64 outputs of Philox4x64-10 per (k0, k1) key.
 
     numpy's Philox starts at counter 0 and increments it before each block,
-    so block j runs on counter (j + 1, 0, 0, 0). The counter words and the
-    products of a round live in (keys, blocks) arrays allocated once; each
-    round writes its products in place and renames the arrays.
+    so block j runs on counter (j + 1, 0, 0, 0). A round maps counter
+    (c0, c1, c2, c3) under key (k0, k1) to (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2),
+    hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)), and the key is bumped between rounds.
+
+    The first two rounds are folded. In round 1 the M1 product is that of 0
+    and the M0 product depends on the block alone: a (blocks, 1) product
+    and XORs with the key leave (k0, 0, hi(M0 j) ^ k1, lo(M0 j)). So round
+    2's M0 product depends on the key alone, a (1, keys) product; only its
+    M1 product and the later rounds' products run on whole (blocks, keys)
+    arrays. Those are allocated once, with keys on the inner axis so that a
+    key word broadcasts along the outer one; each round writes its
+    products in place and renames the arrays.
     """
-    k0 = np.array(k0, dtype=np.uint64)[:, None]  # own copies, bumped in place
-    k1 = np.array(k1, dtype=np.uint64)[:, None]
-    c0, c1, c2, c3, hi0, lo0, hi1, lo1, t = np.zeros((9, k0.size, blocks), dtype=np.uint64)
-    c0[:] = np.arange(1, blocks + 1, dtype=np.uint64)
-    for r in range(10):
-        if r:
-            k0 += _PHILOX_W[0]
-            k1 += _PHILOX_W[1]
-        _mulhilo(_PHILOX_M[0], c0, hi0, lo0, t)
-        _mulhilo(_PHILOX_M[1], c2, hi1, lo1, t)
+    k0 = np.asarray(k0, dtype=np.uint64)[None]
+    k1 = np.asarray(k1, dtype=np.uint64)[None]
+    c0, c1, c2, c3, hi0, lo0, hi1, lo1, t, u = np.empty((10, blocks, k0.size),
+                                                        dtype=np.uint64)
+    block_c0 = np.arange(1, blocks + 1, dtype=np.uint64)[:, None]
+    hi_block, lo_block = _products(_PHILOX_M[0], block_c0)
+    np.bitwise_xor(hi_block, k1, out=c2)  # round 1's c2; its c0 is k0 and its c1 is 0
+    hi_key, lo_key = _products(_PHILOX_M[0], k0)
+    k0 = k0 + _PHILOX_W[0]  # own copies from here on, bumped in place
+    k1 = k1 + _PHILOX_W[1]
+    # round 2; its c1 (0) drops out of c0, and c3 is the key's own in every block
+    _mulhilo(_PHILOX_M[1], c2, hi1, lo1, t, u)
+    np.bitwise_xor(hi1, k0, out=c0)
+    c1, lo1 = lo1, c1
+    hi_key ^= k1
+    np.bitwise_xor(hi_key, lo_block, out=c2)
+    c3[:] = lo_key
+    for _ in range(8):  # rounds 3 to 10
+        k0 += _PHILOX_W[0]
+        k1 += _PHILOX_W[1]
+        _mulhilo(_PHILOX_M[0], c0, hi0, lo0, t, u)
+        _mulhilo(_PHILOX_M[1], c2, hi1, lo1, t, u)
         hi1 ^= c1
         hi1 ^= k0
         hi0 ^= c3
         hi0 ^= k1
         # the products are the next counter; the spent counter holds the next products
         (c0, c1, c2, c3), (hi0, lo0, hi1, lo1) = (hi1, lo1, hi0, lo0), (c0, c1, c2, c3)
-    return np.stack([c0, c1, c2, c3], axis=-1).reshape(k0.size, 4 * blocks)
+    words = np.empty((k0.size, blocks, 4), dtype=np.uint64)
+    for w, c in enumerate((c0, c1, c2, c3)):
+        words[:, :, w] = c.T
+    return words.reshape(k0.size, 4 * blocks)
 
 
 def _resample_rng(seed: int, k: int) -> np.random.Generator:
@@ -432,9 +466,10 @@ def _resample_indices(seed: int, start: int, count: int, n: int) -> tuple[np.nda
         words = _philox_words(k0, k1, -(-n // 8))  # 8 draws per block
         # uint32 halves of each word, low half first on any byte order
         draws = words.astype("<u8", copy=False).view("<u4")[:, :n]
+        # the uint32 product wraps to the low word of u * n
+        fallback = _may_reject(draws * np.uint32(n), n)
         # an explicit uint64 product: numpy 1.x keeps uint32 * np.uint64 in uint32
         product = np.multiply(draws, np.uint64(n), dtype=np.uint64)
-        fallback = _may_reject(product & _M32, n)
         product >>= 32
         idx = product.view(np.int64)  # the indices are below n < 2**32: same bits
     for r in np.flatnonzero(fallback).tolist():

@@ -371,11 +371,12 @@ def test_stats_correlations_full_matrix(tmp_path, capsys):
     out = capsys.readouterr().out.strip().splitlines()
     rows = [line.split(",") for line in out[1:]]
     assert len(rows) == 25
-    rho = {(a, b): float(r) for a, b, r, _, _ in rows}
+    cells = {(a, b): (r, p) for a, b, r, p, _ in rows}
     for v in ("sed", "sms", "spa", "ci", "performance"):
-        assert rho[(v, v)] == 1.0
-    for (a, b), r in rho.items():
-        assert rho[(b, a)] == pytest.approx(r, abs=1e-12)
+        assert float(cells[(v, v)][0]) == 1.0
+    # csv floats round-trip, so equal text is equal bits
+    for (a, b), rho_and_p in cells.items():
+        assert cells[(b, a)] == rho_and_p
 
 
 def test_stats_missing_column_exits_2(tmp_path, capsys):
@@ -601,6 +602,19 @@ def test_timeseries_out_of_range_flags_exit_2(tmp_path, capsys, flags):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--window", "1"], "usage error: --window must be at least 2\n"),
+    (["--smooth", "0"], "usage error: --smooth must be at least 1\n"),
+])
+def test_timeseries_out_of_range_flags_exit_2_before_reading_sessions(tmp_path, capsys,
+                                                                       flags, message):
+    missing = [str(tmp_path / f"missing{i}.jsonl") for i in range(4)]
+    assert run(["timeseries", *missing, "--metric", "sed", *flags]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == message
+
+
 def test_metrics_coarsen_zero_exits_2(tmp_path, capsys):
     logs = sim_corpus(tmp_path, runs=1)
     assert run(["metrics", *map(str, logs), "--coarsen", "0"]) == EXIT_USAGE
@@ -801,7 +815,7 @@ def test_stats_quadratic_flat_outcome_reports_flat(tmp_path, capsys):
 
 
 def test_stats_mediation_draws_each_block_once_for_all_metrics(tmp_path, capsys, monkeypatch):
-    # at 40 rows a block holds 6553 resamples: 7000 take two blocks, shared by sed, sms and spa
+    # at 40 rows a block holds 1638 resamples: 7000 take five blocks, shared by sed, sms and spa
     table = random_table(tmp_path / "m.csv", 40)
     calls = []
     draw = stats._resample_indices
@@ -823,7 +837,7 @@ def test_stats_mediation_draws_each_block_once_for_all_metrics(tmp_path, capsys,
     assert run(["stats", "--table", str(table), "--analysis", "mediation",
                 "--resamples", "7000"]) == EXIT_OK
     assert len(capsys.readouterr().out.splitlines()) == 4
-    assert calls == [(0, 6553), (6553, 447)]
+    assert calls == [(0, 1638), (1638, 1638), (3276, 1638), (4914, 1638), (6552, 448)]
     assert mediations == [(3, 40)]
 
 

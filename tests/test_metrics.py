@@ -272,6 +272,14 @@ def test_series_window_too_large():
         metric_time_series(s, "sed", window_ticks=11)
 
 
+def test_series_window_and_smoothing_below_their_minimum():
+    s = random_session(np.random.default_rng(71), n_ticks=10)
+    with pytest.raises(ValueError, match="^window_ticks must be >= 2$"):
+        metric_time_series(s, "sed", window_ticks=1)
+    with pytest.raises(ValueError, match="^smooth_ticks must be >= 1$"):
+        metric_time_series(s, "sed", smooth_ticks=0)
+
+
 def test_series_rolling_adaptation_needs_two_windows():
     s = random_session(np.random.default_rng(73), n_ticks=10)
     assert len(metric_time_series(s, "spa_rolling", window_ticks=9).values) == 1

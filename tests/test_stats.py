@@ -112,6 +112,28 @@ def test_spearman_degenerate_and_mismatch():
         spearman([1, 2, 3], [1, 2])
 
 
+def test_spearman_is_symmetric_to_the_bit():
+    # the correlations report computes each unordered pair once and mirrors it
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(rng.integers(3, 60))
+        x = rng.normal(size=n)
+        tied = rng.integers(0, 5, size=n).astype(float)
+        for a, b in ((x, rng.normal(size=n)), (x, tied), (tied, rng.integers(0, 3, size=n))):
+            if np.ptp(a) == 0 or np.ptp(b) == 0:
+                continue
+            ab, ba = spearman(a, b), spearman(b, a)
+            assert (ab.rho.hex(), ab.p_value.hex(), ab.n) == (ba.rho.hex(), ba.p_value.hex(), ba.n)
+    constant = np.full(7, 2.5)
+    for other in (np.arange(7.0), constant):
+        messages = []
+        for a, b in ((constant, other), (other, constant)):
+            with pytest.raises(DegenerateDataError) as exc:
+                spearman(a, b)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+
 # --- OLS -----------------------------------------------------------------------
 
 def test_ols_exact_line():
@@ -440,7 +462,7 @@ def spawned_indices(seed, start, count, n):
 
 # n = 1 draws nothing, odd n leaves half a uint64 over, 8 and 16 fill whole
 # 4-word Philox blocks and 9 and 17 start a new one; 2**32 - 1 is the largest
-# seed of one uint32 word, and start = 6553 is the second block at n = 40.
+# seed of one uint32 word, and start = 6553 begins inside a later block at n = 40.
 @pytest.mark.parametrize("seed,start,count,n", [
     (0, 0, 5000, 40), (19, 0, 3000, 5), (7, 0, 2000, 123), (12345, 0, 1000, 2),
     (41, 0, 500, 7), (3, 0, 200, 9), (5, 0, 300, 1), (6, 0, 300, 8), (8, 0, 300, 16),
@@ -455,7 +477,8 @@ def test_resample_indices_match_spawned_streams(seed, start, count, n):
 
 @pytest.mark.parametrize("key", [(0, 0), (2**64 - 1, 2**64 - 1),
                                  (0x8F3A61C2D4B7E905, 0x1C6E2A9F7B3D4058)])
-@pytest.mark.parametrize("blocks", [1, 5, 16])
+# round 1 runs on a (blocks, 1) array, round 2's M0 product on a (1, keys) one
+@pytest.mark.parametrize("blocks", [1, 2, 3, 5, 16])
 def test_philox_words_match_numpy_philox(key, blocks):
     # rows keyed (k0, k1) and (k1, k0); numpy takes the key as a uint64 array,
     # since a list of Python ints above 2**53 loses bits on the way in
@@ -540,7 +563,7 @@ def test_mediations_match_loop_oracle_when_one_predictor_is_redrawn(monkeypatch,
 
 
 def test_mediations_match_loop_oracle_across_blocks(monkeypatch):
-    # at n = 40 a block holds 6553 resamples, so 6600 take two
+    # at n = 40 a block holds 1638 resamples, so 6600 take five
     rng = np.random.default_rng(59)
     n = 40
     xs = list(rng.uniform(0.2, 0.9, size=(3, n)))
@@ -555,7 +578,7 @@ def test_mediations_match_loop_oracle_across_blocks(monkeypatch):
 
     monkeypatch.setattr(stats, "_resample_indices", counted)
     results = bootstrap_mediation(xs, m, y, resamples=6600, seed=0)
-    assert blocks == [(0, 6553), (6553, 47)]
+    assert blocks == [(0, 1638), (1638, 1638), (3276, 1638), (4914, 1638), (6552, 48)]
     for x, res in zip(xs, results):
         assert boot_summary(res) == bootstrap_indirect_loop(x, m, y, 6600, 0)
 
