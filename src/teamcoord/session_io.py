@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from array import array
 from contextlib import suppress
 from dataclasses import asdict, dataclass, replace
@@ -513,8 +514,9 @@ def read_metrics_table(path, columns: Sequence[str] = METRICS_COLUMNS[1:],
     A file that is missing or not UTF-8, a line the CSV reader refuses, or a
     row whose field count differs from the header's is a `SessionFormatError`
     naming the path and line. Then no data rows, a missing column, a cell
-    that is not a finite number, or a repeated id is a `MetricTableError`;
-    docs/formats.md lists every message in check order.
+    that is not a finite number of magnitude at most `_CELL_LIMIT` (1e50), or
+    a repeated id is a `MetricTableError`; docs/formats.md lists every message
+    in check order.
     """
     path = Path(path)
     if not path.exists():
@@ -546,16 +548,28 @@ def read_metrics_table(path, columns: Sequence[str] = METRICS_COLUMNS[1:],
     return out
 
 
+# The largest magnitude a metric table cell may have. The analyses multiply up
+# to four cells together (the mediation determinant, the quadratic's x**4 sums),
+# so cells above about 1e77 can overflow float64 to inf (with numpy warnings) or
+# raise OverflowError; within 1e50 such products stay far below its largest value.
+_CELL_LIMIT = 1e50
+
+
 def _numbers(name: str, cells: list[tuple[int, str]]) -> np.ndarray:
-    """One column's (line, text) cells as floats; each must be a finite number."""
-    values = np.empty(len(cells))
-    for k, (line, text) in enumerate(cells):
+    """One column's (line, text) cells as floats; each must be a number, then
+    each must be finite with a magnitude of at most `_CELL_LIMIT`. The range
+    check compares Python floats, so a nan raises no numpy warning on any
+    numpy version."""
+    values = []
+    for line, text in cells:
         try:
-            values[k] = float(text)
+            values.append(float(text))
         except ValueError as exc:
             raise MetricTableError(f"column {name!r} is not numeric: {exc} on line {line}") from None
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        line, text = cells[bad[0]]
-        raise MetricTableError(f"column {name!r} has non-finite value {text!r} on line {line}")
-    return values
+    for (line, text), value in zip(cells, values):
+        if not abs(value) <= _CELL_LIMIT:  # nan compares false too
+            if not math.isfinite(value):
+                raise MetricTableError(f"column {name!r} has non-finite value {text!r} on line {line}")
+            raise MetricTableError(f"column {name!r} has value {text!r} above {_CELL_LIMIT:g} "
+                                   f"in magnitude on line {line}")
+    return np.array(values)

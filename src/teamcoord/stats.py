@@ -6,10 +6,10 @@ the incomplete-beta routines in `special`. Ties always receive average
 ranks. The bootstrap uses numpy's splittable SeedSequence/Philox streams:
 resample k draws from the k-th child stream of the seed, so results are
 identical no matter how the loop is scheduled. Those streams are computed
-in bulk, for all resamples of a block at once: numpy's SeedSequence mixing,
-Philox4x64-10 (Salmon et al. 2011) and Lemire's bounded draws (Lemire 2019)
-are redone on uint64 arrays, and a row where Lemire's method may reject a
-draw is drawn from numpy's own generator instead.
+in bulk, for all resamples of a draw chunk at once: numpy's SeedSequence
+mixing, Philox4x64-10 (Salmon et al. 2011) and Lemire's bounded draws
+(Lemire 2019) are redone on uint64 arrays, and a row where Lemire's method
+may reject a draw is drawn from numpy's own generator instead.
 """
 from __future__ import annotations
 
@@ -289,11 +289,17 @@ def pct_mediated(indirect: float, total: float) -> float | None:
     return 100.0 * indirect / total
 
 
-# Cells of the (resamples, n) index matrix handled at once by the bootstrap. At
-# 2**16 a block's index and gathered arrays are 512 KB each and a report touches
-# about 2 MB: blocks four times as large touched about 6.5 MB, which the C
-# allocator hands back to the system after each report and the next one faults
-# in again (some 1500 page faults per 5000-resample report at n = 40).
+# Cells of the (resamples, n) index matrix that one `_resample_indices` call
+# draws. Each call pays a fixed cost of about 0.7 ms to hash its keys and run
+# the Philox rounds, so a 5000-resample bootstrap at n = 40 takes one call. At
+# 2**18 cells the int64 indices take 2 MB and the Philox state, ten
+# (blocks, keys) uint64 arrays, about 2.6 MB.
+_BOOT_DRAW_CELLS = 1 << 18
+# Cells of a drawn chunk that the mediation arithmetic handles at once. At 2**16
+# a slice's gathered and centred arrays are 512 KB each. Slices as large as a
+# chunk would make each 2 MB, and memory that the C allocator hands back to the
+# system after a report is faulted in again by the next one (some 1500 page
+# faults per 5000-resample report at n = 40 with 2**18-cell blocks).
 _BOOT_BLOCK_CELLS = 1 << 16
 # The most resamples one bootstrap draws: its results take 8 bytes each.
 _MAX_RESAMPLES = 10 ** 6
@@ -477,6 +483,19 @@ def _resample_indices(seed: int, start: int, count: int, n: int) -> tuple[np.nda
     return idx, fallback
 
 
+def _index_slices(seed: int, resamples: int, n: int):
+    """Yield (start, idx), the row indices of resamples start .. start +
+    len(idx) - 1, in order and in slices of at most `_BOOT_BLOCK_CELLS`
+    cells. Each chunk of at most `_BOOT_DRAW_CELLS` cells is drawn by one
+    `_resample_indices` call, when its first slice is asked for."""
+    step = max(1, _BOOT_BLOCK_CELLS // n)
+    chunk = max(1, _BOOT_DRAW_CELLS // n)
+    for first in range(0, resamples, chunk):
+        idx, _ = _resample_indices(seed, first, min(chunk, resamples - first), n)
+        for lo in range(0, len(idx), step):
+            yield first + lo, idx[lo:lo + step]
+
+
 def _row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Per-row dot products of two (R, n) arrays.
 
@@ -596,10 +615,8 @@ def _bootstrap_mediations(xs: list, m, y, resamples: int, seed: int) -> list[Med
 
     boot = [np.empty(resamples) for _ in xvs]
     active = len(xvs)  # predictors ahead of the first that stays degenerate
-    start = 0
-    while active and start < resamples:
-        stop = min(resamples, start + max(1, _BOOT_BLOCK_CELLS // n))  # blocks bound memory
-        idx, _ = _resample_indices(seed, start, stop - start, n)
+    for start, idx in _index_slices(seed, resamples, n) if active else ():
+        stop = start + len(idx)
         mediator = _mediator_terms(_centre(mv[idx]), _centre(yv[idx]))
         for i, xv in enumerate(xvs[:active]):
             sub_a, sub_b, _, _, sub_ok = _mediation_paths(_centre(xv[idx]), mediator)
@@ -610,7 +627,8 @@ def _bootstrap_mediations(xs: list, m, y, resamples: int, seed: int) -> list[Med
             except DegenerateDataError as exc:
                 failure, active = exc, i
                 break
-        start = stop
+        if not active:
+            break
     if failure is not None:
         raise failure
 

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import runpy
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -759,6 +760,45 @@ def test_stats_non_finite_cell_exits_2(tmp_path, capsys, cell):
     assert f"column 'sed' has non-finite value '{cell}' on line 5" in capsys.readouterr().err
 
 
+# A finite cell of 1e200 made timeless-anova raise OverflowError, regression and
+# quadratic report inf statistics after numpy overflow warnings, mediation blame
+# collinearity and quadratic rank deficiency. Each analysis refuses it, in a
+# column where it did harm, before any arithmetic and with no warning.
+@pytest.mark.parametrize("analysis, column", [
+    ("correlations", "spa"), ("regression", "ci"), ("quadratic", "sed"),
+    ("mediation", "sed"), ("groups", "performance"), ("timeless-anova", "performance"),
+])
+@pytest.mark.parametrize("cell", ["1e200", "-1.5e51"])
+def test_stats_huge_cell_exits_2_before_any_arithmetic(tmp_path, capsys, analysis, column, cell):
+    table = random_table(tmp_path / "m.csv", 12)
+    lines = table.read_text().splitlines()
+    fields = lines[5].split(",")
+    fields[lines[0].split(",").index(column)] = cell
+    lines[5] = ",".join(fields)
+    table.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["stats", "--table", str(table), "--analysis", analysis]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"usage error: column '{column}' has value '{cell}' "
+                                       "above 1e+50 in magnitude on line 6\n")
+
+
+@pytest.mark.parametrize("analysis", list(cli._ANALYSES))
+def test_stats_cells_at_the_magnitude_limit_raise_no_warning(tmp_path, capsys, analysis):
+    # every cell at or half the limit (1e50): products of four cells and their sums stay finite
+    limit = session_io._CELL_LIMIT
+    cells = np.random.default_rng(17).choice([-limit, -limit / 2, limit / 2, limit], size=(12, 5))
+    table = tmp_path / "m.csv"
+    table.write_text("session_id,sed,sms,spa,ci,performance\n" + "".join(
+        f"s{i:02d}," + ",".join(map(repr, row.tolist())) + "\n" for i, row in enumerate(cells)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["stats", "--table", str(table), "--analysis", analysis, "--resamples", "300"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (EXIT_OK, "") or (code == EXIT_DOMAIN and err.startswith("error: "))
+    assert "inf" not in out and "nan" not in out
+
+
 def test_stats_non_numeric_cell_names_its_line_exits_2(tmp_path, capsys):
     table = random_table(tmp_path / "m.csv", 8)
     lines = table.read_text().splitlines()
@@ -815,7 +855,9 @@ def test_stats_quadratic_flat_outcome_reports_flat(tmp_path, capsys):
 
 
 def test_stats_mediation_draws_each_block_once_for_all_metrics(tmp_path, capsys, monkeypatch):
-    # at 40 rows a block holds 1638 resamples: 7000 take five blocks, shared by sed, sms and spa
+    # At 40 rows a draw chunk holds 6553 resamples (2**18 cells): 7000 take two
+    # draws, each made once and shared by sed, sms and spa, since each draw pays
+    # a fixed cost to hash its keys and run the Philox rounds.
     table = random_table(tmp_path / "m.csv", 40)
     calls = []
     draw = stats._resample_indices
@@ -837,7 +879,7 @@ def test_stats_mediation_draws_each_block_once_for_all_metrics(tmp_path, capsys,
     assert run(["stats", "--table", str(table), "--analysis", "mediation",
                 "--resamples", "7000"]) == EXIT_OK
     assert len(capsys.readouterr().out.splitlines()) == 4
-    assert calls == [(0, 1638), (1638, 1638), (3276, 1638), (4914, 1638), (6552, 448)]
+    assert calls == [(0, 6553), (6553, 447)]
     assert mediations == [(3, 40)]
 
 

@@ -247,6 +247,24 @@ def test_metrics_table_reads_asked_columns_ignores_the_rest(tmp_path):
         read_metrics_table(p, ("sed", "performance"))
 
 
+@pytest.mark.parametrize("cells, message", [
+    (("1e50", "-1e50", "0"), None),
+    (("1e200", "abc", "0"), "is not numeric: could not convert string to float: 'abc' on line 3"),
+    (("-1.0000000001e50", "nan", "0"), "has value '-1.0000000001e50' above 1e+50 in magnitude on line 2"),
+    (("0", "-inf", "1e51"), "has non-finite value '-inf' on line 3"),
+])
+def test_metrics_table_refuses_cells_beyond_the_magnitude_limit(tmp_path, cells, message):
+    # a column is read for numbers first, then for the first nan, infinite or huge cell
+    p = tmp_path / "m.csv"
+    p.write_text("sed\n" + "\n".join(cells) + "\n")
+    if message is None:
+        assert read_metrics_table(p, ("sed",), ids=False)["sed"].tolist() == [1e50, -1e50, 0.0]
+        return
+    with pytest.raises(MetricTableError) as exc:
+        read_metrics_table(p, ("sed",), ids=False)
+    assert str(exc.value) == f"column 'sed' {message}"
+
+
 def test_metrics_table_not_utf8_names_path_and_line(tmp_path):
     p = tmp_path / "m.csv"
     p.write_bytes(b"session_id,sed,sms,spa,ci,performance\ns1,0.1,0.2,0.3,0.4,5\n"

@@ -453,25 +453,32 @@ def test_mediation_names_the_argument_that_is_not_one_dimensional():
 
 # --- bulk resample indices ---------------------------------------------------------
 
-def spawned_indices(seed, start, count, n):
-    """Rows start .. start + count - 1 drawn from the spawned Philox streams one at a time."""
+def spawned_indices(seed, start, count, n, rows=None):
+    """Rows start .. start + count - 1, or those at the offsets `rows` among
+    them, drawn from the spawned Philox streams one at a time."""
     children = np.random.SeedSequence(seed).spawn(start + count)[start:]
-    return np.stack([np.random.Generator(np.random.Philox(c)).integers(0, n, size=n)
-                     for c in children])
+    return np.stack([np.random.Generator(np.random.Philox(children[r])).integers(0, n, size=n)
+                     for r in (range(count) if rows is None else rows)])
 
 
 # n = 1 draws nothing, odd n leaves half a uint64 over, 8 and 16 fill whole
 # 4-word Philox blocks and 9 and 17 start a new one; 2**32 - 1 is the largest
-# seed of one uint32 word, and start = 6553 begins inside a later block at n = 40.
+# seed of one uint32 word, and start = 6553 begins a second draw chunk at n = 40.
+# 6553 rows are a whole draw chunk at n = 40 (2**18 cells // 40), the size of the
+# Philox arrays the bootstrap runs on; of that draw the first, the last and every
+# 97th row are checked, which keeps the test short.
 @pytest.mark.parametrize("seed,start,count,n", [
     (0, 0, 5000, 40), (19, 0, 3000, 5), (7, 0, 2000, 123), (12345, 0, 1000, 2),
     (41, 0, 500, 7), (3, 0, 200, 9), (5, 0, 300, 1), (6, 0, 300, 8), (8, 0, 300, 16),
     (9, 0, 300, 17), (2**32 - 1, 0, 300, 40), (1, 6553, 300, 40), (77, 123456, 50, 33),
+    (23, 1000, 6553, 40),
 ])
 def test_resample_indices_match_spawned_streams(seed, start, count, n):
     idx, fallback = stats._resample_indices(seed, start, count, n)
-    assert idx.dtype == np.int64
-    assert np.array_equal(idx, spawned_indices(seed, start, count, n))
+    assert idx.dtype == np.int64 and idx.shape == (count, n)
+    rows = sorted({*range(0, count, 97), count - 1}) if count > 5000 else None
+    assert np.array_equal(idx if rows is None else idx[rows],
+                          spawned_indices(seed, start, count, n, rows))
     assert not fallback.any()
 
 
@@ -563,7 +570,10 @@ def test_mediations_match_loop_oracle_when_one_predictor_is_redrawn(monkeypatch,
 
 
 def test_mediations_match_loop_oracle_across_blocks(monkeypatch):
-    # at n = 40 a block holds 1638 resamples, so 6600 take five
+    # At n = 40 a draw chunk holds 6553 resamples (2**18 cells), so 6600 take two
+    # draws, each shared by the three predictors and mediated in slices of at most
+    # 1638 resamples (2**16 cells). One draw per chunk pays the fixed cost of
+    # hashing keys and running the Philox rounds once.
     rng = np.random.default_rng(59)
     n = 40
     xs = list(rng.uniform(0.2, 0.9, size=(3, n)))
@@ -578,9 +588,87 @@ def test_mediations_match_loop_oracle_across_blocks(monkeypatch):
 
     monkeypatch.setattr(stats, "_resample_indices", counted)
     results = bootstrap_mediation(xs, m, y, resamples=6600, seed=0)
-    assert blocks == [(0, 1638), (1638, 1638), (3276, 1638), (4914, 1638), (6552, 48)]
+    assert blocks == [(0, 6553), (6553, 47)]
     for x, res in zip(xs, results):
         assert boot_summary(res) == bootstrap_indirect_loop(x, m, y, 6600, 0)
+
+
+@pytest.mark.parametrize("n, resamples, draws", [
+    (400, 1400, [(0, 655), (655, 655), (1310, 90)]),
+    (2000, 300, [(0, 131), (131, 131), (262, 38)]),
+])
+def test_mediations_draw_within_the_chunk_and_mediate_within_the_slice(monkeypatch, n,
+                                                                          resamples, draws):
+    # Every draw holds at most _BOOT_DRAW_CELLS cells and every mediated slice at
+    # most _BOOT_BLOCK_CELLS (the three point estimates are slices of one row);
+    # the results are those of the one-resample-at-a-time loop.
+    rng = np.random.default_rng(n)
+    xs = list(rng.normal(size=(3, n)))
+    m = xs[0] + rng.normal(size=n)
+    y = m + rng.normal(size=n)
+    drawn, mediated = [], []
+    draw, mediate = stats._resample_indices, stats._mediation_paths
+
+    def counted_draw(seed, start, count, n):
+        drawn.append((start, count))
+        return draw(seed, start, count, n)
+
+    def counted_mediation(xc, mediator):
+        mediated.append(xc.shape)
+        return mediate(xc, mediator)
+
+    monkeypatch.setattr(stats, "_resample_indices", counted_draw)
+    monkeypatch.setattr(stats, "_mediation_paths", counted_mediation)
+    results = bootstrap_mediation(xs, m, y, resamples=resamples, seed=7)
+    assert drawn == draws
+    assert all(count * n <= stats._BOOT_DRAW_CELLS for _, count in drawn)
+    assert all(rows * cols <= stats._BOOT_BLOCK_CELLS and cols == n for rows, cols in mediated)
+    assert sum(rows for rows, _ in mediated) == 3 * (resamples + 1)
+    for x, res in zip(xs, results):
+        assert boot_summary(res) == bootstrap_indirect_loop(x, m, y, resamples, 7)
+
+
+def test_mediations_fail_in_a_later_slice_of_one_chunk_as_in_blocks_drawn_one_by_one(monkeypatch):
+    # Slices of 100 resamples at n = 12; all 300 resamples are one draw chunk. x0
+    # and x1 are 1 in one row each, so a resample that misses that row is
+    # degenerate and redrawn. x1's redraws fail from resample 20 on, in the first
+    # slice; x0's from 150 on, in the second. Slice by slice, as when each block
+    # of 100 was drawn on its own, x0 and then x1 redraw in the first slice, and
+    # x0 alone in the second until it fails: its error is raised, as the first
+    # predictor's in row order.
+    monkeypatch.setattr(stats, "_BOOT_BLOCK_CELLS", 1200)
+    n, rng = 12, np.random.default_rng(67)
+    xs = [np.r_[np.zeros(n - 1), 1.0], np.r_[1.0, np.zeros(n - 1)], rng.normal(size=n)]
+    m = xs[2] + rng.normal(size=n)
+    y = m + rng.normal(size=n)
+    fails_from = {0: 150, 1: 20}
+    drawn, redrawn = [], []
+    draw, redraw = stats._resample_indices, stats._redrawn_indirect
+
+    def counted_draw(seed, start, count, n):
+        drawn.append((start, count))
+        return draw(seed, start, count, n)
+
+    def failing_redraw(xv, mv, yv, seed, k):
+        i = next(i for i, x in enumerate(xs) if np.array_equal(x, xv))
+        redrawn.append((i, k))
+        if k >= fails_from[i]:
+            raise DegenerateDataError(f"x{i} fails at {k}")
+        return redraw(xv, mv, yv, seed, k)
+
+    monkeypatch.setattr(stats, "_resample_indices", counted_draw)
+    monkeypatch.setattr(stats, "_redrawn_indirect", failing_redraw)
+    idx = spawned_indices(0, 0, 300, n)
+    missed = [[k for k in range(300) if one not in idx[k]] for one in (n - 1, 0)]
+    k0 = next(k for k in missed[0] if k >= 150)
+    k1 = next(k for k in missed[1] if k >= 20)
+    assert k0 < 200 and k1 < 100
+    with pytest.raises(DegenerateDataError, match=f"^x0 fails at {k0}$"):
+        bootstrap_mediation(xs, m, y, resamples=300, seed=0)
+    assert drawn == [(0, 300)]
+    assert redrawn == ([(0, k) for k in missed[0] if k < 100]
+                       + [(1, k) for k in missed[1] if k <= k1]
+                       + [(0, k) for k in missed[0] if 100 <= k <= k0])
 
 
 def test_mediation_of_a_two_dimensional_x_gives_one_result_per_row():
