@@ -163,6 +163,34 @@ def _moving_average(values: np.ndarray, k: int) -> np.ndarray:
     return _segment_sums(values, lo, n) / n
 
 
+def _pair_distributions(counts: np.ndarray, window: int, a: np.ndarray,
+                        b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Units a[j] and b[j] of each window as distributions on the cells either visited.
+
+    `counts` is (window, unit, cell), one player per unit. Row (k, j) of both
+    (window, pair, cell) results lists the cells that unit a[j] or b[j]
+    visited in window k, in ascending cell order, then zeros. The occupancy
+    kernels read only a row's positive cells, in order, so each pair's JSD
+    rounds as it does on all of the session's cells.
+    """
+    n_windows, n_units, n_cols = counts.shape
+    seen = counts > 0
+    union = seen[:, a] | seen[:, b]
+    n = np.count_nonzero(union, axis=2).ravel()
+    width = n.max(initial=0)
+    # np.flatnonzero lists the visited cells by window, then pair, then
+    # ascending cell; `dest` is each one's place in its row of `width` cells
+    row, cell = np.divmod(np.flatnonzero(union), n_cols)
+    dest = np.repeat(np.arange(n.size) * width - (np.cumsum(n) - n), n) + np.arange(row.size)
+    first = np.arange(n_windows)[:, None] * n_units  # each window's unit 0
+    out = []
+    for unit in (a, b):
+        d = np.zeros(n.size * width)
+        d[dest] = counts.ravel()[(first + unit).ravel()[row] * n_cols + cell] / window
+        out.append(d.reshape(n_windows, a.size, width))
+    return out[0], out[1]
+
+
 def _occupancy_window_series(metric: SeriesMetric, idx: np.ndarray, unit: np.ndarray,
                              window: int) -> np.ndarray:
     """SED or SMS of every window of `window` ticks, all windows at once.
@@ -179,16 +207,20 @@ def _occupancy_window_series(metric: SeriesMetric, idx: np.ndarray, unit: np.nda
     size = (np.bincount(unit, minlength=n_units) * window)[:, None]  # samples per window
     a, b = np.triu_indices(n_units, k=1)  # unit pairs in itertools.combinations order
     n_windows = idx.shape[1] - window + 1
-    # a window's largest arrays: SED's (pair, side, cell) stack, the counts per (unit, cell)
-    block = max(1, _SERIES_BLOCK_CELLS // (2 * max(n_units, a.size) * n_cols))
+    # a window's largest arrays: SED's two distributions of each pair, on the
+    # cells either unit visited, at most 2 * pairs * cells entries; the counts
+    # per (unit, cell), and SMS's distributions over its two units, are no larger
+    block = max(1, _SERIES_BLOCK_CELLS // (2 * a.size * n_cols))
     vals = np.empty(n_windows)
     for k0 in range(0, n_windows, block):
         k1 = min(k0 + block, n_windows)
         counts = _window_counts(bins, n_units * n_cols, window, k0, k1)
-        p = counts.reshape(k1 - k0, n_units, n_cols) / size
+        counts = counts.reshape(k1 - k0, n_units, n_cols)
         if metric is SeriesMetric.SED:
-            vals[k0:k1] = jensen_shannon_divergence(p[:, a], p[:, b]).mean(axis=1)
+            p, q = _pair_distributions(counts, window, a, b)
+            vals[k0:k1] = jensen_shannon_divergence(p, q).mean(axis=1)
         else:
+            p = counts / size
             h = shannon_entropy(p)
             mask = p > 0
             vals[k0:k1] = (entropy_similarity(h[:, 0], h[:, 1])

@@ -6,9 +6,10 @@ base 2, so entropies are in bits and the Jensen-Shannon divergence is
 bounded by 1 exactly.
 
 The kernels work row-wise: a distribution is the last axis of an array, and
-any leading axes index a batch of them. Every sum over a row rounds like the
-1-D `.sum()` of that row's support in ascending cell order, so a batch gives
-each row's value bit for bit as if the row were computed alone.
+any leading axes index a batch of them. Every sum over a row runs over the
+row's support entries only, its positive cells in ascending cell order, and
+rounds like the 1-D `.sum()` of those entries, so a batch gives each row's
+value bit for bit as if the row were computed alone.
 """
 from __future__ import annotations
 
@@ -74,23 +75,26 @@ def _segment_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -
     matrix, and `.sum(axis=1)` reduces each row with the same pairwise
     summation as the 1-D `.sum()` of that row (tests pin this numpy
     property). `np.add.reduceat` would sum each segment sequentially instead.
+    One stable sort of the lengths puts each length's segments side by side.
     """
+    order = np.argsort(lengths, kind="stable")
+    ordered = lengths[order]
+    firsts = np.flatnonzero(np.diff(ordered, prepend=-1))
     out = np.empty(starts.size)
-    for n in np.unique(lengths):
-        rows = np.flatnonzero(lengths == n)
-        out[rows] = values[starts[rows, None] + np.arange(n)].sum(axis=1)
+    for lo, hi in zip(firsts.tolist(), [*firsts[1:].tolist(), ordered.size]):
+        rows = order[lo:hi]
+        out[rows] = values[starts[rows, None] + np.arange(ordered[lo])].sum(axis=1)
     return out
 
 
-def _row_sums_where(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Sum of each row's masked entries, rounded like the row's 1-D `.sum()`.
+def _row_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sum of each row's entries, rounded like the 1-D `.sum()` of that row.
 
-    `values` holds one value per True entry of `mask`, in row-major order,
-    as `x[mask]` gives them; rows run along the last axis.
+    `values` holds the rows end to end, in row-major order of `lengths`,
+    which gives each row's number of entries.
     """
-    lengths = mask.sum(axis=-1).ravel()
-    starts = np.cumsum(lengths) - lengths
-    return _segment_sums(values, starts, lengths).reshape(mask.shape[:-1])
+    n = lengths.ravel()
+    return _segment_sums(values, np.cumsum(n) - n, n).reshape(lengths.shape)
 
 
 def _distributions(p) -> np.ndarray:
@@ -118,7 +122,7 @@ def shannon_entropy(p) -> np.ndarray:
     p = _distributions(p)
     mask = p > 0
     pv = p[mask]
-    return (-_row_sums_where(mask, pv * np.log2(pv)))[()]
+    return (-_row_sums(pv * np.log2(pv), mask.sum(axis=-1)))[()]
 
 
 def jensen_shannon_divergence(p, q) -> np.ndarray:
@@ -129,12 +133,12 @@ def jensen_shannon_divergence(p, q) -> np.ndarray:
     """
     p, q = _distributions(p), _distributions(q)
     _same_shape(p, q)
-    x = np.stack([p, q], axis=-2)  # (..., side, cell)
-    m = np.broadcast_to((0.5 * (p + q))[..., None, :], x.shape)
-    mask = x > 0
-    xv = x[mask]
-    kl = _row_sums_where(mask, xv * np.log2(xv / m[mask]))
-    jsd = 0.5 * kl[..., 0] + 0.5 * kl[..., 1]
+    m = 0.5 * (p + q)
+    on_p, on_q = p > 0, q > 0
+    xv = np.concatenate([p[on_p], q[on_q]])  # the rows of p, then those of q
+    mv = np.concatenate([m[on_p], m[on_q]])
+    kl = _row_sums(xv * np.log2(xv / mv), np.stack([on_p.sum(axis=-1), on_q.sum(axis=-1)]))
+    jsd = 0.5 * kl[0] + 0.5 * kl[1]
     jsd = np.where(jsd > 0.0, jsd, 0.0)  # min(1.0, max(0.0, jsd)) with Python's tie rules
     return np.where(jsd < 1.0, jsd, 1.0)[()]
 

@@ -77,14 +77,15 @@ def collective_intelligence(session: TeamSession, map_meta: MapMeta) -> CIScore:
         distinct = int(np.unique(cell_indices(p, session.grid)).size)
         effort = min(1.0, distinct / map_meta.traversable_cells)
 
-        actions = p.samples["action"]  # indices into ACTIONS
-        role_acts = int(np.isin(actions, [ACTIONS.index(a) for a in ROLE_ACTIONS[p.role]]).sum())
+        actions = p.samples["action"]  # indices into ACTIONS; any other code is no action
+        known = actions[(actions >= 0) & (actions < len(ACTIONS))]
+        done = dict(zip(ACTIONS, np.bincount(known, minlength=len(ACTIONS)).tolist()))
+        role_acts = sum(done[a] for a in ROLE_ACTIONS[p.role])
         skill = min(1.0, role_acts / p.n_ticks) if p.n_ticks else 0.0
 
         completions = rescue_credits.get(p.player_id, 0)
         if p.role is Role.ENGINEER:
-            engineering = [ACTIONS.index(ActionTag.CLEAR), ACTIONS.index(ActionTag.OPEN)]
-            completions += int(np.isin(actions, engineering).sum())
+            completions += done[ActionTag.CLEAR] + done[ActionTag.OPEN]
         limit = map_meta.max_tasks.get(p.role, 0)
         if completions > limit:
             raise InconsistentMetadataError(

@@ -23,7 +23,7 @@ from teamcoord.metrics import (
 from teamcoord.sim import AgentPolicy, PolicyKind, builtin_map, run_mission
 from teamcoord.sim.maps import map_from_ascii
 
-from helpers import random_session, session_from_cells, traj
+from helpers import random_session, random_walk_cells, session_from_cells, traj
 from oracles import jsd_base2, moving_average_loop, window_series_loop
 from test_golden import EDGE_ART
 
@@ -334,6 +334,26 @@ def test_sed_sms_series_match_window_loop(map_name, kind):
                     got = metric_time_series(s, metric, window, smooth, coarsen=coarsen)
                     want = window_series_loop(s, metric, window, smooth, coarsen)
                     assert same_bits(got.values, want), (metric, window, coarsen, smooth)
+
+
+def test_sed_sms_series_match_window_loop_at_the_jsd_clip_edges():
+    rng = np.random.default_rng(35)
+    g = GridSpec(12, 12)
+    walk = random_walk_cells(rng, g, 40)
+    # two medics on identical cells: their pair's JSD is 0 in every window
+    twins = session_from_cells([walk, walk], [random_walk_cells(rng, g, 40) for _ in range(2)], g)
+    # each player in its own quadrant: every pair's JSD reaches the 1.0 clip
+    quadrants = [[(x % 6 + 6 * (q % 2), y % 6 + 6 * (q // 2)) for x, y in random_walk_cells(
+        rng, GridSpec(6, 6), 40)] for q in range(4)]
+    apart = session_from_cells(quadrants[:2], quadrants[2:], g)
+    for s in (twins, apart):
+        for metric in ("sed", "sms"):
+            for window in (2, s.n_ticks):
+                got = metric_time_series(s, metric, window, 1)
+                assert same_bits(got.values, window_series_loop(s, metric, window, 1)), metric
+    medics = dataclasses.replace(twins, players=twins.players[:2])
+    assert {v for _, v in metric_time_series(medics, "sed", 2, 1).values} == {0.0}
+    assert {v for _, v in metric_time_series(apart, "sed", 2, 1).values} == {1.0}
 
 
 @pytest.mark.parametrize("kind", ["random_walk", "greedy", "coordinated"])

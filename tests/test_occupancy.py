@@ -9,6 +9,7 @@ from teamcoord.occupancy import (
     EmptyDistributionError,
     EmptyInputError,
     GridMismatchError,
+    _segment_sums,
     _window_counts,
     cell_indices,
     coarsen_grid,
@@ -189,6 +190,18 @@ def test_batch_rows_equal_each_row_computed_alone():
             assert same_bits(h[i, j], shannon_entropy(pi)), (n, i, j)
             assert same_bits(e_s[i, j], entropy_similarity(h[i, j], h_q[i, j])), (n, i, j)
             assert same_bits(jac[i, j], jaccard_overlap(pi > 0, qi > 0)), (n, i, j)
+
+
+def test_segment_sums_round_like_each_1d_sum():
+    # lengths 0-300 in shuffled order: many distinct lengths, and lengths
+    # above 128, where numpy's pairwise sum splits a segment
+    rng = np.random.default_rng(35)
+    values = rng.standard_normal(5000) * 10.0 ** rng.uniform(-8, 8, 5000)
+    lengths = rng.permutation(np.concatenate([np.arange(301), rng.integers(0, 301, 200)]))
+    starts = rng.integers(0, values.size - lengths + 1)
+    got = _segment_sums(values, starts, lengths)
+    assert same_bits(got, [values[s:s + n].sum() for s, n in zip(starts, lengths)])
+    assert _segment_sums(values, starts[:0], lengths[:0]).shape == (0,)
 
 
 def test_jaccard_cases():

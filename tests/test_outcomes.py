@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from teamcoord.core import ActionTag, GridSpec, Position, RescueEvent, Role, TeamSession, VictimType
+from teamcoord.core import (ACTIONS, ActionTag, GridSpec, PlayerTrajectory, Position, RescueEvent, Role,
+                            TeamSession, VictimType)
 from teamcoord.outcomes import (
     InconsistentMetadataError,
     MapMeta,
@@ -105,6 +106,25 @@ def test_ci_engineer_counts_clears_and_opens():
     ci = collective_intelligence(s, meta())
     assert ci.per_player["engineer1"].task_strategy == pytest.approx(2 / 4)
     assert ci.per_player["engineer1"].skill == pytest.approx(2 / 4)
+
+
+def test_ci_ignores_action_codes_outside_the_action_list():
+    def coded(pid, role, codes):
+        return PlayerTrajectory(pid, role, [(i, 3.0 * i, 0, 0, c, 0, 0, False)
+                                            for i, c in enumerate(codes)])
+
+    rescue, clear, open_ = (ACTIONS.index(a) for a in (ActionTag.RESCUE, ActionTag.CLEAR,
+                                                       ActionTag.OPEN))
+    players = (
+        coded("medic1", Role.MEDIC, [-1, -5, 9, rescue, 9, -1, rescue, -5]),
+        coded("medic2", Role.MEDIC, [-5] * 8),
+        coded("engineer1", Role.ENGINEER, [9, clear, -5, open_, -1, rescue, 9, clear]),
+        coded("engineer2", Role.ENGINEER, [9] * 8),
+    )
+    ci = collective_intelligence(TeamSession("s", G, players), meta())
+    # what np.isin over the role's action codes counted: -1, -5 and 9 are no action
+    assert [c.skill for c in ci.per_player.values()] == [2 / 8, 0.0, 4 / 8, 0.0]
+    assert [c.task_strategy for c in ci.per_player.values()] == [0.0, 0.0, 3 / 4, 0.0]
 
 
 def test_ci_inconsistent_metadata_raises():
