@@ -7,13 +7,15 @@ of `map_from_cells`, the one place that builds and checks a `MapSpec`.
 
 A built-in map is built on its first use and then shared: `builtin_map` and
 `builtin_maps` return one `MapSpec` per name per process, whose
-`neighbor_lists` and `entity_bands` tables are made once. The spec is
-read-only (frozen, read-only arrays, tuple tables) and no mission writes to
-it. A map file (`read_map`) is read afresh on every call.
+`neighbor_lists` and `entity_bands` tables and packed planner masks are made
+once. The spec is read-only (frozen, read-only arrays, tuple tables, ints)
+and no mission writes to it. A map file (`read_map`) is read afresh on every
+call.
 """
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Iterable
 
 import numpy as np
@@ -50,7 +52,9 @@ def map_from_cells(name: str, grid: GridSpec, walls, doors, rubble, victims, sta
             problems.append(f"two victims share cell ({x}, {y})")
         elif c is not None:
             codes[c] = VICTIM_CODES[kind]
-    x, y = start  # a start outside the grid is -1, which `MapSpec.problems` reports
+    # a start outside the grid is -1, which `MapSpec.problems` reports; a numpy
+    # integer start becomes an int, as the planner shifts packed cell sets by it
+    x, y = map(operator.index, start)
     spec = MapSpec(name, grid, *masks, codes, y * grid.width + x if grid.contains(x, y) else -1,
                    **fields)
     raise_map_problems(name, problems + spec.problems())

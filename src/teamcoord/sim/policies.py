@@ -21,7 +21,7 @@ from ..core import (ACTIONS, MAX_TICKS, SAMPLE, SAMPLE_INTERVAL_S, ActionTag, Co
                     validate_session)
 from .world import (_GREEN, _RED, _YELLOW, AgentAction, AgentState, MapSpec, WAIT_ACTION,
                     WorldState, _rescuers, _terrain_action, initial_state, map_meta,
-                    raise_map_problems, step_resolved)
+                    pack_cells, raise_map_problems, step_resolved)
 
 
 class PolicyKind(ValueEnum):
@@ -62,72 +62,91 @@ class AgentPolicy:
 class BfsField:
     """Lazy breadth-first search from one cell, one distance level at a time.
 
-    It steps along `neighbors` (non-wall, as in `MapSpec.neighbor_lists`)
-    and never enters a cell set in the bytes-like `blocked` mask. Cells are
-    reached in FIFO flood-fill order, so `first` (first step of a shortest
-    path, -1 at the start and where not reached) agrees with the full fill
-    wherever it is set. `levels[d]` lists the cells at distance d in that
-    order; level 0 is the start and an empty last level means the search is
-    exhausted. Queries expand only as many levels as they need.
+    Cell sets are packed ints, bit c set for cell c (`pack_cells`). The
+    search steps between 4-neighbours of `spec`'s non-wall cells
+    (`MapSpec.open_cells`) and never enters a cell of `blocked`. `levels[d]`
+    is the set at distance d: level 0 is the start, and a last level of 0
+    means the search is exhausted. The next level is the last one spread
+    one cell each way, masked by `MapSpec.inner_columns` so that no east or
+    west step wraps a row, and kept where still `unreached`. A level thus
+    costs a few operations on ints of n_cells bits, however many cells it
+    holds. Queries expand only as many levels as they need.
 
-    An exhausted field has reached whole components of the graph of the
-    non-wall cells not blocked: the start's, or those of its neighbours if
-    the start is blocked. A field from any cell of them reaches only cells
-    of them, which lets `Controller` answer "no reachable goal" unflooded.
+    `free` is the set the search may enter. An exhausted field has reached
+    `free ^ unreached`, which is whole components of the graph of the cells
+    in `free`: the start's, or those of its neighbours if the start is
+    blocked (the start is then left out). A field from any cell of them
+    reaches only cells of them, which lets `Controller` answer "no reachable
+    goal" unflooded.
     """
 
-    def __init__(self, neighbors, blocked, start: int):
-        self.neighbors, self.seen = neighbors, bytearray(blocked)
-        self.seen[start] = 1  # reached or blocked: never enqueued again
-        self.first = [-1] * len(blocked)
-        self.levels = [[start]]
+    def __init__(self, spec: MapSpec, blocked: int, start: int):
+        self.spec, self.start = spec, start
+        self.free = spec.open_cells & ~blocked
+        self.unreached = self.free & ~(1 << start)
+        self.levels = [1 << start]
 
-    def _grow(self) -> list[int]:
+    def _grow(self) -> int:
         """Expand the level after the last one, append it to `levels` and
-        return it; call only while the last level is not empty."""
-        neighbors, seen, first = self.neighbors, self.seen, self.first
-        level = []
-        for c in self.levels[-1]:
-            step = first[c]
-            for nb in neighbors[c]:
-                if not seen[nb]:
-                    seen[nb] = 1
-                    first[nb] = step
-                    level.append(nb)
-        if len(self.levels) == 1:  # the start's neighbours are their own first steps
-            for nb in level:
-                first[nb] = nb
+        return it; call only while the last level is not 0."""
+        last, w = self.levels[-1], self.spec.grid.width
+        east, west = self.spec.inner_columns
+        level = ((last << 1 & east) | (last >> 1 & west) | last << w | last >> w) & self.unreached
+        self.unreached ^= level
         self.levels.append(level)
         return level
 
-    def nearest(self, goals) -> int | None:
-        """The reachable goal cell of least (distance, cell index), or None;
-        `goals` is a bytes-like per-cell mask, 1 at the goal cells."""
-        if 1 in goals:
-            levels = self.levels
-            for level in levels:  # the loop runs on into the levels `_grow` appends
-                hits = [c for c in level if goals[c]]
-                if hits:
-                    return min(hits)
-                if level is levels[-1] and level:
-                    self._grow()
+    def nearest(self, goals: int) -> int | None:
+        """The reachable cell of the packed `goals` of least (distance, cell
+        index), or None: the lowest bit of the first level that meets them."""
+        if not goals:
+            return None
+        levels, d = self.levels, 0
+        while levels[d]:
+            hits = levels[d] & goals
+            if hits:
+                return (hits & -hits).bit_length() - 1
+            d += 1
+            if d == len(levels):
+                self._grow()
         return None
 
     def first_step(self, cell: int) -> int | None:
-        """First cell of a shortest path to `cell`; None if `cell` is the
-        start or unreachable. Expands levels up to the one holding `cell`."""
-        first, levels = self.first, self.levels
-        if cell != levels[0][0]:  # the start's `first` stays -1
-            while first[cell] < 0 and levels[-1]:
+        """First cell of a shortest path to `cell`, as the FIFO flood fill
+        finds it; None if `cell` is the start or unreachable. Expands levels
+        up to the one holding `cell`.
+
+        From `cell` at distance d it walks back through levels d - 1 .. 1,
+        keeping the cells of each that lie on a shortest path to `cell`, and
+        returns the first of the start's neighbours, in `MapSpec`'s N, E, S,
+        W order, left among them. The FIFO fill lists each level grouped by
+        first step in that order, so it gives each cell that same step."""
+        if cell == self.start:
+            return None
+        levels, bit, d = self.levels, 1 << cell, 1
+        while True:
+            if d == len(levels):
+                if not levels[-1]:
+                    return None
                 self._grow()
-        return None if first[cell] < 0 else first[cell]
+            if levels[d] & bit:
+                break
+            d += 1
+        w = self.spec.grid.width
+        east, west = self.spec.inner_columns
+        for level in levels[d - 1:0:-1]:
+            bit = ((bit << 1 & east) | (bit >> 1 & west) | bit << w | bit >> w) & level
+        return next(nb for nb in self.spec.neighbor_lists[self.start] if bit >> nb & 1)
 
 
 class Controller:
     """Per-agent runtime state: FOV memory plus the decision rule.
 
-    Cells are row-major int indices. `unseen` is the one whole-map knowledge
-    array, a bool mask of the cells never in view. What the agent knows of
+    Cells are row-major int indices, and every whole-map cell set it plans
+    with is a packed int, bit c set for cell c (`pack_cells`): `unseen`, the
+    non-wall cells never in view, which `observe` clears a field of view from
+    with a few int operations on `MapSpec.view_column`; the known-blocked
+    set; the goals; and the component memo below. What the agent knows of
     the entities is held for their few cells only: `known_victims` maps a
     cell to its last seen `VICTIM_CODES` value (no key: no victim seen), and
     `known_rubble` and `known_doors` are the sets of cells last seen holding
@@ -137,22 +156,19 @@ class Controller:
     A decision walks those few cells for its targets, and reads the
     `WorldState` bytes for the cells next to the agent. It plans on one lazy
     `BfsField` from the agent's cell, which expands only the distance levels
-    its queries need and never enters walls or known rubble and doors; the
-    blocked bytes it starts from are rebuilt only after `observe` changed
-    the known rubble or doors. Goals are per-cell byte masks (a bool mask's
-    `tobytes()`, or a `bytearray` filled from a few target cells); the one
+    its queries need, at a few int operations per level, and never enters
+    walls or known rubble and doors; the blocked set it starts from is
+    rebuilt only after `observe` changed the known rubble or doors. The goal
     with the smallest (BFS distance, cell index) among the reachable goals
     wins, which is the (distance, y, x) order and keeps runs reproducible.
 
     `_component` memoises the cells reached by the last `_field` that
-    `_move_toward` or a patrol waypoint searched to exhaustion, as an int
-    with bit 8 * c set for cell c (`int.from_bytes` of a byte mask,
-    little-endian); 0 is none. They are whole components (see `BfsField`),
-    so from a start among them a goal mask that shares no bit with them has
-    no reachable goal, and `_move_toward` answers None without a flood; a
-    patrol waypoint outside them is skipped the same way. That holds while
-    the blocked bytes stay the same, so the memo is cleared whenever they
-    are rebuilt.
+    `_move_toward` or a patrol waypoint searched to exhaustion; 0 is none.
+    They are whole components (see `BfsField`), so from a start among them a
+    goal set that shares no cell with them has no reachable goal, and
+    `_move_toward` answers None without a flood; a patrol waypoint outside
+    them is skipped the same way. That holds while the blocked set stays the
+    same, so the memo is cleared whenever it is rebuilt.
 
     A subclass defines `_decide`, or overrides `act` itself.
     """
@@ -165,13 +181,11 @@ class Controller:
         self.index = index
         self.rng = rng
         self.params = {**POLICY_PARAMS, **params}
-        self.unseen = ~spec.wall_mask
-        # a 2-D view of `unseen`, which `observe` clears the field of view through
-        self._unseen_2d = self.unseen.reshape(self.grid.height, self.grid.width)
+        self.unseen = spec.open_cells
         self.known_victims: dict[int, int] = {}
         self.known_rubble: set[int] = set()
         self.known_doors: set[int] = set()
-        self._blocked: bytes | None = None  # known rubble and doors per cell; None: stale
+        self._blocked: int | None = None  # the known rubble and doors, packed; None: stale
         self._component = 0  # the reached cells of the last exhausted field, as above
 
     # -- perception --------------------------------------------------------
@@ -179,7 +193,11 @@ class Controller:
     def observe(self, state: WorldState):
         w, r = self.grid.width, self.spec.fov_radius
         y, x = divmod(state.agents[self.index].cell, w)
-        self._unseen_2d[max(y - r, 0):y + r + 1, max(x - r, 0):x + r + 1] = False
+        # the view's columns in every row of `view_column`, its top row moved to y - r
+        left = max(x - r, 0)
+        view = self.spec.view_column * ((1 << min(x + r, w - 1) - left + 1) - 1 << left)
+        top = (y - min(r, self.grid.height)) * w
+        self.unseen &= ~(view << top if top >= 0 else view >> -top)
         victims, rubble, doors = state.victim_codes, state.rubble_mask, state.door_mask
         known_victims, known_rubble, known_doors = (
             self.known_victims, self.known_rubble, self.known_doors)
@@ -201,12 +219,11 @@ class Controller:
         """A lazy BFS from `me` over the cells not known to be blocked; one
         per decision, shared by every query that decision makes."""
         if self._blocked is None:
-            blocked = bytearray(self.grid.n_cells)
+            self._blocked = 0
             for c in (*self.known_rubble, *self.known_doors):
-                blocked[c] = 1
-            self._blocked = bytes(blocked)
+                self._blocked |= 1 << c
             self._component = 0
-        return BfsField(self.spec.neighbor_lists, self._blocked, me)
+        return BfsField(self.spec, self._blocked, me)
 
     def _step_toward(self, cell: int, field: BfsField) -> AgentAction | None:
         """First move of a shortest path to `cell`; None if unreachable or already there."""
@@ -217,13 +234,13 @@ class Controller:
         """Memoise the cells `field` reached if it is exhausted, as they are
         whole components; called after a query on it found nothing."""
         if not field.levels[-1]:
-            self._component = (int.from_bytes(field.seen, "little")
-                               ^ int.from_bytes(self._blocked, "little"))
+            self._component = field.free ^ field.unreached
 
-    def _move_toward(self, goals, field: BfsField) -> AgentAction | None:
-        """Step toward the nearest reachable goal cell, ties to the lowest index."""
-        start, component = field.levels[0][0], self._component
-        if component >> 8 * start & 1 and not int.from_bytes(goals, "little") & component:
+    def _move_toward(self, goals: int, field: BfsField) -> AgentAction | None:
+        """Step toward the nearest reachable cell of the packed `goals`, ties
+        to the lowest index."""
+        component = self._component
+        if component >> field.start & 1 and not goals & component:
             return None  # no goal in the start's component
         cell = field.nearest(goals)
         if cell is not None:
@@ -238,10 +255,10 @@ class Controller:
         """
         if not targets:
             return None
-        goals = bytearray(self.grid.n_cells)
+        goals = 0
         for t in targets:
             for nb in self.spec.neighbor_lists[t]:
-                goals[nb] = 1
+                goals |= 1 << nb
         return self._move_toward(goals, field)
 
     def _serviceable(self) -> list[int]:
@@ -333,7 +350,7 @@ class GreedyRescuerController(Controller):
 
         field = self._field(me)
         return (self._approach(self._serviceable() + reds, field)
-                or self._move_toward(self.unseen.tobytes(), field)
+                or self._move_toward(self.unseen, field)
                 or self._random_move(me))
 
 
@@ -356,9 +373,8 @@ class CoordinatedSpecialistController(Controller):
         ys, xs = np.divmod(np.arange(g.n_cells), g.width)
         pair_sector = ys < g.height // 2 if pair == 0 else ys >= g.height // 2
         role_half = xs < g.width // 2 if role is Role.MEDIC else xs >= g.width // 2
-        self.quadrant = pair_sector & role_half
-        # one byte per cell, read at a few cells or passed whole as BFS goals
-        self.pair_sector, self.role_half = pair_sector.tobytes(), role_half.tobytes()
+        self.quadrant, self.pair_sector, self.role_half = (
+            pack_cells(m) for m in (pair_sector & role_half, pair_sector, role_half))
         # corners of the own quadrant, patrolled clockwise once it is explored
         cx = (1, g.width // 2 - 2) if role is Role.MEDIC else (g.width // 2 + 1, g.width - 2)
         cy = (1, g.height // 2 - 2) if pair == 0 else (g.height // 2 + 1, g.height - 2)
@@ -421,7 +437,8 @@ class CoordinatedSpecialistController(Controller):
             return act
         if any(nb in reds for nb in around):
             return WAIT_ACTION  # park beside an unclaimed red and flag it for the medics
-        service = [c for c in (*self.known_rubble, *self.known_doors) if self.pair_sector[c]]
+        service = [c for c in (*self.known_rubble, *self.known_doors)
+                   if self.pair_sector >> c & 1]
         return (self._approach(reds, field)
                 or self._approach(service, field)
                 or self._sweep_own_quadrant(me, field))
@@ -431,14 +448,14 @@ class CoordinatedSpecialistController(Controller):
     def _sweep_own_quadrant(self, me: int, field: BfsField) -> AgentAction:
         """Explore the unseen parts of the own role/pair quadrant, then
         cycle its corners; never wander into teammate territory."""
-        act = self._move_toward((self.unseen & self.quadrant).tobytes(), field)
+        act = self._move_toward(self.unseen & self.quadrant, field)
         if act is not None:
             return act
-        start, component = field.levels[0][0], self._component
+        start, component = field.start, self._component
         for _ in self.waypoints:
             cell = self.waypoints[self.waypoint % len(self.waypoints)]
             # a waypoint outside the start's memoised component is unreachable
-            if not component >> 8 * start & 1 or component >> 8 * cell & 1:
+            if not component >> start & 1 or component >> cell & 1:
                 act = self._step_toward(cell, field)
                 if act is not None:
                     return act
@@ -453,7 +470,8 @@ class CoordinatedSpecialistController(Controller):
         return (self._adjacent_rescue(state, me)
                 or self._adjacent_engineering(state, me)
                 or self._move_toward(self.role_half, field)
-                or self._approach([c for c in self._serviceable() if self.role_half[c]], field)
+                or self._approach([c for c in self._serviceable() if self.role_half >> c & 1],
+                                  field)
                 or self._sweep_own_quadrant(me, field))
 
 

@@ -58,6 +58,12 @@ def raise_map_problems(name: str, problems: list[str]) -> None:
         raise InvalidMapError(f"map {name!r}: " + "; ".join(problems))
 
 
+def pack_cells(mask: np.ndarray) -> int:
+    """A per-cell bool mask as one int, bit c set for row-major cell c: the
+    planner's form of a cell set."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
 @dataclass(frozen=True, eq=False)
 class MapSpec:
     """Static world: walls, doors, rubble, victims and the mission's `MissionClock`.
@@ -66,7 +72,8 @@ class MapSpec:
     bools (`wall_mask`, `door_mask`, `rubble_mask`) and of int8 `VICTIM_CODES`,
     and the common `start` cell. `maps.map_from_cells` and `map_from_ascii` build
     one. Rubble blocks both movement and the rescue of the yellow victim under
-    it; closed doors block movement until an engineer opens them.
+    it; closed doors block movement until an engineer opens them. The tables
+    and packed masks the controllers plan with are made on first use.
     """
 
     name: str
@@ -139,6 +146,27 @@ class MapSpec:
         cells = cells.tolist()
         return tuple(tuple(cells[row_starts[max(y - r, 0)]:row_starts[min(y + r + 1, h)]])
                      for y in range(h))
+
+    @cached_property
+    def open_cells(self) -> int:
+        """The non-wall cells, packed as by `pack_cells`."""
+        return pack_cells(~self.wall_mask)
+
+    @cached_property
+    def inner_columns(self) -> tuple[int, int]:
+        """The packed cells outside the first grid column, and those outside
+        the last: a set shifted one cell east or west and masked by them does
+        not wrap onto the next or the previous row."""
+        xs = np.arange(self.grid.n_cells) % self.grid.width
+        return pack_cells(xs != 0), pack_cells(xs != self.grid.width - 1)
+
+    @cached_property
+    def view_column(self) -> int:
+        """Bit k * width set for k in 0 .. 2 * min(fov_radius, height): the
+        rows of a field of view, at column 0 and from its top row. A radius
+        over the height sees every row, as the height itself does."""
+        w, rows = self.grid.width, 2 * min(self.fov_radius, self.grid.height) + 1
+        return ((1 << rows * w) - 1) // ((1 << w) - 1)
 
 
 def map_meta(spec: MapSpec) -> MapMeta:

@@ -34,7 +34,7 @@ from teamcoord.sim import (
 )
 from teamcoord.sim.policies import BfsField, PolicyParamError, build_controllers
 from teamcoord.sim.maps import MAX_MAP_CELLS
-from teamcoord.sim.world import VICTIM_CODES
+from teamcoord.sim.world import VICTIM_CODES, pack_cells
 
 from oracles import (
     MaskKnowledge,
@@ -823,10 +823,10 @@ def _oracle_nearest(goals, dist):
     return min(reachable, key=lambda c: (dist[c], c)) if reachable else None
 
 
-def _sparse_goals(n, cells):
-    goals = bytearray(n)
+def _sparse_goals(cells):
+    goals = 0
     for c in cells:
-        goals[c] = 1
+        goals |= 1 << c
     return goals
 
 
@@ -840,19 +840,30 @@ def _oracle_approach(full, dist, first, targets):
     return None if goal is None or dist[goal] == 0 else AgentAction(ActionTag.MOVE, first[goal])
 
 
+def _cells(packed):
+    """The cells of a packed cell set, in ascending order."""
+    return [c for c, bit in enumerate(bin(packed)[:1:-1]) if bit == "1"]
+
+
 def _level_dist(field, n):
-    """Each cell's distance, its index in `field.levels`; -1 where not reached."""
+    """Each cell's distance, the index of the level in `field.levels` that
+    holds it; -1 where not reached."""
     dist = [-1] * n
     for d, level in enumerate(field.levels):
-        for c in level:
+        for c in _cells(level):
             dist[c] = d
     return dist
+
+
+def _first_steps(field, n):
+    """`field.first_step` of every cell, -1 for None, as the oracle's `first`."""
+    return [-1 if step is None else step for step in map(field.first_step, range(n))]
 
 
 def _assert_reached_cells_match(field, dist, first):
     for c, d in enumerate(_level_dist(field, len(dist))):
         if d >= 0:
-            assert (d, field.first[c]) == (dist[c], first[c])
+            assert (d, field.first_step(c)) == (dist[c], first[c] if d else None)
 
 
 EDGE_MAP = map_from_ascii("edge", EDGE_ART)
@@ -884,25 +895,25 @@ def test_bfs_field_matches_full_fill_oracle(mapname):
         walled = (blocked | spec.wall_mask).tolist()
         walled[start] = False
         dist, first = bfs_field(full, walled, start)
-        field = BfsField(spec.neighbor_lists, blocked.tobytes(), start)
+        field = BfsField(spec, pack_cells(blocked), start)
         for _ in range(6):
             if rng.random() < 0.5:
                 goals = rng.random(n) < rng.choice([0.003, 0.03, 0.3])
                 want = _oracle_nearest(goals, dist)
                 if rng.random() < 0.5:
-                    assert field.nearest(goals.tobytes()) == want
+                    assert field.nearest(pack_cells(goals)) == want
                 else:
-                    assert field.nearest(_sparse_goals(n, np.flatnonzero(goals).tolist())) == want
+                    assert field.nearest(_sparse_goals(np.flatnonzero(goals).tolist())) == want
             else:
                 c = int(rng.integers(n))
                 expanded = len(field.levels) - 1
                 assert field.first_step(c) == (first[c] if dist[c] > 0 else None)
-                assert field.first[c] == first[c]
+                assert _level_dist(field, n)[c] == dist[c]
                 if dist[c] < 0:  # searched to exhaustion
-                    assert field.levels[-1] == []
+                    assert field.levels[-1] == 0
                 else:  # up to the level holding c, and no further
                     assert len(field.levels) - 1 == max(expanded, dist[c])
-                    assert c in field.levels[dist[c]]
+                    assert field.levels[dist[c]] >> c & 1
         _assert_reached_cells_match(field, dist, first)
 
 
@@ -915,20 +926,21 @@ def test_bfs_field_edge_cases():
     sealed = np.array([dist[c] < 0 and not blocked[c] for c in range(n)])
     assert sealed.any()
 
-    field = BfsField(spec.neighbor_lists, bytes(blocked), start)
-    assert field.nearest(bytes(n)) is None
+    field = BfsField(spec, pack_cells(np.array(blocked)), start)
+    assert field.nearest(0) is None
     on_start = np.zeros(n, dtype=bool)
     on_start[[start, n - 2]] = True
-    assert field.nearest(on_start.tobytes()) == start
-    assert field.first_step(start) is None and field.first[start] == -1
-    assert field.nearest(sealed.tobytes()) is None  # only unreachable goals: searched to exhaustion
-    assert field.levels[-1] == []
-    assert field.nearest(bytes(blocked)) is None  # blocked cells are never reached
+    assert field.nearest(pack_cells(on_start)) == start
+    assert field.first_step(start) is None and field.levels == [1 << start]
+    # only unreachable goals: searched to exhaustion
+    assert field.nearest(pack_cells(sealed)) is None
+    assert field.levels[-1] == 0
+    assert field.nearest(pack_cells(np.array(blocked))) is None  # blocked cells are never reached
     assert field.first_step(int(np.flatnonzero(sealed)[0])) is None
-    assert _level_dist(field, n) == dist and field.first == first
+    assert _level_dist(field, n) == dist and _first_steps(field, n) == first
 
     ctrl = build_controllers(policy_team(PolicyKind.GREEDY), spec, seed=0)[0]
-    assert ctrl._move_toward(on_start.tobytes(), ctrl._field(start)) is None  # already there
+    assert ctrl._move_toward(pack_cells(on_start), ctrl._field(start)) is None  # already there
 
 
 def test_bfs_field_expands_only_the_levels_a_query_needs():
@@ -939,15 +951,86 @@ def test_bfs_field_expands_only_the_levels_a_query_needs():
     start = spec.start
     field = ctrl._field(start)
     assert isinstance(field, BfsField)
-    assert field.nearest(np.zeros(n, dtype=bool).tobytes()) is None
+    assert field.nearest(pack_cells(np.zeros(n, dtype=bool))) is None
     assert len(field.levels) - 1 == 0
 
     nb = next(c for c in spec.neighbor_lists[start] if not spec.wall_mask[c])
     goals = np.zeros(n, dtype=bool)
     goals[[nb, n - 1]] = True
-    assert field.nearest(goals.tobytes()) == nb
+    assert field.nearest(pack_cells(goals)) == nb
     assert len(field.levels) - 1 <= 1
     assert field.first_step(nb) == nb and len(field.levels) - 1 <= 1
+
+
+def _serpentine_art(size):
+    """A `size` x `size` maze of open rows, joined at alternate ends."""
+    rows = ["." * size if y % 2 == 0 else "#" * (size - 1) + "." if y % 4 == 1
+            else "." + "#" * (size - 1) for y in range(size)]
+    return "\n".join(["S" + rows[0][1:], *rows[1:]])
+
+
+def _generated_map(size, seed):
+    """A `size` x `size` map of random floor, walls, closed doors and rubble,
+    its start cell given as numpy integers."""
+    rng = np.random.default_rng(seed)
+    tiles = rng.choice(4, size=(size, size), p=[0.6, 0.25, 0.05, 0.1])
+    walls, doors, rubble, floor = ([(x, y) for y, x in zip(*np.nonzero(tiles == k))]
+                                   for k in (1, 2, 3, 0))
+    return map_from_cells(f"generated{size}", GridSpec(size, size), walls, doors, rubble,
+                          [], floor[0])
+
+
+# an east step from the last column must not land on the next row's first
+# cell, nor a west step from the first column on the last row's last cell
+NO_BORDER_ART = """\
+S.....
+#####.
+......
+.#####
+......
+#####.
+"""
+# on an odd width the cells either side of a row break can lie on adjacent
+# levels, so the walk back must mask its steps too: unmasked, it would step
+# from (4, 0) east onto (0, 1) and give (4, 0), reached only through E, the
+# step N, and from (0, 4) west onto (4, 3) and give (0, 4) the step E, not S
+ODD_WIDTH_ART = """\
+.##..
+...#.
+..S..
+...#.
+.....
+"""
+SHIFT_MAPS = [
+    map_from_ascii("no-border", NO_BORDER_ART),
+    map_from_ascii("odd-width", ODD_WIDTH_ART),
+    map_from_ascii("row", "..D..S..*..g."),
+    map_from_ascii("column", "\n".join("..D..S..*..g.")),
+    map_from_ascii("serpentine41", _serpentine_art(41)),
+    _generated_map(60, seed=5),
+]
+
+
+@pytest.mark.parametrize("spec", SHIFT_MAPS, ids=lambda spec: spec.name)
+def test_bfs_field_shifts_and_walk_back_match_full_fill_oracle(spec):
+    # with the map's doors and rubble blocked and with nothing blocked, from
+    # the start and another open cell: each cell as the one goal, and the
+    # first step to each cell, against the full fill
+    g = spec.grid
+    n = g.n_cells
+    full = grid_neighbors(g.width, g.height)
+    rng = np.random.default_rng(11)
+    for blocked in (spec.door_mask | spec.rubble_mask, np.zeros(n, dtype=bool)):
+        other = int(rng.choice(np.flatnonzero(~spec.wall_mask & ~blocked)))
+        for start in (spec.start, other):
+            dist, first = bfs_field(full, (blocked | spec.wall_mask).tolist(), start)
+            field = BfsField(spec, pack_cells(blocked), start)
+            assert [field.nearest(1 << c) for c in range(n)] == [
+                c if d >= 0 else None for c, d in enumerate(dist)]
+            goals = rng.random(n) < 0.05
+            assert field.nearest(pack_cells(goals)) == _oracle_nearest(goals, dist)
+            assert _first_steps(field, n) == first
+            assert _level_dist(field, n) == dist
 
 
 @pytest.mark.parametrize("spec", PLANNING_MAPS, ids=lambda spec: spec.name)
@@ -975,9 +1058,9 @@ def test_controller_planning_matches_full_fill_oracle(spec, kind):
 
             field = ctrl._field(start)
             dense = rng.random(n) < rng.choice([0.01, 0.1])
-            assert field.nearest(dense.tobytes()) == _oracle_nearest(dense, dist)
+            assert field.nearest(pack_cells(dense)) == _oracle_nearest(dense, dist)
             cells = rng.choice(n, size=int(rng.integers(1, 6)), replace=False).tolist()
-            assert field.nearest(_sparse_goals(n, cells)) == _oracle_nearest(
+            assert field.nearest(_sparse_goals(cells)) == _oracle_nearest(
                 np.isin(np.arange(n), cells), dist)
             _assert_reached_cells_match(field, dist, first)
 
@@ -987,7 +1070,7 @@ def test_controller_planning_matches_full_fill_oracle(spec, kind):
             exhausted = ctrl._field(start)
             while exhausted.levels[-1]:
                 exhausted._grow()
-            assert _level_dist(exhausted, n) == dist and exhausted.first == first
+            assert _level_dist(exhausted, n) == dist and _first_steps(exhausted, n) == first
 
 
 @pytest.mark.parametrize("spec", PLANNING_MAPS, ids=lambda spec: spec.name)
@@ -1019,7 +1102,7 @@ def test_controller_component_memo_matches_full_fill_oracle(spec):
             continue
         targets = rng.choice(sealed, size=min(3, len(sealed)), replace=False).tolist()
         field = ctrl._field(start)
-        assert ctrl._approach(targets, field) is None and field.levels[-1] == []
+        assert ctrl._approach(targets, field) is None and field.levels[-1] == 0
         exhausted += 1
 
         # the same component: no flood, and a reachable target still wins
@@ -1069,7 +1152,7 @@ def test_patrol_waypoint_skip_matches_full_fill_oracle(spec):
     exhausted = skipped = 0
     for case in range(40):
         ctrl = ctrls[case % len(ctrls)]
-        ctrl.unseen[:] = False  # nothing left to explore: the sweep patrols
+        ctrl.unseen = 0  # nothing left to explore: the sweep patrols
         density = (0.1, 0.25, 0.4)[case % 3]
         rubble = (rng.random(n) < density) & ~spec.wall_mask
         doors = (rng.random(n) < density / 2) & ~spec.wall_mask
@@ -1085,7 +1168,7 @@ def test_patrol_waypoint_skip_matches_full_fill_oracle(spec):
             hit = next((k for k, w in enumerate(order) if dist[w] > 0), None)
             waypoint = ctrl.waypoint
             field = ctrl._field(start)
-            memo_had_start = ctrl._component >> 8 * start & 1
+            memo_had_start = ctrl._component >> start & 1
             act = ctrl._sweep_own_quadrant(start, field)
             if hit is None:
                 assert ctrl.waypoint == waypoint + len(order) and act.kind is ActionTag.MOVE
@@ -1093,7 +1176,7 @@ def test_patrol_waypoint_skip_matches_full_fill_oracle(spec):
                     assert len(field.levels) == 1  # every waypoint skipped unflooded
                     skipped += 1
                 elif set(order) != {start}:
-                    assert field.levels[-1] == [] and ctrl._component >> 8 * start & 1
+                    assert field.levels[-1] == 0 and ctrl._component >> start & 1
                     exhausted += 1
             else:
                 assert ctrl.waypoint == waypoint + hit
@@ -1103,20 +1186,25 @@ def test_patrol_waypoint_skip_matches_full_fill_oracle(spec):
 
 
 def _knowledge_maps():
-    """The built-in maps at their own field of view, at radius 1 and at a radius
-    larger than the grid, and the edge map at the radii of its golden pins."""
+    """The built-in maps at their own field of view, at radius 1, at a radius
+    over the height (on the corridor, under the width) and at a radius larger
+    than the grid, and the edge map at the radii of its golden pins."""
     for spec in builtin_maps():
-        for r in (spec.fov_radius, 1, max(spec.grid.width, spec.grid.height) + 1):
+        g = spec.grid
+        for r in dict.fromkeys((spec.fov_radius, 1, g.height + 1, max(g.width, g.height) + 1)):
             yield replace(spec, name=f"{spec.name}-fov{r}", fov_radius=r)
     for r in (1, 2, 5):
         yield map_from_ascii(f"edge-fov{r}", EDGE_ART, fov_radius=r)
+    # one row, its start on the first row and a radius over the height
+    yield map_from_ascii("row-fov2", "..D..S..*..y.", fov_radius=2)
 
 
 @pytest.mark.parametrize("spec", list(_knowledge_maps()), ids=lambda spec: spec.name)
 @pytest.mark.parametrize("kind", [PolicyKind.GREEDY, PolicyKind.COORDINATED])
 def test_controller_knowledge_matches_mask_observe(spec, kind):
-    # after every observe of a mission, the entity-cell knowledge, the serviceable
-    # targets and the field's blocked bytes equal the whole-map mask form's
+    # after every observe of a mission, the packed unseen cells, the entity-cell
+    # knowledge, the serviceable targets and the cells a fresh field may still
+    # reach equal the whole-map mask form's
     team = policy_team(kind, dither=0.2)
     agents = tuple(AgentState(f"{role.value}{i}", role, spec.start)
                    for i, (role, _) in enumerate(team))
@@ -1130,16 +1218,16 @@ def test_controller_knowledge_matches_mask_observe(spec, kind):
             ctrl.observe(state)
             me = state.agents[ctrl.index].cell
             ref.observe(state, me)
-            assert np.array_equal(ctrl.unseen, ref.unseen)
+            assert ctrl.unseen == pack_cells(ref.unseen)
             codes = np.flatnonzero(ref.victims).tolist()
             assert ctrl.known_victims == dict(zip(codes, ref.victims[codes].tolist()))
             assert ctrl.known_rubble == set(np.flatnonzero(ref.rubble).tolist())
             assert ctrl.known_doors == set(np.flatnonzero(ref.doors).tolist())
             serviceable = np.flatnonzero(ref.serviceable(ctrl.role)).tolist()
             assert sorted(ctrl._serviceable()) == serviceable
-            blocked = bytearray(ref.blocked())
-            blocked[me] = 1  # a field has reached its start
-            assert ctrl._field(me).seen == blocked
+            blocked = np.frombuffer(ref.blocked(), dtype=bool).copy()
+            blocked[me] = True  # a field has reached its start
+            assert ctrl._field(me).unreached == pack_cells(~spec.wall_mask & ~blocked)
             after = len(ctrl.known_victims) + len(ctrl.known_rubble) + len(ctrl.known_doors)
             learned += after > before
             forgotten += after < before
