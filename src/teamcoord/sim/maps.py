@@ -7,10 +7,9 @@ of `map_from_cells`, the one place that builds and checks a `MapSpec`.
 
 A built-in map is built on its first use and then shared: `builtin_map` and
 `builtin_maps` return one `MapSpec` per name per process, whose
-`neighbor_lists` and `entity_bands` tables and packed planner masks are made
-once. The spec is read-only (frozen, read-only arrays, tuple tables, ints)
-and no mission writes to it. A map file (`read_map`) is read afresh on every
-call.
+`neighbor_lists` table and packed planner masks are made once. The spec is
+read-only (frozen, read-only arrays, tuple tables, ints) and no mission
+writes to it. A map file (`read_map`) is read afresh on every call.
 """
 from __future__ import annotations
 

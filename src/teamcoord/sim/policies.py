@@ -19,9 +19,9 @@ import numpy as np
 from ..core import (ACTIONS, MAX_TICKS, SAMPLE, SAMPLE_INTERVAL_S, ActionTag, CompositionError,
                     PlayerTrajectory, Role, TeamCoordError, TeamSession, ValueEnum,
                     validate_session)
-from .world import (_GREEN, _RED, _YELLOW, AgentAction, AgentState, MapSpec, WAIT_ACTION,
-                    WorldState, _rescuers, _terrain_action, initial_state, map_meta,
-                    pack_cells, raise_map_problems, step_resolved)
+from .world import (AgentAction, AgentState, MapSpec, WAIT_ACTION, WorldState, _rescuers,
+                    _terrain_action, _victim_at, initial_state, map_meta, pack_cells,
+                    raise_map_problems, step_resolved)
 
 
 class PolicyKind(ValueEnum):
@@ -66,11 +66,10 @@ class BfsField:
     search steps between 4-neighbours of `spec`'s non-wall cells
     (`MapSpec.open_cells`) and never enters a cell of `blocked`. `levels[d]`
     is the set at distance d: level 0 is the start, and a last level of 0
-    means the search is exhausted. The next level is the last one spread
-    one cell each way, masked by `MapSpec.inner_columns` so that no east or
-    west step wraps a row, and kept where still `unreached`. A level thus
-    costs a few operations on ints of n_cells bits, however many cells it
-    holds. Queries expand only as many levels as they need.
+    means the search is exhausted. The next level is the last one's
+    `MapSpec.spread`, kept where still `unreached`. A level thus costs a few
+    operations on ints of n_cells bits, however many cells it holds. Queries
+    expand only as many levels as they need.
 
     `free` is the set the search may enter. An exhausted field has reached
     `free ^ unreached`, which is whole components of the graph of the cells
@@ -89,9 +88,7 @@ class BfsField:
     def _grow(self) -> int:
         """Expand the level after the last one, append it to `levels` and
         return it; call only while the last level is not 0."""
-        last, w = self.levels[-1], self.spec.grid.width
-        east, west = self.spec.inner_columns
-        level = ((last << 1 & east) | (last >> 1 & west) | last << w | last >> w) & self.unreached
+        level = self.spec.spread(self.levels[-1]) & self.unreached
         self.unreached ^= level
         self.levels.append(level)
         return level
@@ -132,43 +129,40 @@ class BfsField:
             if levels[d] & bit:
                 break
             d += 1
-        w = self.spec.grid.width
-        east, west = self.spec.inner_columns
+        spread = self.spec.spread
         for level in levels[d - 1:0:-1]:
-            bit = ((bit << 1 & east) | (bit >> 1 & west) | bit << w | bit >> w) & level
+            bit = spread(bit) & level
         return next(nb for nb in self.spec.neighbor_lists[self.start] if bit >> nb & 1)
 
 
 class Controller:
     """Per-agent runtime state: FOV memory plus the decision rule.
 
-    Cells are row-major int indices, and every whole-map cell set it plans
-    with is a packed int, bit c set for cell c (`pack_cells`): `unseen`, the
-    non-wall cells never in view, which `observe` clears a field of view from
-    with a few int operations on `MapSpec.view_column`; the known-blocked
-    set; the goals; and the component memo below. What the agent knows of
-    the entities is held for their few cells only: `known_victims` maps a
-    cell to its last seen `VICTIM_CODES` value (no key: no victim seen), and
-    `known_rubble` and `known_doors` are the sets of cells last seen holding
-    rubble or a closed door. `observe` updates them at the map's entity cells
-    in view (`MapSpec.entity_bands`) from the tick's `WorldState` bytes.
+    Cells are row-major int indices, and every cell set is a packed int, bit
+    c set for cell c (`pack_cells`), as in `WorldState`. What the agent knows
+    is such sets: `unseen`, the non-wall cells never in view, and the cells
+    where it last saw a victim of each kind (`greens`, `yellows`, `reds`),
+    `rubble` or a closed door (`doors`). `observe` builds the field of view
+    from `MapSpec.view_column`, clears it from `unseen` and merges the
+    tick's `WorldState` sets into the others over it, each with a few int
+    operations.
 
-    A decision walks those few cells for its targets, and reads the
-    `WorldState` bytes for the cells next to the agent. It plans on one lazy
-    `BfsField` from the agent's cell, which expands only the distance levels
-    its queries need, at a few int operations per level, and never enters
-    walls or known rubble and doors; the blocked set it starts from is
-    rebuilt only after `observe` changed the known rubble or doors. The goal
-    with the smallest (BFS distance, cell index) among the reachable goals
-    wins, which is the (distance, y, x) order and keeps runs reproducible.
+    A decision takes its targets, the goals and the component memo below as
+    packed sets too, and meets the `WorldState` sets with the agent's
+    neighbours (`MapSpec.spread`) before it looks at any one cell. It plans
+    on one lazy `BfsField` from the agent's cell, which expands only the
+    distance levels its queries need, at a few int operations per level, and
+    never enters walls or known rubble and doors. The goal with the smallest
+    (BFS distance, cell index) among the reachable goals wins, which is the
+    (distance, y, x) order and keeps runs reproducible.
 
     `_component` memoises the cells reached by the last `_field` that
     `_move_toward` or a patrol waypoint searched to exhaustion; 0 is none.
     They are whole components (see `BfsField`), so from a start among them a
     goal set that shares no cell with them has no reachable goal, and
     `_move_toward` answers None without a flood; a patrol waypoint outside
-    them is skipped the same way. That holds while the blocked set stays the
-    same, so the memo is cleared whenever it is rebuilt.
+    them is skipped the same way. That holds while the known rubble and doors
+    stay the same, so `observe` clears the memo whenever they change.
 
     A subclass defines `_decide`, or overrides `act` itself.
     """
@@ -182,10 +176,7 @@ class Controller:
         self.rng = rng
         self.params = {**POLICY_PARAMS, **params}
         self.unseen = spec.open_cells
-        self.known_victims: dict[int, int] = {}
-        self.known_rubble: set[int] = set()
-        self.known_doors: set[int] = set()
-        self._blocked: int | None = None  # the known rubble and doors, packed; None: stale
+        self.greens = self.yellows = self.reds = self.rubble = self.doors = 0
         self._component = 0  # the reached cells of the last exhausted field, as above
 
     # -- perception --------------------------------------------------------
@@ -197,33 +188,23 @@ class Controller:
         left = max(x - r, 0)
         view = self.spec.view_column * ((1 << min(x + r, w - 1) - left + 1) - 1 << left)
         top = (y - min(r, self.grid.height)) * w
-        self.unseen &= ~(view << top if top >= 0 else view >> -top)
-        victims, rubble, doors = state.victim_codes, state.rubble_mask, state.door_mask
-        known_victims, known_rubble, known_doors = (
-            self.known_victims, self.known_rubble, self.known_doors)
-        for c in self.spec.entity_bands[y]:
-            if not x - r <= c % w <= x + r:
-                continue
-            if victims[c]:
-                known_victims[c] = victims[c]
-            else:
-                known_victims.pop(c, None)
-            if rubble[c] != (c in known_rubble) or doors[c] != (c in known_doors):
-                (known_rubble.add if rubble[c] else known_rubble.discard)(c)
-                (known_doors.add if doors[c] else known_doors.discard)(c)
-                self._blocked = None
+        view = view << top if top >= 0 else view >> -top
+        hidden = ~view
+        self.unseen &= hidden
+        self.greens = self.greens & hidden | state.greens & view
+        self.yellows = self.yellows & hidden | state.yellows & view
+        self.reds = self.reds & hidden | state.reds & view
+        rubble = self.rubble & hidden | state.rubble & view
+        doors = self.doors & hidden | state.doors & view
+        if rubble != self.rubble or doors != self.doors:  # the blocked cells changed
+            self.rubble, self.doors, self._component = rubble, doors, 0
 
     # -- planning helpers ----------------------------------------------------
 
     def _field(self, me: int) -> BfsField:
         """A lazy BFS from `me` over the cells not known to be blocked; one
         per decision, shared by every query that decision makes."""
-        if self._blocked is None:
-            self._blocked = 0
-            for c in (*self.known_rubble, *self.known_doors):
-                self._blocked |= 1 << c
-            self._component = 0
-        return BfsField(self.spec, self._blocked, me)
+        return BfsField(self.spec, self.rubble | self.doors, me)
 
     def _step_toward(self, cell: int, field: BfsField) -> AgentAction | None:
         """First move of a shortest path to `cell`; None if unreachable or already there."""
@@ -248,27 +229,21 @@ class Controller:
         self._remember_component(field)
         return None
 
-    def _approach(self, targets, field: BfsField) -> AgentAction | None:
-        """Move toward a standable 4-neighbor of the nearest of the `targets` cells.
+    def _approach(self, targets: int, field: BfsField) -> AgentAction | None:
+        """Move toward a standable 4-neighbor of the nearest of the packed `targets`.
 
-        Blocked cells are never reached, so only standable ones can win.
+        Walls and blocked cells are never reached, so only standable ones can win.
         """
         if not targets:
             return None
-        goals = 0
-        for t in targets:
-            for nb in self.spec.neighbor_lists[t]:
-                goals |= 1 << nb
-        return self._move_toward(goals, field)
+        return self._move_toward(self.spec.spread(targets), field)
 
-    def _serviceable(self) -> list[int]:
-        """Cells of the known targets this role can service alone: greens,
+    def _serviceable(self) -> int:
+        """The known targets this role can service alone, packed: greens,
         uncovered yellows for medics, and rubble and doors for engineers."""
         if self.role is Role.MEDIC:
-            return [c for c, code in self.known_victims.items()
-                    if code == _GREEN or code == _YELLOW and c not in self.known_rubble]
-        return [c for c, code in self.known_victims.items() if code == _GREEN] + [
-            *self.known_rubble, *self.known_doors]
+            return self.greens | self.yellows & ~self.rubble
+        return self.greens | self.rubble | self.doors
 
     def _random_move(self, me: int) -> AgentAction:
         """A move to a uniformly drawn side, walls included; off the grid, no target."""
@@ -279,19 +254,26 @@ class Controller:
 
     # -- adjacency opportunities ----------------------------------------------
 
-    def _adjacent_rescue(self, state: WorldState, me: int) -> AgentAction | None:
-        agent, victims = state.agents[self.index], state.victim_codes
-        for nb in self.spec.neighbor_lists[me]:
-            if victims[nb] and _rescuers(state, victims, agent, nb):
-                return AgentAction(ActionTag.RESCUE, nb)
+    # `around` is the packed neighbours of the agent's cell `me`, and a target
+    # is taken in `MapSpec.neighbor_lists` order
+
+    def _adjacent_rescue(self, state: WorldState, me: int, around: int) -> AgentAction | None:
+        greens, yellows, reds = state.greens, state.yellows, state.reds
+        if (greens | yellows | reds) & around:
+            agent = state.agents[self.index]
+            for nb in self.spec.neighbor_lists[me]:
+                if _rescuers(state, _victim_at(greens, yellows, reds, nb), agent, nb):
+                    return AgentAction(ActionTag.RESCUE, nb)
         return None
 
-    def _adjacent_engineering(self, state: WorldState, me: int) -> AgentAction | None:
-        rubble, doors = state.rubble_mask, state.door_mask
-        for nb in self.spec.neighbor_lists[me]:
-            kind = _terrain_action(self.role, rubble, doors, nb)
-            if kind is not None:
-                return AgentAction(kind, nb)
+    def _adjacent_engineering(self, state: WorldState, me: int,
+                              around: int) -> AgentAction | None:
+        rubble, doors = state.rubble, state.doors
+        if self.role is Role.ENGINEER and (rubble | doors) & around:
+            for nb in self.spec.neighbor_lists[me]:
+                kind = _terrain_action(self.role, rubble, doors, nb)
+                if kind is not None:
+                    return AgentAction(kind, nb)
         return None
 
     def act(self, state: WorldState) -> AgentAction:
@@ -326,30 +308,36 @@ class GreedyRescuerController(Controller):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.red_wait = [0] * self.grid.n_cells
-        self.red_shelved = [-1] * self.grid.n_cells
+        self.red_shelved: dict[int, int] = {}  # a shelved red's cell: its last shelved tick
 
     def _decide(self, state) -> AgentAction:
         me = state.agents[self.index].cell
-        act = self._adjacent_rescue(state, me) or self._adjacent_engineering(state, me)
+        around = self.spec.spread(1 << me)
+        act = (self._adjacent_rescue(state, me, around)
+               or self._adjacent_engineering(state, me, around))
         if act is not None:
             return act
 
-        reds = []
+        reds = 0
         if self.role is Role.MEDIC and not state.spec.clock.red_closed(state.time_s):
+            shelved = 0
+            for c, last in self.red_shelved.items():
+                if last >= state.tick:
+                    shelved |= 1 << c
             # camped at a red, hoping an engineer wanders by
-            victims = state.victim_codes
+            camped = state.reds & around & ~shelved
             for nb in self.spec.neighbor_lists[me]:
-                if victims[nb] == _RED and self.red_shelved[nb] < state.tick:
+                if camped >> nb & 1:
                     self.red_wait[nb] += 1
                     if self.red_wait[nb] <= self.params["patience"]:
                         return WAIT_ACTION
                     self.red_shelved[nb] = state.tick + 25
+                    shelved |= 1 << nb
                     self.red_wait[nb] = 0
-            reds = [c for c, code in self.known_victims.items()
-                    if code == _RED and self.red_shelved[c] < state.tick]
+            reds = self.reds & ~shelved
 
         field = self._field(me)
-        return (self._approach(self._serviceable() + reds, field)
+        return (self._approach(self._serviceable() | reds, field)
                 or self._move_toward(self.unseen, field)
                 or self._random_move(me))
 
@@ -398,49 +386,54 @@ class CoordinatedSpecialistController(Controller):
 
     # -- phase 1: hunt reds, park beside them, converge on parked teammates ----
 
-    def _parked_teammates(self, state: WorldState, role: Role, me: int) -> list[int]:
-        """Cells of cross-role teammates standing still away from the start and
-        over two cells (Chebyshev) from `me`: parked by a victim, asking for help."""
+    def _parked_teammates(self, state: WorldState, role: Role, me: int) -> int:
+        """The packed cells of cross-role teammates standing still away from the
+        start and over two cells (Chebyshev) from `me`: parked by a victim,
+        asking for help."""
         hold, w = int(self.params["park_signal_ticks"]), self.grid.width
-        return [a.cell for a, still in zip(state.agents, self.still_for)
-                if a.role is role and still >= hold and a.cell != self.spec.start
-                and max(abs(a.cell // w - me // w), abs(a.cell % w - me % w)) > 2]
+        parked = 0
+        for a, still in zip(state.agents, self.still_for):
+            if (a.role is role and still >= hold and a.cell != self.spec.start
+                    and max(abs(a.cell // w - me // w), abs(a.cell % w - me % w)) > 2):
+                parked |= 1 << a.cell
+        return parked
 
     def _act_converge(self, state) -> AgentAction:
         me = state.agents[self.index].cell
-        around = self.spec.neighbor_lists[me]
-        reds = [c for c, code in self.known_victims.items() if code == _RED]
+        around = self.spec.spread(1 << me)
+        reds = self.reds
 
         if self.role is Role.MEDIC:
-            act = self._adjacent_rescue(state, me)
+            act = self._adjacent_rescue(state, me, around)
             if act is not None:
                 return act
-            victims = state.victim_codes
-            if any(victims[nb] == _RED for nb in around):
+            if state.reds & around:
                 return WAIT_ACTION  # parked beside a red: hold until an engineer lands
             field = self._field(me)
-            return (self._approach(reds + self._parked_teammates(state, Role.ENGINEER, me), field)
+            return (self._approach(reds | self._parked_teammates(state, Role.ENGINEER, me), field)
                     or self._sweep_own_quadrant(me, field))
 
-        # engineer
-        confirmed = [c for c in reds if any(
-            a.role is Role.MEDIC and a.cell in self.spec.neighbor_lists[c] for a in state.agents)]
-        if any(nb in confirmed for nb in around):
-            act = self._adjacent_engineering(state, me) or self._adjacent_rescue(state, me)
+        # engineer: a red is confirmed when a medic stands beside it
+        medics = 0
+        for a in state.agents:
+            if a.role is Role.MEDIC:
+                medics |= 1 << a.cell
+        confirmed = reds & self.spec.spread(medics)
+        if confirmed & around:
+            act = (self._adjacent_engineering(state, me, around)
+                   or self._adjacent_rescue(state, me, around))
             return act or WAIT_ACTION  # presence is the contribution
         field = self._field(me)
         act = (self._approach(confirmed, field)
-               or self._adjacent_engineering(state, me)
-               or self._adjacent_rescue(state, me)
+               or self._adjacent_engineering(state, me, around)
+               or self._adjacent_rescue(state, me, around)
                or self._approach(self._parked_teammates(state, Role.MEDIC, me), field))
         if act is not None:
             return act
-        if any(nb in reds for nb in around):
+        if reds & around:
             return WAIT_ACTION  # park beside an unclaimed red and flag it for the medics
-        service = [c for c in (*self.known_rubble, *self.known_doors)
-                   if self.pair_sector >> c & 1]
         return (self._approach(reds, field)
-                or self._approach(service, field)
+                or self._approach((self.rubble | self.doors) & self.pair_sector, field)
                 or self._sweep_own_quadrant(me, field))
 
     # -- phase 2: disperse into role territories ------------------------------
@@ -465,13 +458,13 @@ class CoordinatedSpecialistController(Controller):
 
     def _act_disperse(self, state) -> AgentAction:
         me = state.agents[self.index].cell
+        around = self.spec.spread(1 << me)
         field = self._field(me)
         # outside the own half, head for it; inside, the nearest half cell is `me`
-        return (self._adjacent_rescue(state, me)
-                or self._adjacent_engineering(state, me)
+        return (self._adjacent_rescue(state, me, around)
+                or self._adjacent_engineering(state, me, around)
                 or self._move_toward(self.role_half, field)
-                or self._approach([c for c in self._serviceable() if self.role_half >> c & 1],
-                                  field)
+                or self._approach(self._serviceable() & self.role_half, field)
                 or self._sweep_own_quadrant(me, field))
 
 

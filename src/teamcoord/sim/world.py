@@ -7,11 +7,11 @@ same victim resolve by agent index. Agents may share cells; they all start
 on the common start cell.
 
 A mission runs on row-major int cells (`y * width + x`): agents, action
-targets, the map (`MapSpec`) and the `WorldState` bytes of victims, rubble
-and closed doors, one byte per cell, made once from the map's arrays. The
-action rules live here, in `_rescuers` and `_terrain_action`, and the step
-and the controllers of `policies.py` both act through them;
-`policies.run_mission` drives a whole mission.
+targets, the map (`MapSpec`) and the `WorldState` sets of victims, rubble and
+closed doors, packed into ints once from the map's arrays. The action
+rules live here, in `_rescuers` and `_terrain_action`, and the step and the
+controllers of `policies.py` both act through them; `policies.run_mission`
+drives a whole mission.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ class MalformedActionError(TeamCoordError):
     """Agent action is not one of the known kinds."""
 
 
-# per-cell victim codes in `WorldState.victim_codes`; 0 means no victim
+# per-cell victim codes in `MapSpec.victim_codes`; 0 means no victim
 VICTIM_CODES = {VictimType.GREEN: 1, VictimType.YELLOW: 2, VictimType.RED: 3}
 _VICTIM_KINDS = {code: kind for kind, code in VICTIM_CODES.items()}
 _GREEN, _YELLOW, _RED = (VICTIM_CODES[k] for k in
@@ -135,19 +135,6 @@ class MapSpec:
         return tuple(tuple(islice(kept, k)) for k in ok.sum(axis=1).tolist())
 
     @cached_property
-    def entity_bands(self) -> tuple[tuple[int, ...], ...]:
-        """For each grid row y, the cells of rows y - fov_radius to y + fov_radius
-        that hold a victim, rubble or a closed door on the map, in row-major order.
-        A mission only removes these, so a field of view centred on row y finds
-        every entity it can see among them."""
-        h, r = self.grid.height, self.fov_radius
-        cells = np.flatnonzero((self.victim_codes != 0) | self.rubble_mask | self.door_mask)
-        row_starts = np.searchsorted(cells, np.arange(h + 1) * self.grid.width).tolist()
-        cells = cells.tolist()
-        return tuple(tuple(cells[row_starts[max(y - r, 0)]:row_starts[min(y + r + 1, h)]])
-                     for y in range(h))
-
-    @cached_property
     def open_cells(self) -> int:
         """The non-wall cells, packed as by `pack_cells`."""
         return pack_cells(~self.wall_mask)
@@ -159,6 +146,14 @@ class MapSpec:
         not wrap onto the next or the previous row."""
         xs = np.arange(self.grid.n_cells) % self.grid.width
         return pack_cells(xs != 0), pack_cells(xs != self.grid.width - 1)
+
+    def spread(self, cells: int) -> int:
+        """The in-grid 4-neighbours of the packed `cells`, walls included. A
+        cell of the last row also sets the bit `width` past it, beyond the
+        grid, which a mask of grid cells clears."""
+        east, west = self.inner_columns
+        w = self.grid.width
+        return (cells << 1 & east) | (cells >> 1 & west) | cells << w | cells >> w
 
     @cached_property
     def view_column(self) -> int:
@@ -205,18 +200,21 @@ class AgentState(NamedTuple):
 class WorldState:
     """The world at one tick.
 
-    What changes during a mission is held as bytes, one per row-major cell:
-    `victim_codes` holds `VICTIM_CODES` (0 = no victim), and `rubble_mask`
-    and `door_mask` mark the uncleared rubble and the closed doors with 1.
-    The controllers read them cell by cell.
+    What changes during a mission is held as packed cell sets, bit c set for
+    row-major cell c (`pack_cells`): the victims left of each kind (`greens`,
+    `yellows`, `reds`), the uncleared `rubble` and the closed `doors`. A rule
+    reads a cell with a bit test, and the controllers merge the sets into
+    what they know and meet them with the cells beside them a set at a time.
     """
 
     spec: MapSpec
     tick: int
     agents: tuple[AgentState, ...]
-    victim_codes: bytes
-    rubble_mask: bytes
-    door_mask: bytes
+    greens: int
+    yellows: int
+    reds: int
+    rubble: int
+    doors: int
     events: tuple[RescueEvent, ...] = ()
 
     @property
@@ -225,22 +223,28 @@ class WorldState:
 
 
 def initial_state(spec: MapSpec, agents: tuple[AgentState, ...]) -> WorldState:
-    return WorldState(spec=spec, tick=0, agents=agents,
-                      victim_codes=spec.victim_codes.tobytes(),
-                      rubble_mask=spec.rubble_mask.tobytes(), door_mask=spec.door_mask.tobytes())
+    codes = spec.victim_codes
+    return WorldState(spec=spec, tick=0, agents=agents, greens=pack_cells(codes == _GREEN),
+                      yellows=pack_cells(codes == _YELLOW), reds=pack_cells(codes == _RED),
+                      rubble=pack_cells(spec.rubble_mask), doors=pack_cells(spec.door_mask))
 
 
-def _rescuers(state: WorldState, victims: bytes, agent: AgentState,
+def _victim_at(greens: int, yellows: int, reds: int, c: int) -> VictimType | None:
+    """The kind of the victim at cell `c` in the packed sets of each kind; None if none."""
+    return (VictimType.GREEN if greens >> c & 1 else VictimType.YELLOW if yellows >> c & 1
+            else VictimType.RED if reds >> c & 1 else None)
+
+
+def _rescuers(state: WorldState, kind: VictimType | None, agent: AgentState,
               c: int) -> tuple[str, ...] | None:
-    """Ids credited when `agent` rescues the victim at `c` in `victims`, per-cell
-    bytes as in `WorldState`; None if not allowed. Engineers rescue greens only,
-    a yellow needs its rubble gone at the start of the tick, and a red needs the
-    cutoff ahead and an engineer beside `c`."""
-    code = victims[c]
-    if (not code or agent.role is Role.ENGINEER and code != _GREEN
-            or code == _YELLOW and state.rubble_mask[c]):
+    """Ids credited when `agent` rescues the victim of `kind` at `c` (None: no
+    victim); None if not allowed. Engineers rescue greens only, a yellow needs
+    its rubble gone at the start of the tick, and a red needs the cutoff ahead
+    and an engineer beside `c`."""
+    if (kind is None or agent.role is Role.ENGINEER and kind is not VictimType.GREEN
+            or kind is VictimType.YELLOW and state.rubble >> c & 1):
         return None
-    if code != _RED:
+    if kind is not VictimType.RED:
         return (agent.player_id,)
     around = state.spec.neighbor_lists[c]
     helper = next((a for a in state.agents if a.role is Role.ENGINEER and a.cell in around), None)
@@ -249,12 +253,12 @@ def _rescuers(state: WorldState, victims: bytes, agent: AgentState,
     return (agent.player_id, helper.player_id)
 
 
-def _terrain_action(role: Role, rubble: bytes, doors: bytes, c: int) -> ActionTag | None:
+def _terrain_action(role: Role, rubble: int, doors: int, c: int) -> ActionTag | None:
     """An engineer CLEARs rubble and OPENs a closed door at `c`; None otherwise.
-    `rubble` and `doors` are per-cell bytes as in `WorldState`."""
+    `rubble` and `doors` are packed sets as in `WorldState`."""
     if role is not Role.ENGINEER:
         return None
-    return ActionTag.CLEAR if rubble[c] else ActionTag.OPEN if doors[c] else None
+    return ActionTag.CLEAR if rubble >> c & 1 else ActionTag.OPEN if doors >> c & 1 else None
 
 
 def step_resolved(state: WorldState, actions) -> tuple[WorldState, tuple[AgentAction, ...]]:
@@ -266,7 +270,8 @@ def step_resolved(state: WorldState, actions) -> tuple[WorldState, tuple[AgentAc
     """
     if len(actions) != len(state.agents):
         raise MalformedActionError(f"{len(actions)} actions for {len(state.agents)} agents")
-    victims, rubble, doors = state.victim_codes, state.rubble_mask, state.door_mask
+    greens, yellows, reds, rubble, doors = (state.greens, state.yellows, state.reds,
+                                            state.rubble, state.doors)
     events = list(state.events)
     resolved: list[AgentAction] = [WAIT_ACTION] * len(actions)
     agents = list(state.agents)
@@ -279,25 +284,27 @@ def step_resolved(state: WorldState, actions) -> tuple[WorldState, tuple[AgentAc
         if act.kind is ActionTag.WAIT or c not in state.spec.neighbor_lists[agent.cell]:
             continue  # no adjacent target: a wait
         if act.kind is ActionTag.MOVE:  # `c` is no wall: neighbor lists leave walls out
-            if not (state.rubble_mask[c] or state.door_mask[c]):
+            if not (state.rubble | state.doors) >> c & 1:
                 agents[i] = AgentState(agent.player_id, agent.role, c)
                 resolved[i] = act
         elif act.kind is ActionTag.RESCUE:
-            actors = _rescuers(state, victims, agent, c)
+            kind = _victim_at(greens, yellows, reds, c)
+            actors = _rescuers(state, kind, agent, c)
             if actors is not None:
                 y, x = divmod(c, state.spec.grid.width)
                 events.append(RescueEvent(time_s=state.time_s, victim_cell=Position(x, y),
-                                          victim_type=_VICTIM_KINDS[victims[c]], actor_ids=actors))
-                victims = victims[:c] + b"\0" + victims[c + 1:]
+                                          victim_type=kind, actor_ids=actors))
+                gone = ~(1 << c)
+                greens, yellows, reds = greens & gone, yellows & gone, reds & gone
                 resolved[i] = act
         elif _terrain_action(agent.role, rubble, doors, c) is act.kind:  # clear or open
             if act.kind is ActionTag.CLEAR:
-                rubble = rubble[:c] + b"\0" + rubble[c + 1:]
+                rubble &= ~(1 << c)
             else:
-                doors = doors[:c] + b"\0" + doors[c + 1:]
+                doors &= ~(1 << c)
             resolved[i] = act
 
     new_state = WorldState(spec=state.spec, tick=state.tick + 1, agents=tuple(agents),
-                           victim_codes=victims, rubble_mask=rubble, door_mask=doors,
-                           events=tuple(events))
+                           greens=greens, yellows=yellows, reds=reds, rubble=rubble,
+                           doors=doors, events=tuple(events))
     return new_state, tuple(resolved)

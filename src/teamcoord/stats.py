@@ -123,6 +123,7 @@ class OlsResult:
 # this: rounding alone leaves about 1e-16 on exactly collinear data, and can leave
 # it of either sign. `ols` and `_mediation_paths` refuse such predictors.
 _COLLINEAR_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 def ols(y, design) -> OlsResult:
@@ -515,25 +516,56 @@ def _centre(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _mediator_terms(mc: np.ndarray, yc: np.ndarray):
+def _rounding_floor(v: np.ndarray) -> float:
+    """The largest centred sum of squares that rounding can leave in a row of
+    n equal values drawn from `v`, whose last axis has length n: their mean
+    is within about n * eps / 2 of each, relative to the largest |v|."""
+    n = v.shape[-1]
+    return n * ((n + 2) * _EPS * float(np.abs(v).max())) ** 2
+
+
+def _constant_rows(c: np.ndarray, ss: np.ndarray, floor: float) -> np.ndarray:
+    """Whether each row of a centred (R, n) array holds one drawn value, given
+    the rows' sums of squares `ss` and `_rounding_floor` of the values drawn.
+
+    Only a row with `ss` at most `floor` is compared value by value, on its
+    centred values: centring subtracts one mean from the whole row, so they
+    are all equal just when the drawn values are, whether or not the mean is
+    exact (rounding could merge two values only if they differed by far less
+    than an ulp).
+    """
+    constant = ss <= floor
+    if constant.any():
+        rows = np.flatnonzero(constant)
+        constant[rows] = (c[rows] == c[rows, :1]).all(axis=1)
+    return constant
+
+
+def _mediator_terms(mc: np.ndarray, yc: np.ndarray, m_floor: float):
     """The terms of the paths that do not involve x, per row of centred (R, n)
-    arrays m and y: mc, yc, smm and smy."""
-    return mc, yc, _row_dot(mc, mc), _row_dot(mc, yc)
+    arrays m and y, with `_rounding_floor` of the m values drawn: mc, yc, smm,
+    smy and whether the row's m is constant."""
+    smm = _row_dot(mc, mc)
+    return mc, yc, smm, _row_dot(mc, yc), _constant_rows(mc, smm, m_floor)
 
 
-def _mediation_paths(xc: np.ndarray, mediator):
-    """Closed-form OLS paths per row of a centred (R, n) array x and the
-    `_mediator_terms` of the same rows: a (m~x), b and c' (y~x+m), c (y~x).
+def _mediation_paths(xc: np.ndarray, mediator, x_floor: float):
+    """Closed-form OLS paths per row of a centred (R, n) array x, with
+    `_rounding_floor` of the x values drawn, and the `_mediator_terms` of
+    the same rows: a (m~x), b and c' (y~x+m), c (y~x).
 
     Returns (a, b, c_prime, c_total, ok); rows where ok is False are
-    degenerate (constant x or collinear x, m) and carry no paths.
+    degenerate (constant x or m, or collinear x, m) and carry no paths.
     """
-    mc, yc, smm, smy = mediator
+    mc, yc, smm, smy, m_constant = mediator
     sxx = _row_dot(xc, xc)
     sxm = _row_dot(xc, mc)
     sxy = _row_dot(xc, yc)
     det = sxx * smm - sxm * sxm  # sxx * smm * (1 - r^2), r the x-m correlation
-    ok = (sxx != 0.0) & (det > _COLLINEAR_TOL * sxx * smm)
+    # a constant row's sums of squares are rounding noise, not 0, when its mean
+    # is inexact; a varying x whose sxx underflows to 0 fails the det test
+    ok = (~(_constant_rows(xc, sxx, x_floor) | m_constant)
+          & (det > _COLLINEAR_TOL * sxx * smm))
     sxx = np.where(ok, sxx, 1.0)  # degenerate rows divide by 1 and are discarded
     det = np.where(ok, det, 1.0)
     a = sxm / sxx
@@ -545,7 +577,8 @@ def _mediation_paths(xc: np.ndarray, mediator):
 
 def _paths(x: np.ndarray, m: np.ndarray, y: np.ndarray):
     """`_mediation_paths` of (R, n) arrays x, m and y, which stay as they are."""
-    return _mediation_paths(_centred(x), _mediator_terms(_centred(m), _centred(y)))
+    mediator = _mediator_terms(_centred(m), _centred(y), _rounding_floor(m))
+    return _mediation_paths(_centred(x), mediator, _rounding_floor(x))
 
 
 def _redrawn_indirect(xv: np.ndarray, mv: np.ndarray, yv: np.ndarray, seed: int, k: int) -> float:
@@ -617,9 +650,10 @@ def _bootstrap_mediations(xs: list, m, y, resamples: int, seed: int) -> list[Med
     active = len(xvs)  # predictors ahead of the first that stays degenerate
     for start, idx in _index_slices(seed, resamples, n) if active else ():
         stop = start + len(idx)
-        mediator = _mediator_terms(_centre(mv[idx]), _centre(yv[idx]))
+        mediator = _mediator_terms(_centre(mv[idx]), _centre(yv[idx]), _rounding_floor(mv))
         for i, xv in enumerate(xvs[:active]):
-            sub_a, sub_b, _, _, sub_ok = _mediation_paths(_centre(xv[idx]), mediator)
+            sub_a, sub_b, _, _, sub_ok = _mediation_paths(_centre(xv[idx]), mediator,
+                                                          _rounding_floor(xv))
             boot[i][start:stop] = sub_a * sub_b
             try:
                 for k in (start + np.flatnonzero(~sub_ok)).tolist():

@@ -18,8 +18,8 @@ own (`RefAgent`, `RefAction`), and `to_sim_agent` / `to_sim_action` translate
 them into the simulator's row-major int cells at its boundary. `map_sets`
 reads a map's per-cell arrays into its sets one cell at a time.
 `MaskKnowledge` is a controller's knowledge in whole-map masks, written by
-2-D view copies of the world's arrays, which the controllers' entity-cell
-knowledge must agree with cell for cell.
+2-D view copies of the world's sets unpacked into per-cell arrays, which the
+controllers' packed knowledge must agree with cell for cell.
 
 Session I/O has three references. `read_session_reference` reads a log one
 line at a time with `json.loads` and converts each record field by field;
@@ -274,11 +274,12 @@ def mann_whitney_normal_p(a, b) -> float:
 
 
 def _mediation_paths_1d(x, m, y):
-    """Closed-form a, b, c', c for one resample; None when x is constant or x, m collinear."""
+    """Closed-form a, b, c', c for one resample; None when x or m is constant
+    (all its drawn values equal) or x, m collinear."""
+    if (x == x[0]).all() or (m == m[0]).all():
+        return None
     xc, mc, yc = x - x.mean(), m - m.mean(), y - y.mean()
     sxx = float(xc @ xc)
-    if sxx == 0.0:
-        return None
     sxm, smm = float(xc @ mc), float(mc @ mc)
     sxy, smy = float(xc @ yc), float(mc @ yc)
     det = sxx * smm - sxm * sxm
@@ -553,11 +554,17 @@ def step_reference(state: ReferenceWorld, actions):
     return new_state, tuple(resolved)
 
 
+def unpack_cells(cells: int, n: int) -> np.ndarray:
+    """A packed cell set of an n-cell grid, bit c for cell c, as a per-cell bool mask."""
+    return np.unpackbits(np.frombuffer(cells.to_bytes(-(-n // 8), "little"), np.uint8),
+                         count=n, bitorder="little").astype(bool)
+
+
 class MaskKnowledge:
     """What a controller knows, as per-cell masks over the whole map: `unseen`,
-    `victims` (`VICTIM_CODES`, 0 = none), `rubble` and `doors`. `observe` copies
-    the world's three per-cell byte strings into them over the Chebyshev field of
-    view, through 2-D views."""
+    `victims` (`VICTIM_CODES`, 0 = none), `rubble` and `doors`. `observe` unpacks
+    the world's victim, rubble and door sets into per-cell arrays and copies them
+    into these over the Chebyshev field of view, through 2-D views."""
 
     def __init__(self, spec: MapSpec):
         n = spec.grid.n_cells
@@ -573,9 +580,13 @@ class MaskKnowledge:
         r = self.spec.fov_radius
         view = np.s_[max(y - r, 0):y + r + 1, max(x - r, 0):x + r + 1]
         self.unseen.reshape(shape)[view] = False
-        for known, truth in ((self.victims, state.victim_codes), (self.rubble, state.rubble_mask),
-                             (self.doors, state.door_mask)):
-            known.reshape(shape)[view] = np.frombuffer(truth, known.dtype).reshape(shape)[view]
+        n = self.spec.grid.n_cells
+        codes = np.zeros(n, dtype=np.int8)
+        for kind, cells in zip(VictimType, (state.greens, state.yellows, state.reds)):
+            codes[unpack_cells(cells, n)] = VICTIM_CODES[kind]
+        for known, truth in ((self.victims, codes), (self.rubble, unpack_cells(state.rubble, n)),
+                             (self.doors, unpack_cells(state.doors, n))):
+            known.reshape(shape)[view] = truth.reshape(shape)[view]
 
     def serviceable(self, role: Role) -> np.ndarray:
         """Known greens, and uncovered yellows for medics or rubble and doors for engineers."""
@@ -584,9 +595,9 @@ class MaskKnowledge:
             return (self.victims == green) | ((self.victims == yellow) & ~self.rubble)
         return (self.victims == green) | self.rubble | self.doors
 
-    def blocked(self) -> bytes:
-        """One byte per cell, 1 where rubble or a closed door is known."""
-        return (self.rubble | self.doors).tobytes()
+    def blocked(self) -> np.ndarray:
+        """A new per-cell mask, True where rubble or a closed door is known."""
+        return self.rubble | self.doors
 
 
 # ---------------------------------------------------------------------------

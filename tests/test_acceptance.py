@@ -35,14 +35,12 @@ from teamcoord.sim import (
     AgentState,
     MapSpec,
     PolicyKind,
-    WorldState,
     builtin_map,
     initial_state,
     map_from_cells,
     run_mission,
     step_resolved,
 )
-from teamcoord.sim.world import VICTIM_CODES
 from teamcoord.stats import (
     bootstrap_mediation,
     mann_whitney_u,
@@ -325,8 +323,6 @@ def test_c8_simulator_rules(tmp_path, medium_corpus):
               AgentState("engineer1", Role.ENGINEER, to_cell(spec.grid, Position(5, 4))),
               AgentState("engineer2", Role.ENGINEER, to_cell(spec.grid, Position(0, 4))))
     w = initial_state(spec, agents)
-    w = WorldState(spec=w.spec, tick=0, agents=w.agents, victim_codes=w.victim_codes,
-                   rubble_mask=w.rubble_mask, door_mask=w.door_mask)
     initial = {k: sum(1 for _, _, kind in victims if kind is k) for k in VictimType}
     kinds = list(ActionTag)
     for _ in range(150):
@@ -338,8 +334,8 @@ def test_c8_simulator_rules(tmp_path, medium_corpus):
             acts.append(AgentAction(kind, None if kind is ActionTag.WAIT
                                     else to_cell(spec.grid, Position(x + dx, y + dy))))
         w = step_resolved(w, acts)[0]
-        for k in VictimType:
-            remaining = w.victim_codes.count(VICTIM_CODES[k])
+        for k, cells in zip(VictimType, (w.greens, w.yellows, w.reds)):
+            remaining = cells.bit_count()
             rescued = sum(1 for e in w.events if e.victim_type is k)
             assert remaining + rescued == initial[k]
 

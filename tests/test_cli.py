@@ -894,6 +894,21 @@ def test_stats_mediation_constant_metric_exits_3(tmp_path, capsys):
     assert (captured.out, captured.err) == ("", "error: x is constant or x and m are collinear\n")
 
 
+@pytest.mark.parametrize("column", ["sed", "ci"])
+def test_stats_mediation_column_of_inexact_constants_exits_3(tmp_path, capsys, column):
+    # twelve 0.3s, whose mean is not 0.3 in binary: a constant predictor (sed)
+    # or mediator (ci) is refused, as the exact constant 0.5 is above
+    rng = np.random.default_rng(13)
+    rows = [MetricsTableRow(f"s{i:02d}", **{**dict(zip(("sed", "sms", "spa", "ci"), rng.random(4))),
+                                            column: 0.3}, performance=int(rng.integers(500)))
+            for i in range(12)]
+    table = tmp_path / "m.csv"
+    table.write_text(format_metrics_table(rows))
+    assert run(["stats", "--table", str(table), "--analysis", "mediation"]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: x is constant or x and m are collinear\n")
+
+
 @pytest.mark.parametrize("source", ["example", "random"])
 def test_stats_table_with_byte_order_mark_reads_as_without(tmp_path, capsys, source):
     # the example table has two rows, too few to group: both copies give the same error

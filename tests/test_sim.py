@@ -20,7 +20,6 @@ from teamcoord.sim import (
     InvalidMapError,
     MalformedActionError,
     PolicyKind,
-    WorldState,
     builtin_map,
     builtin_maps,
     initial_state,
@@ -73,21 +72,33 @@ def mini_world(tick=0, victims=(), rubble=(), doors=(), agents=None):
             RefAgent("engineer1", Role.ENGINEER, Position(3, 2)),
             RefAgent("engineer2", Role.ENGINEER, Position(0, 1)),
         )
-    state = initial_state(spec, tuple(to_sim_agent(spec.grid, a) for a in agents))
-    return WorldState(spec=spec, tick=tick, agents=state.agents, victim_codes=state.victim_codes,
-                      rubble_mask=state.rubble_mask, door_mask=state.door_mask)
+    return replace(initial_state(spec, tuple(to_sim_agent(spec.grid, a) for a in agents)),
+                   tick=tick)
 
 
-def cells_of(state, mask):
-    """The cells marked in one of the state's per-cell byte masks, as positions."""
-    return {to_position(state.spec.grid, c) for c, marked in enumerate(mask) if marked}
+def cells_of(state, cells):
+    """The cells of one of the state's packed cell sets, as positions."""
+    return {to_position(state.spec.grid, c) for c in range(state.spec.grid.n_cells)
+            if cells >> c & 1}
+
+
+def victim_sets(state):
+    """The state's packed victim sets, by kind."""
+    return dict(zip(VictimType, (state.greens, state.yellows, state.reds)))
 
 
 def victims_of(state):
     """The victims left in a state, as {cell: kind}."""
-    kinds = {code: kind for kind, code in VICTIM_CODES.items()}
-    return {to_position(state.spec.grid, c): kinds[code]
-            for c, code in enumerate(state.victim_codes) if code}
+    return {pos: kind for kind, cells in victim_sets(state).items()
+            for pos in cells_of(state, cells)}
+
+
+def packed(grid, positions):
+    """A set of positions as a packed cell set, bit by bit."""
+    cells = 0
+    for pos in positions:
+        cells |= 1 << to_cell(grid, pos)
+    return cells
 
 
 RED_CELL = Position(2, 2)
@@ -140,7 +151,7 @@ def test_yellow_requires_clear_first_and_not_same_tick():
     assert resolved[2].kind is ActionTag.CLEAR
     assert resolved[0].kind is ActionTag.WAIT
     assert victims_of(out) == {yellow: VictimType.YELLOW}
-    assert yellow not in cells_of(out, out.rubble_mask)
+    assert yellow not in cells_of(out, out.rubble)
     # next tick the same rescue succeeds
     out2 = step_resolved(out, [rescue(yellow), WAIT, WAIT, WAIT])[0]
     assert victims_of(out2) == {}
@@ -193,7 +204,7 @@ def test_moves_blocked_by_terrain_and_opened_doors_usable_next_tick():
     out, resolved = step_resolved(w, [move_onto_door, WAIT, open_door, WAIT])
     assert resolved[0].kind is ActionTag.WAIT  # same-tick open does not help the mover
     assert out.agents[0].cell == at(Position(1, 0))
-    assert door not in cells_of(out, out.door_mask)
+    assert door not in cells_of(out, out.doors)
     out2, resolved2 = step_resolved(out, [move_onto_door, WAIT, WAIT, WAIT])
     assert resolved2[0].kind is ActionTag.MOVE
     assert out2.agents[0].cell == at(door)
@@ -223,22 +234,22 @@ def test_step_rejects_malformed_actions():
 
 
 def test_step_leaves_its_input_state_unchanged():
-    # one rescue, one clear and one open in a tick: each writes one of the three fields
+    # one rescue, one clear and one open in a tick: each writes one of the set fields
     green, rubble, door = Position(2, 2), Position(4, 2), Position(0, 2)
     w = mini_world(victims=[(green, VictimType.GREEN)], rubble=[rubble], doors=[door])
 
     def fields(state):
-        return state.victim_codes, state.rubble_mask, state.door_mask
+        return state.greens, state.yellows, state.reds, state.rubble, state.doors
 
-    assert all(type(f) is bytes for f in fields(w))
-    before = tuple(bytearray(f) for f in fields(w))
+    assert all(type(f) is int for f in fields(w))
+    before = fields(w)
     actions = [rescue(green), WAIT, AgentAction(ActionTag.CLEAR, at(rubble)),
                AgentAction(ActionTag.OPEN, at(door))]
     out, resolved = step_resolved(w, actions)
     assert resolved == tuple(actions)
     assert fields(w) == before and w.events == ()
-    assert victims_of(out) == {} and cells_of(out, out.rubble_mask) == set()
-    assert cells_of(out, out.door_mask) == set()
+    assert victims_of(out) == {} and cells_of(out, out.rubble) == set()
+    assert cells_of(out, out.doors) == set()
     again, resolved_again = step_resolved(w, actions)
     assert fields(again) == fields(out) and again.events == out.events
     assert resolved_again == resolved
@@ -262,7 +273,7 @@ def test_conservation_under_random_stepping():
             target = None if kind is ActionTag.WAIT else at(Position(x + dx, y + dy))
             actions.append(AgentAction(kind, target))
         w = step_resolved(w, actions)[0]
-        remaining = {k: w.victim_codes.count(VICTIM_CODES[k]) for k in VictimType}
+        remaining = {k: cells.bit_count() for k, cells in victim_sets(w).items()}
         rescued = {k: sum(1 for e in w.events if e.victim_type is k) for k in VictimType}
         for k in VictimType:
             assert remaining[k] + rescued[k] == initial[k]
@@ -347,9 +358,11 @@ def test_step_matches_set_reference_under_random_actions():
             assert state.tick == ref_next.tick
             assert state.agents == tuple(to_sim_agent(g, a) for a in ref_next.agents)
             assert state.events == ref_next.events
-            assert victims_of(state) == dict(ref_next.victims)
-            assert cells_of(state, state.rubble_mask) == ref_next.rubble
-            assert cells_of(state, state.door_mask) == ref_next.closed_doors
+            # the world's packed sets, bit for bit, against the reference's sets
+            assert [state.greens, state.yellows, state.reds, state.rubble, state.doors] == [
+                packed(g, cells) for cells in (
+                    *([c for c, kind in ref_next.victims if kind is k] for k in VictimType),
+                    ref_next.rubble, ref_next.closed_doors)]
 
             # what the tick exercised; `rescues` are adjacent rescue attempts on victims
             rescues = [(i, act.target) for i, (a, act) in enumerate(zip(ref.agents, actions))
@@ -436,15 +449,16 @@ def test_missions_leave_the_shared_builtin_spec_unchanged(tmp_path):
     # and read-only arrays are as a fresh parse of the same art makes them
     for name in ("small", "medium", "corridor"):
         spec = builtin_map(name)
-        tables = spec.neighbor_lists, spec.entity_bands
+        tables = spec.neighbor_lists, spec.open_cells, spec.inner_columns, spec.view_column
         before = write_map(spec, tmp_path / "before.json").read_bytes()
         for kind in PolicyKind:
             run_mission(spec, policy_team(kind, dither=0.2), seed=7)
         assert builtin_map(name) is spec
         assert write_map(spec, tmp_path / "after.json").read_bytes() == before
         fresh = map_from_ascii(name, maps._BUILTIN_ART[name])
-        assert (spec.neighbor_lists, spec.entity_bands) == tables == (
-            fresh.neighbor_lists, fresh.entity_bands)
+        assert (spec.neighbor_lists, spec.open_cells, spec.inner_columns,
+                spec.view_column) == tables == (fresh.neighbor_lists, fresh.open_cells,
+                                                fresh.inner_columns, fresh.view_column)
         for attr in ("wall_mask", "door_mask", "rubble_mask", "victim_codes"):
             a = getattr(spec, attr)
             assert not a.flags.writeable and np.array_equal(a, getattr(fresh, attr))
@@ -879,6 +893,30 @@ def test_neighbor_lists_are_the_in_grid_non_wall_neighbors(spec):
         assert list(nbs) == [nb for nb in full[c] if not spec.wall_mask[nb]]
 
 
+NEIGHBOR_MASK_MAPS = [EDGE_MAP, map_from_ascii("row", "..D..S..*..g."),
+                      map_from_ascii("column", "\n".join("..D..S..*..g."))]
+
+
+@pytest.mark.parametrize("spec", NEIGHBOR_MASK_MAPS, ids=lambda spec: spec.name)
+def test_spread_masks_are_the_in_grid_neighbors(spec):
+    # on a map without border walls, one row and one column: a cell's spread
+    # over the open cells is its neighbour list, and a set's spread is the
+    # in-grid neighbours of its cells, walls included, plus the bit `width`
+    # past each cell of the last row; no step wraps a row
+    g = spec.grid
+    n = g.n_cells
+    full = grid_neighbors(g.width, g.height)
+    for c, nbs in enumerate(spec.neighbor_lists):
+        assert spec.spread(1 << c) & spec.open_cells == _sparse_goals(nbs)
+    rng = np.random.default_rng(13)
+    for density in (0.05, 0.3, 1.0):
+        cells = rng.random(n) < density
+        spread = spec.spread(pack_cells(cells))
+        assert spread & (1 << n) - 1 == _sparse_goals(
+            nb for c in np.flatnonzero(cells).tolist() for nb in full[c])
+        assert spread >> n == pack_cells(cells) >> n - g.width
+
+
 @pytest.mark.parametrize("mapname", ["small", "medium", "corridor"])
 def test_bfs_field_matches_full_fill_oracle(mapname):
     # random blocked masks on each built-in grid; several nearest/first_step
@@ -1049,9 +1087,8 @@ def test_controller_planning_matches_full_fill_oracle(spec, kind):
             density = (0.05, 0.2, 0.4)[case % 3]
             rubble = (rng.random(n) < density) & ~spec.wall_mask
             doors = (rng.random(n) < density / 2) & ~spec.wall_mask
-            ctrl.known_rubble = set(np.flatnonzero(rubble).tolist())
-            ctrl.known_doors = set(np.flatnonzero(doors).tolist())
-            ctrl._blocked = None  # as `observe` does when the known rubble or doors change
+            # as `observe` does when the known rubble or doors change
+            ctrl.rubble, ctrl.doors, ctrl._component = pack_cells(rubble), pack_cells(doors), 0
             start = int(rng.choice(open_cells))
             blocked = (spec.wall_mask | rubble | doors).tolist()
             dist, first = bfs_field(full, blocked, start)
@@ -1065,7 +1102,7 @@ def test_controller_planning_matches_full_fill_oracle(spec, kind):
             _assert_reached_cells_match(field, dist, first)
 
             want = _oracle_approach(full, dist, first, cells)
-            assert ctrl._approach(cells, ctrl._field(start)) == want
+            assert ctrl._approach(_sparse_goals(cells), ctrl._field(start)) == want
 
             exhausted = ctrl._field(start)
             while exhausted.levels[-1]:
@@ -1089,9 +1126,7 @@ def test_controller_component_memo_matches_full_fill_oracle(spec):
         density = (0.1, 0.25, 0.4)[case % 3]
         rubble = (rng.random(n) < density) & ~spec.wall_mask
         doors = (rng.random(n) < density / 2) & ~spec.wall_mask
-        ctrl.known_rubble = set(np.flatnonzero(rubble).tolist())
-        ctrl.known_doors = set(np.flatnonzero(doors).tolist())
-        ctrl._blocked = None
+        ctrl.rubble, ctrl.doors, ctrl._component = pack_cells(rubble), pack_cells(doors), 0
         blocked = (spec.wall_mask | rubble | doors).tolist()
         start = int(rng.choice([c for c in range(n) if not blocked[c]]))
         dist, first = bfs_field(full, blocked, start)
@@ -1101,6 +1136,7 @@ def test_controller_component_memo_matches_full_fill_oracle(spec):
         if not sealed:
             continue
         targets = rng.choice(sealed, size=min(3, len(sealed)), replace=False).tolist()
+        targets = _sparse_goals(targets)
         field = ctrl._field(start)
         assert ctrl._approach(targets, field) is None and field.levels[-1] == 0
         exhausted += 1
@@ -1110,9 +1146,9 @@ def test_controller_component_memo_matches_full_fill_oracle(spec):
         field = ctrl._field(other)
         assert ctrl._approach(targets, field) is None and len(field.levels) == 1
         dist_o, first_o = bfs_field(full, blocked, other)
-        near = [start, *targets]
+        near = targets | 1 << start
         assert ctrl._approach(near, ctrl._field(other)) == _oracle_approach(
-            full, dist_o, first_o, near)
+            full, dist_o, first_o, _cells(near))
 
         # another component floods, and may find the targets
         beyond = [c for c in range(n) if dist[c] < 0 and not blocked[c]]
@@ -1120,18 +1156,17 @@ def test_controller_component_memo_matches_full_fill_oracle(spec):
             cell = int(rng.choice(beyond))
             dist_b, first_b = bfs_field(full, blocked, cell)
             assert ctrl._approach(targets, ctrl._field(cell)) == _oracle_approach(
-                full, dist_b, first_b, targets)
+                full, dist_b, first_b, _cells(targets))
             outside += 1
 
         # with the memo on the start's component again, forgetting rubble and
-        # doors rebuilds the blocked bytes and clears the memo
+        # doors changes the blocked cells and clears the memo
         assert ctrl._approach(targets, ctrl._field(start)) is None
-        ctrl.known_rubble = set(np.flatnonzero(rubble & (rng.random(n) < 0.3)).tolist())
-        ctrl.known_doors = set()
-        ctrl._blocked = None
-        blocked = [spec.wall_mask[c] or c in ctrl.known_rubble for c in range(n)]
+        ctrl.rubble = pack_cells(rubble & (rng.random(n) < 0.3))
+        ctrl.doors, ctrl._component = 0, 0
+        blocked = [spec.wall_mask[c] or bool(ctrl.rubble >> c & 1) for c in range(n)]
         dist_r, first_r = bfs_field(full, blocked, start)
-        want = _oracle_approach(full, dist_r, first_r, targets)
+        want = _oracle_approach(full, dist_r, first_r, _cells(targets))
         assert ctrl._approach(targets, ctrl._field(start)) == want
         reopened += want is not None
     assert exhausted and outside and reopened
@@ -1156,9 +1191,7 @@ def test_patrol_waypoint_skip_matches_full_fill_oracle(spec):
         density = (0.1, 0.25, 0.4)[case % 3]
         rubble = (rng.random(n) < density) & ~spec.wall_mask
         doors = (rng.random(n) < density / 2) & ~spec.wall_mask
-        ctrl.known_rubble = set(np.flatnonzero(rubble).tolist())
-        ctrl.known_doors = set(np.flatnonzero(doors).tolist())
-        ctrl._blocked = None
+        ctrl.rubble, ctrl.doors, ctrl._component = pack_cells(rubble), pack_cells(doors), 0
         blocked = (spec.wall_mask | rubble | doors).tolist()
         start = int(rng.choice([c for c in range(n) if not blocked[c]]))
         for _ in range(3):  # from a start, then from cells it reaches
@@ -1199,12 +1232,18 @@ def _knowledge_maps():
     yield map_from_ascii("row-fov2", "..D..S..*..y.", fov_radius=2)
 
 
+def _known_count(ctrl):
+    """How many (cell, entity) pairs the controller knows of; a buried yellow is two."""
+    return sum(cells.bit_count() for cells in (ctrl.greens, ctrl.yellows, ctrl.reds,
+                                               ctrl.rubble, ctrl.doors))
+
+
 @pytest.mark.parametrize("spec", list(_knowledge_maps()), ids=lambda spec: spec.name)
 @pytest.mark.parametrize("kind", [PolicyKind.GREEDY, PolicyKind.COORDINATED])
 def test_controller_knowledge_matches_mask_observe(spec, kind):
-    # after every observe of a mission, the packed unseen cells, the entity-cell
-    # knowledge, the serviceable targets and the cells a fresh field may still
-    # reach equal the whole-map mask form's
+    # after every observe of a mission, the packed unseen cells, the packed
+    # victims, rubble and doors known, the serviceable targets and the cells a
+    # fresh field may still reach equal the whole-map mask form's
     team = policy_team(kind, dither=0.2)
     agents = tuple(AgentState(f"{role.value}{i}", role, spec.start)
                    for i, (role, _) in enumerate(team))
@@ -1214,21 +1253,19 @@ def test_controller_knowledge_matches_mask_observe(spec, kind):
     learned = forgotten = 0
     for _ in range(round(spec.clock.mission_duration_s / 3.0)):
         for ctrl, ref in zip(controllers, refs):
-            before = len(ctrl.known_victims) + len(ctrl.known_rubble) + len(ctrl.known_doors)
+            before = _known_count(ctrl)
             ctrl.observe(state)
             me = state.agents[ctrl.index].cell
             ref.observe(state, me)
             assert ctrl.unseen == pack_cells(ref.unseen)
-            codes = np.flatnonzero(ref.victims).tolist()
-            assert ctrl.known_victims == dict(zip(codes, ref.victims[codes].tolist()))
-            assert ctrl.known_rubble == set(np.flatnonzero(ref.rubble).tolist())
-            assert ctrl.known_doors == set(np.flatnonzero(ref.doors).tolist())
-            serviceable = np.flatnonzero(ref.serviceable(ctrl.role)).tolist()
-            assert sorted(ctrl._serviceable()) == serviceable
-            blocked = np.frombuffer(ref.blocked(), dtype=bool).copy()
+            assert [ctrl.greens, ctrl.yellows, ctrl.reds, ctrl.rubble, ctrl.doors] == [
+                *(pack_cells(ref.victims == VICTIM_CODES[kind]) for kind in VictimType),
+                pack_cells(ref.rubble), pack_cells(ref.doors)]
+            assert ctrl._serviceable() == pack_cells(ref.serviceable(ctrl.role))
+            blocked = ref.blocked()
             blocked[me] = True  # a field has reached its start
             assert ctrl._field(me).unreached == pack_cells(~spec.wall_mask & ~blocked)
-            after = len(ctrl.known_victims) + len(ctrl.known_rubble) + len(ctrl.known_doors)
+            after = _known_count(ctrl)
             learned += after > before
             forgotten += after < before
         state, _ = step_resolved(state, [ctrl.act(state) for ctrl in controllers])

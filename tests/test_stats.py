@@ -413,6 +413,57 @@ def test_mediation_degenerate_input_raises():
         bootstrap_mediation(x, [2 * v for v in x], list(range(8)))
 
 
+@pytest.mark.parametrize("value", [0.3, 0.5])
+@pytest.mark.parametrize("constant", ["x", "m"])
+def test_mediation_refuses_a_constant_x_or_m_whose_mean_is_inexact(constant, value):
+    # the mean of twelve 0.3s is not 0.3 in binary, so centring leaves rounding
+    # noise that read as a = -0.333 and c = -341.3 for x, and b = -136.7 for m;
+    # twelve 0.5s centre to exact zeros
+    rng = np.random.default_rng(71)
+    cols = {"x": rng.random(12), "m": rng.random(12)}
+    cols[constant] = np.full(12, value)
+    y = 500 * rng.random(12)
+    with pytest.raises(DegenerateDataError, match="^x is constant or x and m are collinear$"):
+        bootstrap_mediation(cols["x"], cols["m"], y, resamples=200, seed=0)
+    with pytest.raises(ValueError, match="^resample 0 stayed degenerate after 100 draws$"):
+        bootstrap_indirect_loop(cols["x"], cols["m"], y, 1, 0)
+
+
+def test_mediation_takes_a_one_ulp_spread_as_a_varying_x():
+    # eleven 0.3s and the next float up vary, so the paths are computed; the
+    # resamples that miss the odd value are constant and drawn again
+    x = np.r_[np.full(11, 0.3), np.nextafter(0.3, 1.0)]
+    m = np.arange(12.0)
+    y = np.r_[np.zeros(11), 1.0]
+    res = bootstrap_mediation(x, m, y, resamples=300, seed=2)
+    assert math.isfinite(res.a) and res.a != 0.0
+    assert boot_summary(res) == bootstrap_indirect_loop(x, m, y, 300, 2)
+
+
+def test_mediation_redraws_resamples_whose_tied_x_is_constant(monkeypatch):
+    # x is nine 0.3s and one 0.9: a resample that misses the 0.9 draws nine or
+    # ten 0.3s, whose centred values are rounding noise; all such resamples,
+    # and only those, are drawn again, as in the loop oracle
+    n, resamples = 10, 2000
+    rng = np.random.default_rng(73)
+    x = np.r_[np.full(n - 1, 0.3), 0.9]
+    m = x + rng.normal(0, 0.2, n)
+    y = m + rng.normal(0, 0.2, n)
+    redrawn = []
+    redraw = stats._redrawn_indirect
+
+    def counted(xv, mv, yv, seed, k):
+        redrawn.append(k)
+        return redraw(xv, mv, yv, seed, k)
+
+    monkeypatch.setattr(stats, "_redrawn_indirect", counted)
+    res = bootstrap_mediation(x, m, y, resamples=resamples, seed=5)
+    idx = spawned_indices(5, 0, resamples, n)
+    assert redrawn == [k for k in range(resamples) if n - 1 not in idx[k]]
+    assert len(redrawn) > 600
+    assert boot_summary(res) == bootstrap_indirect_loop(x, m, y, resamples, 5)
+
+
 def test_mediation_exactly_collinear_input_raises_at_the_point_estimate():
     # m = 0.5 x - 0.7, but rounding leaves a determinant of -5.6e-17, not 0
     x, m, y = [1.0, 1.0, 1.0, 2.0, 2.0], [-0.2, -0.2, -0.2, 0.3, 0.3], [0.5, -1.0, 2.0, 0.25, 1.5]
@@ -613,9 +664,9 @@ def test_mediations_draw_within_the_chunk_and_mediate_within_the_slice(monkeypat
         drawn.append((start, count))
         return draw(seed, start, count, n)
 
-    def counted_mediation(xc, mediator):
+    def counted_mediation(xc, *args):
         mediated.append(xc.shape)
-        return mediate(xc, mediator)
+        return mediate(xc, *args)
 
     monkeypatch.setattr(stats, "_resample_indices", counted_draw)
     monkeypatch.setattr(stats, "_mediation_paths", counted_mediation)
