@@ -8,8 +8,6 @@ from (map, policies, seed).
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from teamcoord import Role, validate_session
 from teamcoord.outcomes import team_performance
 from teamcoord.session_io import read_session, write_session
@@ -28,8 +26,9 @@ def main():
     spec = builtin_map("medium")
     start_y, start_x = divmod(spec.start, spec.grid.width)  # cells are row-major ints
     print(f"map {spec.name!r}: {spec.grid.width}x{spec.grid.height}, "
-          f"{np.count_nonzero(spec.victim_codes)} victims, {spec.door_mask.sum()} doors, "
-          f"{spec.rubble_mask.sum()} rubble cells, start at ({start_x}, {start_y})")
+          f"{(spec.greens | spec.yellows | spec.reds).bit_count()} victims, "
+          f"{spec.doors.bit_count()} doors, {spec.rubble.bit_count()} rubble cells, "
+          f"start at ({start_x}, {start_y})")
     clock = spec.clock
     print(f"mission {clock.mission_duration_s:.0f}s, red victims lock at {clock.red_cutoff_s:.0f}s\n")
 

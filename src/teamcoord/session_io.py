@@ -41,7 +41,7 @@ from .core import (
     validate_session,
 )
 from .sim.maps import map_from_cells
-from .sim.world import _VICTIM_KINDS, MapSpec
+from .sim.world import MapSpec, _victim_at, unpack_cells
 
 FORMAT_VERSION = 1
 
@@ -418,19 +418,19 @@ def _log_players(log_path: Path, session_id, roster: dict[str, Role]) -> tuple:
 def write_map(spec: MapSpec, path) -> Path:
     """Write `spec`, each cell list sorted by x, then y."""
     path = Path(path)
-    g, codes = spec.grid, spec.victim_codes
-    def cells(values):
-        return np.transpose(np.nonzero(values.reshape(g.height, g.width).T)).tolist()
+    g, victims = spec.grid, (spec.greens, spec.yellows, spec.reds)
+    def cells(packed):
+        return np.argwhere(unpack_cells(packed, g.n_cells).reshape(g.height, g.width).T).tolist()
     doc = {
         "format_version": FORMAT_VERSION,
         "name": spec.name,
         "width": g.width,
         "height": g.height,
-        "walls": cells(spec.wall_mask),
-        "doors": cells(spec.door_mask),
-        "rubble": cells(spec.rubble_mask),
-        "victims": [{"x": x, "y": y, "type": _VICTIM_KINDS[codes[y * g.width + x]].value}
-                    for x, y in cells(codes)],
+        "walls": cells(spec.walls),
+        "doors": cells(spec.doors),
+        "rubble": cells(spec.rubble),
+        "victims": [{"x": x, "y": y, "type": _victim_at(*victims, y * g.width + x).value}
+                    for x, y in cells(spec.greens | spec.yellows | spec.reds)],
         "start": [spec.start % g.width, spec.start // g.width],
         **asdict(spec.clock),
         "fov_radius": spec.fov_radius,

@@ -8,8 +8,8 @@ of `map_from_cells`, the one place that builds and checks a `MapSpec`.
 A built-in map is built on its first use and then shared: `builtin_map` and
 `builtin_maps` return one `MapSpec` per name per process, whose
 `neighbor_lists` table and packed planner masks are made once. The spec is
-read-only (frozen, read-only arrays, tuple tables, ints) and no mission
-writes to it. A map file (`read_map`) is read afresh on every call.
+read-only (frozen, with packed int cell sets and tuple tables) and no
+mission writes to it. A map file (`read_map`) is read afresh on every call.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from ..core import GridSpec, VictimType
-from .world import VICTIM_CODES, MapSpec, raise_map_problems
+from .world import MapSpec, pack_cells, raise_map_problems
 
 _VICTIM_CHARS = {"g": VictimType.GREEN, "y": VictimType.YELLOW, "r": VictimType.RED}
 
@@ -45,17 +45,18 @@ def map_from_cells(name: str, grid: GridSpec, walls, doors, rubble, victims, sta
     masks = [np.zeros(grid.n_cells, dtype=bool) for _ in range(3)]
     for mask, label, cells in zip(masks, ("wall", "door", "rubble"), (walls, doors, rubble)):
         mask[[c for x, y in cells if (c := cell(label, x, y)) is not None]] = True
-    codes = np.zeros(grid.n_cells, dtype=np.int8)
+    kinds = {kind: np.zeros(grid.n_cells, dtype=bool) for kind in VictimType}  # green, yellow, red
+    taken = np.zeros(grid.n_cells, dtype=bool)
     for x, y, kind in victims:
-        if (c := cell("victim", x, y)) is not None and codes[c]:
+        if (c := cell("victim", x, y)) is not None and taken[c]:
             problems.append(f"two victims share cell ({x}, {y})")
         elif c is not None:
-            codes[c] = VICTIM_CODES[kind]
+            taken[c] = kinds[kind][c] = True
     # a start outside the grid is -1, which `MapSpec.problems` reports; a numpy
     # integer start becomes an int, as the planner shifts packed cell sets by it
     x, y = map(operator.index, start)
-    spec = MapSpec(name, grid, *masks, codes, y * grid.width + x if grid.contains(x, y) else -1,
-                   **fields)
+    spec = MapSpec(name, grid, *map(pack_cells, [*masks, *kinds.values()]),
+                   y * grid.width + x if grid.contains(x, y) else -1, **fields)
     raise_map_problems(name, problems + spec.problems())
     return spec
 

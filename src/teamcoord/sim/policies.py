@@ -307,7 +307,7 @@ class GreedyRescuerController(Controller):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.red_wait = [0] * self.grid.n_cells
+        self.red_wait: dict[int, int] = {}  # a camped red's cell: the ticks waited there
         self.red_shelved: dict[int, int] = {}  # a shelved red's cell: its last shelved tick
 
     def _decide(self, state) -> AgentAction:
@@ -328,12 +328,12 @@ class GreedyRescuerController(Controller):
             camped = state.reds & around & ~shelved
             for nb in self.spec.neighbor_lists[me]:
                 if camped >> nb & 1:
-                    self.red_wait[nb] += 1
+                    self.red_wait[nb] = self.red_wait.get(nb, 0) + 1
                     if self.red_wait[nb] <= self.params["patience"]:
                         return WAIT_ACTION
                     self.red_shelved[nb] = state.tick + 25
                     shelved |= 1 << nb
-                    self.red_wait[nb] = 0
+                    del self.red_wait[nb]
             reds = self.reds & ~shelved
 
         field = self._field(me)
@@ -368,7 +368,7 @@ class CoordinatedSpecialistController(Controller):
         cy = (1, g.height // 2 - 2) if pair == 0 else (g.height // 2 + 1, g.height - 2)
         self.waypoints = [y * g.width + x for x, y in
                           ((cx[0], cy[0]), (cx[1], cy[0]), (cx[1], cy[1]), (cx[0], cy[1]))
-                          if g.contains(x, y) and not spec.wall_mask[y * g.width + x]]
+                          if g.contains(x, y) and not spec.walls >> (y * g.width + x) & 1]
         self.still_for, self._last_cells = [], []  # ticks each agent has stood still, and where
 
     def observe(self, state: WorldState):

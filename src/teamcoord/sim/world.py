@@ -7,8 +7,8 @@ same victim resolve by agent index. Agents may share cells; they all start
 on the common start cell.
 
 A mission runs on row-major int cells (`y * width + x`): agents, action
-targets, the map (`MapSpec`) and the `WorldState` sets of victims, rubble and
-closed doors, packed into ints once from the map's arrays. The action
+targets, and the cell sets of the map (`MapSpec`) and the `WorldState`, each
+an int, bit c for cell c; a mission starts from the map's sets. The action
 rules live here, in `_rescuers` and `_terrain_action`, and the step and the
 controllers of `policies.py` both act through them; `policies.run_mission`
 drives a whole mission.
@@ -45,13 +45,6 @@ class MalformedActionError(TeamCoordError):
     """Agent action is not one of the known kinds."""
 
 
-# per-cell victim codes in `MapSpec.victim_codes`; 0 means no victim
-VICTIM_CODES = {VictimType.GREEN: 1, VictimType.YELLOW: 2, VictimType.RED: 3}
-_VICTIM_KINDS = {code: kind for kind, code in VICTIM_CODES.items()}
-_GREEN, _YELLOW, _RED = (VICTIM_CODES[k] for k in
-                         (VictimType.GREEN, VictimType.YELLOW, VictimType.RED))
-
-
 def raise_map_problems(name: str, problems: list[str]) -> None:
     """Raise `InvalidMapError` naming every problem of map `name`, if it has any."""
     if problems:
@@ -60,17 +53,24 @@ def raise_map_problems(name: str, problems: list[str]) -> None:
 
 def pack_cells(mask: np.ndarray) -> int:
     """A per-cell bool mask as one int, bit c set for row-major cell c: the
-    planner's form of a cell set."""
+    simulator's form of a cell set."""
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def unpack_cells(cells: int, n: int) -> np.ndarray:
+    """A packed cell set of an n-cell grid, bit c for cell c, as a per-cell bool mask."""
+    return np.unpackbits(np.frombuffer(cells.to_bytes(-(-n // 8), "little"), np.uint8),
+                         count=n, bitorder="little").astype(bool)
 
 
 @dataclass(frozen=True, eq=False)
 class MapSpec:
     """Static world: walls, doors, rubble, victims and the mission's `MissionClock`.
 
-    Cells are row-major ints, as in `WorldState`: read-only per-cell arrays of
-    bools (`wall_mask`, `door_mask`, `rubble_mask`) and of int8 `VICTIM_CODES`,
-    and the common `start` cell. `maps.map_from_cells` and `map_from_ascii` build
+    Cells are row-major ints, and each cell set is a packed int under its
+    `WorldState` name (`pack_cells`): `walls`, closed `doors`, `rubble` and the
+    victims `greens`, `yellows` and `reds`; a mission starts from them. `start`
+    is the common start cell. `maps.map_from_cells` and `map_from_ascii` build
     one. Rubble blocks both movement and the rescue of the yellow victim under
     it; closed doors block movement until an engineer opens them. The tables
     and packed masks the controllers plan with are made on first use.
@@ -78,43 +78,43 @@ class MapSpec:
 
     name: str
     grid: GridSpec
-    wall_mask: np.ndarray
-    door_mask: np.ndarray
-    rubble_mask: np.ndarray
-    victim_codes: np.ndarray
+    walls: int
+    doors: int
+    rubble: int
+    greens: int
+    yellows: int
+    reds: int
     start: int
     clock: MissionClock = MissionClock()
     fov_radius: int = 5
 
-    def __post_init__(self):
-        for a in (self.wall_mask, self.door_mask, self.rubble_mask, self.victim_codes):
-            a.flags.writeable = False
-
     def problems(self) -> list[str]:
         """The broken invariants, in this order: overlapping terrain, each victim's
         cell in row-major order, the start cell, the clock, the field of view."""
-        walls, doors, rubble, codes = (self.wall_mask, self.door_mask, self.rubble_mask,
-                                       self.victim_codes)
+        walls, doors, rubble = self.walls, self.doors, self.rubble
         out = []
-        if (walls & doors).any():
+        if walls & doors:
             out.append("door cells overlap walls")
-        if (rubble & (walls | doors)).any():
+        if rubble & (walls | doors):
             out.append("rubble cells overlap walls or doors")
-        on_terrain = (codes != 0) & (walls | doors)
-        unburied = (codes == _YELLOW) & ~rubble
-        buried = (codes != 0) & (codes != _YELLOW) & rubble
-        for c in np.flatnonzero(on_terrain | unburied | buried).tolist():
+        victims = self.greens | self.yellows | self.reds
+        on_terrain = victims & (walls | doors)
+        unburied = self.yellows & ~rubble
+        buried = (self.greens | self.reds) & rubble
+        flagged = unpack_cells(on_terrain | unburied | buried, self.grid.n_cells)
+        for c in np.flatnonzero(flagged).tolist():
             y, x = divmod(c, self.grid.width)
-            if on_terrain[c]:
+            if on_terrain >> c & 1:
                 out.append(f"victim at ({x}, {y}) on a wall or door")
-            if unburied[c]:
+            if unburied >> c & 1:
                 out.append(f"yellow victim at ({x}, {y}) has no rubble")
-            if buried[c]:
-                out.append(f"{_VICTIM_KINDS[codes[c]]} victim at ({x}, {y}) buried under rubble")
+            if buried >> c & 1:
+                kind = _victim_at(self.greens, self.yellows, self.reds, c)
+                out.append(f"{kind} victim at ({x}, {y}) buried under rubble")
         s = self.start
         if not 0 <= s < self.grid.n_cells:
             out.append("start cell outside grid")
-        elif walls[s] or doors[s] or rubble[s] or codes[s]:
+        elif (walls | doors | rubble | victims) >> s & 1:
             out.append("start cell not traversable")
         if not (self.clock.cutoff_inside() and self.clock.mission_duration_s < math.inf):
             out.append("red cutoff outside a finite mission duration")
@@ -130,14 +130,14 @@ class MapSpec:
         ys, xs = np.divmod(np.arange(g.n_cells), g.width)
         nbs = np.arange(g.n_cells)[:, None] + [-g.width, 1, g.width, -1]
         ok = np.stack([ys > 0, xs < g.width - 1, ys < g.height - 1, xs > 0], axis=1)
-        ok[ok] = ~self.wall_mask[nbs[ok]]
+        ok[ok] = ~unpack_cells(self.walls, g.n_cells)[nbs[ok]]
         kept = iter(nbs[ok].tolist())  # row-major, so each cell's neighbors stay in order
         return tuple(tuple(islice(kept, k)) for k in ok.sum(axis=1).tolist())
 
     @cached_property
     def open_cells(self) -> int:
         """The non-wall cells, packed as by `pack_cells`."""
-        return pack_cells(~self.wall_mask)
+        return (1 << self.grid.n_cells) - 1 & ~self.walls
 
     @cached_property
     def inner_columns(self) -> tuple[int, int]:
@@ -170,10 +170,10 @@ def map_meta(spec: MapSpec) -> MapMeta:
     Medics may rescue every victim; engineers may rescue greens, assist red
     rescues, clear rubble and open doors.
     """
-    counts = np.bincount(spec.victim_codes, minlength=len(VICTIM_CODES) + 1).tolist()
-    terrain = int(spec.rubble_mask.sum() + spec.door_mask.sum())
-    return MapMeta(traversable_cells=spec.grid.n_cells - int(spec.wall_mask.sum()), max_tasks={
-        Role.MEDIC: sum(counts[1:]), Role.ENGINEER: counts[_GREEN] + counts[_RED] + terrain})
+    greens, reds = spec.greens.bit_count(), spec.reds.bit_count()
+    return MapMeta(traversable_cells=spec.grid.n_cells - spec.walls.bit_count(), max_tasks={
+        Role.MEDIC: greens + spec.yellows.bit_count() + reds,
+        Role.ENGINEER: greens + reds + spec.rubble.bit_count() + spec.doors.bit_count()})
 
 
 class AgentAction(NamedTuple):
@@ -223,10 +223,9 @@ class WorldState:
 
 
 def initial_state(spec: MapSpec, agents: tuple[AgentState, ...]) -> WorldState:
-    codes = spec.victim_codes
-    return WorldState(spec=spec, tick=0, agents=agents, greens=pack_cells(codes == _GREEN),
-                      yellows=pack_cells(codes == _YELLOW), reds=pack_cells(codes == _RED),
-                      rubble=pack_cells(spec.rubble_mask), doors=pack_cells(spec.door_mask))
+    return WorldState(spec=spec, tick=0, agents=agents, greens=spec.greens,
+                      yellows=spec.yellows, reds=spec.reds, rubble=spec.rubble,
+                      doors=spec.doors)
 
 
 def _victim_at(greens: int, yellows: int, reds: int, c: int) -> VictimType | None:
@@ -272,6 +271,7 @@ def step_resolved(state: WorldState, actions) -> tuple[WorldState, tuple[AgentAc
         raise MalformedActionError(f"{len(actions)} actions for {len(state.agents)} agents")
     greens, yellows, reds, rubble, doors = (state.greens, state.yellows, state.reds,
                                             state.rubble, state.doors)
+    blocked = rubble | doors  # moves see the start-of-tick terrain
     events = list(state.events)
     resolved: list[AgentAction] = [WAIT_ACTION] * len(actions)
     agents = list(state.agents)
@@ -284,7 +284,7 @@ def step_resolved(state: WorldState, actions) -> tuple[WorldState, tuple[AgentAc
         if act.kind is ActionTag.WAIT or c not in state.spec.neighbor_lists[agent.cell]:
             continue  # no adjacent target: a wait
         if act.kind is ActionTag.MOVE:  # `c` is no wall: neighbor lists leave walls out
-            if not (state.rubble | state.doors) >> c & 1:
+            if not blocked >> c & 1:
                 agents[i] = AgentState(agent.player_id, agent.role, c)
                 resolved[i] = act
         elif act.kind is ActionTag.RESCUE:

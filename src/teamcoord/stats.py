@@ -821,10 +821,9 @@ def one_way_anova(groups: Sequence) -> AnovaResult:
     ss_between = sum(v.size * (float(v.mean()) - grand) ** 2 for v in vecs)
     ss_within = sum(float(((v - v.mean()) ** 2).sum()) for v in vecs)
     df_b, df_w = k - 1, n_total - k
-    if ss_within == 0.0:
-        if ss_between == 0.0:
-            return AnovaResult(f=0.0, p_value=1.0, df_between=df_b, df_within=df_w)
-        return AnovaResult(f=math.inf, p_value=0.0, df_between=df_b, df_within=df_w)
+    if all((v == v[0]).all() for v in vecs):  # constant, told exactly: SS may be noise
+        f = 0.0 if all(v[0] == vecs[0][0] for v in vecs) else math.inf
+        return AnovaResult(f=f, p_value=float(f == 0.0), df_between=df_b, df_within=df_w)
     f = (ss_between / df_b) / (ss_within / df_w)
     return AnovaResult(f=f, p_value=f_sf(f, df_b, df_w), df_between=df_b, df_within=df_w)
 

@@ -78,7 +78,7 @@ from teamcoord.session_io import (
     manifest_path_for,
 )
 from teamcoord.sim import AgentAction, AgentState, MapSpec
-from teamcoord.sim.world import VICTIM_CODES
+from teamcoord.sim.world import unpack_cells
 
 
 def jsd_base2(p, q) -> float:
@@ -481,16 +481,17 @@ class ReferenceWorld:
 
 def map_sets(spec: MapSpec) -> dict:
     """The `ReferenceWorld` fields of `spec`'s initial world, read from its
-    arrays one cell at a time."""
+    packed sets one bit at a time; victims in row-major order."""
     g = spec.grid
-    kinds = {code: kind for kind, code in VICTIM_CODES.items()}
+    kinds = ((VictimType.GREEN, spec.greens), (VictimType.YELLOW, spec.yellows),
+             (VictimType.RED, spec.reds))
 
-    def cells(values):
-        return frozenset(to_position(g, c) for c in range(g.n_cells) if values[c])
-    return {"walls": cells(spec.wall_mask),
-            "victims": tuple((to_position(g, c), kinds[code])
-                             for c, code in enumerate(spec.victim_codes.tolist()) if code),
-            "rubble": cells(spec.rubble_mask), "closed_doors": cells(spec.door_mask)}
+    def cells(packed):
+        return frozenset(to_position(g, c) for c in range(g.n_cells) if packed >> c & 1)
+    return {"walls": cells(spec.walls),
+            "victims": tuple((to_position(g, c), kind) for c in range(g.n_cells)
+                             for kind, packed in kinds if packed >> c & 1),
+            "rubble": cells(spec.rubble), "closed_doors": cells(spec.doors)}
 
 
 def step_reference(state: ReferenceWorld, actions):
@@ -554,22 +555,18 @@ def step_reference(state: ReferenceWorld, actions):
     return new_state, tuple(resolved)
 
 
-def unpack_cells(cells: int, n: int) -> np.ndarray:
-    """A packed cell set of an n-cell grid, bit c for cell c, as a per-cell bool mask."""
-    return np.unpackbits(np.frombuffer(cells.to_bytes(-(-n // 8), "little"), np.uint8),
-                         count=n, bitorder="little").astype(bool)
-
-
 class MaskKnowledge:
     """What a controller knows, as per-cell masks over the whole map: `unseen`,
-    `victims` (`VICTIM_CODES`, 0 = none), `rubble` and `doors`. `observe` unpacks
+    `victims` (`CODES`, 0 = none), `rubble` and `doors`. `observe` unpacks
     the world's victim, rubble and door sets into per-cell arrays and copies them
     into these over the Chebyshev field of view, through 2-D views."""
+
+    CODES = {VictimType.GREEN: 1, VictimType.YELLOW: 2, VictimType.RED: 3}
 
     def __init__(self, spec: MapSpec):
         n = spec.grid.n_cells
         self.spec = spec
-        self.unseen = ~spec.wall_mask
+        self.unseen = ~unpack_cells(spec.walls, n)
         self.victims = np.zeros(n, dtype=np.int8)
         self.rubble = np.zeros(n, dtype=bool)
         self.doors = np.zeros(n, dtype=bool)
@@ -583,14 +580,14 @@ class MaskKnowledge:
         n = self.spec.grid.n_cells
         codes = np.zeros(n, dtype=np.int8)
         for kind, cells in zip(VictimType, (state.greens, state.yellows, state.reds)):
-            codes[unpack_cells(cells, n)] = VICTIM_CODES[kind]
+            codes[unpack_cells(cells, n)] = self.CODES[kind]
         for known, truth in ((self.victims, codes), (self.rubble, unpack_cells(state.rubble, n)),
                              (self.doors, unpack_cells(state.doors, n))):
             known.reshape(shape)[view] = truth.reshape(shape)[view]
 
     def serviceable(self, role: Role) -> np.ndarray:
         """Known greens, and uncovered yellows for medics or rubble and doors for engineers."""
-        green, yellow = VICTIM_CODES[VictimType.GREEN], VICTIM_CODES[VictimType.YELLOW]
+        green, yellow = self.CODES[VictimType.GREEN], self.CODES[VictimType.YELLOW]
         if role is Role.MEDIC:
             return (self.victims == green) | ((self.victims == yellow) & ~self.rubble)
         return (self.victims == green) | self.rubble | self.doors

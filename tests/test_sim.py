@@ -12,7 +12,7 @@ from teamcoord.cli import main
 from teamcoord.core import (ActionTag, CompositionError, GridSpec, MissionClock, Position, Role,
                             VictimType, validate_session)
 from teamcoord.outcomes import team_performance
-from teamcoord.session_io import write_map
+from teamcoord.session_io import read_map, write_map
 from teamcoord.sim import (
     AgentAction,
     AgentPolicy,
@@ -33,7 +33,7 @@ from teamcoord.sim import (
 )
 from teamcoord.sim.policies import BfsField, PolicyParamError, build_controllers
 from teamcoord.sim.maps import MAX_MAP_CELLS
-from teamcoord.sim.world import VICTIM_CODES, pack_cells
+from teamcoord.sim.world import pack_cells, unpack_cells
 
 from oracles import (
     MaskKnowledge,
@@ -50,6 +50,7 @@ from oracles import (
     to_sim_action,
     to_sim_agent,
 )
+from test_cli import EXAMPLE_MAP
 from test_golden import EDGE_ART
 
 WAIT = AgentAction(ActionTag.WAIT)
@@ -400,16 +401,81 @@ def test_builtin_maps_are_valid_fixtures():
     assert [m.name for m in maps] == ["small", "medium", "corridor"]
     for m in maps:
         assert m.problems() == []
-        for kind in VictimType:
-            assert np.count_nonzero(m.victim_codes == VICTIM_CODES[kind]) >= 2, \
-                f"{m.name} lacks {kind}"
-        assert m.door_mask.any() and m.rubble_mask.any()
+        for kind, cells in zip(VictimType, (m.greens, m.yellows, m.reds)):
+            assert cells.bit_count() >= 2, f"{m.name} lacks {kind}"
+        assert m.doors and m.rubble
     small = builtin_map("small")
     assert (small.grid.width, small.grid.height) == (12, 12)
     medium = builtin_map("medium")
     assert (medium.grid.width, medium.grid.height) == (24, 24)
     with pytest.raises(KeyError):
         builtin_map("atlantis")
+
+
+PACKED_SETS = ("walls", "doors", "rubble", "greens", "yellows", "reds")
+_SET_OF_KIND = dict(zip(VictimType, PACKED_SETS[3:]))
+
+
+def _art_cells(art):
+    """The grid of `art` and the (x, y) cells of each packed set, read tile by
+    tile in the legend of `maps`: a yellow victim's tile is rubble too."""
+    rows = [line for line in art.splitlines() if line.strip()]
+    tiles = dict(zip(PACKED_SETS, ("#", "D", "*y", "g", "y", "r")))
+    return GridSpec(len(rows[0]), len(rows)), {
+        name: [(x, y) for y, row in enumerate(rows) for x, tile in enumerate(row) if tile in chars]
+        for name, chars in tiles.items()}
+
+
+def _random_map_input(size, seed):
+    """`map_from_cells` arguments of a random valid `size` x `size` map, the
+    victims in shuffled order, and the (x, y) cells of each packed set."""
+    rng = np.random.default_rng(seed)
+    # floor, wall, door, bare rubble, then a green, yellow (on rubble) and red victim
+    tiles = rng.choice(7, size=(size, size), p=[0.45, 0.2, 0.05, 0.1, 0.1, 0.05, 0.05])
+    tiles[0, 0] = 0
+    def where(*codes):
+        ys, xs = np.nonzero(np.isin(tiles, codes))
+        return list(zip(xs.tolist(), ys.tolist()))
+    cells = dict(zip(PACKED_SETS, (where(1), where(2), where(3, 5), where(4), where(5), where(6))))
+    victims = [(x, y, kind) for kind in VictimType for x, y in cells[_SET_OF_KIND[kind]]]
+    victims = [victims[i] for i in rng.permutation(len(victims))]
+    fields = {"name": f"random{size}", "grid": GridSpec(size, size), "walls": cells["walls"],
+              "doors": cells["doors"], "rubble": cells["rubble"], "victims": victims,
+              "start": (0, 0)}
+    return fields, cells
+
+
+def _packed(grid, cells):
+    """The cell set of (x, y) `cells`, bit y * width + x, set one cell at a time."""
+    return sum(1 << y * grid.width + x for x, y in set(map(tuple, cells)))
+
+
+def test_map_sets_are_the_cells_their_input_lists():
+    # each packed set of a built-in map, the example map file and a random
+    # `map_from_cells` map holds just the cells its input lists
+    cases = [(builtin_map(name), *_art_cells(art)) for name, art in maps._BUILTIN_ART.items()]
+    doc = json.loads(EXAMPLE_MAP.read_text())
+    victims = {name: [(v["x"], v["y"]) for v in doc["victims"] if v["type"] == kind.value]
+               for kind, name in _SET_OF_KIND.items()}
+    cases.append((read_map(EXAMPLE_MAP), GridSpec(doc["width"], doc["height"]),
+                  {"walls": doc["walls"], "doors": doc["doors"], "rubble": doc["rubble"],
+                   **victims}))
+    fields, cells = _random_map_input(23, seed=19)
+    cases.append((map_from_cells(**fields), fields["grid"], cells))
+    for spec, grid, cells in cases:
+        assert spec.grid == grid and all(cells[name] for name in PACKED_SETS), spec.name
+        assert [getattr(spec, name) for name in PACKED_SETS] == [
+            _packed(grid, cells[name]) for name in PACKED_SETS], spec.name
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 577])
+def test_pack_cells_and_unpack_cells_round_trip(n):
+    rng = np.random.default_rng(n)
+    for mask in (np.zeros(n, dtype=bool), np.ones(n, dtype=bool), rng.random(n) < 0.5):
+        cells = pack_cells(mask)
+        assert cells == sum(1 << c for c in np.flatnonzero(mask).tolist())
+        back = unpack_cells(cells, n)
+        assert back.dtype == bool and back.tolist() == mask.tolist()
 
 
 @pytest.fixture
@@ -446,7 +512,7 @@ def test_builtin_map_builds_the_named_map_only(monkeypatch, tmp_path, cold_map_c
 
 def test_missions_leave_the_shared_builtin_spec_unchanged(tmp_path):
     # one mission of each policy on each shared spec: its map bytes, tables
-    # and read-only arrays are as a fresh parse of the same art makes them
+    # and packed cell sets are as a fresh parse of the same art makes them
     for name in ("small", "medium", "corridor"):
         spec = builtin_map(name)
         tables = spec.neighbor_lists, spec.open_cells, spec.inner_columns, spec.view_column
@@ -459,9 +525,8 @@ def test_missions_leave_the_shared_builtin_spec_unchanged(tmp_path):
         assert (spec.neighbor_lists, spec.open_cells, spec.inner_columns,
                 spec.view_column) == tables == (fresh.neighbor_lists, fresh.open_cells,
                                                 fresh.inner_columns, fresh.view_column)
-        for attr in ("wall_mask", "door_mask", "rubble_mask", "victim_codes"):
-            a = getattr(spec, attr)
-            assert not a.flags.writeable and np.array_equal(a, getattr(fresh, attr))
+        sets = ("walls", "doors", "rubble", "greens", "yellows", "reds")
+        assert [getattr(spec, a) for a in sets] == [getattr(fresh, a) for a in sets]
 
 
 def shortest_path_ticks(spec, goal_cells):
@@ -476,7 +541,7 @@ def shortest_path_ticks(spec, goal_cells):
             continue
         costs[c] = d
         for nb in spec.neighbor_lists[c]:
-            if spec.wall_mask[nb] or nb in costs:
+            if spec.walls >> nb & 1 or nb in costs:
                 continue
             p = to_position(spec.grid, nb)
             extra = 2 if (p in sets["closed_doors"] or p in sets["rubble"]) else 1
@@ -622,7 +687,7 @@ def test_map_file_defects_exit_3_with_their_message(tmp_path, capsys, case):
 def test_map_grid_up_to_the_cell_limit_builds():
     empty = {"name": "wide", "walls": [], "doors": [], "rubble": [], "victims": [], "start": (0, 0)}
     spec = map_from_cells(grid=GridSpec(MAX_MAP_CELLS, 1), **empty)
-    assert spec.wall_mask.shape == (MAX_MAP_CELLS,)
+    assert spec.walls == 0 and spec.open_cells.bit_length() == MAX_MAP_CELLS
     with pytest.raises(InvalidMapError) as exc:
         map_from_cells(grid=GridSpec(MAX_MAP_CELLS + 1, 1), **empty)
     assert str(exc.value) == (f"map 'wide': grid of {MAX_MAP_CELLS + 1}x1 cells is larger than "
@@ -890,7 +955,7 @@ def test_neighbor_lists_are_the_in_grid_non_wall_neighbors(spec):
     full = grid_neighbors(g.width, g.height)
     assert len(spec.neighbor_lists) == g.n_cells
     for c, nbs in enumerate(spec.neighbor_lists):
-        assert list(nbs) == [nb for nb in full[c] if not spec.wall_mask[nb]]
+        assert list(nbs) == [nb for nb in full[c] if not spec.walls >> nb & 1]
 
 
 NEIGHBOR_MASK_MAPS = [EDGE_MAP, map_from_ascii("row", "..D..S..*..g."),
@@ -925,12 +990,13 @@ def test_bfs_field_matches_full_fill_oracle(mapname):
     spec = builtin_map(mapname)
     n = spec.grid.n_cells
     full = grid_neighbors(spec.grid.width, spec.grid.height)
+    walls = unpack_cells(spec.walls, n)
     rng = np.random.default_rng(31)
     for case in range(60):
         blocked = rng.random(n) < (0.1, 0.3, 0.45)[case % 3]
         start = int(rng.integers(n))
         blocked[start] = False
-        walled = (blocked | spec.wall_mask).tolist()
+        walled = (blocked | walls).tolist()
         walled[start] = False
         dist, first = bfs_field(full, walled, start)
         field = BfsField(spec, pack_cells(blocked), start)
@@ -959,7 +1025,7 @@ def test_bfs_field_edge_cases():
     spec = builtin_map("small")
     n = spec.grid.n_cells
     start = spec.start
-    blocked = (spec.wall_mask | spec.door_mask | spec.rubble_mask).tolist()  # closed doors seal rooms
+    blocked = unpack_cells(spec.walls | spec.doors | spec.rubble, n).tolist()  # doors seal rooms
     dist, first = bfs_field(grid_neighbors(spec.grid.width, spec.grid.height), blocked, start)
     sealed = np.array([dist[c] < 0 and not blocked[c] for c in range(n)])
     assert sealed.any()
@@ -992,7 +1058,7 @@ def test_bfs_field_expands_only_the_levels_a_query_needs():
     assert field.nearest(pack_cells(np.zeros(n, dtype=bool))) is None
     assert len(field.levels) - 1 == 0
 
-    nb = next(c for c in spec.neighbor_lists[start] if not spec.wall_mask[c])
+    nb = next(c for c in spec.neighbor_lists[start] if not spec.walls >> c & 1)
     goals = np.zeros(n, dtype=bool)
     goals[[nb, n - 1]] = True
     assert field.nearest(pack_cells(goals)) == nb
@@ -1057,11 +1123,12 @@ def test_bfs_field_shifts_and_walk_back_match_full_fill_oracle(spec):
     g = spec.grid
     n = g.n_cells
     full = grid_neighbors(g.width, g.height)
+    walls = unpack_cells(spec.walls, n)
     rng = np.random.default_rng(11)
-    for blocked in (spec.door_mask | spec.rubble_mask, np.zeros(n, dtype=bool)):
-        other = int(rng.choice(np.flatnonzero(~spec.wall_mask & ~blocked)))
+    for blocked in (unpack_cells(spec.doors | spec.rubble, n), np.zeros(n, dtype=bool)):
+        other = int(rng.choice(np.flatnonzero(~walls & ~blocked)))
         for start in (spec.start, other):
-            dist, first = bfs_field(full, (blocked | spec.wall_mask).tolist(), start)
+            dist, first = bfs_field(full, (blocked | walls).tolist(), start)
             field = BfsField(spec, pack_cells(blocked), start)
             assert [field.nearest(1 << c) for c in range(n)] == [
                 c if d >= 0 else None for c, d in enumerate(dist)]
@@ -1080,17 +1147,18 @@ def test_controller_planning_matches_full_fill_oracle(spec, kind):
     g = spec.grid
     n = g.n_cells
     full = grid_neighbors(g.width, g.height)
-    open_cells = np.flatnonzero(~spec.wall_mask)
+    walls = unpack_cells(spec.walls, n)
+    open_cells = np.flatnonzero(~walls)
     rng = np.random.default_rng(57)
     for ctrl in build_controllers(policy_team(kind), spec, seed=4):
         for case in range(15):
             density = (0.05, 0.2, 0.4)[case % 3]
-            rubble = (rng.random(n) < density) & ~spec.wall_mask
-            doors = (rng.random(n) < density / 2) & ~spec.wall_mask
+            rubble = (rng.random(n) < density) & ~walls
+            doors = (rng.random(n) < density / 2) & ~walls
             # as `observe` does when the known rubble or doors change
             ctrl.rubble, ctrl.doors, ctrl._component = pack_cells(rubble), pack_cells(doors), 0
             start = int(rng.choice(open_cells))
-            blocked = (spec.wall_mask | rubble | doors).tolist()
+            blocked = (walls | rubble | doors).tolist()
             dist, first = bfs_field(full, blocked, start)
 
             field = ctrl._field(start)
@@ -1119,15 +1187,16 @@ def test_controller_component_memo_matches_full_fill_oracle(spec):
     g = spec.grid
     n = g.n_cells
     full = grid_neighbors(g.width, g.height)
+    walls = unpack_cells(spec.walls, n)
     rng = np.random.default_rng(29)
     ctrl = build_controllers(policy_team(PolicyKind.GREEDY), spec, seed=4)[0]
     exhausted = outside = reopened = 0
     for case in range(30):
         density = (0.1, 0.25, 0.4)[case % 3]
-        rubble = (rng.random(n) < density) & ~spec.wall_mask
-        doors = (rng.random(n) < density / 2) & ~spec.wall_mask
+        rubble = (rng.random(n) < density) & ~walls
+        doors = (rng.random(n) < density / 2) & ~walls
         ctrl.rubble, ctrl.doors, ctrl._component = pack_cells(rubble), pack_cells(doors), 0
-        blocked = (spec.wall_mask | rubble | doors).tolist()
+        blocked = (walls | rubble | doors).tolist()
         start = int(rng.choice([c for c in range(n) if not blocked[c]]))
         dist, first = bfs_field(full, blocked, start)
         # targets with a non-wall neighbour, none of them reached from the start
@@ -1164,7 +1233,7 @@ def test_controller_component_memo_matches_full_fill_oracle(spec):
         assert ctrl._approach(targets, ctrl._field(start)) is None
         ctrl.rubble = pack_cells(rubble & (rng.random(n) < 0.3))
         ctrl.doors, ctrl._component = 0, 0
-        blocked = [spec.wall_mask[c] or bool(ctrl.rubble >> c & 1) for c in range(n)]
+        blocked = [bool(walls[c]) or bool(ctrl.rubble >> c & 1) for c in range(n)]
         dist_r, first_r = bfs_field(full, blocked, start)
         want = _oracle_approach(full, dist_r, first_r, _cells(targets))
         assert ctrl._approach(targets, ctrl._field(start)) == want
@@ -1181,6 +1250,7 @@ def test_patrol_waypoint_skip_matches_full_fill_oracle(spec):
     g = spec.grid
     n = g.n_cells
     full = grid_neighbors(g.width, g.height)
+    walls = unpack_cells(spec.walls, n)
     rng = np.random.default_rng(30)
     ctrls = [c for c in build_controllers(policy_team(PolicyKind.COORDINATED), spec, seed=4)
              if c.waypoints]
@@ -1189,10 +1259,10 @@ def test_patrol_waypoint_skip_matches_full_fill_oracle(spec):
         ctrl = ctrls[case % len(ctrls)]
         ctrl.unseen = 0  # nothing left to explore: the sweep patrols
         density = (0.1, 0.25, 0.4)[case % 3]
-        rubble = (rng.random(n) < density) & ~spec.wall_mask
-        doors = (rng.random(n) < density / 2) & ~spec.wall_mask
+        rubble = (rng.random(n) < density) & ~walls
+        doors = (rng.random(n) < density / 2) & ~walls
         ctrl.rubble, ctrl.doors, ctrl._component = pack_cells(rubble), pack_cells(doors), 0
-        blocked = (spec.wall_mask | rubble | doors).tolist()
+        blocked = (walls | rubble | doors).tolist()
         start = int(rng.choice([c for c in range(n) if not blocked[c]]))
         for _ in range(3):  # from a start, then from cells it reaches
             dist, first = bfs_field(full, blocked, start)
@@ -1250,6 +1320,7 @@ def test_controller_knowledge_matches_mask_observe(spec, kind):
     controllers = build_controllers(team, spec, seed=3)
     refs = [MaskKnowledge(spec) for _ in controllers]
     state = initial_state(spec, agents)
+    walls = unpack_cells(spec.walls, spec.grid.n_cells)
     learned = forgotten = 0
     for _ in range(round(spec.clock.mission_duration_s / 3.0)):
         for ctrl, ref in zip(controllers, refs):
@@ -1259,12 +1330,12 @@ def test_controller_knowledge_matches_mask_observe(spec, kind):
             ref.observe(state, me)
             assert ctrl.unseen == pack_cells(ref.unseen)
             assert [ctrl.greens, ctrl.yellows, ctrl.reds, ctrl.rubble, ctrl.doors] == [
-                *(pack_cells(ref.victims == VICTIM_CODES[kind]) for kind in VictimType),
+                *(pack_cells(ref.victims == MaskKnowledge.CODES[kind]) for kind in VictimType),
                 pack_cells(ref.rubble), pack_cells(ref.doors)]
             assert ctrl._serviceable() == pack_cells(ref.serviceable(ctrl.role))
             blocked = ref.blocked()
             blocked[me] = True  # a field has reached its start
-            assert ctrl._field(me).unreached == pack_cells(~spec.wall_mask & ~blocked)
+            assert ctrl._field(me).unreached == pack_cells(~walls & ~blocked)
             after = _known_count(ctrl)
             learned += after > before
             forgotten += after < before

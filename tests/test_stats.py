@@ -987,6 +987,19 @@ def test_anova_degenerate_within_variance_flagged():
     assert (same.f, same.p_value) == (0.0, 1.0)
 
 
+@pytest.mark.parametrize("groups, f, p", [
+    ([[0.3] * 6, [0.3] * 6], 0.0, 1.0),
+    ([[0.3] * 6, [0.3] * 5, [0.3] * 3], 0.0, 1.0),
+    ([[0.1] * 7, [0.1] * 5], 0.0, 1.0),
+    ([[0.1] * 7, [0.2] * 5], math.inf, 0.0),
+], ids=["two-equal", "three-equal", "unequal-sizes", "two-values"])
+def test_anova_constant_groups_are_told_exactly(groups, f, p):
+    # the groups' means round apart, so their sums of squares are rounding
+    # noise, not 0: only a value-by-value test tells constant groups
+    r = one_way_anova(groups)
+    assert (r.f, r.p_value) == (f, p)
+
+
 # --- grouping -----------------------------------------------------------------------
 
 def members(groups, group):
