@@ -67,9 +67,12 @@ class BfsField:
     (`MapSpec.open_cells`) and never enters a cell of `blocked`. `levels[d]`
     is the set at distance d: level 0 is the start, and a last level of 0
     means the search is exhausted. The next level is the last one's
-    `MapSpec.spread`, kept where still `unreached`. A level thus costs a few
+    `MapSpec.spread`, kept where still `unreached`; the field binds the
+    spread's column masks and the grid width once and writes the spread out
+    where it grows a level or walks back. A level thus costs a few
     operations on ints of n_cells bits, however many cells it holds. Queries
-    expand only as many levels as they need.
+    expand only as many levels as they need, and `nearest` keeps the level at
+    which it found its cell, so that `first_step` to that cell scans none.
 
     `free` is the set the search may enter. An exhausted field has reached
     `free ^ unreached`, which is whole components of the graph of the cells
@@ -81,28 +84,36 @@ class BfsField:
 
     def __init__(self, spec: MapSpec, blocked: int, start: int):
         self.spec, self.start = spec, start
+        self._east, self._west = spec.inner_columns
+        self._width = spec.grid.width
         self.free = spec.open_cells & ~blocked
         self.unreached = self.free & ~(1 << start)
         self.levels = [1 << start]
+        self._found = (start, 0)  # the last cell `nearest` found, and its level
 
     def _grow(self) -> int:
         """Expand the level after the last one, append it to `levels` and
         return it; call only while the last level is not 0."""
-        level = self.spec.spread(self.levels[-1]) & self.unreached
+        last, w = self.levels[-1], self._width
+        level = ((last << 1 & self._east) | (last >> 1 & self._west) | last << w | last >> w
+                 ) & self.unreached
         self.unreached ^= level
         self.levels.append(level)
         return level
 
     def nearest(self, goals: int) -> int | None:
         """The reachable cell of the packed `goals` of least (distance, cell
-        index), or None: the lowest bit of the first level that meets them."""
+        index), or None: the lowest bit of the first level that meets them.
+        The cell found and its level are kept for `first_step`."""
         if not goals:
             return None
         levels, d = self.levels, 0
         while levels[d]:
             hits = levels[d] & goals
             if hits:
-                return (hits & -hits).bit_length() - 1
+                cell = (hits & -hits).bit_length() - 1
+                self._found = (cell, d)
+                return cell
             d += 1
             if d == len(levels):
                 self._grow()
@@ -111,28 +122,35 @@ class BfsField:
     def first_step(self, cell: int) -> int | None:
         """First cell of a shortest path to `cell`, as the FIFO flood fill
         finds it; None if `cell` is the start or unreachable. Expands levels
-        up to the one holding `cell`.
+        up to the one holding `cell`; for the cell `nearest` last found, that
+        level is known and no level is scanned.
 
         From `cell` at distance d it walks back through levels d - 1 .. 1,
-        keeping the cells of each that lie on a shortest path to `cell`, and
-        returns the first of the start's neighbours, in `MapSpec`'s N, E, S,
-        W order, left among them. The FIFO fill lists each level grouped by
-        first step in that order, so it gives each cell that same step."""
+        keeping the cells of each that lie on a shortest path to `cell`
+        (their `MapSpec.spread`, written out), and returns the first of the
+        start's neighbours, in `MapSpec`'s N, E, S, W order, left among them.
+        The FIFO fill lists each level grouped by first step in that order,
+        so it gives each cell that same step."""
         if cell == self.start:
             return None
-        levels, bit, d = self.levels, 1 << cell, 1
-        while True:
-            if d == len(levels):
-                if not levels[-1]:
-                    return None
-                self._grow()
-            if levels[d] & bit:
-                break
-            d += 1
-        spread = self.spec.spread
+        levels, bit = self.levels, 1 << cell
+        found, d = self._found
+        if found != cell:
+            d = 1
+            while True:
+                if d == len(levels):
+                    if not levels[-1]:
+                        return None
+                    self._grow()
+                if levels[d] & bit:
+                    break
+                d += 1
+        east, west, w = self._east, self._west, self._width
         for level in levels[d - 1:0:-1]:
-            bit = spread(bit) & level
-        return next(nb for nb in self.spec.neighbor_lists[self.start] if bit >> nb & 1)
+            bit = ((bit << 1 & east) | (bit >> 1 & west) | bit << w | bit >> w) & level
+        for nb in self.spec.neighbor_lists[self.start]:
+            if bit >> nb & 1:
+                return nb
 
 
 class Controller:
@@ -143,9 +161,9 @@ class Controller:
     is such sets: `unseen`, the non-wall cells never in view, and the cells
     where it last saw a victim of each kind (`greens`, `yellows`, `reds`),
     `rubble` or a closed door (`doors`). `observe` builds the field of view
-    from `MapSpec.view_column`, clears it from `unseen` and merges the
-    tick's `WorldState` sets into the others over it, each with a few int
-    operations.
+    from `MapSpec.view_column` and the column's `MapSpec.view_spans` entry,
+    clears it from `unseen` and merges the tick's `WorldState` sets into the
+    others over it, each with a few int operations.
 
     A decision takes its targets, the goals and the component memo below as
     packed sets too, and meets the `WorldState` sets with the agent's
@@ -182,12 +200,12 @@ class Controller:
     # -- perception --------------------------------------------------------
 
     def observe(self, state: WorldState):
-        w, r = self.grid.width, self.spec.fov_radius
+        spec, w = self.spec, self.grid.width
         y, x = divmod(state.agents[self.index].cell, w)
         # the view's columns in every row of `view_column`, its top row moved to y - r
-        left = max(x - r, 0)
-        view = self.spec.view_column * ((1 << min(x + r, w - 1) - left + 1) - 1 << left)
-        top = (y - min(r, self.grid.height)) * w
+        span, left = spec.view_spans[x]
+        view = spec.view_column * ((1 << span) - 1) << left
+        top = (y - min(spec.fov_radius, self.grid.height)) * w
         view = view << top if top >= 0 else view >> -top
         hidden = ~view
         self.unseen &= hidden
@@ -326,14 +344,15 @@ class GreedyRescuerController(Controller):
                     shelved |= 1 << c
             # camped at a red, hoping an engineer wanders by
             camped = state.reds & around & ~shelved
-            for nb in self.spec.neighbor_lists[me]:
-                if camped >> nb & 1:
-                    self.red_wait[nb] = self.red_wait.get(nb, 0) + 1
-                    if self.red_wait[nb] <= self.params["patience"]:
-                        return WAIT_ACTION
-                    self.red_shelved[nb] = state.tick + 25
-                    shelved |= 1 << nb
-                    del self.red_wait[nb]
+            if camped:  # no red beside the medic: nothing to wait at
+                for nb in self.spec.neighbor_lists[me]:
+                    if camped >> nb & 1:
+                        self.red_wait[nb] = self.red_wait.get(nb, 0) + 1
+                        if self.red_wait[nb] <= self.params["patience"]:
+                            return WAIT_ACTION
+                        self.red_shelved[nb] = state.tick + 25
+                        shelved |= 1 << nb
+                        del self.red_wait[nb]
             reds = self.reds & ~shelved
 
         field = self._field(me)
@@ -516,13 +535,13 @@ def run_mission(spec: MapSpec, policies, seed: int, session_id: str | None = Non
     state = initial_state(spec, agents)
     # per tick and agent: the cell stood on, the resolved action and its target (-1 for none)
     cells, kinds, targets = [], [], []
-    kind_index = {kind: i for i, kind in enumerate(ACTIONS)}
     for _ in range(n_ticks):
         for c in controllers:
             c.observe(state)
         new_state, resolved = step_resolved(state, [c.act(state) for c in controllers])
         cells.append([agent.cell for agent in state.agents])
-        kinds.append([kind_index[act.kind] for act in resolved])
+        # `index` finds a member by identity, where a dict would hash the Enum in Python
+        kinds.append([ACTIONS.index(act.kind) for act in resolved])
         targets.append([-1 if act.target is None else act.target for act in resolved])
         state = new_state
     cells, kinds, targets = (np.array(a, dtype=dtype).T for a, dtype in (

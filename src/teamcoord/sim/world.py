@@ -73,7 +73,12 @@ class MapSpec:
     is the common start cell. `maps.map_from_cells` and `map_from_ascii` build
     one. Rubble blocks both movement and the rescue of the yellow victim under
     it; closed doors block movement until an engineer opens them. The tables
-    and packed masks the controllers plan with are made on first use.
+    and packed masks the controllers plan with are made on first use. Those
+    that `observe` and `BfsField` read hold O(n_cells) bits in all: a few
+    packed sets (`open_cells`, `inner_columns`, `view_column`) and two small
+    ints per column (`view_spans`). A packed view or neighbour set per cell
+    or per column would hold O(n_cells) bits each, tens of GB at
+    `maps.MAX_MAP_CELLS`.
     """
 
     name: str
@@ -161,7 +166,17 @@ class MapSpec:
         rows of a field of view, at column 0 and from its top row. A radius
         over the height sees every row, as the height itself does."""
         w, rows = self.grid.width, 2 * min(self.fov_radius, self.grid.height) + 1
-        return ((1 << rows * w) - 1) // ((1 << w) - 1)
+        return pack_cells(np.arange(rows * w) % w == 0)
+
+    @cached_property
+    def view_spans(self) -> tuple[tuple[int, int], ...]:
+        """For each column x, `(span, left)`: a field of view centred on x
+        covers `span` columns from column `left`, clipped to the grid. Two
+        small ints per column, so O(width) of them in all."""
+        w, r = self.grid.width, self.fov_radius
+        xs = np.arange(w)
+        left = np.maximum(xs - r, 0)
+        return tuple(zip((np.minimum(xs + r, w - 1) - left + 1).tolist(), left.tolist()))
 
 
 def map_meta(spec: MapSpec) -> MapMeta:
@@ -196,9 +211,8 @@ class AgentState(NamedTuple):
     cell: int
 
 
-@dataclass(frozen=True, eq=False)
-class WorldState:
-    """The world at one tick.
+class WorldState(NamedTuple):
+    """The world at one tick, an immutable tuple.
 
     What changes during a mission is held as packed cell sets, bit c set for
     row-major cell c (`pack_cells`): the victims left of each kind (`greens`,
@@ -223,9 +237,8 @@ class WorldState:
 
 
 def initial_state(spec: MapSpec, agents: tuple[AgentState, ...]) -> WorldState:
-    return WorldState(spec=spec, tick=0, agents=agents, greens=spec.greens,
-                      yellows=spec.yellows, reds=spec.reds, rubble=spec.rubble,
-                      doors=spec.doors)
+    return WorldState(spec, 0, agents, spec.greens, spec.yellows, spec.reds, spec.rubble,
+                      spec.doors)
 
 
 def _victim_at(greens: int, yellows: int, reds: int, c: int) -> VictimType | None:
@@ -272,7 +285,7 @@ def step_resolved(state: WorldState, actions) -> tuple[WorldState, tuple[AgentAc
     greens, yellows, reds, rubble, doors = (state.greens, state.yellows, state.reds,
                                             state.rubble, state.doors)
     blocked = rubble | doors  # moves see the start-of-tick terrain
-    events = list(state.events)
+    events = state.events  # a new tuple only if a rescue adds to it
     resolved: list[AgentAction] = [WAIT_ACTION] * len(actions)
     agents = list(state.agents)
     # In agent order. A rescue removes its victim at once, which settles conflicts;
@@ -292,8 +305,8 @@ def step_resolved(state: WorldState, actions) -> tuple[WorldState, tuple[AgentAc
             actors = _rescuers(state, kind, agent, c)
             if actors is not None:
                 y, x = divmod(c, state.spec.grid.width)
-                events.append(RescueEvent(time_s=state.time_s, victim_cell=Position(x, y),
-                                          victim_type=kind, actor_ids=actors))
+                events += (RescueEvent(time_s=state.time_s, victim_cell=Position(x, y),
+                                       victim_type=kind, actor_ids=actors),)
                 gone = ~(1 << c)
                 greens, yellows, reds = greens & gone, yellows & gone, reds & gone
                 resolved[i] = act
@@ -304,7 +317,6 @@ def step_resolved(state: WorldState, actions) -> tuple[WorldState, tuple[AgentAc
                 doors &= ~(1 << c)
             resolved[i] = act
 
-    new_state = WorldState(spec=state.spec, tick=state.tick + 1, agents=tuple(agents),
-                           greens=greens, yellows=yellows, reds=reds, rubble=rubble,
-                           doors=doors, events=tuple(events))
+    new_state = WorldState(state.spec, state.tick + 1, tuple(agents), greens, yellows, reds,
+                           rubble, doors, events)
     return new_state, tuple(resolved)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -824,6 +825,9 @@ def one_way_anova(groups: Sequence) -> AnovaResult:
     if all((v == v[0]).all() for v in vecs):  # constant, told exactly: SS may be noise
         f = 0.0 if all(v[0] == vecs[0][0] for v in vecs) else math.inf
         return AnovaResult(f=f, p_value=float(f == 0.0), df_between=df_b, df_within=df_w)
+    if ss_within < sys.float_info.min:  # 0 or subnormal: F would be a division by noise
+        raise DegenerateDataError("F undefined: the within-group sum of squares underflows "
+                                  "below the smallest normal float")
     f = (ss_between / df_b) / (ss_within / df_w)
     return AnovaResult(f=f, p_value=f_sf(f, df_b, df_w), df_between=df_b, df_within=df_w)
 

@@ -747,6 +747,19 @@ def test_stats_too_small_table_exits_2(tmp_path, capsys, analysis, n_rows, messa
     assert f"usage error: {message}" in capsys.readouterr().err
 
 
+def test_stats_anova_with_underflowing_within_variance_exits_3(tmp_path, capsys):
+    # one team of eight scores 1e-170, the others 0: whichever group holds it
+    # has a within-group sum of squares that underflows to 0
+    cells = np.random.default_rng(3).random((8, 4))
+    table = tmp_path / "m.csv"
+    table.write_text("session_id,sed,sms,spa,ci,performance\n" + "".join(
+        f"s{i:02d}," + ",".join(map(repr, row.tolist())) + (",1e-170\n" if i == 5 else ",0\n")
+        for i, row in enumerate(cells)))
+    assert run(["stats", "--table", str(table), "--analysis", "timeless-anova"]) == EXIT_DOMAIN
+    assert capsys.readouterr() == ("", "error: F undefined: the within-group sum of squares "
+                                       "underflows below the smallest normal float\n")
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_stats_non_finite_cell_exits_2(tmp_path, capsys, cell):
     table = random_table(tmp_path / "m.csv", 8)

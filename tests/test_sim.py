@@ -20,6 +20,7 @@ from teamcoord.sim import (
     InvalidMapError,
     MalformedActionError,
     PolicyKind,
+    WorldState,
     builtin_map,
     builtin_maps,
     initial_state,
@@ -73,8 +74,8 @@ def mini_world(tick=0, victims=(), rubble=(), doors=(), agents=None):
             RefAgent("engineer1", Role.ENGINEER, Position(3, 2)),
             RefAgent("engineer2", Role.ENGINEER, Position(0, 1)),
         )
-    return replace(initial_state(spec, tuple(to_sim_agent(spec.grid, a) for a in agents)),
-                   tick=tick)
+    return initial_state(spec, tuple(to_sim_agent(spec.grid, a) for a in agents))._replace(
+        tick=tick)
 
 
 def cells_of(state, cells):
@@ -238,22 +239,32 @@ def test_step_leaves_its_input_state_unchanged():
     # one rescue, one clear and one open in a tick: each writes one of the set fields
     green, rubble, door = Position(2, 2), Position(4, 2), Position(0, 2)
     w = mini_world(victims=[(green, VictimType.GREEN)], rubble=[rubble], doors=[door])
-
-    def fields(state):
-        return state.greens, state.yellows, state.reds, state.rubble, state.doors
-
-    assert all(type(f) is int for f in fields(w))
-    before = fields(w)
+    assert all(type(f) is int for f in (w.greens, w.yellows, w.reds, w.rubble, w.doors))
+    before = WorldState(*w)  # an equal state, compared field by field below
     actions = [rescue(green), WAIT, AgentAction(ActionTag.CLEAR, at(rubble)),
                AgentAction(ActionTag.OPEN, at(door))]
     out, resolved = step_resolved(w, actions)
     assert resolved == tuple(actions)
-    assert fields(w) == before and w.events == ()
+    assert w == before and w.events == ()
     assert victims_of(out) == {} and cells_of(out, out.rubble) == set()
     assert cells_of(out, out.doors) == set()
     again, resolved_again = step_resolved(w, actions)
-    assert fields(again) == fields(out) and again.events == out.events
+    assert again == out and again is not out
     assert resolved_again == resolved
+
+
+def test_step_copies_events_only_on_a_rescue():
+    green = Position(2, 2)
+    w = mini_world(victims=[(green, VictimType.GREEN)])
+    quiet, _ = step_resolved(w, [WAIT] * 4)
+    assert quiet.events is w.events == ()  # no rescue: the same tuple
+    rescued, _ = step_resolved(quiet, [rescue(green), WAIT, WAIT, WAIT])
+    assert w.events == () and len(rescued.events) == 1
+    event = rescued.events[0]
+    assert (event.victim_cell, event.victim_type, event.actor_ids) == (
+        green, VictimType.GREEN, ("medic1",))
+    later, _ = step_resolved(rescued, [WAIT] * 4)
+    assert later.events is rescued.events
 
 
 def test_conservation_under_random_stepping():
@@ -347,8 +358,8 @@ def test_step_matches_set_reference_under_random_actions():
         agents = tuple(RefAgent(pid, role, around[rng.integers(len(around))])
                        for pid, role in (roles[k] for k in rng.permutation(4)))
         start_tick = cutoff_tick - 1 if kind is VictimType.RED else 0
-        state = replace(initial_state(spec, tuple(to_sim_agent(g, a) for a in agents)),
-                        tick=start_tick)
+        state = initial_state(spec, tuple(to_sim_agent(g, a) for a in agents))._replace(
+            tick=start_tick)
         ref = ReferenceWorld(spec=spec, tick=start_tick, agents=agents, **sets)
         for _ in range(10):
             actions = [_random_action(rng, a, ref) for a in ref.agents]
@@ -697,6 +708,22 @@ def test_map_grid_up_to_the_cell_limit_builds():
     assert str(art_exc.value) == str(exc.value)
 
 
+@pytest.mark.parametrize("width, height, fov", [(1024, 1024, 5), (2 ** 20, 1, 2 ** 19),
+                                                (1, 2 ** 20, 3)])
+def test_view_and_planner_tables_hold_a_few_bits_per_cell(width, height, fov):
+    # the tables `observe` and `BfsField` read: four packed cell sets and two
+    # small ints per column. A packed view or neighbour set per cell or per
+    # column would hold up to n_cells bits each, 2**39 bits or more in all on
+    # the 2**20 x 1 map; `neighbor_lists` is not one of these tables
+    grid = GridSpec(width, height)
+    spec = map_from_cells("tables", grid, [], [], [], [], (0, 0), fov_radius=fov)
+    assert len(spec.view_spans) == width
+    packed = [spec.view_column, *spec.inner_columns, spec.open_cells]
+    bits = (sum(cells.bit_length() for cells in packed)
+            + sum(span.bit_length() + left.bit_length() for span, left in spec.view_spans))
+    assert bits <= 64 * grid.n_cells
+
+
 @pytest.mark.parametrize("clock", [MissionClock(mission_duration_s=math.inf),
                                    MissionClock(mission_duration_s=math.inf, red_cutoff_s=math.inf)])
 def test_map_validation_refuses_infinite_mission_clock(clock):
@@ -772,6 +799,29 @@ def test_greedy_engineer_rescues_adjacent_green():
     assert perf.points == 10
 
 
+def test_greedy_medic_camps_only_beside_a_red():
+    # medic1 stands beside a red with no engineer near it: it waits `patience`
+    # ticks, then shelves the red and moves on; medic2 has no red beside it,
+    # so it counts no wait and heads for the red
+    agents = (RefAgent("medic1", Role.MEDIC, Position(2, 1)),
+              RefAgent("medic2", Role.MEDIC, Position(5, 5)),
+              RefAgent("engineer1", Role.ENGINEER, Position(0, 5)),
+              RefAgent("engineer2", Role.ENGINEER, Position(5, 0)))
+    w = mini_world(victims=[(RED_CELL, VictimType.RED)], agents=agents)
+    team = policy_team(PolicyKind.GREEDY, dither=0, patience=2)
+    beside, away = build_controllers(team, w.spec, seed=0)[:2]
+    red = at(RED_CELL)
+    for tick in range(3):
+        state = w._replace(tick=tick)
+        beside.observe(state)
+        away.observe(state)
+        act = beside.act(state)
+        assert (act == WAIT) is (tick < 2)
+        assert beside.red_wait == ({red: tick + 1} if tick < 2 else {})
+        assert away.act(state).kind is ActionTag.MOVE and away.red_wait == {}
+    assert beside.red_shelved == {red: 2 + 25}
+
+
 def test_mission_deterministic_for_fixed_inputs():
     spec = builtin_map("small")
     a = run_mission(spec, policy_team(PolicyKind.COORDINATED), seed=11)
@@ -801,7 +851,7 @@ def test_an_invalid_simulated_session_is_a_simulator_bug(monkeypatch):
     def teleporting_step(state, actions):
         new, resolved = step(state, actions)
         if new.tick == 5:
-            new = replace(new, agents=(new.agents[0]._replace(cell=far), *new.agents[1:]))
+            new = new._replace(agents=(new.agents[0]._replace(cell=far), *new.agents[1:]))
         return new, resolved
 
     monkeypatch.setattr(policies, "step_resolved", teleporting_step)
@@ -1136,6 +1186,36 @@ def test_bfs_field_shifts_and_walk_back_match_full_fill_oracle(spec):
             assert field.nearest(pack_cells(goals)) == _oracle_nearest(goals, dist)
             assert _first_steps(field, n) == first
             assert _level_dist(field, n) == dist
+
+
+@pytest.mark.parametrize("spec", SHIFT_MAPS, ids=lambda spec: spec.name)
+def test_first_step_from_the_remembered_level_matches_a_cold_scan(spec):
+    # `nearest` keeps the level of the cell it found, and `first_step` on that
+    # cell walks back from it unscanned; a fresh field scans its levels for the
+    # cell. Both agree with the FIFO fill, on seeded goal sets from seeded starts
+    g = spec.grid
+    n = g.n_cells
+    full = grid_neighbors(g.width, g.height)
+    walls = unpack_cells(spec.walls, n)
+    blocked = unpack_cells(spec.doors | spec.rubble, n)
+    open_cells = np.flatnonzero(~walls & ~blocked)
+    rng = np.random.default_rng(19)
+    remembered = 0
+    for _ in range(12):
+        start = int(rng.choice(open_cells))
+        dist, first = bfs_field(full, (blocked | walls).tolist(), start)
+        field = BfsField(spec, pack_cells(blocked), start)
+        for _ in range(4):
+            goals = rng.random(n) < rng.choice([0.002, 0.02, 0.2])
+            cell = field.nearest(pack_cells(goals))
+            assert cell == _oracle_nearest(goals, dist)
+            if cell is None or cell == start:
+                continue
+            assert field._found == (cell, dist[cell])  # the remembered level
+            cold = BfsField(spec, pack_cells(blocked), start)
+            assert field.first_step(cell) == cold.first_step(cell) == first[cell]
+            remembered += 1
+    assert remembered
 
 
 @pytest.mark.parametrize("spec", PLANNING_MAPS, ids=lambda spec: spec.name)

@@ -1000,6 +1000,17 @@ def test_anova_constant_groups_are_told_exactly(groups, f, p):
     assert (r.f, r.p_value) == (f, p)
 
 
+@pytest.mark.parametrize("groups", [[[0, 1e-170], [0, 0]], [[0, 0, 1e-160], [1, 1]]],
+                         ids=["zero", "subnormal"])
+def test_anova_underflowing_within_variance_is_degenerate(groups):
+    # the groups are not constant, but their squared deviations fall below the
+    # smallest normal float: to 0, where F divided by zero, or to a subnormal
+    with pytest.raises(DegenerateDataError, match="^F undefined: the within-group sum of "
+                                                  "squares underflows"):
+        one_way_anova(groups)
+    assert one_way_anova([[0, 1e-150], [0, 0]]).f == pytest.approx(1.0)  # F is scale-free
+
+
 # --- grouping -----------------------------------------------------------------------
 
 def members(groups, group):
